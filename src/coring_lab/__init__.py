@@ -42,7 +42,6 @@ from .coalgebra import (
 )
 from .entwining import (
     EntwinedContext,
-    EntwiningMap,
     build_coring,
     build_sharp_ring,
     comodule_algebra_from_unit,
@@ -55,7 +54,6 @@ from .coring import (
     CoringPresentation,
     coinvariants,
     dual_action,
-    dual_ring,
     hom_comodule,
     induced_comodule,
     verify_coring,
@@ -105,12 +103,11 @@ __all__ = [
     "verify_algebra", "verify_module",
     "CoalgebraPresentation", "convolution", "convolution_inverse",
     "is_grouplike_C", "verify_coalgebra",
-    "EntwinedContext", "EntwiningMap", "build_coring", "build_sharp_ring",
+    "EntwinedContext", "build_coring", "build_sharp_ring",
     "comodule_algebra_from_unit", "doi_koppinen", "instance_from_json",
     "verify_entwining",
     "ComoduleInstance", "CoringPresentation", "coinvariants", "dual_action",
-    "dual_ring", "hom_comodule", "induced_comodule", "verify_coring",
-    "x_invariants",
+    "hom_comodule", "induced_comodule", "verify_coring", "x_invariants",
     "ClauseDisagreement", "build_context", "check_theorem_Cfinite",
     "check_theorem_surj", "compute_B", "compute_Q", "find_qhat",
     "omega_and_lambda", "psi_tilde_from_F", "trace_map", "xi_M",

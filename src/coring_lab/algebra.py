@@ -25,24 +25,22 @@ from .exactla import (
     ShapeError,
     Subspace,
     SubspaceBuilder,
+    combine_rows,
+    json_dim,
+    json_get,
+    null_vectors,
+    parse_array,
     quotient,
     solve,
 )
-from .verdict import Verdict, VerificationError
+from .verdict import Verdict, VerificationError, one_failure
 
 
 def _combination(field, rows: int, cols: int, mats: Sequence[DenseMatrix],
                  coeffs: Sequence) -> DenseMatrix:
     """sum coeffs[i] * mats[i] without intermediate matrix allocations."""
-    ent = [0] * (rows * cols)
-    for a, m in zip(coeffs, mats):
-        if a:
-            src = m.entries
-            for t in range(rows * cols):
-                b = src[t]
-                if b:
-                    ent[t] += a * b
-    return DenseMatrix(field, rows, cols, ent)
+    return DenseMatrix(field, rows, cols,
+                       combine_rows(field, coeffs, [m.entries for m in mats], rows * cols))
 
 
 class AlgebraPresentation:
@@ -125,13 +123,10 @@ class AlgebraPresentation:
 
     @staticmethod
     def from_json(field: FieldSpec, obj: dict, name: str = "") -> "AlgebraPresentation":
-        try:
-            dim = int(obj["dim"])
-            mult = [[[field.scalar_from_str(x) for x in cell] for cell in row]
-                    for row in obj["mult"]]
-            unit = [field.scalar_from_str(x) for x in obj["unit"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ShapeError(f"bad algebra JSON: {exc}")
+        dim = json_dim(obj, "dim", "algebra")
+        mult = parse_array(field, json_get(obj, "mult", "algebra"), (dim, dim, dim),
+                           "algebra mult")
+        unit = parse_array(field, json_get(obj, "unit", "algebra"), (dim,), "algebra unit")
         return AlgebraPresentation(field, dim, mult, unit, name=name)
 
     def __repr__(self):
@@ -205,13 +200,12 @@ class ModulePresentation:
 
     @staticmethod
     def from_json(algebra: AlgebraPresentation, obj: dict) -> "ModulePresentation":
-        try:
-            dim = int(obj["dim"])
-            side = obj["side"]
-            action = [DenseMatrix.from_json(algebra.field, m) for m in obj["action"]]
-        except (KeyError, TypeError) as exc:
-            raise ShapeError(f"bad module JSON: {exc}")
-        return ModulePresentation(algebra, dim, side, action)
+        dim = json_dim(obj, "dim", "module")
+        action = json_get(obj, "action", "module")
+        if not isinstance(action, list):
+            raise ShapeError("module action must be a list")
+        return ModulePresentation(algebra, dim, json_get(obj, "side", "module"),
+                                  [DenseMatrix.from_json(algebra.field, m) for m in action])
 
     def __repr__(self):
         label = self.name or f"{self.dim}-dim {self.side} module"
@@ -351,13 +345,15 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
         raise ShapeError("hom between modules on different sides")
     if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
         raise ShapeError("hom over mismatched algebras")
-    f = M.field
-    dM, dN = M.dim, N.dim
+    return intertwiner_space(M.field, M.dim, N.dim, zip(M.action, N.action))
+
+
+def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
+    """All dN x dM matrices T with T a = b T for every pair (a, b), as a
+    subspace of row-major flattened matrices."""
     nvars = dN * dM
-    builder = SubspaceBuilder(f, nvars)
-    for s in range(M.algebra.dim):
-        a = M.action[s]
-        b = N.action[s]
+    builder = SubspaceBuilder(field, nvars)
+    for a, b in pairs:
         # row (i, j): entry of (T a - b T)[i][j]; unknowns T[r][c] at r*dM+c
         for i in range(dN):
             for j in range(dM):
@@ -370,7 +366,7 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
                     y = b.get(i, r)
                     if y:
                         c = r * dM + j
-                        nv = f.sub(row.get(c, 0), y)
+                        nv = field.sub(row.get(c, 0), y)
                         if nv:
                             row[c] = nv
                         else:
@@ -378,20 +374,8 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
                 if row:
                     builder.insert(row)
     constraints = builder.to_subspace()
-    # null space of the constraint rows, directly from their echelon form
-    pivset = set(constraints.pivots)
-    vecs = []
-    for free in range(nvars):
-        if free in pivset:
-            continue
-        v = [0] * nvars
-        v[free] = 1
-        for r, c in enumerate(constraints.pivots):
-            coef = constraints.basis.get(r, free)
-            if coef:
-                v[c] = f.neg(coef)
-        vecs.append(v)
-    return Subspace.from_spanning(f, nvars, vecs)
+    return Subspace.from_spanning(field, nvars, null_vectors(
+        field, nvars, constraints.basis.row_lists(), constraints.pivots))
 
 
 def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatrix]:
@@ -442,16 +426,8 @@ def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]
     # assemble the splitting M -> S^d as a (d*dS) x d matrix
     cols = []
     for k in range(d):
-        col = []
-        for i in range(d):
-            acc = [0] * dS
-            for j in range(r):
-                t = sol[i * r + j]
-                if t:
-                    hj = homs[j].col(k)
-                    acc = [f.add(a, f.mul(t, b)) for a, b in zip(acc, hj)]
-            col.extend(acc)
-        cols.append(col)
+        hk = [h.col(k) for h in homs]
+        cols.append([x for i in range(d) for x in combine_rows(f, sol[i * r:(i + 1) * r], hk, dS)])
     witness = DenseMatrix.from_rows(f, cols, cols=d * dS).transpose()
     return True, witness
 
@@ -485,10 +461,9 @@ def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> Tu
     is not closed or misses the unit, which would flag an upstream bug.
     """
     f = A.field
-    v = Verdict()
     if not space.contains(A.unit):
-        v.fail("subalgebra-unit", (), "unit of A is not in the subspace")
-        raise VerificationError("subalgebra_on", v)
+        raise VerificationError("subalgebra_on", one_failure(
+            "subalgebra-unit", detail="unit of A is not in the subspace"))
     d = space.dim
     emb = space.basis.transpose()
     mult = [[[0] * d for _ in range(d)] for _ in range(d)]
@@ -496,8 +471,8 @@ def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> Tu
         for j in range(d):
             prod = A.mul_vec(emb.col(i), emb.col(j))
             if not space.contains(prod):
-                v.fail("subalgebra-closure", (i, j))
-                raise VerificationError("subalgebra_on", v)
+                raise VerificationError("subalgebra_on",
+                                        one_failure("subalgebra-closure", (i, j)))
             mult[i][j] = space.coords(prod)
     unit = space.coords(A.unit)
     return AlgebraPresentation(f, d, mult, unit, name=name), emb

@@ -29,12 +29,13 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     Subspace,
+    combine_rows,
     kernel,
     kron,
     solve,
 )
 from .morita import ClauseDisagreement, find_qhat
-from .verdict import Verdict, VerificationError
+from .verdict import Verdict, VerificationError, one_failure
 
 
 class InconclusiveSearch(Exception):
@@ -79,14 +80,7 @@ def integral_space(ctx) -> IntegralSpace:
         system = DenseMatrix.from_rows(f, evals, cols=nA).transpose()
         sol = solve(system, ctx.A.unit)
         if sol is not None:
-            flat = [0] * (nA * nC)
-            for i, t in enumerate(sol):
-                if t:
-                    row = space.basis.row(i)
-                    for c in range(nA * nC):
-                        if row[c]:
-                            flat[c] += t * row[c]
-            total = [f.normalize(x) for x in flat]
+            total = combine_rows(f, sol, space.basis.row_lists(), nA * nC)
     return IntegralSpace(space, total)
 
 
@@ -125,13 +119,7 @@ def search_invertible(field: FieldSpec, basis: List[list],
     width = len(basis[0])
 
     def combine(params):
-        flat = [0] * width
-        for t, b in zip(params, basis):
-            if t:
-                for c in range(width):
-                    if b[c]:
-                        flat[c] += t * b[c]
-        return [field.normalize(x) for x in flat]
+        return combine_rows(field, params, basis, width)
 
     def invertible(params):
         mat = to_matrix(combine(params))
@@ -249,18 +237,12 @@ def find_cleft(ctx, seed: int = 0) -> CleftResult:
                             seed=seed)
     if res.status != "found":
         return CleftResult(res.status, certificate=res.certificate)
-    flat = [0] * (ctx.A.dim * ctx.C.dim)
-    for t, b in zip(res.coords, basis):
-        if t:
-            for c in range(len(flat)):
-                if b[c]:
-                    flat[c] += t * b[c]
-    lam = DenseMatrix(f, ctx.A.dim, ctx.C.dim, flat)
+    lam = DenseMatrix(f, ctx.A.dim, ctx.C.dim,
+                      combine_rows(f, res.coords, basis, ctx.A.dim * ctx.C.dim))
     lam_bar = convolution_inverse(lam, ctx.C, ctx.A)
     if lam_bar is None:
-        raise VerificationError("find_cleft",
-                                _fail("inverse-missing",
-                                      "operator invertible but no two-sided inverse"))
+        raise VerificationError("find_cleft", one_failure(
+            "inverse-missing", detail="operator invertible but no two-sided inverse"))
     unit = convolution_unit(ctx.C, ctx.A)
     v = Verdict()
     if convolution(lam, lam_bar, ctx.C, ctx.A) != unit:
@@ -472,13 +454,7 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
                             seed=seed)
     if res.status != "found":
         return NormalBasisResult(res.status, certificate=res.certificate)
-    flat = [0] * (target * nA)
-    for t, b in zip(res.coords, basis):
-        if t:
-            for c in range(len(flat)):
-                if b[c]:
-                    flat[c] += t * b[c]
-    theta = DenseMatrix(f, target, nA, flat)
+    theta = DenseMatrix(f, target, nA, combine_rows(f, res.coords, basis, target * nA))
     return NormalBasisResult("found", theta, res.certificate)
 
 
@@ -487,16 +463,26 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
 # ---------------------------------------------------------------------------
 
 
-def check_theorem_main(ctx, seed: int = 0,
-                       report=None, cleft_result: Optional[CleftResult] = None,
-                       nb_result: Optional[NormalBasisResult] = None) -> Dict[str, object]:
-    """Cleft <=> weak + normal basis <=> Galois + normal basis <=> the
-    endomorphism-ring map is an iso + normal basis <=> strong + normal basis
-    (the last licensed by faithful flatness of C over the ground field).
-    All five clauses are computed independently and must agree.
-    """
+# Each theorem states that five properties are equivalent.  The five
+# booleans below are computed by different mathematical routes (a witness
+# search, the F-surjectivity criterion, the bijectivity of the comparison
+# map, the endomorphism-ring map, faithful flatness plus Galois), so their
+# agreement is a real cross-check.  Clause independence means a different
+# route for each clause, never recomputing the same route twice.
+_CLAUSE_ORDER = {
+    "main": ("cleft", "weak", "galois", "lambda", "strong"),
+    "x-case": ("cleft", "strong", "weak", "galois", "lambda"),
+}
+
+
+def _equivalence_table(ctx, theorem: str, seed: int, report,
+                       cleft_result: Optional[CleftResult],
+                       nb_result: Optional[NormalBasisResult]
+                       ) -> Tuple[Dict[str, object], CleftResult]:
+    """Evaluate the five clauses of ``theorem`` in its own numbering, assert
+    that they agree, and attach the colinearity/Q checks when they hold."""
     from .galois import structure_report
-    from .morita import omega_and_lambda as _oal
+    from .morita import omega_and_lambda
     if report is None:
         report = structure_report(ctx, seed=seed)
     if cleft_result is None:
@@ -506,25 +492,37 @@ def check_theorem_main(ctx, seed: int = 0,
     if cleft_result.status == "inconclusive" or nb_result.status == "inconclusive":
         raise InconclusiveSearch(cleft_result.certificate or nb_result.certificate)
     nb = nb_result.status == "found"
-    ol = _oal(ctx.morita())
-    table = {
-        "1": cleft_result.status == "found",
-        "2": report.weak and nb,
-        "3": report.galois and nb,
-        "4": ol.lambda_iso and nb,
-        "5": report.strong and nb,
+    routes = {
+        "cleft": cleft_result.status == "found",
+        "weak": report.weak and nb,
+        "galois": report.galois and nb,
+        "lambda": omega_and_lambda(ctx.morita()).lambda_iso and nb,
+        "strong": report.strong and nb,
     }
+    table = {str(k + 1): routes[name] for k, name in enumerate(_CLAUSE_ORDER[theorem])}
     if len(set(table.values())) != 1:
-        raise ClauseDisagreement("main", table)
-    result = {"theorem": "main", "clauses": table, "agreement": True}
+        raise ClauseDisagreement(theorem, table)
+    result = {"theorem": theorem, "clauses": table, "agreement": True}
     if table["1"]:
-        checks = lemma_coQ_check(ctx, cleft_result.witness.lam,
-                                 cleft_result.witness.lam_bar)
-        result["coQ"] = checks
-        for w in (ctx.comodule_A(),):
-            if not cleft_psi_inverse_check(ctx, cleft_result.witness, w):
-                raise ClauseDisagreement("main", table,
-                                         detail="explicit inverse failed")
+        result["coQ"] = lemma_coQ_check(ctx, cleft_result.witness.lam,
+                                        cleft_result.witness.lam_bar)
+    return result, cleft_result
+
+
+def check_theorem_main(ctx, seed: int = 0,
+                       report=None, cleft_result: Optional[CleftResult] = None,
+                       nb_result: Optional[NormalBasisResult] = None) -> Dict[str, object]:
+    """Cleft <=> weak + normal basis <=> Galois + normal basis <=> the
+    endomorphism-ring map is an iso + normal basis <=> strong + normal basis
+    (the last licensed by faithful flatness of C over the ground field).
+    The clauses must agree; when they hold, the explicit inverse of the weak
+    structure map attached to the cleft witness is verified too.
+    """
+    result, cleft_result = _equivalence_table(ctx, "main", seed, report,
+                                              cleft_result, nb_result)
+    if result["clauses"]["1"] and \
+            not cleft_psi_inverse_check(ctx, cleft_result.witness, ctx.comodule_A()):
+        raise ClauseDisagreement("main", result["clauses"], detail="explicit inverse failed")
     return result
 
 
@@ -533,43 +531,14 @@ def check_theorem_xcase(ctx, seed: int = 0, report=None,
                         nb_result: Optional[NormalBasisResult] = None
                         ) -> Optional[Dict[str, object]]:
     """The variant available when the coaction of 1 is 1 (x) x with x
-    group-like in C; returns None when that shape does not hold."""
-    from .galois import structure_report
-    from .morita import omega_and_lambda as _oal
-    x = x_case_grouplike(ctx)
-    if x is None:
+    group-like in C: cleft <=> strong + nb <=> weak + nb <=> Galois + nb <=>
+    the endomorphism-ring map is an iso + nb.  Returns None when that shape
+    does not hold; when the clauses hold, a normalized q must exist.
+    """
+    if x_case_grouplike(ctx) is None:
         return None
-    if report is None:
-        report = structure_report(ctx, seed=seed)
-    if cleft_result is None:
-        cleft_result = find_cleft(ctx, seed=seed)
-    if nb_result is None:
-        nb_result = normal_basis_check(ctx, seed=seed)
-    if cleft_result.status == "inconclusive" or nb_result.status == "inconclusive":
-        raise InconclusiveSearch(cleft_result.certificate or nb_result.certificate)
-    nb = nb_result.status == "found"
-    ol = _oal(ctx.morita())
-    table = {
-        "1": cleft_result.status == "found",
-        "2": report.strong and nb,
-        "3": report.weak and nb,
-        "4": report.galois and nb,
-        "5": ol.lambda_iso and nb,
-    }
-    if len(set(table.values())) != 1:
-        raise ClauseDisagreement("x-case", table)
-    result = {"theorem": "x-case", "clauses": table, "agreement": True}
-    if table["1"]:
-        checks = lemma_coQ_check(ctx, cleft_result.witness.lam,
-                                 cleft_result.witness.lam_bar)
-        result["coQ"] = checks
-        if find_qhat(ctx.morita()) is None:
-            raise ClauseDisagreement("x-case", table,
-                                     detail="cleft but no normalized q exists")
+    result, _ = _equivalence_table(ctx, "x-case", seed, report, cleft_result, nb_result)
+    if result["clauses"]["1"] and find_qhat(ctx.morita()) is None:
+        raise ClauseDisagreement("x-case", result["clauses"],
+                                 detail="cleft but no normalized q exists")
     return result
-
-
-def _fail(name: str, detail: str = "") -> Verdict:
-    v = Verdict()
-    v.fail(name, (), detail)
-    return v

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .cleft import (
     InconclusiveSearch,
@@ -97,7 +97,10 @@ def _fmt(v) -> str:
 
 def load_instance(path: str) -> EntwinedContext:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON, bad UTF-8, over-long integers
+            raise ShapeError(f"{path} is not valid JSON: {exc}") from None
     return instance_from_json(data)
 
 
@@ -246,51 +249,48 @@ def check_assertion(payload: dict, expr: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def _process(path: str, seed: int = 0, witness_budget: Optional[int] = None,
+             analyze: bool = True) -> Tuple[int, str, Optional[AnalysisReport]]:
+    """Load, verify and, when asked, analyze one instance file.
+
+    Returns (exit code, one-line message, report).  This is the one mapping
+    from exceptions to exit classes that every command uses.  A
+    VerificationError is an axiom failure (2) until the instance has
+    verified, and an internal inconsistency (4) after that.
+    """
+    verified = False
     try:
-        ctx = load_instance(args.path)
-    except (OSError, json.JSONDecodeError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except VerificationError as exc:
-        # builders that run during parsing (Doi-Koppinen) verify as they go
-        print(f"axiom failure: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    try:
+        ctx = load_instance(path)
         full_verify(ctx)
+        verified = True
+        report = run_analysis(ctx, seed=seed, witness_budget=witness_budget) if analyze else None
+    except (OSError, ShapeError) as exc:
+        return EXIT_PARSE, f"error: {exc}", None
+    except ClauseDisagreement as exc:
+        return EXIT_DISAGREEMENT, f"clause disagreement: {exc}", None
+    except InconclusiveSearch as exc:
+        return EXIT_INCONCLUSIVE, f"inconclusive: {exc}", None
     except VerificationError as exc:
-        for fail in exc.verdict.failures:
-            print(f"axiom failure: {fail}", file=sys.stderr)
-        return EXIT_AXIOM
+        if verified:
+            return EXIT_DISAGREEMENT, f"internal verification failure: {exc}", None
+        return EXIT_AXIOM, f"axiom failure: {exc}", None
+    return EXIT_OK, "", report
+
+
+def cmd_verify(args) -> int:
+    code, message, _ = _process(args.path, analyze=False)
+    if code != EXIT_OK:
+        print(message, file=sys.stderr)
+        return code
     print(f"ok: {args.path} satisfies all axioms")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        ctx = load_instance(args.path)
-    except (OSError, json.JSONDecodeError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except VerificationError as exc:
-        print(f"axiom failure: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    try:
-        full_verify(ctx)
-    except VerificationError as exc:
-        print(f"axiom failure: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    try:
-        report = run_analysis(ctx, seed=args.seed, witness_budget=args.witnesses)
-    except ClauseDisagreement as exc:
-        print(f"clause disagreement: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except InconclusiveSearch as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except VerificationError as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
+    code, message, report = _process(args.path, args.seed, args.witnesses)
+    if code != EXIT_OK:
+        print(message, file=sys.stderr)
+        return code
     if args.format == "json":
         sys.stdout.write(report.to_json() + "\n")
     else:
@@ -309,27 +309,33 @@ def cmd_analyze(args) -> int:
 
 
 HEADLINE = ("galois", "cleft", "weak", "strong", "normal_basis", "qhat_exists")
+# report exits with the most severe class met across its files
+SEVERITY = (EXIT_DISAGREEMENT, EXIT_AXIOM, EXIT_INCONCLUSIVE, EXIT_PARSE)
 
 
 def cmd_report(args) -> int:
     rows = []
-    had_error = False
+    codes = set()
     for path in sorted(args.paths):
-        try:
-            ctx = load_instance(path)
-            full_verify(ctx)
-            rep = run_analysis(ctx, seed=args.seed)
+        code, message, rep = _process(path, args.seed)
+        if code == EXIT_OK:
             flags = rep.payload["flags"]
             rows.append((path, [str(_fmt(flags[k])) for k in HEADLINE]))
-        except Exception as exc:  # pragma: no cover - per-file fault barrier
-            rows.append((path, ["error: " + str(exc)[:60]]))
-            had_error = True
-    header = ["instance"] + list(HEADLINE)
-    widths = [max(len(header[0]), *(len(r[0]) for r in rows))] if rows else [len(header[0])]
-    print("\t".join(header))
+        else:
+            rows.append((path, [message[:80]]))
+            codes.add(code)
+    print("\t".join(["instance"] + list(HEADLINE)))
     for path, cells in rows:
         print("\t".join([path] + cells))
-    return EXIT_PARSE if had_error else EXIT_OK
+    return next((c for c in SEVERITY if c in codes), EXIT_OK)
+
+
+def _env_seed() -> int:
+    raw = os.environ.get("CORING_LAB_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ShapeError(f"CORING_LAB_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("path")
     p_verify.set_defaults(func=cmd_verify)
 
-    default_seed = int(os.environ.get("CORING_LAB_SEED", "0"))
+    default_seed = _env_seed()
 
     p_analyze = sub.add_parser("analyze", help="full structural analysis")
     p_analyze.add_argument("path")
@@ -363,7 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ShapeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     args = parser.parse_args(argv)
     return args.func(args)
 

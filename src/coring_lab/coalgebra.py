@@ -16,7 +16,10 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     ShapeError,
+    json_dim,
+    json_get,
     kron,
+    parse_array,
     solve,
 )
 from .verdict import Verdict
@@ -74,13 +77,11 @@ class CoalgebraPresentation:
 
     @staticmethod
     def from_json(field: FieldSpec, obj: dict, name: str = "") -> "CoalgebraPresentation":
-        try:
-            dim = int(obj["dim"])
-            comult = [[[field.scalar_from_str(x) for x in cell] for cell in row]
-                      for row in obj["comult"]]
-            counit = [field.scalar_from_str(x) for x in obj["counit"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ShapeError(f"bad coalgebra JSON: {exc}")
+        dim = json_dim(obj, "dim", "coalgebra")
+        comult = parse_array(field, json_get(obj, "comult", "coalgebra"), (dim, dim, dim),
+                             "coalgebra comult")
+        counit = parse_array(field, json_get(obj, "counit", "coalgebra"), (dim,),
+                             "coalgebra counit")
         return CoalgebraPresentation(field, dim, comult, counit, name=name)
 
     def __repr__(self):

@@ -1,29 +1,30 @@
-"""A-corings, their comodules, the dual ring, and coinvariant functors.
+"""A-corings, their comodules, and coinvariant functors.
 
 A coring is presented by commuting left/right A-actions on a space, a chosen
-lift of the comultiplication into the plain tensor square, and an A-valued
-counit.  All coring identities that live in the balanced square C (x)_A C are
-checked after projection; the counit laws land in the coring itself and are
-checked on the nose.
+lift of the comultiplication into the plain tensor square, an A-valued
+counit, and a basis of the coring as a free left A-module.  All coring
+identities that live in the balanced square C (x)_A C are checked after
+projection; the counit laws land in the coring itself and are checked on the
+nose.
 
-For corings that are free as left A-modules (every coring this package
-builds is, with the obvious basis), the balanced squares collapse to direct
-sums of copies of the coring.  ``SquareReducer`` exploits a *verified* free
-basis for that fast path and falls back to the generic quotient machinery
-otherwise, so the verifier never trusts an unchecked hint.
+Every coring this package builds is free as a left A-module, with the
+obvious basis, so the balanced squares collapse to direct sums of copies of
+the coring.  ``SquareReducer`` verifies the declared free basis before using
+it; a basis that fails is reported as the named ``coring-free-basis``
+failure, so the verifier never trusts an unchecked hint.  The dual ring of
+left-A-linear maps C -> A is ``entwining.SharpRing``, Hom(C, A) with the
+entwined multiplication.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from .algebra import (
     AlgebraPresentation,
     BimodulePresentation,
     ModulePresentation,
-    balanced_tensor,
-    hom_module,
+    intertwiner_space,
     verify_bimodule,
 )
 from .exactla import (
@@ -31,12 +32,15 @@ from .exactla import (
     FieldSpec,
     ShapeError,
     Subspace,
-    SubspaceBuilder,
+    combine_rows,
+    json_dim,
+    json_get,
     kernel,
     kron,
+    rank,
     solve_matrix,
 )
-from .verdict import Verdict, VerificationError
+from .verdict import Verdict, VerificationError, one_failure
 
 
 class CoringPresentation:
@@ -44,14 +48,14 @@ class CoringPresentation:
 
     left_action/right_action hold one matrix per basis element of A;
     delta_lift is (dim^2) x dim into the plain tensor square; counit_map is
-    dim(A) x dim.  ``free_left_basis`` optionally names columns spanning the
-    coring freely as a left A-module; it is verified before any use.
+    dim(A) x dim.  ``free_left_basis`` names columns spanning the coring
+    freely as a left A-module; it is verified before any use.
     """
 
     def __init__(self, A: AlgebraPresentation, dim: int,
                  left_action: List[DenseMatrix], right_action: List[DenseMatrix],
                  delta_lift: DenseMatrix, counit_map: DenseMatrix,
-                 free_left_basis: Optional[DenseMatrix] = None, name: str = ""):
+                 free_left_basis: DenseMatrix, name: str = ""):
         self.A = A
         self.dim = dim
         if delta_lift.rows != dim * dim or delta_lift.cols != dim:
@@ -108,70 +112,53 @@ class CoringPresentation:
 
 
 class SquareReducer:
-    """Coordinates for C (x)_A C, and for ((C (x)_A C) (x)_A C) on demand.
+    """Coordinates for C (x)_A C, and the coassociativity defect, through the
+    coring's free left basis.
 
     With a verified free left basis v_1..v_r the square is a direct sum of r
     copies of the coring and the projection has the closed form
     c (x) c' |-> sum_j (c . a_j(c')) in block j, where (a_j) decomposes c'
-    over the basis.  Without one, generic quotient spaces are built.
+    over the basis.  A basis that fails verification raises a
+    VerificationError naming ``coring-free-basis``.
     """
 
     def __init__(self, coring: CoringPresentation):
         self.coring = coring
         f = coring.field
-        n = coring.dim
-        self.free = False
+        n, nA = coring.dim, coring.A.dim
         basis = coring.free_left_basis
-        if basis is not None and coring.A.dim > 0 and n % coring.A.dim == 0:
-            r = n // coring.A.dim
-            if basis.rows == n and basis.cols == r:
-                phi_cols = []
-                for j in range(r):
-                    vj = basis.col(j)
-                    for i in range(coring.A.dim):
-                        e_i = [1 if t == i else 0 for t in range(coring.A.dim)]
-                        phi_cols.append(coring.left_act(e_i).apply(vj))
-                phi = DenseMatrix.from_rows(f, phi_cols, cols=n).transpose()
-                if kernel(phi).is_zero() and phi.rows == phi.cols:
-                    dec = solve_matrix(phi, DenseMatrix.identity(f, n))
-                    if dec is not None:
-                        self.free = True
-                        self.rank = r
-                        # dec rows are grouped (j, i): coefficient of e_i in a_j
-                        self.dec = dec
-        if self.free:
-            self.square_dim = self.rank * n
-            self._projection = self._free_projection()
-        else:
-            right = coring.right_module
-            left = coring.left_module
-            self._square = balanced_tensor(right, left)
-            self.square_dim = self._square.dim
-            self._projection = self._square.projection
-        self._triple = None
+        shaped = nA > 0 and basis.rows == n and basis.cols * nA == n
+        if shaped:
+            # phi: A^r -> C, column (j, i) = e_i . v_j
+            phi = DenseMatrix.from_rows(
+                f, [coring.left_module.action[i].apply(basis.col(j))
+                    for j in range(basis.cols) for i in range(nA)], cols=n).transpose()
+        if not shaped or rank(phi) != n:
+            raise VerificationError("SquareReducer", one_failure(
+                "coring-free-basis", detail="the declared basis does not span the "
+                                            "coring freely as a left A-module"))
+        self.rank = basis.cols
+        # dec rows are grouped (j, i): coefficient of e_i in a_j
+        self.dec = solve_matrix(phi, DenseMatrix.identity(f, n))
+        self.square_dim = self.rank * n
+        acts = [self._decomposed_actions([1 if t == k2 else 0 for t in range(n)])
+                for k2 in range(n)]
+        self._projection = DenseMatrix.from_rows(
+            f, [[x for R in acts[k2] for x in R.col(k)] for k in range(n) for k2 in range(n)],
+            cols=self.square_dim).transpose()
 
-    # -- plain square -------------------------------------------------------
-    def _free_projection(self) -> DenseMatrix:
-        cor = self.coring
-        f = cor.field
-        n = cor.dim
-        nA = cor.A.dim
-        cols = []
-        for k in range(n):
-            rmul_cols = [cor.right_module.action[i].col(k) for i in range(nA)]
-            for k2 in range(n):
-                out = [0] * (self.rank * n)
-                for j in range(self.rank):
-                    for i in range(nA):
-                        coef = self.dec.get(j * nA + i, k2)
-                        if coef:
-                            col = rmul_cols[i]
-                            base = j * n
-                            for t in range(n):
-                                if col[t]:
-                                    out[base + t] += coef * col[t]
-                cols.append([f.normalize(x) for x in out])
-        return DenseMatrix.from_rows(f, cols, cols=self.rank * n).transpose()
+    def _decomposed_actions(self, u: Sequence) -> List[DenseMatrix]:
+        """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""
+        nA = self.coring.A.dim
+        a = self.dec.apply(u)
+        return [self.coring.right_act(a[m * nA:(m + 1) * nA]) for m in range(self.rank)]
+
+    def _blocks(self, per_column: List[List[DenseMatrix]]) -> DenseMatrix:
+        """Block matrix with block (b, j) = per_column[j][b], each dim x dim."""
+        n = self.coring.dim
+        rows = [[x for blk in brow for x in blk.row(t)]
+                for brow in zip(*per_column) for t in range(n)]
+        return DenseMatrix.from_rows(self.coring.field, rows, cols=len(per_column) * n)
 
     @property
     def projection(self) -> DenseMatrix:
@@ -187,41 +174,13 @@ class SquareReducer:
     # -- actions on the square ----------------------------------------------
     def left_on_first(self, i: int) -> DenseMatrix:
         cor = self.coring
-        L = cor.left_module.action[i]
-        if self.free:
-            return kron(DenseMatrix.identity(cor.field, self.rank), L)
-        return self._square.projection.mul(
-            kron(L, DenseMatrix.identity(cor.field, cor.dim))).mul(self._square.section)
+        return kron(DenseMatrix.identity(cor.field, self.rank), cor.left_module.action[i])
 
     def right_on_second(self, i: int) -> DenseMatrix:
         cor = self.coring
-        f = cor.field
-        n = cor.dim
-        if self.free:
-            nA = cor.A.dim
-            r = self.rank
-            blocks = [[None] * r for _ in range(r)]
-            for j in range(r):
-                vj_a = cor.right_module.action[i].apply(self.coring.free_left_basis.col(j))
-                coeffs = self.dec.apply(vj_a)  # grouped (j', i')
-                for j2 in range(r):
-                    acc = DenseMatrix.zeros(f, n, n)
-                    for i2 in range(nA):
-                        c = coeffs[j2 * nA + i2]
-                        if c:
-                            acc = acc.add(cor.right_module.action[i2].scale(c))
-                    blocks[j2][j] = acc
-            rows = []
-            for j2 in range(r):
-                for t in range(n):
-                    row = []
-                    for j in range(r):
-                        row.extend(blocks[j2][j].row(t))
-                    rows.append(row)
-            return DenseMatrix.from_rows(f, rows, cols=r * n)
         R = cor.right_module.action[i]
-        return self._square.projection.mul(
-            kron(DenseMatrix.identity(f, n), R)).mul(self._square.section)
+        return self._blocks([self._decomposed_actions(R.apply(cor.free_left_basis.col(j)))
+                             for j in range(self.rank)])
 
     # -- triple -----------------------------------------------------------
     def coassociativity_defect(self) -> DenseMatrix:
@@ -231,55 +190,17 @@ class SquareReducer:
         projection to the balanced triple tensor product.
         """
         cor = self.coring
-        f = cor.field
-        n = cor.dim
+        n, r = cor.dim, self.rank
         D1 = self.reduced_delta()
-        if self.free:
-            r = self.rank
-            nA = cor.A.dim
-            lhs = kron(DenseMatrix.identity(f, r), D1).mul(D1)
-            # rhs block (outer j', middle m) of input block j:
-            # y_j . a_m(u_(j')) where D1(v_j) has blocks u_(j')
-            blocks = [[[None] * r for _ in range(r)] for _ in range(r)]
-            for j in range(r):
-                dv = D1.apply(cor.free_left_basis.col(j))
-                for jp in range(r):
-                    u = dv[jp * n:(jp + 1) * n]
-                    au = self.dec.apply(u)  # grouped (m, i)
-                    for m in range(r):
-                        acc = DenseMatrix.zeros(f, n, n)
-                        for i in range(nA):
-                            c = au[m * nA + i]
-                            if c:
-                                acc = acc.add(cor.right_module.action[i].scale(c))
-                        blocks[jp][m][j] = acc
-            rows = []
-            for jp in range(r):
-                for m in range(r):
-                    for t in range(n):
-                        row = []
-                        for j in range(r):
-                            row.extend(blocks[jp][m][j].row(t))
-                        rows.append(row)
-            rhs = DenseMatrix.from_rows(f, rows, cols=r * n).mul(D1)
-            return lhs.sub(rhs)
-        # generic path: ((C x_A C) x_A C) via module structures on the square
-        if self._triple is None:
-            sq = self._square
-            A = cor.A
-            right_sq = ModulePresentation(
-                A, sq.dim, "right",
-                [sq.projection.mul(kron(DenseMatrix.identity(f, n),
-                                        cor.right_module.action[i])).mul(sq.section)
-                 for i in range(A.dim)])
-            self._triple = balanced_tensor(right_sq, cor.left_module)
-            self._sq_right = right_sq
-        trip = self._triple
-        eye = DenseMatrix.identity(f, n)
-        proj3 = trip.projection.mul(kron(self._square.projection, eye))
-        lhs = proj3.mul(kron(cor.delta_lift, eye)).mul(cor.delta_lift)
-        rhs = proj3.mul(kron(eye, cor.delta_lift)).mul(cor.delta_lift)
-        return lhs.sub(rhs)
+        lhs = kron(DenseMatrix.identity(cor.field, r), D1).mul(D1)
+        # rhs block (outer j', middle m) of input block j:
+        # y_j . a_m(u_(j')) where D1(v_j) has blocks u_(j')
+        per_column = []
+        for j in range(r):
+            dv = D1.apply(cor.free_left_basis.col(j))
+            per_column.append([blk for jp in range(r)
+                               for blk in self._decomposed_actions(dv[jp * n:(jp + 1) * n])])
+        return lhs.sub(self._blocks(per_column).mul(D1))
 
 
 def verify_coring(cor: CoringPresentation) -> Verdict:
@@ -310,7 +231,11 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
     if not v.valid:
         # the balanced square is not meaningful under broken module axioms
         return v
-    red = SquareReducer(cor)
+    try:
+        red = SquareReducer(cor)
+    except VerificationError as exc:
+        v.failures.extend(exc.verdict.failures)
+        return v
     D1 = red.reduced_delta()
     for i in range(A.dim):
         if D1.mul(cor.left_module.action[i]) != red.left_on_first(i).mul(D1):
@@ -323,39 +248,6 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
             if any(x for x in defect.col(j)):
                 v.fail("coassociativity", (j,))
     return v
-
-
-def trivial_coring(A: AlgebraPresentation) -> CoringPresentation:
-    """The coring A itself: Delta the canonical identification, counit id."""
-    f = A.field
-    n = A.dim
-    lift_cols = []
-    for j in range(n):
-        # Delta(e_j) = e_j (x) 1
-        vec = [0] * (n * n)
-        for t in range(n):
-            if A.unit[t]:
-                vec[j * n + t] = A.unit[t]
-        lift_cols.append(vec)
-    delta = DenseMatrix.from_rows(f, lift_cols, cols=n * n).transpose()
-    return CoringPresentation(
-        A, n,
-        [A.lmul_matrix([1 if t == i else 0 for t in range(n)]) for i in range(n)],
-        [A.rmul_matrix([1 if t == i else 0 for t in range(n)]) for i in range(n)],
-        delta, DenseMatrix.identity(f, n),
-        free_left_basis=DenseMatrix.from_rows(f, [A.unit], cols=n).transpose(),
-        name="trivial")
-
-
-# ---------------------------------------------------------------------------
-# group-like elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GroupLikeElement:
-    coring: CoringPresentation
-    vector: list
 
 
 def is_grouplike(cor: CoringPresentation, x: Sequence,
@@ -378,83 +270,6 @@ def is_grouplike(cor: CoringPresentation, x: Sequence,
                 xx[i * n + j] = f.mul(a, b)
     rhs = red.project(xx)
     return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# the dual ring
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DualRingData:
-    """Hom of left-A-linear maps from the coring to A, as an algebra.
-
-    ``space`` is the subspace of dim(A) x dim matrices (row-major flat);
-    ``algebra`` carries the induced structure constants in its echelon basis;
-    ``unit_embedding`` maps A into the dual ring (making it an A-ring).
-    """
-
-    coring: CoringPresentation
-    space: Subspace
-    algebra: AlgebraPresentation
-    embed_matrices: List[DenseMatrix]
-
-    def element_matrix(self, coords: Sequence) -> DenseMatrix:
-        f = self.coring.field
-        nA, n = self.coring.A.dim, self.coring.dim
-        flat = [0] * (nA * n)
-        for i, c in enumerate(coords):
-            if c:
-                row = self.space.basis.row(i)
-                for t in range(nA * n):
-                    if row[t]:
-                        flat[t] += c * row[t]
-        return DenseMatrix(f, nA, n, flat)
-
-    def unit_embedding(self, a: Sequence) -> list:
-        """Coordinates in the dual ring of [c -> eps(c) a]."""
-        cor = self.coring
-        mat = cor.A.rmul_matrix(a).mul(cor.counit_map)
-        return self.space.coords(mat.entries)
-
-
-def dual_mult_matrix(cor: CoringPresentation, fmat: DenseMatrix,
-                     gmat: DenseMatrix) -> DenseMatrix:
-    """(f . g)(c) = sum g(c_1 f(c_2)), computed through the chosen lift."""
-    rmat = cor.right_action_matrix()
-    eye = DenseMatrix.identity(cor.field, cor.dim)
-    return gmat.mul(rmat).mul(kron(eye, fmat)).mul(cor.delta_lift)
-
-
-def dual_ring(cor: CoringPresentation) -> DualRingData:
-    """The ring of left-A-linear maps from the coring to A.
-
-    Raises VerificationError if the induced multiplication fails
-    associativity or the counit fails to be its unit (either would flag an
-    upstream bug, since these are theorems for a valid coring).
-    """
-    from .algebra import verify_algebra  # local to avoid import noise at top
-
-    A = cor.A
-    space = hom_module(cor.left_module, A.regular_module("left"))
-    d = space.dim
-    basis_mats = [DenseMatrix(cor.field, A.dim, cor.dim, space.basis.row(i))
-                  for i in range(d)]
-    mult = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = dual_mult_matrix(cor, basis_mats[i], basis_mats[j])
-            mult[i][j] = space.coords(prod.entries)
-    unit = space.coords(cor.counit_map.entries)
-    alg = AlgebraPresentation(cor.field, d, mult, unit, name="dual ring")
-    verdict = verify_algebra(alg)
-    if not verdict.valid:
-        raise VerificationError("dual_ring", verdict)
-    embeds = []
-    for i in range(A.dim):
-        e_i = [1 if t == i else 0 for t in range(A.dim)]
-        embeds.append(A.rmul_matrix(e_i).mul(cor.counit_map))
-    return DualRingData(cor, space, alg, embeds)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +350,12 @@ class ComoduleInstance:
 
     @staticmethod
     def from_json(ctx, obj: dict, name: str = "") -> "ComoduleInstance":
-        try:
-            dim = int(obj["dim"])
-            action = [DenseMatrix.from_json(ctx.A.field, m) for m in obj["action"]]
-            coaction = DenseMatrix.from_json(ctx.A.field, obj["coaction"])
-        except (KeyError, TypeError) as exc:
-            raise ShapeError(f"bad comodule JSON: {exc}")
+        dim = json_dim(obj, "dim", "comodule")
+        action = json_get(obj, "action", "comodule")
+        if not isinstance(action, list):
+            raise ShapeError("comodule action must be a list")
+        action = [DenseMatrix.from_json(ctx.A.field, m) for m in action]
+        coaction = DenseMatrix.from_json(ctx.A.field, json_get(obj, "coaction", "comodule"))
         mod = ModulePresentation(ctx.A, dim, "right", action, name=name)
         return ComoduleInstance(ctx, mod, coaction, name=name)
 
@@ -669,84 +484,24 @@ def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
 
     Returned as a subspace of dim(N) x dim(M) matrices, row-major.
     """
-    ctx = M.ctx
     f = M.field
-    dM, dN, nC = M.dim, N.dim, ctx.C.dim
-    nvars = dN * dM
-    builder = SubspaceBuilder(f, nvars)
-    for i in range(ctx.A.dim):
-        a = M.module.action[i]
-        b = N.module.action[i]
-        for r in range(dN):
-            for j in range(dM):
-                row = {}
-                for c in range(dM):
-                    xx = a.get(c, j)
-                    if xx:
-                        row[r * dM + c] = xx
-                for s in range(dN):
-                    y = b.get(r, s)
-                    if y:
-                        cidx = s * dM + j
-                        nv = f.sub(row.get(cidx, 0), y)
-                        if nv:
-                            row[cidx] = nv
-                        else:
-                            row.pop(cidx, None)
-                if row:
-                    builder.insert(row)
-    # colinearity: (T (x) id) rho_M = rho_N T
-    for r in range(dN):
-        for k in range(nC):
-            for j in range(dM):
-                row = {}
-                for c in range(dM):
-                    xx = M.coaction.get(c * nC + k, j)
-                    if xx:
-                        row[r * dM + c] = xx
-                for s in range(dN):
-                    y = N.coaction.get(r * nC + k, s)
-                    if y:
-                        cidx = s * dM + j
-                        nv = f.sub(row.get(cidx, 0), y)
-                        if nv:
-                            row[cidx] = nv
-                        else:
-                            row.pop(cidx, None)
-                if row:
-                    builder.insert(row)
-    constraints = builder.to_subspace()
-    pivset = set(constraints.pivots)
-    vecs = []
-    for free in range(nvars):
-        if free in pivset:
-            continue
-        v = [0] * nvars
-        v[free] = 1
-        for rr, cc in enumerate(constraints.pivots):
-            coef = constraints.basis.get(rr, free)
-            if coef:
-                v[cc] = f.neg(coef)
-        vecs.append(v)
-    return Subspace.from_spanning(f, nvars, vecs)
+    nC = M.ctx.C.dim
 
+    def slices(X: ComoduleInstance) -> List[DenseMatrix]:
+        # the C-components of the coaction: row m of slice k is row (m, k)
+        return [DenseMatrix.from_rows(f, [X.coaction.row(m * nC + k) for m in range(X.dim)],
+                                      cols=X.dim) for k in range(nC)]
 
-def evaluation_at_one(ctx, homspace: Subspace, M: ComoduleInstance) -> DenseMatrix:
-    """The map f -> f(1_A) from a hom-space out of A into M, as a matrix."""
-    f = ctx.A.field
-    cols = []
-    for i in range(homspace.dim):
-        T = DenseMatrix(f, M.dim, ctx.A.dim, homspace.basis.row(i))
-        cols.append(T.apply(ctx.A.unit))
-    return DenseMatrix.from_rows(f, cols, cols=M.dim).transpose()
+    # A-linearity, then colinearity (T (x) id) rho_M = rho_N T per C-component
+    pairs = list(zip(M.module.action, N.module.action)) + list(zip(slices(M), slices(N)))
+    return intertwiner_space(f, M.dim, N.dim, pairs)
 
 
 def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInstance:
     """W (x)_A (coring) in entwined coordinates W (x) C.
 
     Action (w (x) c) . a = sum w a_psi (x) c^psi, coaction on the C leg by
-    comultiplication.  The canonical isomorphism of W with the coinvariants,
-    w -> w (x)_A x, is exposed separately via ``induction_unit_map``.
+    comultiplication.
     """
     if W.side != "right":
         raise ShapeError("induction starts from a right A-module")
@@ -776,25 +531,6 @@ def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInst
     mod = ModulePresentation(ctx.A, d, "right", mats, name=name or "induced")
     rho = kron(DenseMatrix.identity(f, dW), ctx.C.comult_matrix())
     return ComoduleInstance(ctx, mod, rho, name=name or f"{W.name or 'W'}(x)coring")
-
-
-def induction_unit_map(ctx, W: ModulePresentation) -> DenseMatrix:
-    """w -> w (x)_A x as a matrix W -> W (x) C."""
-    f = W.field
-    dW, nA, nC = W.dim, ctx.A.dim, ctx.C.dim
-    rows = [[0] * dW for _ in range(dW * nC)]
-    for i in range(nA):
-        for k in range(nC):
-            coef = ctx.x[i * nC + k]
-            if coef:
-                act = W.action[i]
-                for r in range(dW):
-                    arow = act.row(r)
-                    target = rows[r * nC + k]
-                    for c in range(dW):
-                        if arow[c]:
-                            target[c] = f.add(target[c], f.mul(coef, arow[c]))
-    return DenseMatrix.from_rows(f, rows, cols=dW)
 
 
 def comodule_from_dual_module(ctx, mod: ModulePresentation,
@@ -858,51 +594,11 @@ def default_comodule_witnesses(ctx, seed: int = 0,
         big = witnesses[3]
         homs = hom_comodule(big, coring_com)
         if homs.dim:
-            flat = [0] * (coring_com.dim * big.dim)
-            for i in range(homs.dim):
-                c = rng.randint(-2, 2)
-                if c:
-                    row = homs.basis.row(i)
-                    flat = [ctx.field.add(a, ctx.field.mul(c, b))
-                            for a, b in zip(flat, row)]
+            coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
+            flat = combine_rows(ctx.field, coeffs, homs.basis.row_lists(),
+                                coring_com.dim * big.dim)
             tmat = DenseMatrix(ctx.field, coring_com.dim, big.dim, flat)
             ker = kernel(tmat)
             if 0 < ker.dim < big.dim:
                 witnesses.append(restrict_comodule(big, ker, name="random-kernel"))
     return witnesses
-
-
-def check_dual_identification(ctx) -> bool:
-    """The canonical map Hom(C, A) -> left-A-linear maps off the coring,
-    f -> [a (x) c -> a f(c)], must be a ring isomorphism onto the dual ring;
-    compared at the level of structure constants.  A cross-module oracle."""
-    from .morita import _qtilde_matrix
-
-    sharp = ctx.sharp_ring()
-    dual = dual_ring(ctx.coring())
-    n = sharp.algebra.dim
-    if dual.algebra.dim != n:
-        return False
-    f = ctx.field
-    transport = []
-    for idx in range(n):
-        flat = [1 if t == idx else 0 for t in range(n)]
-        mat = _qtilde_matrix(ctx, flat)
-        if not dual.space.contains(mat.entries):
-            return False
-        transport.append(dual.space.coords(mat.entries))
-    tmat = DenseMatrix.from_rows(f, transport, cols=n).transpose()
-    if not kernel(tmat).is_zero():
-        return False
-    for i in range(n):
-        e_i = [1 if t == i else 0 for t in range(n)]
-        for j in range(n):
-            e_j = [1 if t == j else 0 for t in range(n)]
-            prod_sharp = sharp.mul_coords(e_i, e_j)
-            lhs = tmat.apply(prod_sharp)
-            rhs = dual.algebra.mul_vec(tmat.apply(e_i), tmat.apply(e_j))
-            if lhs != rhs:
-                return False
-    if tmat.apply(sharp.algebra.unit) != dual.algebra.unit:
-        return False
-    return True

@@ -24,9 +24,11 @@ from .exactla import (
     FieldSpec,
     ShapeError,
     dumps_canonical,
+    json_get,
     kron,
+    parse_array,
 )
-from .verdict import Verdict, VerificationError
+from .verdict import Verdict, VerificationError, one_failure
 
 
 def swap_matrix(field: FieldSpec, m: int, n: int) -> DenseMatrix:
@@ -36,24 +38,6 @@ def swap_matrix(field: FieldSpec, m: int, n: int) -> DenseMatrix:
         for j in range(n):
             ent[(j * m + i) * (m * n) + (i * n + j)] = 1
     return DenseMatrix(field, m * n, m * n, ent)
-
-
-class EntwiningMap:
-    """The structure map psi with its index conventions fixed."""
-
-    def __init__(self, A: AlgebraPresentation, C: CoalgebraPresentation,
-                 matrix: DenseMatrix):
-        if matrix.rows != A.dim * C.dim or matrix.cols != C.dim * A.dim:
-            raise ShapeError("psi has the wrong shape")
-        self.A = A
-        self.C = C
-        self.matrix = matrix
-
-    def slice_a(self, i: int) -> DenseMatrix:
-        """psi(- (x) e_i): C -> A (x) C."""
-        nA, nC = self.A.dim, self.C.dim
-        cols = [self.matrix.col(k * nA + i) for k in range(nC)]
-        return DenseMatrix.from_rows(self.A.field, cols, cols=nA * nC).transpose()
 
 
 def flip_entwining(A: AlgebraPresentation, C: CoalgebraPresentation) -> DenseMatrix:
@@ -302,9 +286,8 @@ def comodule_algebra_from_unit(ctx: "EntwinedContext") -> Tuple[ComoduleInstance
     if not verdict.valid:
         raise VerificationError("comodule_algebra_from_unit", verdict)
     if not is_grouplike(ctx.coring(), u, ctx.square()):
-        v = Verdict()
-        v.fail("grouplike", (), "the unit coaction is not group-like in the coring")
-        raise VerificationError("comodule_algebra_from_unit", v)
+        raise VerificationError("comodule_algebra_from_unit", one_failure(
+            "grouplike", detail="the unit coaction is not group-like in the coring"))
     return comodule, list(u)
 
 
@@ -532,28 +515,28 @@ class EntwinedContext:
 
 
 def instance_from_json(obj: dict) -> EntwinedContext:
-    """Parse the instance wire format into a context (axioms not yet checked)."""
+    """Parse the instance wire format into a context (axioms not yet checked).
+
+    This is the package's parsing boundary: any malformed input, down to a
+    single scalar, raises ShapeError.
+    """
     if not isinstance(obj, dict):
         raise ShapeError("instance JSON must be an object")
     field = FieldSpec.from_json(obj.get("field", {"kind": "Q"}))
-    try:
-        A = AlgebraPresentation.from_json(field, obj["algebra"])
-        C = CoalgebraPresentation.from_json(field, obj["coalgebra"])
-        ent = obj["entwining"]
-        unit_coaction = [field.scalar_from_str(x) for x in obj["unit_coaction"]]
-    except KeyError as exc:
-        raise ShapeError(f"instance JSON is missing {exc}")
+    A = AlgebraPresentation.from_json(field, json_get(obj, "algebra", "instance"))
+    C = CoalgebraPresentation.from_json(field, json_get(obj, "coalgebra", "instance"))
+    ent = json_get(obj, "entwining", "instance")
+    n = A.dim * C.dim
+    unit_coaction = parse_array(field, json_get(obj, "unit_coaction", "instance"), (n,),
+                                "unit coaction")
     name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ShapeError(f"instance name must be a string, got {name!r}")
     kind = ent.get("kind") if isinstance(ent, dict) else None
     if kind == "matrix":
-        rows = ent.get("psi")
-        if not isinstance(rows, list):
-            raise ShapeError("matrix entwining needs a psi entry")
-        parsed = [[field.scalar_from_str(x) for x in r] for r in rows]
-        psi = DenseMatrix.from_rows(field, parsed, cols=C.dim * A.dim)
-        if psi.rows != A.dim * C.dim:
-            raise ShapeError("psi has the wrong shape")
-        return EntwinedContext(A, C, psi, unit_coaction, name=name)
+        psi = parse_array(field, json_get(ent, "psi", "matrix entwining"), (n, n), "psi")
+        return EntwinedContext(A, C, DenseMatrix.from_rows(field, psi, cols=n),
+                               unit_coaction, name=name)
     if kind == "doi_koppinen":
         if A.dim != C.dim:
             raise ShapeError("self-paired Doi-Koppinen input needs dim A = dim C")

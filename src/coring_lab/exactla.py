@@ -31,16 +31,32 @@ class ShapeError(ExactLAError):
     """Dimension or shape mismatch."""
 
 
+# Miller-Rabin with the first 13 prime bases is exact for every n below this
+# bound (Sorenson and Webster, 2015); larger moduli are rejected, not guessed.
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality for 0 <= p < PRIME_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -59,7 +75,12 @@ class FieldSpec:
         if self.kind not in ("Q", "Fp"):
             raise ShapeError(f"unknown field kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p):
+            if type(self.p) is not int:
+                raise ShapeError(f"Fp requires an integer p, got {self.p!r}")
+            if self.p >= PRIME_BOUND:
+                raise ShapeError(f"Fp modulus {self.p} is not below the primality "
+                                 f"bound {PRIME_BOUND}")
+            if not _is_prime(self.p):
                 raise ShapeError(f"Fp requires a prime p, got {self.p!r}")
         elif self.p is not None:
             raise ShapeError("Q admits no modulus")
@@ -135,11 +156,23 @@ class FieldSpec:
         return str(self.normalize(x))
 
     def scalar_from_str(self, s) -> Scalar:
-        if isinstance(s, int):
+        """Parse a JSON scalar: an int, or a string "a", "a/b" or "a.b".
+
+        Booleans, null, floats, exponents (which could ask for unbounded
+        work), zero denominators and, over Fp, denominators divisible by p
+        all raise ShapeError.
+        """
+        if type(s) is int:
             return self.normalize(s)
-        if isinstance(s, str):
-            return self.normalize(Fraction(s))
-        raise ShapeError(f"cannot parse scalar {s!r}")
+        if type(s) is not str or "e" in s.lower():
+            raise ShapeError(f"cannot parse scalar {s!r}")
+        try:
+            x = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            raise ShapeError(f"cannot parse scalar {s!r}") from None
+        if self.kind == "Fp" and x.denominator % self.p == 0:
+            raise ShapeError(f"scalar {s!r} has a denominator divisible by {self.p}")
+        return self.normalize(x)
 
     def scalar_to_json(self, x):
         x = self.normalize(x)
@@ -157,7 +190,7 @@ class FieldSpec:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ShapeError("field spec must be an object with a 'kind'")
         if obj["kind"] == "Fp":
-            return FieldSpec("Fp", int(obj["p"]))
+            return FieldSpec("Fp", obj.get("p"))
         if obj["kind"] == "Q":
             return FieldSpec("Q")
         raise ShapeError(f"unknown field kind {obj['kind']!r}")
@@ -345,17 +378,9 @@ class DenseMatrix:
 
     @staticmethod
     def from_json(field: FieldSpec, obj: dict) -> "DenseMatrix":
-        try:
-            rows, cols, entries = int(obj["rows"]), int(obj["cols"]), obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise ShapeError(f"bad matrix JSON: {exc}")
-        if len(entries) != rows:
-            raise ShapeError("matrix JSON row count mismatch")
-        parsed = []
-        for r in entries:
-            if len(r) != cols:
-                raise ShapeError("matrix JSON col count mismatch")
-            parsed.append([field.scalar_from_str(x) for x in r])
+        rows, cols = json_dim(obj, "rows", "matrix"), json_dim(obj, "cols", "matrix")
+        parsed = parse_array(field, json_get(obj, "entries", "matrix"), (rows, cols),
+                             "matrix entries")
         return DenseMatrix.from_rows(field, parsed, cols=cols)
 
 
@@ -380,20 +405,6 @@ def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
                     if b:
                         out[orow + j2] = a * b
     return DenseMatrix(M.field, rows, cols, out)
-
-
-def kron_vec(field: FieldSpec, v: Sequence[Scalar], w: Sequence[Scalar]) -> list:
-    """Coordinates of v tensor w under the (i,j) -> i*len(w)+j convention."""
-    out = [0] * (len(v) * len(w))
-    lw = len(w)
-    for i, a in enumerate(v):
-        if not a:
-            continue
-        base = i * lw
-        for j, b in enumerate(w):
-            if b:
-                out[base + j] = field.normalize(a * b)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -630,22 +641,13 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ShapeError("ambient mismatch")
-        # rows of [B1; B2] whose kernel combos express common vectors
+        # kernel vectors of [B1^T | B2^T] give the combinations of B1 rows
+        # that are also combinations of B2 rows
         b1 = self.basis
-        b2 = other.basis
-        stacked = b1.transpose().hstack(b2.transpose())
-        ker = kernel(stacked)
-        vecs = []
-        for i in range(ker.dim):
-            coeffs = ker.basis.row(i)[:b1.rows]
-            v = [0] * self.ambient_dim
-            for r, c in enumerate(coeffs):
-                if c:
-                    row = b1.row(r)
-                    for j in range(self.ambient_dim):
-                        if row[j]:
-                            v[j] += c * row[j]
-            vecs.append([self.field.normalize(x) for x in v])
+        ker = kernel(b1.transpose().hstack(other.basis.transpose()))
+        rows = b1.row_lists()
+        vecs = [combine_rows(self.field, ker.basis.row(i)[:b1.rows], rows, self.ambient_dim)
+                for i in range(ker.dim)]
         return Subspace.from_spanning(self.field, self.ambient_dim, vecs)
 
 
@@ -739,13 +741,34 @@ class SubspaceBuilder:
 # ---------------------------------------------------------------------------
 
 
-def kernel(M: DenseMatrix) -> Subspace:
-    """Right null space {v : Mv = 0} in canonical echelon form."""
-    f = M.field
-    rows, pivots = row_reduce(f, M.row_lists())
-    n = M.cols
+def combine_rows(field: FieldSpec, coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
+                 width: int) -> list:
+    """sum coeffs[i] * rows[i], normalized; every linear combination of basis
+    rows in the package goes through here."""
+    out = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    out[j] += c * b
+    # normalize() inlined: this runs under every lmul/rmul/act matrix
+    if field.kind == "Fp":
+        p = field.p
+        return [x % p for x in out]
+    return [x if type(x) is int else field.normalize(x) for x in out]
+
+
+def null_vectors(field: FieldSpec, n: int, rows: Sequence[Sequence[Scalar]],
+                 pivots: Sequence[int]) -> list:
+    """A basis of {v in k^n : r . v = 0 for every row r} from an RREF.
+
+    One vector per non-pivot column f: e_f minus the pivot entries of column
+    f.  This is the package's one null-space routine; kernels and hom-spaces
+    pass the vectors through ``Subspace.from_spanning`` for the canonical
+    echelon basis, and quotients use them as projection rows directly.
+    """
     pivset = set(pivots)
-    vecs = []
+    out = []
     for free in range(n):
         if free in pivset:
             continue
@@ -754,9 +777,21 @@ def kernel(M: DenseMatrix) -> Subspace:
         for r, c in enumerate(pivots):
             coef = rows[r][free]
             if coef:
-                v[c] = f.neg(coef)
-        vecs.append(v)
-    return Subspace.from_spanning(f, n, vecs)
+                v[c] = field.neg(coef)
+        out.append(v)
+    return out
+
+
+def kernel(M: DenseMatrix) -> Subspace:
+    """Right null space {v : Mv = 0} in canonical echelon form."""
+    rows, pivots = row_reduce(M.field, M.row_lists())
+    return Subspace.from_spanning(M.field, M.cols, null_vectors(M.field, M.cols, rows, pivots))
+
+
+def rank(M: DenseMatrix) -> int:
+    """The rank of M, as the dimension of its column space; every rank-only
+    question in the package asks this."""
+    return len(row_reduce(M.field, [M.col(j) for j in range(M.cols)])[1])
 
 
 def image(M: DenseMatrix) -> Subspace:
@@ -837,16 +872,9 @@ def quotient(ambient_dim: int, relations: Subspace) -> QuotientSpace:
     free = [c for c in range(ambient_dim) if c not in set(relations.pivots)]
     qdim = len(free)
     # projection: reduce modulo relations, then read the free coordinates
-    proj_rows = []
-    for fc in free:
-        row = [0] * ambient_dim
-        row[fc] = 1
-        for r, c in enumerate(relations.pivots):
-            coef = relations.basis.get(r, fc)
-            if coef:
-                row[c] = f.neg(coef)
-        proj_rows.append(row)
-    projection = DenseMatrix.from_rows(f, proj_rows, cols=ambient_dim)
+    projection = DenseMatrix.from_rows(
+        f, null_vectors(f, ambient_dim, relations.basis.row_lists(), relations.pivots),
+        cols=ambient_dim)
     sec_rows = []
     for i in range(ambient_dim):
         row = [0] * qdim
@@ -858,31 +886,33 @@ def quotient(ambient_dim: int, relations: Subspace) -> QuotientSpace:
 
 
 # ---------------------------------------------------------------------------
-# small vector helpers shared by the algebra layer
+# the JSON parsing boundary: every malformed input becomes a ShapeError
 # ---------------------------------------------------------------------------
 
 
-def vec_add(field: FieldSpec, v: Sequence[Scalar], w: Sequence[Scalar]) -> list:
-    return [field.add(a, b) for a, b in zip(v, w)]
-
-def vec_sub(field: FieldSpec, v: Sequence[Scalar], w: Sequence[Scalar]) -> list:
-    return [field.sub(a, b) for a, b in zip(v, w)]
-
-def vec_scale(field: FieldSpec, c: Scalar, v: Sequence[Scalar]) -> list:
-    return [field.mul(c, x) for x in v]
-
-def vec_is_zero(v: Sequence[Scalar]) -> bool:
-    return all(not x for x in v)
+def json_get(obj, key: str, what: str):
+    """obj[key] of a JSON object, or a ShapeError naming what is missing."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"{what} JSON must be an object")
+    if key not in obj:
+        raise ShapeError(f"{what} JSON is missing {key!r}")
+    return obj[key]
 
 
-def vector_to_json(field: FieldSpec, v: Sequence[Scalar]) -> list:
-    return [field.scalar_to_json(x) for x in v]
+def json_dim(obj, key: str, what: str) -> int:
+    d = json_get(obj, key, what)
+    if type(d) is not int or d < 0:
+        raise ShapeError(f"{what} {key} must be a non-negative integer, got {d!r}")
+    return d
 
 
-def vector_from_json(field: FieldSpec, obj) -> list:
-    if not isinstance(obj, list):
-        raise ShapeError("vector JSON must be a list")
-    return [field.scalar_from_str(x) for x in obj]
+def parse_array(field: FieldSpec, obj, shape: Sequence[int], what: str) -> list:
+    """Nested JSON lists of exactly the given shape, as parsed scalars."""
+    if not shape:
+        return field.scalar_from_str(obj)
+    if not isinstance(obj, list) or len(obj) != shape[0]:
+        raise ShapeError(f"{what} must be a list of length {shape[0]}")
+    return [parse_array(field, x, shape[1:], what) for x in obj]
 
 
 def dumps_canonical(obj) -> str:

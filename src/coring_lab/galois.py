@@ -18,6 +18,7 @@ from .algebra import (
     balanced_tensor,
     hom_matrices,
     hom_module,
+    intertwiner_space,
     is_fg_projective,
     is_generator,
 )
@@ -27,7 +28,7 @@ from .coring import (
     hom_comodule,
     induced_comodule,
 )
-from .exactla import DenseMatrix, Subspace, image, kernel, kron, solve
+from .exactla import DenseMatrix, Subspace, image, kron, rank, solve
 from .morita import (
     ClauseDisagreement,
     LinearMapReport,
@@ -37,7 +38,7 @@ from .morita import (
     omega_and_lambda,
     trace_map,
 )
-from .verdict import Verdict, VerificationError
+from .verdict import Verdict, VerificationError, one_failure
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def induced_from_B_module(ctx, N: ModulePresentation) -> Tuple[ComoduleInstance,
     data = ctx.morita()
     if N.side != "right" or N.algebra.mult != data.B.algebra.mult:
         raise VerificationError("induced_from_B_module",
-                                _fail("wrong-module", "need a right B-module"))
+                                one_failure("wrong-module", detail="need a right B-module"))
     f = ctx.field
     nA, nC = ctx.A.dim, ctx.C.dim
     tensor = balanced_tensor(N, data.A_left_B)
@@ -341,31 +342,13 @@ def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
     nA = ctx.A.dim
     endo = hom_matrices(data.A_right_dual, data.A_right_dual)
     # commutant: matrices commuting with every endomorphism of A_dual
-    rows = []
-    for e in endo:
-        for i in range(nA):
-            for j in range(nA):
-                row = [0] * (nA * nA)
-                for c in range(nA):
-                    x = e.get(c, j)
-                    if x:
-                        row[i * nA + c] = f.add(row[i * nA + c], x)
-                for r in range(nA):
-                    y = e.get(i, r)
-                    if y:
-                        row[r * nA + j] = f.sub(row[r * nA + j], y)
-                rows.append(row)
-    if rows:
-        commutant = kernel(DenseMatrix.from_rows(f, rows, cols=nA * nA))
-    else:
-        commutant = Subspace.full(f, nA * nA)
+    commutant = intertwiner_space(f, nA, nA, [(e, e) for e in endo])
     sharp = ctx.sharp_ring()
     cols = [data.A_right_dual.action[s].entries for s in range(sharp.algebra.dim)]
     canon = DenseMatrix.from_rows(f, cols, cols=nA * nA).transpose()
-    faithful = kernel(canon).is_zero()
     img = image(canon)
     balanced = img.dim == commutant.dim and commutant.contains_subspace(img)
-    return faithful, balanced
+    return img.dim == canon.cols, balanced
 
 
 def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
@@ -498,7 +481,7 @@ def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
     }
     if qhat is not None:
         trace_map(data, qhat)  # verifies splitting; raises on failure
-        proj_q_dual, _ = is_fg_projective(_q_left_dual_as_module(data))
+        proj_q_dual, _ = is_fg_projective(data.Q_left_dual)
         if not proj_dual or not proj_q_dual:
             raise ClauseDisagreement(
                 "projectivity from unit element",
@@ -513,14 +496,9 @@ def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
     return verdict
 
 
-def _q_left_dual_as_module(data: MoritaContextData) -> ModulePresentation:
-    return data.Q_left_dual
-
-
 def _check_B_is_endo_ring(ctx, data: MoritaContextData):
     """B -> End(A over the dual ring) by left multiplication is a ring iso."""
     f = ctx.field
-    nA = ctx.A.dim
     endo = hom_module(data.A_right_dual, data.A_right_dual)
     if endo.dim != data.B.dim:
         raise ClauseDisagreement("endomorphism ring",
@@ -532,7 +510,7 @@ def _check_B_is_endo_ring(ctx, data: MoritaContextData):
             raise ClauseDisagreement("endomorphism ring", {"left-mult-not-endo": j})
         cols.append(endo.coords(lb.entries))
     canon = DenseMatrix.from_rows(f, cols, cols=endo.dim).transpose()
-    if not (kernel(canon).is_zero() and image(canon).dim == endo.dim):
+    if rank(canon) != endo.dim:  # canon is square: endo.dim == dim B
         raise ClauseDisagreement("endomorphism ring", {"bijective": False})
     # multiplicativity: left mult by b b' = composition
     for i in range(data.B.dim):
@@ -544,9 +522,3 @@ def _check_B_is_endo_ring(ctx, data: MoritaContextData):
                     ctx.A.lmul_matrix(bi).mul(ctx.A.lmul_matrix(bj)):
                 raise ClauseDisagreement("endomorphism ring",
                                          {"multiplicative": False})
-
-
-def _fail(name: str, detail: str = "") -> Verdict:
-    v = Verdict()
-    v.fail(name, (), detail)
-    return v

@@ -34,11 +34,14 @@ from .exactla import (
     DenseMatrix,
     QuotientSpace,
     Subspace,
+    combine_rows,
     image,
     kernel,
+    kron,
+    rank,
     solve,
 )
-from .verdict import Verdict, VerificationError
+from .verdict import Verdict, VerificationError, one_failure
 
 
 class ClauseDisagreement(Exception):
@@ -62,10 +65,9 @@ class LinearMapReport:
 
 
 def map_report(matrix: DenseMatrix, target_dim: Optional[int] = None) -> LinearMapReport:
-    rank = image(matrix).dim
-    inj = rank == matrix.cols
-    sur = rank == (matrix.rows if target_dim is None else target_dim)
-    return LinearMapReport(matrix, inj, sur)
+    r = rank(matrix)
+    return LinearMapReport(matrix, r == matrix.cols,
+                           r == (matrix.rows if target_dim is None else target_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +154,6 @@ def compute_Q(ctx) -> QIdealData:
         e_i = [1 if t == i else 0 for t in range(nA)]
         lx_cols.append(cor.left_act(e_i).apply(ctx.x))
     lx = DenseMatrix.from_rows(f, lx_cols, cols=dim).transpose()  # a -> a.x
-    from .exactla import kron
     cond_cols = []
     for idx in range(nA * nC):
         flat = [1 if t == idx else 0 for t in range(nA * nC)]
@@ -164,36 +165,6 @@ def compute_Q(ctx) -> QIdealData:
     space = kernel(condition)
     mats = [DenseMatrix(f, nA, nC, space.basis.row(i)) for i in range(space.dim)]
     return QIdealData(space, mats)
-
-
-def compute_Q_entwined(ctx) -> Subspace:
-    """The same ideal through the entwined-form condition; a cross-check."""
-    from .exactla import kron
-    f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
-    eyeC = DenseMatrix.identity(f, nC)
-    delta = ctx.C.comult_matrix()
-    u = ctx.unit_coaction
-    w = []
-    for i in range(nA):
-        e_i = [1 if t == i else 0 for t in range(nA)]
-        w.append(kron(ctx.A.lmul_matrix(e_i), eyeC).apply(u))
-    cond_cols = []
-    for idx in range(nA * nC):
-        qmat = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(nA * nC)])
-        lhs = ctx.psi.mul(kron(eyeC, qmat)).mul(delta)
-        rhs_cols = []
-        for k in range(nC):
-            acc = [0] * (nA * nC)
-            for i in range(nA):
-                coef = qmat.get(i, k)
-                if coef:
-                    acc = [f.add(a, f.mul(coef, b)) for a, b in zip(acc, w[i])]
-            rhs_cols.append(acc)
-        rhs = DenseMatrix.from_rows(f, rhs_cols, cols=nA * nC).transpose()
-        cond_cols.append(lhs.sub(rhs).entries)
-    condition = DenseMatrix.from_rows(f, cond_cols, cols=nA * nC * nC).transpose()
-    return kernel(condition)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +220,6 @@ def build_context(ctx) -> MoritaContextData:
     sharp = ctx.sharp_ring()
     B = compute_B(ctx)
     Qd = compute_Q(ctx)
-    v = Verdict()
 
     # Q as a left dual-ring module and right B-module, in Q's echelon basis
     nQ = Qd.dim
@@ -260,8 +230,8 @@ def build_context(ctx) -> MoritaContextData:
         for j in range(nQ):
             prod = sharp.mul_coords(gcoords, Qd.space.basis.row(j))
             if not Qd.space.contains(prod):
-                v.fail("q-ideal-left-stability", (idx, j))
-                raise VerificationError("build_context", v)
+                raise VerificationError("build_context",
+                                        one_failure("q-ideal-left-stability", (idx, j)))
             cols.append(Qd.space.coords(prod))
         left_mats.append(DenseMatrix.from_rows(f, cols, cols=nQ).transpose())
     Q_left = ModulePresentation(sharp.algebra, nQ, "left", left_mats, name="Q")
@@ -274,8 +244,8 @@ def build_context(ctx) -> MoritaContextData:
         for i in range(nQ):
             qb = rb.mul(Qd.matrices[i])
             if not Qd.space.contains(qb.entries):
-                v.fail("q-ideal-right-stability", (i, j))
-                raise VerificationError("build_context", v)
+                raise VerificationError("build_context",
+                                        one_failure("q-ideal-right-stability", (i, j)))
             cols.append(Qd.space.coords(qb.entries))
         right_mats.append(DenseMatrix.from_rows(f, cols, cols=nQ).transpose())
     Q_right = ModulePresentation(B.algebra, nQ, "right", right_mats, name="Q over B")
@@ -303,8 +273,7 @@ def build_context(ctx) -> MoritaContextData:
         for i in range(nQ):
             val = hook_product(ctx, e_j, Qd.space.basis.row(i))
             if not B.space.contains(val):
-                v.fail("hook-lands-in-B", (j, i))
-                raise VerificationError("build_context", v)
+                raise VerificationError("build_context", one_failure("hook-lands-in-B", (j, i)))
             g_cols.append(B.space.coords(val))
     G_plain = DenseMatrix.from_rows(f, g_cols, cols=B.dim).transpose()
     G_matrix = G_plain.mul(AQ.section)
@@ -416,14 +385,7 @@ def find_qhat(data: MoritaContextData) -> Optional[list]:
     sol = solve(system, ctx.A.unit)
     if sol is None:
         return None
-    flat = [0] * (ctx.A.dim * ctx.C.dim)
-    for i, t in enumerate(sol):
-        if t:
-            row = data.Q.space.basis.row(i)
-            for c in range(len(flat)):
-                if row[c]:
-                    flat[c] += t * row[c]
-    return [f.normalize(x) for x in flat]
+    return combine_rows(f, sol, data.Q.space.basis.row_lists(), ctx.A.dim * ctx.C.dim)
 
 
 def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
@@ -441,14 +403,11 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, L
     mat = plain.mul(tensor.section)
     # bijectivity measured against the target subspace
     img = image(mat)
-    inj = kernel(mat).is_zero()
     sur = img == target or (img.dim == target.dim and target.contains_subspace(img))
     if not target.contains_subspace(img):
-        v = Verdict()
-        v.fail("xi-image-outside-invariants", (),
-               "m q left the x-invariants; upstream bug")
-        raise VerificationError("xi_M", v)
-    return mat, LinearMapReport(mat, inj, sur), tensor
+        raise VerificationError("xi_M", one_failure(
+            "xi-image-outside-invariants", detail="m q left the x-invariants; upstream bug"))
+    return mat, LinearMapReport(mat, img.dim == mat.cols, sur), tensor
 
 
 def trace_map(data: MoritaContextData, qhat: Sequence) -> DenseMatrix:
@@ -462,9 +421,7 @@ def trace_map(data: MoritaContextData, qhat: Sequence) -> DenseMatrix:
         e_j = [1 if t == j else 0 for t in range(nA)]
         val = hook_product(ctx, e_j, qhat)
         if not data.B.space.contains(val):
-            v = Verdict()
-            v.fail("trace-lands-in-B", (j,))
-            raise VerificationError("trace_map", v)
+            raise VerificationError("trace_map", one_failure("trace-lands-in-B", (j,)))
         cols.append(data.B.space.coords(val))
     tr = DenseMatrix.from_rows(f, cols, cols=data.B.dim).transpose()
     v = Verdict()
@@ -516,9 +473,8 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
             for r in range(data.B.dim):
                 flat[r * data.Q.dim + i] = val[r]
         if not homQB.contains(flat):
-            v = Verdict()
-            v.fail("omega-image-not-B-linear", (j,))
-            raise VerificationError("omega_and_lambda", v)
+            raise VerificationError("omega_and_lambda",
+                                    one_failure("omega-image-not-B-linear", (j,)))
         omega_cols.append(homQB.coords(flat))
     omega_mat = DenseMatrix.from_rows(f, omega_cols, cols=homQB.dim).transpose()
     omega_rep = map_report(omega_mat, target_dim=homQB.dim)
@@ -530,9 +486,8 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
         mat = data.A_right_dual.action[s]
         lam_mats.append(mat)
         if not endBA.contains(mat.entries):
-            v = Verdict()
-            v.fail("lambda-image-not-B-linear", (s,))
-            raise VerificationError("omega_and_lambda", v)
+            raise VerificationError("omega_and_lambda",
+                                    one_failure("lambda-image-not-B-linear", (s,)))
         lam_cols.append(endBA.coords(mat.entries))
     lam_mat = DenseMatrix.from_rows(f, lam_cols, cols=endBA.dim).transpose()
     lam_rep = map_report(lam_mat, target_dim=endBA.dim)
@@ -688,8 +643,7 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, DenseMatrix
     eps_flat = sharp.embed_A(ctx.A.unit)  # eta . eps = unit of the dual ring
     pre = solve(data.F_matrix, eps_flat)
     if pre is None:
-        raise VerificationError("psi_tilde_from_F",
-                                _single_failure("F-not-surjective"))
+        raise VerificationError("psi_tilde_from_F", one_failure("F-not-surjective"))
     lift = data.QA.section.apply(pre)  # in Q-basis (x) A coordinates
     psi_mat, rep = psi_M(ctx, M)
     # psi_mat: coinv (x)_B A -> M; build the candidate inverse
@@ -721,9 +675,3 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, DenseMatrix
     if not v.valid:
         raise VerificationError("psi_tilde_from_F", v)
     return psi_mat, inv
-
-
-def _single_failure(name: str) -> Verdict:
-    v = Verdict()
-    v.fail(name)
-    return v

@@ -52,6 +52,13 @@ class Verdict:
         }
 
 
+def one_failure(axiom: str, indices: Tuple[int, ...] = (), detail: str = "") -> Verdict:
+    """A verdict holding the single failure given."""
+    v = Verdict()
+    v.fail(axiom, indices, detail)
+    return v
+
+
 class VerificationError(Exception):
     """Raised when a construction is handed an object that fails its axioms."""
 

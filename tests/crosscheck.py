@@ -1,0 +1,260 @@
+"""Alternative constructions kept only to cross-check the runtime route.
+
+Each function here builds an object the package also builds, by a second
+mathematical route: the balanced square of a coring as a generic quotient
+instead of through a free basis, the dual ring as left-A-linear maps off the
+coring instead of Hom(C, A) with the entwined product, the ideal Q from the
+entwined-form condition instead of the coring condition.  The tests compare
+the two routes.  Unlike ``oracles.py`` this module imports the package.
+"""
+
+from dataclasses import dataclass
+from typing import List, Sequence
+
+from coring_lab.algebra import (
+    AlgebraPresentation,
+    ModulePresentation,
+    balanced_tensor,
+    hom_module,
+    verify_algebra,
+)
+from coring_lab.coring import ComoduleInstance, CoringPresentation
+from coring_lab.exactla import DenseMatrix, Subspace, kernel, kron
+from coring_lab.morita import _qtilde_matrix
+from coring_lab.verdict import VerificationError
+
+
+# ---------------------------------------------------------------------------
+# the balanced square without a free basis
+# ---------------------------------------------------------------------------
+
+
+class GenericSquareReducer:
+    """C (x)_A C and ((C (x)_A C) (x)_A C) as generic quotient spaces.
+
+    Needs no free basis, so it checks ``coring.SquareReducer`` on the same
+    coring: both must present the same square and the same verdicts.
+    """
+
+    def __init__(self, coring: CoringPresentation):
+        self.coring = coring
+        self._square = balanced_tensor(coring.right_module, coring.left_module)
+        self.square_dim = self._square.dim
+        self.projection = self._square.projection
+
+    def reduced_delta(self) -> DenseMatrix:
+        return self.projection.mul(self.coring.delta_lift)
+
+    def left_on_first(self, i: int) -> DenseMatrix:
+        cor = self.coring
+        return self._square.projection.mul(
+            kron(cor.left_module.action[i], DenseMatrix.identity(cor.field, cor.dim))
+        ).mul(self._square.section)
+
+    def right_on_second(self, i: int) -> DenseMatrix:
+        cor = self.coring
+        return self._square.projection.mul(
+            kron(DenseMatrix.identity(cor.field, cor.dim), cor.right_module.action[i])
+        ).mul(self._square.section)
+
+    def coassociativity_defect(self) -> DenseMatrix:
+        cor = self.coring
+        f, n, sq = cor.field, cor.dim, self._square
+        right_sq = ModulePresentation(
+            cor.A, sq.dim, "right",
+            [self.right_on_second(i) for i in range(cor.A.dim)])
+        trip = balanced_tensor(right_sq, cor.left_module)
+        eye = DenseMatrix.identity(f, n)
+        proj3 = trip.projection.mul(kron(sq.projection, eye))
+        lhs = proj3.mul(kron(cor.delta_lift, eye)).mul(cor.delta_lift)
+        rhs = proj3.mul(kron(eye, cor.delta_lift)).mul(cor.delta_lift)
+        return lhs.sub(rhs)
+
+
+def generic_square_failures(cor: CoringPresentation) -> List[str]:
+    """The comultiplication axioms of ``verify_coring`` checked through the
+    generic square; returns the names of the failing axioms."""
+    red = GenericSquareReducer(cor)
+    D1 = red.reduced_delta()
+    names = []
+    for i in range(cor.A.dim):
+        if D1.mul(cor.left_module.action[i]) != red.left_on_first(i).mul(D1):
+            names.append("comultiplication-left-linearity")
+        if D1.mul(cor.right_module.action[i]) != red.right_on_second(i).mul(D1):
+            names.append("comultiplication-right-linearity")
+    if not red.coassociativity_defect().is_zero():
+        names.append("coassociativity")
+    return names
+
+
+def trivial_coring(A: AlgebraPresentation) -> CoringPresentation:
+    """The coring A itself: Delta the canonical identification, counit id."""
+    f = A.field
+    n = A.dim
+    lift_cols = []
+    for j in range(n):
+        # Delta(e_j) = e_j (x) 1
+        vec = [0] * (n * n)
+        for t in range(n):
+            if A.unit[t]:
+                vec[j * n + t] = A.unit[t]
+        lift_cols.append(vec)
+    delta = DenseMatrix.from_rows(f, lift_cols, cols=n * n).transpose()
+    return CoringPresentation(
+        A, n,
+        [A.lmul_matrix([1 if t == i else 0 for t in range(n)]) for i in range(n)],
+        [A.rmul_matrix([1 if t == i else 0 for t in range(n)]) for i in range(n)],
+        delta, DenseMatrix.identity(f, n),
+        free_left_basis=DenseMatrix.from_rows(f, [A.unit], cols=n).transpose(),
+        name="trivial")
+
+
+# ---------------------------------------------------------------------------
+# the dual ring as left-A-linear maps off the coring
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DualRingData:
+    """Hom of left-A-linear maps from the coring to A, as an algebra.
+
+    ``space`` is the subspace of dim(A) x dim matrices (row-major flat);
+    ``algebra`` carries the induced structure constants in its echelon basis;
+    ``embed_matrices`` map A into the dual ring (making it an A-ring).
+    """
+
+    coring: CoringPresentation
+    space: Subspace
+    algebra: AlgebraPresentation
+    embed_matrices: List[DenseMatrix]
+
+    def unit_embedding(self, a: Sequence) -> list:
+        """Coordinates in the dual ring of [c -> eps(c) a]."""
+        cor = self.coring
+        mat = cor.A.rmul_matrix(a).mul(cor.counit_map)
+        return self.space.coords(mat.entries)
+
+
+def dual_mult_matrix(cor: CoringPresentation, fmat: DenseMatrix,
+                     gmat: DenseMatrix) -> DenseMatrix:
+    """(f . g)(c) = sum g(c_1 f(c_2)), computed through the chosen lift."""
+    rmat = cor.right_action_matrix()
+    eye = DenseMatrix.identity(cor.field, cor.dim)
+    return gmat.mul(rmat).mul(kron(eye, fmat)).mul(cor.delta_lift)
+
+
+def dual_ring(cor: CoringPresentation) -> DualRingData:
+    """The ring of left-A-linear maps from the coring to A; raises
+    VerificationError if the induced structure is not an algebra."""
+    A = cor.A
+    space = hom_module(cor.left_module, A.regular_module("left"))
+    d = space.dim
+    basis_mats = [DenseMatrix(cor.field, A.dim, cor.dim, space.basis.row(i))
+                  for i in range(d)]
+    mult = [[space.coords(dual_mult_matrix(cor, basis_mats[i], basis_mats[j]).entries)
+             for j in range(d)] for i in range(d)]
+    unit = space.coords(cor.counit_map.entries)
+    alg = AlgebraPresentation(cor.field, d, mult, unit, name="dual ring")
+    verdict = verify_algebra(alg)
+    if not verdict.valid:
+        raise VerificationError("dual_ring", verdict)
+    embeds = [A.rmul_matrix([1 if t == i else 0 for t in range(A.dim)]).mul(cor.counit_map)
+              for i in range(A.dim)]
+    return DualRingData(cor, space, alg, embeds)
+
+
+def check_dual_identification(ctx) -> bool:
+    """The canonical map Hom(C, A) -> left-A-linear maps off the coring,
+    f -> [a (x) c -> a f(c)], must be a ring isomorphism onto the dual ring;
+    compared at the level of structure constants."""
+    sharp = ctx.sharp_ring()
+    dual = dual_ring(ctx.coring())
+    n = sharp.algebra.dim
+    if dual.algebra.dim != n:
+        return False
+    transport = []
+    for idx in range(n):
+        mat = _qtilde_matrix(ctx, [1 if t == idx else 0 for t in range(n)])
+        if not dual.space.contains(mat.entries):
+            return False
+        transport.append(dual.space.coords(mat.entries))
+    tmat = DenseMatrix.from_rows(ctx.field, transport, cols=n).transpose()
+    if not kernel(tmat).is_zero():
+        return False
+    for i in range(n):
+        e_i = [1 if t == i else 0 for t in range(n)]
+        for j in range(n):
+            e_j = [1 if t == j else 0 for t in range(n)]
+            lhs = tmat.apply(sharp.mul_coords(e_i, e_j))
+            rhs = dual.algebra.mul_vec(tmat.apply(e_i), tmat.apply(e_j))
+            if lhs != rhs:
+                return False
+    return tmat.apply(sharp.algebra.unit) == dual.algebra.unit
+
+
+# ---------------------------------------------------------------------------
+# comodule maps out of A and the induction unit
+# ---------------------------------------------------------------------------
+
+
+def evaluation_at_one(ctx, homspace: Subspace, M: ComoduleInstance) -> DenseMatrix:
+    """The map f -> f(1_A) from a hom-space out of A into M, as a matrix."""
+    f = ctx.A.field
+    cols = []
+    for i in range(homspace.dim):
+        T = DenseMatrix(f, M.dim, ctx.A.dim, homspace.basis.row(i))
+        cols.append(T.apply(ctx.A.unit))
+    return DenseMatrix.from_rows(f, cols, cols=M.dim).transpose()
+
+
+def induction_unit_map(ctx, W: ModulePresentation) -> DenseMatrix:
+    """w -> w (x)_A x as a matrix W -> W (x) C."""
+    f = W.field
+    dW, nA, nC = W.dim, ctx.A.dim, ctx.C.dim
+    rows = [[0] * dW for _ in range(dW * nC)]
+    for i in range(nA):
+        for k in range(nC):
+            coef = ctx.x[i * nC + k]
+            if coef:
+                act = W.action[i]
+                for r in range(dW):
+                    arow = act.row(r)
+                    target = rows[r * nC + k]
+                    for c in range(dW):
+                        if arow[c]:
+                            target[c] = f.add(target[c], f.mul(coef, arow[c]))
+    return DenseMatrix.from_rows(f, rows, cols=dW)
+
+
+# ---------------------------------------------------------------------------
+# the ideal Q through the entwined-form condition
+# ---------------------------------------------------------------------------
+
+
+def compute_Q_entwined(ctx) -> Subspace:
+    """Q = {q : psi (id (x) q) Delta = sum q(c) 1_(0) (x) 1_(1)} inside
+    Hom(C, A), the entwined form of the condition ``morita.compute_Q`` reads
+    through the coring."""
+    f = ctx.field
+    nA, nC = ctx.A.dim, ctx.C.dim
+    eyeC = DenseMatrix.identity(f, nC)
+    delta = ctx.C.comult_matrix()
+    u = ctx.unit_coaction
+    w = [kron(ctx.A.lmul_matrix([1 if t == i else 0 for t in range(nA)]), eyeC).apply(u)
+         for i in range(nA)]
+    cond_cols = []
+    for idx in range(nA * nC):
+        qmat = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(nA * nC)])
+        lhs = ctx.psi.mul(kron(eyeC, qmat)).mul(delta)
+        rhs_cols = []
+        for k in range(nC):
+            acc = [0] * (nA * nC)
+            for i in range(nA):
+                coef = qmat.get(i, k)
+                if coef:
+                    acc = [f.add(a, f.mul(coef, b)) for a, b in zip(acc, w[i])]
+            rhs_cols.append(acc)
+        rhs = DenseMatrix.from_rows(f, rhs_cols, cols=nA * nC).transpose()
+        cond_cols.append(lhs.sub(rhs).entries)
+    condition = DenseMatrix.from_rows(f, cond_cols, cols=nA * nC * nC).transpose()
+    return kernel(condition)

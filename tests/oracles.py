@@ -82,3 +82,15 @@ def fp_matvec(rows, v, p):
 def span_contains(rows, vec, p=None):
     """Is vec in the row span?  Decided by a rank comparison."""
     return naive_rank(list(rows) + [list(vec)], p) == naive_rank(rows, p)
+
+
+def naive_is_prime(n):
+    """Trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True

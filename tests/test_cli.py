@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from coring_lab.cli import main, run_analysis, check_assertion
 from coring_lab.fixtures import fixture
 
@@ -179,3 +181,89 @@ def test_exit_code_for_inconclusive_search(monkeypatch):
     code, out, err = run_cli(["analyze", fx("fix-t")])
     assert code == 5
     assert "inconclusive" in err
+
+
+# -- the parsing boundary: every malformed input is exit 1, one line ----------
+
+MALFORMED = {  # case -> edits (path into fix-h's JSON, new value)
+    "coaction-text": [(("unit_coaction", 0), "abc")],
+    "coaction-zero-denominator": [(("unit_coaction", 0), "1/0")],
+    "coaction-null": [(("unit_coaction", 0), None)],
+    "coaction-bool": [(("unit_coaction", 0), True)],
+    "coaction-float": [(("unit_coaction", 0), 1.5)],
+    "coaction-exponent": [(("unit_coaction", 0), "1e999999999")],
+    "coaction-string-as-list": [(("unit_coaction",), "1000")],
+    "counit-zero-denominator": [(("coalgebra", "counit", 0), "1/0")],
+    "mult-bool": [(("algebra", "mult", 0, 0, 0), False)],
+    "dim-string": [(("algebra", "dim"), "2")],
+    "p-string": [(("field",), {"kind": "Fp", "p": "7"})],
+    "p-bool": [(("field",), {"kind": "Fp", "p": True})],
+    "p-missing": [(("field",), {"kind": "Fp"})],
+    "p-beyond-bound": [(("field",), {"kind": "Fp", "p": 2 ** 89 - 1})],
+    "denominator-divisible-by-p": [(("field",), {"kind": "Fp", "p": 2}),
+                                   (("unit_coaction", 0), "1/2")],
+    "name-not-string": [(("name",), ["fix-h"])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_1(tmp_path, case):
+    blob = json.load(open(fx("fix-h")))
+    for (*keys, last), value in MALFORMED[case]:
+        target = blob
+        for k in keys:
+            target = target[k]
+        target[last] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(blob))
+    for command in ("verify", "analyze"):
+        code, out, err = run_cli([command, str(p)])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_overlong_json_integer_exits_1(tmp_path):
+    p = tmp_path / "big.json"
+    p.write_text('{"unit_coaction": [' + "1" * 5000 + "]}")
+    code, out, err = run_cli(["verify", str(p)])
+    assert code == 1 and len(err.splitlines()) == 1
+
+
+def test_bad_seed_environment_exits_1(monkeypatch):
+    monkeypatch.setenv("CORING_LAB_SEED", "abc")
+    code, out, err = run_cli(["verify", fx("fix-t")])
+    assert code == 1
+    assert err.strip() == "error: CORING_LAB_SEED must be an integer, got 'abc'"
+
+
+# -- report exits with the most severe class it met -----------------------------
+
+@pytest.mark.parametrize("names,want", [
+    (("fix-h", "missing"), 5),
+    (("fix-h", "broken", "missing"), 2),
+    (("fix-t", "broken", "fix-h", "missing"), 4),
+    (("fix-n", "missing"), 1),
+])
+def test_report_exit_is_most_severe_class(monkeypatch, tmp_path, names, want):
+    import coring_lab.cli as cli
+    from coring_lab.cleft import InconclusiveSearch
+    from coring_lab.morita import ClauseDisagreement
+
+    real = cli.run_analysis
+
+    def staged(ctx, seed=0, witness_budget=None):
+        if ctx.name == "fix-t":
+            raise ClauseDisagreement("synthetic", {"1": True, "2": False})
+        if ctx.name == "fix-h":
+            raise InconclusiveSearch("budget exhausted")
+        return real(ctx, seed=seed, witness_budget=witness_budget)
+
+    blob = json.load(open(fx("fix-n")))
+    blob["entwining"] = {"kind": "matrix", "psi": [[0, 0], [0, 0]]}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(blob))
+    paths = {"broken": str(broken), "missing": str(tmp_path / "missing.json")}
+    monkeypatch.setattr(cli, "run_analysis", staged)
+    code, out, err = run_cli(["report"] + [paths.get(n) or fx(n) for n in names])
+    assert code == want
+    assert len(out.strip().splitlines()) == 1 + len(names)

@@ -1,26 +1,33 @@
+import pytest
+
 from coring_lab.exactla import QQ, DenseMatrix, kernel
 from coring_lab.algebra import verify_module
 from coring_lab.coring import (
     CoringPresentation,
     SquareReducer,
-    check_dual_identification,
     coinvariants,
     comodule_from_dual_module,
     default_comodule_witnesses,
     direct_sum_comodule,
     dual_action,
-    dual_ring,
-    evaluation_at_one,
     hom_comodule,
     induced_comodule,
-    induction_unit_map,
     is_grouplike,
-    trivial_coring,
     verify_coring,
     x_invariants,
     zero_comodule,
 )
+from coring_lab.verdict import VerificationError
 
+from crosscheck import (
+    GenericSquareReducer,
+    check_dual_identification,
+    dual_ring,
+    evaluation_at_one,
+    generic_square_failures,
+    induction_unit_map,
+    trivial_coring,
+)
 from helpers import dual_numbers
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 from oracles import naive_rank
@@ -52,20 +59,29 @@ def test_zero_counit_failure_named():
 
 
 def test_generic_and_free_reducers_agree():
-    # the fast path through a verified free basis and the generic quotient
-    # must present the same balanced square: equal dimensions, equal kernels
+    # the runtime reducer, through the verified free basis, and the generic
+    # quotient must present the same balanced square and the same verdicts
     for mk in (make_fix_t, make_fix_h, make_fix_n):
         cor = mk().coring()
         fast = SquareReducer(cor)
-        assert fast.free
-        stripped = CoringPresentation(
-            cor.A, cor.dim, list(cor.left_module.action),
-            list(cor.right_module.action), cor.delta_lift, cor.counit_map)
-        generic = SquareReducer(stripped)
-        assert not generic.free
+        generic = GenericSquareReducer(cor)
         assert fast.projection.rows == generic.projection.rows
         assert kernel(fast.projection) == kernel(generic.projection)
-        assert verify_coring(stripped).valid
+        assert generic_square_failures(cor) == []
+        assert verify_coring(cor).valid
+
+
+def test_unverified_free_basis_is_a_named_failure():
+    cor = make_fix_h().coring()
+    n = cor.dim
+    for basis in (DenseMatrix.zeros(QQ, n, n // cor.A.dim),   # right shape, no basis
+                  DenseMatrix.identity(QQ, n)):               # wrong shape
+        bad = CoringPresentation(
+            cor.A, n, list(cor.left_module.action), list(cor.right_module.action),
+            cor.delta_lift, cor.counit_map, free_left_basis=basis)
+        assert verify_coring(bad).axioms() == ["coring-free-basis"]
+        with pytest.raises(VerificationError):
+            SquareReducer(bad)
 
 
 def test_grouplike_in_coring():

@@ -11,15 +11,18 @@ from coring_lab.exactla import (
     FieldSpec,
     ShapeError,
     Subspace,
+    PRIME_BOUND,
     SubspaceBuilder,
+    _is_prime,
     image,
     kernel,
     kron,
     quotient,
+    rank,
     solve,
 )
 
-from oracles import naive_rank, naive_solve, span_contains
+from oracles import naive_is_prime, naive_rank, naive_solve, span_contains
 
 F5 = GF(5)
 
@@ -282,6 +285,36 @@ def test_fieldspec_validation():
     with pytest.raises(ShapeError):
         FieldSpec("Z")
     assert GF(7).p == 7
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(n) == naive_is_prime(n) for n in range(10 ** 5))
+
+
+def test_is_prime_is_fast_on_61_bit_moduli():
+    import time
+    t0 = time.perf_counter()
+    assert _is_prime(2 ** 61 - 1)
+    assert not _is_prime(2147483647 * 1073741789)   # product of two primes
+    assert not _is_prime(3215031751)   # strong pseudoprime to bases 2, 3, 5, 7
+    assert time.perf_counter() - t0 < 0.1
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+def test_modulus_beyond_primality_bound_rejected():
+    with pytest.raises(ShapeError):
+        GF(PRIME_BOUND)
+    with pytest.raises(ShapeError):
+        FieldSpec("Fp", True)
+
+
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_rank_matches_oracle(rows):
+    M = mat(QQ, rows)
+    assert rank(M) == naive_rank(rows) == image(M).dim
+    assert rank(mat(F5, rows)) == naive_rank(rows, 5)
 
 
 # -- hypothesis property: exactness / no rounding --------------------------------

@@ -10,7 +10,6 @@ from coring_lab.morita import (
     check_theorem_surj,
     compute_B,
     compute_Q,
-    compute_Q_entwined,
     find_qhat,
     omega_and_lambda,
     psi_tilde_from_F,
@@ -20,6 +19,7 @@ from coring_lab.morita import (
 )
 from coring_lab.verdict import VerificationError
 
+from crosscheck import compute_Q_entwined
 from helpers import group_algebra_zn, rationals_algebra
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 
