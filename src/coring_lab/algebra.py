@@ -38,7 +38,11 @@ from .verdict import Verdict, VerificationError, one_failure
 
 def _combination(field, rows: int, cols: int, mats: Sequence[DenseMatrix],
                  coeffs: Sequence) -> DenseMatrix:
-    """sum coeffs[i] * mats[i] without intermediate matrix allocations."""
+    """sum coeffs[i] * mats[i]; a basis vector, the common case, picks its
+    (immutable) matrix without arithmetic."""
+    nonzero = [i for i, a in enumerate(coeffs) if a]
+    if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
+        return mats[nonzero[0]]
     return DenseMatrix(field, rows, cols,
                        combine_rows(field, coeffs, [m.entries for m in mats], rows * cols))
 

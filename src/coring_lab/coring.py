@@ -141,11 +141,13 @@ class SquareReducer:
         # dec rows are grouped (j, i): coefficient of e_i in a_j
         self.dec = solve_matrix(phi, DenseMatrix.identity(f, n))
         self.square_dim = self.rank * n
-        acts = [self._decomposed_actions([1 if t == k2 else 0 for t in range(n)])
-                for k2 in range(n)]
+        # column (k, k2), block j: c_k . a_j(c_k2) = sum_i dec[(j, i), k2] (c_k . e_i)
+        right_cols = [[R.col(k) for R in coring.right_module.action] for k in range(n)]
+        decs = [self.dec.col(k2) for k2 in range(n)]
         self._projection = DenseMatrix.from_rows(
-            f, [[x for R in acts[k2] for x in R.col(k)] for k in range(n) for k2 in range(n)],
-            cols=self.square_dim).transpose()
+            f, [[x for j in range(self.rank)
+                 for x in combine_rows(f, decs[k2][j * nA:(j + 1) * nA], right_cols[k], n)]
+                for k in range(n) for k2 in range(n)], cols=self.square_dim).transpose()
 
     def _decomposed_actions(self, u: Sequence) -> List[DenseMatrix]:
         """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""
