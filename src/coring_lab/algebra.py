@@ -29,6 +29,7 @@ from .exactla import (
     json_dim,
     json_get,
     null_vectors,
+    once,
     parse_array,
     quotient,
     solve,
@@ -392,6 +393,7 @@ def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatr
     return out
 
 
+@once
 def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]]:
     """Does the canonical surjection from a free module of rank dim(M) split?
 
@@ -447,6 +449,7 @@ def trace_span(M: ModulePresentation) -> Subspace:
     return Subspace.from_spanning(M.field, S.dim, vecs)
 
 
+@once
 def is_generator(M: ModulePresentation) -> bool:
     """True iff the trace ideal of M in S is all of S."""
     return trace_span(M).is_full()

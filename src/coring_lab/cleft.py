@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .coalgebra import (
@@ -32,6 +34,7 @@ from .exactla import (
     combine_rows,
     kernel,
     kron,
+    once,
     solve,
 )
 from .morita import ClauseDisagreement, find_qhat
@@ -59,6 +62,7 @@ class IntegralSpace:
         return self.space.dim
 
 
+@once
 def integral_space(ctx) -> IntegralSpace:
     f = ctx.field
     nA, nC = ctx.A.dim, ctx.C.dim
@@ -101,12 +105,18 @@ class SearchResult:
     certificate: str = ""
 
 
+# the search budgets: 0/1 patterns tried, seeded random candidates, the
+# largest prime-field space scanned exhaustively, and the most parameters a
+# certification grid covers
+PATTERN_BUDGET = 256
+RANDOM_BUDGET = 64
+EXHAUSTIVE_BUDGET = 4096
+GRID_VARS = 3
+
+
 def search_invertible(field: FieldSpec, basis: List[list],
                       to_matrix: Callable[[list], DenseMatrix],
-                      seed: int = 0, pattern_budget: int = 256,
-                      random_budget: int = 64,
-                      exhaustive_budget: int = 4096,
-                      grid_vars: int = 3) -> SearchResult:
+                      seed: int = 0) -> SearchResult:
     """Find parameters t for which to_matrix(sum t_i basis_i) is invertible.
 
     to_matrix must be linear in the candidate, so the determinant is a
@@ -126,10 +136,10 @@ def search_invertible(field: FieldSpec, basis: List[list],
         return mat.rows == mat.cols and kernel(mat).is_zero()
 
     tried = 0
-    if 2 ** r <= pattern_budget:
+    if 2 ** r <= PATTERN_BUDGET:
         patterns = range(1, 2 ** r)
     else:
-        patterns = range(1, pattern_budget + 1)
+        patterns = range(1, PATTERN_BUDGET + 1)
     for mask in patterns:
         params = [(mask >> i) & 1 for i in range(r)]
         tried += 1
@@ -137,11 +147,10 @@ def search_invertible(field: FieldSpec, basis: List[list],
             return SearchResult("found", params,
                                 certificate=f"0/1 pattern after {tried} trials")
     rng = random.Random(seed)
-    for k in range(random_budget):
+    for k in range(RANDOM_BUDGET):
         if field.kind == "Fp":
             params = [rng.randrange(field.p) for _ in range(r)]
         else:
-            from fractions import Fraction
             params = [Fraction(rng.randint(-2 ** 16, 2 ** 16),
                                rng.randint(1, 2 ** 16)) for _ in range(r)]
         if invertible(params):
@@ -150,27 +159,12 @@ def search_invertible(field: FieldSpec, basis: List[list],
     # certification phase
     n = to_matrix(combine([0] * r)).rows
     degree = n  # det is a polynomial of total degree <= n in the parameters
-    if field.kind == "Fp":
-        if field.p ** r <= exhaustive_budget:
-            from itertools import product
-            for params in product(range(field.p), repeat=r):
-                if invertible(list(params)):
-                    return SearchResult("found", list(params),
-                                        certificate="exhaustive scan")
-            return SearchResult("absent",
-                                certificate=f"exhausted all {field.p ** r} candidates")
-        if r <= grid_vars and field.p > degree:
-            from itertools import product
-            for params in product(range(degree + 1), repeat=r):
-                if invertible(list(params)):
-                    return SearchResult("found", list(params), certificate="grid")
-            return SearchResult(
-                "absent",
-                certificate=f"determinant vanishes on a degree-{degree} grid")
-        return SearchResult("inconclusive",
-                            certificate="budget exhausted over a small prime field")
-    if r <= grid_vars:
-        from itertools import product
+    if field.kind == "Fp" and field.p ** r <= EXHAUSTIVE_BUDGET:
+        for params in product(range(field.p), repeat=r):
+            if invertible(list(params)):
+                return SearchResult("found", list(params), certificate="exhaustive scan")
+        return SearchResult("absent", certificate=f"exhausted all {field.p ** r} candidates")
+    if r <= GRID_VARS and (field.kind == "Q" or field.p > degree):
         for params in product(range(degree + 1), repeat=r):
             if invertible(list(params)):
                 return SearchResult("found", list(params), certificate="grid")
@@ -178,8 +172,9 @@ def search_invertible(field: FieldSpec, basis: List[list],
         # (n+1)^r grid is identically zero
         return SearchResult(
             "absent", certificate=f"determinant vanishes on a degree-{degree} grid")
-    return SearchResult("inconclusive",
-                        certificate="too many parameters for grid certification")
+    return SearchResult("inconclusive", certificate=(
+        "budget exhausted over a small prime field" if field.kind == "Fp"
+        else "too many parameters for grid certification"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +187,7 @@ class CleftWitness:
     lam: DenseMatrix         # the *-invertible integral
     lam_bar: DenseMatrix     # its two-sided convolution inverse
 
-    def to_json(self, field: FieldSpec) -> dict:
+    def to_json(self) -> dict:
         return {"lambda": self.lam.to_json(), "lambda_bar": self.lam_bar.to_json()}
 
 
@@ -226,6 +221,7 @@ def _left_conv_operator(ctx, lam_flat: Sequence) -> DenseMatrix:
     return DenseMatrix.from_rows(f, cols, cols=n).transpose()
 
 
+@once
 def find_cleft(ctx, seed: int = 0) -> CleftResult:
     """Search the integral space for a convolution-invertible element."""
     integrals = integral_space(ctx)
@@ -320,6 +316,16 @@ def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> Dict[str, ob
 # ---------------------------------------------------------------------------
 
 
+def _trivialized(ctx, witness: CleftWitness, M: ComoduleInstance) -> List[List[list]]:
+    """Per basis vector m of M and per basis vector c_k of C, the coinvariant
+    coordinates of the c_k-component of sum (m_(0) . lam_bar) (x) m_(1)."""
+    nC = ctx.C.dim
+    D = dual_action(M).act_matrix(witness.lam_bar.entries)
+    lifted = kron(D, DenseMatrix.identity(ctx.field, nC)).mul(M.coaction)  # M -> M (x) C
+    coinv = coinvariants(M)  # theorem: every component lands in the coinvariants
+    return [[coinv.coords(lifted.col(m)[k::nC]) for k in range(nC)] for m in range(M.dim)]
+
+
 def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
             ) -> Tuple[DenseMatrix, DenseMatrix]:
     """M -> (coinvariants of M) (x) C, m -> sum (m_(0) . lam_bar) (x) m_(1),
@@ -327,19 +333,8 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     f = ctx.field
     nC = ctx.C.dim
     coinv = coinvariants(M)
-    dual = dual_action(M)
-    D = dual.act_matrix(witness.lam_bar.entries)
-    lifted = kron(D, DenseMatrix.identity(f, nC)).mul(M.coaction)  # M -> M (x) C
-    cols = []
-    for m in range(M.dim):
-        img = lifted.col(m)
-        out = [0] * (coinv.dim * nC)
-        for k in range(nC):
-            comp = [img[t * nC + k] for t in range(M.dim)]
-            coords = coinv.coords(comp)   # theorem: lands in the coinvariants
-            for r in range(coinv.dim):
-                out[r * nC + k] = coords[r]
-        cols.append(out)
+    cols = [[part[k][r] for r in range(coinv.dim) for k in range(nC)]
+            for part in _trivialized(ctx, witness, M)]
     gamma = DenseMatrix.from_rows(f, cols, cols=coinv.dim * nC).transpose()
     emb = coinv.basis.transpose()
     inv_cols = []
@@ -364,20 +359,13 @@ def cleft_psi_inverse_check(ctx, witness: CleftWitness, M: ComoduleInstance) -> 
     map exactly."""
     from .galois import psi_M, _coinv_tensor_A
     f = ctx.field
-    nC = ctx.C.dim
-    coinv = coinvariants(M)
-    tensor, _ = _coinv_tensor_A(ctx, M, coinv)
-    dual = dual_action(M)
-    D = dual.act_matrix(witness.lam_bar.entries)
-    lifted = kron(D, DenseMatrix.identity(f, nC)).mul(M.coaction)
     nA = ctx.A.dim
+    coinv = coinvariants(M)
+    tensor = _coinv_tensor_A(ctx, M)
     cols = []
-    for m in range(M.dim):
-        img = lifted.col(m)
+    for part in _trivialized(ctx, witness, M):
         plain = [0] * (coinv.dim * nA)
-        for k in range(nC):
-            comp = [img[t * nC + k] for t in range(M.dim)]
-            coords = coinv.coords(comp)
+        for k, coords in enumerate(part):
             lam_k = witness.lam.col(k)
             for r in range(coinv.dim):
                 if coords[r]:
@@ -412,6 +400,7 @@ class NormalBasisResult:
         return "inconclusive"
 
 
+@once
 def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
     """Search for a left-B-linear right-C-colinear isomorphism A -> B (x) C.
 
@@ -468,36 +457,31 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
 # search, the F-surjectivity criterion, the bijectivity of the comparison
 # map, the endomorphism-ring map, faithful flatness plus Galois), so their
 # agreement is a real cross-check.  Clause independence means a different
-# route for each clause, never recomputing the same route twice.
+# route for each clause, never recomputing the same route twice: the memoized
+# values these tables read share one route's result and never merge two.
 _CLAUSE_ORDER = {
     "main": ("cleft", "weak", "galois", "lambda", "strong"),
     "x-case": ("cleft", "strong", "weak", "galois", "lambda"),
 }
 
 
-def _equivalence_table(ctx, theorem: str, seed: int, report,
-                       cleft_result: Optional[CleftResult],
-                       nb_result: Optional[NormalBasisResult]
-                       ) -> Tuple[Dict[str, object], CleftResult]:
+def _equivalence_table(ctx, theorem: str, seed: int) -> Dict[str, object]:
     """Evaluate the five clauses of ``theorem`` in its own numbering, assert
     that they agree, and attach the colinearity/Q checks when they hold."""
-    from .galois import structure_report
+    from .galois import structure_flags
     from .morita import omega_and_lambda
-    if report is None:
-        report = structure_report(ctx, seed=seed)
-    if cleft_result is None:
-        cleft_result = find_cleft(ctx, seed=seed)
-    if nb_result is None:
-        nb_result = normal_basis_check(ctx, seed=seed)
+    flags = structure_flags(ctx)
+    cleft_result = find_cleft(ctx, seed)
+    nb_result = normal_basis_check(ctx, seed)
     if cleft_result.status == "inconclusive" or nb_result.status == "inconclusive":
         raise InconclusiveSearch(cleft_result.certificate or nb_result.certificate)
     nb = nb_result.status == "found"
     routes = {
         "cleft": cleft_result.status == "found",
-        "weak": report.weak and nb,
-        "galois": report.galois and nb,
+        "weak": flags.weak and nb,
+        "galois": flags.galois and nb,
         "lambda": omega_and_lambda(ctx.morita()).lambda_iso and nb,
-        "strong": report.strong and nb,
+        "strong": flags.strong and nb,
     }
     table = {str(k + 1): routes[name] for k, name in enumerate(_CLAUSE_ORDER[theorem])}
     if len(set(table.values())) != 1:
@@ -506,30 +490,24 @@ def _equivalence_table(ctx, theorem: str, seed: int, report,
     if table["1"]:
         result["coQ"] = lemma_coQ_check(ctx, cleft_result.witness.lam,
                                         cleft_result.witness.lam_bar)
-    return result, cleft_result
+    return result
 
 
-def check_theorem_main(ctx, seed: int = 0,
-                       report=None, cleft_result: Optional[CleftResult] = None,
-                       nb_result: Optional[NormalBasisResult] = None) -> Dict[str, object]:
+def check_theorem_main(ctx, seed: int = 0) -> Dict[str, object]:
     """Cleft <=> weak + normal basis <=> Galois + normal basis <=> the
     endomorphism-ring map is an iso + normal basis <=> strong + normal basis
     (the last licensed by faithful flatness of C over the ground field).
     The clauses must agree; when they hold, the explicit inverse of the weak
     structure map attached to the cleft witness is verified too.
     """
-    result, cleft_result = _equivalence_table(ctx, "main", seed, report,
-                                              cleft_result, nb_result)
+    result = _equivalence_table(ctx, "main", seed)
     if result["clauses"]["1"] and \
-            not cleft_psi_inverse_check(ctx, cleft_result.witness, ctx.comodule_A()):
+            not cleft_psi_inverse_check(ctx, find_cleft(ctx, seed).witness, ctx.comodule_A()):
         raise ClauseDisagreement("main", result["clauses"], detail="explicit inverse failed")
     return result
 
 
-def check_theorem_xcase(ctx, seed: int = 0, report=None,
-                        cleft_result: Optional[CleftResult] = None,
-                        nb_result: Optional[NormalBasisResult] = None
-                        ) -> Optional[Dict[str, object]]:
+def check_theorem_xcase(ctx, seed: int = 0) -> Optional[Dict[str, object]]:
     """The variant available when the coaction of 1 is 1 (x) x with x
     group-like in C: cleft <=> strong + nb <=> weak + nb <=> Galois + nb <=>
     the endomorphism-ring map is an iso + nb.  Returns None when that shape
@@ -537,7 +515,7 @@ def check_theorem_xcase(ctx, seed: int = 0, report=None,
     """
     if x_case_grouplike(ctx) is None:
         return None
-    result, _ = _equivalence_table(ctx, "x-case", seed, report, cleft_result, nb_result)
+    result = _equivalence_table(ctx, "x-case", seed)
     if result["clauses"]["1"] and find_qhat(ctx.morita()) is None:
         raise ClauseDisagreement("x-case", result["clauses"],
                                  detail="cleft but no normalized q exists")

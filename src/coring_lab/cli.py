@@ -29,7 +29,7 @@ from .cleft import (
     x_case_grouplike,
 )
 from .coring import verify_coring
-from .entwining import EntwinedContext, comodule_algebra_from_unit, instance_from_json
+from .entwining import EntwinedContext, instance_from_json
 from .exactla import ShapeError, dumps_canonical
 from .galois import structure_report
 from .morita import ClauseDisagreement, check_theorem_Cfinite, check_theorem_surj, find_qhat
@@ -99,7 +99,8 @@ def load_instance(path: str) -> EntwinedContext:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, over-long integers
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bad UTF-8, over-long integers, too deep a nesting
             raise ShapeError(f"{path} is not valid JSON: {exc}") from None
     return instance_from_json(data)
 
@@ -112,7 +113,7 @@ def full_verify(ctx: EntwinedContext):
     coring_verdict = verify_coring(ctx.coring())
     if not coring_verdict.valid:
         raise VerificationError("coring", coring_verdict)
-    comodule_algebra_from_unit(ctx)
+    ctx.comodule_A()
 
 
 def run_analysis(ctx: EntwinedContext, seed: int = 0,
@@ -126,12 +127,10 @@ def run_analysis(ctx: EntwinedContext, seed: int = 0,
     report = structure_report(ctx, witnesses=witnesses, seed=seed)
     surj = check_theorem_surj(ctx, witnesses=witnesses, seed=seed)
     cfin = check_theorem_Cfinite(ctx, witnesses=witnesses, seed=seed)
-    cleft_res = find_cleft(ctx, seed=seed)
-    nb_res = normal_basis_check(ctx, seed=seed)
-    main = check_theorem_main(ctx, seed=seed, report=report,
-                              cleft_result=cleft_res, nb_result=nb_res)
-    xcase = check_theorem_xcase(ctx, seed=seed, report=report,
-                                cleft_result=cleft_res, nb_result=nb_res)
+    cleft_res = find_cleft(ctx, seed)
+    nb_res = normal_basis_check(ctx, seed)
+    main = check_theorem_main(ctx, seed)
+    xcase = check_theorem_xcase(ctx, seed)
     integrals = integral_space(ctx)
     qhat = find_qhat(data)
     f = ctx.field
@@ -170,10 +169,7 @@ def run_analysis(ctx: EntwinedContext, seed: int = 0,
         "qhat": None if qhat is None else
         [[f.scalar_to_json(qhat[i * ctx.C.dim + j]) for j in range(ctx.C.dim)]
          for i in range(ctx.A.dim)],
-        "cleft_witness": None if cleft_res.witness is None else {
-            "lambda": cleft_res.witness.lam.to_json(),
-            "lambda_bar": cleft_res.witness.lam_bar.to_json(),
-        },
+        "cleft_witness": None if cleft_res.witness is None else cleft_res.witness.to_json(),
         "cleft_certificate": cleft_res.certificate,
         "notes": {
             "alpha_condition": "holds (finite-dimensional)",

@@ -18,7 +18,7 @@ entwined multiplication.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .algebra import (
     AlgebraPresentation,
@@ -37,6 +37,7 @@ from .exactla import (
     json_get,
     kernel,
     kron,
+    once,
     rank,
     solve_matrix,
 )
@@ -144,7 +145,8 @@ class SquareReducer:
         # column (k, k2), block j: c_k . a_j(c_k2) = sum_i dec[(j, i), k2] (c_k . e_i)
         right_cols = [[R.col(k) for R in coring.right_module.action] for k in range(n)]
         decs = [self.dec.col(k2) for k2 in range(n)]
-        self._projection = DenseMatrix.from_rows(
+        # the projection matrix, (square_dim) x (dim^2)
+        self.projection = DenseMatrix.from_rows(
             f, [[x for j in range(self.rank)
                  for x in combine_rows(f, decs[k2][j * nA:(j + 1) * nA], right_cols[k], n)]
                 for k in range(n) for k2 in range(n)], cols=self.square_dim).transpose()
@@ -162,16 +164,12 @@ class SquareReducer:
                 for brow in zip(*per_column) for t in range(n)]
         return DenseMatrix.from_rows(self.coring.field, rows, cols=len(per_column) * n)
 
-    @property
-    def projection(self) -> DenseMatrix:
-        """The projection matrix (square_dim) x (dim^2)."""
-        return self._projection
-
     def project(self, vec: Sequence) -> list:
-        return self._projection.apply(vec)
+        return self.projection.apply(vec)
 
+    @once
     def reduced_delta(self) -> DenseMatrix:
-        return self._projection.mul(self.coring.delta_lift)
+        return self.projection.mul(self.coring.delta_lift)
 
     # -- actions on the square ----------------------------------------------
     def left_on_first(self, i: int) -> DenseMatrix:
@@ -252,15 +250,12 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
     return v
 
 
-def is_grouplike(cor: CoringPresentation, x: Sequence,
-                 red: Optional[SquareReducer] = None) -> bool:
+def is_grouplike(cor: CoringPresentation, x: Sequence, red: SquareReducer) -> bool:
     """Delta(x) = x (x)_A x after projection, and eps(x) = 1_A."""
     f = cor.field
     x = [f.normalize(t) for t in x]
     if cor.counit_vec(x) != [f.normalize(u) for u in cor.A.unit]:
         return False
-    if red is None:
-        red = SquareReducer(cor)
     lhs = red.reduced_delta().apply(x)
     n = cor.dim
     xx = [0] * (n * n)
@@ -421,6 +416,7 @@ def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> Com
 # ---------------------------------------------------------------------------
 
 
+@once
 def dual_action(M: ComoduleInstance) -> ModulePresentation:
     """The induced right module over the context's dual ring Hom(C, A).
 
@@ -441,6 +437,7 @@ def dual_action(M: ComoduleInstance) -> ModulePresentation:
                               name=f"{M.name} over dual ring")
 
 
+@once
 def coinvariants(M: ComoduleInstance) -> Subspace:
     """{m : rho(m) = m (x)_A x} as a subspace of M."""
     ctx = M.ctx
@@ -571,8 +568,7 @@ def comodule_from_dual_module(ctx, mod: ModulePresentation,
     return ComoduleInstance(ctx, amod, rho, name=name or "dual-module comodule")
 
 
-def default_comodule_witnesses(ctx, seed: int = 0,
-                               with_random_kernels: bool = True) -> list:
+def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     """The documented finite witness family for the "for all comodules" clauses.
 
     0, A, the coring itself, their sum, an induced comodule on a free rank-2
@@ -591,16 +587,15 @@ def default_comodule_witnesses(ctx, seed: int = 0,
     witnesses.append(induced_comodule(ctx, free2, name="A^2(x)coring"))
     witnesses.append(comodule_from_dual_module(
         ctx, ctx.sharp_ring().algebra.regular_module("right"), name="dual-ring"))
-    if with_random_kernels:
-        rng = _random.Random(seed)
-        big = witnesses[3]
-        homs = hom_comodule(big, coring_com)
-        if homs.dim:
-            coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
-            flat = combine_rows(ctx.field, coeffs, homs.basis.row_lists(),
-                                coring_com.dim * big.dim)
-            tmat = DenseMatrix(ctx.field, coring_com.dim, big.dim, flat)
-            ker = kernel(tmat)
-            if 0 < ker.dim < big.dim:
-                witnesses.append(restrict_comodule(big, ker, name="random-kernel"))
+    rng = _random.Random(seed)
+    big = witnesses[3]
+    homs = hom_comodule(big, coring_com)
+    if homs.dim:
+        coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
+        flat = combine_rows(ctx.field, coeffs, homs.basis.row_lists(),
+                            coring_com.dim * big.dim)
+        tmat = DenseMatrix(ctx.field, coring_com.dim, big.dim, flat)
+        ker = kernel(tmat)
+        if 0 < ker.dim < big.dim:
+            witnesses.append(restrict_comodule(big, ker, name="random-kernel"))
     return witnesses

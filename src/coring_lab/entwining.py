@@ -5,16 +5,17 @@ to A (x) C (index j_A * dimC + i_C); every piece of Kronecker bookkeeping in
 the package flows from this single convention.
 
 An ``EntwinedContext`` bundles the algebra, the coalgebra, psi and the chosen
-coaction of the unit, and lazily caches the derived objects: the coring on
-A (x) C, the ring structure on Hom(C, A), the comodule structure on A and the
-group-like element it determines.  Contexts are frozen after construction;
-derived objects are computed once and then shared freely.
+coaction of the unit.  Its derived objects (the coring on A (x) C, the ring
+structure on Hom(C, A), the comodule structure on A and the group-like element
+it determines) are methods memoized with ``exactla.once``, which stores each
+result in the context itself.  Contexts are frozen after construction, so a
+derived object is computed once and then shared freely; it is never mutated.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .algebra import AlgebraPresentation, verify_algebra
 from .coalgebra import CoalgebraPresentation, verify_coalgebra
@@ -26,6 +27,7 @@ from .exactla import (
     dumps_canonical,
     json_get,
     kron,
+    once,
     parse_array,
 )
 from .verdict import Verdict, VerificationError, one_failure
@@ -216,7 +218,7 @@ def build_sharp_ring(ctx: "EntwinedContext") -> AlgebraPresentation:
 
 def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
     """The coring with underlying space A (x) C, actions through psi."""
-    verdict = verify_entwining(ctx.A, ctx.C, ctx.psi)
+    verdict = ctx.entwining_verdict()
     if not verdict.valid:
         raise VerificationError("build_coring", verdict)
     A, C = ctx.A, ctx.C
@@ -399,7 +401,8 @@ def doi_koppinen(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation,
 
 
 class EntwinedContext:
-    """(A, C, psi, rho_A(1)) with every derived object cached on first use."""
+    """(A, C, psi, rho_A(1)); each derived object is a method memoized with
+    ``exactla.once`` in the context itself, sound because contexts are frozen."""
 
     def __init__(self, A: AlgebraPresentation, C: CoalgebraPresentation,
                  psi: DenseMatrix, unit_coaction: Sequence, name: str = "",
@@ -416,13 +419,6 @@ class EntwinedContext:
         self.unit_coaction = [A.field.normalize(x) for x in unit_coaction]
         self.name = name
         self.entwining_kind = entwining_kind
-        self._psi_slices: List[Optional[DenseMatrix]] = [None] * A.dim
-        self._coring = None
-        self._sharp = None
-        self._square = None
-        self._comodule_A = None
-        self._morita = None
-        self._witnesses = {}
 
     @property
     def field(self) -> FieldSpec:
@@ -433,13 +429,17 @@ class EntwinedContext:
         """The group-like element of the coring, as a vector of A (x) C."""
         return self.unit_coaction
 
+    @once
     def psi_slice(self, i: int) -> DenseMatrix:
-        if self._psi_slices[i] is None:
-            nA, nC = self.A.dim, self.C.dim
-            cols = [self.psi.col(k * nA + i) for k in range(nC)]
-            self._psi_slices[i] = DenseMatrix.from_rows(
-                self.field, cols, cols=nA * nC).transpose()
-        return self._psi_slices[i]
+        nA, nC = self.A.dim, self.C.dim
+        cols = [self.psi.col(k * nA + i) for k in range(nC)]
+        return DenseMatrix.from_rows(self.field, cols, cols=nA * nC).transpose()
+
+    @once
+    def entwining_verdict(self) -> Verdict:
+        """The entwining axioms of psi; read by ``verify_axioms`` and
+        ``build_coring``."""
+        return verify_entwining(self.A, self.C, self.psi)
 
     def verify_axioms(self) -> Verdict:
         """Algebra, coalgebra and entwining axioms, with tagged failure names."""
@@ -449,41 +449,35 @@ class EntwinedContext:
         for fail in verify_coalgebra(self.C).failures:
             v.fail("coalgebra-" + fail.axiom, fail.indices, fail.detail)
         if v.valid:
-            for fail in verify_entwining(self.A, self.C, self.psi).failures:
+            for fail in self.entwining_verdict().failures:
                 v.fail(fail.axiom, fail.indices, fail.detail)
         return v
 
+    @once
     def coring(self) -> CoringPresentation:
-        if self._coring is None:
-            self._coring = build_coring(self)
-        return self._coring
+        return build_coring(self)
 
+    @once
     def square(self) -> SquareReducer:
-        if self._square is None:
-            self._square = SquareReducer(self.coring())
-        return self._square
+        return SquareReducer(self.coring())
 
+    @once
     def sharp_ring(self) -> SharpRing:
-        if self._sharp is None:
-            self._sharp = SharpRing(self)
-        return self._sharp
+        return SharpRing(self)
 
+    @once
     def comodule_A(self) -> ComoduleInstance:
-        if self._comodule_A is None:
-            self._comodule_A, _ = comodule_algebra_from_unit(self)
-        return self._comodule_A
+        return comodule_algebra_from_unit(self)[0]
 
+    @once
     def morita(self):
-        if self._morita is None:
-            from .morita import build_context
-            self._morita = build_context(self)
-        return self._morita
+        from .morita import build_context
+        return build_context(self)
 
+    @once
     def default_witnesses(self, seed: int = 0) -> list:
-        if seed not in self._witnesses:
-            from .coring import default_comodule_witnesses
-            self._witnesses[seed] = default_comodule_witnesses(self, seed=seed)
-        return self._witnesses[seed]
+        from .coring import default_comodule_witnesses
+        return default_comodule_witnesses(self, seed=seed)
 
     # -- serialization -------------------------------------------------------
     def to_json(self) -> dict:

@@ -14,6 +14,7 @@ integers.  Prime-field entries are ints in ``[0, p)``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +30,25 @@ class ExactLAError(Exception):
 
 class ShapeError(ExactLAError):
     """Dimension or shape mismatch."""
+
+
+def once(fn):
+    """Memoize ``fn`` in the ``__dict__`` of its first argument, keyed by ``fn``
+    and the other arguments (ints, or objects hashed by identity) with their
+    defaults filled in.  Sound only because the owners (contexts, reducers,
+    comodules, modules, Morita data) are frozen after construction; never
+    mutate a result."""
+    rest = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(rest), reversed(fn.__defaults__ or ())))
+
+    @functools.wraps(fn)
+    def memo(owner, *args, **kwargs):
+        key = (fn, *args, *(kwargs.get(n, defaults.get(n)) for n in rest[len(args):]))
+        cache = vars(owner).setdefault("_once", {})
+        if key not in cache:
+            cache[key] = fn(owner, *args, **kwargs)
+        return cache[key]
+    return memo
 
 
 # Miller-Rabin with the first 13 prime bases is exact for every n below this

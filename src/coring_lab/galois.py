@@ -11,7 +11,7 @@ routes are asserted to agree and any mismatch raises instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     ModulePresentation,
@@ -26,9 +26,8 @@ from .coring import (
     ComoduleInstance,
     coinvariants,
     hom_comodule,
-    induced_comodule,
 )
-from .exactla import DenseMatrix, Subspace, image, kron, rank, solve
+from .exactla import DenseMatrix, image, kron, once, rank, solve
 from .morita import (
     ClauseDisagreement,
     LinearMapReport,
@@ -53,10 +52,12 @@ def _restrict_right_to_B(ctx, M: ModulePresentation, B) -> ModulePresentation:
                               name=(M.name or "M") + " over B")
 
 
-def _coinv_tensor_A(ctx, M: ComoduleInstance, coinv: Subspace):
+@once
+def _coinv_tensor_A(ctx, M: ComoduleInstance):
     """(coinvariants of M) (x)_B A with the coinvariants as a right B-module."""
     data = ctx.morita()
     f = ctx.field
+    coinv = coinvariants(M)
     emb = coinv.basis.transpose()
     action = []
     for j in range(data.B.dim):
@@ -68,15 +69,15 @@ def _coinv_tensor_A(ctx, M: ComoduleInstance, coinv: Subspace):
             cols.append(coinv.coords(img))  # raises if not invariant: bug
         action.append(DenseMatrix.from_rows(f, cols, cols=coinv.dim).transpose())
     coinv_mod = ModulePresentation(data.B.algebra, coinv.dim, "right", action)
-    tensor = balanced_tensor(coinv_mod, data.A_left_B)
-    return tensor, coinv_mod
+    return balanced_tensor(coinv_mod, data.A_left_B)
 
 
+@once
 def psi_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]:
     """The weak-structure map (coinvariants of M) (x)_B A -> M, m (x) a -> ma."""
     f = ctx.field
     coinv = coinvariants(M)
-    tensor, _ = _coinv_tensor_A(ctx, M, coinv)
+    tensor = _coinv_tensor_A(ctx, M)
     emb = coinv.basis.transpose()
     nA = ctx.A.dim
     cols = []
@@ -135,6 +136,7 @@ def phi_N(ctx, N: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
     return mat, map_report(mat, target_dim=coinv.dim)
 
 
+@once
 def psi_prime_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]:
     """Hom over the coring (A, M) (x)_B A -> M by evaluation."""
     data = ctx.morita()
@@ -175,6 +177,7 @@ class GaloisMapData:
     tensor: object                 # the A (x)_B A quotient
 
 
+@once
 def beta(ctx) -> GaloisMapData:
     """a~ (x) a -> a~ x a into the coring, verified to be a coring morphism."""
     data = ctx.morita()
@@ -351,6 +354,32 @@ def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
     return img.dim == canon.cols, balanced
 
 
+class StructureFlags(NamedTuple):
+    """The witness-free structure flags of a context."""
+
+    weak: bool
+    strong: bool
+    galois: bool
+    flat_BA: bool
+    gen_BA: bool
+
+
+@once
+def structure_flags(ctx) -> StructureFlags:
+    """Weak by F surjectivity, Galois by the comparison map, strong by
+    faithful flatness of A over B plus Galois; strong must imply weak."""
+    data = ctx.morita()
+    galois_flag = beta(ctx).report.bijective
+    flat_BA, _ = is_fg_projective(data.A_left_B)
+    gen_BA = is_generator(data.A_left_B)
+    weak = data.F_report.surjective
+    strong = flat_BA and gen_BA and galois_flag
+    if strong and not weak:
+        raise ClauseDisagreement("strong-implies-weak",
+                                 {"weak": weak, "strong": strong})
+    return StructureFlags(weak, strong, galois_flag, flat_BA, gen_BA)
+
+
 def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
                      seed: int = 0) -> StructureVerdict:
     """Weak/strong structure flags with the full clause tables.
@@ -365,16 +394,8 @@ def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
     data = ctx.morita()
     if witnesses is None:
         witnesses = ctx.default_witnesses(seed=seed)
-    galois_data = beta(ctx)
-    galois_flag = galois_data.report.bijective
-    flat_BA, _ = is_fg_projective(data.A_left_B)
-    gen_BA = is_generator(data.A_left_B)
+    weak, strong, galois_flag, flat_BA, gen_BA = structure_flags(ctx)
     ff_BA = flat_BA and gen_BA
-    weak = data.F_report.surjective
-    strong = ff_BA and galois_flag
-    if strong and not weak:
-        raise ClauseDisagreement("strong-implies-weak",
-                                 {"weak": weak, "strong": strong})
     qhat = find_qhat(data)
 
     psi_flags = {}
@@ -411,10 +432,7 @@ def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
                                  detail="q-hat exists but a unit map failed")
 
     # beta' = the hom-evaluation map of the coring as a comodule
-    coring_com = next((w for w in witnesses if w.name == "coring"), None)
-    if coring_com is None:
-        coring_com = induced_comodule(ctx, ctx.A.regular_module("right"),
-                                      name="coring")
+    coring_com = next(w for w in ctx.default_witnesses(seed) if w.name == "coring")
     _, beta_prime_rep = psi_prime_M(ctx, coring_com)
 
     ol = omega_and_lambda(data)
@@ -435,12 +453,11 @@ def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
         raise ClauseDisagreement("fin-gen", fin_gen)
 
     faithful, balanced = _faithfully_balanced(ctx, data)
-    prog_BA = flat_BA and gen_BA
     fin_prog = {
         "1": all_psi and all_phi,
         "2": ff_BA and galois_flag,
         "3": ff_BA and beta_prime_rep.bijective,
-        "9": prog_BA and faithful and balanced,
+        "9": ff_BA and faithful and balanced,
         "12": gen_dual and gen_BA,
         "13": proj_dual and flat_BA,
         "14": proj_dual and gen_dual,

@@ -87,7 +87,7 @@ def test_search_invertible_inconclusive_many_params():
         ent = [flat[0], flat[1], flat[0], flat[1]]  # equal rows: never invertible
         return DenseMatrix(QQ, 2, 2, ent)
 
-    res = search_invertible(QQ, basis, to_singular, random_budget=4)
+    res = search_invertible(QQ, basis, to_singular)
     assert res.status == "inconclusive"
 
 
@@ -253,5 +253,5 @@ def test_superline_separates_normal_basis_from_cleft():
     assert set(check_theorem_Cfinite(ctx)["clauses"].values()) == {False}
     sr = structure_report(ctx)
     assert not (sr.weak or sr.strong or sr.galois)
-    assert set(check_theorem_main(ctx, report=sr, cleft_result=res)["clauses"].values()) == {False}
-    assert set(check_theorem_xcase(ctx, report=sr, cleft_result=res)["clauses"].values()) == {False}
+    assert set(check_theorem_main(ctx)["clauses"].values()) == {False}
+    assert set(check_theorem_xcase(ctx)["clauses"].values()) == {False}

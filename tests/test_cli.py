@@ -103,6 +103,31 @@ def test_analyze_deterministic_across_runs():
     assert blobs[0] == blobs[1]
 
 
+def test_derived_objects_are_computed_once_per_context():
+    from coring_lab.cleft import find_cleft
+    from coring_lab.cli import full_verify, load_instance
+    from coring_lab.galois import psi_M
+    from coring_lab.morita import omega_and_lambda
+
+    ctx = load_instance(fx("fix-s"))
+    full_verify(ctx)
+    run_analysis(ctx, seed=0)
+    data = ctx.morita()
+    witnesses = ctx.default_witnesses(0)
+    assert omega_and_lambda(data) is omega_and_lambda(data)
+    for w in witnesses:
+        assert psi_M(ctx, w) is psi_M(ctx, w)
+    assert find_cleft(ctx, 0) is find_cleft(ctx, 0)
+    assert find_cleft(ctx, 0) is not find_cleft(ctx, 1)
+    # a second context from the same file shares nothing with the first
+    other = load_instance(fx("fix-s"))
+    assert other.morita() is not data
+    assert omega_and_lambda(other.morita()) is not omega_and_lambda(data)
+    assert other.default_witnesses(0) is not witnesses
+    assert psi_M(other, other.default_witnesses(0)[1]) is not psi_M(ctx, witnesses[1])
+    assert find_cleft(other, 0) is not find_cleft(ctx, 0)
+
+
 def test_analyze_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("CORING_LAB_SEED", "3")
     code, out, err = run_cli(["analyze", fx("fix-t"), "--format", "json"])
@@ -222,9 +247,13 @@ def test_malformed_input_exits_1(tmp_path, case):
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
-def test_overlong_json_integer_exits_1(tmp_path):
-    p = tmp_path / "big.json"
-    p.write_text('{"unit_coaction": [' + "1" * 5000 + "]}")
+@pytest.mark.parametrize("text", [
+    '{"unit_coaction": [' + "1" * 5000 + "]}",
+    "[" * 100000 + "]" * 100000,
+], ids=["overlong-integer", "deep-nesting"])
+def test_bad_json_text_exits_1(tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
     code, out, err = run_cli(["verify", str(p)])
     assert code == 1 and len(err.splitlines()) == 1
 
