@@ -99,6 +99,7 @@ class AlgebraPresentation:
     def rmul_matrix(self, u: Sequence) -> DenseMatrix:
         return _combination(self.field, self.dim, self.dim, self._rmul, u)
 
+    @once
     def mult_matrix(self) -> DenseMatrix:
         """Multiplication as a matrix A (x) A -> A, column (i*dim+j) = e_i e_j."""
         n = self.dim
@@ -359,16 +360,17 @@ def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
     nvars = dN * dM
     builder = SubspaceBuilder(field, nvars)
     for a, b in pairs:
+        ae, be = a.entries, b.entries  # a is dM x dM, b is dN x dN
         # row (i, j): entry of (T a - b T)[i][j]; unknowns T[r][c] at r*dM+c
         for i in range(dN):
             for j in range(dM):
                 row = {}
                 for c in range(dM):
-                    x = a.get(c, j)
+                    x = ae[c * dM + j]
                     if x:
                         row[i * dM + c] = x
                 for r in range(dN):
-                    y = b.get(i, r)
+                    y = be[i * dN + r]
                     if y:
                         c = r * dM + j
                         nv = field.sub(row.get(c, 0), y)
@@ -394,6 +396,13 @@ def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatr
 
 
 @once
+def dual_homs(M: ModulePresentation) -> List[DenseMatrix]:
+    """Hom_S(M, S) for M over S, as matrices; the projectivity and generator
+    tests share it."""
+    return hom_matrices(M, M.algebra.regular_module(M.side))
+
+
+@once
 def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]]:
     """Does the canonical surjection from a free module of rank dim(M) split?
 
@@ -405,7 +414,7 @@ def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]
         return True, DenseMatrix.zeros(M.field, 0, 0)
     S = M.algebra
     f = M.field
-    homs = hom_matrices(M, S.regular_module(M.side))
+    homs = dual_homs(M)
     r = len(homs)
     d, dS = M.dim, S.dim
     if r == 0:
@@ -441,7 +450,7 @@ def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]
 def trace_span(M: ModulePresentation) -> Subspace:
     """Span of all images of module maps M -> S inside S (the trace ideal)."""
     S = M.algebra
-    homs = hom_matrices(M, S.regular_module(M.side))
+    homs = dual_homs(M)
     vecs = []
     for h in homs:
         for k in range(M.dim):

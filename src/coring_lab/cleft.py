@@ -33,7 +33,7 @@ from .exactla import (
     Subspace,
     combine_rows,
     kernel,
-    kron,
+    kron_mul,
     once,
     solve,
 )
@@ -72,7 +72,7 @@ def integral_space(ctx) -> IntegralSpace:
     cond_cols = []
     for idx in range(nA * nC):
         lam = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(nA * nC)])
-        diff = rho_A.mul(lam).sub(kron(lam, eyeC).mul(delta))
+        diff = rho_A.mul(lam).sub(kron_mul(lam, eyeC, delta))
         cond_cols.append(diff.entries)
     condition = DenseMatrix.from_rows(f, cond_cols, cols=nA * nC * nC).transpose()
     space = kernel(condition)
@@ -254,7 +254,7 @@ def is_colinear(ctx, lam: DenseMatrix) -> bool:
     f = ctx.field
     rho_A = ctx.comodule_A().coaction
     eyeC = DenseMatrix.identity(f, ctx.C.dim)
-    return rho_A.mul(lam) == kron(lam, eyeC).mul(ctx.C.comult_matrix())
+    return rho_A.mul(lam) == kron_mul(lam, eyeC, ctx.C.comult_matrix())
 
 
 def x_case_grouplike(ctx) -> Optional[list]:
@@ -321,7 +321,7 @@ def _trivialized(ctx, witness: CleftWitness, M: ComoduleInstance) -> List[List[l
     coordinates of the c_k-component of sum (m_(0) . lam_bar) (x) m_(1)."""
     nC = ctx.C.dim
     D = dual_action(M).act_matrix(witness.lam_bar.entries)
-    lifted = kron(D, DenseMatrix.identity(ctx.field, nC)).mul(M.coaction)  # M -> M (x) C
+    lifted = kron_mul(D, DenseMatrix.identity(ctx.field, nC), M.coaction)  # M -> M (x) C
     coinv = coinvariants(M)  # theorem: every component lands in the coinvariants
     return [[coinv.coords(lifted.col(m)[k::nC]) for k in range(nC)] for m in range(M.dim)]
 
@@ -418,19 +418,20 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
     target = nB * nC
     rho_A = ctx.comodule_A().coaction
     eyeC = DenseMatrix.identity(f, nC)
-    rho_BC = kron(DenseMatrix.identity(f, nB), ctx.C.comult_matrix())
+    eyeB = DenseMatrix.identity(f, nB)
+    delta = ctx.C.comult_matrix()
+    # (b . on A, b . on B (x) C) for each basis vector b of B
+    lmuls = [(ctx.A.lmul_matrix(data.B.embedding.col(j)),
+              data.B.algebra.lmul_matrix([1 if t == j else 0 for t in range(nB)]))
+             for j in range(nB)]
     cond_cols = []
     for idx in range(target * nA):
         theta = DenseMatrix(f, target, nA,
                             [1 if t == idx else 0 for t in range(target * nA)])
         rows = []
-        for j in range(nB):
-            b = data.B.embedding.col(j)
-            lb_A = ctx.A.lmul_matrix(b)
-            lb_BC = kron(data.B.algebra.lmul_matrix(
-                [1 if t == j else 0 for t in range(nB)]), eyeC)
-            rows.extend(theta.mul(lb_A).sub(lb_BC.mul(theta)).entries)
-        rows.extend(kron(theta, eyeC).mul(rho_A).sub(rho_BC.mul(theta)).entries)
+        for lb_A, lb_B in lmuls:
+            rows.extend(theta.mul(lb_A).sub(kron_mul(lb_B, eyeC, theta)).entries)
+        rows.extend(kron_mul(theta, eyeC, rho_A).sub(kron_mul(eyeB, delta, theta)).entries)
         cond_cols.append(rows)
     condition = DenseMatrix.from_rows(f, cond_cols,
                                       cols=len(cond_cols[0])).transpose()

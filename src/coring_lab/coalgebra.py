@@ -18,7 +18,8 @@ from .exactla import (
     ShapeError,
     json_dim,
     json_get,
-    kron,
+    kron_mul,
+    once,
     parse_array,
     solve,
 )
@@ -40,6 +41,7 @@ class CoalgebraPresentation:
         self.counit = [field.normalize(x) for x in counit]
         self.name = name
 
+    @once
     def comult_matrix(self) -> DenseMatrix:
         """Delta as a (dim^2) x dim matrix, row (j, k) = j*dim + k."""
         m = self.dim
@@ -103,15 +105,15 @@ def verify_coalgebra(C: CoalgebraPresentation) -> Verdict:
     f = C.field
     delta = C.comult_matrix()
     eye = DenseMatrix.identity(f, m)
-    left = kron(delta, eye).mul(delta)   # (Delta (x) id) Delta
-    right = kron(eye, delta).mul(delta)  # (id (x) Delta) Delta
+    left = kron_mul(delta, eye, delta)   # (Delta (x) id) Delta
+    right = kron_mul(eye, delta, delta)  # (id (x) Delta) Delta
     if left != right:
         for i in range(m):
             if left.col(i) != right.col(i):
                 v.fail("coassociativity", (i,))
     eps = C.counit_matrix()
-    lcounit = kron(eps, eye).mul(delta)
-    rcounit = kron(eye, eps).mul(delta)
+    lcounit = kron_mul(eps, eye, delta)
+    rcounit = kron_mul(eye, eps, delta)
     for i in range(m):
         e_i = [1 if t == i else 0 for t in range(m)]
         if lcounit.col(i) != e_i:
@@ -140,7 +142,7 @@ def convolution(fmap: DenseMatrix, gmap: DenseMatrix, C: CoalgebraPresentation,
     """(f * g)(c) = sum f(c_1) g(c_2), as a dim(A) x dim(C) matrix."""
     if fmap.rows != A.dim or fmap.cols != C.dim or gmap.rows != A.dim or gmap.cols != C.dim:
         raise ShapeError("convolution operands have the wrong shape")
-    return A.mult_matrix().mul(kron(fmap, gmap)).mul(C.comult_matrix())
+    return A.mult_matrix().mul(kron_mul(fmap, gmap, C.comult_matrix()))
 
 
 def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,

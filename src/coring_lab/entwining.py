@@ -19,7 +19,13 @@ from typing import Sequence, Tuple
 
 from .algebra import AlgebraPresentation, verify_algebra
 from .coalgebra import CoalgebraPresentation, verify_coalgebra
-from .coring import ComoduleInstance, CoringPresentation, SquareReducer, is_grouplike
+from .coring import (
+    ComoduleInstance,
+    CoringPresentation,
+    SquareReducer,
+    is_grouplike,
+    square_reducer,
+)
 from .exactla import (
     DenseMatrix,
     FieldSpec,
@@ -27,6 +33,8 @@ from .exactla import (
     dumps_canonical,
     json_get,
     kron,
+    kron_mul,
+    mul_kron,
     once,
     parse_array,
 )
@@ -62,8 +70,8 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
     delta = C.comult_matrix()
     eps = C.counit_matrix()
     # multiplicativity on C (x) A (x) A
-    lhs = psi.mul(kron(eyeC, mult))
-    rhs = kron(mult, eyeC).mul(kron(eyeA, psi)).mul(kron(psi, eyeA))
+    lhs = mul_kron(psi, eyeC, mult)
+    rhs = kron_mul(mult, eyeC, kron_mul(eyeA, psi, kron(psi, eyeA)))
     if lhs != rhs:
         for j in range(lhs.cols):
             if lhs.col(j) != rhs.col(j):
@@ -87,14 +95,14 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
             if lhs.col(k) != rhs.col(k):
                 v.fail("entwining-unit", (k,))
     # comultiplicativity on C (x) A
-    lhs = kron(eyeA, delta).mul(psi)
-    rhs = kron(psi, eyeC).mul(kron(eyeC, psi)).mul(kron(delta, eyeA))
+    lhs = kron_mul(eyeA, delta, psi)
+    rhs = kron_mul(psi, eyeC, kron_mul(eyeC, psi, kron(delta, eyeA)))
     if lhs != rhs:
         for j in range(lhs.cols):
             if lhs.col(j) != rhs.col(j):
                 v.fail("entwining-comultiplicativity", (j // nA, j % nA))
     # counit on C (x) A
-    lhs = kron(eyeA, eps).mul(psi)
+    lhs = kron_mul(eyeA, eps, psi)
     rhs_cols = []
     for k in range(nC):
         for j in range(nA):
@@ -136,8 +144,8 @@ class SharpRing:
         post = []  # mult . (id_A (x) g), per basis g
         for idx in range(n):
             fmat = self.basis_matrix(idx)
-            pre.append(psi.mul(kron(eyeC, fmat)).mul(delta))
-            post.append(mult.mul(kron(eyeA, fmat)))
+            pre.append(psi.mul(kron_mul(eyeC, fmat, delta)))
+            post.append(mul_kron(mult, eyeA, fmat))
         consts = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
@@ -233,7 +241,7 @@ def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
     for i in range(nA):
         e_i = [1 if t == i else 0 for t in range(nA)]
         left.append(kron(A.lmul_matrix(e_i), eyeC))
-        right.append(kron(mult, eyeC).mul(kron(eyeA, ctx.psi_slice(i))))
+        right.append(kron_mul(mult, eyeC, kron(eyeA, ctx.psi_slice(i))))
     lift_cols = []
     for i in range(nA):
         for k in range(nC):
@@ -278,8 +286,8 @@ def comodule_algebra_from_unit(ctx: "EntwinedContext") -> Tuple[ComoduleInstance
                 col[idx * nA + j] = coef
         cols.append(col)
     ins_u = DenseMatrix.from_rows(f, cols, cols=nA * nC * nA).transpose()
-    rho = kron(A.mult_matrix(), DenseMatrix.identity(f, nC)).mul(
-        kron(DenseMatrix.identity(f, nA), ctx.psi)).mul(ins_u)
+    rho = kron_mul(A.mult_matrix(), DenseMatrix.identity(f, nC),
+                   kron_mul(DenseMatrix.identity(f, nA), ctx.psi, ins_u))
     comodule = ComoduleInstance(ctx, A.regular_module("right"), rho, name="A")
     verdict = comodule.verify()
     if rho.apply(A.unit) != [f.normalize(t) for t in u]:
@@ -311,9 +319,9 @@ def verify_bialgebra(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation)
     mult = H_alg.mult_matrix()
     delta = H_coalg.comult_matrix()
     eyen = DenseMatrix.identity(f, n)
-    mid = kron(eyen, kron(swap_matrix(f, n, n), eyen))
-    mult_hh = kron(mult, mult).mul(mid)
-    if delta.mul(mult) != mult_hh.mul(kron(delta, delta)):
+    # (mult (x) mult) . (id (x) swap (x) id) . (delta (x) delta)
+    mid = kron(swap_matrix(f, n, n), eyen)
+    if delta.mul(mult) != kron_mul(mult, mult, kron_mul(eyen, mid, kron(delta, delta))):
         v.fail("comultiplication-not-algebra-map")
     eps = H_coalg.counit_matrix()
     if eps.mul(mult) != kron(eps, eps):
@@ -344,14 +352,16 @@ def verify_comodule_algebra(H_alg: AlgebraPresentation,
         raise ShapeError("coaction has the wrong shape")
     eyeA = DenseMatrix.identity(f, nA)
     eyeH = DenseMatrix.identity(f, nH)
-    if kron(coaction, eyeH).mul(coaction) != \
-            kron(eyeA, H_coalg.comult_matrix()).mul(coaction):
+    if kron_mul(coaction, eyeH, coaction) != \
+            kron_mul(eyeA, H_coalg.comult_matrix(), coaction):
         v.fail("coaction-coassociativity")
-    if kron(eyeA, H_coalg.counit_matrix()).mul(coaction) != eyeA:
+    if kron_mul(eyeA, H_coalg.counit_matrix(), coaction) != eyeA:
         v.fail("coaction-counit")
-    mid = kron(eyeA, kron(swap_matrix(f, nA, nH), eyeH))
-    mult_ah = kron(A.mult_matrix(), H_alg.mult_matrix()).mul(mid)
-    if coaction.mul(A.mult_matrix()) != mult_ah.mul(kron(coaction, coaction)):
+    # (mult_A (x) mult_H) . (id (x) swap (x) id) . (coaction (x) coaction)
+    mid = kron(swap_matrix(f, nA, nH), eyeH)
+    if coaction.mul(A.mult_matrix()) != kron_mul(
+            A.mult_matrix(), H_alg.mult_matrix(),
+            kron_mul(eyeA, mid, kron(coaction, coaction))):
         v.fail("coaction-not-algebra-map")
     ru = coaction.apply(A.unit)
     want = [0] * (nA * nH)
@@ -457,9 +467,8 @@ class EntwinedContext:
     def coring(self) -> CoringPresentation:
         return build_coring(self)
 
-    @once
     def square(self) -> SquareReducer:
-        return SquareReducer(self.coring())
+        return square_reducer(self.coring())
 
     @once
     def sharp_ring(self) -> SharpRing:

@@ -10,6 +10,13 @@ Rational entries are plain Python ``int`` whenever the value is integral and
 ``fractions.Fraction`` otherwise; both are exact and interoperate, and the
 integer fast path matters because structure constants are almost always small
 integers.  Prime-field entries are ints in ``[0, p)``.
+
+Every matrix is built by ``DenseMatrix.__init__``, which normalizes each entry
+(int entries inline).  Structure maps between tensor products are applied,
+not built: ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M,
+N)`` is ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.
+``DenseMatrix.mul`` collects the nonzero (column, entry) pairs of each row of
+its right factor once per call and multiplies only those.
 """
 
 from __future__ import annotations
@@ -241,7 +248,14 @@ class DenseMatrix:
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        entries = [field.normalize(x) for x in entries]
+        # FieldSpec.normalize with its int case inlined: almost every entry
+        # is an int, and this runs under every matrix the package builds
+        norm = field.normalize
+        if field.kind == "Fp":
+            p = field.p
+            entries = [x % p if type(x) is int else norm(x) for x in entries]
+        else:
+            entries = [x if type(x) is int else norm(x) for x in entries]
         if len(entries) != rows * cols:
             raise ShapeError(f"need {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "field", field)
@@ -334,21 +348,11 @@ class DenseMatrix:
         if self.cols != other.rows or self.field != other.field:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, m, q = self.rows, self.cols, other.cols
-        out = [0] * (n * q)
-        oe = other.entries
         se = self.entries
+        onz = _nonzero_rows(other)
+        out = []
         for i in range(n):
-            base = i * m
-            obase = i * q
-            for k in range(m):
-                a = se[base + k]
-                if not a:
-                    continue
-                rb = k * q
-                for j in range(q):
-                    b = oe[rb + j]
-                    if b:
-                        out[obase + j] += a * b
+            out += _mix(se[i * m:(i + 1) * m], onz, q)
         return DenseMatrix(self.field, n, q, out)
 
     def apply(self, vec: Sequence[Scalar]) -> list:
@@ -427,6 +431,62 @@ def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(M.field, rows, cols, out)
 
 
+def _nonzero_rows(M: DenseMatrix) -> list:
+    """Per row of M, the (column, entry) pairs of its nonzero entries."""
+    c, e = M.cols, M.entries
+    return [[(j, b) for j, b in enumerate(e[i * c:(i + 1) * c]) if b] for i in range(M.rows)]
+
+
+def _mix(coeffs: Sequence[Scalar], rows: Sequence[list], width: int) -> list:
+    """sum coeffs[k] * rows[k], unnormalized, where rows[k] is given by its
+    nonzero (column, entry) pairs; the inner loop of every product here."""
+    acc = [0] * width
+    for a, pairs in zip(coeffs, rows):
+        if a:
+            for j, b in pairs:
+                acc[j] += a * b
+    return acc
+
+
+def kron_mul(M: DenseMatrix, N: DenseMatrix, Y: DenseMatrix) -> DenseMatrix:
+    """kron(M, N).mul(Y) without building kron(M, N).
+
+    Row block jm of Y (N.cols rows) passes through N once, for each column jm
+    that M uses; M[im, jm] then mixes those blocks into row block im of the
+    result.  The result is the only DenseMatrix built.
+    """
+    if not M.field == N.field == Y.field or M.cols * N.cols != Y.rows:
+        raise ShapeError(f"cannot multiply kron({M.rows}x{M.cols}, {N.rows}x{N.cols}) "
+                         f"by {Y.rows}x{Y.cols}")
+    q, cN = Y.cols, N.cols
+    ynz = _nonzero_rows(Y)
+    nrows = [N.row(i) for i in range(N.rows)]
+    mnz = _nonzero_rows(M)
+    # blocks[jm][i2]: row i2 of N . (row block jm of Y), dense
+    blocks = {jm: [_mix(nrow, ynz[jm * cN:(jm + 1) * cN], q) for nrow in nrows]
+              for jm in {jm for pairs in mnz for jm, _ in pairs}}
+    sparse = {}
+    out = []
+    for pairs in mnz:
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            # a unit row of M (as in kron(I, N)) copies its block
+            for row in blocks[pairs[0][0]]:
+                out += row
+            continue
+        for jm, _ in pairs:
+            if jm not in sparse:
+                sparse[jm] = [[(j, z) for j, z in enumerate(row) if z] for row in blocks[jm]]
+        for i2 in range(N.rows):
+            out += _mix([a for _, a in pairs], [sparse[jm][i2] for jm, _ in pairs], q)
+    return DenseMatrix(M.field, M.rows * N.rows, q, out)
+
+
+def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
+    """X.mul(kron(M, N)) without building kron(M, N): the transpose of
+    kron_mul(M^T, N^T, X^T)."""
+    return kron_mul(M.transpose(), N.transpose(), X.transpose()).transpose()
+
+
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
@@ -442,11 +502,12 @@ def _row_reduce_q(rows: list) -> tuple:
     """
     work = []
     for r in rows:
+        # type() rather than isinstance(): Fraction's ABC check is slow here
         den = 1
         for x in r:
-            if isinstance(x, Fraction):
+            if type(x) is not int:
                 den = den * x.denominator // gcd(den, x.denominator)
-        ir = [int(x * den) if isinstance(x, Fraction) else x * den for x in r]
+        ir = [x * den if type(x) is int else int(x * den) for x in r]
         g = 0
         for x in ir:
             g = gcd(g, x)

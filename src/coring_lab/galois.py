@@ -16,7 +16,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .algebra import (
     ModulePresentation,
     balanced_tensor,
-    hom_matrices,
     hom_module,
     intertwiner_space,
     is_fg_projective,
@@ -27,7 +26,7 @@ from .coring import (
     coinvariants,
     hom_comodule,
 )
-from .exactla import DenseMatrix, image, kron, once, rank, solve
+from .exactla import DenseMatrix, Subspace, image, kron_mul, mul_kron, once, rank, solve
 from .morita import (
     ClauseDisagreement,
     LinearMapReport,
@@ -108,13 +107,13 @@ def induced_from_B_module(ctx, N: ModulePresentation) -> Tuple[ComoduleInstance,
     action = []
     for i in range(nA):
         e_i = [1 if t == i else 0 for t in range(nA)]
-        action.append(tensor.projection.mul(kron(eyeN, ctx.A.rmul_matrix(e_i))
-                                            ).mul(tensor.section))
+        action.append(tensor.projection.mul(
+            kron_mul(eyeN, ctx.A.rmul_matrix(e_i), tensor.section)))
     mod = ModulePresentation(ctx.A, tensor.dim, "right", action,
                              name=(N.name or "N") + "(x)A")
     rho_A = ctx.comodule_A().coaction
     eyeC = DenseMatrix.identity(f, nC)
-    rho = kron(tensor.projection, eyeC).mul(kron(eyeN, rho_A)).mul(tensor.section)
+    rho = kron_mul(tensor.projection, eyeC, kron_mul(eyeN, rho_A, tensor.section))
     return ComoduleInstance(ctx, mod, rho, name=mod.name), tensor
 
 
@@ -223,16 +222,16 @@ def _verify_beta_coring_morphism(ctx, plain: DenseMatrix):
             lift_cols.append(col)
     lift = DenseMatrix.from_rows(f, lift_cols, cols=nA ** 4).transpose()
     lhs = red.reduced_delta().mul(plain)
-    rhs = red.projection.mul(kron(plain, plain)).mul(lift)
+    rhs = red.projection.mul(kron_mul(plain, plain, lift))
     if lhs != rhs:
         v.fail("beta-comultiplication")
     for i in range(nA):
         e_i = [1 if t == i else 0 for t in range(nA)]
         eyeA = DenseMatrix.identity(f, nA)
-        if plain.mul(kron(ctx.A.lmul_matrix(e_i), eyeA)) != \
+        if mul_kron(plain, ctx.A.lmul_matrix(e_i), eyeA) != \
                 cor.left_act(e_i).mul(plain):
             v.fail("beta-left-linearity", (i,))
-        if plain.mul(kron(eyeA, ctx.A.rmul_matrix(e_i))) != \
+        if mul_kron(plain, eyeA, ctx.A.rmul_matrix(e_i)) != \
                 cor.right_act(e_i).mul(plain):
             v.fail("beta-right-linearity", (i,))
     if not v.valid:
@@ -338,12 +337,18 @@ def default_B_module_witnesses(ctx) -> List[ModulePresentation]:
     return [reg, reg2, A_over_B]
 
 
+@once
+def _endo_A_dual(data: MoritaContextData) -> Subspace:
+    """End(A over the dual ring), as flattened matrices."""
+    return hom_module(data.A_right_dual, data.A_right_dual)
+
+
 def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
     """(faithful, balanced) for A over the dual ring: the canonical map into
     the endomorphisms over End(A_dual) is injective resp. surjective."""
     f = ctx.field
     nA = ctx.A.dim
-    endo = hom_matrices(data.A_right_dual, data.A_right_dual)
+    endo = [DenseMatrix(f, nA, nA, row) for row in _endo_A_dual(data).basis.row_lists()]
     # commutant: matrices commuting with every endomorphism of A_dual
     commutant = intertwiner_space(f, nA, nA, [(e, e) for e in endo])
     sharp = ctx.sharp_ring()
@@ -516,7 +521,7 @@ def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
 def _check_B_is_endo_ring(ctx, data: MoritaContextData):
     """B -> End(A over the dual ring) by left multiplication is a ring iso."""
     f = ctx.field
-    endo = hom_module(data.A_right_dual, data.A_right_dual)
+    endo = _endo_A_dual(data)
     if endo.dim != data.B.dim:
         raise ClauseDisagreement("endomorphism ring",
                                  {"dim_end": endo.dim, "dim_B": data.B.dim})

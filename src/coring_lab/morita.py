@@ -37,7 +37,7 @@ from .exactla import (
     combine_rows,
     image,
     kernel,
-    kron,
+    kron_mul,
     once,
     rank,
     solve,
@@ -159,7 +159,7 @@ def compute_Q(ctx) -> QIdealData:
     for idx in range(nA * nC):
         flat = [1 if t == idx else 0 for t in range(nA * nC)]
         qt = _qtilde_matrix(ctx, flat)
-        lhs = rmat.mul(kron(eye, qt)).mul(cor.delta_lift)
+        lhs = rmat.mul(kron_mul(eye, qt, cor.delta_lift))
         rhs = lx.mul(qt)
         cond_cols.append(lhs.sub(rhs).entries)
     condition = DenseMatrix.from_rows(f, cond_cols, cols=dim * dim).transpose()

@@ -94,3 +94,25 @@ def naive_is_prime(n):
             return False
         d += 1
     return True
+
+
+def naive_matmul(a, b, cols, p=None):
+    """Textbook triple loop on lists of rows, b having `cols` columns (passed
+    in so that a b without rows keeps its shape); exact Fractions (p None) or
+    ints mod p."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            s = sum((Fraction(row[k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
+            out_row.append(s if p is None else int(s) % p)
+        out.append(out_row)
+    return out
+
+
+def naive_kron(a, b, a_cols, b_cols):
+    """Kronecker product of two lists of rows, row (i, k) -> i*len(b)+k and
+    column (j, l) -> j*b_cols+l; the column counts are passed in so that
+    matrices without rows keep their shape."""
+    return [[a[i][j] * b[k][l] for j in range(a_cols) for l in range(b_cols)]
+            for i in range(len(a)) for k in range(len(b))]

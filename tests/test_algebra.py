@@ -178,6 +178,21 @@ def test_non_projective_module_detected():
     assert homs[0].col(0) in ([0, 1], [Fraction(0), Fraction(1)])
 
 
+def test_projectivity_and_generator_share_one_hom_space(monkeypatch):
+    import coring_lab.algebra as algebra
+    calls = []
+    orig = algebra.hom_module
+
+    def counting(M, N):
+        calls.append((M, N))
+        return orig(M, N)
+    monkeypatch.setattr(algebra, "hom_module", counting)
+    M = dual_numbers().regular_module("right")
+    assert is_fg_projective(M)[0] and is_generator(M)
+    assert trace_span(M).is_full()
+    assert len(calls) == 1   # Hom(M, S), computed once for M
+
+
 def test_projective_not_faithful_over_product_ring():
     # S = Q x Q (dual of the group-like coalgebra), M = Q through the second
     # factor: projective via the idempotent splitting, not a generator.

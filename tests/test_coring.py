@@ -13,6 +13,7 @@ from coring_lab.coring import (
     hom_comodule,
     induced_comodule,
     is_grouplike,
+    square_reducer,
     verify_coring,
     x_invariants,
     zero_comodule,
@@ -80,8 +81,25 @@ def test_unverified_free_basis_is_a_named_failure():
             cor.A, n, list(cor.left_module.action), list(cor.right_module.action),
             cor.delta_lift, cor.counit_map, free_left_basis=basis)
         assert verify_coring(bad).axioms() == ["coring-free-basis"]
+        # a reducer that fails to build is not cached: the failure repeats
+        assert verify_coring(bad).axioms() == ["coring-free-basis"]
         with pytest.raises(VerificationError):
             SquareReducer(bad)
+
+
+def test_one_square_reducer_per_coring(monkeypatch):
+    from coring_lab.cli import full_verify
+    built = []
+    orig = SquareReducer.__init__
+
+    def counting(self, cor):
+        built.append(cor)
+        orig(self, cor)
+    monkeypatch.setattr(SquareReducer, "__init__", counting)
+    ctx = make_fix_h()
+    full_verify(ctx)   # verify_coring reads the coring's reducer ...
+    assert ctx.square() is square_reducer(ctx.coring())   # ... and so does the context
+    assert built == [ctx.coring()]
 
 
 def test_grouplike_in_coring():

@@ -17,12 +17,21 @@ from coring_lab.exactla import (
     image,
     kernel,
     kron,
+    kron_mul,
+    mul_kron,
     quotient,
     rank,
     solve,
 )
 
-from oracles import naive_is_prime, naive_rank, naive_solve, span_contains
+from oracles import (
+    naive_is_prime,
+    naive_kron,
+    naive_matmul,
+    naive_rank,
+    naive_solve,
+    span_contains,
+)
 
 F5 = GF(5)
 
@@ -118,6 +127,126 @@ def test_kron_index_convention():
                 for j2 in range(2):
                     assert K.get(im * 2 + i2, jm * 2 + j2) == \
                         M.get(im, jm) * N.get(i2, j2)
+
+
+# -- products against the naive oracles -----------------------------------------
+
+F7 = GF(7)
+
+
+def random_matrix(field, rng, rows, cols, density):
+    """Entries zero with probability 1 - density; Fractions a/b over Q."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if field.kind == "Fp":
+            return rng.randrange(1, field.p)
+        return rng.choice([1, Fraction(rng.randint(-3, 3), rng.randint(1, 3))])
+    return DenseMatrix(field, rows, cols, [entry() for _ in range(rows * cols)])
+
+
+def product_cases(field, seed, count=60):
+    """(M, N, Y) with M.cols * N.cols == Y.rows; every dimension may be 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, b, c, d, q = (rng.randint(0, 3) for _ in range(5))
+        yield (random_matrix(field, rng, a, b, rng.choice([0.3, 1.0])),
+               random_matrix(field, rng, c, d, rng.choice([0.3, 1.0])),
+               random_matrix(field, rng, b * d, q, rng.choice([0.3, 1.0])))
+
+
+def oracle_p(field):
+    return field.p if field.kind == "Fp" else None
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_kron_mul_matches_naive_oracles(field):
+    for M, N, Y in product_cases(field, seed=11):
+        want = naive_matmul(naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols),
+                            Y.row_lists(), Y.cols, oracle_p(field))
+        got = kron_mul(M, N, Y)
+        assert (got.rows, got.cols) == (M.rows * N.rows, Y.cols)
+        assert got.row_lists() == want
+        assert got == kron(M, N).mul(Y)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_mul_kron_matches_naive_oracles(field):
+    rng = random.Random(12)
+    for M, N, _ in product_cases(field, seed=12):
+        X = random_matrix(field, rng, rng.randint(0, 3), M.rows * N.rows, 0.5)
+        want = naive_matmul(X.row_lists(),
+                            naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols),
+                            M.cols * N.cols, oracle_p(field))
+        got = mul_kron(X, M, N)
+        assert (got.rows, got.cols) == (X.rows, M.cols * N.cols)
+        assert got.row_lists() == want
+        assert got == X.mul(kron(M, N))
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_sparse_mul_matches_naive_matmul(field):
+    rng = random.Random(13)
+    for _ in range(80):
+        n, m, q = (rng.randint(0, 5) for _ in range(3))
+        A = random_matrix(field, rng, n, m, rng.choice([0.2, 1.0]))
+        B = random_matrix(field, rng, m, q, rng.choice([0.2, 1.0]))
+        got = A.mul(B)
+        assert (got.rows, got.cols) == (n, q)
+        assert got.row_lists() == naive_matmul(A.row_lists(), B.row_lists(), q,
+                                               oracle_p(field))
+
+
+def test_kron_mul_identity_factors():
+    # kron(I, F) applies F to each row block of Y (the unit-row copy path);
+    # kron(F, I) mixes whole row blocks of Y
+    F = mat(QQ, [[1, Fraction(1, 2)], [0, 3], [2, 0]])
+    Y = mat(QQ, [[1, 0], [2, 1], [0, -1], [Fraction(1, 3), 0]])
+    eye2 = DenseMatrix.identity(QQ, 2)
+    assert kron_mul(eye2, F, Y) == kron(eye2, F).mul(Y)
+    assert kron_mul(F, eye2, Y) == kron(F, eye2).mul(Y)
+    assert kron_mul(eye2, eye2, Y) == Y
+
+
+def test_kron_mul_rejects_mismatches():
+    M, N = mat(QQ, [[1, 2]]), mat(QQ, [[1], [1]])
+    with pytest.raises(ShapeError):
+        kron_mul(M, N, DenseMatrix.zeros(QQ, 3, 1))
+    with pytest.raises(ShapeError):
+        kron_mul(M, N, DenseMatrix.zeros(F5, 2, 1))
+
+
+def test_kron_mul_builds_only_its_result(monkeypatch):
+    M = random_matrix(QQ, random.Random(14), 3, 3, 1.0)
+    N, Y = DenseMatrix.identity(QQ, 4), random_matrix(QQ, random.Random(15), 12, 2, 1.0)
+    built = []
+    orig = DenseMatrix.__init__
+
+    def counting(self, field, rows, cols, entries):
+        built.append((rows, cols))
+        orig(self, field, rows, cols, entries)
+    monkeypatch.setattr(DenseMatrix, "__init__", counting)
+    kron_mul(M, N, Y)
+    assert built == [(12, 2)]
+
+
+@pytest.mark.parametrize("field,raw", [
+    (QQ, [Fraction(4, 2), Fraction(1, 2), -3, 0, Fraction(-6, 3), True]),
+    (F7, [Fraction(1, 2), Fraction(14, 2), -3, 10, 0, Fraction(-1, 3), True]),
+], ids=["Q", "F7"])
+def test_entries_are_normalized(field, raw):
+    m = DenseMatrix(field, 1, len(raw), raw)
+    want = [field.normalize(x) for x in raw]
+    assert m.entries == want
+    assert [type(x) for x in m.entries] == [type(x) for x in want]
+
+
+def test_normalization_examples():
+    assert DenseMatrix(QQ, 1, 1, [Fraction(4, 2)]).entries == [2]
+    assert type(DenseMatrix(QQ, 1, 1, [Fraction(4, 2)]).entries[0]) is int
+    assert DenseMatrix(QQ, 1, 1, [Fraction(1, 2)]).entries == [Fraction(1, 2)]
+    assert DenseMatrix(F7, 1, 1, [Fraction(1, 2)]).entries == [4]   # 2 * 4 = 1 mod 7
+    assert DenseMatrix(F7, 1, 2, [-1, 9]).entries == [6, 2]
 
 
 # -- quotient -------------------------------------------------------------------

@@ -144,6 +144,25 @@ def test_structure_reports():
     assert sr.weak and sr.strong and sr.galois and sr.normal_basis is None
 
 
+def test_end_of_A_over_dual_ring_is_computed_once(monkeypatch):
+    # the faithfully-balanced test and the endomorphism-ring check (run when
+    # q-hat exists) read the same End(A over the dual ring)
+    import coring_lab.algebra as algebra
+    import coring_lab.galois as galois
+    calls = []
+    orig = algebra.hom_module
+
+    def counting(M, N):
+        calls.append((M, N))
+        return orig(M, N)
+    for module in (algebra, galois):
+        monkeypatch.setattr(module, "hom_module", counting)
+    ctx = make_fix_h()
+    assert structure_report(ctx).qhat_exists
+    A_dual = ctx.morita().A_right_dual
+    assert calls.count((A_dual, A_dual)) == 1
+
+
 def test_structure_report_fin_prog_13_is_one_directional():
     # the projectivity pair holds on the non-Galois instance even though the
     # strong property fails; the table records it without reporting a clash
