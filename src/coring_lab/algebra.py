@@ -102,12 +102,8 @@ class AlgebraPresentation:
     @once
     def mult_matrix(self) -> DenseMatrix:
         """Multiplication as a matrix A (x) A -> A, column (i*dim+j) = e_i e_j."""
-        n = self.dim
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                cols.append(self.mult[i][j])
-        return DenseMatrix.from_rows(self.field, cols, cols=n).transpose()
+        return DenseMatrix.from_columns(self.field, [cell for row in self.mult for cell in row],
+                                        self.dim)
 
     def regular_module(self, side: str) -> "ModulePresentation":
         if side == "right":
@@ -169,16 +165,23 @@ class ModulePresentation:
     def act(self, m: Sequence, u: Sequence) -> list:
         return self.act_matrix(u).apply(m)
 
+    @once
+    def action_map(self) -> DenseMatrix:
+        """The action as one linear map: S (x) M -> M with column (i, m) =
+        e_i . m for a left module, M (x) S -> M with column (m, i) = m . e_i
+        for a right module."""
+        if self.side == "left":
+            cols = [a.col(m) for a in self.action for m in range(self.dim)]
+        else:
+            cols = [a.col(m) for m in range(self.dim) for a in self.action]
+        return DenseMatrix.from_columns(self.field, cols, self.dim)
+
     def restrict(self, sub: Subspace, name: str = "") -> "ModulePresentation":
         """The induced module on an action-invariant subspace, in its basis."""
-        emb = sub.basis.transpose()  # dim x sub.dim
         action = []
         for mat in self.action:
-            cols = []
-            for j in range(sub.dim):
-                img = mat.apply(emb.col(j))
-                cols.append(sub.coords(img))
-            action.append(DenseMatrix.from_rows(self.field, cols, cols=sub.dim).transpose())
+            cols = [sub.coords(mat.apply(sub.basis.row(j))) for j in range(sub.dim)]
+            action.append(DenseMatrix.from_columns(self.field, cols, sub.dim))
         return ModulePresentation(self.algebra, sub.dim, self.side, action, name=name)
 
     def direct_sum(self, other: "ModulePresentation") -> "ModulePresentation":
@@ -339,7 +342,7 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
                         else:
                             rel.pop(c, None)
                 builder.insert(rel)
-    return quotient(dM * dN, builder.to_subspace())
+    return quotient(builder)
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
@@ -380,9 +383,8 @@ def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
                             row.pop(c, None)
                 if row:
                     builder.insert(row)
-    constraints = builder.to_subspace()
     return Subspace.from_spanning(field, nvars, null_vectors(
-        field, nvars, constraints.basis.row_lists(), constraints.pivots))
+        field, nvars, builder.rows.keys(), builder.rows.values()))
 
 
 def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatrix]:
@@ -443,7 +445,7 @@ def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]
     for k in range(d):
         hk = [h.col(k) for h in homs]
         cols.append([x for i in range(d) for x in combine_rows(f, sol[i * r:(i + 1) * r], hk, dS)])
-    witness = DenseMatrix.from_rows(f, cols, cols=d * dS).transpose()
+    witness = DenseMatrix.from_columns(f, cols, d * dS)
     return True, witness
 
 

@@ -74,14 +74,14 @@ def integral_space(ctx) -> IntegralSpace:
         lam = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(nA * nC)])
         diff = rho_A.mul(lam).sub(kron_mul(lam, eyeC, delta))
         cond_cols.append(diff.entries)
-    condition = DenseMatrix.from_rows(f, cond_cols, cols=nA * nC * nC).transpose()
+    condition = DenseMatrix.from_columns(f, cond_cols, nA * nC * nC)
     space = kernel(condition)
     sharp = ctx.sharp_ring()
     evals = [sharp.eval_at(list(space.basis.row(i)), ctx.x)
              for i in range(space.dim)]
     total = None
     if evals:
-        system = DenseMatrix.from_rows(f, evals, cols=nA).transpose()
+        system = DenseMatrix.from_columns(f, evals, nA)
         sol = solve(system, ctx.A.unit)
         if sol is not None:
             total = combine_rows(f, sol, space.basis.row_lists(), nA * nC)
@@ -218,7 +218,7 @@ def _left_conv_operator(ctx, lam_flat: Sequence) -> DenseMatrix:
     for idx in range(n):
         h = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(n)])
         cols.append(convolution(lam, h, ctx.C, ctx.A).entries)
-    return DenseMatrix.from_rows(f, cols, cols=n).transpose()
+    return DenseMatrix.from_columns(f, cols, n)
 
 
 @once
@@ -335,14 +335,13 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     coinv = coinvariants(M)
     cols = [[part[k][r] for r in range(coinv.dim) for k in range(nC)]
             for part in _trivialized(ctx, witness, M)]
-    gamma = DenseMatrix.from_rows(f, cols, cols=coinv.dim * nC).transpose()
-    emb = coinv.basis.transpose()
+    gamma = DenseMatrix.from_columns(f, cols, coinv.dim * nC)
     inv_cols = []
     for r in range(coinv.dim):
-        base = emb.col(r)
+        base = coinv.basis.row(r)
         for k in range(nC):
             inv_cols.append(M.module.act_matrix(witness.lam.col(k)).apply(base))
-    gamma_inv = DenseMatrix.from_rows(f, inv_cols, cols=M.dim).transpose()
+    gamma_inv = DenseMatrix.from_columns(f, inv_cols, M.dim)
     v = Verdict()
     if gamma.mul(gamma_inv) != DenseMatrix.identity(f, coinv.dim * nC):
         v.fail("gamma-right-inverse")
@@ -374,7 +373,7 @@ def cleft_psi_inverse_check(ctx, witness: CleftWitness, M: ComoduleInstance) -> 
                             plain[r * nA + j] = f.add(plain[r * nA + j],
                                                       f.mul(coords[r], lam_k[j]))
         cols.append(tensor.project(plain))
-    tilde = DenseMatrix.from_rows(f, cols, cols=tensor.dim).transpose()
+    tilde = DenseMatrix.from_columns(f, cols, tensor.dim)
     psi_mat, _ = psi_M(ctx, M)
     return psi_mat.mul(tilde) == DenseMatrix.identity(f, M.dim) and \
         tilde.mul(psi_mat) == DenseMatrix.identity(f, tensor.dim)
@@ -433,8 +432,7 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
             rows.extend(theta.mul(lb_A).sub(kron_mul(lb_B, eyeC, theta)).entries)
         rows.extend(kron_mul(theta, eyeC, rho_A).sub(kron_mul(eyeB, delta, theta)).entries)
         cond_cols.append(rows)
-    condition = DenseMatrix.from_rows(f, cond_cols,
-                                      cols=len(cond_cols[0])).transpose()
+    condition = DenseMatrix.from_columns(f, cond_cols, len(cond_cols[0]))
     space = kernel(condition)
     if space.dim == 0:
         return NormalBasisResult("absent", certificate="no equivariant maps")

@@ -163,7 +163,7 @@ def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,
         else:
             out = convolution(basis, fmap, C, A)
         cols.append(out.entries)
-    return DenseMatrix.from_rows(A.field, cols, cols=n).transpose()
+    return DenseMatrix.from_columns(A.field, cols, n)
 
 
 def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,

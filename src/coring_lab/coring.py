@@ -81,25 +81,6 @@ class CoringPresentation:
     def right_act(self, u: Sequence) -> DenseMatrix:
         return self.right_module.act_matrix(u)
 
-    def left_action_matrix(self) -> DenseMatrix:
-        """A (x) C -> C, column (i_A * dim + k) = e_i . c_k."""
-        f = self.field
-        cols = []
-        for i in range(self.A.dim):
-            act = self.left_module.action[i]
-            for k in range(self.dim):
-                cols.append(act.col(k))
-        return DenseMatrix.from_rows(f, cols, cols=self.dim).transpose()
-
-    def right_action_matrix(self) -> DenseMatrix:
-        """C (x) A -> C, column (k * dim(A) + i) = c_k . e_i."""
-        f = self.field
-        cols = []
-        for k in range(self.dim):
-            for i in range(self.A.dim):
-                cols.append(self.right_module.action[i].col(k))
-        return DenseMatrix.from_rows(f, cols, cols=self.dim).transpose()
-
     def counit_vec(self, v: Sequence) -> list:
         return self.counit_map.apply(v)
 
@@ -132,9 +113,9 @@ class SquareReducer:
         shaped = nA > 0 and basis.rows == n and basis.cols * nA == n
         if shaped:
             # phi: A^r -> C, column (j, i) = e_i . v_j
-            phi = DenseMatrix.from_rows(
+            phi = DenseMatrix.from_columns(
                 f, [coring.left_module.action[i].apply(basis.col(j))
-                    for j in range(basis.cols) for i in range(nA)], cols=n).transpose()
+                    for j in range(basis.cols) for i in range(nA)], n)
         if not shaped or rank(phi) != n:
             raise VerificationError("SquareReducer", one_failure(
                 "coring-free-basis", detail="the declared basis does not span the "
@@ -147,10 +128,10 @@ class SquareReducer:
         right_cols = [[R.col(k) for R in coring.right_module.action] for k in range(n)]
         decs = [self.dec.col(k2) for k2 in range(n)]
         # the projection matrix, (square_dim) x (dim^2)
-        self.projection = DenseMatrix.from_rows(
+        self.projection = DenseMatrix.from_columns(
             f, [[x for j in range(self.rank)
                  for x in combine_rows(f, decs[k2][j * nA:(j + 1) * nA], right_cols[k], n)]
-                for k in range(n) for k2 in range(n)], cols=self.square_dim).transpose()
+                for k in range(n) for k2 in range(n)], self.square_dim)
 
     def _decomposed_actions(self, u: Sequence) -> List[DenseMatrix]:
         """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""
@@ -226,8 +207,8 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
                 [1 if t == i else 0 for t in range(A.dim)]).mul(eps):
             v.fail("counit-right-linearity", (i,))
     eye = DenseMatrix.identity(f, n)
-    lmat = cor.left_action_matrix()
-    rmat = cor.right_action_matrix()
+    lmat = cor.left_module.action_map()
+    rmat = cor.right_module.action_map()
     if lmat.mul(kron_mul(eps, eye, cor.delta_lift)) != eye:
         v.fail("counit-law-left")
     if rmat.mul(kron_mul(eye, eps, cor.delta_lift)) != eye:
@@ -308,16 +289,6 @@ class ComoduleInstance:
     def field(self) -> FieldSpec:
         return self.module.field
 
-    def action_matrix_full(self) -> DenseMatrix:
-        """M (x) A -> M, column (m * dim A + i) = m . e_i."""
-        f = self.field
-        d, nA = self.dim, self.ctx.A.dim
-        cols = []
-        for m in range(d):
-            for i in range(nA):
-                cols.append(self.module.action[i].col(m))
-        return DenseMatrix.from_rows(f, cols, cols=d).transpose()
-
     def verify(self) -> Verdict:
         """Coassociativity and counit of the coaction plus the entwined law."""
         v = Verdict()
@@ -336,7 +307,7 @@ class ComoduleInstance:
         eps_row = ctx.C.counit_matrix()
         if kron_mul(eye_d, eps_row, rho) != eye_d:
             v.fail("coaction-counit")
-        act_full = self.action_matrix_full()
+        act_full = self.module.action_map()
         for i in range(nA):
             lhs_i = rho.mul(self.module.action[i])
             rhs_i = kron_mul(act_full, eye_c, kron_mul(eye_d, ctx.psi_slice(i), rho))
@@ -400,10 +371,9 @@ def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> Com
     f = M.field
     nC = ctx.C.dim
     mod = M.module.restrict(sub)
-    emb = sub.basis.transpose()
     cols = []
     for j in range(sub.dim):
-        img = M.coaction.apply(emb.col(j))  # in M (x) C
+        img = M.coaction.apply(sub.basis.row(j))  # in M (x) C
         out = []
         for k in range(nC):
             comp = [img[m * nC + k] for m in range(M.dim)]
@@ -413,7 +383,7 @@ def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> Com
             for r in range(sub.dim):
                 col[r * nC + k] = out[k][r]
         cols.append(col)
-    rho = DenseMatrix.from_rows(f, cols, cols=sub.dim * nC).transpose()
+    rho = DenseMatrix.from_columns(f, cols, sub.dim * nC)
     return ComoduleInstance(ctx, mod, rho, name=name)
 
 
@@ -433,7 +403,7 @@ def dual_action(M: ComoduleInstance) -> ModulePresentation:
     f = M.field
     sharp = ctx.sharp_ring()
     d, nC = M.dim, ctx.C.dim
-    act_full = M.action_matrix_full()
+    act_full = M.module.action_map()
     eye_d = DenseMatrix.identity(f, d)
     mats = []
     for idx in range(sharp.algebra.dim):
@@ -474,8 +444,9 @@ def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
     f = mod.field
     d = mod.dim
     rows = []
-    for idx in range(sharp.algebra.dim):
-        gx = sharp.eval_at(idx, ctx.x)              # g(x) in A-coordinates
+    nS = sharp.algebra.dim
+    for idx in range(nS):
+        gx = sharp.eval_at([1 if t == idx else 0 for t in range(nS)], ctx.x)  # in A
         emb = sharp.embed_A(gx)                      # back into the dual ring
         diff = mod.action[idx].sub(mod.act_matrix(emb))
         rows.extend(diff.row_lists())

@@ -78,9 +78,9 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
                 v.fail("entwining-multiplicativity",
                        (j // (nA * nA), (j // nA) % nA, j % nA))
     # unit: psi(c (x) 1) = 1 (x) c
-    unit_ins = DenseMatrix.from_rows(
+    unit_ins = DenseMatrix.from_columns(
         f, [[A.unit[idx % nA] if idx // nA == k else 0 for idx in range(nC * nA)]
-            for k in range(nC)], cols=nC * nA).transpose()
+            for k in range(nC)], nC * nA)
     lhs = psi.mul(unit_ins)
     rhs_cols = []
     for k in range(nC):
@@ -89,7 +89,7 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
             if A.unit[j]:
                 col[j * nC + k] = A.unit[j]
         rhs_cols.append(col)
-    rhs = DenseMatrix.from_rows(f, rhs_cols, cols=nA * nC).transpose()
+    rhs = DenseMatrix.from_columns(f, rhs_cols, nA * nC)
     if lhs != rhs:
         for k in range(nC):
             if lhs.col(k) != rhs.col(k):
@@ -109,7 +109,7 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
             col = [0] * nA
             col[j] = C.counit[k]
             rhs_cols.append(col)
-    rhs = DenseMatrix.from_rows(f, rhs_cols, cols=nA).transpose()
+    rhs = DenseMatrix.from_columns(f, rhs_cols, nA)
     if lhs != rhs:
         for j in range(lhs.cols):
             if lhs.col(j) != rhs.col(j):
@@ -170,28 +170,23 @@ class SharpRing:
         f = self.ctx.A.field
         return DenseMatrix(f, self.ctx.A.dim, self.ctx.C.dim, list(coords))
 
-    def eval_at(self, element, xvec: Sequence) -> list:
-        """Value of the left-A-linear extension on a vector of A (x) C."""
+    def eval_at(self, coords: Sequence, xvec: Sequence) -> list:
+        """Value of the left-A-linear extension of the element with flat
+        coordinates ``coords`` on a vector of A (x) C."""
         A = self.ctx.A
-        f = A.field
-        nC = self.ctx.C.dim
-        fmat = element if isinstance(element, DenseMatrix) else None
-        if fmat is None:
-            if isinstance(element, int):
-                fmat = self.basis_matrix(element)
-            else:
-                fmat = self.matrix_of(element)
-        out = [0] * A.dim
-        for i in range(A.dim):
+        nA, nC = A.dim, self.ctx.C.dim
+        out = [0] * nA
+        for i in range(nA):
             for k in range(nC):
                 coef = xvec[i * nC + k]
                 if coef:
-                    img = A.lmul_matrix([1 if t == i else 0 for t in range(A.dim)]
-                                        ).apply(fmat.col(k))
-                    for t in range(A.dim):
+                    # column k of the element's dim A x dim C matrix
+                    img = A.lmul_matrix([1 if t == i else 0 for t in range(nA)]
+                                        ).apply(coords[k::nC])
+                    for t in range(nA):
                         if img[t]:
                             out[t] += coef * img[t]
-        return [f.normalize(x) for x in out]
+        return [A.field.normalize(x) for x in out]
 
     def embed_A(self, a: Sequence) -> list:
         """c -> eps(c) a, the unit embedding of A into the ring."""
@@ -255,7 +250,7 @@ def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
                                 col[(i * nC + k1) * dim + (u * nC + k2)] = \
                                     f.mul(d, A.unit[u])
             lift_cols.append(col)
-    delta_lift = DenseMatrix.from_rows(f, lift_cols, cols=dim * dim).transpose()
+    delta_lift = DenseMatrix.from_columns(f, lift_cols, dim * dim)
     counit = kron(eyeA, C.counit_matrix())
     basis_cols = []
     for j in range(nC):
@@ -264,7 +259,7 @@ def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
             if A.unit[i]:
                 col[i * nC + j] = A.unit[i]
         basis_cols.append(col)
-    free_basis = DenseMatrix.from_rows(f, basis_cols, cols=dim).transpose()
+    free_basis = DenseMatrix.from_columns(f, basis_cols, dim)
     return CoringPresentation(A, dim, left, right, delta_lift, counit,
                               free_left_basis=free_basis,
                               name=f"A(x)C[{ctx.name}]" if ctx.name else "A(x)C")
@@ -285,7 +280,7 @@ def comodule_algebra_from_unit(ctx: "EntwinedContext") -> Tuple[ComoduleInstance
             if coef:
                 col[idx * nA + j] = coef
         cols.append(col)
-    ins_u = DenseMatrix.from_rows(f, cols, cols=nA * nC * nA).transpose()
+    ins_u = DenseMatrix.from_columns(f, cols, nA * nC * nA)
     rho = kron_mul(A.mult_matrix(), DenseMatrix.identity(f, nC),
                    kron_mul(DenseMatrix.identity(f, nA), ctx.psi, ins_u))
     comodule = ComoduleInstance(ctx, A.regular_module("right"), rho, name="A")
@@ -402,7 +397,7 @@ def doi_koppinen(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation,
                                 col[a2 * nH + m] = f.add(col[a2 * nH + m],
                                                          f.mul(coef, prod[m]))
             cols.append(col)
-    return DenseMatrix.from_rows(f, cols, cols=nA * nH).transpose()
+    return DenseMatrix.from_columns(f, cols, nA * nH)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +438,7 @@ class EntwinedContext:
     def psi_slice(self, i: int) -> DenseMatrix:
         nA, nC = self.A.dim, self.C.dim
         cols = [self.psi.col(k * nA + i) for k in range(nC)]
-        return DenseMatrix.from_rows(self.field, cols, cols=nA * nC).transpose()
+        return DenseMatrix.from_columns(self.field, cols, nA * nC)
 
     @once
     def entwining_verdict(self) -> Verdict:

@@ -16,7 +16,14 @@ Every matrix is built by ``DenseMatrix.__init__``, which normalizes each entry
 not built: ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M,
 N)`` is ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.
 ``DenseMatrix.mul`` collects the nonzero (column, entry) pairs of each row of
-its right factor once per call and multiplies only those.
+its right factor once per call and multiplies only those.  A linear map
+assembled column by column is built with ``DenseMatrix.from_columns``, never
+as the transpose of its row-major twin.
+
+Relation spans (balanced-tensor relations, intertwiner constraints) stay
+sparse from elimination to use: ``SubspaceBuilder`` keeps its reduced
+echelon rows as ``{column: entry}`` dicts, ``null_vectors`` reads them in
+time linear in their nonzeros, and ``quotient`` takes the builder itself.
 """
 
 from __future__ import annotations
@@ -277,6 +284,14 @@ class DenseMatrix:
             raise ShapeError("ragged rows")
         flat = [x for r in rows for x in r]
         return DenseMatrix(field, len(rows), w, flat)
+
+    @staticmethod
+    def from_columns(field: FieldSpec, cols: Sequence[Sequence[Scalar]], rows: int) -> "DenseMatrix":
+        """The rows x len(cols) matrix whose j-th column is cols[j]."""
+        cols = list(cols)
+        if any(len(c) != rows for c in cols):
+            raise ShapeError("ragged columns")
+        return DenseMatrix(field, rows, len(cols), [x for r in zip(*cols) for x in r])
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "DenseMatrix":
@@ -736,19 +751,16 @@ class SubspaceBuilder:
     """Incremental reduced-echelon accumulator with sparse rows.
 
     Used for large, very sparse generating families (balanced-tensor relation
-    spans) where materializing a dense matrix would be wasteful.  Rows are
-    dicts col->coeff with unit leading coefficient; the full RREF invariant is
-    maintained on every insertion.
+    spans, intertwiner constraints) where materializing a dense matrix would
+    be wasteful.  Rows are dicts col->coeff with unit leading coefficient; the
+    full RREF invariant is maintained on every insertion.  ``null_vectors``
+    and ``quotient`` read the rows as they are.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows = {}  # leading col -> {col: coeff}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def _reduce_sparse(self, vec: dict) -> dict:
         # Eliminate every pivot-column hit, smallest first.  Pivot rows carry
@@ -798,24 +810,6 @@ class SubspaceBuilder:
         self.rows[lead] = v
         return True
 
-    def contains(self, vec) -> bool:
-        f = self.field
-        if isinstance(vec, dict):
-            v = {c: f.normalize(x) for c, x in vec.items() if f.normalize(x)}
-        else:
-            v = {c: f.normalize(x) for c, x in enumerate(vec) if f.normalize(x)}
-        return not self._reduce_sparse(v)
-
-    def to_subspace(self) -> Subspace:
-        pivots = sorted(self.rows)
-        dense = []
-        for lead in pivots:
-            row = [0] * self.ambient_dim
-            for c, x in self.rows[lead].items():
-                row[c] = x
-            dense.append(row)
-        return Subspace(self.field, self.ambient_dim, dense, pivots)
-
 
 # ---------------------------------------------------------------------------
 # the operations of the module contract
@@ -839,34 +833,36 @@ def combine_rows(field: FieldSpec, coeffs: Sequence[Scalar], rows: Sequence[Sequ
     return [x if type(x) is int else field.normalize(x) for x in out]
 
 
-def null_vectors(field: FieldSpec, n: int, rows: Sequence[Sequence[Scalar]],
-                 pivots: Sequence[int]) -> list:
-    """A basis of {v in k^n : r . v = 0 for every row r} from an RREF.
+def null_vectors(field: FieldSpec, n: int, pivots: Iterable[int],
+                 rows: Iterable[dict]) -> list:
+    """A basis of {v in k^n : r . v = 0 for every row r} from a sparse RREF.
 
-    One vector per non-pivot column f: e_f minus the pivot entries of column
-    f.  This is the package's one null-space routine; kernels and hom-spaces
-    pass the vectors through ``Subspace.from_spanning`` for the canonical
-    echelon basis, and quotients use them as projection rows directly.
+    The rows pair up with the pivots in order: each is the reduced echelon
+    row with that pivot column, as a {column: entry} dict, and the pairs may
+    come in any order.  One vector per
+    non-pivot column f: e_f minus the pivot entries of column f, read in
+    time linear in the rows' nonzeros.  This is the package's one null-space
+    routine; kernels and hom-spaces pass the vectors through
+    ``Subspace.from_spanning`` for the canonical echelon basis, and quotients
+    use them as projection rows directly.
     """
-    pivset = set(pivots)
-    out = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            coef = rows[r][free]
-            if coef:
-                v[c] = field.neg(coef)
-        out.append(v)
+    rows = dict(zip(pivots, rows))
+    free = {c: k for k, c in enumerate(c for c in range(n) if c not in rows)}
+    out = [[0] * n for _ in free]
+    for c, k in free.items():
+        out[k][c] = 1
+    for piv, row in rows.items():
+        for c, coef in row.items():
+            if c != piv:
+                out[free[c]][piv] = field.neg(coef)
     return out
 
 
 def kernel(M: DenseMatrix) -> Subspace:
     """Right null space {v : Mv = 0} in canonical echelon form."""
     rows, pivots = row_reduce(M.field, M.row_lists())
-    return Subspace.from_spanning(M.field, M.cols, null_vectors(M.field, M.cols, rows, pivots))
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    return Subspace.from_spanning(M.field, M.cols, null_vectors(M.field, M.cols, pivots, sparse))
 
 
 def rank(M: DenseMatrix) -> int:
@@ -909,7 +905,7 @@ def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> Optional[DenseMatrix]:
         if x is None:
             return None
         cols.append(x)
-    return DenseMatrix.from_rows(M.field, cols, cols=M.cols).transpose()
+    return DenseMatrix.from_columns(M.field, cols, M.cols)
 
 
 @dataclass
@@ -920,8 +916,6 @@ class QuotientSpace:
     the kernel of projection is exactly the relation subspace.
     """
 
-    ambient_dim: int
-    relations: Subspace
     projection: DenseMatrix
     section: DenseMatrix
 
@@ -929,41 +923,26 @@ class QuotientSpace:
     def dim(self) -> int:
         return self.projection.rows
 
-    @property
-    def field(self) -> FieldSpec:
-        return self.projection.field
-
     def project(self, vec: Sequence[Scalar]) -> list:
         return self.projection.apply(vec)
 
-    def lift(self, qvec: Sequence[Scalar]) -> list:
-        return self.section.apply(qvec)
 
-
-def quotient(ambient_dim: int, relations: Subspace) -> QuotientSpace:
-    """Quotient of k^n by a subspace, with canonical coordinates.
+def quotient(span: SubspaceBuilder) -> QuotientSpace:
+    """Quotient of k^n by the span a builder holds, with canonical coordinates.
 
     Quotient coordinates are indexed by the non-pivot columns of the relation
     echelon basis; the class of e_f for a free column f maps to the f-th
     coordinate, which makes the section simply the inclusion of those e_f.
     """
-    if relations.ambient_dim != ambient_dim:
-        raise ShapeError("relations live in the wrong ambient space")
-    f = relations.field
-    free = [c for c in range(ambient_dim) if c not in set(relations.pivots)]
-    qdim = len(free)
-    # projection: reduce modulo relations, then read the free coordinates
+    f, n = span.field, span.ambient_dim
+    # projection: reduce modulo the relations, then read the free coordinates
     projection = DenseMatrix.from_rows(
-        f, null_vectors(f, ambient_dim, relations.basis.row_lists(), relations.pivots),
-        cols=ambient_dim)
-    sec_rows = []
-    for i in range(ambient_dim):
-        row = [0] * qdim
-        if i in free:
-            row[free.index(i)] = 1
-        sec_rows.append(row)
-    section = DenseMatrix.from_rows(f, sec_rows, cols=qdim)
-    return QuotientSpace(ambient_dim, relations, projection, section)
+        f, null_vectors(f, n, span.rows.keys(), span.rows.values()), cols=n)
+    q = projection.rows
+    section = [0] * (n * q)
+    for k, c in enumerate(c for c in range(n) if c not in span.rows):
+        section[c * q + k] = 1
+    return QuotientSpace(projection, DenseMatrix(f, n, q, section))
 
 
 # ---------------------------------------------------------------------------

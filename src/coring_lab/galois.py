@@ -57,16 +57,15 @@ def _coinv_tensor_A(ctx, M: ComoduleInstance):
     data = ctx.morita()
     f = ctx.field
     coinv = coinvariants(M)
-    emb = coinv.basis.transpose()
     action = []
     for j in range(data.B.dim):
         b = data.B.embedding.col(j)
         mat = M.module.act_matrix(b)
         cols = []
         for r in range(coinv.dim):
-            img = mat.apply(emb.col(r))
+            img = mat.apply(coinv.basis.row(r))
             cols.append(coinv.coords(img))  # raises if not invariant: bug
-        action.append(DenseMatrix.from_rows(f, cols, cols=coinv.dim).transpose())
+        action.append(DenseMatrix.from_columns(f, cols, coinv.dim))
     coinv_mod = ModulePresentation(data.B.algebra, coinv.dim, "right", action)
     return balanced_tensor(coinv_mod, data.A_left_B)
 
@@ -77,15 +76,14 @@ def psi_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]:
     f = ctx.field
     coinv = coinvariants(M)
     tensor = _coinv_tensor_A(ctx, M)
-    emb = coinv.basis.transpose()
     nA = ctx.A.dim
     cols = []
     for r in range(coinv.dim):
-        base = emb.col(r)
+        base = coinv.basis.row(r)
         for j in range(nA):
             e_j = [1 if t == j else 0 for t in range(nA)]
             cols.append(M.module.act_matrix(e_j).apply(base))
-    plain = DenseMatrix.from_rows(f, cols, cols=M.dim).transpose()
+    plain = DenseMatrix.from_columns(f, cols, M.dim)
     mat = plain.mul(tensor.section)
     return mat, map_report(mat, target_dim=M.dim)
 
@@ -131,7 +129,7 @@ def phi_N(ctx, N: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
                 plain[n * nA + j] = ctx.A.unit[j]
         cls = tensor.project(plain)
         cols.append(coinv.coords(cls))  # membership is a theorem; raises on bug
-    mat = DenseMatrix.from_rows(f, cols, cols=coinv.dim).transpose()
+    mat = DenseMatrix.from_columns(f, cols, coinv.dim)
     return mat, map_report(mat, target_dim=coinv.dim)
 
 
@@ -150,7 +148,7 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]
         for i in range(homs.dim):
             T = DenseMatrix(f, M.dim, nA, homs.basis.row(i))
             cols.append(homs.coords(T.mul(lb).entries))
-        action.append(DenseMatrix.from_rows(f, cols, cols=homs.dim).transpose())
+        action.append(DenseMatrix.from_columns(f, cols, homs.dim))
     hom_mod = ModulePresentation(data.B.algebra, homs.dim, "right", action)
     tensor = balanced_tensor(hom_mod, data.A_left_B)
     cols = []
@@ -158,7 +156,7 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]
         T = DenseMatrix(f, M.dim, nA, homs.basis.row(i))
         for j in range(nA):
             cols.append(T.col(j))
-    plain = DenseMatrix.from_rows(f, cols, cols=M.dim).transpose()
+    plain = DenseMatrix.from_columns(f, cols, M.dim)
     mat = plain.mul(tensor.section)
     return mat, map_report(mat, target_dim=M.dim)
 
@@ -191,7 +189,7 @@ def beta(ctx) -> GaloisMapData:
         for j in range(nA):
             xa = rho_A.col(j)
             cols.append(li.apply(xa))
-    plain = DenseMatrix.from_rows(f, cols, cols=cor.dim).transpose()
+    plain = DenseMatrix.from_columns(f, cols, cor.dim)
     A_right_B = _restrict_right_to_B(ctx, ctx.A.regular_module("right"), data.B)
     tensor = balanced_tensor(A_right_B, data.A_left_B)
     mat = plain.mul(tensor.section)
@@ -220,7 +218,7 @@ def _verify_beta_coring_morphism(ctx, plain: DenseMatrix):
                             col[(i * nA + u) * nA * nA + (w * nA + j)] = \
                                 f.mul(ctx.A.unit[u], ctx.A.unit[w])
             lift_cols.append(col)
-    lift = DenseMatrix.from_rows(f, lift_cols, cols=nA ** 4).transpose()
+    lift = DenseMatrix.from_columns(f, lift_cols, nA ** 4)
     lhs = red.reduced_delta().mul(plain)
     rhs = red.projection.mul(kron_mul(plain, plain, lift))
     if lhs != rhs:
@@ -263,7 +261,7 @@ def beta_W(ctx, W: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
                                 out[t * nC + k] = f.add(out[t * nC + k],
                                                         f.mul(coef, wcol[t]))
             cols.append(out)
-    plain = DenseMatrix.from_rows(f, cols, cols=W.dim * nC).transpose()
+    plain = DenseMatrix.from_columns(f, cols, W.dim * nC)
     mat = plain.mul(tensor.section)
     return mat, map_report(mat, target_dim=W.dim * nC)
 
@@ -276,15 +274,11 @@ def varpi_M(ctx, M: ModulePresentation) -> Dict[str, object]:
     sharp = ctx.sharp_ring()
     tensor = balanced_tensor(M, sharp.algebra.regular_module("left"))
     nS = sharp.algebra.dim
-    cols = []
-    for m in range(M.dim):
-        for s in range(nS):
-            cols.append(M.action[s].col(m))
-    plain = DenseMatrix.from_rows(f, cols, cols=M.dim).transpose()
-    mat = plain.mul(tensor.section)
+    mat = M.action_map().mul(tensor.section)
     rep = map_report(mat, target_dim=M.dim)
-    evals = [sharp.eval_at(s, ctx.x) for s in range(nS)]
-    system = DenseMatrix.from_rows(f, evals, cols=ctx.A.dim).transpose()
+    evals = [sharp.eval_at([1 if t == s else 0 for t in range(nS)], ctx.x)
+             for s in range(nS)]
+    system = DenseMatrix.from_columns(f, evals, ctx.A.dim)
     ghat = solve(system, ctx.A.unit)
     return {"matrix": mat, "report": rep, "ghat": ghat,
             "ghat_exists": ghat is not None}
@@ -353,7 +347,7 @@ def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
     commutant = intertwiner_space(f, nA, nA, [(e, e) for e in endo])
     sharp = ctx.sharp_ring()
     cols = [data.A_right_dual.action[s].entries for s in range(sharp.algebra.dim)]
-    canon = DenseMatrix.from_rows(f, cols, cols=nA * nA).transpose()
+    canon = DenseMatrix.from_columns(f, cols, nA * nA)
     img = image(canon)
     balanced = img.dim == commutant.dim and commutant.contains_subspace(img)
     return img.dim == canon.cols, balanced
@@ -531,7 +525,7 @@ def _check_B_is_endo_ring(ctx, data: MoritaContextData):
         if not endo.contains(lb.entries):
             raise ClauseDisagreement("endomorphism ring", {"left-mult-not-endo": j})
         cols.append(endo.coords(lb.entries))
-    canon = DenseMatrix.from_rows(f, cols, cols=endo.dim).transpose()
+    canon = DenseMatrix.from_columns(f, cols, endo.dim)
     if rank(canon) != endo.dim:  # canon is square: endo.dim == dim B
         raise ClauseDisagreement("endomorphism ring", {"bijective": False})
     # multiplicativity: left mult by b b' = composition

@@ -102,7 +102,7 @@ def compute_B(ctx) -> CoinvariantData:
         bx = cor.left_act(e_i).apply(ctx.x)
         xb = cor.right_act(e_i).apply(ctx.x)
         cols.append([f.sub(a, b) for a, b in zip(bx, xb)])
-    condition = DenseMatrix.from_rows(f, cols, cols=cor.dim).transpose()
+    condition = DenseMatrix.from_columns(f, cols, cor.dim)
     space = kernel(condition)
     algebra, embedding = subalgebra_on(ctx.A, space, name="coinvariants")
     return CoinvariantData(space, algebra, embedding)
@@ -134,7 +134,7 @@ def _qtilde_matrix(ctx, flat: Sequence) -> DenseMatrix:
                         if prod[t]:
                             acc[t] += coef * prod[t]
             cols.append([f.normalize(x) for x in acc])
-    return DenseMatrix.from_rows(f, cols, cols=nA).transpose()
+    return DenseMatrix.from_columns(f, cols, nA)
 
 
 def compute_Q(ctx) -> QIdealData:
@@ -149,12 +149,12 @@ def compute_Q(ctx) -> QIdealData:
     nA, nC = ctx.A.dim, ctx.C.dim
     dim = cor.dim
     eye = DenseMatrix.identity(f, dim)
-    rmat = cor.right_action_matrix()
+    rmat = cor.right_module.action_map()
     lx_cols = []
     for i in range(nA):
         e_i = [1 if t == i else 0 for t in range(nA)]
         lx_cols.append(cor.left_act(e_i).apply(ctx.x))
-    lx = DenseMatrix.from_rows(f, lx_cols, cols=dim).transpose()  # a -> a.x
+    lx = DenseMatrix.from_columns(f, lx_cols, dim)  # a -> a.x
     cond_cols = []
     for idx in range(nA * nC):
         flat = [1 if t == idx else 0 for t in range(nA * nC)]
@@ -162,7 +162,7 @@ def compute_Q(ctx) -> QIdealData:
         lhs = rmat.mul(kron_mul(eye, qt, cor.delta_lift))
         rhs = lx.mul(qt)
         cond_cols.append(lhs.sub(rhs).entries)
-    condition = DenseMatrix.from_rows(f, cond_cols, cols=dim * dim).transpose()
+    condition = DenseMatrix.from_columns(f, cond_cols, dim * dim)
     space = kernel(condition)
     mats = [DenseMatrix(f, nA, nC, space.basis.row(i)) for i in range(space.dim)]
     return QIdealData(space, mats)
@@ -226,7 +226,7 @@ def build_context(ctx) -> MoritaContextData:
                 raise VerificationError("build_context",
                                         one_failure("q-ideal-left-stability", (idx, j)))
             cols.append(Qd.space.coords(prod))
-        left_mats.append(DenseMatrix.from_rows(f, cols, cols=nQ).transpose())
+        left_mats.append(DenseMatrix.from_columns(f, cols, nQ))
     Q_left = ModulePresentation(sharp.algebra, nQ, "left", left_mats, name="Q")
 
     right_mats = []
@@ -240,7 +240,7 @@ def build_context(ctx) -> MoritaContextData:
                 raise VerificationError("build_context",
                                         one_failure("q-ideal-right-stability", (i, j)))
             cols.append(Qd.space.coords(qb.entries))
-        right_mats.append(DenseMatrix.from_rows(f, cols, cols=nQ).transpose())
+        right_mats.append(DenseMatrix.from_columns(f, cols, nQ))
     Q_right = ModulePresentation(B.algebra, nQ, "right", right_mats, name="Q over B")
 
     A_left = _a_left_b_module(ctx, B)
@@ -257,7 +257,7 @@ def build_context(ctx) -> MoritaContextData:
         for j in range(nA):
             e_j = [1 if t == j else 0 for t in range(nA)]
             f_cols.append(ctx.A.rmul_matrix(e_j).mul(qm).entries)
-    F_plain = DenseMatrix.from_rows(f, f_cols, cols=nA * ctx.C.dim).transpose()
+    F_plain = DenseMatrix.from_columns(f, f_cols, nA * ctx.C.dim)
     F_matrix = F_plain.mul(QA.section)
 
     g_cols = []
@@ -268,7 +268,7 @@ def build_context(ctx) -> MoritaContextData:
             if not B.space.contains(val):
                 raise VerificationError("build_context", one_failure("hook-lands-in-B", (j, i)))
             g_cols.append(B.space.coords(val))
-    G_plain = DenseMatrix.from_rows(f, g_cols, cols=B.dim).transpose()
+    G_plain = DenseMatrix.from_columns(f, g_cols, B.dim)
     G_matrix = G_plain.mul(AQ.section)
 
     data = MoritaContextData(ctx, B, Qd, A_left, A_right_dual, Q_left, Q_right,
@@ -375,7 +375,7 @@ def find_qhat(data: MoritaContextData) -> Optional[list]:
             for i in range(data.Q.dim)]
     if not cols:
         return None
-    system = DenseMatrix.from_rows(f, cols, cols=ctx.A.dim).transpose()
+    system = DenseMatrix.from_columns(f, cols, ctx.A.dim)
     sol = solve(system, ctx.A.unit)
     if sol is None:
         return None
@@ -393,7 +393,7 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, L
         for i in range(data.Q.dim):
             val = M.act_matrix(list(data.Q.space.basis.row(i))).col(m)
             cols.append(val)
-    plain = DenseMatrix.from_rows(f, cols, cols=M.dim).transpose()
+    plain = DenseMatrix.from_columns(f, cols, M.dim)
     mat = plain.mul(tensor.section)
     # bijectivity measured against the target subspace
     img = image(mat)
@@ -417,7 +417,7 @@ def trace_map(data: MoritaContextData, qhat: Sequence) -> DenseMatrix:
         if not data.B.space.contains(val):
             raise VerificationError("trace_map", one_failure("trace-lands-in-B", (j,)))
         cols.append(data.B.space.coords(val))
-    tr = DenseMatrix.from_rows(f, cols, cols=data.B.dim).transpose()
+    tr = DenseMatrix.from_columns(f, cols, data.B.dim)
     v = Verdict()
     for bidx in range(data.B.dim):
         b = data.B.embedding.col(bidx)
@@ -471,7 +471,7 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
             raise VerificationError("omega_and_lambda",
                                     one_failure("omega-image-not-B-linear", (j,)))
         omega_cols.append(homQB.coords(flat))
-    omega_mat = DenseMatrix.from_rows(f, omega_cols, cols=homQB.dim).transpose()
+    omega_mat = DenseMatrix.from_columns(f, omega_cols, homQB.dim)
     omega_rep = map_report(omega_mat, target_dim=homQB.dim)
 
     endBA = hom_module(data.A_left_B, data.A_left_B)
@@ -484,7 +484,7 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
             raise VerificationError("omega_and_lambda",
                                     one_failure("lambda-image-not-B-linear", (s,)))
         lam_cols.append(endBA.coords(mat.entries))
-    lam_mat = DenseMatrix.from_rows(f, lam_cols, cols=endBA.dim).transpose()
+    lam_mat = DenseMatrix.from_columns(f, lam_cols, endBA.dim)
     lam_rep = map_report(lam_mat, target_dim=endBA.dim)
     multiplicative = True
     nS = sharp.algebra.dim
@@ -522,8 +522,7 @@ def q_left_annihilator(data: MoritaContextData) -> Subspace:
         cols.append(col)
     if data.Q.dim == 0:
         return Subspace.full(f, nS)
-    system = DenseMatrix.from_rows(f, cols, cols=data.Q.dim * ctx.A.dim * ctx.C.dim
-                                   ).transpose()
+    system = DenseMatrix.from_columns(f, cols, data.Q.dim * ctx.A.dim * ctx.C.dim)
     return kernel(system)
 
 
@@ -659,7 +658,7 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, DenseMatrix
                     if val:
                         acc[r * nA + j] = f.add(acc[r * nA + j], f.mul(c, val))
         cols.append(tensor.project(acc))
-    inv = DenseMatrix.from_rows(f, cols, cols=tensor.dim).transpose()
+    inv = DenseMatrix.from_columns(f, cols, tensor.dim)
     v = Verdict()
     if psi_mat.mul(inv) != DenseMatrix.identity(f, M.dim):
         v.fail("psi-tilde-not-right-inverse")

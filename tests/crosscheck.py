@@ -138,7 +138,7 @@ class DualRingData:
 def dual_mult_matrix(cor: CoringPresentation, fmat: DenseMatrix,
                      gmat: DenseMatrix) -> DenseMatrix:
     """(f . g)(c) = sum g(c_1 f(c_2)), computed through the chosen lift."""
-    rmat = cor.right_action_matrix()
+    rmat = cor.right_module.action_map()
     eye = DenseMatrix.identity(cor.field, cor.dim)
     return gmat.mul(rmat).mul(kron(eye, fmat)).mul(cor.delta_lift)
 

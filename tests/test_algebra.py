@@ -38,6 +38,26 @@ def test_verify_group_algebra():
     assert verify_algebra(group_algebra_z2()).valid
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_action_map_columns(side):
+    # the regular module twice over, so that dim M differs from dim A and a
+    # swapped index convention cannot pass
+    A = dual_numbers()
+    reg = A.regular_module(side)
+    M = reg.direct_sum(reg)
+    nA, d = A.dim, M.dim
+    amap = M.action_map()
+    assert (amap.rows, amap.cols) == (d, nA * d)
+    for i in range(nA):
+        for m in range(d):
+            j = i * d + m if side == "left" else m * nA + i
+            e_m = [1 if t == m else 0 for t in range(d)]
+            e_i = [1 if t == i else 0 for t in range(nA)]
+            assert amap.col(j) == M.act(e_m, e_i)
+    assert amap is M.action_map()
+    assert A.regular_module(side).action_map() == A.mult_matrix()
+
+
 def test_verify_names_failing_triple():
     # 3-dim: e1*e1 = e2, e1*e2 = e1, e2*e1 = 0: then (e1 e1) e1 = e2 e1 = 0
     # while e1 (e1 e1) = e1 e2 = e1.

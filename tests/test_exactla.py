@@ -19,6 +19,7 @@ from coring_lab.exactla import (
     kron,
     kron_mul,
     mul_kron,
+    null_vectors,
     quotient,
     rank,
     solve,
@@ -251,33 +252,89 @@ def test_normalization_examples():
 
 # -- quotient -------------------------------------------------------------------
 
+def span_of(field, n, vecs):
+    """The relation span of vecs, as ``quotient`` takes it."""
+    span = SubspaceBuilder(field, n)
+    for v in vecs:
+        span.insert(v)
+    return span
+
+
 def test_quotient_by_zero():
-    q = quotient(3, Subspace.zero(QQ, 3))
+    q = quotient(SubspaceBuilder(QQ, 3))
     assert q.dim == 3
     assert q.projection == DenseMatrix.identity(QQ, 3)
 
 
 def test_quotient_by_full():
-    q = quotient(2, Subspace.full(QQ, 2))
+    q = quotient(span_of(QQ, 2, [[1, 0], [0, 1]]))
     assert q.dim == 0
 
 
 def test_quotient_line():
-    rel = Subspace.from_spanning(QQ, 2, [[1, -1]])
-    q = quotient(2, rel)
+    q = quotient(span_of(QQ, 2, [[1, -1]]))
     assert q.dim == 1
     assert q.project([1, 0]) == q.project([0, 1])
 
 
 def test_quotient_projection_section_identities():
-    rel = Subspace.from_spanning(QQ, 4, [[1, 2, 0, 0], [0, 0, 1, -1]])
-    q = quotient(4, rel)
+    vecs = [[1, 2, 0, 0], [0, 0, 1, -1]]
+    rel = Subspace.from_spanning(QQ, 4, vecs)
+    q = quotient(span_of(QQ, 4, vecs))
     assert q.projection.mul(q.section) == DenseMatrix.identity(QQ, q.dim)
     resid = q.section.mul(q.projection).sub(DenseMatrix.identity(QQ, 4))
     for j in range(4):
         assert rel.contains(resid.col(j))
     for i in range(rel.dim):
         assert all(not x for x in q.project(rel.basis.row(i)))
+
+
+def relation_cases(field, seed):
+    """Random sparse generating families, zero-dimensional ambients included."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        yield n, [[field.random_scalar(rng) if rng.random() < 0.5 else 0 for _ in range(n)]
+                  for _ in range(rng.randint(0, 7))]
+
+
+@pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)], ids=["Q", "F5"])
+def test_builder_null_vectors_against_oracle(field, p):
+    for n, vecs in relation_cases(field, seed=29):
+        span = span_of(field, n, vecs)
+        nulls = null_vectors(field, n, span.rows.keys(), span.rows.values())
+        assert len(nulls) == n - naive_rank(vecs, p)
+        assert naive_rank(nulls, p) == len(nulls)
+        for w in nulls:
+            assert naive_matmul(vecs, [[x] for x in w], 1, p) == [[0]] * len(vecs)
+
+
+@pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)], ids=["Q", "F5"])
+def test_quotient_projection_kills_relations(field, p):
+    for n, vecs in relation_cases(field, seed=30):
+        q = quotient(span_of(field, n, vecs))
+        assert q.dim == n - naive_rank(vecs, p)
+        for v in vecs:
+            assert all(not x for x in q.project(v))
+        assert q.projection.mul(q.section) == DenseMatrix.identity(field, q.dim)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_from_columns_matches_transposed_rows(field):
+    rng = random.Random(31)
+    for _ in range(60):
+        rows, width = rng.randint(0, 4), rng.randint(0, 4)
+        cols = [[field.random_scalar(rng) for _ in range(rows)] for _ in range(width)]
+        got = DenseMatrix.from_columns(field, cols, rows)
+        assert (got.rows, got.cols) == (rows, width)
+        assert got == DenseMatrix.from_rows(field, cols, cols=rows).transpose()
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(ShapeError):
+        DenseMatrix.from_columns(QQ, [[1, 2], [3]], 2)
+    with pytest.raises(ShapeError):
+        DenseMatrix.from_columns(QQ, [[1, 2]], 3)
 
 
 # -- randomized cross-checks against the naive oracle ---------------------------
@@ -379,7 +436,9 @@ def test_subspace_builder_matches_dense():
             sb = SubspaceBuilder(field, dim)
             for v in vecs:
                 sb.insert(v)
-            assert sb.to_subspace() == Subspace.from_spanning(field, dim, vecs)
+            pivots = sorted(sb.rows)
+            dense = [[sb.rows[c].get(j, 0) for j in range(dim)] for c in pivots]
+            assert Subspace(field, dim, dense, pivots) == Subspace.from_spanning(field, dim, vecs)
 
 
 # -- serialization ---------------------------------------------------------------
