@@ -438,6 +438,7 @@ def coinvariants(M: ComoduleInstance) -> Subspace:
     return kernel(M.coaction.sub(t_x))
 
 
+@once
 def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
     """{m : m g := m . g equals m . (g(x) embedded) for all g} over the dual ring."""
     sharp = ctx.sharp_ring()

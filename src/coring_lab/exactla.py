@@ -24,6 +24,10 @@ Relation spans (balanced-tensor relations, intertwiner constraints) stay
 sparse from elimination to use: ``SubspaceBuilder`` keeps its reduced
 echelon rows as ``{column: entry}`` dicts, ``null_vectors`` reads them in
 time linear in their nonzeros, and ``quotient`` takes the builder itself.
+Over Q the builder eliminates without fractions: it clears each inserted
+vector's denominators once and stores every echelon row as its primitive
+integer multiple with a positive pivot entry; the pivots are divided out
+only when ``rows`` is read, into a view cached until the next insertion.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -279,9 +283,9 @@ class DenseMatrix:
         rows = list(rows)
         if not rows:
             return DenseMatrix(field, 0, 0 if cols is None else cols, [])
-        w = len(rows[0])
+        w = len(rows[0]) if cols is None else cols
         if any(len(r) != w for r in rows):
-            raise ShapeError("ragged rows")
+            raise ShapeError(f"ragged rows: every row needs {w} entries")
         flat = [x for r in rows for x in r]
         return DenseMatrix(field, len(rows), w, flat)
 
@@ -510,10 +514,11 @@ def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
 def _row_reduce_q(rows: list) -> tuple:
     """Fraction-free (Bareiss-style) reduction to RREF over Q.
 
-    Rows are scaled to integers first; forward elimination uses the Bareiss
-    update with exact division by the previous pivot, rows are gcd-reduced to
-    control growth, and pivots are normalized to 1 only at the very end.
-    Returns (rref_rows, pivot_cols).
+    Each input row is scaled to a primitive integer row first.  Forward
+    elimination uses the Bareiss update with exact division by the previous
+    pivot and leaves its rows unreduced, since that division is exact only on
+    them; back elimination gcd-reduces every row it touches, and pivots are
+    normalized to 1 only at the very end.  Returns (rref_rows, pivot_cols).
     """
     work = []
     for r in rows:
@@ -748,67 +753,128 @@ class Subspace:
 
 
 class SubspaceBuilder:
-    """Incremental reduced-echelon accumulator with sparse rows.
+    """Incremental reduced-echelon accumulator with sparse integer rows.
 
     Used for large, very sparse generating families (balanced-tensor relation
     spans, intertwiner constraints) where materializing a dense matrix would
-    be wasteful.  Rows are dicts col->coeff with unit leading coefficient; the
-    full RREF invariant is maintained on every insertion.  ``null_vectors``
-    and ``quotient`` read the rows as they are.
+    be wasteful.  Each echelon row is stored as a dict col->int, a scalar
+    multiple of its reduced echelon row: over Q the primitive integer
+    multiple with a positive pivot entry, over Fp the row itself (unit
+    pivot, entries in [0, p)).  Elimination is fraction-free: a row with
+    pivot entry b clears an entry a of v by ``b'*v - a'*row``, with (b', a')
+    the pair (b, a) divided by its gcd, and every row it produces is brought
+    back to that canonical multiple.  The full RREF invariant (no row has an
+    entry in another row's pivot column) holds after every insertion.
+
+    ``rows`` is the reduced echelon form, {pivot col: {col: entry}} with unit
+    pivots.  Over Q reading it divides each pivot out, giving ``int`` where
+    integral and ``Fraction`` otherwise; the view is built once and cached
+    until the next insertion that changes the span.  Over Fp it is the
+    stored dict.  ``null_vectors`` and ``quotient`` read it as it is.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = {}  # leading col -> {col: coeff}
+        self._rows = {}   # leading col -> {col: int}, canonical multiple
+        self._view = None
 
-    def _reduce_sparse(self, vec: dict) -> dict:
-        # Eliminate every pivot-column hit, smallest first.  Pivot rows carry
-        # no other pivot columns (full RREF invariant), so each elimination
-        # introduces only non-pivot columns and the sweep terminates.
-        f = self.field
-        while vec:
-            hit = None
-            for c in vec:
-                if c in self.rows and (hit is None or c < hit):
-                    hit = c
-            if hit is None:
-                return vec
-            row = self.rows[hit]
-            coef = vec[hit]
-            for c, b in row.items():
-                nv = f.sub(vec.get(c, 0), f.mul(coef, b))
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        return vec
+    def _canonical(self, v: dict) -> dict:
+        """The canonical multiple of an integer row: primitive with a positive
+        pivot over Q, reduced mod p with a unit pivot over Fp; empty if the
+        row is zero in the field."""
+        p = self.field.p
+        if p is not None:
+            v = {c: x % p for c, x in v.items() if x % p}
+        if not v:
+            return v
+        lead = v[min(v)]
+        if lead == 1:
+            return v
+        if p is None:
+            # pairwise gcd, not gcd(*row): it stops at content 1, and star
+            # calls would leave thousands of argument tuples in the
+            # interpreter's free lists
+            g = 0
+            for x in v.values():
+                g = gcd(g, x)
+                if g == 1:
+                    break
+            if lead < 0:
+                g = -g
+            return v if g == 1 else {c: x // g for c, x in v.items()}
+        inv = pow(lead, p - 2, p)
+        return {c: x * inv % p for c, x in v.items()}
 
     def insert(self, vec) -> bool:
         """Insert a vector (dict or dense sequence); True if the dim grew."""
-        f = self.field
-        if isinstance(vec, dict):
-            v = {c: f.normalize(x) for c, x in vec.items() if f.normalize(x)}
-        else:
-            v = {c: f.normalize(x) for c, x in enumerate(vec) if f.normalize(x)}
-        v = self._reduce_sparse(v)
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {c: x for c, x in items if x}
+        if not v:
+            return False
+        if set(map(type, v.values())) != {int}:
+            # clear the denominators once, for the whole vector; a nonzero
+            # multiple spans the same line over either field
+            den = 1
+            for x in v.values():
+                if type(x) is not int:
+                    den = lcm(den, x.denominator)
+            v = {c: x * den if type(x) is int else x.numerator * (den // x.denominator)
+                 for c, x in v.items()}
+        rows = self._rows
+        # Pivot rows carry no other pivot columns (full RREF invariant), so
+        # clearing one hit introduces no new ones and the hits are fixed.
+        for c in rows.keys() & v.keys():
+            _eliminate(v, c, rows[c])
+        v = self._canonical(v)
         if not v:
             return False
         lead = min(v)
-        inv = f.inv(v[lead])
-        if inv != 1:
-            v = {c: f.mul(x, inv) for c, x in v.items()}
-        for row in self.rows.values():
-            coef = row.get(lead)
-            if coef:
-                for c, b in v.items():
-                    nv = f.sub(row.get(c, 0), f.mul(coef, b))
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-        self.rows[lead] = v
+        for piv, row in rows.items():
+            if lead in row:
+                _eliminate(row, lead, v)
+                rows[piv] = self._canonical(row)
+        rows[lead] = v
+        self._view = None
         return True
+
+    @property
+    def rows(self) -> dict:
+        """The reduced echelon rows, {pivot col: {col: entry}}."""
+        if self.field.p is not None:
+            return self._rows
+        if self._view is None:
+            self._view = {lead: _divided(row, row[lead]) for lead, row in self._rows.items()}
+        return self._view
+
+
+def _eliminate(v: dict, c: int, row: dict) -> None:
+    """Clear column c of the integer row v in place with ``row``, whose
+    entry in c is its pivot: v <- b'*v - a'*row, (b', a') being
+    (row[c], v[c]) divided by their gcd."""
+    b, a = row[c], v[c]
+    g = gcd(b, a)
+    if g != 1:
+        b //= g
+        a //= g
+    if b != 1:
+        for k in v:
+            v[k] *= b
+    for k, y in row.items():
+        x = v.get(k, 0) - a * y
+        if x:
+            v[k] = x
+        else:
+            del v[k]
+
+
+def _divided(row: dict, piv: int) -> dict:
+    """row / piv over Q, with int entries where integral."""
+    out = {}
+    for c, x in row.items():
+        q, r = divmod(x, piv)
+        out[c] = Fraction(x, piv) if r else q
+    return out
 
 
 # ---------------------------------------------------------------------------

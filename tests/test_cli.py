@@ -106,6 +106,7 @@ def test_analyze_deterministic_across_runs():
 def test_derived_objects_are_computed_once_per_context():
     from coring_lab.cleft import find_cleft
     from coring_lab.cli import full_verify, load_instance
+    from coring_lab.coring import x_invariants
     from coring_lab.galois import psi_M
     from coring_lab.morita import omega_and_lambda
 
@@ -119,6 +120,7 @@ def test_derived_objects_are_computed_once_per_context():
         assert psi_M(ctx, w) is psi_M(ctx, w)
     assert find_cleft(ctx, 0) is find_cleft(ctx, 0)
     assert find_cleft(ctx, 0) is not find_cleft(ctx, 1)
+    assert x_invariants(data.A_right_dual, ctx) is x_invariants(data.A_right_dual, ctx)
     # a second context from the same file shares nothing with the first
     other = load_instance(fx("fix-s"))
     assert other.morita() is not data

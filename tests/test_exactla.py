@@ -30,6 +30,7 @@ from oracles import (
     naive_kron,
     naive_matmul,
     naive_rank,
+    naive_rref,
     naive_solve,
     span_contains,
 )
@@ -289,13 +290,21 @@ def test_quotient_projection_section_identities():
         assert all(not x for x in q.project(rel.basis.row(i)))
 
 
+def rational_scalar(rng):
+    """A rational a/b with |a| <= 5 and 1 <= b <= 5, often not an integer."""
+    return QQ.normalize(Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+
+
 def relation_cases(field, seed):
-    """Random sparse generating families, zero-dimensional ambients included."""
+    """Random sparse generating families, zero-dimensional ambients included;
+    over Q a second batch has rational entries."""
     rng = random.Random(seed)
-    for _ in range(40):
-        n = rng.randint(0, 7)
-        yield n, [[field.random_scalar(rng) if rng.random() < 0.5 else 0 for _ in range(n)]
-                  for _ in range(rng.randint(0, 7))]
+    scalars = [field.random_scalar] + ([rational_scalar] if field == QQ else [])
+    for scalar in scalars:
+        for _ in range(40):
+            n = rng.randint(0, 7)
+            yield n, [[scalar(rng) if rng.random() < 0.5 else 0 for _ in range(n)]
+                      for _ in range(rng.randint(0, 7))]
 
 
 @pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)], ids=["Q", "F5"])
@@ -335,6 +344,12 @@ def test_from_columns_rejects_ragged_columns():
         DenseMatrix.from_columns(QQ, [[1, 2], [3]], 2)
     with pytest.raises(ShapeError):
         DenseMatrix.from_columns(QQ, [[1, 2]], 3)
+    # from_rows checks its declared width the same way
+    with pytest.raises(ShapeError):
+        DenseMatrix.from_rows(QQ, [[1, 2], [3]])
+    with pytest.raises(ShapeError):
+        DenseMatrix.from_rows(QQ, [[1, 2]], cols=3)
+    assert DenseMatrix.from_rows(QQ, [[1, 2]], cols=2) == DenseMatrix(QQ, 1, 2, [1, 2])
 
 
 # -- randomized cross-checks against the naive oracle ---------------------------
@@ -428,14 +443,23 @@ def test_subspace_sum_and_intersection():
 
 def test_subspace_builder_matches_dense():
     rng = random.Random(23)
-    for field, p in [(QQ, None), (F5, 5)]:
+    for field, p, scalar in [(QQ, None, QQ.random_scalar), (F5, 5, F5.random_scalar),
+                             (QQ, None, rational_scalar)]:
         for _ in range(20):
             dim = rng.randint(1, 6)
-            vecs = [[field.random_scalar(rng) for _ in range(dim)]
-                    for _ in range(rng.randint(0, 6))]
+            vecs = [[scalar(rng) for _ in range(dim)] for _ in range(rng.randint(0, 6))]
             sb = SubspaceBuilder(field, dim)
-            for v in vecs:
-                sb.insert(v)
+            for k, v in enumerate(vecs):
+                grew = sb.insert(v)
+                # read the rows after every insertion, so a stale view fails
+                rref, pivots = naive_rref(vecs[:k + 1], p)
+                assert grew == (len(pivots) > naive_rank(vecs[:k], p))
+                assert sb.rows is sb.rows
+                assert sorted(sb.rows) == pivots
+                assert [[sb.rows[c].get(j, 0) for j in range(dim)] for c in pivots] == rref
+                for row in sb.rows.values():
+                    for x in row.values():
+                        assert x and (type(x) is int or x.denominator != 1)
             pivots = sorted(sb.rows)
             dense = [[sb.rows[c].get(j, 0) for j in range(dim)] for c in pivots]
             assert Subspace(field, dim, dense, pivots) == Subspace.from_spanning(field, dim, vecs)
