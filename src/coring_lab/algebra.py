@@ -25,7 +25,10 @@ from .exactla import (
     ShapeError,
     Subspace,
     SubspaceBuilder,
+    clear_denominators,
+    combine_matrices,
     combine_rows,
+    divide_out,
     json_dim,
     json_get,
     null_vectors,
@@ -35,17 +38,6 @@ from .exactla import (
     solve,
 )
 from .verdict import Verdict, VerificationError, one_failure
-
-
-def _combination(field, rows: int, cols: int, mats: Sequence[DenseMatrix],
-                 coeffs: Sequence) -> DenseMatrix:
-    """sum coeffs[i] * mats[i]; a basis vector, the common case, picks its
-    (immutable) matrix without arithmetic."""
-    nonzero = [i for i, a in enumerate(coeffs) if a]
-    if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
-        return mats[nonzero[0]]
-    return DenseMatrix(field, rows, cols,
-                       combine_rows(field, coeffs, [m.entries for m in mats], rows * cols))
 
 
 class AlgebraPresentation:
@@ -65,6 +57,10 @@ class AlgebraPresentation:
             raise ShapeError("unit vector has the wrong length")
         self.mult = [[[field.normalize(x) for x in cell] for cell in row] for row in mult]
         self.unit = [field.normalize(x) for x in unit]
+        # the structure constants over one common denominator, for mul_vec
+        self._mult_den, flat = clear_denominators(
+            [x for row in self.mult for cell in row for x in cell])
+        self._int_cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]
         self.name = name
         # left/right multiplication operators per basis element
         self._lmul = [DenseMatrix.from_rows(
@@ -75,29 +71,29 @@ class AlgebraPresentation:
             cols=dim) for j in range(dim)]
 
     def mul_vec(self, u: Sequence, v: Sequence) -> list:
-        f = self.field
-        out = [0] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.mult[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                cell = row[j]
-                for k in range(self.dim):
-                    c = cell[k]
-                    if c:
-                        out[k] += ab * c
-        return [f.normalize(x) for x in out]
+        """Coordinates of uv, fraction-free: u, v and the structure constants
+        are scaled to ints, and the sum of u_i v_j e_i e_j is divided out
+        once per entry."""
+        du, iu = clear_denominators(u)
+        dv, iv = clear_denominators(v)
+        n, cells = self.dim, self._int_cells
+        nv = [(j, b) for j, b in enumerate(iv) if b]
+        out = [0] * n
+        for i, a in enumerate(iu):
+            if a:
+                for j, b in nv:
+                    ab = a * b
+                    for k, c in enumerate(cells[i * n + j]):
+                        if c:
+                            out[k] += ab * c
+        return divide_out(self.field, out, du * dv * self._mult_den)
 
     def lmul_matrix(self, u: Sequence) -> DenseMatrix:
         """Matrix of left multiplication by the element with coordinates u."""
-        return _combination(self.field, self.dim, self.dim, self._lmul, u)
+        return combine_matrices(self.field, self.dim, self.dim, u, self._lmul)
 
     def rmul_matrix(self, u: Sequence) -> DenseMatrix:
-        return _combination(self.field, self.dim, self.dim, self._rmul, u)
+        return combine_matrices(self.field, self.dim, self.dim, u, self._rmul)
 
     @once
     def mult_matrix(self) -> DenseMatrix:
@@ -160,7 +156,7 @@ class ModulePresentation:
 
     def act_matrix(self, u: Sequence) -> DenseMatrix:
         """Action of the algebra element with coordinate vector u."""
-        return _combination(self.field, self.dim, self.dim, self.action, u)
+        return combine_matrices(self.field, self.dim, self.dim, u, self.action)
 
     def act(self, m: Sequence, u: Sequence) -> list:
         return self.act_matrix(u).apply(m)
@@ -341,7 +337,8 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
                             rel[c] = nv
                         else:
                             rel.pop(c, None)
-                builder.insert(rel)
+                if rel:
+                    builder.insert(rel)
     return quotient(builder)
 
 

@@ -88,11 +88,6 @@ def integral_space(ctx) -> IntegralSpace:
     return IntegralSpace(space, total)
 
 
-def is_total(ctx, lam_flat: Sequence) -> bool:
-    return ctx.sharp_ring().eval_at(list(lam_flat), ctx.x) == \
-        [ctx.field.normalize(t) for t in ctx.A.unit]
-
-
 # ---------------------------------------------------------------------------
 # generic invertibility over a linear space of candidates
 # ---------------------------------------------------------------------------
@@ -336,11 +331,8 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     cols = [[part[k][r] for r in range(coinv.dim) for k in range(nC)]
             for part in _trivialized(ctx, witness, M)]
     gamma = DenseMatrix.from_columns(f, cols, coinv.dim * nC)
-    inv_cols = []
-    for r in range(coinv.dim):
-        base = coinv.basis.row(r)
-        for k in range(nC):
-            inv_cols.append(M.module.act_matrix(witness.lam.col(k)).apply(base))
+    acts = [M.module.act_matrix(witness.lam.col(k)) for k in range(nC)]
+    inv_cols = [a.apply(coinv.basis.row(r)) for r in range(coinv.dim) for a in acts]
     gamma_inv = DenseMatrix.from_columns(f, inv_cols, M.dim)
     v = Verdict()
     if gamma.mul(gamma_inv) != DenseMatrix.identity(f, coinv.dim * nC):

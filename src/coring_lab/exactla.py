@@ -12,11 +12,22 @@ integer fast path matters because structure constants are almost always small
 integers.  Prime-field entries are ints in ``[0, p)``.
 
 Every matrix is built by ``DenseMatrix.__init__``, which normalizes each entry
-(int entries inline).  Structure maps between tensor products are applied,
-not built: ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M,
-N)`` is ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.
-``DenseMatrix.mul`` collects the nonzero (column, entry) pairs of each row of
-its right factor once per call and multiplies only those.  A linear map
+and records ``den``: over Q the lcm of the entries' denominators (1 when
+every entry is an int, which one C-level scan of the entry types detects),
+over Fp always 1.  Products over Q are fraction-free: ``mul``, ``kron_mul``,
+``apply``, ``combine_rows`` and ``combine_matrices`` scale their operands to
+ints once (reading ``den`` where the operand is a matrix), accumulate ints,
+and divide once per output entry by the product of the scales, giving an
+``int`` where the quotient is integral and a ``Fraction`` otherwise.
+Integer operands take the same path with every scale 1.  The pair
+``clear_denominators`` and ``divide_out`` offers that path to loops outside
+this module.
+
+Structure maps between tensor products are applied, not built:
+``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M, N)`` is
+``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.
+``DenseMatrix.mul`` collects the nonzero (column, entry) pairs of each row
+of its right factor once per call and multiplies only those.  A linear map
 assembled column by column is built with ``DenseMatrix.from_columns``, never
 as the transpose of its row-major twin.
 
@@ -36,6 +47,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -190,9 +202,6 @@ class FieldSpec:
         return self.normalize(Fraction(a) / Fraction(b))
 
     # -- serialization ----------------------------------------------------
-    def scalar_to_str(self, x) -> str:
-        return str(self.normalize(x))
-
     def scalar_from_str(self, s) -> Scalar:
         """Parse a JSON scalar: an int, or a string "a", "a/b" or "a.b".
 
@@ -233,11 +242,6 @@ class FieldSpec:
             return FieldSpec("Q")
         raise ShapeError(f"unknown field kind {obj['kind']!r}")
 
-    def random_scalar(self, rng, span: int = 5) -> Scalar:
-        if self.kind == "Fp":
-            return rng.randrange(self.p)
-        return rng.randint(-span, span)
-
 
 QQ = FieldSpec("Q")
 
@@ -252,27 +256,39 @@ def GF(p: int) -> FieldSpec:
 
 
 class DenseMatrix:
-    """Immutable dense matrix over an exact field, row-major storage."""
+    """Immutable dense matrix over an exact field, row-major storage.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    ``den`` is the least common multiple of the entries' denominators over Q
+    (1 when every entry is an int) and 1 over Fp, so ``den * x`` is an int
+    for every entry x.  Products read it to scale a factor to ints without
+    scanning its entries again.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "den")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
+        den = 1
         # FieldSpec.normalize with its int case inlined: almost every entry
         # is an int, and this runs under every matrix the package builds
-        norm = field.normalize
         if field.kind == "Fp":
-            p = field.p
+            p, norm = field.p, field.normalize
             entries = [x % p if type(x) is int else norm(x) for x in entries]
         else:
-            entries = [x if type(x) is int else norm(x) for x in entries]
+            # a list of its own, read twice, and a generator only once
+            entries = list(entries)
+            if not set(map(type, entries)) <= {int}:
+                norm = field.normalize
+                entries = [x if type(x) is int else norm(x) for x in entries]
+                den = lcm(*{x.denominator for x in entries if type(x) is not int})
         if len(entries) != rows * cols:
             raise ShapeError(f"need {rows * cols} entries, got {len(entries)}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("DenseMatrix is immutable")
@@ -367,28 +383,28 @@ class DenseMatrix:
         if self.cols != other.rows or self.field != other.field:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         n, m, q = self.rows, self.cols, other.cols
-        se = self.entries
+        se = _int_entries(self)
         onz = _nonzero_rows(other)
         out = []
         for i in range(n):
             out += _mix(se[i * m:(i + 1) * m], onz, q)
-        return DenseMatrix(self.field, n, q, out)
+        return DenseMatrix(self.field, n, q, _divided(out, self.den * other.den))
 
     def apply(self, vec: Sequence[Scalar]) -> list:
         """Matrix times column vector, returned as a plain list."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        f = self.field
+        dv, iv = clear_denominators(vec)
+        se = _int_entries(self)
         out = [0] * self.rows
-        se = self.entries
-        for j, v in enumerate(vec):
+        for j, v in enumerate(iv):
             if not v:
                 continue
             for i in range(self.rows):
                 a = se[i * self.cols + j]
                 if a:
                     out[i] += a * v
-        return [f.normalize(x) for x in out]
+        return divide_out(self.field, out, self.den * dv)
 
     def transpose(self) -> "DenseMatrix":
         out = [0] * (self.rows * self.cols)
@@ -396,12 +412,6 @@ class DenseMatrix:
             for j in range(self.cols):
                 out[j * self.rows + i] = self.entries[i * self.cols + j]
         return DenseMatrix(self.field, self.cols, self.rows, out)
-
-    def hstack(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.rows != other.rows or self.field != other.field:
-            raise ShapeError("hstack mismatch")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return DenseMatrix.from_rows(self.field, rows, cols=self.cols + other.cols)
 
     def vstack(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.cols or self.field != other.field:
@@ -450,9 +460,49 @@ def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(M.field, rows, cols, out)
 
 
+def _scaled(xs, d: int) -> list:
+    """The ints d * x for the scalars xs, d a multiple of their denominators."""
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in xs]
+
+
+def clear_denominators(xs) -> tuple:
+    """(d, ints): d the lcm of the denominators of the scalars xs and ints
+    their multiples by d; (1, xs) when every x is an int, found by one type
+    scan.  With ``divide_out`` this is the fraction-free product path."""
+    if set(map(type, xs)) <= {int}:
+        return 1, xs
+    d = lcm(*{x.denominator for x in xs if type(x) is not int})
+    return d, _scaled(xs, d)
+
+
+def _int_entries(M: "DenseMatrix") -> list:
+    """M's entries times M.den, as ints; M's own list when M.den is 1."""
+    return M.entries if M.den == 1 else _scaled(M.entries, M.den)
+
+
+def _divided(xs, d: int) -> list:
+    """x / d for the ints xs: an int where the quotient is integral and a
+    (reduced) Fraction otherwise; the one division of a fraction-free product."""
+    if d == 1:
+        return xs
+    return [x // d if not x % d else Fraction(x, d) for x in xs]
+
+
+def divide_out(field: FieldSpec, xs: list, d: int) -> list:
+    """The ints xs divided by d, as canonical field elements: over Q an int
+    where the quotient is integral and a Fraction otherwise, over Fp
+    reduced mod p."""
+    xs = _divided(xs, d)
+    if field.kind == "Q":
+        return xs
+    p, norm = field.p, field.normalize
+    return [x % p if type(x) is int else norm(x) for x in xs]
+
+
 def _nonzero_rows(M: DenseMatrix) -> list:
-    """Per row of M, the (column, entry) pairs of its nonzero entries."""
-    c, e = M.cols, M.entries
+    """Per row of M, the (column, entry) pairs of its nonzero entries, each
+    entry scaled by M.den to an int."""
+    c, e = M.cols, _int_entries(M)
     return [[(j, b) for j, b in enumerate(e[i * c:(i + 1) * c]) if b] for i in range(M.rows)]
 
 
@@ -472,14 +522,17 @@ def kron_mul(M: DenseMatrix, N: DenseMatrix, Y: DenseMatrix) -> DenseMatrix:
 
     Row block jm of Y (N.cols rows) passes through N once, for each column jm
     that M uses; M[im, jm] then mixes those blocks into row block im of the
-    result.  The result is the only DenseMatrix built.
+    result.  All three factors are scaled to ints, so the blocks and the
+    mixing are integer arithmetic, divided out once per result entry.  The
+    result is the only DenseMatrix built.
     """
     if not M.field == N.field == Y.field or M.cols * N.cols != Y.rows:
         raise ShapeError(f"cannot multiply kron({M.rows}x{M.cols}, {N.rows}x{N.cols}) "
                          f"by {Y.rows}x{Y.cols}")
     q, cN = Y.cols, N.cols
     ynz = _nonzero_rows(Y)
-    nrows = [N.row(i) for i in range(N.rows)]
+    ne = _int_entries(N)
+    nrows = [ne[i * cN:(i + 1) * cN] for i in range(N.rows)]
     mnz = _nonzero_rows(M)
     # blocks[jm][i2]: row i2 of N . (row block jm of Y), dense
     blocks = {jm: [_mix(nrow, ynz[jm * cN:(jm + 1) * cN], q) for nrow in nrows]
@@ -488,7 +541,7 @@ def kron_mul(M: DenseMatrix, N: DenseMatrix, Y: DenseMatrix) -> DenseMatrix:
     out = []
     for pairs in mnz:
         if len(pairs) == 1 and pairs[0][1] == 1:
-            # a unit row of M (as in kron(I, N)) copies its block
+            # a (scaled) unit row of M, as in kron(I, N), copies its block
             for row in blocks[pairs[0][0]]:
                 out += row
             continue
@@ -497,7 +550,7 @@ def kron_mul(M: DenseMatrix, N: DenseMatrix, Y: DenseMatrix) -> DenseMatrix:
                 sparse[jm] = [[(j, z) for j, z in enumerate(row) if z] for row in blocks[jm]]
         for i2 in range(N.rows):
             out += _mix([a for _, a in pairs], [sparse[jm][i2] for jm, _ in pairs], q)
-    return DenseMatrix(M.field, M.rows * N.rows, q, out)
+    return DenseMatrix(M.field, M.rows * N.rows, q, _divided(out, M.den * N.den * Y.den))
 
 
 def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
@@ -739,18 +792,6 @@ class Subspace:
             self.field, self.ambient_dim,
             self.basis.row_lists() + other.basis.row_lists())
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("ambient mismatch")
-        # kernel vectors of [B1^T | B2^T] give the combinations of B1 rows
-        # that are also combinations of B2 rows
-        b1 = self.basis
-        ker = kernel(b1.transpose().hstack(other.basis.transpose()))
-        rows = b1.row_lists()
-        vecs = [combine_rows(self.field, ker.basis.row(i)[:b1.rows], rows, self.ambient_dim)
-                for i in range(ker.dim)]
-        return Subspace.from_spanning(self.field, self.ambient_dim, vecs)
-
 
 class SubspaceBuilder:
     """Incremental reduced-echelon accumulator with sparse integer rows.
@@ -844,7 +885,8 @@ class SubspaceBuilder:
         if self.field.p is not None:
             return self._rows
         if self._view is None:
-            self._view = {lead: _divided(row, row[lead]) for lead, row in self._rows.items()}
+            self._view = {lead: dict(zip(row, _divided(row.values(), row[lead])))
+                          for lead, row in self._rows.items()}
         return self._view
 
 
@@ -868,35 +910,53 @@ def _eliminate(v: dict, c: int, row: dict) -> None:
             del v[k]
 
 
-def _divided(row: dict, piv: int) -> dict:
-    """row / piv over Q, with int entries where integral."""
-    out = {}
-    for c, x in row.items():
-        q, r = divmod(x, piv)
-        out[c] = Fraction(x, piv) if r else q
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the operations of the module contract
 # ---------------------------------------------------------------------------
 
 
+def _accumulate(used: list, width: int) -> list:
+    """sum c * row over the (c, row) pairs of ints in used, each row of
+    length width; the dense-row twin of ``_mix``."""
+    out = [0] * width
+    for c, row in used:
+        for j, b in enumerate(row):
+            if b:
+                out[j] += c * b
+    return out
+
+
 def combine_rows(field: FieldSpec, coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
                  width: int) -> list:
-    """sum coeffs[i] * rows[i], normalized; every linear combination of basis
-    rows in the package goes through here."""
-    out = [0] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, b in enumerate(row):
-                if b:
-                    out[j] += c * b
-    # normalize() inlined: this runs under every lmul/rmul/act matrix
-    if field.kind == "Fp":
-        p = field.p
-        return [x % p for x in out]
-    return [x if type(x) is int else field.normalize(x) for x in out]
+    """sum coeffs[i] * rows[i], each row of length width, normalized; every
+    linear combination of vectors in the package goes through here (of
+    matrices, through ``combine_matrices``).  One type scan of the
+    coefficients and of the rows with a nonzero coefficient finds the
+    integer case; otherwise those coefficients, and those rows taken
+    together, are cleared of denominators."""
+    used = [(c, row) for c, row in zip(coeffs, rows) if c]
+    d = 1
+    if not set(map(type, chain(coeffs, chain.from_iterable(row for _, row in used)))) <= {int}:
+        dc, cs = clear_denominators([c for c, _ in used])
+        den, flat = clear_denominators(list(chain.from_iterable(row for _, row in used)))
+        used = [(c, flat[k * width:(k + 1) * width]) for k, c in enumerate(cs)]
+        d = dc * den
+    return divide_out(field, _accumulate(used, width), d)
+
+
+def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Scalar],
+                     mats: Sequence[DenseMatrix]) -> DenseMatrix:
+    """sum coeffs[i] * mats[i], each matrix rows x cols, cleared of
+    denominators through the matrices' ``den``; a basis vector, the common
+    case, picks its (immutable) matrix without arithmetic."""
+    nonzero = [i for i, a in enumerate(coeffs) if a]
+    if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
+        return mats[nonzero[0]]
+    dc, cs = clear_denominators(coeffs)
+    # each coefficient absorbs the lcm of the matrices' scales
+    den = lcm(*[mats[i].den for i in nonzero])
+    used = [(cs[i] * (den // mats[i].den), _int_entries(mats[i])) for i in nonzero]
+    return DenseMatrix(field, rows, cols, _divided(_accumulate(used, rows * cols), dc * den))
 
 
 def null_vectors(field: FieldSpec, n: int, pivots: Iterable[int],

@@ -388,12 +388,8 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, L
     f = ctx.field
     tensor = balanced_tensor(M, data.Q_left_dual)
     target = x_invariants(M, ctx)
-    cols = []
-    for m in range(M.dim):
-        for i in range(data.Q.dim):
-            val = M.act_matrix(list(data.Q.space.basis.row(i))).col(m)
-            cols.append(val)
-    plain = DenseMatrix.from_columns(f, cols, M.dim)
+    acts = [M.act_matrix(list(data.Q.space.basis.row(i))) for i in range(data.Q.dim)]
+    plain = DenseMatrix.from_columns(f, [a.col(m) for m in range(M.dim) for a in acts], M.dim)
     mat = plain.mul(tensor.section)
     # bijectivity measured against the target subspace
     img = image(mat)
@@ -644,16 +640,18 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, DenseMatrix
     tensor = _coinv_tensor_A(ctx, M)
     dual = dual_action(M)
     nA = ctx.A.dim
+    # per Q basis vector q_i the lift uses: its action and the nonzero c_ij
+    used = []
+    for i in range(data.Q.dim):
+        cs = [(j, lift[i * nA + j]) for j in range(nA) if lift[i * nA + j]]
+        if cs:
+            used.append((dual.act_matrix(list(data.Q.space.basis.row(i))), cs))
     cols = []
     for m in range(M.dim):
         acc = [0] * (coinv_space.dim * nA)
-        for i in range(data.Q.dim):
-            for j in range(nA):
-                c = lift[i * nA + j]
-                if not c:
-                    continue
-                mq = dual.act_matrix(list(data.Q.space.basis.row(i))).col(m)
-                mq_coords = coinv_space.coords(mq)
+        for act, cs in used:
+            mq_coords = coinv_space.coords(act.col(m))
+            for j, c in cs:
                 for r, val in enumerate(mq_coords):
                     if val:
                         acc[r * nA + j] = f.add(acc[r * nA + j], f.mul(c, val))

@@ -116,3 +116,69 @@ def naive_kron(a, b, a_cols, b_cols):
     matrices without rows keep their shape."""
     return [[a[i][j] * b[k][l] for j in range(a_cols) for l in range(b_cols)]
             for i in range(len(a)) for k in range(len(b))]
+
+
+def naive_null_space(rows, ncols, p=None):
+    """A basis of {v : r . v = 0 for every row r}, one vector per free column
+    of the textbook RREF."""
+    rref, pivots = naive_rref(rows, p)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rref[r][f] if p is None else -rref[r][f] % p
+        out.append(v)
+    return out
+
+
+def intersect(a, b, n, p=None):
+    """A spanning list of the intersection of the row spaces of a and b in
+    k^n: the combinations of a's rows that b's rows reach, read off the null
+    space of the n x (len(a) + len(b)) matrix with those rows as columns."""
+    cols = list(a) + list(b)
+    system = [[c[k] for c in cols] for k in range(n)]
+    out = []
+    for x in naive_null_space(system, len(cols), p):
+        v = [sum(Fraction(x[i]) * Fraction(a[i][k]) for i in range(len(a))) for k in range(n)]
+        out.append(v if p is None else [int(t) % p for t in v])
+    return out
+
+
+def random_scalar(field, rng, span=5):
+    """A random field element: uniform in [0, p) over Fp, an integer in
+    [-span, span] over Q."""
+    if field.kind == "Fp":
+        return rng.randrange(field.p)
+    return rng.randint(-span, span)
+
+
+def scalar_to_str(field, x):
+    """The string form of a scalar: its residue in [0, p) over Fp, "a" or
+    "a/b" in lowest terms over Q."""
+    x = Fraction(x)
+    if field.kind == "Fp":
+        return str(x.numerator * pow(x.denominator, -1, field.p) % field.p)
+    return str(x)
+
+
+def is_total(ctx, lam_flat):
+    """Does lambda(x) = 1_A hold for the element lambda of Hom(C, A) with flat
+    coordinates lam_flat (lambda(c_k) = lam_flat[k::dim C]), extended left
+    A-linearly to x in A (x) C?  Computed from the structure constants."""
+    A, nA, nC, p = ctx.A, ctx.A.dim, ctx.C.dim, ctx.field.p
+    out = [Fraction(0)] * nA
+    for i in range(nA):
+        for k in range(nC):
+            coef = Fraction(ctx.x[i * nC + k])
+            for j in range(nA):
+                # coef * e_i * lambda(c_k)_j e_j
+                c = coef * Fraction(lam_flat[j * nC + k])
+                for t in range(nA):
+                    out[t] += c * Fraction(A.mult[i][j][t])
+    unit = [Fraction(u) for u in A.unit]
+    if p is not None:
+        return [int(x) % p for x in out] == [int(u) % p for u in unit]
+    return out == unit

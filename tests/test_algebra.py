@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from coring_lab.exactla import QQ, DenseMatrix, Subspace
+from coring_lab.exactla import GF, QQ, DenseMatrix, Subspace
 from coring_lab.algebra import (
     AlgebraPresentation,
     BimodulePresentation,
@@ -24,6 +25,7 @@ from coring_lab.verdict import VerificationError
 from helpers import (
     dual_numbers,
     group_algebra_z2,
+    group_algebra_zn,
     module_with_zero_action,
     rationals_algebra,
 )
@@ -91,6 +93,36 @@ def test_left_right_action_composition_order():
     # t acting then t acting again must be the action of t^2 = 0
     t_act = reg.action[1]
     assert t_act.mul(t_act).is_zero()
+
+
+def quarter_square_algebra():
+    """Q[t]/(t^2 - 1/4) on the basis {1, t}: structure constants with a
+    denominator."""
+    mult = [[[1, 0], [0, 1]], [[0, 1], [Fraction(1, 4), 0]]]
+    return AlgebraPresentation(QQ, 2, mult, [1, 0])
+
+
+@pytest.mark.parametrize("A", [quarter_square_algebra(), group_algebra_zn(3),
+                               group_algebra_zn(3, GF(7))], ids=["Q-frac", "QZ3", "F7Z3"])
+def test_products_of_elements_against_structure_constants(A):
+    # mul_vec, lmul/rmul_matrix and the regular actions all take the
+    # fraction-free route; the oracle sums u_i v_j mult[i][j] in Fractions
+    rng = random.Random(19)
+    p = A.field.p
+    for _ in range(30):
+        u, v = ([A.field.normalize(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                 if rng.random() < 0.7 else 0 for _ in range(A.dim)] for _ in range(2))
+        want = [sum((Fraction(a) * Fraction(b) * Fraction(A.mult[i][j][k])
+                     for i, a in enumerate(u) for j, b in enumerate(v)), Fraction(0))
+                for k in range(A.dim)]
+        want = [A.field.normalize(x) for x in want]
+        got = A.mul_vec(u, v)
+        assert got == want
+        # canonical scalars: an int wherever the value is integral
+        assert all(type(x) is int or (p is None and x.denominator > 1) for x in got)
+        assert A.lmul_matrix(u).apply(v) == want
+        assert A.rmul_matrix(v).apply(u) == want
+        assert A.regular_module("left").act(v, u) == want
 
 
 # -- balanced tensor -----------------------------------------------------------

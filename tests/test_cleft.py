@@ -13,13 +13,13 @@ from coring_lab.cleft import (
     find_cleft,
     gamma_M,
     integral_space,
-    is_total,
     lemma_coQ_check,
     normal_basis_check,
     search_invertible,
     x_case_grouplike,
 )
 
+from oracles import is_total
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 
 

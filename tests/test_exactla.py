@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from coring_lab.exactla import (
     PRIME_BOUND,
     SubspaceBuilder,
     _is_prime,
+    combine_matrices,
+    combine_rows,
     image,
     kernel,
     kron,
@@ -26,12 +30,15 @@ from coring_lab.exactla import (
 )
 
 from oracles import (
+    intersect,
     naive_is_prime,
     naive_kron,
     naive_matmul,
     naive_rank,
     naive_rref,
     naive_solve,
+    random_scalar,
+    scalar_to_str,
     span_contains,
 )
 
@@ -161,6 +168,16 @@ def oracle_p(field):
     return field.p if field.kind == "Fp" else None
 
 
+def assert_canonical(field, xs):
+    """Every scalar in canonical form: a residue int over Fp; over Q an int
+    whenever the value is integral, a Fraction only otherwise."""
+    for x in xs:
+        if field.kind == "Fp":
+            assert type(x) is int and 0 <= x < field.p
+        else:
+            assert type(x) is int or x.denominator != 1
+
+
 @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
 def test_kron_mul_matches_naive_oracles(field):
     for M, N, Y in product_cases(field, seed=11):
@@ -170,6 +187,7 @@ def test_kron_mul_matches_naive_oracles(field):
         assert (got.rows, got.cols) == (M.rows * N.rows, Y.cols)
         assert got.row_lists() == want
         assert got == kron(M, N).mul(Y)
+        assert_canonical(field, got.entries)
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
@@ -184,6 +202,7 @@ def test_mul_kron_matches_naive_oracles(field):
         assert (got.rows, got.cols) == (X.rows, M.cols * N.cols)
         assert got.row_lists() == want
         assert got == X.mul(kron(M, N))
+        assert_canonical(field, got.entries)
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
@@ -197,6 +216,54 @@ def test_sparse_mul_matches_naive_matmul(field):
         assert (got.rows, got.cols) == (n, q)
         assert got.row_lists() == naive_matmul(A.row_lists(), B.row_lists(), q,
                                                oracle_p(field))
+        assert_canonical(field, got.entries)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_apply_matches_naive_matmul(field):
+    rng = random.Random(16)
+    for _ in range(80):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        A = random_matrix(field, rng, n, m, rng.choice([0.2, 1.0]))
+        v = random_matrix(field, rng, m, 1, rng.choice([0.2, 1.0])).entries
+        got = A.apply(v)
+        want = naive_matmul(A.row_lists(), [[x] for x in v], 1, oracle_p(field))
+        assert got == [row[0] for row in want]
+        assert_canonical(field, got)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_combine_rows_matches_naive_matmul(field):
+    rng = random.Random(17)
+    for _ in range(80):
+        k, width = rng.randint(0, 5), rng.randint(0, 5)
+        coeffs = random_matrix(field, rng, 1, k, rng.choice([0.2, 1.0]))
+        rows = random_matrix(field, rng, k, width, rng.choice([0.2, 1.0]))
+        got = combine_rows(field, coeffs.entries, rows.row_lists(), width)
+        assert got == naive_matmul(coeffs.row_lists(), rows.row_lists(), width,
+                                   oracle_p(field))[0]
+        assert_canonical(field, got)
+        # the same combination of matrices, each row of `rows` a 1 x width matrix
+        mats = [DenseMatrix(field, 1, width, rows.row(i)) for i in range(k)]
+        combo = combine_matrices(field, 1, width, coeffs.entries, mats)
+        assert combo.entries == got
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_den_is_lcm_of_denominators(field):
+    rng = random.Random(18)
+    for _ in range(60):
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        M = random_matrix(field, rng, r, c, rng.choice([0.2, 1.0]))
+        want = 1 if field.kind == "Fp" else lcm(*(Fraction(x).denominator for x in M.entries))
+        assert M.den == want
+        ints = DenseMatrix(field, r, c, [rng.randint(-9, 9) for _ in range(r * c)])
+        assert ints.den == 1
+        assert all(type(x) is int for x in ints.entries)
+    # a generator of entries is read once, not consumed by the type scan
+    G = DenseMatrix(field, 1, 3, (x for x in [2, Fraction(1, 2), Fraction(-5, 6)]))
+    assert G.entries == [field.normalize(x) for x in [2, Fraction(1, 2), Fraction(-5, 6)]]
+    assert G.den == (6 if field.kind == "Q" else 1)
 
 
 def test_kron_mul_identity_factors():
@@ -208,6 +275,9 @@ def test_kron_mul_identity_factors():
     assert kron_mul(eye2, F, Y) == kron(eye2, F).mul(Y)
     assert kron_mul(F, eye2, Y) == kron(F, eye2).mul(Y)
     assert kron_mul(eye2, eye2, Y) == Y
+    # a row of M whose only entry scales to 1 (here 1/3, den 3) is copied too
+    T = mat(QQ, [[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
+    assert kron_mul(T, F, Y) == kron(T, F).mul(Y)
 
 
 def test_kron_mul_rejects_mismatches():
@@ -299,7 +369,7 @@ def relation_cases(field, seed):
     """Random sparse generating families, zero-dimensional ambients included;
     over Q a second batch has rational entries."""
     rng = random.Random(seed)
-    scalars = [field.random_scalar] + ([rational_scalar] if field == QQ else [])
+    scalars = [partial(random_scalar, field)] + ([rational_scalar] if field == QQ else [])
     for scalar in scalars:
         for _ in range(40):
             n = rng.randint(0, 7)
@@ -333,7 +403,7 @@ def test_from_columns_matches_transposed_rows(field):
     rng = random.Random(31)
     for _ in range(60):
         rows, width = rng.randint(0, 4), rng.randint(0, 4)
-        cols = [[field.random_scalar(rng) for _ in range(rows)] for _ in range(width)]
+        cols = [[random_scalar(field, rng) for _ in range(rows)] for _ in range(width)]
         got = DenseMatrix.from_columns(field, cols, rows)
         assert (got.rows, got.cols) == (rows, width)
         assert got == DenseMatrix.from_rows(field, cols, cols=rows).transpose()
@@ -354,7 +424,9 @@ def test_from_columns_rejects_ragged_columns():
 
 # -- randomized cross-checks against the naive oracle ---------------------------
 
-def random_matrix(field, rng, rows, cols, density=0.7):
+def random_system(field, rng, rows, cols, density=0.7):
+    """Entries zero with probability 1 - density, otherwise any residue
+    over Fp (zero included) and a/b, |a| <= 6, b in {1, 2, 3} over Q."""
     ent = []
     for _ in range(rows * cols):
         if rng.random() < density:
@@ -373,7 +445,7 @@ def test_rank_nullity_random(field, p):
     for _ in range(60):
         r = rng.randint(0, 5)
         c = rng.randint(0, 5)
-        M = random_matrix(field, rng, r, c)
+        M = random_system(field, rng, r, c)
         k = kernel(M)
         im = image(M)
         assert k.dim + im.dim == c
@@ -388,8 +460,8 @@ def test_solve_random_agrees_with_oracle(field, p):
     for _ in range(60):
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
-        M = random_matrix(field, rng, r, c)
-        b = [field.random_scalar(rng) for _ in range(r)]
+        M = random_system(field, rng, r, c)
+        b = [random_scalar(field, rng) for _ in range(r)]
         got = solve(M, b)
         want = naive_solve(M.row_lists(), b, p)
         if want is None:
@@ -405,14 +477,14 @@ def test_canonical_form_unique_random(field, p):
     for _ in range(40):
         dim = rng.randint(1, 5)
         n = rng.randint(1, 4)
-        vecs = [[field.random_scalar(rng) for _ in range(dim)] for _ in range(n)]
+        vecs = [[random_scalar(field, rng) for _ in range(dim)] for _ in range(n)]
         s1 = Subspace.from_spanning(field, dim, vecs)
         # a different spanning set of the same space: shuffled sums
         mixed = []
         for _ in range(2 * n):
             w = [0] * dim
             for v in vecs:
-                c = field.random_scalar(rng)
+                c = random_scalar(field, rng)
                 w = [field.add(a, field.mul(c, b)) for a, b in zip(w, v)]
             mixed.append(w)
         s2 = Subspace.from_spanning(field, dim, mixed)
@@ -436,15 +508,16 @@ def test_subspace_sum_and_intersection():
     a = Subspace.from_spanning(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.from_spanning(QQ, 3, [[0, 1, 0], [0, 0, 1]])
     assert a.add(b).is_full()
-    inter = a.intersect(b)
+    inter = Subspace.from_spanning(QQ, 3, intersect(a.basis.row_lists(),
+                                                  b.basis.row_lists(), 3))
     assert inter.dim == 1
     assert inter.contains([0, 1, 0])
 
 
 def test_subspace_builder_matches_dense():
     rng = random.Random(23)
-    for field, p, scalar in [(QQ, None, QQ.random_scalar), (F5, 5, F5.random_scalar),
-                             (QQ, None, rational_scalar)]:
+    for field, p, scalar in [(QQ, None, partial(random_scalar, QQ)),
+                             (F5, 5, partial(random_scalar, F5)), (QQ, None, rational_scalar)]:
         for _ in range(20):
             dim = rng.randint(1, 6)
             vecs = [[scalar(rng) for _ in range(dim)] for _ in range(rng.randint(0, 6))]
@@ -486,7 +559,7 @@ def test_matrix_json_roundtrip_fp():
 @settings(max_examples=200, deadline=None)
 def test_scalar_string_roundtrip_lossless(n, d):
     x = Fraction(n, d)
-    assert QQ.scalar_from_str(QQ.scalar_to_str(x)) == x
+    assert QQ.scalar_from_str(scalar_to_str(QQ, x)) == x
 
 
 def test_fieldspec_validation():
