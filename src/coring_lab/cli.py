@@ -334,8 +334,26 @@ def _env_seed() -> int:
         raise ShapeError(f"CORING_LAB_SEED must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ShapeError, so it exits 1 with
+    one line like any other malformed input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ShapeError(message)
+
+
+def _witness_count(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coring-lab",
         description="Exact analysis of corings built from entwining structures.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -348,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full structural analysis")
     p_analyze.add_argument("path")
-    p_analyze.add_argument("--witnesses", type=int, default=None,
+    p_analyze.add_argument("--witnesses", type=_witness_count, default=None,
                            help="cap the witness family size")
     p_analyze.add_argument("--format", choices=("text", "json"), default="text")
     p_analyze.add_argument("--assert", dest="asserts", action="append",
@@ -366,11 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        parser = build_parser()
+        args = build_parser().parse_args(argv)
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    args = parser.parse_args(argv)
     return args.func(args)
 
 

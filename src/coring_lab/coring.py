@@ -124,14 +124,17 @@ class SquareReducer:
         # dec rows are grouped (j, i): coefficient of e_i in a_j
         self.dec = solve_matrix(phi, DenseMatrix.identity(f, n))
         self.square_dim = self.rank * n
-        # column (k, k2), block j: c_k . a_j(c_k2) = sum_i dec[(j, i), k2] (c_k . e_i)
-        right_cols = [[R.col(k) for R in coring.right_module.action] for k in range(n)]
-        decs = [self.dec.col(k2) for k2 in range(n)]
+        # column (k, k2), block j: c_k . a_j(c_k2) = sum_i dec[(j, i), k2] (c_k . e_i),
+        # which is column k2 of kron(I_r, R^k) . dec, column i of R^k being
+        # column k of the i-th right action
+        eye = DenseMatrix.identity(f, self.rank)
+        acts = coring.right_module.action
+        blocks = [kron_mul(eye, DenseMatrix.from_columns(f, [R.col(k) for R in acts], n),
+                           self.dec) for k in range(n)]
         # the projection matrix, (square_dim) x (dim^2)
-        self.projection = DenseMatrix.from_columns(
-            f, [[x for j in range(self.rank)
-                 for x in combine_rows(f, decs[k2][j * nA:(j + 1) * nA], right_cols[k], n)]
-                for k in range(n) for k2 in range(n)], self.square_dim)
+        self.projection = DenseMatrix(f, self.square_dim, n * n,
+                                      [x for t in range(self.square_dim)
+                                       for K in blocks for x in K.row(t)])
 
     def _decomposed_actions(self, u: Sequence) -> List[DenseMatrix]:
         """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""

@@ -31,11 +31,14 @@ of its right factor once per call and multiplies only those.  A linear map
 assembled column by column is built with ``DenseMatrix.from_columns``, never
 as the transpose of its row-major twin.
 
-Relation spans (balanced-tensor relations, intertwiner constraints) stay
-sparse from elimination to use: ``SubspaceBuilder`` keeps its reduced
-echelon rows as ``{column: entry}`` dicts, ``null_vectors`` reads them in
-time linear in their nonzeros, and ``quotient`` takes the builder itself.
-Over Q the builder eliminates without fractions: it clears each inserted
+``SubspaceBuilder`` is the package's one elimination routine.  Every
+reduction goes through its ``insert``: ``row_reduce`` and through it
+``kernel``, ``rank``, ``solve`` and ``Subspace.from_spanning``, as well as
+the relation spans (balanced-tensor relations, intertwiner constraints)
+that are built up one vector at a time.  The builder keeps its reduced
+echelon rows as sparse ``{column: entry}`` dicts, ``null_vectors`` reads
+them in time linear in their nonzeros, and ``quotient`` takes the builder
+itself.  Over Q it eliminates without fractions: it clears each inserted
 vector's denominators once and stores every echelon row as its primitive
 integer multiple with a positive pivot entry; the pivots are divided out
 only when ``rows`` is read, into a view cached until the next insertion.
@@ -136,10 +139,6 @@ class FieldSpec:
             raise ShapeError("Q admits no modulus")
 
     # -- element protocol -------------------------------------------------
-    @property
-    def zero(self) -> Scalar:
-        return 0
-
     @property
     def one(self) -> Scalar:
         return 1
@@ -323,10 +322,6 @@ class DenseMatrix:
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "DenseMatrix":
         return DenseMatrix(field, rows, cols, [0] * (rows * cols))
-
-    @staticmethod
-    def column(field: FieldSpec, vec: Sequence[Scalar]) -> "DenseMatrix":
-        return DenseMatrix(field, len(vec), 1, list(vec))
 
     # -- access -----------------------------------------------------------
     def get(self, i: int, j: int) -> Scalar:
@@ -560,143 +555,6 @@ def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination
-# ---------------------------------------------------------------------------
-
-
-def _row_reduce_q(rows: list) -> tuple:
-    """Fraction-free (Bareiss-style) reduction to RREF over Q.
-
-    Each input row is scaled to a primitive integer row first.  Forward
-    elimination uses the Bareiss update with exact division by the previous
-    pivot and leaves its rows unreduced, since that division is exact only on
-    them; back elimination gcd-reduces every row it touches, and pivots are
-    normalized to 1 only at the very end.  Returns (rref_rows, pivot_cols).
-    """
-    work = []
-    for r in rows:
-        # type() rather than isinstance(): Fraction's ABC check is slow here
-        den = 1
-        for x in r:
-            if type(x) is not int:
-                den = den * x.denominator // gcd(den, x.denominator)
-        ir = [x * den if type(x) is int else int(x * den) for x in r]
-        g = 0
-        for x in ir:
-            g = gcd(g, x)
-        if g > 1:
-            ir = [x // g for x in ir]
-        work.append(ir)
-    m = len(work)
-    n = len(work[0]) if m else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if work[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        piv_row = work[r]
-        piv = piv_row[c]
-        # The Bareiss update divides by the previous pivot; that division is
-        # exact only while rows stay unscaled, so no gcd reduction here.
-        for i in range(r + 1, m):
-            row = work[i]
-            f = row[c]
-            if f:
-                for j in range(c, n):
-                    row[j] = (piv * row[j] - f * piv_row[j]) // prev
-            else:
-                for j in range(c, n):
-                    if row[j]:
-                        row[j] = (piv * row[j]) // prev
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    # back elimination, still on integer rows
-    for idx in range(len(pivots) - 1, -1, -1):
-        c = pivots[idx]
-        prow = work[idx]
-        piv = prow[c]
-        for i in range(idx):
-            row = work[i]
-            f = row[c]
-            if f:
-                for j in range(n):
-                    row[j] = piv * row[j] - f * prow[j]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    for j in range(n):
-                        row[j] //= g
-    out = []
-    for idx, c in enumerate(pivots):
-        row = work[idx]
-        piv = row[c]
-        if piv == 1:
-            out.append(list(row))
-        else:
-            out.append([QQ.normalize(Fraction(x, piv)) for x in row])
-    return out, pivots
-
-
-def _row_reduce_fp(rows: list, p: int) -> tuple:
-    work = [[x % p for x in r] for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if work[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        row = work[r]
-        inv = pow(row[c], p - 2, p)
-        if inv != 1:
-            for j in range(c, n):
-                if row[j]:
-                    row[j] = row[j] * inv % p
-        for i in range(m):
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                other = work[i]
-                for j in range(c, n):
-                    if row[j]:
-                        other[j] = (other[j] - f * row[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [work[i] for i in range(len(pivots))], pivots
-
-
-def row_reduce(field: FieldSpec, rows: Iterable[Sequence[Scalar]]) -> tuple:
-    """Unique reduced row echelon form of the span; returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows]
-    rows = [r for r in rows if any(x for x in r)]
-    if not rows:
-        return [], []
-    if field.kind == "Fp":
-        return _row_reduce_fp(rows, field.p)
-    return _row_reduce_q(rows)
-
-
-# ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
 
@@ -718,12 +576,12 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ShapeError("spanning vector has wrong length")
-        rows, pivots = row_reduce(field, vecs)
-        return Subspace(field, ambient_dim, rows, pivots)
-
-    @staticmethod
-    def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, [], [])
+        rows, pivots = row_reduce(field, ambient_dim, vecs)
+        dense = [[0] * ambient_dim for _ in rows]
+        for d, row in zip(dense, rows):
+            for c, x in row.items():
+                d[c] = x
+        return Subspace(field, ambient_dim, dense, pivots)
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -785,20 +643,13 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))
 
-    def add(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("ambient mismatch")
-        return Subspace.from_spanning(
-            self.field, self.ambient_dim,
-            self.basis.row_lists() + other.basis.row_lists())
-
 
 class SubspaceBuilder:
-    """Incremental reduced-echelon accumulator with sparse integer rows.
+    """Incremental reduced-echelon accumulator with sparse integer rows: the
+    package's one elimination routine, under ``row_reduce`` and every span
+    built a vector at a time.
 
-    Used for large, very sparse generating families (balanced-tensor relation
-    spans, intertwiner constraints) where materializing a dense matrix would
-    be wasteful.  Each echelon row is stored as a dict col->int, a scalar
+    Each echelon row is stored as a dict col->int, a scalar
     multiple of its reduced echelon row: over Q the primitive integer
     multiple with a positive pivot entry, over Fp the row itself (unit
     pivot, entries in [0, p)).  Elimination is fraction-free: a row with
@@ -853,15 +704,12 @@ class SubspaceBuilder:
         v = {c: x for c, x in items if x}
         if not v:
             return False
-        if set(map(type, v.values())) != {int}:
-            # clear the denominators once, for the whole vector; a nonzero
-            # multiple spans the same line over either field
-            den = 1
-            for x in v.values():
-                if type(x) is not int:
-                    den = lcm(den, x.denominator)
-            v = {c: x * den if type(x) is int else x.numerator * (den // x.denominator)
-                 for c, x in v.items()}
+        # clear the denominators once, for the whole vector; a nonzero
+        # multiple spans the same line over either field
+        values = v.values()
+        _, ints = clear_denominators(values)
+        if ints is not values:
+            v = dict(zip(v, ints))
         rows = self._rows
         # Pivot rows carry no other pivot columns (full RREF invariant), so
         # clearing one hit introduces no new ones and the hits are fixed.
@@ -908,6 +756,42 @@ def _eliminate(v: dict, c: int, row: dict) -> None:
             v[k] = x
         else:
             del v[k]
+
+
+# ---------------------------------------------------------------------------
+# elimination
+# ---------------------------------------------------------------------------
+
+
+def _row_reduce_q(span: SubspaceBuilder, rows) -> None:
+    """The rest of a ``row_reduce`` over Q, from its first nonzero row on;
+    one loop per field, so that profiles tell the two fields apart."""
+    for r in rows:
+        span.insert(r)
+
+
+def _row_reduce_fp(span: SubspaceBuilder, rows) -> None:
+    """The rest of a ``row_reduce`` over Fp, as ``_row_reduce_q``."""
+    for r in rows:
+        span.insert(r)
+
+
+def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> tuple:
+    """Unique reduced row echelon form of the span of rows in k^n, through a
+    ``SubspaceBuilder``; returns (rows, pivot_cols), each row a sparse
+    {col: entry} dict with a unit entry in its pivot column, in pivot order.
+
+    Leading zero rows are inserted here; the per-field loop takes over at
+    the first nonzero row, so it runs once per reduction of a nonzero span."""
+    span = SubspaceBuilder(field, n)
+    rows = iter(rows)
+    for r in rows:
+        if span.insert(r):
+            (_row_reduce_fp if field.kind == "Fp" else _row_reduce_q)(span, rows)
+            break
+    reduced = span.rows
+    pivots = sorted(reduced)
+    return [reduced[c] for c in pivots], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -961,14 +845,15 @@ def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Sc
 
 def null_vectors(field: FieldSpec, n: int, pivots: Iterable[int],
                  rows: Iterable[dict]) -> list:
-    """A basis of {v in k^n : r . v = 0 for every row r} from a sparse RREF.
+    """A basis of {v in k^n : r . v = 0 for every row r} from a sparse RREF,
+    as ``row_reduce`` returns it or a ``SubspaceBuilder`` holds it.
 
     The rows pair up with the pivots in order: each is the reduced echelon
     row with that pivot column, as a {column: entry} dict, and the pairs may
-    come in any order.  One vector per
-    non-pivot column f: e_f minus the pivot entries of column f, read in
-    time linear in the rows' nonzeros.  This is the package's one null-space
-    routine; kernels and hom-spaces pass the vectors through
+    come in any order.  One vector per non-pivot column f: e_f minus the
+    pivot entries of column f, read in time linear in the rows' nonzeros.
+    This is the package's one null-space routine; kernels and hom-spaces
+    pass the vectors through
     ``Subspace.from_spanning`` for the canonical echelon basis, and quotients
     use them as projection rows directly.
     """
@@ -985,16 +870,16 @@ def null_vectors(field: FieldSpec, n: int, pivots: Iterable[int],
 
 
 def kernel(M: DenseMatrix) -> Subspace:
-    """Right null space {v : Mv = 0} in canonical echelon form."""
-    rows, pivots = row_reduce(M.field, M.row_lists())
-    sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-    return Subspace.from_spanning(M.field, M.cols, null_vectors(M.field, M.cols, pivots, sparse))
+    """Right null space {v : Mv = 0} in canonical echelon form, read from the
+    sparse reduced rows of M without densifying them."""
+    rows, pivots = row_reduce(M.field, M.cols, M.row_lists())
+    return Subspace.from_spanning(M.field, M.cols, null_vectors(M.field, M.cols, pivots, rows))
 
 
 def rank(M: DenseMatrix) -> int:
-    """The rank of M, as the dimension of its column space; every rank-only
-    question in the package asks this."""
-    return len(row_reduce(M.field, [M.col(j) for j in range(M.cols)])[1])
+    """The rank of M, as the number of pivots of its reduced rows; every
+    rank-only question in the package asks this."""
+    return len(row_reduce(M.field, M.cols, M.row_lists())[1])
 
 
 def image(M: DenseMatrix) -> Subspace:
@@ -1008,14 +893,13 @@ def solve(M: DenseMatrix, b: Sequence[Scalar]) -> Optional[list]:
         raise ShapeError("rhs length mismatch")
     f = M.field
     aug = [M.row(i) + [f.normalize(b[i])] for i in range(M.rows)]
-    rows, pivots = row_reduce(f, aug)
     n = M.cols
-    for r, c in enumerate(pivots):
-        if c == n:
-            return None  # pivot in the augmented column: inconsistent
+    rows, pivots = row_reduce(f, n + 1, aug)
+    if n in pivots:
+        return None  # pivot in the augmented column: inconsistent
     v = [0] * n
-    for r, c in enumerate(pivots):
-        v[c] = rows[r][n]
+    for row, c in zip(rows, pivots):
+        v[c] = row.get(n, 0)
     # rows may involve free columns; with free vars = 0 the pivot values above
     # already solve the reduced system, since RREF rows read x_c + sum = rhs.
     return [f.normalize(x) for x in v]

@@ -267,6 +267,30 @@ def test_bad_seed_environment_exits_1(monkeypatch):
     assert err.strip() == "error: CORING_LAB_SEED must be an integer, got 'abc'"
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "FIX", "--bogus"],
+    ["analyze", "FIX", "--seed", "x"],
+    ["report", "FIX", "--seed", "x"],
+    ["analyze", "FIX", "--witnesses", "x"],
+    ["analyze", "FIX", "--witnesses", "-3"],
+    ["analyze", "FIX", "--format", "yaml"],
+    [],
+], ids=["unknown-flag", "seed-not-int", "report-seed-not-int", "witnesses-not-int",
+        "witnesses-negative", "format-yaml", "no-subcommand"])
+def test_malformed_flags_exit_1(argv):
+    code, out, err = run_cli([fx("fix-t") if a == "FIX" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--witnesses" in capsys.readouterr().out
+
+
 # -- report exits with the most severe class it met -----------------------------
 
 @pytest.mark.parametrize("names,want", [

