@@ -62,11 +62,11 @@ class AlgebraPresentation:
             [x for row in self.mult for cell in row for x in cell])
         self._int_cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]
         self.name = name
-        # left/right multiplication operators per basis element
-        self._lmul = [DenseMatrix.from_rows(
+        # lmul(e_i) and rmul(e_j), the multiplication operators per basis element
+        self.lmuls = [DenseMatrix.from_rows(
             field, [[self.mult[i][j][k] for j in range(dim)] for k in range(dim)],
             cols=dim) for i in range(dim)]
-        self._rmul = [DenseMatrix.from_rows(
+        self.rmuls = [DenseMatrix.from_rows(
             field, [[self.mult[i][j][k] for i in range(dim)] for k in range(dim)],
             cols=dim) for j in range(dim)]
 
@@ -90,10 +90,10 @@ class AlgebraPresentation:
 
     def lmul_matrix(self, u: Sequence) -> DenseMatrix:
         """Matrix of left multiplication by the element with coordinates u."""
-        return combine_matrices(self.field, self.dim, self.dim, u, self._lmul)
+        return combine_matrices(self.field, self.dim, self.dim, u, self.lmuls)
 
     def rmul_matrix(self, u: Sequence) -> DenseMatrix:
-        return combine_matrices(self.field, self.dim, self.dim, u, self._rmul)
+        return combine_matrices(self.field, self.dim, self.dim, u, self.rmuls)
 
     @once
     def mult_matrix(self) -> DenseMatrix:
@@ -103,9 +103,9 @@ class AlgebraPresentation:
 
     def regular_module(self, side: str) -> "ModulePresentation":
         if side == "right":
-            action = [self._rmul[j] for j in range(self.dim)]
+            action = list(self.rmuls)
         elif side == "left":
-            action = [self._lmul[i] for i in range(self.dim)]
+            action = list(self.lmuls)
         else:
             raise ShapeError(f"unknown side {side!r}")
         return ModulePresentation(self, self.dim, side, action)

@@ -3,13 +3,16 @@
 A cleft extension is witnessed by a convolution-invertible colinear map
 C -> A.  Because the convolution algebra here is a finite-dimensional unital
 algebra, invertibility of a candidate is one exact rank computation, and
-invertibility over the whole integral space is a Zariski-open condition: the
-search evaluates the determinant of the (linearly parameterized) convolution
-operator at deterministic 0/1 patterns, then at seeded random rationals, and
-certifies a negative answer by grid evaluation (over Q, degree-counting makes
-a full grid of zeros a proof of identical vanishing; over a prime field small
-parameter spaces are simply exhausted).  "Inconclusive" survives only for
-large parameter counts over small prime fields.
+invertibility over the whole integral space is a Zariski-open condition.
+Every operator on Hom(C, A) is built in closed form from the structure data,
+so a search runs over an explicit span of matrices M_1..M_r: the candidate
+for t is M(t) = sum t_i M_i, whose determinant is a polynomial in t of degree
+at most n, the matrix size.  The search evaluates it at deterministic 0/1
+patterns, then at seeded random rationals, and certifies a negative answer
+by grid evaluation (over Q, degree-counting makes a full grid of zeros a
+proof of identical vanishing; over a prime field small parameter spaces are
+simply exhausted).  "Inconclusive" survives only for large parameter counts
+over small prime fields.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .coalgebra import (
+    _conv_operator,
     convolution,
     convolution_inverse,
     convolution_unit,
@@ -31,8 +35,10 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     Subspace,
+    combine_matrices,
     combine_rows,
     kernel,
+    kron,
     kron_mul,
     once,
     solve,
@@ -62,23 +68,24 @@ class IntegralSpace:
         return self.space.dim
 
 
+def _integral_condition(ctx) -> DenseMatrix:
+    """Colinearity rho_A lam = (lam (x) id) Delta on lam in Hom(C, A), one
+    column per e_a (x) c*: kron(rho_A, I) - kron(I, T), where column c of T
+    is ``C.comult_slices("first")[c]`` read row-major."""
+    f = ctx.field
+    nA, nC = ctx.A.dim, ctx.C.dim
+    T = DenseMatrix.from_columns(f, [D.entries for D in ctx.C.comult_slices("first")], nC * nC)
+    return kron(ctx.comodule_A().coaction, DenseMatrix.identity(f, nC)).sub(
+        kron(DenseMatrix.identity(f, nA), T))
+
+
 @once
 def integral_space(ctx) -> IntegralSpace:
     f = ctx.field
     nA, nC = ctx.A.dim, ctx.C.dim
-    rho_A = ctx.comodule_A().coaction
-    delta = ctx.C.comult_matrix()
-    eyeC = DenseMatrix.identity(f, nC)
-    cond_cols = []
-    for idx in range(nA * nC):
-        lam = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(nA * nC)])
-        diff = rho_A.mul(lam).sub(kron_mul(lam, eyeC, delta))
-        cond_cols.append(diff.entries)
-    condition = DenseMatrix.from_columns(f, cond_cols, nA * nC * nC)
-    space = kernel(condition)
-    sharp = ctx.sharp_ring()
-    evals = [sharp.eval_at(list(space.basis.row(i)), ctx.x)
-             for i in range(space.dim)]
+    space = kernel(_integral_condition(ctx))
+    at_x = ctx.sharp_ring().at_x()
+    evals = [at_x.apply(space.basis.row(i)) for i in range(space.dim)]
     total = None
     if evals:
         system = DenseMatrix.from_columns(f, evals, nA)
@@ -109,26 +116,22 @@ EXHAUSTIVE_BUDGET = 4096
 GRID_VARS = 3
 
 
-def search_invertible(field: FieldSpec, basis: List[list],
-                      to_matrix: Callable[[list], DenseMatrix],
+def search_invertible(field: FieldSpec, mats: List[DenseMatrix],
                       seed: int = 0) -> SearchResult:
-    """Find parameters t for which to_matrix(sum t_i basis_i) is invertible.
+    """Find parameters t for which M(t) = sum t_i mats[i] is invertible.
 
-    to_matrix must be linear in the candidate, so the determinant is a
-    polynomial of total degree at most the matrix size; that bound drives the
-    certification grid.
+    The span is taken once; each trial is one ``combine_matrices`` and one
+    ``kernel``.  The determinant of M(t) is a polynomial in t of total degree
+    at most the matrix size n, because M(t) is linear in t; that bound drives
+    the certification grid.
     """
-    r = len(basis)
+    r = len(mats)
     if r == 0:
         return SearchResult("absent", certificate="empty candidate space")
-    width = len(basis[0])
-
-    def combine(params):
-        return combine_rows(field, params, basis, width)
+    n, cols = mats[0].rows, mats[0].cols
 
     def invertible(params):
-        mat = to_matrix(combine(params))
-        return mat.rows == mat.cols and kernel(mat).is_zero()
+        return n == cols and kernel(combine_matrices(field, n, cols, params, mats)).is_zero()
 
     tried = 0
     if 2 ** r <= PATTERN_BUDGET:
@@ -152,7 +155,6 @@ def search_invertible(field: FieldSpec, basis: List[list],
             return SearchResult("found", params,
                                 certificate=f"random candidate {k} (seed {seed})")
     # certification phase
-    n = to_matrix(combine([0] * r)).rows
     degree = n  # det is a polynomial of total degree <= n in the parameters
     if field.kind == "Fp" and field.p ** r <= EXHAUSTIVE_BUDGET:
         for params in product(range(field.p), repeat=r):
@@ -201,21 +203,6 @@ class CleftResult:
         return "inconclusive"
 
 
-def _left_conv_operator(ctx, lam_flat: Sequence) -> DenseMatrix:
-    """h -> lam * h on Hom(C, A); invertibility of this operator is
-    equivalent to *-invertibility in the finite-dimensional convolution
-    algebra (one-sided inverses are two-sided there)."""
-    f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
-    lam = DenseMatrix(f, nA, nC, list(lam_flat))
-    n = nA * nC
-    cols = []
-    for idx in range(n):
-        h = DenseMatrix(f, nA, nC, [1 if t == idx else 0 for t in range(n)])
-        cols.append(convolution(lam, h, ctx.C, ctx.A).entries)
-    return DenseMatrix.from_columns(f, cols, n)
-
-
 @once
 def find_cleft(ctx, seed: int = 0) -> CleftResult:
     """Search the integral space for a convolution-invertible element."""
@@ -223,13 +210,15 @@ def find_cleft(ctx, seed: int = 0) -> CleftResult:
     f = ctx.field
     if integrals.dim == 0:
         return CleftResult("absent", certificate="no nonzero integrals")
-    basis = [list(integrals.space.basis.row(i)) for i in range(integrals.dim)]
-    res = search_invertible(f, basis, lambda flat: _left_conv_operator(ctx, flat),
+    # h -> lam * h is invertible iff lam is *-invertible (one-sided inverses
+    # are two-sided in the finite-dimensional convolution algebra)
+    lams = [DenseMatrix(f, ctx.A.dim, ctx.C.dim, integrals.space.basis.row(i))
+            for i in range(integrals.dim)]
+    res = search_invertible(f, [_conv_operator(g, ctx.C, ctx.A, "left") for g in lams],
                             seed=seed)
     if res.status != "found":
         return CleftResult(res.status, certificate=res.certificate)
-    lam = DenseMatrix(f, ctx.A.dim, ctx.C.dim,
-                      combine_rows(f, res.coords, basis, ctx.A.dim * ctx.C.dim))
+    lam = combine_matrices(f, ctx.A.dim, ctx.C.dim, res.coords, lams)
     lam_bar = convolution_inverse(lam, ctx.C, ctx.A)
     if lam_bar is None:
         raise VerificationError("find_cleft", one_failure(
@@ -391,6 +380,28 @@ class NormalBasisResult:
         return "inconclusive"
 
 
+def _normal_basis_condition(ctx, B) -> DenseMatrix:
+    """Left B-linearity and colinearity of theta: A -> B (x) C, one column
+    per elementary theta (row-major, rows (b, c), columns a).  Row-major
+    vec(X theta Y) = kron(X, Y^T) vec(theta) makes every block a
+    re-indexing: theta L_b - (L_b (x) id) theta for each basis element b of
+    B, then (theta (x) id) rho_A - (id (x) Delta) theta."""
+    f = ctx.field
+    nA, nC, nB = ctx.A.dim, ctx.C.dim, B.dim
+    eye_t = DenseMatrix.identity(f, nB * nC)
+    eye_cA = DenseMatrix.identity(f, nC * nA)
+    rho = ctx.comodule_A().coaction
+    # (theta (x) id) rho_A = kron(I, R) vec(theta), R[(c, a'), a] = rho_A[(a, c), a']
+    R = DenseMatrix(f, nC * nA, nA, [rho.get(a * nC + c, a2) for c in range(nC)
+                                     for a2 in range(nA) for a in range(nA)])
+    blocks = [kron(eye_t, ctx.A.lmul_matrix(B.embedding.col(j)).transpose()).sub(
+        kron(lb, eye_cA)) for j, lb in enumerate(B.algebra.lmuls)]
+    blocks.append(kron(eye_t, R).sub(kron(DenseMatrix.identity(f, nB), kron(
+        ctx.C.comult_matrix(), DenseMatrix.identity(f, nA)))))
+    return DenseMatrix(f, sum(b.rows for b in blocks), nB * nC * nA,
+                       [x for b in blocks for x in b.entries])
+
+
 @once
 def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
     """Search for a left-B-linear right-C-colinear isomorphism A -> B (x) C.
@@ -406,36 +417,16 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
         return NormalBasisResult("absent",
                                  certificate=f"dimension obstruction: "
                                              f"{nA} != {nB}*{nC}")
-    target = nB * nC
-    rho_A = ctx.comodule_A().coaction
-    eyeC = DenseMatrix.identity(f, nC)
-    eyeB = DenseMatrix.identity(f, nB)
-    delta = ctx.C.comult_matrix()
-    # (b . on A, b . on B (x) C) for each basis vector b of B
-    lmuls = [(ctx.A.lmul_matrix(data.B.embedding.col(j)),
-              data.B.algebra.lmul_matrix([1 if t == j else 0 for t in range(nB)]))
-             for j in range(nB)]
-    cond_cols = []
-    for idx in range(target * nA):
-        theta = DenseMatrix(f, target, nA,
-                            [1 if t == idx else 0 for t in range(target * nA)])
-        rows = []
-        for lb_A, lb_B in lmuls:
-            rows.extend(theta.mul(lb_A).sub(kron_mul(lb_B, eyeC, theta)).entries)
-        rows.extend(kron_mul(theta, eyeC, rho_A).sub(kron_mul(eyeB, delta, theta)).entries)
-        cond_cols.append(rows)
-    condition = DenseMatrix.from_columns(f, cond_cols, len(cond_cols[0]))
+    condition = _normal_basis_condition(ctx, data.B)
     space = kernel(condition)
     if space.dim == 0:
         return NormalBasisResult("absent", certificate="no equivariant maps")
-    basis = [list(space.basis.row(i)) for i in range(space.dim)]
-    res = search_invertible(f, basis,
-                            lambda flat: DenseMatrix(f, target, nA, list(flat)),
-                            seed=seed)
+    thetas = [DenseMatrix(f, nA, nA, space.basis.row(i)) for i in range(space.dim)]
+    res = search_invertible(f, thetas, seed=seed)
     if res.status != "found":
         return NormalBasisResult(res.status, certificate=res.certificate)
-    theta = DenseMatrix(f, target, nA, combine_rows(f, res.coords, basis, target * nA))
-    return NormalBasisResult("found", theta, res.certificate)
+    return NormalBasisResult("found", combine_matrices(f, nA, nA, res.coords, thetas),
+                             res.certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ element of C.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .algebra import AlgebraPresentation
 from .exactla import (
@@ -53,6 +53,18 @@ class CoalgebraPresentation:
                     if x:
                         ent[(j * m + k) * m + i] = x
         return DenseMatrix(self.field, m * m, m, ent)
+
+    @once
+    def comult_slices(self, leg: str) -> List[DenseMatrix]:
+        """Per basis element c, the dim x dim matrix D_c whose entry (c1, k)
+        is the coefficient of c1 (x) c (leg "second") or of c (x) c1 (leg
+        "first") in Delta(c_k)."""
+        m, d, f = self.dim, self.comult, self.field
+        if leg == "second":
+            return [DenseMatrix(f, m, m, [d[k][c1][c] for c1 in range(m) for k in range(m)])
+                    for c in range(m)]
+        return [DenseMatrix(f, m, m, [d[k][c][c1] for c1 in range(m) for k in range(m)])
+                for c in range(m)]
 
     def counit_matrix(self) -> DenseMatrix:
         return DenseMatrix.from_rows(self.field, [list(self.counit)], cols=self.dim)
@@ -147,23 +159,15 @@ def convolution(fmap: DenseMatrix, gmap: DenseMatrix, C: CoalgebraPresentation,
 
 def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,
                    A: AlgebraPresentation, side: str) -> DenseMatrix:
-    """Matrix of h -> f*h (side 'left') or h -> h*f (side 'right') on Hom(C,A).
-
-    Hom(C, A) coordinates are row-major: index i_A * dim(C) + j_C.
-    """
-    nA, nC = A.dim, C.dim
-    n = nA * nC
-    cols = []
-    for idx in range(n):
-        i, j = divmod(idx, nC)
-        basis = DenseMatrix(A.field, nA, nC,
-                            [1 if t == idx else 0 for t in range(n)])
-        if side == "left":
-            out = convolution(fmap, basis, C, A)
-        else:
-            out = convolution(basis, fmap, C, A)
-        cols.append(out.entries)
-    return DenseMatrix.from_columns(A.field, cols, n)
+    """h -> f*h (side 'left') or h*f: column (a, c) is rmul(e_a) f D_c, or lmul(e_a) f D'_c."""
+    # D_c and D'_c are comult_slices("second")[c] and comult_slices("first")[c]
+    if side == "left":
+        ops, slices = A.rmuls, C.comult_slices("second")
+    else:
+        ops, slices = A.lmuls, C.comult_slices("first")
+    fD = [fmap.mul(D) for D in slices]
+    return DenseMatrix.from_columns(A.field, [op.mul(X).entries for op in ops for X in fD],
+                                    A.dim * C.dim)
 
 
 def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,

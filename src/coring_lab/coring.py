@@ -292,6 +292,14 @@ class ComoduleInstance:
     def field(self) -> FieldSpec:
         return self.module.field
 
+    @once
+    def slices(self) -> List[DenseMatrix]:
+        """The C-components of the coaction: row m of slice c is row (m, c)."""
+        nC = self.ctx.C.dim
+        return [DenseMatrix.from_rows(self.field, [self.coaction.row(m * nC + c)
+                                                   for m in range(self.dim)], cols=self.dim)
+                for c in range(nC)]
+
     def verify(self) -> Verdict:
         """Coassociativity and counit of the coaction plus the entwined law."""
         v = Verdict()
@@ -397,22 +405,11 @@ def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> Com
 
 @once
 def dual_action(M: ComoduleInstance) -> ModulePresentation:
-    """The induced right module over the context's dual ring Hom(C, A).
-
-    m . f = sum m_(0) f(m_(1)); the result's verify_module is a theorem for
-    valid inputs and is exercised in the test suite.
-    """
-    ctx = M.ctx
-    f = M.field
-    sharp = ctx.sharp_ring()
-    d, nC = M.dim, ctx.C.dim
-    act_full = M.module.action_map()
-    eye_d = DenseMatrix.identity(f, d)
-    mats = []
-    for idx in range(sharp.algebra.dim):
-        fmat = sharp.basis_matrix(idx)
-        mats.append(act_full.mul(kron_mul(eye_d, fmat, M.coaction)))
-    return ModulePresentation(sharp.algebra, d, "right", mats,
+    """M over the dual ring, m . f = sum m_(0) f(m_(1)): e_a (x) c* acts as action[a] rho_c."""
+    # rho_c is M.slices()[c]; verify_module of the result is a theorem for
+    # valid inputs and is exercised in the test suite
+    mats = [act.mul(rho_c) for act in M.module.action for rho_c in M.slices()]
+    return ModulePresentation(M.ctx.sharp_ring().algebra, M.dim, "right", mats,
                               name=f"{M.name} over dual ring")
 
 
@@ -448,10 +445,9 @@ def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
     f = mod.field
     d = mod.dim
     rows = []
-    nS = sharp.algebra.dim
-    for idx in range(nS):
-        gx = sharp.eval_at([1 if t == idx else 0 for t in range(nS)], ctx.x)  # in A
-        emb = sharp.embed_A(gx)                      # back into the dual ring
+    at_x = sharp.at_x()
+    for idx in range(sharp.algebra.dim):
+        emb = sharp.embed_A(at_x.col(idx))      # g(x), back into the dual ring
         diff = mod.action[idx].sub(mod.act_matrix(emb))
         rows.extend(diff.row_lists())
     if not rows:
@@ -464,17 +460,9 @@ def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
 
     Returned as a subspace of dim(N) x dim(M) matrices, row-major.
     """
-    f = M.field
-    nC = M.ctx.C.dim
-
-    def slices(X: ComoduleInstance) -> List[DenseMatrix]:
-        # the C-components of the coaction: row m of slice k is row (m, k)
-        return [DenseMatrix.from_rows(f, [X.coaction.row(m * nC + k) for m in range(X.dim)],
-                                      cols=X.dim) for k in range(nC)]
-
     # A-linearity, then colinearity (T (x) id) rho_M = rho_N T per C-component
-    pairs = list(zip(M.module.action, N.module.action)) + list(zip(slices(M), slices(N)))
-    return intertwiner_space(f, M.dim, N.dim, pairs)
+    pairs = list(zip(M.module.action, N.module.action)) + list(zip(M.slices(), N.slices()))
+    return intertwiner_space(M.field, M.dim, N.dim, pairs)
 
 
 def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInstance:

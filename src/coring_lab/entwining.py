@@ -131,40 +131,27 @@ class SharpRing:
     """
 
     def __init__(self, ctx: "EntwinedContext"):
-        A, C, psi = ctx.A, ctx.C, ctx.psi
+        """(e_a (x) c*)(e_b (x) d*) is rmul(e_b) applied to the rows (., d) of Psi_a D_c."""
+        # Psi_a = ctx.psi_slice(a), the psi columns (k, a); D_c = comult_slices("second")[c]
+        A, C = ctx.A, ctx.C
         f = A.field
         nA, nC = A.dim, C.dim
         self.ctx = ctx
-        n = nA * nC
-        eyeA = DenseMatrix.identity(f, nA)
-        eyeC = DenseMatrix.identity(f, nC)
-        mult = A.mult_matrix()
-        delta = C.comult_matrix()
-        pre = []   # psi . (id_C (x) f) . Delta, per basis f
-        post = []  # mult . (id_A (x) g), per basis g
-        for idx in range(n):
-            fmat = self.basis_matrix(idx)
-            pre.append(psi.mul(kron_mul(eyeC, fmat, delta)))
-            post.append(mul_kron(mult, eyeA, fmat))
-        consts = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                consts[i][j] = post[j].mul(pre[i]).entries
-        unit_vec = [0] * n
+        consts = []
+        for a in range(nA):
+            for D in C.comult_slices("second"):
+                Y = ctx.psi_slice(a).mul(D)
+                rows_d = [DenseMatrix.from_rows(f, [Y.row(a2 * nC + d) for a2 in range(nA)],
+                                                cols=nC) for d in range(nC)]
+                consts.append([R.mul(X).entries for R in A.rmuls for X in rows_d])
+        unit_vec = [0] * (nA * nC)
         for i in range(nA):
             if A.unit[i]:
                 for k in range(nC):
                     if C.counit[k]:
                         unit_vec[i * nC + k] = f.mul(A.unit[i], C.counit[k])
-        self.algebra = AlgebraPresentation(f, n, consts, unit_vec,
+        self.algebra = AlgebraPresentation(f, nA * nC, consts, unit_vec,
                                            name="Hom(C,A) ring")
-
-    def basis_matrix(self, idx: int) -> DenseMatrix:
-        f = self.ctx.A.field
-        nA, nC = self.ctx.A.dim, self.ctx.C.dim
-        ent = [0] * (nA * nC)
-        ent[idx] = 1
-        return DenseMatrix(f, nA, nC, ent)
 
     def matrix_of(self, coords: Sequence) -> DenseMatrix:
         f = self.ctx.A.field
@@ -181,12 +168,21 @@ class SharpRing:
                 coef = xvec[i * nC + k]
                 if coef:
                     # column k of the element's dim A x dim C matrix
-                    img = A.lmul_matrix([1 if t == i else 0 for t in range(nA)]
-                                        ).apply(coords[k::nC])
+                    img = A.lmuls[i].apply(coords[k::nC])
                     for t in range(nA):
                         if img[t]:
                             out[t] += coef * img[t]
         return [A.field.normalize(x) for x in out]
+
+    @once
+    def at_x(self) -> DenseMatrix:
+        """Evaluation at x, g -> g~(x), as a dim A x dim(ring) matrix: column
+        (a, c) is rmul(e_a) applied to x_c, the c-th C-component of x."""
+        ctx = self.ctx
+        nC = ctx.C.dim
+        return DenseMatrix.from_columns(
+            ctx.field, [R.apply(ctx.x[c::nC]) for R in ctx.A.rmuls for c in range(nC)],
+            ctx.A.dim)
 
     def embed_A(self, a: Sequence) -> list:
         """c -> eps(c) a, the unit embedding of A into the ring."""

@@ -888,34 +888,27 @@ def image(M: DenseMatrix) -> Subspace:
 
 
 def solve(M: DenseMatrix, b: Sequence[Scalar]) -> Optional[list]:
-    """One solution of Mv = b, or None; free variables are set to zero."""
+    """One solution of Mv = b, or None; the one-column ``solve_matrix``."""
     if len(b) != M.rows:
         raise ShapeError("rhs length mismatch")
-    f = M.field
-    aug = [M.row(i) + [f.normalize(b[i])] for i in range(M.rows)]
-    n = M.cols
-    rows, pivots = row_reduce(f, n + 1, aug)
-    if n in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    v = [0] * n
-    for row, c in zip(rows, pivots):
-        v[c] = row.get(n, 0)
-    # rows may involve free columns; with free vars = 0 the pivot values above
-    # already solve the reduced system, since RREF rows read x_c + sum = rhs.
-    return [f.normalize(x) for x in v]
+    X = solve_matrix(M, DenseMatrix.from_columns(M.field, [b], M.rows))
+    return None if X is None else X.entries
 
 
 def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> Optional[DenseMatrix]:
-    """Solve M X = B column by column under the same determinism rule."""
+    """One solution X of M X = B, or None when some column of B has none,
+    from one reduction of [M | B]; free variables are set to zero."""
     if B.rows != M.rows:
         raise ShapeError("rhs shape mismatch")
-    cols = []
-    for j in range(B.cols):
-        x = solve(M, B.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return DenseMatrix.from_columns(M.field, cols, M.cols)
+    n, k = M.cols, B.cols
+    rows, pivots = row_reduce(M.field, n + k, [M.row(i) + B.row(i) for i in range(M.rows)])
+    if pivots and pivots[-1] >= n:
+        return None  # a pivot in an augmented column: inconsistent
+    # with free variables zero, RREF row c reads x_c = its augmented entries
+    X = [[0] * k for _ in range(n)]
+    for row, c in zip(rows, pivots):
+        X[c] = [row.get(n + j, 0) for j in range(k)]
+    return DenseMatrix.from_rows(M.field, X, cols=k)
 
 
 @dataclass

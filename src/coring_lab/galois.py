@@ -270,16 +270,11 @@ def varpi_M(ctx, M: ModulePresentation) -> Dict[str, object]:
     """M (x)_dual (dual ring) -> M with its surjectivity verdict, plus the
     existence criterion for a dual-ring element sending x to 1; the two are
     asserted to agree for M = A."""
-    f = ctx.field
     sharp = ctx.sharp_ring()
     tensor = balanced_tensor(M, sharp.algebra.regular_module("left"))
-    nS = sharp.algebra.dim
     mat = M.action_map().mul(tensor.section)
     rep = map_report(mat, target_dim=M.dim)
-    evals = [sharp.eval_at([1 if t == s else 0 for t in range(nS)], ctx.x)
-             for s in range(nS)]
-    system = DenseMatrix.from_columns(f, evals, ctx.A.dim)
-    ghat = solve(system, ctx.A.unit)
+    ghat = solve(sharp.at_x(), ctx.A.unit)
     return {"matrix": mat, "report": rep, "ghat": ghat,
             "ghat_exists": ghat is not None}
 

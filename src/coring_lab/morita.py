@@ -37,7 +37,7 @@ from .exactla import (
     combine_rows,
     image,
     kernel,
-    kron_mul,
+    kron,
     once,
     rank,
     solve,
@@ -118,23 +118,23 @@ class QIdealData:
         return self.space.dim
 
 
-def _qtilde_matrix(ctx, flat: Sequence) -> DenseMatrix:
-    """The left-A-linear extension of q to the coring, as dim(A) x dim matrix."""
+def _q_condition(ctx) -> DenseMatrix:
+    """The condition sum c_1 q~(c_2) = q~(c) x on q in Hom(C, A), one column
+    per e_a (x) c*.  Through the lift Delta(a (x) c) = sum (a (x) c_1) (x)
+    (1 (x) c_2) of ``build_coring``, column (a, c) is R_a (I (x) D_c) minus
+    (e_i e_a) x in the columns (i, c), R_a the coring's right action of e_a
+    and D_c ``C.comult_slices("second")[c]``."""
+    cor = ctx.coring()
     f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
-    cols = []
-    for i in range(nA):
-        for k in range(nC):
-            acc = [0] * nA
-            for u in range(nA):
-                coef = flat[u * nC + k]
-                if coef:
-                    prod = ctx.A.mult[i][u]
-                    for t in range(nA):
-                        if prod[t]:
-                            acc[t] += coef * prod[t]
-            cols.append([f.normalize(x) for x in acc])
-    return DenseMatrix.from_columns(f, cols, nA)
+    nA, dim = ctx.A.dim, cor.dim
+    lx = DenseMatrix.from_columns(f, [L.apply(ctx.x) for L in cor.left_module.action], dim)
+    # row (r, i), column a: the r-th coordinate of (e_i e_a) . x
+    ax = DenseMatrix(f, dim * nA, nA, lx.mul(ctx.A.mult_matrix()).entries)
+    eyeA = DenseMatrix.identity(f, nA)
+    lifts = [kron(eyeA, D) for D in ctx.C.comult_slices("second")]
+    lhs = DenseMatrix.from_columns(
+        f, [R.mul(L).entries for R in cor.right_module.action for L in lifts], dim * dim)
+    return lhs.sub(kron(ax, DenseMatrix.identity(f, ctx.C.dim)))
 
 
 def compute_Q(ctx) -> QIdealData:
@@ -144,27 +144,9 @@ def compute_Q(ctx) -> QIdealData:
     stability under the dual-ring and B actions is re-verified in
     ``build_context``.
     """
-    cor = ctx.coring()
     f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
-    dim = cor.dim
-    eye = DenseMatrix.identity(f, dim)
-    rmat = cor.right_module.action_map()
-    lx_cols = []
-    for i in range(nA):
-        e_i = [1 if t == i else 0 for t in range(nA)]
-        lx_cols.append(cor.left_act(e_i).apply(ctx.x))
-    lx = DenseMatrix.from_columns(f, lx_cols, dim)  # a -> a.x
-    cond_cols = []
-    for idx in range(nA * nC):
-        flat = [1 if t == idx else 0 for t in range(nA * nC)]
-        qt = _qtilde_matrix(ctx, flat)
-        lhs = rmat.mul(kron_mul(eye, qt, cor.delta_lift))
-        rhs = lx.mul(qt)
-        cond_cols.append(lhs.sub(rhs).entries)
-    condition = DenseMatrix.from_columns(f, cond_cols, dim * dim)
-    space = kernel(condition)
-    mats = [DenseMatrix(f, nA, nC, space.basis.row(i)) for i in range(space.dim)]
+    space = kernel(_q_condition(ctx))
+    mats = [DenseMatrix(f, ctx.A.dim, ctx.C.dim, space.basis.row(i)) for i in range(space.dim)]
     return QIdealData(space, mats)
 
 
@@ -308,7 +290,7 @@ def _verify_context_identities(ctx, data: MoritaContextData):
         for i in range(nQ):
             for j in range(nA):
                 e_j = [1 if t == j else 0 for t in range(nA)]
-                ag = hook_product(ctx, e_j, sharp.basis_matrix(s).entries)
+                ag = hook_product(ctx, e_j, g)
                 lhs = ctx.A.rmul_matrix(ag).mul(data.Q.matrices[i]).entries
                 rhs = sharp.mul_coords(F_of(i, j), g)
                 if [f.normalize(t) for t in lhs] != rhs:
@@ -370,9 +352,8 @@ def find_qhat(data: MoritaContextData) -> Optional[list]:
     """A deterministic q in Q with q(x) = 1_A, as flat Hom(C, A) coordinates."""
     ctx = data.ctx
     f = ctx.field
-    sharp = ctx.sharp_ring()
-    cols = [sharp.eval_at(list(data.Q.space.basis.row(i)), ctx.x)
-            for i in range(data.Q.dim)]
+    at_x = ctx.sharp_ring().at_x()
+    cols = [at_x.apply(data.Q.space.basis.row(i)) for i in range(data.Q.dim)]
     if not cols:
         return None
     system = DenseMatrix.from_columns(f, cols, ctx.A.dim)

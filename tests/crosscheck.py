@@ -4,8 +4,10 @@ Each function here builds an object the package also builds, by a second
 mathematical route: the balanced square of a coring as a generic quotient
 instead of through a free basis, the dual ring as left-A-linear maps off the
 coring instead of Hom(C, A) with the entwined product, the ideal Q from the
-entwined-form condition instead of the coring condition.  The tests compare
-the two routes.  Unlike ``oracles.py`` this module imports the package.
+entwined-form condition instead of the coring condition, and every operator
+on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
+closed form.  The tests compare the two routes.  Unlike ``oracles.py`` this
+module imports the package.
 """
 
 from dataclasses import dataclass
@@ -18,9 +20,17 @@ from coring_lab.algebra import (
     hom_module,
     verify_algebra,
 )
+from coring_lab.coalgebra import CoalgebraPresentation, convolution
 from coring_lab.coring import ComoduleInstance, CoringPresentation
-from coring_lab.exactla import DenseMatrix, Subspace, kernel, kron
-from coring_lab.morita import _qtilde_matrix
+from coring_lab.exactla import (
+    DenseMatrix,
+    FieldSpec,
+    Subspace,
+    kernel,
+    kron,
+    kron_mul,
+    mul_kron,
+)
 from coring_lab.verdict import VerificationError
 
 
@@ -174,7 +184,7 @@ def check_dual_identification(ctx) -> bool:
         return False
     transport = []
     for idx in range(n):
-        mat = _qtilde_matrix(ctx, [1 if t == idx else 0 for t in range(n)])
+        mat = qtilde_matrix(ctx, [1 if t == idx else 0 for t in range(n)])
         if not dual.space.contains(mat.entries):
             return False
         transport.append(dual.space.coords(mat.entries))
@@ -258,3 +268,126 @@ def compute_Q_entwined(ctx) -> Subspace:
         cond_cols.append(lhs.sub(rhs).entries)
     condition = DenseMatrix.from_rows(f, cond_cols, cols=nA * nC * nC).transpose()
     return kernel(condition)
+
+
+# ---------------------------------------------------------------------------
+# operators on Hom(C, A), one evaluation per elementary map
+# ---------------------------------------------------------------------------
+
+
+def elementary_maps(field: FieldSpec, nA: int, nC: int) -> List[DenseMatrix]:
+    """The maps e_a (x) c* as dim A x dim C matrices, in the order a * dim C + c."""
+    n = nA * nC
+    return [DenseMatrix(field, nA, nC, [1 if t == idx else 0 for t in range(n)])
+            for idx in range(n)]
+
+
+def conv_operator_by_evaluation(fmap: DenseMatrix, C: CoalgebraPresentation,
+                                A: AlgebraPresentation, side: str) -> DenseMatrix:
+    """h -> f*h (side "left") or h -> h*f, one convolution per elementary h."""
+    cols = [(convolution(fmap, h, C, A) if side == "left" else convolution(h, fmap, C, A)).entries
+            for h in elementary_maps(A.field, A.dim, C.dim)]
+    return DenseMatrix.from_columns(A.field, cols, A.dim * C.dim)
+
+
+def dual_action_by_evaluation(M: ComoduleInstance) -> List[DenseMatrix]:
+    """m . f = sum m_(0) f(m_(1)) for each elementary f, through the whole
+    action map and the coaction."""
+    ctx, f = M.ctx, M.field
+    act_full = M.module.action_map()
+    eye_d = DenseMatrix.identity(f, M.dim)
+    return [act_full.mul(kron_mul(eye_d, fmat, M.coaction))
+            for fmat in elementary_maps(f, ctx.A.dim, ctx.C.dim)]
+
+
+def sharp_constants_by_evaluation(ctx) -> list:
+    """Structure constants of Hom(C, A): f * g = mult (id (x) g) psi (id (x) f) Delta
+    for every pair of elementary maps."""
+    A, C, f = ctx.A, ctx.C, ctx.field
+    eyeA = DenseMatrix.identity(f, A.dim)
+    eyeC = DenseMatrix.identity(f, C.dim)
+    maps = elementary_maps(f, A.dim, C.dim)
+    pre = [ctx.psi.mul(kron_mul(eyeC, fmat, C.comult_matrix())) for fmat in maps]
+    post = [mul_kron(A.mult_matrix(), eyeA, gmat) for gmat in maps]
+    return [[g.mul(p).entries for g in post] for p in pre]
+
+
+def at_x_by_evaluation(ctx) -> DenseMatrix:
+    """Evaluation at x of every elementary map, as columns."""
+    sharp = ctx.sharp_ring()
+    n = sharp.algebra.dim
+    cols = [sharp.eval_at([1 if t == s else 0 for t in range(n)], ctx.x) for s in range(n)]
+    return DenseMatrix.from_columns(ctx.field, cols, ctx.A.dim)
+
+
+def integral_condition_by_evaluation(ctx) -> DenseMatrix:
+    """rho_A lam - (lam (x) id) Delta for every elementary lam."""
+    f = ctx.field
+    nA, nC = ctx.A.dim, ctx.C.dim
+    rho_A = ctx.comodule_A().coaction
+    eyeC = DenseMatrix.identity(f, nC)
+    cols = [rho_A.mul(lam).sub(kron_mul(lam, eyeC, ctx.C.comult_matrix())).entries
+            for lam in elementary_maps(f, nA, nC)]
+    return DenseMatrix.from_columns(f, cols, nA * nC * nC)
+
+
+def normal_basis_condition_by_evaluation(ctx, B) -> DenseMatrix:
+    """Left B-linearity, then colinearity, of every elementary theta:
+    A -> B (x) C."""
+    f = ctx.field
+    nA, nC, nB = ctx.A.dim, ctx.C.dim, B.dim
+    target = nB * nC
+    rho_A = ctx.comodule_A().coaction
+    eyeC = DenseMatrix.identity(f, nC)
+    eyeB = DenseMatrix.identity(f, nB)
+    lmuls = [(ctx.A.lmul_matrix(B.embedding.col(j)),
+              B.algebra.lmul_matrix([1 if t == j else 0 for t in range(nB)]))
+             for j in range(nB)]
+    cols = []
+    for idx in range(target * nA):
+        theta = DenseMatrix(f, target, nA, [1 if t == idx else 0 for t in range(target * nA)])
+        rows = []
+        for lb_A, lb_B in lmuls:
+            rows.extend(theta.mul(lb_A).sub(kron_mul(lb_B, eyeC, theta)).entries)
+        rows.extend(kron_mul(theta, eyeC, rho_A).sub(
+            kron_mul(eyeB, ctx.C.comult_matrix(), theta)).entries)
+        cols.append(rows)
+    return DenseMatrix.from_columns(f, cols, len(cols[0]))
+
+
+def qtilde_matrix(ctx, flat: Sequence) -> DenseMatrix:
+    """The left-A-linear extension of q to the coring, as dim(A) x dim matrix."""
+    f = ctx.field
+    nA, nC = ctx.A.dim, ctx.C.dim
+    cols = []
+    for i in range(nA):
+        for k in range(nC):
+            acc = [0] * nA
+            for u in range(nA):
+                coef = flat[u * nC + k]
+                if coef:
+                    prod = ctx.A.mult[i][u]
+                    for t in range(nA):
+                        if prod[t]:
+                            acc[t] += coef * prod[t]
+            cols.append([f.normalize(x) for x in acc])
+    return DenseMatrix.from_columns(f, cols, nA)
+
+
+def q_condition_by_evaluation(ctx) -> DenseMatrix:
+    """sum c_1 q~(c_2) - q~(c) x for every elementary q, through the coring's
+    lifted comultiplication."""
+    cor = ctx.coring()
+    f = ctx.field
+    nA, nC, dim = ctx.A.dim, ctx.C.dim, cor.dim
+    eye = DenseMatrix.identity(f, dim)
+    rmat = cor.right_module.action_map()
+    lx = DenseMatrix.from_columns(
+        f, [cor.left_act([1 if t == i else 0 for t in range(nA)]).apply(ctx.x)
+            for i in range(nA)], dim)
+    cols = []
+    for idx in range(nA * nC):
+        qt = qtilde_matrix(ctx, [1 if t == idx else 0 for t in range(nA * nC)])
+        lhs = rmat.mul(kron_mul(eye, qt, cor.delta_lift))
+        cols.append(lhs.sub(lx.mul(qt)).entries)
+    return DenseMatrix.from_columns(f, cols, dim * dim)

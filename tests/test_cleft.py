@@ -73,22 +73,32 @@ def test_find_cleft_fix_t():
 
 
 def test_search_invertible_empty_space():
-    res = search_invertible(QQ, [], lambda flat: DenseMatrix.identity(QQ, 1))
+    res = search_invertible(QQ, [])
     assert res.status == "absent"
 
 
 def test_search_invertible_inconclusive_many_params():
     # a 4-parameter family that is identically singular: with the grid capped
     # at 3 variables the search must admit it cannot decide
-    basis = [[1 if t == i else 0 for t in range(4)] for i in range(4)]
+    def singular(flat):
+        return DenseMatrix(QQ, 2, 2, [flat[0], flat[1], flat[0], flat[1]])  # equal rows
 
-    def to_singular(flat):
-        m = DenseMatrix.zeros(QQ, 2, 2)
-        ent = [flat[0], flat[1], flat[0], flat[1]]  # equal rows: never invertible
-        return DenseMatrix(QQ, 2, 2, ent)
-
-    res = search_invertible(QQ, basis, to_singular)
+    mats = [singular([1 if t == i else 0 for t in range(4)]) for i in range(4)]
+    res = search_invertible(QQ, mats)
     assert res.status == "inconclusive"
+
+
+def test_search_invertible_skew_symmetric_span_absent_by_grid():
+    # every 3 x 3 skew-symmetric matrix is singular (det A = det -A^T = -det A);
+    # three parameters are within the grid, so the search proves absence
+    def skew(i, j):
+        ent = [0] * 9
+        ent[i * 3 + j], ent[j * 3 + i] = 1, -1
+        return DenseMatrix(QQ, 3, 3, ent)
+
+    res = search_invertible(QQ, [skew(0, 1), skew(0, 2), skew(1, 2)])
+    assert res.status == "absent"
+    assert res.certificate == "determinant vanishes on a degree-3 grid"
 
 
 def test_lemma_coQ_fix_h():

@@ -1,0 +1,99 @@
+"""Every operator on Hom(C, A) the package builds in closed form, checked
+entry for entry against its construction by evaluation on each elementary
+map in ``crosscheck.py``, over Q and a prime field, on the fixtures, on a
+dense change of basis with non-integer entries and on the non-commutative
+``fix-s``, also with a group-like x whose C-components are not multiples of
+the unit of A."""
+
+import functools
+import importlib.util
+import os
+import random
+
+import pytest
+
+from coring_lab.cleft import _integral_condition, _normal_basis_condition
+from coring_lab.coalgebra import _conv_operator
+from coring_lab.coring import dual_action
+from coring_lab.entwining import EntwinedContext, instance_from_json
+from coring_lab.exactla import DenseMatrix, solve
+from coring_lab.fixtures import FIXTURE_NAMES, fixture
+from coring_lab.morita import _q_condition
+
+from crosscheck import (
+    at_x_by_evaluation,
+    conv_operator_by_evaluation,
+    dual_action_by_evaluation,
+    integral_condition_by_evaluation,
+    normal_basis_condition_by_evaluation,
+    q_condition_by_evaluation,
+    sharp_constants_by_evaluation,
+)
+from oracles import random_scalar
+
+GENERATE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generate.py")
+INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \
+    ["dense-QZ3", "fix-s-conj"]
+
+
+@functools.lru_cache(maxsize=None)
+def _context(label):
+    if label == "dense-QZ3":
+        spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        rec = next(r for r in generate.dense(0, None) if r["name"] == label)
+        return instance_from_json(rec["instance"])
+    if label == "fix-s-conj":
+        # u x u^-1 is a group-like of the coring for every unit u of A
+        ctx = fixture("fix-s").context
+        u = [2, 0, 1, 1]
+        cor = ctx.coring()
+        x = cor.left_act(u).apply(cor.right_act(solve(ctx.A.lmul_matrix(u), ctx.A.unit))
+                                  .apply(ctx.x))
+        return EntwinedContext(ctx.A, ctx.C, ctx.psi, x, name=label)
+    name, field = label.rsplit("-", 1)
+    obj = fixture(name).instance_json()
+    if field == "F7":
+        obj["field"] = {"kind": "Fp", "p": 7}
+    return instance_from_json(obj)
+
+
+def _random_map(ctx):
+    rng = random.Random(5)
+    n = ctx.A.dim * ctx.C.dim
+    return DenseMatrix(ctx.field, ctx.A.dim, ctx.C.dim,
+                       [random_scalar(ctx.field, rng) for _ in range(n)])
+
+
+def _pairs(ctx, construction):
+    """(closed form, construction by evaluation) pairs for one instance."""
+    if construction == "dual_action":
+        return [(dual_action(w).action, dual_action_by_evaluation(w))
+                for w in ctx.default_witnesses()]
+    if construction in ("conv_left", "conv_right"):
+        side = construction[5:]
+        fmap = _random_map(ctx)
+        return [(_conv_operator(fmap, ctx.C, ctx.A, side),
+                 conv_operator_by_evaluation(fmap, ctx.C, ctx.A, side))]
+    if construction == "integral":
+        return [(_integral_condition(ctx), integral_condition_by_evaluation(ctx))]
+    if construction == "normal_basis":
+        B = ctx.morita().B
+        return [(_normal_basis_condition(ctx, B), normal_basis_condition_by_evaluation(ctx, B))]
+    if construction == "at_x":
+        return [(ctx.sharp_ring().at_x(), at_x_by_evaluation(ctx))]
+    if construction == "q_condition":
+        return [(_q_condition(ctx), q_condition_by_evaluation(ctx))]
+    assert construction == "sharp_constants"
+    return [(ctx.sharp_ring().algebra.mult, sharp_constants_by_evaluation(ctx))]
+
+
+@pytest.mark.parametrize("construction", [
+    "dual_action", "conv_left", "conv_right", "integral", "normal_basis", "at_x",
+    "q_condition", "sharp_constants"])
+@pytest.mark.parametrize("label", INSTANCES)
+def test_closed_form_matches_evaluation(label, construction):
+    ctx = _context(label)
+    for closed, evaluated in _pairs(ctx, construction):
+        assert closed == evaluated

@@ -28,6 +28,7 @@ from coring_lab.exactla import (
     rank,
     row_reduce,
     solve,
+    solve_matrix,
 )
 
 from oracles import (
@@ -495,6 +496,40 @@ def test_solve_random_agrees_with_oracle(field, p):
         else:
             assert got is not None
             assert M.apply(got) == [field.normalize(x) for x in b]
+
+
+@pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)])
+def test_solve_matrix_random_agrees_with_oracle(field, p):
+    # 1-3 right-hand columns; singular systems with free variables come from
+    # rank-deficient M (a repeated row or column), inconsistent ones from a
+    # column of B outside the column space
+    rng = random.Random(13)
+    seen = {"inconsistent": 0, "free": 0}
+    for trial in range(90):
+        r, c, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        rows = random_system(field, rng, r, c).row_lists()
+        if trial % 3 == 1 and c > 1:
+            rows = [row[:-1] + [row[0]] for row in rows]     # repeated column
+        elif trial % 3 == 2 and r > 1:
+            rows[-1] = list(rows[0])                          # repeated row
+        M = DenseMatrix.from_rows(field, rows, cols=c)
+        B = DenseMatrix.from_rows(field, [[random_scalar(field, rng) for _ in range(k)]
+                                          for _ in range(r)], cols=k)
+        wants = [naive_solve(rows, B.col(j), p) for j in range(k)]
+        X = solve_matrix(M, B)
+        if any(w is None for w in wants):
+            seen["inconsistent"] += 1
+            assert X is None
+            continue
+        if naive_rank(rows, p) < c:
+            seen["free"] += 1
+        assert X is not None and (X.rows, X.cols) == (c, k)
+        assert M.mul(X) == B
+        for j in range(k):
+            assert X.col(j) == solve(M, B.col(j))
+            # free variables are zero, as in the oracle's Gauss-Jordan
+            assert X.col(j) == [field.normalize(x) for x in wants[j]]
+    assert seen["inconsistent"] and seen["free"]
 
 
 @pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)])
