@@ -174,10 +174,7 @@ class ModulePresentation:
 
     def restrict(self, sub: Subspace, name: str = "") -> "ModulePresentation":
         """The induced module on an action-invariant subspace, in its basis."""
-        action = []
-        for mat in self.action:
-            cols = [sub.coords(mat.apply(sub.basis.row(j))) for j in range(sub.dim)]
-            action.append(DenseMatrix.from_columns(self.field, cols, sub.dim))
+        action = [sub.coords_matrix(mat.mul(sub.embedding)) for mat in self.action]
         return ModulePresentation(self.algebra, sub.dim, self.side, action, name=name)
 
     def direct_sum(self, other: "ModulePresentation") -> "ModulePresentation":
@@ -319,9 +316,8 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
     f = M.field
     dM, dN = M.dim, N.dim
     builder = SubspaceBuilder(f, dM * dN)
-    for s in range(M.algebra.dim):
-        actM = M.action[s]
-        actN = N.action[s]
+    for actM, actN in zip(M.action, N.action):
+        sn = [actN.col(j) for j in range(dN)]
         for i in range(dM):
             ms = actM.col(i)
             for j in range(dN):
@@ -329,7 +325,7 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
                 for r, x in enumerate(ms):
                     if x:
                         rel[r * dN + j] = x
-                for r, x in enumerate(actN.col(j)):
+                for r, x in enumerate(sn[j]):
                     if x:
                         c = i * dN + r
                         nv = f.sub(rel.get(c, 0), x)
@@ -480,7 +476,7 @@ def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> Tu
         raise VerificationError("subalgebra_on", one_failure(
             "subalgebra-unit", detail="unit of A is not in the subspace"))
     d = space.dim
-    emb = space.basis.transpose()
+    emb = space.embedding
     mult = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(d):

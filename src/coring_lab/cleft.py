@@ -285,7 +285,7 @@ def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> Dict[str, ob
         lam_x = lam.apply(x)
         lam_hat = ctx.A.rmul_matrix(lam_x).mul(lam_bar)
         hat_in_q = data.Q.space.contains(lam_hat.entries)
-        hat_val = ctx.sharp_ring().eval_at(lam_hat.entries, ctx.x)
+        hat_val = ctx.sharp_ring().at_x().apply(lam_hat.entries)
         hat_ok = hat_val == [ctx.field.normalize(t) for t in ctx.A.unit]
         if not (hat_in_q and hat_ok):
             raise ClauseDisagreement("normalized-inverse",

@@ -382,19 +382,10 @@ def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> Com
     f = M.field
     nC = ctx.C.dim
     mod = M.module.restrict(sub)
-    cols = []
-    for j in range(sub.dim):
-        img = M.coaction.apply(sub.basis.row(j))  # in M (x) C
-        out = []
-        for k in range(nC):
-            comp = [img[m * nC + k] for m in range(M.dim)]
-            out.append(sub.coords(comp))
-        col = [0] * (sub.dim * nC)
-        for k in range(nC):
-            for r in range(sub.dim):
-                col[r * nC + k] = out[k][r]
-        cols.append(col)
-    rho = DenseMatrix.from_columns(f, cols, sub.dim * nC)
+    # per C-component c, the coordinates of rho_c on the subspace
+    parts = [sub.coords_matrix(rho_c.mul(sub.embedding)) for rho_c in M.slices()]
+    rho = DenseMatrix.from_rows(f, [parts[k].row(r) for r in range(sub.dim) for k in range(nC)],
+                                cols=sub.dim)
     return ComoduleInstance(ctx, mod, rho, name=name)
 
 

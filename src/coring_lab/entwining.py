@@ -153,27 +153,6 @@ class SharpRing:
         self.algebra = AlgebraPresentation(f, nA * nC, consts, unit_vec,
                                            name="Hom(C,A) ring")
 
-    def matrix_of(self, coords: Sequence) -> DenseMatrix:
-        f = self.ctx.A.field
-        return DenseMatrix(f, self.ctx.A.dim, self.ctx.C.dim, list(coords))
-
-    def eval_at(self, coords: Sequence, xvec: Sequence) -> list:
-        """Value of the left-A-linear extension of the element with flat
-        coordinates ``coords`` on a vector of A (x) C."""
-        A = self.ctx.A
-        nA, nC = A.dim, self.ctx.C.dim
-        out = [0] * nA
-        for i in range(nA):
-            for k in range(nC):
-                coef = xvec[i * nC + k]
-                if coef:
-                    # column k of the element's dim A x dim C matrix
-                    img = A.lmuls[i].apply(coords[k::nC])
-                    for t in range(nA):
-                        if img[t]:
-                            out[t] += coef * img[t]
-        return [A.field.normalize(x) for x in out]
-
     @once
     def at_x(self) -> DenseMatrix:
         """Evaluation at x, g -> g~(x), as a dim A x dim(ring) matrix: column
@@ -196,9 +175,6 @@ class SharpRing:
                     if e:
                         out[i * nC + k] = f.mul(ai, e)
         return out
-
-    def mul_coords(self, u: Sequence, v: Sequence) -> list:
-        return self.algebra.mul_vec(u, v)
 
 
 def build_sharp_ring(ctx: "EntwinedContext") -> AlgebraPresentation:

@@ -15,10 +15,11 @@ Every matrix is built by ``DenseMatrix.__init__``, which normalizes each entry
 and records ``den``: over Q the lcm of the entries' denominators (1 when
 every entry is an int, which one C-level scan of the entry types detects),
 over Fp always 1.  Products over Q are fraction-free: ``mul``, ``kron_mul``,
-``apply``, ``combine_rows`` and ``combine_matrices`` scale their operands to
-ints once (reading ``den`` where the operand is a matrix), accumulate ints,
-and divide once per output entry by the product of the scales, giving an
-``int`` where the quotient is integral and a ``Fraction`` otherwise.
+``mul_kron``, ``apply``, ``combine_rows`` and ``combine_matrices`` scale
+their operands to ints once (reading ``den`` where the operand is a matrix),
+accumulate ints, and divide once per output entry by the product of the
+scales, giving an ``int`` where the quotient is integral and a ``Fraction``
+otherwise.
 Integer operands take the same path with every scale 1.  The pair
 ``clear_denominators`` and ``divide_out`` offers that path to loops outside
 this module.
@@ -63,6 +64,14 @@ class ExactLAError(Exception):
 
 class ShapeError(ExactLAError):
     """Dimension or shape mismatch."""
+
+
+class NotInSubspace(ExactLAError):
+    """A column handed to ``Subspace.coords_matrix`` lies outside the subspace."""
+
+    def __init__(self, column: int):
+        super().__init__(f"column {column} is not in the subspace")
+        self.column = column
 
 
 def once(fn):
@@ -549,9 +558,33 @@ def kron_mul(M: DenseMatrix, N: DenseMatrix, Y: DenseMatrix) -> DenseMatrix:
 
 
 def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
-    """X.mul(kron(M, N)) without building kron(M, N): the transpose of
-    kron_mul(M^T, N^T, X^T)."""
-    return kron_mul(M.transpose(), N.transpose(), X.transpose()).transpose()
+    """X.mul(kron(M, N)) without building kron(M, N), or any transpose.
+
+    Per row of X, the segment that meets row block i of kron(M, N) passes
+    through N once, for each row i that M uses; M[i, a] then mixes it into
+    column block a of the result row.  The factors are scaled to ints as in
+    ``kron_mul``, and the result is the only DenseMatrix built.
+    """
+    if not X.field == M.field == N.field or X.cols != M.rows * N.rows:
+        raise ShapeError(f"cannot multiply {X.rows}x{X.cols} by "
+                         f"kron({M.rows}x{M.cols}, {N.rows}x{N.cols})")
+    rN, cN, width = N.rows, N.cols, M.cols * N.cols
+    nnz = _nonzero_rows(N)
+    used = [(i, pairs) for i, pairs in enumerate(_nonzero_rows(M)) if pairs]
+    xe = _int_entries(X)
+    out = []
+    for r in range(X.rows):
+        base = r * X.cols
+        acc = [0] * width
+        for i, pairs in used:
+            seg = [(b, y) for b, y in enumerate(
+                _mix(xe[base + i * rN:base + (i + 1) * rN], nnz, cN)) if y]
+            for a, m in pairs:
+                off = a * cN
+                for b, y in seg:
+                    acc[off + b] += m * y
+        out += acc
+    return DenseMatrix(X.field, X.rows, width, _divided(out, X.den * M.den * N.den))
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +595,14 @@ def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
 class Subspace:
     """A subspace of k^n, held as the unique reduced-echelon basis (rows)."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_embedding")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, rref_rows: list, pivots: list):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = DenseMatrix.from_rows(field, rref_rows, cols=ambient_dim)
         self.pivots = list(pivots)
+        self._embedding = None
 
     @staticmethod
     def from_spanning(field: FieldSpec, ambient_dim: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
@@ -591,6 +625,14 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @property
+    def embedding(self) -> DenseMatrix:
+        """The inclusion into k^n, ambient_dim x dim: the basis as columns,
+        built once."""
+        if self._embedding is None:
+            self._embedding = self.basis.transpose()
+        return self._embedding
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -639,6 +681,19 @@ class Subspace:
         if any(x for x in self.reduce(vec)):
             raise ExactLAError("vector is not in the subspace")
         return out
+
+    def coords_matrix(self, P: DenseMatrix) -> DenseMatrix:
+        """The echelon coordinates X of every column of P, basis^T X = P: X is
+        P's rows at the pivots, and one product re-checks it.  A column
+        outside the subspace raises ``NotInSubspace`` naming the first one."""
+        if P.rows != self.ambient_dim or P.field != self.field:
+            raise ShapeError("matrix does not live in the subspace's ambient space")
+        X = DenseMatrix(self.field, self.dim, P.cols,
+                        [x for c in self.pivots for x in P.row(c)])
+        back = self.embedding.mul(X)
+        if back != P:
+            raise NotInSubspace(next(j for j in range(P.cols) if back.col(j) != P.col(j)))
+        return X
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(other.basis.row(i)) for i in range(other.dim))

@@ -26,7 +26,17 @@ from .coring import (
     coinvariants,
     hom_comodule,
 )
-from .exactla import DenseMatrix, Subspace, image, kron_mul, mul_kron, once, rank, solve
+from .exactla import (
+    DenseMatrix,
+    NotInSubspace,
+    Subspace,
+    image,
+    kron_mul,
+    mul_kron,
+    once,
+    rank,
+    solve,
+)
 from .morita import (
     ClauseDisagreement,
     LinearMapReport,
@@ -55,17 +65,10 @@ def _restrict_right_to_B(ctx, M: ModulePresentation, B) -> ModulePresentation:
 def _coinv_tensor_A(ctx, M: ComoduleInstance):
     """(coinvariants of M) (x)_B A with the coinvariants as a right B-module."""
     data = ctx.morita()
-    f = ctx.field
     coinv = coinvariants(M)
-    action = []
-    for j in range(data.B.dim):
-        b = data.B.embedding.col(j)
-        mat = M.module.act_matrix(b)
-        cols = []
-        for r in range(coinv.dim):
-            img = mat.apply(coinv.basis.row(r))
-            cols.append(coinv.coords(img))  # raises if not invariant: bug
-        action.append(DenseMatrix.from_columns(f, cols, coinv.dim))
+    # coords_matrix raises if the coinvariants are not B-stable: a bug
+    action = [coinv.coords_matrix(M.module.act_matrix(data.B.embedding.col(j)).mul(coinv.embedding))
+              for j in range(data.B.dim)]
     coinv_mod = ModulePresentation(data.B.algebra, coinv.dim, "right", action)
     return balanced_tensor(coinv_mod, data.A_left_B)
 
@@ -141,14 +144,10 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]
     homs = hom_comodule(ctx.comodule_A(), M)
     nA = ctx.A.dim
     # right B-module structure on the hom space: (f.b)(a) = f(b a)
-    action = []
-    for j in range(data.B.dim):
-        lb = ctx.A.lmul_matrix(data.B.embedding.col(j))
-        cols = []
-        for i in range(homs.dim):
-            T = DenseMatrix(f, M.dim, nA, homs.basis.row(i))
-            cols.append(homs.coords(T.mul(lb).entries))
-        action.append(DenseMatrix.from_columns(f, cols, homs.dim))
+    # the flattened T lb is kron(I, lb^T) applied to the flattened T
+    eyeM = DenseMatrix.identity(f, M.dim)
+    action = [homs.coords_matrix(kron_mul(eyeM, lb.transpose(), homs.embedding))
+              for lb in data.A_left_B.action]
     hom_mod = ModulePresentation(data.B.algebra, homs.dim, "right", action)
     tensor = balanced_tensor(hom_mod, data.A_left_B)
     cols = []
@@ -241,7 +240,6 @@ def beta_W(ctx, W: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
     data = ctx.morita()
     f = ctx.field
     nA, nC = ctx.A.dim, ctx.C.dim
-    cor = ctx.coring()
     rho_A = ctx.comodule_A().coaction
     W_B = _restrict_right_to_B(ctx, W, data.B)
     tensor = balanced_tensor(W_B, data.A_left_B)
@@ -514,13 +512,12 @@ def _check_B_is_endo_ring(ctx, data: MoritaContextData):
     if endo.dim != data.B.dim:
         raise ClauseDisagreement("endomorphism ring",
                                  {"dim_end": endo.dim, "dim_B": data.B.dim})
-    cols = []
-    for j in range(data.B.dim):
-        lb = ctx.A.lmul_matrix(data.B.embedding.col(j))
-        if not endo.contains(lb.entries):
-            raise ClauseDisagreement("endomorphism ring", {"left-mult-not-endo": j})
-        cols.append(endo.coords(lb.entries))
-    canon = DenseMatrix.from_columns(f, cols, endo.dim)
+    try:
+        canon = endo.coords_matrix(DenseMatrix.from_columns(
+            f, [lb.entries for lb in data.A_left_B.action], ctx.A.dim ** 2))
+    except NotInSubspace as exc:
+        raise ClauseDisagreement("endomorphism ring",
+                                 {"left-mult-not-endo": exc.column}) from None
     if rank(canon) != endo.dim:  # canon is square: endo.dim == dim B
         raise ClauseDisagreement("endomorphism ring", {"bijective": False})
     # multiplicativity: left mult by b b' = composition

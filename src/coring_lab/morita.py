@@ -3,17 +3,25 @@
 From a context this module computes the coinvariant subring B of A, the left
 ideal Q of the dual ring, the two connecting pairings F: Q (x)_B A -> dual
 ring and G: A (x)_dual Q -> B, and verifies every bilinearity and
-associativity identity the context must satisfy, exactly, on all basis
-triples.  On top sit the clause checkers for the two surjectivity
-equivalence theorems; each clause is computed independently and any
-disagreement raises, because an inconsistency there means an implementation
-bug, not a mathematical discovery.
+associativity identity the context must satisfy, exactly.  Each identity is
+one matrix equation whose columns run over all basis triples, so it still
+covers every triple.  Every map is a product of matrices that already
+exist: A's one right action over the dual ring gives the hook
+a <- q = q~(x a), and through it G, the trace and Omega; restricted along
+the unit map A -> dual ring it gives F; Q's module structures are the
+dual ring's and B's multiplications read in Q's echelon basis by
+``Subspace.coords_matrix``.
+
+On top sit the clause checkers for the two surjectivity equivalence
+theorems; each clause is computed independently and any disagreement raises,
+because an inconsistency there means an implementation bug, not a
+mathematical discovery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraPresentation,
@@ -32,12 +40,15 @@ from .coring import (
 )
 from .exactla import (
     DenseMatrix,
+    NotInSubspace,
     QuotientSpace,
     Subspace,
     combine_rows,
     image,
     kernel,
     kron,
+    kron_mul,
+    mul_kron,
     once,
     rank,
     solve,
@@ -95,15 +106,9 @@ def compute_B(ctx) -> CoinvariantData:
     """
     cor = ctx.coring()
     f = ctx.field
-    nA = ctx.A.dim
-    cols = []
-    for i in range(nA):
-        e_i = [1 if t == i else 0 for t in range(nA)]
-        bx = cor.left_act(e_i).apply(ctx.x)
-        xb = cor.right_act(e_i).apply(ctx.x)
-        cols.append([f.sub(a, b) for a, b in zip(bx, xb)])
-    condition = DenseMatrix.from_columns(f, cols, cor.dim)
-    space = kernel(condition)
+    cols = [[f.sub(a, b) for a, b in zip(L.apply(ctx.x), R.apply(ctx.x))]
+            for L, R in zip(cor.left_module.action, cor.right_module.action)]
+    space = kernel(DenseMatrix.from_columns(f, cols, cor.dim))
     algebra, embedding = subalgebra_on(ctx.A, space, name="coinvariants")
     return CoinvariantData(space, algebra, embedding)
 
@@ -146,7 +151,7 @@ def compute_Q(ctx) -> QIdealData:
     """
     f = ctx.field
     space = kernel(_q_condition(ctx))
-    mats = [DenseMatrix(f, ctx.A.dim, ctx.C.dim, space.basis.row(i)) for i in range(space.dim)]
+    mats = [DenseMatrix(f, ctx.A.dim, ctx.C.dim, row) for row in space.basis.row_lists()]
     return QIdealData(space, mats)
 
 
@@ -167,6 +172,7 @@ class MoritaContextData:
     QA: QuotientSpace                  # Q (x)_B A
     AQ: QuotientSpace                  # A (x)_dual Q
     F_matrix: DenseMatrix              # Q (x)_B A -> Hom(C, A) flat coords
+    G_plain: DenseMatrix               # A (x) Q -> B coords, column (j, i) = e_j <- q_i
     G_matrix: DenseMatrix              # A (x)_dual Q -> B coords
     F_report: LinearMapReport = None
     G_report: LinearMapReport = None
@@ -177,11 +183,33 @@ def _a_left_b_module(ctx, B: CoinvariantData) -> ModulePresentation:
     return ModulePresentation(B.algebra, ctx.A.dim, "left", action, name="A over B")
 
 
-def hook_product(ctx, a: Sequence, qflat: Sequence) -> list:
-    """a <- q = q~(x a), in A-coordinates."""
-    cor = ctx.coring()
-    xa = cor.right_act(a).apply(ctx.x)
-    return ctx.sharp_ring().eval_at(list(qflat), xa)
+def _times_Q(M: ModulePresentation, Q: QIdealData) -> DenseMatrix:
+    """m (x) q -> m q on the plain tensor M (x) Q for a right dual-ring
+    module M, column (m, i) = m q_i.  For M = A this is the hook
+    a <- q = q~(x a), the plain form of G in A-coordinates."""
+    acts = [M.act_matrix(q) for q in Q.space.basis.row_lists()]
+    return DenseMatrix.from_columns(M.field, [a.col(m) for m in range(M.dim) for a in acts],
+                                    M.dim)
+
+
+def _F_plain(ctx, A_dual: ModulePresentation, Q: QIdealData) -> DenseMatrix:
+    """F on the plain tensor Q (x) A, column (i, j) = F(q_i (x) e_j) = q_i(-) e_j,
+    A acting on itself through the unit map a -> eps(-) a into the dual ring."""
+    sharp = ctx.sharp_ring()
+    right = [A_dual.act_matrix(sharp.embed_A(u))
+             for u in DenseMatrix.identity(ctx.field, ctx.A.dim).row_lists()]
+    return DenseMatrix.from_columns(
+        ctx.field, [R.mul(q).entries for q in Q.matrices for R in right], sharp.algebra.dim)
+
+
+def _coords_or_fail(space: Subspace, P: DenseMatrix, where: str, label: str,
+                    index: Callable[[int], tuple]) -> DenseMatrix:
+    """``space.coords_matrix(P)``, a column outside the space failing as
+    ``label`` at ``index(column)``."""
+    try:
+        return space.coords_matrix(P)
+    except NotInSubspace as exc:
+        raise VerificationError(where, one_failure(label, index(exc.column))) from None
 
 
 def build_context(ctx) -> MoritaContextData:
@@ -192,152 +220,84 @@ def build_context(ctx) -> MoritaContextData:
     associativity relations tying F and G together.  Any failure raises.
     """
     f = ctx.field
-    sharp = ctx.sharp_ring()
+    S = ctx.sharp_ring().algebra
     B = compute_B(ctx)
     Qd = compute_Q(ctx)
+    nQ = Qd.dim
 
     # Q as a left dual-ring module and right B-module, in Q's echelon basis
-    nQ = Qd.dim
-    left_mats = []
-    for idx in range(sharp.algebra.dim):
-        gcoords = [1 if t == idx else 0 for t in range(sharp.algebra.dim)]
-        cols = []
-        for j in range(nQ):
-            prod = sharp.mul_coords(gcoords, Qd.space.basis.row(j))
-            if not Qd.space.contains(prod):
-                raise VerificationError("build_context",
-                                        one_failure("q-ideal-left-stability", (idx, j)))
-            cols.append(Qd.space.coords(prod))
-        left_mats.append(DenseMatrix.from_columns(f, cols, nQ))
-    Q_left = ModulePresentation(sharp.algebra, nQ, "left", left_mats, name="Q")
-
-    right_mats = []
-    for j in range(B.dim):
-        b = B.embedding.col(j)
-        rb = ctx.A.rmul_matrix(b)
-        cols = []
-        for i in range(nQ):
-            qb = rb.mul(Qd.matrices[i])
-            if not Qd.space.contains(qb.entries):
-                raise VerificationError("build_context",
-                                        one_failure("q-ideal-right-stability", (i, j)))
-            cols.append(Qd.space.coords(qb.entries))
-        right_mats.append(DenseMatrix.from_columns(f, cols, nQ))
-    Q_right = ModulePresentation(B.algebra, nQ, "right", right_mats, name="Q over B")
+    Q_left = ModulePresentation(S, nQ, "left", [
+        _coords_or_fail(Qd.space, L.mul(Qd.space.embedding), "build_context",
+                        "q-ideal-left-stability", lambda i: (s, i))
+        for s, L in enumerate(S.lmuls)], name="Q")
+    eyeC = DenseMatrix.identity(f, ctx.C.dim)
+    Q_right = ModulePresentation(B.algebra, nQ, "right", [
+        _coords_or_fail(Qd.space, kron_mul(ctx.A.rmul_matrix(B.embedding.col(j)), eyeC,
+                                           Qd.space.embedding),
+                        "build_context", "q-ideal-right-stability", lambda i: (i, j))
+        for j in range(B.dim)], name="Q over B")
 
     A_left = _a_left_b_module(ctx, B)
     A_right_dual = dual_action(ctx.comodule_A())
 
     QA = balanced_tensor(Q_right, A_left)
     AQ = balanced_tensor(A_right_dual, Q_left)
-
-    # F on the plain tensor, then through the quotient
-    nA = ctx.A.dim
-    f_cols = []
-    for i in range(nQ):
-        qm = Qd.matrices[i]
-        for j in range(nA):
-            e_j = [1 if t == j else 0 for t in range(nA)]
-            f_cols.append(ctx.A.rmul_matrix(e_j).mul(qm).entries)
-    F_plain = DenseMatrix.from_columns(f, f_cols, nA * ctx.C.dim)
-    F_matrix = F_plain.mul(QA.section)
-
-    g_cols = []
-    for j in range(nA):
-        e_j = [1 if t == j else 0 for t in range(nA)]
-        for i in range(nQ):
-            val = hook_product(ctx, e_j, Qd.space.basis.row(i))
-            if not B.space.contains(val):
-                raise VerificationError("build_context", one_failure("hook-lands-in-B", (j, i)))
-            g_cols.append(B.space.coords(val))
-    G_plain = DenseMatrix.from_columns(f, g_cols, B.dim)
+    F_matrix = _F_plain(ctx, A_right_dual, Qd).mul(QA.section)
+    G_plain = _coords_or_fail(B.space, _times_Q(A_right_dual, Qd), "build_context",
+                              "hook-lands-in-B", lambda c: divmod(c, nQ))
     G_matrix = G_plain.mul(AQ.section)
 
     data = MoritaContextData(ctx, B, Qd, A_left, A_right_dual, Q_left, Q_right,
-                             QA, AQ, F_matrix, G_matrix)
-    data.F_report = map_report(F_matrix, target_dim=sharp.algebra.dim)
+                             QA, AQ, F_matrix, G_plain, G_matrix)
+    data.F_report = map_report(F_matrix, target_dim=S.dim)
     data.G_report = map_report(G_matrix, target_dim=B.dim)
     _verify_context_identities(ctx, data)
     return data
 
 
 def _verify_context_identities(ctx, data: MoritaContextData):
-    """Bilinearity of F and G and the two associativity relations."""
+    """Bilinearity of F and G and the two associativity relations, each one
+    matrix equation over all basis triples at once.
+
+    F and G are rebuilt on the plain tensors from ``data``'s fields, G in
+    A-coordinates, and every side is a structure map after a Kronecker
+    product, applied without building it.  A failing equation names the
+    basis element of each failing block: the acting element for the four
+    linearity laws, the first tensor factor for the two associativities.
+    """
     f = ctx.field
-    sharp = ctx.sharp_ring()
+    A, S = ctx.A, ctx.sharp_ring().algebra
+    nA, nQ, nB, nS = A.dim, data.Q.dim, data.B.dim, S.dim
+    Ad = data.A_right_dual
+    F = _F_plain(ctx, Ad, data.Q)
+    G = _times_Q(Ad, data.Q)
+    eyeA, eyeQ, eyeB, eyeS = (DenseMatrix.identity(f, n) for n in (nA, nQ, nB, nS))
+    equations = (
+        # F(g.q (x) a) = g . F(q (x) a), columns (s, i, j)
+        ("F-left-dual-linearity", mul_kron(F, data.Q_left_dual.action_map(), eyeA),
+         mul_kron(S.mult_matrix(), eyeS, F), nQ * nA, nS),
+        # F(q (x) a<-g) = F(q (x) a) . g, columns (i, j, s)
+        ("F-right-dual-linearity", mul_kron(F, eyeQ, Ad.action_map()),
+         mul_kron(S.mult_matrix(), F, eyeS), 1, nS),
+        # G(b a (x) q) = b G(a (x) q), columns (b, j, i)
+        ("G-left-B-linearity", mul_kron(G, data.A_left_B.action_map(), eyeQ),
+         mul_kron(data.A_left_B.action_map(), eyeB, G), nA * nQ, nB),
+        # G(a (x) q b) = G(a (x) q) b, columns (j, i, b)
+        ("G-right-B-linearity", mul_kron(G, eyeA, data.Q_right_B.action_map()),
+         mul_kron(A.mult_matrix(), G, data.B.embedding), 1, nB),
+        # F(q (x) a) . q~ = q . G(a (x) q~), columns (i, j, i~)
+        ("associativity-FqG", mul_kron(S.mult_matrix(), F, data.Q.space.embedding),
+         mul_kron(F, eyeQ, G), nA * nQ, nQ),
+        # G(a (x) q) a~ = a <- F(q (x) a~), columns (j, i, j~)
+        ("associativity-GaF", mul_kron(A.mult_matrix(), G, eyeA),
+         mul_kron(Ad.action_map(), eyeA, F), nQ * nA, nA),
+    )
     v = Verdict()
-    nA, nQ, nB = ctx.A.dim, data.Q.dim, data.B.dim
-    nS = sharp.algebra.dim
-
-    def F_of(i, j):
-        e_j = [1 if t == j else 0 for t in range(nA)]
-        return ctx.A.rmul_matrix(e_j).mul(data.Q.matrices[i]).entries
-
-    # F(g.q (x) a) = g . F(q (x) a)
-    for s in range(nS):
-        g = [1 if t == s else 0 for t in range(nS)]
-        for i in range(nQ):
-            gq = sharp.mul_coords(g, data.Q.space.basis.row(i))
-            for j in range(nA):
-                e_j = [1 if t == j else 0 for t in range(nA)]
-                lhs = ctx.A.rmul_matrix(e_j).mul(sharp.matrix_of(gq)).entries
-                rhs = sharp.mul_coords(g, F_of(i, j))
-                if [f.normalize(t) for t in lhs] != rhs:
-                    v.fail("F-left-dual-linearity", (s, i, j))
-    # F(q (x) a<-g) = F(q (x) a) . g
-    for s in range(nS):
-        g = [1 if t == s else 0 for t in range(nS)]
-        for i in range(nQ):
-            for j in range(nA):
-                e_j = [1 if t == j else 0 for t in range(nA)]
-                ag = hook_product(ctx, e_j, g)
-                lhs = ctx.A.rmul_matrix(ag).mul(data.Q.matrices[i]).entries
-                rhs = sharp.mul_coords(F_of(i, j), g)
-                if [f.normalize(t) for t in lhs] != rhs:
-                    v.fail("F-right-dual-linearity", (s, i, j))
-    # G bilinearity over B
-    for bidx in range(nB):
-        b = data.B.embedding.col(bidx)
-        for j in range(nA):
-            e_j = [1 if t == j else 0 for t in range(nA)]
-            ba = ctx.A.mul_vec(b, e_j)
-            ab = ctx.A.mul_vec(e_j, b)
-            for i in range(nQ):
-                q = data.Q.space.basis.row(i)
-                lhs = hook_product(ctx, ba, q)
-                rhs = ctx.A.mul_vec(b, hook_product(ctx, e_j, q))
-                if lhs != rhs:
-                    v.fail("G-left-B-linearity", (bidx, j, i))
-                qb = ctx.A.rmul_matrix(b).mul(data.Q.matrices[i]).entries
-                lhs2 = hook_product(ctx, e_j, qb)
-                rhs2 = ctx.A.mul_vec(hook_product(ctx, e_j, q), b)
-                if lhs2 != rhs2:
-                    v.fail("G-right-B-linearity", (bidx, j, i))
-    # associativity: F(q (x) a) . q~  =  q . G(a (x) q~)   in the dual ring
-    for i in range(nQ):
-        q = data.Q.space.basis.row(i)
-        for j in range(nA):
-            e_j = [1 if t == j else 0 for t in range(nA)]
-            Fqa = F_of(i, j)
-            for i2 in range(nQ):
-                q2 = data.Q.space.basis.row(i2)
-                lhs = sharp.mul_coords(Fqa, list(q2))
-                g_val = hook_product(ctx, e_j, q2)  # in B inside A
-                rhs = ctx.A.rmul_matrix(g_val).mul(data.Q.matrices[i]).entries
-                if lhs != [f.normalize(t) for t in rhs]:
-                    v.fail("associativity-FqG", (i, j, i2))
-    # associativity: G(a (x) q) a~ = a <- F(q (x) a~)
-    for j in range(nA):
-        e_j = [1 if t == j else 0 for t in range(nA)]
-        for i in range(nQ):
-            q = data.Q.space.basis.row(i)
-            Gaq = hook_product(ctx, e_j, q)
-            for j2 in range(nA):
-                e_j2 = [1 if t == j2 else 0 for t in range(nA)]
-                lhs = ctx.A.mul_vec(Gaq, e_j2)
-                rhs = hook_product(ctx, e_j, F_of(i, j2))
-                if lhs != rhs:
-                    v.fail("associativity-GaF", (j, i, j2))
+    for label, lhs, rhs, stride, count in equations:
+        if lhs != rhs:
+            for idx in sorted({c // stride % count for c in range(lhs.cols)
+                               if lhs.col(c) != rhs.col(c)}):
+                v.fail(label, (idx,))
     if not v.valid:
         raise VerificationError("morita context identities", v)
 
@@ -351,27 +311,20 @@ def _verify_context_identities(ctx, data: MoritaContextData):
 def find_qhat(data: MoritaContextData) -> Optional[list]:
     """A deterministic q in Q with q(x) = 1_A, as flat Hom(C, A) coordinates."""
     ctx = data.ctx
-    f = ctx.field
-    at_x = ctx.sharp_ring().at_x()
-    cols = [at_x.apply(data.Q.space.basis.row(i)) for i in range(data.Q.dim)]
-    if not cols:
+    if not data.Q.dim:
         return None
-    system = DenseMatrix.from_columns(f, cols, ctx.A.dim)
-    sol = solve(system, ctx.A.unit)
+    sol = solve(ctx.sharp_ring().at_x().mul(data.Q.space.embedding), ctx.A.unit)
     if sol is None:
         return None
-    return combine_rows(f, sol, data.Q.space.basis.row_lists(), ctx.A.dim * ctx.C.dim)
+    return combine_rows(ctx.field, sol, data.Q.space.basis.row_lists(),
+                        ctx.A.dim * ctx.C.dim)
 
 
 def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
     """M (x)_dual Q -> M^x, m (x) q -> m q, with bijectivity onto M^x."""
-    ctx = data.ctx
-    f = ctx.field
     tensor = balanced_tensor(M, data.Q_left_dual)
-    target = x_invariants(M, ctx)
-    acts = [M.act_matrix(list(data.Q.space.basis.row(i))) for i in range(data.Q.dim)]
-    plain = DenseMatrix.from_columns(f, [a.col(m) for m in range(M.dim) for a in acts], M.dim)
-    mat = plain.mul(tensor.section)
+    target = x_invariants(M, data.ctx)
+    mat = _times_Q(M, data.Q).mul(tensor.section)
     # bijectivity measured against the target subspace
     img = image(mat)
     sur = img == target or (img.dim == target.dim and target.contains_subspace(img))
@@ -384,25 +337,15 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, L
 def trace_map(data: MoritaContextData, qhat: Sequence) -> DenseMatrix:
     """a -> a <- q-hat as a matrix A -> B-coordinates; the left B-linearity
     and the restriction-to-identity on B are verified exactly."""
-    ctx = data.ctx
-    f = ctx.field
-    nA = ctx.A.dim
-    cols = []
-    for j in range(nA):
-        e_j = [1 if t == j else 0 for t in range(nA)]
-        val = hook_product(ctx, e_j, qhat)
-        if not data.B.space.contains(val):
-            raise VerificationError("trace_map", one_failure("trace-lands-in-B", (j,)))
-        cols.append(data.B.space.coords(val))
-    tr = DenseMatrix.from_columns(f, cols, data.B.dim)
+    B = data.B
+    tr = _coords_or_fail(B.space, data.A_right_dual.act_matrix(qhat), "trace_map",
+                         "trace-lands-in-B", lambda j: (j,))
     v = Verdict()
-    for bidx in range(data.B.dim):
-        b = data.B.embedding.col(bidx)
-        if tr.apply(b) != [1 if t == bidx else 0 for t in range(data.B.dim)]:
+    on_B = tr.mul(B.embedding)
+    eyeB = DenseMatrix.identity(data.ctx.field, B.dim)
+    for bidx, (lb, lb_B) in enumerate(zip(data.A_left_B.action, B.algebra.lmuls)):
+        if on_B.col(bidx) != eyeB.col(bidx):
             v.fail("trace-not-identity-on-B", (bidx,))
-        lb = ctx.A.lmul_matrix(b)
-        lb_B = data.B.algebra.lmul_matrix([1 if t == bidx else 0
-                                           for t in range(data.B.dim)])
         if tr.mul(lb) != lb_B.mul(tr):
             v.fail("trace-not-left-B-linear", (bidx,))
     if not v.valid:
@@ -429,52 +372,35 @@ class OmegaLambdaReport:
 
 @once
 def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
-    """Omega: A -> Hom_{-B}(Q, B) and Lambda: dual ring -> End(_B A)^op."""
+    """Omega: A -> Hom_{-B}(Q, B) and Lambda: dual ring -> End(_B A)^op.
+
+    Omega's column j is the j-block of G on the plain tensor, a -> (q -> a <- q)
+    reshaped into a dim B x dim Q matrix; Lambda sends g to its action on A,
+    and is multiplicative iff A satisfies the right-module law over the
+    dual ring, R (I (x) mult) = R (R (x) I) for the action map R, and 1 acts
+    as the identity."""
     ctx = data.ctx
     f = ctx.field
-    sharp = ctx.sharp_ring()
-    nA = ctx.A.dim
+    S = ctx.sharp_ring().algebra
+    nA, nQ, nB = ctx.A.dim, data.Q.dim, data.B.dim
     homQB = hom_module(data.Q_right_B, data.B.algebra.regular_module("right"))
-    omega_cols = []
-    for j in range(nA):
-        e_j = [1 if t == j else 0 for t in range(nA)]
-        flat = [0] * (data.B.dim * data.Q.dim)
-        for i in range(data.Q.dim):
-            val = data.B.space.coords(hook_product(ctx, e_j,
-                                                   data.Q.space.basis.row(i)))
-            for r in range(data.B.dim):
-                flat[r * data.Q.dim + i] = val[r]
-        if not homQB.contains(flat):
-            raise VerificationError("omega_and_lambda",
-                                    one_failure("omega-image-not-B-linear", (j,)))
-        omega_cols.append(homQB.coords(flat))
-    omega_mat = DenseMatrix.from_columns(f, omega_cols, homQB.dim)
+    G = data.G_plain.entries
+    flat = DenseMatrix(f, nB * nQ, nA, [G[r * nA * nQ + j * nQ + i] for r in range(nB)
+                                        for i in range(nQ) for j in range(nA)])
+    omega_mat = _coords_or_fail(homQB, flat, "omega_and_lambda", "omega-image-not-B-linear",
+                                lambda j: (j,))
     omega_rep = map_report(omega_mat, target_dim=homQB.dim)
 
+    Ad = data.A_right_dual
     endBA = hom_module(data.A_left_B, data.A_left_B)
-    lam_cols = []
-    lam_mats = []
-    for s in range(sharp.algebra.dim):
-        mat = data.A_right_dual.action[s]
-        lam_mats.append(mat)
-        if not endBA.contains(mat.entries):
-            raise VerificationError("omega_and_lambda",
-                                    one_failure("lambda-image-not-B-linear", (s,)))
-        lam_cols.append(endBA.coords(mat.entries))
-    lam_mat = DenseMatrix.from_columns(f, lam_cols, endBA.dim)
+    lam_mat = _coords_or_fail(
+        endBA, DenseMatrix.from_columns(f, [m.entries for m in Ad.action], nA * nA),
+        "omega_and_lambda", "lambda-image-not-B-linear", lambda s: (s,))
     lam_rep = map_report(lam_mat, target_dim=endBA.dim)
-    multiplicative = True
-    nS = sharp.algebra.dim
-    for s1 in range(nS):
-        g1 = [1 if t == s1 else 0 for t in range(nS)]
-        for s2 in range(nS):
-            g2 = [1 if t == s2 else 0 for t in range(nS)]
-            prod = sharp.mul_coords(g1, g2)
-            if data.A_right_dual.act_matrix(prod) != lam_mats[s2].mul(lam_mats[s1]):
-                multiplicative = False
-    if data.A_right_dual.act_matrix(sharp.algebra.unit) != \
-            DenseMatrix.identity(f, nA):
-        multiplicative = False
+    R = Ad.action_map()
+    eyeA, eyeS = DenseMatrix.identity(f, nA), DenseMatrix.identity(f, S.dim)
+    multiplicative = (mul_kron(R, eyeA, S.mult_matrix()) == mul_kron(R, R, eyeS)
+                      and Ad.act_matrix(S.unit) == eyeA)
     return OmegaLambdaReport(omega_mat, omega_rep, lam_mat, lam_rep, multiplicative)
 
 
@@ -485,22 +411,14 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
 
 @once
 def q_left_annihilator(data: MoritaContextData) -> Subspace:
-    """{g in the dual ring : g . q = 0 for all q in Q}."""
-    ctx = data.ctx
-    f = ctx.field
-    sharp = ctx.sharp_ring()
-    nS = sharp.algebra.dim
-    cols = []
-    for s in range(nS):
-        g = [1 if t == s else 0 for t in range(nS)]
-        col = []
-        for i in range(data.Q.dim):
-            col.extend(sharp.mul_coords(g, data.Q.space.basis.row(i)))
-        cols.append(col)
+    """{g in the dual ring : g . q = 0 for all q in Q}, the kernel of the
+    right multiplications by the q_i stacked."""
+    S = data.ctx.sharp_ring().algebra
     if data.Q.dim == 0:
-        return Subspace.full(f, nS)
-    system = DenseMatrix.from_columns(f, cols, data.Q.dim * ctx.A.dim * ctx.C.dim)
-    return kernel(system)
+        return Subspace.full(S.field, S.dim)
+    return kernel(DenseMatrix(S.field, data.Q.dim * S.dim, S.dim,
+                              [x for q in data.Q.space.basis.row_lists()
+                               for x in S.rmul_matrix(q).entries]))
 
 
 def check_theorem_surj(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
@@ -626,12 +544,13 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, DenseMatrix
     for i in range(data.Q.dim):
         cs = [(j, lift[i * nA + j]) for j in range(nA) if lift[i * nA + j]]
         if cs:
-            used.append((dual.act_matrix(list(data.Q.space.basis.row(i))), cs))
+            used.append((coinv_space.coords_matrix(dual.act_matrix(data.Q.space.basis.row(i))),
+                         cs))
     cols = []
     for m in range(M.dim):
         acc = [0] * (coinv_space.dim * nA)
-        for act, cs in used:
-            mq_coords = coinv_space.coords(act.col(m))
+        for mq, cs in used:
+            mq_coords = mq.col(m)
             for j, c in cs:
                 for r, val in enumerate(mq_coords):
                     if val:

@@ -6,8 +6,9 @@ instead of through a free basis, the dual ring as left-A-linear maps off the
 coring instead of Hom(C, A) with the entwined product, the ideal Q from the
 entwined-form condition instead of the coring condition, and every operator
 on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
-closed form.  The tests compare the two routes.  Unlike ``oracles.py`` this
-module imports the package.
+closed form, and the Morita context's maps and module structures one basis
+vector at a time instead of as matrix products.  The tests compare the two
+routes.  Unlike ``oracles.py`` this module imports the package.
 """
 
 from dataclasses import dataclass
@@ -195,7 +196,7 @@ def check_dual_identification(ctx) -> bool:
         e_i = [1 if t == i else 0 for t in range(n)]
         for j in range(n):
             e_j = [1 if t == j else 0 for t in range(n)]
-            lhs = tmat.apply(sharp.mul_coords(e_i, e_j))
+            lhs = tmat.apply(sharp.algebra.mul_vec(e_i, e_j))
             rhs = dual.algebra.mul_vec(tmat.apply(e_i), tmat.apply(e_j))
             if lhs != rhs:
                 return False
@@ -312,11 +313,28 @@ def sharp_constants_by_evaluation(ctx) -> list:
     return [[g.mul(p).entries for g in post] for p in pre]
 
 
+def eval_at(ctx, coords: Sequence, xvec: Sequence) -> list:
+    """Value of the left-A-linear extension of the element of Hom(C, A) with
+    flat coordinates ``coords`` on a vector of A (x) C."""
+    A = ctx.A
+    nA, nC = A.dim, ctx.C.dim
+    out = [0] * nA
+    for i in range(nA):
+        for k in range(nC):
+            coef = xvec[i * nC + k]
+            if coef:
+                # column k of the element's dim A x dim C matrix
+                img = A.lmuls[i].apply(coords[k::nC])
+                for t in range(nA):
+                    if img[t]:
+                        out[t] += coef * img[t]
+    return [A.field.normalize(x) for x in out]
+
+
 def at_x_by_evaluation(ctx) -> DenseMatrix:
     """Evaluation at x of every elementary map, as columns."""
-    sharp = ctx.sharp_ring()
-    n = sharp.algebra.dim
-    cols = [sharp.eval_at([1 if t == s else 0 for t in range(n)], ctx.x) for s in range(n)]
+    n = ctx.A.dim * ctx.C.dim
+    cols = [eval_at(ctx, [1 if t == s else 0 for t in range(n)], ctx.x) for s in range(n)]
     return DenseMatrix.from_columns(ctx.field, cols, ctx.A.dim)
 
 
@@ -391,3 +409,73 @@ def q_condition_by_evaluation(ctx) -> DenseMatrix:
         lhs = rmat.mul(kron_mul(eye, qt, cor.delta_lift))
         cols.append(lhs.sub(lx.mul(qt)).entries)
     return DenseMatrix.from_columns(f, cols, dim * dim)
+
+
+# ---------------------------------------------------------------------------
+# the Morita context, one basis vector at a time
+# ---------------------------------------------------------------------------
+
+
+def _basis(n: int) -> List[list]:
+    return [[1 if t == s else 0 for t in range(n)] for s in range(n)]
+
+
+def hook_by_evaluation(ctx, a: Sequence, q: Sequence) -> list:
+    """a <- q = q~(x a), evaluating q's extension on x a."""
+    return eval_at(ctx, q, ctx.coring().right_act(a).apply(ctx.x))
+
+
+def G_plain_by_evaluation(data) -> DenseMatrix:
+    """The hook on every pair (e_j, q_i), column (j, i), in A-coordinates."""
+    ctx = data.ctx
+    cols = [hook_by_evaluation(ctx, e_j, q) for e_j in _basis(ctx.A.dim)
+            for q in data.Q.space.basis.row_lists()]
+    return DenseMatrix.from_columns(ctx.field, cols, ctx.A.dim)
+
+
+def Q_left_by_evaluation(data) -> List[DenseMatrix]:
+    """Per dual-ring basis element g, the Q-coordinates of g q_i, one product
+    and one coordinate read per Q basis vector."""
+    ctx = data.ctx
+    S = ctx.sharp_ring().algebra
+    Q = data.Q.space
+    return [DenseMatrix.from_columns(ctx.field, [Q.coords(S.mul_vec(g, q)) for q in
+                                                 Q.basis.row_lists()], Q.dim)
+            for g in _basis(S.dim)]
+
+
+def Q_right_by_evaluation(data) -> List[DenseMatrix]:
+    """Per B basis element b, the Q-coordinates of q_i(-) b."""
+    ctx = data.ctx
+    Q = data.Q.space
+    out = []
+    for j in range(data.B.dim):
+        rb = ctx.A.rmul_matrix(data.B.embedding.col(j))
+        out.append(DenseMatrix.from_columns(
+            ctx.field, [Q.coords(rb.mul(qm).entries) for qm in data.Q.matrices], Q.dim))
+    return out
+
+
+def omega_by_evaluation(data) -> DenseMatrix:
+    """Omega(e_j) = (q -> e_j <- q) as a B-linear map Q -> B, in the
+    coordinates of Hom_{-B}(Q, B), one hook per (e_j, q_i)."""
+    ctx = data.ctx
+    homQB = hom_module(data.Q_right_B, data.B.algebra.regular_module("right"))
+    nQ, nB = data.Q.dim, data.B.dim
+    cols = []
+    for e_j in _basis(ctx.A.dim):
+        vals = [data.B.space.coords(hook_by_evaluation(ctx, e_j, q))
+                for q in data.Q.space.basis.row_lists()]
+        cols.append(homQB.coords([vals[i][r] for r in range(nB) for i in range(nQ)]))
+    return DenseMatrix.from_columns(ctx.field, cols, homQB.dim)
+
+
+def q_left_annihilator_by_evaluation(data) -> Subspace:
+    """{g : g q = 0 for all q in Q}, one product per (basis element, q)."""
+    ctx = data.ctx
+    S = ctx.sharp_ring().algebra
+    if data.Q.dim == 0:
+        return Subspace.full(ctx.field, S.dim)
+    cols = [[x for q in data.Q.space.basis.row_lists() for x in S.mul_vec(g, q)]
+            for g in _basis(S.dim)]
+    return kernel(DenseMatrix.from_columns(ctx.field, cols, data.Q.dim * S.dim))

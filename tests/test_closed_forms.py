@@ -1,9 +1,12 @@
-"""Every operator on Hom(C, A) the package builds in closed form, checked
-entry for entry against its construction by evaluation on each elementary
-map in ``crosscheck.py``, over Q and a prime field, on the fixtures, on a
-dense change of basis with non-integer entries and on the non-commutative
-``fix-s``, also with a group-like x whose C-components are not multiples of
-the unit of A."""
+"""Every operator on Hom(C, A) the package builds in closed form, and every
+map and module structure of the Morita context it builds as a matrix
+product, checked entry for entry against its construction one elementary map
+or basis vector at a time in ``crosscheck.py``, over Q and a prime field, on
+the fixtures, on a dense change of basis with non-integer entries and on the
+non-commutative ``fix-s``, also with a group-like x whose C-components are
+not multiples of the unit of A, and on the algebra of ``fix-s`` over the
+trivial coalgebra, where B = A is not commutative and so left and right
+multiplication by B differ."""
 
 import functools
 import importlib.util
@@ -13,27 +16,32 @@ import random
 import pytest
 
 from coring_lab.cleft import _integral_condition, _normal_basis_condition
-from coring_lab.coalgebra import _conv_operator
+from coring_lab.coalgebra import _conv_operator, grouplike_coalgebra
 from coring_lab.coring import dual_action
-from coring_lab.entwining import EntwinedContext, instance_from_json
+from coring_lab.entwining import EntwinedContext, flip_entwining, instance_from_json
 from coring_lab.exactla import DenseMatrix, solve
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
-from coring_lab.morita import _q_condition
+from coring_lab.morita import _q_condition, _times_Q, omega_and_lambda, q_left_annihilator
 
 from crosscheck import (
+    G_plain_by_evaluation,
+    Q_left_by_evaluation,
+    Q_right_by_evaluation,
     at_x_by_evaluation,
     conv_operator_by_evaluation,
     dual_action_by_evaluation,
     integral_condition_by_evaluation,
     normal_basis_condition_by_evaluation,
+    omega_by_evaluation,
     q_condition_by_evaluation,
+    q_left_annihilator_by_evaluation,
     sharp_constants_by_evaluation,
 )
 from oracles import random_scalar
 
 GENERATE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generate.py")
 INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \
-    ["dense-QZ3", "fix-s-conj"]
+    ["dense-QZ3", "fix-s-conj", "fix-s-over-k"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,6 +60,11 @@ def _context(label):
         x = cor.left_act(u).apply(cor.right_act(solve(ctx.A.lmul_matrix(u), ctx.A.unit))
                                   .apply(ctx.x))
         return EntwinedContext(ctx.A, ctx.C, ctx.psi, x, name=label)
+    if label == "fix-s-over-k":
+        # over the trivial coalgebra B is all of A, and this A is not commutative
+        A = fixture("fix-s").context.A
+        C = grouplike_coalgebra(A.field, 1)
+        return EntwinedContext(A, C, flip_entwining(A, C), A.unit, name=label)
     name, field = label.rsplit("-", 1)
     obj = fixture(name).instance_json()
     if field == "F7":
@@ -85,13 +98,24 @@ def _pairs(ctx, construction):
         return [(ctx.sharp_ring().at_x(), at_x_by_evaluation(ctx))]
     if construction == "q_condition":
         return [(_q_condition(ctx), q_condition_by_evaluation(ctx))]
-    assert construction == "sharp_constants"
-    return [(ctx.sharp_ring().algebra.mult, sharp_constants_by_evaluation(ctx))]
+    if construction == "sharp_constants":
+        return [(ctx.sharp_ring().algebra.mult, sharp_constants_by_evaluation(ctx))]
+    data = ctx.morita()
+    if construction == "hook":
+        return [(_times_Q(data.A_right_dual, data.Q), G_plain_by_evaluation(data))]
+    if construction == "Q_left":
+        return [(data.Q_left_dual.action, Q_left_by_evaluation(data))]
+    if construction == "Q_right":
+        return [(data.Q_right_B.action, Q_right_by_evaluation(data))]
+    if construction == "omega":
+        return [(omega_and_lambda(data).omega_matrix, omega_by_evaluation(data))]
+    assert construction == "q_annihilator"
+    return [(q_left_annihilator(data), q_left_annihilator_by_evaluation(data))]
 
 
 @pytest.mark.parametrize("construction", [
     "dual_action", "conv_left", "conv_right", "integral", "normal_basis", "at_x",
-    "q_condition", "sharp_constants"])
+    "q_condition", "sharp_constants", "hook", "Q_left", "Q_right", "omega", "q_annihilator"])
 @pytest.mark.parametrize("label", INSTANCES)
 def test_closed_form_matches_evaluation(label, construction):
     ctx = _context(label)

@@ -10,7 +10,9 @@ from coring_lab.exactla import (
     QQ,
     GF,
     DenseMatrix,
+    ExactLAError,
     FieldSpec,
+    NotInSubspace,
     ShapeError,
     Subspace,
     PRIME_BOUND,
@@ -563,6 +565,38 @@ def test_subspace_membership_against_oracle():
         s = Subspace.from_spanning(QQ, dim, vecs)
         probe = [rng.randint(-3, 3) for _ in range(dim)]
         assert s.contains(probe) == span_contains(vecs, probe)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_coords_matrix_matches_per_column_coords(field):
+    rng = random.Random(19)
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.randint(0, 4)
+        sub = Subspace.from_spanning(
+            field, n, random_matrix(field, rng, rng.randint(0, n), n, 0.6).row_lists())
+        P = sub.embedding.mul(random_matrix(field, rng, sub.dim, k, 0.7))
+        X = sub.coords_matrix(P)
+        assert X == DenseMatrix.from_columns(field, [sub.coords(P.col(j)) for j in range(k)],
+                                             sub.dim)
+        assert_canonical(field, X.entries)
+        if sub.is_full():
+            continue
+        # e_c for a non-pivot column c lies outside; put it at a random column
+        c = rng.choice([c for c in range(n) if c not in sub.pivots])
+        j = rng.randint(0, k)
+        cols = [P.col(t) for t in range(k)]
+        cols.insert(j, [1 if t == c else 0 for t in range(n)])
+        with pytest.raises(ExactLAError) as exc:
+            sub.coords_matrix(DenseMatrix.from_columns(field, cols, n))
+        assert isinstance(exc.value, NotInSubspace) and exc.value.column == j
+
+
+def test_coords_matrix_rejects_a_foreign_matrix():
+    sub = Subspace.from_spanning(QQ, 3, [[1, 2, 0]])
+    with pytest.raises(ShapeError):
+        sub.coords_matrix(DenseMatrix.zeros(QQ, 2, 1))
+    with pytest.raises(ShapeError):
+        sub.coords_matrix(DenseMatrix.zeros(F5, 3, 1))
 
 
 def test_subspace_sum_and_intersection():

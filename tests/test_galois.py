@@ -128,7 +128,7 @@ def test_varpi_surjective_and_ghat():
     ctx = make_fix_h()
     sharp = ctx.sharp_ring()
     eps_flat = sharp.embed_A(ctx.A.unit)
-    assert sharp.eval_at(eps_flat, ctx.x) == [1, 0]
+    assert sharp.at_x().apply(eps_flat) == [1, 0]
 
 
 def test_structure_reports():

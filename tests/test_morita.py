@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from coring_lab.exactla import QQ, DenseMatrix, kernel
-from coring_lab.algebra import verify_algebra, zero_module
+from coring_lab.algebra import ModulePresentation, verify_algebra, zero_module
 from coring_lab.coalgebra import grouplike_coalgebra
 from coring_lab.coring import coinvariants, dual_action, x_invariants
 from coring_lab.entwining import EntwinedContext, doi_koppinen, flip_entwining
+from coring_lab.fixtures import fixture
 from coring_lab.morita import (
+    _verify_context_identities,
     check_theorem_Cfinite,
     check_theorem_surj,
     compute_B,
@@ -260,3 +264,57 @@ def test_F_is_weak_structure_map_of_dual_ring():
         _, rep = psi_M(ctx, com)
         assert rep.surjective == data.F_report.surjective
         assert rep.injective == data.F_report.injective
+
+
+# -- the context identities catch a corrupted module structure -----------------
+
+IDENTITY_LABELS = {"F-left-dual-linearity", "F-right-dual-linearity", "G-left-B-linearity",
+                   "G-right-B-linearity", "associativity-FqG", "associativity-GaF"}
+
+
+def _e00(M):
+    """The matrix unit E_00 on the space of M."""
+    return DenseMatrix(M.field, M.dim, M.dim, [1] + [0] * (M.dim * M.dim - 1))
+
+
+def _plus_e00(M):
+    """M with E_00 added to every action matrix."""
+    return ModulePresentation(M.algebra, M.dim, M.side, [a.add(_e00(M)) for a in M.action])
+
+
+def _corrupted(data, name):
+    return replace(data, **{name: _plus_e00(getattr(data, name))})
+
+
+def test_context_identities_fire_on_corrupted_modules():
+    fired = set()
+    for label, ctx in (("fix-t", make_fix_t()), ("fix-h", make_fix_h()),
+                       ("fix-s", fixture("fix-s").context)):
+        data = ctx.morita()
+        for name in ("A_right_dual", "Q_left_dual", "Q_right_B"):
+            with pytest.raises(VerificationError) as exc:
+                _verify_context_identities(ctx, _corrupted(data, name))
+            failures = exc.value.verdict.failures
+            labels = {fail.axiom for fail in failures}
+            assert labels <= IDENTITY_LABELS
+            # each failure names one acting basis element
+            assert all(len(fail.indices) == 1 for fail in failures)
+            if (label, name) == ("fix-t", "A_right_dual"):
+                assert labels == IDENTITY_LABELS
+            fired |= labels
+    assert fired == IDENTITY_LABELS
+
+
+def test_lambda_not_multiplicative_on_corrupted_action():
+    ctx = make_fix_h()
+    data = ctx.morita()
+    assert omega_and_lambda(data).lambda_multiplicative
+    assert not omega_and_lambda(_corrupted(data, "A_right_dual")).lambda_multiplicative
+    # E_00 on one basis element outside the unit's support: 1 still acts as
+    # the identity, so only the module law can fail
+    Ad = data.A_right_dual
+    t = next(t for t, u in enumerate(ctx.sharp_ring().algebra.unit) if not u)
+    action = list(Ad.action)
+    action[t] = action[t].add(_e00(Ad))
+    one_off = ModulePresentation(Ad.algebra, Ad.dim, Ad.side, action)
+    assert not omega_and_lambda(replace(data, A_right_dual=one_off)).lambda_multiplicative
