@@ -50,6 +50,8 @@ class AlgebraPresentation:
     def __init__(self, field: FieldSpec, dim: int, mult, unit, name: str = ""):
         self.field = field
         self.dim = dim
+        if dim < 1:
+            raise ShapeError("an algebra needs dimension at least 1")
         if len(mult) != dim or any(len(row) != dim for row in mult) or any(
                 len(cell) != dim for row in mult for cell in row):
             raise ShapeError("structure constants have the wrong shape")
@@ -94,6 +96,28 @@ class AlgebraPresentation:
 
     def rmul_matrix(self, u: Sequence) -> DenseMatrix:
         return combine_matrices(self.field, self.dim, self.dim, u, self.rmuls)
+
+    @once
+    def generators(self) -> List[int]:
+        """Basis indices picked greedily, in basis order, until left
+        multiplication by the chosen elements closes span{1} to the whole
+        algebra; each lies outside the subalgebra the earlier ones generate.
+        A unital action is determined by its matrices at these indices, so
+        relation spans over the algebra are taken over them."""
+        span = SubspaceBuilder(self.field, self.dim)
+        span.insert(self.unit)
+        closed, gens = [self.unit], []
+        for i in range(self.dim):
+            if len(span.rows.get(i, ())) == 1:  # e_i is in the span already
+                continue
+            gens.append(i)
+            todo = [self.lmuls[i].apply(v) for v in closed]
+            while todo:
+                v = todo.pop()
+                if span.insert(v):
+                    closed.append(v)
+                    todo += [self.lmuls[g].apply(v) for g in gens]
+        return gens
 
     @once
     def mult_matrix(self) -> DenseMatrix:
@@ -306,78 +330,61 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
     """M (x)_S N for a right module M and left module N over the same S.
 
     The plain tensor square carries the index convention (i_M, i_N) ->
-    i_M*dim(N)+i_N; the relations are spanned by m s (x) n - m (x) s n over
-    all basis triples.
+    i_M*dim(N)+i_N.  The relations m g (x) n - m (x) g n are taken for the
+    generators g of S only, which spans the same relations as all of S
+    provided both actions are unital (anti-)homomorphisms of S.  For a
+    dim(M) x dim(N) matrix X of unknowns they are the coefficient vectors of
+    the entries of X rho_N(g) - rho_M(g)^T X, so ``_relation_span`` builds
+    them with the pair (rho_N(g), rho_M(g)^T).
     """
     if M.side != "right" or N.side != "left":
         raise ShapeError("balanced tensor needs (right module, left module)")
     if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
         raise ShapeError("balanced tensor over mismatched algebras")
-    f = M.field
-    dM, dN = M.dim, N.dim
-    builder = SubspaceBuilder(f, dM * dN)
-    for actM, actN in zip(M.action, N.action):
-        sn = [actN.col(j) for j in range(dN)]
-        for i in range(dM):
-            ms = actM.col(i)
-            for j in range(dN):
-                rel = {}
-                for r, x in enumerate(ms):
-                    if x:
-                        rel[r * dN + j] = x
-                for r, x in enumerate(sn[j]):
-                    if x:
-                        c = i * dN + r
-                        nv = f.sub(rel.get(c, 0), x)
-                        if nv:
-                            rel[c] = nv
-                        else:
-                            rel.pop(c, None)
-                if rel:
-                    builder.insert(rel)
-    return quotient(builder)
+    return quotient(_relation_span(M.field, M.dim, N.dim, [
+        (N.action[g].columns(), M.action[g].columns()) for g in M.algebra.generators()]))
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
     """All module maps M -> N as a subspace of dN x dM matrices (row-major).
 
     For either side the intertwining condition reads T rho_M(a) = rho_N(a) T.
+    It is imposed for the generators of the algebra only, which is enough
+    when both actions are unital algebra (anti-)homomorphisms.
     """
     if M.side != N.side:
         raise ShapeError("hom between modules on different sides")
     if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
         raise ShapeError("hom over mismatched algebras")
-    return intertwiner_space(M.field, M.dim, N.dim, zip(M.action, N.action))
+    gens = M.algebra.generators()
+    return intertwiner_space(M.field, M.dim, N.dim, [(M.action[g], N.action[g]) for g in gens])
 
 
 def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
     """All dN x dM matrices T with T a = b T for every pair (a, b), as a
     subspace of row-major flattened matrices."""
-    nvars = dN * dM
-    builder = SubspaceBuilder(field, nvars)
-    for a, b in pairs:
-        ae, be = a.entries, b.entries  # a is dM x dM, b is dN x dN
-        # row (i, j): entry of (T a - b T)[i][j]; unknowns T[r][c] at r*dM+c
-        for i in range(dN):
-            for j in range(dM):
-                row = {}
-                for c in range(dM):
-                    x = ae[c * dM + j]
-                    if x:
-                        row[i * dM + c] = x
-                for r in range(dN):
-                    y = be[i * dN + r]
-                    if y:
-                        c = r * dM + j
-                        nv = field.sub(row.get(c, 0), y)
-                        if nv:
-                            row[c] = nv
-                        else:
-                            row.pop(c, None)
-                if row:
+    span = _relation_span(field, dN, dM, [(a.columns(), b.row_lists()) for a, b in pairs])
+    return Subspace.from_spanning(field, dN * dM, null_vectors(
+        field, dN * dM, span.rows.keys(), span.rows.values()))
+
+
+def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder:
+    """The span of the entries of T a - b T over the pairs (a, b), each given
+    as (the columns of a, the rows of b), for a dR x dC matrix T whose entry
+    T[r][c] is the coordinate r*dC+c; the one relation span of the package."""
+    builder = SubspaceBuilder(field, dR * dC)
+    for acols, brows in pairs:
+        acols = [[(c, x) for c, x in enumerate(col) if x] for col in acols]
+        for i, brow in enumerate(brows):
+            brow = [(r * dC, y) for r, y in enumerate(brow) if y]
+            for j, acol in enumerate(acols):
+                # entry (i, j): sum_c T[i][c] a[c][j] - sum_r b[i][r] T[r][j]
+                row = {i * dC + c: x for c, x in acol}
+                for r, y in brow:
+                    row[r + j] = row.get(r + j, 0) - y
+                if any(row.values()):
                     builder.insert(row)
-    return Subspace.from_spanning(field, nvars, null_vectors(
-        field, nvars, builder.rows.keys(), builder.rows.values()))
+    return builder
 
 
 def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatrix]:

@@ -450,10 +450,12 @@ def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
     """Comodule morphisms M -> N: A-linear maps commuting with the coactions.
 
     Returned as a subspace of dim(N) x dim(M) matrices, row-major.
+    A-linearity is imposed for the generators of A only, which is enough
+    when both A-actions are unital algebra anti-homomorphisms.
     """
     # A-linearity, then colinearity (T (x) id) rho_M = rho_N T per C-component
-    pairs = list(zip(M.module.action, N.module.action)) + list(zip(M.slices(), N.slices()))
-    return intertwiner_space(M.field, M.dim, N.dim, pairs)
+    pairs = [(M.module.action[g], N.module.action[g]) for g in M.module.algebra.generators()]
+    return intertwiner_space(M.field, M.dim, N.dim, pairs + list(zip(M.slices(), N.slices())))
 
 
 def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInstance:

@@ -16,10 +16,10 @@ and records ``den``: over Q the lcm of the entries' denominators (1 when
 every entry is an int, which one C-level scan of the entry types detects),
 over Fp always 1.  Products over Q are fraction-free: ``mul``, ``kron_mul``,
 ``mul_kron``, ``apply``, ``combine_rows`` and ``combine_matrices`` scale
-their operands to ints once (reading ``den`` where the operand is a matrix),
-accumulate ints, and divide once per output entry by the product of the
-scales, giving an ``int`` where the quotient is integral and a ``Fraction``
-otherwise.
+their operands to ints once (a matrix with ``den > 1`` keeps its scaled
+entries from its first product on), accumulate ints, and divide once per
+output entry by the product of the scales, giving an ``int`` where the
+quotient is integral and a ``Fraction`` otherwise.
 Integer operands take the same path with every scale 1.  The pair
 ``clear_denominators`` and ``divide_out`` offers that path to loops outside
 this module.
@@ -36,7 +36,8 @@ as the transpose of its row-major twin.
 reduction goes through its ``insert``: ``row_reduce`` and through it
 ``kernel``, ``rank``, ``solve`` and ``Subspace.from_spanning``, as well as
 the relation spans (balanced-tensor relations, intertwiner constraints)
-that are built up one vector at a time.  The builder keeps its reduced
+that are built up one vector at a time, over the generators of the acting
+algebra rather than its whole basis.  The builder keeps its reduced
 echelon rows as sparse ``{column: entry}`` dicts, ``null_vectors`` reads
 them in time linear in their nonzeros, and ``quotient`` takes the builder
 itself.  Over Q it eliminates without fractions: it clears each inserted
@@ -272,7 +273,7 @@ class DenseMatrix:
     scanning its entries again.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "den")
+    __slots__ = ("field", "rows", "cols", "entries", "den", "_ints")
 
     def __init__(self, field: FieldSpec, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -297,6 +298,7 @@ class DenseMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("DenseMatrix is immutable")
@@ -340,7 +342,10 @@ class DenseMatrix:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return self.entries[j::self.cols]
+
+    def columns(self) -> list:
+        return [self.entries[j::self.cols] for j in range(self.cols)]
 
     def row_lists(self) -> list:
         return [self.row(i) for i in range(self.rows)]
@@ -480,8 +485,13 @@ def clear_denominators(xs) -> tuple:
 
 
 def _int_entries(M: "DenseMatrix") -> list:
-    """M's entries times M.den, as ints; M's own list when M.den is 1."""
-    return M.entries if M.den == 1 else _scaled(M.entries, M.den)
+    """M's entries times M.den, as ints: M's own list when M.den is 1, and
+    otherwise scaled on first use and kept in M's ``_ints`` slot."""
+    if M.den == 1:
+        return M.entries
+    if M._ints is None:
+        object.__setattr__(M, "_ints", _scaled(M.entries, M.den))
+    return M._ints
 
 
 def _divided(xs, d: int) -> list:

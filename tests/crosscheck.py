@@ -6,9 +6,11 @@ instead of through a free basis, the dual ring as left-A-linear maps off the
 coring instead of Hom(C, A) with the entwined product, the ideal Q from the
 entwined-form condition instead of the coring condition, and every operator
 on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
-closed form, and the Morita context's maps and module structures one basis
-vector at a time instead of as matrix products.  The tests compare the two
-routes.  Unlike ``oracles.py`` this module imports the package.
+closed form, the Morita context's maps and module structures one basis
+vector at a time instead of as matrix products, and balanced tensor products
+and hom spaces with their relations over the whole basis of the algebra
+instead of over its generators.  The tests compare the two routes.  Unlike
+``oracles.py`` this module imports the package.
 """
 
 from dataclasses import dataclass
@@ -26,11 +28,14 @@ from coring_lab.coring import ComoduleInstance, CoringPresentation
 from coring_lab.exactla import (
     DenseMatrix,
     FieldSpec,
+    QuotientSpace,
     Subspace,
+    SubspaceBuilder,
     kernel,
     kron,
     kron_mul,
     mul_kron,
+    quotient,
 )
 from coring_lab.verdict import VerificationError
 
@@ -479,3 +484,53 @@ def q_left_annihilator_by_evaluation(data) -> Subspace:
     cols = [[x for q in data.Q.space.basis.row_lists() for x in S.mul_vec(g, q)]
             for g in _basis(S.dim)]
     return kernel(DenseMatrix.from_columns(ctx.field, cols, data.Q.dim * S.dim))
+
+
+# ---------------------------------------------------------------------------
+# relation spans over the whole basis of the acting algebra
+# ---------------------------------------------------------------------------
+
+
+def balanced_tensor_over_basis(M: ModulePresentation, N: ModulePresentation) -> QuotientSpace:
+    """M (x)_S N with a relation m s (x) n - m (x) s n for every basis
+    element s of S and basis vectors m, n, as dense vectors."""
+    f, dM, dN = M.field, M.dim, N.dim
+    span = SubspaceBuilder(f, dM * dN)
+    for actM, actN in zip(M.action, N.action):
+        for i in range(dM):
+            for j in range(dN):
+                rel = [0] * (dM * dN)
+                for r in range(dM):
+                    rel[r * dN + j] = f.add(rel[r * dN + j], actM.get(r, i))
+                for r in range(dN):
+                    rel[i * dN + r] = f.sub(rel[i * dN + r], actN.get(r, j))
+                span.insert(rel)
+    return quotient(span)
+
+
+def intertwiners_over_basis(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
+    """The dN x dM matrices T with T a = b T for every pair (a, b), as the
+    kernel of all the relations stacked into one matrix."""
+    rows = []
+    for a, b in pairs:
+        for i in range(dN):
+            for j in range(dM):
+                rel = [0] * (dN * dM)
+                for c in range(dM):
+                    rel[i * dM + c] = field.add(rel[i * dM + c], a.get(c, j))
+                for r in range(dN):
+                    rel[r * dM + j] = field.sub(rel[r * dM + j], b.get(i, r))
+                rows.append(rel)
+    return kernel(DenseMatrix.from_rows(field, rows, cols=dN * dM))
+
+
+def hom_module_over_basis(M: ModulePresentation, N: ModulePresentation) -> Subspace:
+    """Module maps M -> N, intertwining the action of every basis element."""
+    return intertwiners_over_basis(M.field, M.dim, N.dim, zip(M.action, N.action))
+
+
+def hom_comodule_over_basis(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
+    """Comodule maps M -> N, A-linear for every basis element of A and
+    colinear for every C-component of the coactions."""
+    pairs = list(zip(M.module.action, N.module.action)) + list(zip(M.slices(), N.slices()))
+    return intertwiners_over_basis(M.field, M.dim, N.dim, pairs)

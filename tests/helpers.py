@@ -1,5 +1,8 @@
 """Shared small presentations used across the test suite."""
 
+import importlib.util
+import os
+
 from coring_lab.exactla import QQ, DenseMatrix
 from coring_lab.algebra import AlgebraPresentation, ModulePresentation
 
@@ -61,3 +64,16 @@ def superline_context():
                                      cols=2)
     psi = doi_koppinen(H, C, A, coaction)
     return EntwinedContext(A, C, psi, [1, 0, 0, 0], name="superline")
+
+
+GENERATE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generate.py")
+
+
+def perfbench_instance(workload, name):
+    """The instance JSON that the benchmark's generator emits under this name
+    at seed 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return next(r for r in generate.WORKLOADS[workload](0, None)
+                if r["name"] == name)["instance"]

@@ -147,6 +147,31 @@ def intersect(a, b, n, p=None):
     return out
 
 
+def naive_subalgebra(mult, unit, gens, p=None):
+    """A spanning list of the subalgebra generated by the basis elements e_g,
+    g in gens: the words in them, applied to 1 by the structure constants
+    ``mult[i][j][k]`` (the e_k-coefficient of e_i e_j).  Words grow one
+    letter at a time, breadth first; a word in the span of the words kept
+    before it is dropped, and so are all its extensions, which lie in the
+    span of the extensions of the kept ones."""
+    n = len(unit)
+    kept = [[Fraction(x) for x in unit]]
+    frontier = list(kept)
+    while frontier:
+        longer = []
+        for word in frontier:
+            for g in gens:
+                w = [sum(Fraction(mult[g][j][k]) * word[j] for j in range(n))
+                     for k in range(n)]
+                if p is not None:
+                    w = [Fraction(int(x) % p) for x in w]
+                if not span_contains(kept, w, p):
+                    kept.append(w)
+                    longer.append(w)
+        frontier = longer
+    return kept
+
+
 def random_scalar(field, rng, span=5):
     """A random field element: uniform in [0, p) over Fp, an integer in
     [-span, span] over Q."""

@@ -27,9 +27,10 @@ from helpers import (
     group_algebra_z2,
     group_algebra_zn,
     module_with_zero_action,
+    perfbench_instance,
     rationals_algebra,
 )
-from oracles import naive_rank
+from oracles import naive_rank, naive_subalgebra, span_contains
 
 
 def test_verify_dual_numbers():
@@ -123,6 +124,63 @@ def test_products_of_elements_against_structure_constants(A):
         assert A.lmul_matrix(u).apply(v) == want
         assert A.rmul_matrix(v).apply(u) == want
         assert A.regular_module("left").act(v, u) == want
+
+
+# -- generators -------------------------------------------------------------
+
+
+def _product_algebra(field, n):
+    """k^n on its basis of orthogonal idempotents."""
+    mult = [[[1 if i == j == k else 0 for k in range(n)] for j in range(n)] for i in range(n)]
+    return AlgebraPresentation(field, n, mult, [1] * n, name=f"k^{n}")
+
+
+def _matrix_unit_algebra(field, units):
+    """The span of the 2x2 matrix units E_rc, (r, c) in units, in that order."""
+    n = len(units)
+    mult = [[[1 if b == c and units[k] == (a, d) else 0 for k in range(n)]
+             for (c, d) in units] for (a, b) in units]
+    unit = [1 if r == c else 0 for r, c in units]
+    return AlgebraPresentation(field, n, mult, unit, name=f"matrix units {units}")
+
+
+def _dense_qz3(field):
+    """The group algebra of Z/3 in the benchmark's dense rational basis."""
+    obj = perfbench_instance("dense", "dense-QZ3")["algebra"]
+    return AlgebraPresentation.from_json(field, obj, name="dense QZ3")
+
+
+GENERATOR_CASES = {  # name -> (algebra over a field, number of generators)
+    "QZ5": (lambda f: group_algebra_zn(5, f), 1),
+    "k^4": (lambda f: _product_algebra(f, 4), 3),
+    "k": (rationals_algebra, 0),
+    "upper-triangular": (lambda f: _matrix_unit_algebra(f, [(0, 0), (0, 1), (1, 1)]), 2),
+    "M_2": (lambda f: _matrix_unit_algebra(f, [(0, 0), (0, 1), (1, 0), (1, 1)]), 3),
+    "dense-QZ3": (_dense_qz3, 1),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_generators_against_words_closure(case, field):
+    make, count = GENERATOR_CASES[case]
+    A = make(field)
+    assert verify_algebra(A).valid
+    gens = A.generators()
+    assert len(gens) == count and gens == sorted(gens)
+    p = field.p
+    assert naive_rank(naive_subalgebra(A.mult, A.unit, gens, p), p) == A.dim
+    # the greedy rule: an index is chosen iff it lies outside the subalgebra
+    # that the indices chosen before it generate
+    for i in range(A.dim):
+        earlier = naive_subalgebra(A.mult, A.unit, [g for g in gens if g < i], p)
+        e_i = [1 if t == i else 0 for t in range(A.dim)]
+        assert (i in gens) == (not span_contains(earlier, e_i, p)), i
+
+
+def test_generators_are_memoized():
+    A = group_algebra_zn(4)
+    assert A.generators() is A.generators()
 
 
 # -- balanced tensor -----------------------------------------------------------

@@ -222,6 +222,7 @@ MALFORMED = {  # case -> edits (path into fix-h's JSON, new value)
     "coaction-string-as-list": [(("unit_coaction",), "1000")],
     "counit-zero-denominator": [(("coalgebra", "counit", 0), "1/0")],
     "mult-bool": [(("algebra", "mult", 0, 0, 0), False)],
+    "algebra-zero-dim": [(("algebra",), {"dim": 0, "mult": [], "unit": []})],
     "dim-string": [(("algebra", "dim"), "2")],
     "p-string": [(("field",), {"kind": "Fp", "p": "7"})],
     "p-bool": [(("field",), {"kind": "Fp", "p": True})],

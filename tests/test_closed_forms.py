@@ -1,20 +1,20 @@
-"""Every operator on Hom(C, A) the package builds in closed form, and every
+"""Every operator on Hom(C, A) the package builds in closed form, every
 map and module structure of the Morita context it builds as a matrix
-product, checked entry for entry against its construction one elementary map
-or basis vector at a time in ``crosscheck.py``, over Q and a prime field, on
-the fixtures, on a dense change of basis with non-integer entries and on the
-non-commutative ``fix-s``, also with a group-like x whose C-components are
-not multiples of the unit of A, and on the algebra of ``fix-s`` over the
-trivial coalgebra, where B = A is not commutative and so left and right
-multiplication by B differ."""
+product, and every relation span it takes over the generators of an
+algebra, checked entry for entry against its construction one elementary
+map, basis vector or basis element at a time in ``crosscheck.py``, over Q
+and a prime field, on the fixtures, on a dense change of basis with
+non-integer entries and on the non-commutative ``fix-s``, also with a
+group-like x whose C-components are not multiples of the unit of A, and on
+the algebra of ``fix-s`` over the trivial coalgebra, where B = A is not
+commutative and so left and right multiplication by B differ."""
 
 import functools
-import importlib.util
-import os
 import random
 
 import pytest
 
+from coring_lab import algebra, cli, coring, galois, morita
 from coring_lab.cleft import _integral_condition, _normal_basis_condition
 from coring_lab.coalgebra import _conv_operator, grouplike_coalgebra
 from coring_lab.coring import dual_action
@@ -28,8 +28,11 @@ from crosscheck import (
     Q_left_by_evaluation,
     Q_right_by_evaluation,
     at_x_by_evaluation,
+    balanced_tensor_over_basis,
     conv_operator_by_evaluation,
     dual_action_by_evaluation,
+    hom_comodule_over_basis,
+    hom_module_over_basis,
     integral_condition_by_evaluation,
     normal_basis_condition_by_evaluation,
     omega_by_evaluation,
@@ -37,9 +40,9 @@ from crosscheck import (
     q_left_annihilator_by_evaluation,
     sharp_constants_by_evaluation,
 )
+from helpers import perfbench_instance
 from oracles import random_scalar
 
-GENERATE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generate.py")
 INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \
     ["dense-QZ3", "fix-s-conj", "fix-s-over-k"]
 
@@ -47,11 +50,7 @@ INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7"
 @functools.lru_cache(maxsize=None)
 def _context(label):
     if label == "dense-QZ3":
-        spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
-        generate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generate)
-        rec = next(r for r in generate.dense(0, None) if r["name"] == label)
-        return instance_from_json(rec["instance"])
+        return instance_from_json(perfbench_instance("dense", label))
     if label == "fix-s-conj":
         # u x u^-1 is a group-like of the coring for every unit u of A
         ctx = fixture("fix-s").context
@@ -121,3 +120,32 @@ def test_closed_form_matches_evaluation(label, construction):
     ctx = _context(label)
     for closed, evaluated in _pairs(ctx, construction):
         assert closed == evaluated
+
+
+RELATION_SPANS = {  # name -> (the modules that call it, its whole-basis reference)
+    "balanced_tensor": ((algebra, galois, morita), balanced_tensor_over_basis),
+    "hom_module": ((algebra, galois, morita), hom_module_over_basis),
+    "hom_comodule": ((coring, galois), hom_comodule_over_basis),
+}
+
+
+@pytest.mark.parametrize("label", INSTANCES)
+def test_relation_spans_over_generators_match_whole_basis(label, monkeypatch):
+    """Every balanced tensor product and hom space that one analysis builds,
+    with relations over the algebra's generators, equals the one built with
+    relations over its whole basis: the same subspace, and the same
+    projection and section of the quotient."""
+    calls = []
+    for name, (modules, _) in RELATION_SPANS.items():
+        def recording(M, N, runtime=getattr(modules[0], name), name=name):
+            out = runtime(M, N)
+            calls.append((name, M, N, out))
+            return out
+        for module in modules:
+            monkeypatch.setattr(module, name, recording)
+    ctx = _context.__wrapped__(label)  # a fresh context, with nothing memoized
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert {name for name, *_ in calls} == set(RELATION_SPANS)
+    for name, M, N, out in calls:
+        assert out == RELATION_SPANS[name][1](M, N), (name, M, N)
