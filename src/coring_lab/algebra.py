@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .exactla import (
     DenseMatrix,
     FieldSpec,
+    NotInSubspace,
     QuotientSpace,
     ShapeError,
     Subspace,
@@ -31,6 +32,7 @@ from .exactla import (
     divide_out,
     json_dim,
     json_get,
+    mul_kron,
     null_vectors,
     once,
     parse_array,
@@ -120,6 +122,11 @@ class AlgebraPresentation:
         return gens
 
     @once
+    def unit_matrix(self) -> DenseMatrix:
+        """The unit as a dim x 1 matrix, the map k -> A."""
+        return DenseMatrix.from_columns(self.field, [self.unit], self.dim)
+
+    @once
     def mult_matrix(self) -> DenseMatrix:
         """Multiplication as a matrix A (x) A -> A, column (i*dim+j) = e_i e_j."""
         return DenseMatrix.from_columns(self.field, [cell for row in self.mult for cell in row],
@@ -181,9 +188,6 @@ class ModulePresentation:
     def act_matrix(self, u: Sequence) -> DenseMatrix:
         """Action of the algebra element with coordinate vector u."""
         return combine_matrices(self.field, self.dim, self.dim, u, self.action)
-
-    def act(self, m: Sequence, u: Sequence) -> list:
-        return self.act_matrix(u).apply(m)
 
     @once
     def action_map(self) -> DenseMatrix:
@@ -422,22 +426,12 @@ def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]
     if r == 0:
         return False, None
     # unknowns t[i][j], sigma_i = sum_j t[i][j] h_j; equations: for each basis
-    # m_k of M:  sum_i  m_i . (sigma_i(m_k))  =  m_k
-    rows = [[0] * (d * r) for _ in range(d * d)]
-    rhs = []
-    for k in range(d):
-        for i in range(d):
-            for j in range(r):
-                s = homs[j].col(k)  # h_j(m_k) in S-coordinates
-                # m_i acted on by that S-element
-                w = M.act([1 if t == i else 0 for t in range(d)], s)
-                for c in range(d):
-                    if w[c]:
-                        rows[k * d + c][i * r + j] = f.add(rows[k * d + c][i * r + j], w[c])
-        e_k = [1 if t == k else 0 for t in range(d)]
-        rhs.extend(e_k)
-    system = DenseMatrix.from_rows(f, rows, cols=d * r)
-    sol = solve(system, rhs)
+    # m_k of M:  sum_i  m_i . (sigma_i(m_k))  =  m_k.  Column (i, j) of the
+    # system is column i of the action of h_j(m_k), stacked over k.
+    acts = [[M.act_matrix(h.col(k)) for k in range(d)] for h in homs]
+    system = DenseMatrix.from_columns(
+        f, [[x for a in acts[j] for x in a.col(i)] for i in range(d) for j in range(r)], d * d)
+    sol = solve(system, DenseMatrix.identity(f, d).entries)
     if sol is None:
         return False, None
     # assemble the splitting M -> S^d as a (d*dS) x d matrix
@@ -478,19 +472,18 @@ def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> Tu
     the embedding matrix into A.  Raises VerificationError when the subspace
     is not closed or misses the unit, which would flag an upstream bug.
     """
-    f = A.field
-    if not space.contains(A.unit):
+    try:
+        unit = space.coords(A.unit)
+    except NotInSubspace:
         raise VerificationError("subalgebra_on", one_failure(
-            "subalgebra-unit", detail="unit of A is not in the subspace"))
+            "subalgebra-unit", detail="unit of A is not in the subspace")) from None
     d = space.dim
     emb = space.embedding
-    mult = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = A.mul_vec(emb.col(i), emb.col(j))
-            if not space.contains(prod):
-                raise VerificationError("subalgebra_on",
-                                        one_failure("subalgebra-closure", (i, j)))
-            mult[i][j] = space.coords(prod)
-    unit = space.coords(A.unit)
-    return AlgebraPresentation(f, d, mult, unit, name=name), emb
+    # column (i, j) of the products is b_i b_j
+    try:
+        prods = space.coords_matrix(mul_kron(A.mult_matrix(), emb, emb))
+    except NotInSubspace as exc:
+        raise VerificationError("subalgebra_on", one_failure(
+            "subalgebra-closure", divmod(exc.column, d))) from None
+    mult = [[prods.col(i * d + j) for j in range(d)] for i in range(d)]
+    return AlgebraPresentation(A.field, d, mult, unit, name=name), emb

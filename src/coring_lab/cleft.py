@@ -30,7 +30,7 @@ from .coalgebra import (
     convolution_unit,
     is_grouplike_C,
 )
-from .coring import ComoduleInstance, coinvariants, dual_action
+from .coring import ComoduleInstance, coinvariants, dual_action, stack_slices
 from .exactla import (
     DenseMatrix,
     FieldSpec,
@@ -241,22 +241,13 @@ def is_colinear(ctx, lam: DenseMatrix) -> bool:
     return rho_A.mul(lam) == kron_mul(lam, eyeC, ctx.C.comult_matrix())
 
 
+@once
 def x_case_grouplike(ctx) -> Optional[list]:
-    """When the unit coaction is 1_A (x) x for a group-like x of C, return x."""
-    f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
-    u = ctx.unit_coaction
-    pivot = next((i for i in range(nA) if ctx.A.unit[i]), None)
-    if pivot is None:
-        return None
-    x = [f.div(u[pivot * nC + k], ctx.A.unit[pivot]) for k in range(nC)]
-    for i in range(nA):
-        for k in range(nC):
-            if u[i * nC + k] != f.mul(ctx.A.unit[i], x[k]):
-                return None
-    if not is_grouplike_C(ctx.C, x):
-        return None
-    return x
+    """When the unit coaction is 1_A (x) x for a group-like x of C, return x:
+    the solution of kron(1_A, I_C) x = u, unique because 1_A is nonzero."""
+    x = solve(kron(ctx.A.unit_matrix(), DenseMatrix.identity(ctx.field, ctx.C.dim)),
+              ctx.unit_coaction)
+    return x if x is not None and is_grouplike_C(ctx.C, x) else None
 
 
 def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> Dict[str, object]:
@@ -300,14 +291,13 @@ def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> Dict[str, ob
 # ---------------------------------------------------------------------------
 
 
-def _trivialized(ctx, witness: CleftWitness, M: ComoduleInstance) -> List[List[list]]:
-    """Per basis vector m of M and per basis vector c_k of C, the coinvariant
-    coordinates of the c_k-component of sum (m_(0) . lam_bar) (x) m_(1)."""
-    nC = ctx.C.dim
+def _trivialized(ctx, witness: CleftWitness, M: ComoduleInstance) -> DenseMatrix:
+    """m -> sum (m_(0) . lam_bar) (x) m_(1) into (coinvariants of M) (x) C:
+    its c_k-component is D rho_k, D the action of lam_bar, read in the
+    coinvariants' coordinates."""
     D = dual_action(M).act_matrix(witness.lam_bar.entries)
-    lifted = kron_mul(D, DenseMatrix.identity(ctx.field, nC), M.coaction)  # M -> M (x) C
     coinv = coinvariants(M)  # theorem: every component lands in the coinvariants
-    return [[coinv.coords(lifted.col(m)[k::nC]) for k in range(nC)] for m in range(M.dim)]
+    return stack_slices(ctx.field, [coinv.coords_matrix(D.mul(rho_k)) for rho_k in M.slices()])
 
 
 def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
@@ -317,9 +307,7 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     f = ctx.field
     nC = ctx.C.dim
     coinv = coinvariants(M)
-    cols = [[part[k][r] for r in range(coinv.dim) for k in range(nC)]
-            for part in _trivialized(ctx, witness, M)]
-    gamma = DenseMatrix.from_columns(f, cols, coinv.dim * nC)
+    gamma = _trivialized(ctx, witness, M)
     acts = [M.module.act_matrix(witness.lam.col(k)) for k in range(nC)]
     inv_cols = [a.apply(coinv.basis.row(r)) for r in range(coinv.dim) for a in acts]
     gamma_inv = DenseMatrix.from_columns(f, inv_cols, M.dim)
@@ -333,31 +321,24 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     return gamma, gamma_inv
 
 
+def cleft_psi_inverse(ctx, witness: CleftWitness, M: ComoduleInstance) -> DenseMatrix:
+    """The explicit weak-structure inverse attached to a cleft witness,
+    m -> sum (m_(0) lam_bar) (x)_B lam(m_(1)): the trivialization, then
+    n (x) c_k -> n (x)_B lam(c_k)."""
+    from .galois import _coinv_tensor_A
+    eye = DenseMatrix.identity(ctx.field, coinvariants(M).dim)
+    return _coinv_tensor_A(ctx, M).projection.mul(
+        kron_mul(eye, witness.lam, _trivialized(ctx, witness, M)))
+
+
 def cleft_psi_inverse_check(ctx, witness: CleftWitness, M: ComoduleInstance) -> bool:
-    """The explicit weak-structure inverse attached to a cleft witness:
-    m -> sum (m_(0) lam_bar) (x)_B lam(m_(1)); verified against the forward
-    map exactly."""
-    from .galois import psi_M, _coinv_tensor_A
+    """``cleft_psi_inverse`` verified against the forward map exactly."""
+    from .galois import psi_M
     f = ctx.field
-    nA = ctx.A.dim
-    coinv = coinvariants(M)
-    tensor = _coinv_tensor_A(ctx, M)
-    cols = []
-    for part in _trivialized(ctx, witness, M):
-        plain = [0] * (coinv.dim * nA)
-        for k, coords in enumerate(part):
-            lam_k = witness.lam.col(k)
-            for r in range(coinv.dim):
-                if coords[r]:
-                    for j in range(nA):
-                        if lam_k[j]:
-                            plain[r * nA + j] = f.add(plain[r * nA + j],
-                                                      f.mul(coords[r], lam_k[j]))
-        cols.append(tensor.project(plain))
-    tilde = DenseMatrix.from_columns(f, cols, tensor.dim)
+    tilde = cleft_psi_inverse(ctx, witness, M)
     psi_mat, _ = psi_M(ctx, M)
     return psi_mat.mul(tilde) == DenseMatrix.identity(f, M.dim) and \
-        tilde.mul(psi_mat) == DenseMatrix.identity(f, tensor.dim)
+        tilde.mul(psi_mat) == DenseMatrix.identity(f, tilde.rows)
 
 
 # ---------------------------------------------------------------------------

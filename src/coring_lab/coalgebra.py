@@ -18,6 +18,7 @@ from .exactla import (
     ShapeError,
     json_dim,
     json_get,
+    kron,
     kron_mul,
     once,
     parse_array,
@@ -142,11 +143,7 @@ def verify_coalgebra(C: CoalgebraPresentation) -> Verdict:
 
 def convolution_unit(C: CoalgebraPresentation, A: AlgebraPresentation) -> DenseMatrix:
     """The unit eta_A . eps_C of the convolution algebra."""
-    rows = []
-    for i in range(A.dim):
-        u = A.unit[i]
-        rows.append([A.field.mul(u, e) for e in C.counit])
-    return DenseMatrix.from_rows(A.field, rows, cols=C.dim)
+    return kron(A.unit_matrix(), C.counit_matrix())
 
 
 def convolution(fmap: DenseMatrix, gmap: DenseMatrix, C: CoalgebraPresentation,
@@ -190,16 +187,7 @@ def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,
 
 def is_grouplike_C(C: CoalgebraPresentation, x: Sequence) -> bool:
     """Delta(x) = x (x) x and eps(x) = 1, both exact."""
-    f = C.field
-    x = [f.normalize(t) for t in x]
     if len(x) != C.dim:
         raise ShapeError("candidate has the wrong length")
-    if C.counit_vec(x) != f.one:
-        return False
-    dx = C.comult_vec(x)
-    m = C.dim
-    for j in range(m):
-        for k in range(m):
-            if dx[j * m + k] != f.mul(x[j], x[k]):
-                return False
-    return True
+    X = DenseMatrix.from_columns(C.field, [x], C.dim)
+    return C.counit_vec(X.entries) == 1 and C.comult_vec(X.entries) == kron(X, X).entries

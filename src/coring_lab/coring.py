@@ -32,6 +32,7 @@ from .exactla import (
     FieldSpec,
     ShapeError,
     Subspace,
+    combine_matrices,
     combine_rows,
     json_dim,
     json_get,
@@ -242,21 +243,9 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
 
 def is_grouplike(cor: CoringPresentation, x: Sequence, red: SquareReducer) -> bool:
     """Delta(x) = x (x)_A x after projection, and eps(x) = 1_A."""
-    f = cor.field
-    x = [f.normalize(t) for t in x]
-    if cor.counit_vec(x) != [f.normalize(u) for u in cor.A.unit]:
-        return False
-    lhs = red.reduced_delta().apply(x)
-    n = cor.dim
-    xx = [0] * (n * n)
-    for i, a in enumerate(x):
-        if not a:
-            continue
-        for j, b in enumerate(x):
-            if b:
-                xx[i * n + j] = f.mul(a, b)
-    rhs = red.project(xx)
-    return lhs == rhs
+    X = DenseMatrix.from_columns(cor.field, [x], cor.dim)
+    return cor.counit_vec(X.entries) == cor.A.unit and \
+        red.reduced_delta().apply(X.entries) == red.project(kron(X, X).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +283,8 @@ class ComoduleInstance:
 
     @once
     def slices(self) -> List[DenseMatrix]:
-        """The C-components of the coaction: row m of slice c is row (m, c)."""
+        """The C-components of the coaction: row m of slice c is row (m, c);
+        ``stack_slices`` is the inverse."""
         nC = self.ctx.C.dim
         return [DenseMatrix.from_rows(self.field, [self.coaction.row(m * nC + c)
                                                    for m in range(self.dim)], cols=self.dim)
@@ -349,6 +339,15 @@ class ComoduleInstance:
         return f"ComoduleInstance({label})"
 
 
+def stack_slices(field: FieldSpec, parts: Sequence[DenseMatrix]) -> DenseMatrix:
+    """The map into M (x) C whose C-components are ``parts``, all of one
+    shape: row (m, c) is row m of parts[c]; the inverse of
+    ``ComoduleInstance.slices``."""
+    rows, cols = parts[0].rows, parts[0].cols
+    return DenseMatrix(field, rows * len(parts), cols,
+                       [x for m in range(rows) for P in parts for x in P.row(m)])
+
+
 def zero_comodule(ctx) -> ComoduleInstance:
     from .algebra import zero_module
     f = ctx.A.field
@@ -378,15 +377,10 @@ def direct_sum_comodule(M: ComoduleInstance, N: ComoduleInstance,
 
 def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> ComoduleInstance:
     """The subcomodule on an action- and coaction-invariant subspace."""
-    ctx = M.ctx
-    f = M.field
-    nC = ctx.C.dim
-    mod = M.module.restrict(sub)
     # per C-component c, the coordinates of rho_c on the subspace
-    parts = [sub.coords_matrix(rho_c.mul(sub.embedding)) for rho_c in M.slices()]
-    rho = DenseMatrix.from_rows(f, [parts[k].row(r) for r in range(sub.dim) for k in range(nC)],
-                                cols=sub.dim)
-    return ComoduleInstance(ctx, mod, rho, name=name)
+    rho = stack_slices(M.field, [sub.coords_matrix(rho_c.mul(sub.embedding))
+                                 for rho_c in M.slices()])
+    return ComoduleInstance(M.ctx, M.module.restrict(sub), rho, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +398,18 @@ def dual_action(M: ComoduleInstance) -> ModulePresentation:
                               name=f"{M.name} over dual ring")
 
 
+def _tensor_x(ctx, W: ModulePresentation) -> DenseMatrix:
+    """T_x: w -> w (x)_A x = sum x[(i,k)] (w . e_i) (x) c_k on a right
+    A-module W: its component k is the action of x_k, the k-th C-component
+    of x."""
+    nC = ctx.C.dim
+    return stack_slices(W.field, [W.act_matrix(ctx.x[k::nC]) for k in range(nC)])
+
+
 @once
 def coinvariants(M: ComoduleInstance) -> Subspace:
     """{m : rho(m) = m (x)_A x} as a subspace of M."""
-    ctx = M.ctx
-    f = M.field
-    d, nC = M.dim, ctx.C.dim
-    x = ctx.x
-    nA = ctx.A.dim
-    # T_x(m) = sum x[(i,k)] (m . e_i) (x) c_k
-    rows = [[0] * d for _ in range(d * nC)]
-    for i in range(nA):
-        for k in range(nC):
-            coef = x[i * nC + k]
-            if coef:
-                act = M.module.action[i]
-                for r in range(d):
-                    arow = act.row(r)
-                    target = rows[r * nC + k]
-                    for c in range(d):
-                        if arow[c]:
-                            target[c] = f.add(target[c], f.mul(coef, arow[c]))
-    t_x = DenseMatrix.from_rows(f, rows, cols=d)
-    return kernel(M.coaction.sub(t_x))
+    return kernel(M.coaction.sub(_tensor_x(M.ctx, M.module)))
 
 
 @once
@@ -458,39 +441,33 @@ def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
     return intertwiner_space(M.field, M.dim, N.dim, pairs + list(zip(M.slices(), N.slices())))
 
 
+def induced_action(ctx, W: ModulePresentation) -> List[DenseMatrix]:
+    """The right A-action on W (x) C through psi, (w (x) c) . a = sum
+    w a_psi (x) c^psi: e_i acts as the sum over t of kron(rho_W(e_t),
+    Psi_it), Psi_it the row block t of ``ctx.psi_slice(i)``, over the blocks
+    that are nonzero.  For W = A it is the right action of the coring."""
+    f, nC = W.field, ctx.C.dim
+    d = W.dim * nC
+    mats = []
+    for i in range(ctx.A.dim):
+        psi_i = ctx.psi_slice(i).entries
+        blocks = [psi_i[t * nC * nC:(t + 1) * nC * nC] for t in range(ctx.A.dim)]
+        terms = [kron(W.action[t], DenseMatrix(f, nC, nC, b))
+                 for t, b in enumerate(blocks) if any(b)]
+        mats.append(combine_matrices(f, d, d, [1] * len(terms), terms))
+    return mats
+
+
 def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInstance:
     """W (x)_A (coring) in entwined coordinates W (x) C.
 
-    Action (w (x) c) . a = sum w a_psi (x) c^psi, coaction on the C leg by
-    comultiplication.
+    Action ``induced_action``, coaction on the C leg by comultiplication.
     """
     if W.side != "right":
         raise ShapeError("induction starts from a right A-module")
-    f = W.field
-    dW, nA, nC = W.dim, ctx.A.dim, ctx.C.dim
-    d = dW * nC
-    psi = ctx.psi
-    mats = []
-    for i in range(nA):
-        rows_out = [[0] * d for _ in range(d)]
-        for k in range(nC):
-            pcol = psi.col(k * nA + i)
-            for a2 in range(nA):
-                for k2 in range(nC):
-                    coef = pcol[a2 * nC + k2]
-                    if not coef:
-                        continue
-                    act = W.action[a2]
-                    for r in range(dW):
-                        arow = act.row(r)
-                        target = rows_out[r * nC + k2]
-                        for c in range(dW):
-                            if arow[c]:
-                                target[c * nC + k] = f.add(
-                                    target[c * nC + k], f.mul(coef, arow[c]))
-        mats.append(DenseMatrix.from_rows(f, rows_out, cols=d))
-    mod = ModulePresentation(ctx.A, d, "right", mats, name=name or "induced")
-    rho = kron(DenseMatrix.identity(f, dW), ctx.C.comult_matrix())
+    mod = ModulePresentation(ctx.A, W.dim * ctx.C.dim, "right", induced_action(ctx, W),
+                             name=name or "induced")
+    rho = kron(DenseMatrix.identity(W.field, W.dim), ctx.C.comult_matrix())
     return ComoduleInstance(ctx, mod, rho, name=name or f"{W.name or 'W'}(x)coring")
 
 
@@ -504,28 +481,12 @@ def comodule_from_dual_module(ctx, mod: ModulePresentation,
     """
     sharp = ctx.sharp_ring()
     f = mod.field
-    d, nA, nC = mod.dim, ctx.A.dim, ctx.C.dim
-    duals = []
-    for j in range(nC):
-        coords = [0] * (nA * nC)
-        for i in range(nA):
-            if ctx.A.unit[i]:
-                coords[i * nC + j] = ctx.A.unit[i]
-        duals.append(mod.act_matrix(coords))
-    rows = [[0] * d for _ in range(d * nC)]
-    for j in range(nC):
-        dj = duals[j]
-        for r in range(d):
-            drow = dj.row(r)
-            target = rows[r * nC + j]
-            for c in range(d):
-                if drow[c]:
-                    target[c] = f.add(target[c], drow[c])
-    rho = DenseMatrix.from_rows(f, rows, cols=d)
+    # f^j is column j of kron(1_A, I_C)
+    duals = kron(ctx.A.unit_matrix(), DenseMatrix.identity(f, ctx.C.dim))
+    rho = stack_slices(f, [mod.act_matrix(duals.col(j)) for j in range(ctx.C.dim)])
     amod = ModulePresentation(
-        ctx.A, d, "right",
-        [mod.act_matrix(sharp.embed_A([1 if t == i else 0 for t in range(nA)]))
-         for i in range(nA)],
+        ctx.A, mod.dim, "right",
+        [mod.act_matrix(sharp.embed_A(e)) for e in DenseMatrix.identity(f, ctx.A.dim).row_lists()],
         name=name)
     return ComoduleInstance(ctx, amod, rho, name=name or "dual-module comodule")
 

@@ -23,6 +23,7 @@ from .coring import (
     ComoduleInstance,
     CoringPresentation,
     SquareReducer,
+    induced_action,
     is_grouplike,
     square_reducer,
 )
@@ -66,6 +67,7 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
         raise ShapeError("psi has the wrong shape")
     eyeA = DenseMatrix.identity(f, nA)
     eyeC = DenseMatrix.identity(f, nC)
+    one = A.unit_matrix()
     mult = A.mult_matrix()
     delta = C.comult_matrix()
     eps = C.counit_matrix()
@@ -78,18 +80,8 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
                 v.fail("entwining-multiplicativity",
                        (j // (nA * nA), (j // nA) % nA, j % nA))
     # unit: psi(c (x) 1) = 1 (x) c
-    unit_ins = DenseMatrix.from_columns(
-        f, [[A.unit[idx % nA] if idx // nA == k else 0 for idx in range(nC * nA)]
-            for k in range(nC)], nC * nA)
-    lhs = psi.mul(unit_ins)
-    rhs_cols = []
-    for k in range(nC):
-        col = [0] * (nA * nC)
-        for j in range(nA):
-            if A.unit[j]:
-                col[j * nC + k] = A.unit[j]
-        rhs_cols.append(col)
-    rhs = DenseMatrix.from_columns(f, rhs_cols, nA * nC)
+    lhs = mul_kron(psi, eyeC, one)
+    rhs = kron(one, eyeC)
     if lhs != rhs:
         for k in range(nC):
             if lhs.col(k) != rhs.col(k):
@@ -103,13 +95,7 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
                 v.fail("entwining-comultiplicativity", (j // nA, j % nA))
     # counit on C (x) A
     lhs = kron_mul(eyeA, eps, psi)
-    rhs_cols = []
-    for k in range(nC):
-        for j in range(nA):
-            col = [0] * nA
-            col[j] = C.counit[k]
-            rhs_cols.append(col)
-    rhs = DenseMatrix.from_columns(f, rhs_cols, nA)
+    rhs = kron(eps, eyeA)
     if lhs != rhs:
         for j in range(lhs.cols):
             if lhs.col(j) != rhs.col(j):
@@ -135,22 +121,16 @@ class SharpRing:
         # Psi_a = ctx.psi_slice(a), the psi columns (k, a); D_c = comult_slices("second")[c]
         A, C = ctx.A, ctx.C
         f = A.field
-        nA, nC = A.dim, C.dim
+        nC = C.dim
         self.ctx = ctx
         consts = []
-        for a in range(nA):
+        for a in range(A.dim):
             for D in C.comult_slices("second"):
                 Y = ctx.psi_slice(a).mul(D)
-                rows_d = [DenseMatrix.from_rows(f, [Y.row(a2 * nC + d) for a2 in range(nA)],
+                rows_d = [DenseMatrix.from_rows(f, [Y.row(a2 * nC + d) for a2 in range(A.dim)],
                                                 cols=nC) for d in range(nC)]
                 consts.append([R.mul(X).entries for R in A.rmuls for X in rows_d])
-        unit_vec = [0] * (nA * nC)
-        for i in range(nA):
-            if A.unit[i]:
-                for k in range(nC):
-                    if C.counit[k]:
-                        unit_vec[i * nC + k] = f.mul(A.unit[i], C.counit[k])
-        self.algebra = AlgebraPresentation(f, nA * nC, consts, unit_vec,
+        self.algebra = AlgebraPresentation(f, A.dim * nC, consts, self.embed_A(A.unit),
                                            name="Hom(C,A) ring")
 
     @once
@@ -164,17 +144,10 @@ class SharpRing:
             ctx.A.dim)
 
     def embed_A(self, a: Sequence) -> list:
-        """c -> eps(c) a, the unit embedding of A into the ring."""
-        f = self.ctx.A.field
-        nC = self.ctx.C.dim
-        out = [0] * (self.ctx.A.dim * nC)
-        for i, ai in enumerate(a):
-            if ai:
-                for k in range(nC):
-                    e = self.ctx.C.counit[k]
-                    if e:
-                        out[i * nC + k] = f.mul(ai, e)
-        return out
+        """c -> eps(c) a, the unit embedding of A into the ring: the
+        coordinates of a (x) eps, one normalization per product."""
+        norm = self.ctx.field.normalize
+        return [norm(x * e) for x in a for e in self.ctx.C.counit]
 
 
 def build_sharp_ring(ctx: "EntwinedContext") -> AlgebraPresentation:
@@ -198,41 +171,15 @@ def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
         raise VerificationError("build_coring", verdict)
     A, C = ctx.A, ctx.C
     f = A.field
-    nA, nC = A.dim, C.dim
-    dim = nA * nC
-    eyeC = DenseMatrix.identity(f, nC)
-    eyeA = DenseMatrix.identity(f, nA)
-    mult = A.mult_matrix()
-    left = []
-    right = []
-    for i in range(nA):
-        e_i = [1 if t == i else 0 for t in range(nA)]
-        left.append(kron(A.lmul_matrix(e_i), eyeC))
-        right.append(kron_mul(mult, eyeC, kron(eyeA, ctx.psi_slice(i))))
-    lift_cols = []
-    for i in range(nA):
-        for k in range(nC):
-            col = [0] * (dim * dim)
-            for k1 in range(nC):
-                for k2 in range(nC):
-                    d = C.comult[k][k1][k2]
-                    if d:
-                        for u in range(nA):
-                            if A.unit[u]:
-                                col[(i * nC + k1) * dim + (u * nC + k2)] = \
-                                    f.mul(d, A.unit[u])
-            lift_cols.append(col)
-    delta_lift = DenseMatrix.from_columns(f, lift_cols, dim * dim)
+    eyeC = DenseMatrix.identity(f, C.dim)
+    eyeA = DenseMatrix.identity(f, A.dim)
+    left = [kron(L, eyeC) for L in A.lmuls]
+    right = induced_action(ctx, A.regular_module("right"))
+    # the free basis 1 (x) c_j, and Delta(a (x) c) = sum (a (x) c_1) (x) (1 (x) c_2)
+    free_basis = kron(A.unit_matrix(), eyeC)
+    delta_lift = kron(eyeA, kron_mul(eyeC, free_basis, C.comult_matrix()))
     counit = kron(eyeA, C.counit_matrix())
-    basis_cols = []
-    for j in range(nC):
-        col = [0] * dim
-        for i in range(nA):
-            if A.unit[i]:
-                col[i * nC + j] = A.unit[i]
-        basis_cols.append(col)
-    free_basis = DenseMatrix.from_columns(f, basis_cols, dim)
-    return CoringPresentation(A, dim, left, right, delta_lift, counit,
+    return CoringPresentation(A, A.dim * C.dim, left, right, delta_lift, counit,
                               free_left_basis=free_basis,
                               name=f"A(x)C[{ctx.name}]" if ctx.name else "A(x)C")
 
@@ -242,22 +189,14 @@ def comodule_algebra_from_unit(ctx: "EntwinedContext") -> Tuple[ComoduleInstance
     group-like element it determines; every required law is verified."""
     A, C = ctx.A, ctx.C
     f = A.field
-    nA, nC = A.dim, C.dim
     u = ctx.unit_coaction
     # ins_u: A -> A (x) C (x) A, a -> u (x) a
-    cols = []
-    for j in range(nA):
-        col = [0] * (nA * nC * nA)
-        for idx, coef in enumerate(u):
-            if coef:
-                col[idx * nA + j] = coef
-        cols.append(col)
-    ins_u = DenseMatrix.from_columns(f, cols, nA * nC * nA)
-    rho = kron_mul(A.mult_matrix(), DenseMatrix.identity(f, nC),
-                   kron_mul(DenseMatrix.identity(f, nA), ctx.psi, ins_u))
+    ins_u = kron(DenseMatrix.from_columns(f, [u], A.dim * C.dim), DenseMatrix.identity(f, A.dim))
+    rho = kron_mul(A.mult_matrix(), DenseMatrix.identity(f, C.dim),
+                   kron_mul(DenseMatrix.identity(f, A.dim), ctx.psi, ins_u))
     comodule = ComoduleInstance(ctx, A.regular_module("right"), rho, name="A")
     verdict = comodule.verify()
-    if rho.apply(A.unit) != [f.normalize(t) for t in u]:
+    if rho.apply(A.unit) != u:
         verdict.fail("unit-coaction-consistency", (),
                      "rho(1) disagrees with the declared unit coaction")
     if not verdict.valid:
@@ -293,16 +232,10 @@ def verify_bialgebra(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation)
     eps = H_coalg.counit_matrix()
     if eps.mul(mult) != kron(eps, eps):
         v.fail("counit-not-algebra-map")
-    du = delta.apply(H_alg.unit)
-    uu = [0] * (n * n)
-    for i in range(n):
-        if H_alg.unit[i]:
-            for j in range(n):
-                if H_alg.unit[j]:
-                    uu[i * n + j] = f.mul(H_alg.unit[i], H_alg.unit[j])
-    if du != uu:
+    one = H_alg.unit_matrix()
+    if delta.apply(H_alg.unit) != kron(one, one).entries:
         v.fail("comultiplication-of-unit")
-    if H_coalg.counit_vec(H_alg.unit) != f.one:
+    if H_coalg.counit_vec(H_alg.unit) != 1:
         v.fail("counit-of-unit")
     return v
 
@@ -330,14 +263,7 @@ def verify_comodule_algebra(H_alg: AlgebraPresentation,
             A.mult_matrix(), H_alg.mult_matrix(),
             kron_mul(eyeA, mid, kron(coaction, coaction))):
         v.fail("coaction-not-algebra-map")
-    ru = coaction.apply(A.unit)
-    want = [0] * (nA * nH)
-    for i in range(nA):
-        if A.unit[i]:
-            for j in range(nH):
-                if H_alg.unit[j]:
-                    want[i * nH + j] = f.mul(A.unit[i], H_alg.unit[j])
-    if ru != want:
+    if coaction.apply(A.unit) != kron(A.unit_matrix(), H_alg.unit_matrix()).entries:
         v.fail("coaction-of-unit")
     return v
 
@@ -352,24 +278,11 @@ def doi_koppinen(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation,
     verdict = verify_comodule_algebra(H_alg, H_coalg, A, coaction)
     if not verdict.valid:
         raise VerificationError("doi_koppinen comodule algebra", verdict)
-    f = A.field
-    nA, nH = A.dim, H_alg.dim
-    cols = []
-    for k in range(nH):
-        for j in range(nA):
-            col = [0] * (nA * nH)
-            rho_j = coaction.col(j)
-            for a2 in range(nA):
-                for l in range(nH):
-                    coef = rho_j[a2 * nH + l]
-                    if coef:
-                        prod = H_alg.mult[k][l]
-                        for m in range(nH):
-                            if prod[m]:
-                                col[a2 * nH + m] = f.add(col[a2 * nH + m],
-                                                         f.mul(coef, prod[m]))
-            cols.append(col)
-    return DenseMatrix.from_columns(f, cols, nA * nH)
+    # column (k, j) is column j of (id (x) lmul(h_k)) rho
+    eyeA = DenseMatrix.identity(A.field, A.dim)
+    images = [kron_mul(eyeA, L, coaction) for L in H_alg.lmuls]
+    return DenseMatrix.from_columns(A.field, [Y.col(j) for Y in images for j in range(A.dim)],
+                                    A.dim * H_alg.dim)
 
 
 # ---------------------------------------------------------------------------

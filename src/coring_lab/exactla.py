@@ -9,17 +9,20 @@ point anywhere.
 Rational entries are plain Python ``int`` whenever the value is integral and
 ``fractions.Fraction`` otherwise; both are exact and interoperate, and the
 integer fast path matters because structure constants are almost always small
-integers.  Prime-field entries are ints in ``[0, p)``.
+integers.  Prime-field entries are ints in ``[0, p)``.  ``FieldSpec`` only
+normalizes, parses and serializes scalars and offers no arithmetic: every
+structure map of the package is a matrix expression built from the
+operations below.
 
 Every matrix is built by ``DenseMatrix.__init__``, which normalizes each entry
 and records ``den``: over Q the lcm of the entries' denominators (1 when
 every entry is an int, which one C-level scan of the entry types detects),
-over Fp always 1.  Products over Q are fraction-free: ``mul``, ``kron_mul``,
-``mul_kron``, ``apply``, ``combine_rows`` and ``combine_matrices`` scale
-their operands to ints once (a matrix with ``den > 1`` keeps its scaled
-entries from its first product on), accumulate ints, and divide once per
-output entry by the product of the scales, giving an ``int`` where the
-quotient is integral and a ``Fraction`` otherwise.
+over Fp always 1.  Products over Q are fraction-free: ``mul``, ``kron``,
+``kron_mul``, ``mul_kron``, ``apply``, ``combine_rows`` and
+``combine_matrices`` scale their operands to ints once (a matrix with
+``den > 1`` keeps its scaled entries from its first product on), accumulate
+ints, and divide once per output entry by the product of the scales, giving
+an ``int`` where the quotient is integral and a ``Fraction`` otherwise.
 Integer operands take the same path with every scale 1.  The pair
 ``clear_denominators`` and ``divide_out`` offers that path to loops outside
 this module.
@@ -28,9 +31,16 @@ Structure maps between tensor products are applied, not built:
 ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M, N)`` is
 ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.
 ``DenseMatrix.mul`` collects the nonzero (column, entry) pairs of each row
-of its right factor once per call and multiplies only those.  A linear map
+of its right factor once per call and multiplies only those; a single
+vector goes through ``apply``, which skips its zero entries.  A linear map
 assembled column by column is built with ``DenseMatrix.from_columns``, never
 as the transpose of its row-major twin.
+
+``Subspace.coords_matrix`` is the one membership routine: it reads the
+echelon coordinates of every column of a matrix at the pivots and re-checks
+them with one product.  ``coords``, ``contains`` and ``contains_columns``
+are its one-column and boolean cases, as ``solve`` is the one-column case
+of ``solve_matrix``.
 
 ``SubspaceBuilder`` is the package's one elimination routine.  Every
 reduction goes through its ``insert``: ``row_reduce`` and through it
@@ -129,6 +139,9 @@ class FieldSpec:
 
     The ground ring is restricted to fields so that every downstream check is
     a rank computation; this is a recorded scope restriction of the engine.
+    A field spec only normalizes, parses and serializes scalars; it offers
+    no arithmetic.  Structure maps are built by the matrix operations of
+    this module, fraction-free over Q and normalized once per entry.
     """
 
     kind: str
@@ -147,11 +160,6 @@ class FieldSpec:
                 raise ShapeError(f"Fp requires a prime p, got {self.p!r}")
         elif self.p is not None:
             raise ShapeError("Q admits no modulus")
-
-    # -- element protocol -------------------------------------------------
-    @property
-    def one(self) -> Scalar:
-        return 1
 
     def normalize(self, x) -> Scalar:
         """Canonical representative: reduced Fraction/int for Q, [0,p) for Fp.
@@ -172,43 +180,6 @@ class FieldSpec:
         if isinstance(x, Fraction) and x.denominator == 1:
             return x.numerator
         return x
-
-    def add(self, a, b) -> Scalar:
-        if self.kind == "Fp":
-            return (a + b) % self.p
-        return self.normalize(a + b)
-
-    def sub(self, a, b) -> Scalar:
-        if self.kind == "Fp":
-            return (a - b) % self.p
-        return self.normalize(a - b)
-
-    def mul(self, a, b) -> Scalar:
-        if self.kind == "Fp":
-            return (a * b) % self.p
-        return self.normalize(a * b)
-
-    def neg(self, a) -> Scalar:
-        if self.kind == "Fp":
-            return (-a) % self.p
-        return -a
-
-    def inv(self, a) -> Scalar:
-        if self.kind == "Fp":
-            a %= self.p
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return pow(a, self.p - 2, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.normalize(Fraction(1, 1) / Fraction(a))
-
-    def div(self, a, b) -> Scalar:
-        if self.kind == "Fp":
-            return (a * self.inv(b)) % self.p
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        return self.normalize(Fraction(a) / Fraction(b))
 
     # -- serialization ----------------------------------------------------
     def scalar_from_str(self, s) -> Scalar:
@@ -373,20 +344,11 @@ class DenseMatrix:
         if self.rows != other.rows or self.cols != other.cols or self.field != other.field:
             raise ShapeError("shape/field mismatch")
 
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        self._check_same_shape(other)
-        f = self.field
-        return DenseMatrix(f, self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
-
     def sub(self, other: "DenseMatrix") -> "DenseMatrix":
         self._check_same_shape(other)
         f = self.field
         return DenseMatrix(f, self.rows, self.cols,
                            [a - b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, c: Scalar) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.rows, self.cols, [c * x for x in self.entries])
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.rows or self.field != other.field:
@@ -447,14 +409,16 @@ class DenseMatrix:
 
 
 def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
-    """Kronecker product; row index (i_M, i_N) -> i_M*rows(N)+i_N, same for cols."""
+    """Kronecker product; row index (i_M, i_N) -> i_M*rows(N)+i_N, same for
+    cols.  Fraction-free like the products: both factors scaled to ints."""
     if M.field != N.field:
         raise ShapeError("field mismatch")
     rows, cols = M.rows * N.rows, M.cols * N.cols
+    me, ne = _int_entries(M), _int_entries(N)
     out = [0] * (rows * cols)
     for im in range(M.rows):
         for jm in range(M.cols):
-            a = M.entries[im * M.cols + jm]
+            a = me[im * M.cols + jm]
             if not a:
                 continue
             rbase = im * N.rows
@@ -463,10 +427,10 @@ def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
                 orow = (rbase + i2) * cols + cbase
                 nrow = i2 * N.cols
                 for j2 in range(N.cols):
-                    b = N.entries[nrow + j2]
+                    b = ne[nrow + j2]
                     if b:
                         out[orow + j2] = a * b
-    return DenseMatrix(M.field, rows, cols, out)
+    return DenseMatrix(M.field, rows, cols, _divided(out, M.den * N.den))
 
 
 def _scaled(xs, d: int) -> list:
@@ -663,34 +627,16 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
-    def reduce(self, vec: Sequence[Scalar]) -> list:
-        """Remainder of vec modulo this subspace (zero iff vec is a member)."""
-        f = self.field
-        v = [f.normalize(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ShapeError("vector length mismatch")
-        rows = self.basis
-        for r, c in enumerate(self.pivots):
-            coef = v[c]
-            if coef:
-                base = r * rows.cols
-                for j in range(c, self.ambient_dim):
-                    b = rows.entries[base + j]
-                    if b:
-                        v[j] = f.sub(v[j], f.mul(coef, b))
-        return v
+    def coords(self, vec: Sequence[Scalar]) -> list:
+        """Coordinates of a member vector in the echelon basis; the
+        one-column ``coords_matrix``, raising ``NotInSubspace`` likewise."""
+        return self.coords_matrix(
+            DenseMatrix.from_columns(self.field, [vec], self.ambient_dim)).entries
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        return all(not x for x in self.reduce(vec))
-
-    def coords(self, vec: Sequence[Scalar]) -> list:
-        """Coordinates of a member vector in the echelon basis."""
-        f = self.field
-        v = [f.normalize(x) for x in vec]
-        out = [v[c] for c in self.pivots]
-        if any(x for x in self.reduce(vec)):
-            raise ExactLAError("vector is not in the subspace")
-        return out
+        """Membership of one vector; the one-column ``contains_columns``."""
+        return self.contains_columns(
+            DenseMatrix.from_columns(self.field, [vec], self.ambient_dim))
 
     def coords_matrix(self, P: DenseMatrix) -> DenseMatrix:
         """The echelon coordinates X of every column of P, basis^T X = P: X is
@@ -705,8 +651,14 @@ class Subspace:
             raise NotInSubspace(next(j for j in range(P.cols) if back.col(j) != P.col(j)))
         return X
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row(i)) for i in range(other.dim))
+    def contains_columns(self, P: DenseMatrix) -> bool:
+        """Whether every column of P lies in the subspace, read by
+        ``coords_matrix``."""
+        try:
+            self.coords_matrix(P)
+        except NotInSubspace:
+            return False
+        return True
 
 
 class SubspaceBuilder:
@@ -930,7 +882,7 @@ def null_vectors(field: FieldSpec, n: int, pivots: Iterable[int],
     for piv, row in rows.items():
         for c, coef in row.items():
             if c != piv:
-                out[free[c]][piv] = field.neg(coef)
+                out[free[c]][piv] = field.normalize(-coef)
     return out
 
 
@@ -990,9 +942,6 @@ class QuotientSpace:
     @property
     def dim(self) -> int:
         return self.projection.rows
-
-    def project(self, vec: Sequence[Scalar]) -> list:
-        return self.projection.apply(vec)
 
 
 def quotient(span: SubspaceBuilder) -> QuotientSpace:

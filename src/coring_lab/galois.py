@@ -30,7 +30,7 @@ from .exactla import (
     DenseMatrix,
     NotInSubspace,
     Subspace,
-    image,
+    kron,
     kron_mul,
     mul_kron,
     once,
@@ -120,19 +120,11 @@ def induced_from_B_module(ctx, N: ModulePresentation) -> Tuple[ComoduleInstance,
 
 def phi_N(ctx, N: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
     """The unit map N -> (N (x)_B A)^co, n -> class of n (x) 1."""
-    f = ctx.field
     comod, tensor = induced_from_B_module(ctx, N)
     coinv = coinvariants(comod)
-    nA = ctx.A.dim
-    cols = []
-    for n in range(N.dim):
-        plain = [0] * (N.dim * nA)
-        for j in range(nA):
-            if ctx.A.unit[j]:
-                plain[n * nA + j] = ctx.A.unit[j]
-        cls = tensor.project(plain)
-        cols.append(coinv.coords(cls))  # membership is a theorem; raises on bug
-    mat = DenseMatrix.from_columns(f, cols, coinv.dim)
+    # n (x) 1 is column n of kron(I_N, 1_A); membership is a theorem, raises on bug
+    mat = coinv.coords_matrix(mul_kron(tensor.projection, DenseMatrix.identity(ctx.field, N.dim),
+                                       ctx.A.unit_matrix()))
     return mat, map_report(mat, target_dim=coinv.dim)
 
 
@@ -206,25 +198,15 @@ def _verify_beta_coring_morphism(ctx, plain: DenseMatrix):
     if cor.counit_map.mul(plain) != ctx.A.mult_matrix():
         v.fail("beta-counit")
     red = ctx.square()
-    lift_cols = []
-    for i in range(nA):
-        for j in range(nA):
-            col = [0] * (nA * nA * nA * nA)
-            for u in range(nA):
-                if ctx.A.unit[u]:
-                    for w in range(nA):
-                        if ctx.A.unit[w]:
-                            col[(i * nA + u) * nA * nA + (w * nA + j)] = \
-                                f.mul(ctx.A.unit[u], ctx.A.unit[w])
-            lift_cols.append(col)
-    lift = DenseMatrix.from_columns(f, lift_cols, nA ** 4)
+    # Delta(a~ (x) a) = (a~ (x) 1) (x) (1 (x) a)
+    one, eyeA = ctx.A.unit_matrix(), DenseMatrix.identity(f, nA)
+    lift = kron(eyeA, kron(kron(one, one), eyeA))
     lhs = red.reduced_delta().mul(plain)
     rhs = red.projection.mul(kron_mul(plain, plain, lift))
     if lhs != rhs:
         v.fail("beta-comultiplication")
     for i in range(nA):
         e_i = [1 if t == i else 0 for t in range(nA)]
-        eyeA = DenseMatrix.identity(f, nA)
         if mul_kron(plain, ctx.A.lmul_matrix(e_i), eyeA) != \
                 cor.left_act(e_i).mul(plain):
             v.fail("beta-left-linearity", (i,))
@@ -239,29 +221,13 @@ def beta_W(ctx, W: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
     """w (x) a -> w (x)_A x a: W (x)_B A into W (x) C, in entwined coordinates."""
     data = ctx.morita()
     f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
-    rho_A = ctx.comodule_A().coaction
     W_B = _restrict_right_to_B(ctx, W, data.B)
     tensor = balanced_tensor(W_B, data.A_left_B)
-    cols = []
-    for r in range(W.dim):
-        for j in range(nA):
-            xa = rho_A.col(j)  # x a in A (x) C
-            out = [0] * (W.dim * nC)
-            for i in range(nA):
-                for k in range(nC):
-                    coef = xa[i * nC + k]
-                    if coef:
-                        e_i = [1 if t == i else 0 for t in range(nA)]
-                        wcol = W.act_matrix(e_i).col(r)
-                        for t in range(W.dim):
-                            if wcol[t]:
-                                out[t * nC + k] = f.add(out[t * nC + k],
-                                                        f.mul(coef, wcol[t]))
-            cols.append(out)
-    plain = DenseMatrix.from_columns(f, cols, W.dim * nC)
+    # w (x) a -> w (x) x a -> sum (w e_i) (x) c_k over the components of x a
+    plain = kron_mul(W.action_map(), DenseMatrix.identity(f, ctx.C.dim),
+                     kron(DenseMatrix.identity(f, W.dim), ctx.comodule_A().coaction))
     mat = plain.mul(tensor.section)
-    return mat, map_report(mat, target_dim=W.dim * nC)
+    return mat, map_report(mat, target_dim=W.dim * ctx.C.dim)
 
 
 def varpi_M(ctx, M: ModulePresentation) -> Dict[str, object]:
@@ -338,12 +304,9 @@ def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
     endo = [DenseMatrix(f, nA, nA, row) for row in _endo_A_dual(data).basis.row_lists()]
     # commutant: matrices commuting with every endomorphism of A_dual
     commutant = intertwiner_space(f, nA, nA, [(e, e) for e in endo])
-    sharp = ctx.sharp_ring()
-    cols = [data.A_right_dual.action[s].entries for s in range(sharp.algebra.dim)]
-    canon = DenseMatrix.from_columns(f, cols, nA * nA)
-    img = image(canon)
-    balanced = img.dim == commutant.dim and commutant.contains_subspace(img)
-    return img.dim == canon.cols, balanced
+    canon = DenseMatrix.from_columns(f, [a.entries for a in data.A_right_dual.action], nA * nA)
+    r = rank(canon)
+    return r == canon.cols, r == commutant.dim and commutant.contains_columns(canon)
 
 
 class StructureFlags(NamedTuple):

@@ -7,10 +7,14 @@ coring instead of Hom(C, A) with the entwined product, the ideal Q from the
 entwined-form condition instead of the coring condition, and every operator
 on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
 closed form, the Morita context's maps and module structures one basis
-vector at a time instead of as matrix products, and balanced tensor products
+vector at a time instead of as matrix products, balanced tensor products
 and hom spaces with their relations over the whole basis of the algebra
-instead of over its generators.  The tests compare the two routes.  Unlike
-``oracles.py`` this module imports the package.
+instead of over its generators, and the structure maps (the coring's
+Delta-lift, free basis and right action, induced actions, the Doi-Koppinen
+entwining, the explicit inverses of the weak-structure map) entry by entry
+with plain ``+`` and ``*`` instead of as Kronecker and matrix products.
+The tests compare the two routes.  Unlike ``oracles.py`` this module
+imports the package.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,12 @@ from coring_lab.algebra import (
     verify_algebra,
 )
 from coring_lab.coalgebra import CoalgebraPresentation, convolution
-from coring_lab.coring import ComoduleInstance, CoringPresentation
+from coring_lab.coring import (
+    ComoduleInstance,
+    CoringPresentation,
+    coinvariants,
+    dual_action,
+)
 from coring_lab.exactla import (
     DenseMatrix,
     FieldSpec,
@@ -36,7 +45,9 @@ from coring_lab.exactla import (
     kron_mul,
     mul_kron,
     quotient,
+    solve,
 )
+from coring_lab.galois import _coinv_tensor_A
 from coring_lab.verdict import VerificationError
 
 
@@ -238,7 +249,7 @@ def induction_unit_map(ctx, W: ModulePresentation) -> DenseMatrix:
                     target = rows[r * nC + k]
                     for c in range(dW):
                         if arow[c]:
-                            target[c] = f.add(target[c], f.mul(coef, arow[c]))
+                            target[c] += coef * arow[c]
     return DenseMatrix.from_rows(f, rows, cols=dW)
 
 
@@ -268,7 +279,7 @@ def compute_Q_entwined(ctx) -> Subspace:
             for i in range(nA):
                 coef = qmat.get(i, k)
                 if coef:
-                    acc = [f.add(a, f.mul(coef, b)) for a, b in zip(acc, w[i])]
+                    acc = [f.normalize(a + coef * b) for a, b in zip(acc, w[i])]
             rhs_cols.append(acc)
         rhs = DenseMatrix.from_rows(f, rhs_cols, cols=nA * nC).transpose()
         cond_cols.append(lhs.sub(rhs).entries)
@@ -501,9 +512,9 @@ def balanced_tensor_over_basis(M: ModulePresentation, N: ModulePresentation) -> 
             for j in range(dN):
                 rel = [0] * (dM * dN)
                 for r in range(dM):
-                    rel[r * dN + j] = f.add(rel[r * dN + j], actM.get(r, i))
+                    rel[r * dN + j] = f.normalize(rel[r * dN + j] + actM.get(r, i))
                 for r in range(dN):
-                    rel[i * dN + r] = f.sub(rel[i * dN + r], actN.get(r, j))
+                    rel[i * dN + r] = f.normalize(rel[i * dN + r] - actN.get(r, j))
                 span.insert(rel)
     return quotient(span)
 
@@ -517,9 +528,9 @@ def intertwiners_over_basis(field: FieldSpec, dM: int, dN: int, pairs) -> Subspa
             for j in range(dM):
                 rel = [0] * (dN * dM)
                 for c in range(dM):
-                    rel[i * dM + c] = field.add(rel[i * dM + c], a.get(c, j))
+                    rel[i * dM + c] = field.normalize(rel[i * dM + c] + a.get(c, j))
                 for r in range(dN):
-                    rel[r * dM + j] = field.sub(rel[r * dM + j], b.get(i, r))
+                    rel[r * dM + j] = field.normalize(rel[r * dM + j] - b.get(i, r))
                 rows.append(rel)
     return kernel(DenseMatrix.from_rows(field, rows, cols=dN * dM))
 
@@ -534,3 +545,121 @@ def hom_comodule_over_basis(M: ComoduleInstance, N: ComoduleInstance) -> Subspac
     colinear for every C-component of the coactions."""
     pairs = list(zip(M.module.action, N.module.action)) + list(zip(M.slices(), N.slices()))
     return intertwiners_over_basis(M.field, M.dim, N.dim, pairs)
+
+
+# ---------------------------------------------------------------------------
+# structure maps entry by entry
+# ---------------------------------------------------------------------------
+
+
+def induced_action_by_entries(ctx, W: ModulePresentation) -> List[DenseMatrix]:
+    """(w (x) c_k) . e_i = sum psi[(a2, k2), (k, i)] (w . e_a2) (x) c_k2 on
+    W (x) C, one entry at a time."""
+    dW, nA, nC = W.dim, ctx.A.dim, ctx.C.dim
+    mats = []
+    for i in range(nA):
+        out = [[0] * (dW * nC) for _ in range(dW * nC)]
+        for k in range(nC):
+            pcol = ctx.psi.col(k * nA + i)
+            for a2 in range(nA):
+                for k2 in range(nC):
+                    coef = pcol[a2 * nC + k2]
+                    for r in range(dW):
+                        for c in range(dW):
+                            out[r * nC + k2][c * nC + k] += coef * W.action[a2].get(r, c)
+        mats.append(DenseMatrix.from_rows(W.field, out, cols=dW * nC))
+    return mats
+
+
+def coring_right_action_by_psi(ctx) -> List[DenseMatrix]:
+    """(a (x) c) . e_i = mult (a (x) psi(c (x) e_i)), as the product
+    (mult (x) id) (id (x) psi) on A (x) C (x) e_i."""
+    f = ctx.field
+    eyeA, eyeC = DenseMatrix.identity(f, ctx.A.dim), DenseMatrix.identity(f, ctx.C.dim)
+    return [kron_mul(ctx.A.mult_matrix(), eyeC, kron(eyeA, ctx.psi_slice(i)))
+            for i in range(ctx.A.dim)]
+
+
+def coring_lift_by_entries(ctx):
+    """(Delta-lift, free basis) of the coring A (x) C: Delta(e_i (x) c_k) =
+    sum Delta[k][k1][k2] (e_i (x) c_k1) (x) (1 (x) c_k2) and the basis
+    1 (x) c_j, one entry at a time."""
+    A, C, f = ctx.A, ctx.C, ctx.field
+    nA, nC = A.dim, C.dim
+    dim = nA * nC
+    lift = []
+    for i in range(nA):
+        for k in range(nC):
+            col = [0] * (dim * dim)
+            for k1 in range(nC):
+                for k2 in range(nC):
+                    for u in range(nA):
+                        col[(i * nC + k1) * dim + (u * nC + k2)] += C.comult[k][k1][k2] * A.unit[u]
+            lift.append(col)
+    basis = [[A.unit[idx // nC] if idx % nC == j else 0 for idx in range(dim)]
+             for j in range(nC)]
+    return (DenseMatrix.from_columns(f, lift, dim * dim),
+            DenseMatrix.from_columns(f, basis, dim))
+
+
+def doi_koppinen_by_entries(H_alg: AlgebraPresentation, A: AlgebraPresentation,
+                            coaction: DenseMatrix) -> DenseMatrix:
+    """psi(h_k (x) a_j) = sum a_(0) (x) h_k a_(1), one entry at a time."""
+    nA, nH = A.dim, H_alg.dim
+    cols = []
+    for k in range(nH):
+        for j in range(nA):
+            col = [0] * (nA * nH)
+            rho_j = coaction.col(j)
+            for a2 in range(nA):
+                for l in range(nH):
+                    for m in range(nH):
+                        col[a2 * nH + m] += rho_j[a2 * nH + l] * H_alg.mult[k][l][m]
+            cols.append(col)
+    return DenseMatrix.from_columns(A.field, cols, nA * nH)
+
+
+def psi_tilde_inverse_by_entries(ctx, M: ComoduleInstance) -> DenseMatrix:
+    """The inverse of the weak-structure map from a preimage sum c_ij
+    q_i (x) e_j of the counit under F: m -> sum m q_i (x) c_ij e_j, one
+    entry at a time."""
+    data = ctx.morita()
+    f = ctx.field
+    nA = ctx.A.dim
+    lift = data.QA.section.apply(solve(data.F_matrix, ctx.sharp_ring().algebra.unit))
+    coinv = coinvariants(M)
+    tensor = _coinv_tensor_A(ctx, M)
+    mq = [coinv.coords_matrix(dual_action(M).act_matrix(q))
+          for q in data.Q.space.basis.row_lists()]
+    cols = []
+    for m in range(M.dim):
+        acc = [0] * (coinv.dim * nA)
+        for i, mq_i in enumerate(mq):
+            for j in range(nA):
+                for r, val in enumerate(mq_i.col(m)):
+                    acc[r * nA + j] += lift[i * nA + j] * val
+        cols.append(tensor.projection.apply([f.normalize(x) for x in acc]))
+    return DenseMatrix.from_columns(f, cols, tensor.dim)
+
+
+def cleft_psi_inverse_by_entries(ctx, witness, M: ComoduleInstance) -> DenseMatrix:
+    """m -> sum (m_(0) lam_bar) (x)_B lam(m_(1)), reading the coinvariant
+    coordinates of each C-component and multiplying out, one entry at a
+    time."""
+    f = ctx.field
+    nA, nC = ctx.A.dim, ctx.C.dim
+    D = dual_action(M).act_matrix(witness.lam_bar.entries)
+    lifted = kron_mul(D, DenseMatrix.identity(f, nC), M.coaction)
+    coinv = coinvariants(M)
+    tensor = _coinv_tensor_A(ctx, M)
+    cols = []
+    for m in range(M.dim):
+        plain = [0] * (coinv.dim * nA)
+        for k in range(nC):
+            coords = coinv.coords(lifted.col(m)[k::nC])
+            lam_k = witness.lam.col(k)
+            for r in range(coinv.dim):
+                for j in range(nA):
+                    plain[r * nA + j] += coords[r] * lam_k[j]
+        cols.append(tensor.projection.apply([f.normalize(x) for x in plain]))
+    return DenseMatrix.from_columns(f, cols, tensor.dim)

@@ -288,8 +288,7 @@ def test_acceptance_8_random_linear_algebra():
                     for r in range(k.dim):
                         c = random_scalar(field, rng)
                         row = k.basis.row(r)
-                        v = [field.add(a, field.mul(c, b))
-                             for a, b in zip(v, row)]
+                        v = [field.normalize(a + c * b) for a, b in zip(v, row)]
                     mixed.append(v)
                 s2 = Subspace.from_spanning(field, cols, mixed)
                 if s2.dim == k.dim and s2 != k:

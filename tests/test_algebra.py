@@ -56,7 +56,7 @@ def test_action_map_columns(side):
             j = i * d + m if side == "left" else m * nA + i
             e_m = [1 if t == m else 0 for t in range(d)]
             e_i = [1 if t == i else 0 for t in range(nA)]
-            assert amap.col(j) == M.act(e_m, e_i)
+            assert amap.col(j) == M.act_matrix(e_i).apply(e_m)
     assert amap is M.action_map()
     assert A.regular_module(side).action_map() == A.mult_matrix()
 
@@ -123,7 +123,7 @@ def test_products_of_elements_against_structure_constants(A):
         assert all(type(x) is int or (p is None and x.denominator > 1) for x in got)
         assert A.lmul_matrix(u).apply(v) == want
         assert A.rmul_matrix(v).apply(u) == want
-        assert A.regular_module("left").act(v, u) == want
+        assert A.regular_module("left").act_matrix(u).apply(v) == want
 
 
 # -- generators -------------------------------------------------------------
@@ -220,7 +220,7 @@ def test_balanced_tensor_kills_twist():
     q = balanced_tensor(S.regular_module("right"), S.regular_module("left"))
     g_tensor_1 = [0, 0, 1, 0]
     one_tensor_g = [0, 1, 0, 0]
-    assert q.project(g_tensor_1) == q.project(one_tensor_g)
+    assert q.projection.apply(g_tensor_1) == q.projection.apply(one_tensor_g)
 
 
 # -- hom spaces -----------------------------------------------------------------

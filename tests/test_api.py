@@ -38,3 +38,17 @@ def test_tracer_hook_resolves(label, module, attr):
         assert meth in vars(getattr(mod, cls_name)), label
     else:
         assert callable(getattr(mod, attr, None)), label
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "neg", "inv", "div", "one"])
+def test_field_spec_does_no_scalar_arithmetic(name):
+    """Every sum and product goes through the matrix operations of
+    ``exactla``; a field spec only normalizes, parses and serializes."""
+    assert not hasattr(coring_lab.FieldSpec, name)
+    assert not hasattr(coring_lab.QQ, name)
+
+
+def test_subspace_membership_has_one_routine():
+    """``Subspace.coords_matrix`` is the one membership routine; no second
+    reduction modulo the subspace exists beside it."""
+    assert not hasattr(coring_lab.Subspace, "reduce")

@@ -1,8 +1,9 @@
 """Every operator on Hom(C, A) the package builds in closed form, every
 map and module structure of the Morita context it builds as a matrix
-product, and every relation span it takes over the generators of an
-algebra, checked entry for entry against its construction one elementary
-map, basis vector or basis element at a time in ``crosscheck.py``, over Q
+product, every structure map it builds from the structure matrices, and
+every relation span it takes over the generators of an algebra, checked
+entry for entry against its construction one elementary map, basis vector,
+basis element or entry at a time in ``crosscheck.py``, over Q
 and a prime field, on the fixtures, on a dense change of basis with
 non-integer entries and on the non-commutative ``fix-s``, also with a
 group-like x whose C-components are not multiples of the unit of A, and on
@@ -15,13 +16,30 @@ import random
 import pytest
 
 from coring_lab import algebra, cli, coring, galois, morita
-from coring_lab.cleft import _integral_condition, _normal_basis_condition
-from coring_lab.coalgebra import _conv_operator, grouplike_coalgebra
-from coring_lab.coring import dual_action
-from coring_lab.entwining import EntwinedContext, flip_entwining, instance_from_json
+from coring_lab.algebra import AlgebraPresentation
+from coring_lab.cleft import (
+    _integral_condition,
+    _normal_basis_condition,
+    cleft_psi_inverse,
+    find_cleft,
+)
+from coring_lab.coalgebra import CoalgebraPresentation, _conv_operator, grouplike_coalgebra
+from coring_lab.coring import _tensor_x, dual_action, induced_action, stack_slices
+from coring_lab.entwining import (
+    EntwinedContext,
+    doi_koppinen,
+    flip_entwining,
+    instance_from_json,
+)
 from coring_lab.exactla import DenseMatrix, solve
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
-from coring_lab.morita import _q_condition, _times_Q, omega_and_lambda, q_left_annihilator
+from coring_lab.morita import (
+    _q_condition,
+    _times_Q,
+    omega_and_lambda,
+    psi_tilde_from_F,
+    q_left_annihilator,
+)
 
 from crosscheck import (
     G_plain_by_evaluation,
@@ -29,13 +47,20 @@ from crosscheck import (
     Q_right_by_evaluation,
     at_x_by_evaluation,
     balanced_tensor_over_basis,
+    cleft_psi_inverse_by_entries,
     conv_operator_by_evaluation,
+    coring_lift_by_entries,
+    coring_right_action_by_psi,
+    doi_koppinen_by_entries,
     dual_action_by_evaluation,
     hom_comodule_over_basis,
     hom_module_over_basis,
+    induced_action_by_entries,
+    induction_unit_map,
     integral_condition_by_evaluation,
     normal_basis_condition_by_evaluation,
     omega_by_evaluation,
+    psi_tilde_inverse_by_entries,
     q_condition_by_evaluation,
     q_left_annihilator_by_evaluation,
     sharp_constants_by_evaluation,
@@ -78,8 +103,50 @@ def _random_map(ctx):
                        [random_scalar(ctx.field, rng) for _ in range(n)])
 
 
+def _trivial_bialgebra_psi(A):
+    """(closed form, entries) of the Doi-Koppinen entwining of A over the
+    one-dimensional bialgebra k, A coacting by a -> a (x) 1."""
+    f = A.field
+    H = AlgebraPresentation(f, 1, [[[1]]], [1])
+    K = CoalgebraPresentation(f, 1, [[[1]]], [1])
+    coaction = DenseMatrix.identity(f, A.dim)
+    return doi_koppinen(H, K, A, coaction), doi_koppinen_by_entries(H, A, coaction)
+
+
 def _pairs(ctx, construction):
     """(closed form, construction by evaluation) pairs for one instance."""
+    if construction == "induced_action":
+        reg = ctx.A.regular_module("right")
+        return [(induced_action(ctx, W), induced_action_by_entries(ctx, W))
+                for W in (reg, reg.direct_sum(reg))]
+    if construction == "coring_right_action":
+        action = ctx.coring().right_module.action
+        return [(action, coring_right_action_by_psi(ctx)),
+                (action, induced_action_by_entries(ctx, ctx.A.regular_module("right")))]
+    if construction == "coring_lift":
+        cor = ctx.coring()
+        return [((cor.delta_lift, cor.free_left_basis), coring_lift_by_entries(ctx))]
+    if construction == "doi_koppinen":
+        pairs = [_trivial_bialgebra_psi(ctx.A)]
+        if ctx.entwining_kind == "doi_koppinen":
+            delta = ctx.C.comult_matrix()
+            pairs.append((doi_koppinen(ctx.A, ctx.C, ctx.A, delta),
+                          doi_koppinen_by_entries(ctx.A, ctx.A, delta)))
+        return pairs
+    if construction == "tensor_x":
+        return [(_tensor_x(ctx, w.module), induction_unit_map(ctx, w.module))
+                for w in ctx.default_witnesses()]
+    if construction == "psi_tilde_inverse":
+        if not ctx.morita().F_report.surjective:
+            return []
+        return [(psi_tilde_from_F(ctx, w)[1], psi_tilde_inverse_by_entries(ctx, w))
+                for w in ctx.default_witnesses()]
+    if construction == "cleft_inverse":
+        witness = find_cleft(ctx).witness
+        if witness is None:
+            return []
+        return [(cleft_psi_inverse(ctx, witness, w), cleft_psi_inverse_by_entries(ctx, witness, w))
+                for w in ctx.default_witnesses()]
     if construction == "dual_action":
         return [(dual_action(w).action, dual_action_by_evaluation(w))
                 for w in ctx.default_witnesses()]
@@ -114,12 +181,27 @@ def _pairs(ctx, construction):
 
 @pytest.mark.parametrize("construction", [
     "dual_action", "conv_left", "conv_right", "integral", "normal_basis", "at_x",
-    "q_condition", "sharp_constants", "hook", "Q_left", "Q_right", "omega", "q_annihilator"])
+    "q_condition", "sharp_constants", "hook", "Q_left", "Q_right", "omega", "q_annihilator",
+    "induced_action", "coring_right_action", "coring_lift", "doi_koppinen", "tensor_x",
+    "psi_tilde_inverse", "cleft_inverse"])
 @pytest.mark.parametrize("label", INSTANCES)
 def test_closed_form_matches_evaluation(label, construction):
     ctx = _context(label)
     for closed, evaluated in _pairs(ctx, construction):
         assert closed == evaluated
+
+
+def test_explicit_inverses_are_compared_somewhere():
+    """The weak-structure inverses exist on some instances, so their
+    comparisons above are not vacuous."""
+    assert any(_pairs(_context(label), "psi_tilde_inverse") for label in INSTANCES)
+    assert any(_pairs(_context(label), "cleft_inverse") for label in INSTANCES)
+
+
+@pytest.mark.parametrize("label", INSTANCES)
+def test_stack_slices_inverts_slices(label):
+    for w in _context(label).default_witnesses():
+        assert stack_slices(w.field, w.slices()) == w.coaction
 
 
 RELATION_SPANS = {  # name -> (the modules that call it, its whole-basis reference)

@@ -257,7 +257,7 @@ def test_induced_comodule_coinvariants_isomorphic_to_W():
             for k in range(nC):
                 coef = img[t * nC + k]
                 if coef:
-                    back[t] = f.add(back[t], f.mul(coef, eps[k]))
+                    back[t] = f.normalize(back[t] + coef * eps[k])
         assert back == [1 if t == j else 0 for t in range(W.dim)]
 
 

@@ -117,7 +117,7 @@ def test_image_proportional_columns():
 
 def test_kron_scalar():
     N = mat(QQ, [[1, 2], [3, 4]])
-    assert kron(mat(QQ, [[3]]), N) == N.scale(3)
+    assert kron(mat(QQ, [[3]]), N) == DenseMatrix(QQ, 2, 2, [3 * x for x in N.entries])
 
 
 def test_kron_identities():
@@ -180,6 +180,19 @@ def assert_canonical(field, xs):
             assert type(x) is int and 0 <= x < field.p
         else:
             assert type(x) is int or x.denominator != 1
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_kron_matches_naive_oracle(field):
+    """kron is fraction-free like the products: canonical entries, equal to
+    the textbook product of the scalars."""
+    p = oracle_p(field)
+    for M, N, _ in product_cases(field, seed=10):
+        want = naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols)
+        got = kron(M, N)
+        assert (got.rows, got.cols) == (M.rows * N.rows, M.cols * N.cols)
+        assert got.row_lists() == [[x if p is None else x % p for x in r] for r in want]
+        assert_canonical(field, got.entries)
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
@@ -349,7 +362,7 @@ def test_quotient_by_full():
 def test_quotient_line():
     q = quotient(span_of(QQ, 2, [[1, -1]]))
     assert q.dim == 1
-    assert q.project([1, 0]) == q.project([0, 1])
+    assert q.projection.apply([1, 0]) == q.projection.apply([0, 1])
 
 
 def test_quotient_projection_section_identities():
@@ -361,7 +374,7 @@ def test_quotient_projection_section_identities():
     for j in range(4):
         assert rel.contains(resid.col(j))
     for i in range(rel.dim):
-        assert all(not x for x in q.project(rel.basis.row(i)))
+        assert all(not x for x in q.projection.apply(rel.basis.row(i)))
 
 
 def rational_scalar(rng):
@@ -398,7 +411,7 @@ def test_quotient_projection_kills_relations(field, p):
         q = quotient(span_of(field, n, vecs))
         assert q.dim == n - naive_rank(vecs, p)
         for v in vecs:
-            assert all(not x for x in q.project(v))
+            assert all(not x for x in q.projection.apply(v))
         assert q.projection.mul(q.section) == DenseMatrix.identity(field, q.dim)
 
 
@@ -548,13 +561,13 @@ def test_canonical_form_unique_random(field, p):
             w = [0] * dim
             for v in vecs:
                 c = random_scalar(field, rng)
-                w = [field.add(a, field.mul(c, b)) for a, b in zip(w, v)]
+                w = [field.normalize(a + c * b) for a, b in zip(w, v)]
             mixed.append(w)
         s2 = Subspace.from_spanning(field, dim, mixed)
         if s2.dim == s1.dim:
             assert s1 == s2
         else:
-            assert s1.contains_subspace(s2)
+            assert s1.contains_columns(s2.embedding)
 
 
 def test_subspace_membership_against_oracle():
@@ -567,8 +580,8 @@ def test_subspace_membership_against_oracle():
         assert s.contains(probe) == span_contains(vecs, probe)
 
 
-@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
-def test_coords_matrix_matches_per_column_coords(field):
+@pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)], ids=["Q", "F5"])
+def test_coords_matrix_matches_oracle_solve(field, p):
     rng = random.Random(19)
     for _ in range(60):
         n, k = rng.randint(1, 6), rng.randint(0, 4)
@@ -576,8 +589,9 @@ def test_coords_matrix_matches_per_column_coords(field):
             field, n, random_matrix(field, rng, rng.randint(0, n), n, 0.6).row_lists())
         P = sub.embedding.mul(random_matrix(field, rng, sub.dim, k, 0.7))
         X = sub.coords_matrix(P)
-        assert X == DenseMatrix.from_columns(field, [sub.coords(P.col(j)) for j in range(k)],
-                                             sub.dim)
+        # column j: the unique solution of basis^T x = P e_j, by brute force
+        want = [naive_solve(sub.embedding.row_lists(), P.col(j), p) for j in range(k)]
+        assert X == DenseMatrix.from_columns(field, want, sub.dim)
         assert_canonical(field, X.entries)
         if sub.is_full():
             continue
@@ -589,6 +603,25 @@ def test_coords_matrix_matches_per_column_coords(field):
         with pytest.raises(ExactLAError) as exc:
             sub.coords_matrix(DenseMatrix.from_columns(field, cols, n))
         assert isinstance(exc.value, NotInSubspace) and exc.value.column == j
+
+
+@pytest.mark.parametrize("field,p", [(QQ, None), (F5, 5)], ids=["Q", "F5"])
+def test_coords_of_a_non_member_raises(field, p):
+    rng = random.Random(23)
+    outside = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        sub = Subspace.from_spanning(
+            field, n, random_matrix(field, rng, rng.randint(0, n - 1), n, 0.6).row_lists())
+        vec = [random_scalar(field, rng) for _ in range(n)]
+        if naive_solve(sub.embedding.row_lists(), vec, p) is not None:
+            continue
+        outside += 1
+        assert not sub.contains(vec)
+        with pytest.raises(NotInSubspace) as exc:
+            sub.coords(vec)
+        assert exc.value.column == 0
+    assert outside >= 20
 
 
 def test_coords_matrix_rejects_a_foreign_matrix():

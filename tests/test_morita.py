@@ -272,14 +272,14 @@ IDENTITY_LABELS = {"F-left-dual-linearity", "F-right-dual-linearity", "G-left-B-
                    "G-right-B-linearity", "associativity-FqG", "associativity-GaF"}
 
 
-def _e00(M):
-    """The matrix unit E_00 on the space of M."""
-    return DenseMatrix(M.field, M.dim, M.dim, [1] + [0] * (M.dim * M.dim - 1))
+def _plus_e00_matrix(a):
+    """a + E_00, the matrix unit E_00 added to a."""
+    return DenseMatrix(a.field, a.rows, a.cols, [a.entries[0] + 1] + a.entries[1:])
 
 
 def _plus_e00(M):
     """M with E_00 added to every action matrix."""
-    return ModulePresentation(M.algebra, M.dim, M.side, [a.add(_e00(M)) for a in M.action])
+    return ModulePresentation(M.algebra, M.dim, M.side, [_plus_e00_matrix(a) for a in M.action])
 
 
 def _corrupted(data, name):
@@ -315,6 +315,6 @@ def test_lambda_not_multiplicative_on_corrupted_action():
     Ad = data.A_right_dual
     t = next(t for t, u in enumerate(ctx.sharp_ring().algebra.unit) if not u)
     action = list(Ad.action)
-    action[t] = action[t].add(_e00(Ad))
+    action[t] = _plus_e00_matrix(action[t])
     one_off = ModulePresentation(Ad.algebra, Ad.dim, Ad.side, action)
     assert not omega_and_lambda(replace(data, A_right_dual=one_off)).lambda_multiplicative
