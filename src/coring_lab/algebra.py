@@ -15,8 +15,7 @@ scale and the reports label them accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .exactla import (
     DenseMatrix,
@@ -100,7 +99,7 @@ class AlgebraPresentation:
         return combine_matrices(self.field, self.dim, self.dim, u, self.rmuls)
 
     @once
-    def generators(self) -> List[int]:
+    def generators(self) -> list[int]:
         """Basis indices picked greedily, in basis order, until left
         multiplication by the chosen elements closes span{1} to the whole
         algebra; each lies outside the subalgebra the earlier ones generate.
@@ -167,7 +166,7 @@ class ModulePresentation:
     """A left or right module by one action matrix per algebra basis element."""
 
     def __init__(self, algebra: AlgebraPresentation, dim: int, side: str,
-                 action: List[DenseMatrix], name: str = ""):
+                 action: list[DenseMatrix], name: str = ""):
         if side not in ("left", "right"):
             raise ShapeError(f"unknown side {side!r}")
         if len(action) != algebra.dim:
@@ -242,18 +241,16 @@ class ModulePresentation:
         return f"ModulePresentation({label})"
 
 
-@dataclass
 class BimodulePresentation:
     """Commuting left and right module structures on the same space."""
 
-    left: ModulePresentation
-    right: ModulePresentation
-
-    def __post_init__(self):
-        if self.left.dim != self.right.dim:
+    def __init__(self, left: ModulePresentation, right: ModulePresentation):
+        if left.dim != right.dim:
             raise ShapeError("bimodule sides disagree on the dimension")
-        if self.left.side != "left" or self.right.side != "right":
+        if left.side != "left" or right.side != "right":
             raise ShapeError("bimodule needs a left and a right structure")
+        self.left = left
+        self.right = right
 
     @property
     def dim(self):
@@ -391,7 +388,7 @@ def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder
     return builder
 
 
-def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatrix]:
+def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> list[DenseMatrix]:
     """The hom-space basis reshaped into dN x dM matrices."""
     space = hom_module(M, N)
     out = []
@@ -402,14 +399,14 @@ def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> List[DenseMatr
 
 
 @once
-def dual_homs(M: ModulePresentation) -> List[DenseMatrix]:
+def dual_homs(M: ModulePresentation) -> list[DenseMatrix]:
     """Hom_S(M, S) for M over S, as matrices; the projectivity and generator
     tests share it."""
     return hom_matrices(M, M.algebra.regular_module(M.side))
 
 
 @once
-def is_fg_projective(M: ModulePresentation) -> Tuple[bool, Optional[DenseMatrix]]:
+def is_fg_projective(M: ModulePresentation) -> tuple[bool, DenseMatrix | None]:
     """Does the canonical surjection from a free module of rank dim(M) split?
 
     The splitting is sought as a linear combination of module maps M -> S per
@@ -465,7 +462,7 @@ def is_generator(M: ModulePresentation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> Tuple[AlgebraPresentation, DenseMatrix]:
+def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> tuple[AlgebraPresentation, DenseMatrix]:
     """Induce structure constants on a unital, multiplicatively closed subspace.
 
     Returns the presentation in the echelon basis of ``space`` together with

@@ -18,10 +18,8 @@ over small prime fields.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
 
 from .coalgebra import (
     _conv_operator,
@@ -56,12 +54,12 @@ class InconclusiveSearch(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IntegralSpace:
     """All colinear maps C -> A, with the affine totality condition."""
 
-    space: Subspace                      # inside Hom(C, A) flat coordinates
-    total_example: Optional[list]        # one total integral, when any exists
+    def __init__(self, space: Subspace, total_example: list | None):
+        self.space = space                  # inside Hom(C, A) flat coordinates
+        self.total_example = total_example  # one total integral, when any exists
 
     @property
     def dim(self) -> int:
@@ -100,11 +98,11 @@ def integral_space(ctx) -> IntegralSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SearchResult:
-    status: str                      # "found" | "absent" | "inconclusive"
-    coords: Optional[list] = None    # parameter vector of the hit
-    certificate: str = ""
+    def __init__(self, status: str, coords: list | None = None, certificate: str = ""):
+        self.status = status            # "found" | "absent" | "inconclusive"
+        self.coords = coords            # parameter vector of the hit
+        self.certificate = certificate
 
 
 # the search budgets: 0/1 patterns tried, seeded random candidates, the
@@ -116,7 +114,7 @@ EXHAUSTIVE_BUDGET = 4096
 GRID_VARS = 3
 
 
-def search_invertible(field: FieldSpec, mats: List[DenseMatrix],
+def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
                       seed: int = 0) -> SearchResult:
     """Find parameters t for which M(t) = sum t_i mats[i] is invertible.
 
@@ -179,20 +177,21 @@ def search_invertible(field: FieldSpec, mats: List[DenseMatrix],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CleftWitness:
-    lam: DenseMatrix         # the *-invertible integral
-    lam_bar: DenseMatrix     # its two-sided convolution inverse
+    def __init__(self, lam: DenseMatrix, lam_bar: DenseMatrix):
+        self.lam = lam            # the *-invertible integral
+        self.lam_bar = lam_bar    # its two-sided convolution inverse
 
     def to_json(self) -> dict:
         return {"lambda": self.lam.to_json(), "lambda_bar": self.lam_bar.to_json()}
 
 
-@dataclass
 class CleftResult:
-    status: str                      # "found" | "absent" | "inconclusive"
-    witness: Optional[CleftWitness] = None
-    certificate: str = ""
+    def __init__(self, status: str, witness: CleftWitness | None = None,
+                 certificate: str = ""):
+        self.status = status            # "found" | "absent" | "inconclusive"
+        self.witness = witness
+        self.certificate = certificate
 
     @property
     def cleft(self):
@@ -242,7 +241,7 @@ def is_colinear(ctx, lam: DenseMatrix) -> bool:
 
 
 @once
-def x_case_grouplike(ctx) -> Optional[list]:
+def x_case_grouplike(ctx) -> list | None:
     """When the unit coaction is 1_A (x) x for a group-like x of C, return x:
     the solution of kron(1_A, I_C) x = u, unique because 1_A is nonzero."""
     x = solve(kron(ctx.A.unit_matrix(), DenseMatrix.identity(ctx.field, ctx.C.dim)),
@@ -250,7 +249,7 @@ def x_case_grouplike(ctx) -> Optional[list]:
     return x if x is not None and is_grouplike_C(ctx.C, x) else None
 
 
-def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> Dict[str, object]:
+def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> dict[str, object]:
     """The colinearity/Q-membership biconditional for a *-invertible pair.
 
     Verifies lam * lam_bar = lam_bar * lam = unit first, then asserts
@@ -270,7 +269,7 @@ def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> Dict[str, ob
     if colinear != in_q:
         raise ClauseDisagreement("colinear-vs-Q",
                                  {"colinear": colinear, "inverse_in_Q": in_q})
-    out: Dict[str, object] = {"colinear": colinear, "inverse_in_Q": in_q}
+    out: dict[str, object] = {"colinear": colinear, "inverse_in_Q": in_q}
     x = x_case_grouplike(ctx)
     if x is not None and colinear:
         lam_x = lam.apply(x)
@@ -301,7 +300,7 @@ def _trivialized(ctx, witness: CleftWitness, M: ComoduleInstance) -> DenseMatrix
 
 
 def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
-            ) -> Tuple[DenseMatrix, DenseMatrix]:
+            ) -> tuple[DenseMatrix, DenseMatrix]:
     """M -> (coinvariants of M) (x) C, m -> sum (m_(0) . lam_bar) (x) m_(1),
     with the verified inverse n (x) c -> n lam(c)."""
     f = ctx.field
@@ -346,11 +345,12 @@ def cleft_psi_inverse_check(ctx, witness: CleftWitness, M: ComoduleInstance) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class NormalBasisResult:
-    status: str                     # "found" | "absent" | "inconclusive"
-    witness: Optional[DenseMatrix] = None
-    certificate: str = ""
+    def __init__(self, status: str, witness: DenseMatrix | None = None,
+                 certificate: str = ""):
+        self.status = status            # "found" | "absent" | "inconclusive"
+        self.witness = witness
+        self.certificate = certificate
 
     @property
     def normal_basis(self):
@@ -428,7 +428,7 @@ _CLAUSE_ORDER = {
 }
 
 
-def _equivalence_table(ctx, theorem: str, seed: int) -> Dict[str, object]:
+def _equivalence_table(ctx, theorem: str, seed: int) -> dict[str, object]:
     """Evaluate the five clauses of ``theorem`` in its own numbering, assert
     that they agree, and attach the colinearity/Q checks when they hold."""
     from .galois import structure_flags
@@ -456,7 +456,7 @@ def _equivalence_table(ctx, theorem: str, seed: int) -> Dict[str, object]:
     return result
 
 
-def check_theorem_main(ctx, seed: int = 0) -> Dict[str, object]:
+def check_theorem_main(ctx, seed: int = 0) -> dict[str, object]:
     """Cleft <=> weak + normal basis <=> Galois + normal basis <=> the
     endomorphism-ring map is an iso + normal basis <=> strong + normal basis
     (the last licensed by faithful flatness of C over the ground field).
@@ -470,7 +470,7 @@ def check_theorem_main(ctx, seed: int = 0) -> Dict[str, object]:
     return result
 
 
-def check_theorem_xcase(ctx, seed: int = 0) -> Optional[Dict[str, object]]:
+def check_theorem_xcase(ctx, seed: int = 0) -> dict[str, object] | None:
     """The variant available when the coaction of 1 is 1 (x) x with x
     group-like in C: cleft <=> strong + nb <=> weak + nb <=> Galois + nb <=>
     the endomorphism-ring map is an iso + nb.  Returns None when that shape

@@ -11,13 +11,10 @@ byte-identical across runs, so timings go to stderr, never into the report.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 from .cleft import (
     InconclusiveSearch,
@@ -43,12 +40,12 @@ EXIT_DISAGREEMENT = 4
 EXIT_INCONCLUSIVE = 5
 
 
-@dataclass
 class AnalysisReport:
     """The full structural verdict for one instance; serializes sorted."""
 
-    payload: Dict[str, object]
-    timing_ms: float = 0.0
+    def __init__(self, payload: dict[str, object], timing_ms: float = 0.0):
+        self.payload = payload
+        self.timing_ms = timing_ms
 
     def to_json(self) -> str:
         return dumps_canonical(self.payload)
@@ -117,7 +114,7 @@ def full_verify(ctx: EntwinedContext):
 
 
 def run_analysis(ctx: EntwinedContext, seed: int = 0,
-                 witness_budget: Optional[int] = None) -> AnalysisReport:
+                 witness_budget: int | None = None) -> AnalysisReport:
     """Run the whole pipeline and assemble the structured report."""
     t0 = time.perf_counter()
     witnesses = ctx.default_witnesses(seed=seed)
@@ -134,7 +131,7 @@ def run_analysis(ctx: EntwinedContext, seed: int = 0,
     integrals = integral_space(ctx)
     qhat = find_qhat(data)
     f = ctx.field
-    payload: Dict[str, object] = {
+    payload: dict[str, object] = {
         "instance": {
             "name": ctx.name,
             "digest": ctx.digest(),
@@ -220,7 +217,7 @@ def _parse_value(text: str):
         return text
 
 
-def check_assertion(payload: dict, expr: str) -> Optional[str]:
+def check_assertion(payload: dict, expr: str) -> str | None:
     """Evaluate key=value; the key is a dotted path, with the top-level flag
     names usable bare.  Returns an error message or None."""
     if "=" not in expr:
@@ -245,8 +242,8 @@ def check_assertion(payload: dict, expr: str) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def _process(path: str, seed: int = 0, witness_budget: Optional[int] = None,
-             analyze: bool = True) -> Tuple[int, str, Optional[AnalysisReport]]:
+def _process(path: str, seed: int = 0, witness_budget: int | None = None,
+             analyze: bool = True) -> tuple[int, str, AnalysisReport | None]:
     """Load, verify and, when asked, analyze one instance file.
 
     Returns (exit code, one-line message, report).  This is the one mapping
@@ -334,15 +331,8 @@ def _env_seed() -> int:
         raise ShapeError(f"CORING_LAB_SEED must be an integer, got {raw!r}") from None
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as a ShapeError, so it exits 1 with
-    one line like any other malformed input; subparsers inherit the class."""
-
-    def error(self, message):
-        raise ShapeError(message)
-
-
 def _witness_count(raw: str) -> int:
+    import argparse
     try:
         n = int(raw)
     except ValueError:
@@ -353,6 +343,17 @@ def _witness_count(raw: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse is imported here, not at module level: only ``main`` parses a
+    # command line, and the analysis entry points never pay for the import
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a malformed command line as a ShapeError, so it exits 1 with
+        one line like any other malformed input; subparsers inherit the class."""
+
+        def error(self, message):
+            raise ShapeError(message)
+
     parser = _Parser(
         prog="coring-lab",
         description="Exact analysis of corings built from entwining structures.")
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except ShapeError as exc:

@@ -9,7 +9,7 @@ element of C.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from collections.abc import Sequence
 
 from .algebra import AlgebraPresentation
 from .exactla import (
@@ -56,7 +56,7 @@ class CoalgebraPresentation:
         return DenseMatrix(self.field, m * m, m, ent)
 
     @once
-    def comult_slices(self, leg: str) -> List[DenseMatrix]:
+    def comult_slices(self, leg: str) -> list[DenseMatrix]:
         """Per basis element c, the dim x dim matrix D_c whose entry (c1, k)
         is the coefficient of c1 (x) c (leg "second") or of c (x) c1 (leg
         "first") in Delta(c_k)."""
@@ -168,7 +168,7 @@ def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,
 
 
 def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,
-                        A: AlgebraPresentation) -> Optional[DenseMatrix]:
+                        A: AlgebraPresentation) -> DenseMatrix | None:
     """Two-sided inverse of f under *, or None.
 
     Both one-sided identities are stacked into a single linear system, so a

@@ -18,7 +18,7 @@ entwined multiplication.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections.abc import Sequence
 
 from .algebra import (
     AlgebraPresentation,
@@ -56,7 +56,7 @@ class CoringPresentation:
     """
 
     def __init__(self, A: AlgebraPresentation, dim: int,
-                 left_action: List[DenseMatrix], right_action: List[DenseMatrix],
+                 left_action: list[DenseMatrix], right_action: list[DenseMatrix],
                  delta_lift: DenseMatrix, counit_map: DenseMatrix,
                  free_left_basis: DenseMatrix, name: str = ""):
         self.A = A
@@ -137,13 +137,13 @@ class SquareReducer:
                                       [x for t in range(self.square_dim)
                                        for K in blocks for x in K.row(t)])
 
-    def _decomposed_actions(self, u: Sequence) -> List[DenseMatrix]:
+    def _decomposed_actions(self, u: Sequence) -> list[DenseMatrix]:
         """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""
         nA = self.coring.A.dim
         a = self.dec.apply(u)
         return [self.coring.right_act(a[m * nA:(m + 1) * nA]) for m in range(self.rank)]
 
-    def _blocks(self, per_column: List[List[DenseMatrix]]) -> DenseMatrix:
+    def _blocks(self, per_column: list[list[DenseMatrix]]) -> DenseMatrix:
         """Block matrix with block (b, j) = per_column[j][b], each dim x dim."""
         n = self.coring.dim
         rows = [[x for blk in brow for x in blk.row(t)]
@@ -282,7 +282,7 @@ class ComoduleInstance:
         return self.module.field
 
     @once
-    def slices(self) -> List[DenseMatrix]:
+    def slices(self) -> list[DenseMatrix]:
         """The C-components of the coaction: row m of slice c is row (m, c);
         ``stack_slices`` is the inverse."""
         nC = self.ctx.C.dim
@@ -441,7 +441,7 @@ def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
     return intertwiner_space(M.field, M.dim, N.dim, pairs + list(zip(M.slices(), N.slices())))
 
 
-def induced_action(ctx, W: ModulePresentation) -> List[DenseMatrix]:
+def induced_action(ctx, W: ModulePresentation) -> list[DenseMatrix]:
     """The right A-action on W (x) C through psi, (w (x) c) . a = sum
     w a_psi (x) c^psi: e_i acts as the sum over t of kron(rho_W(e_t),
     Psi_it), Psi_it the row block t of ``ctx.psi_slice(i)``, over the blocks

@@ -15,7 +15,7 @@ derived object is computed once and then shared freely; it is never mutated.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence, Tuple
+from collections.abc import Sequence
 
 from .algebra import AlgebraPresentation, verify_algebra
 from .coalgebra import CoalgebraPresentation, verify_coalgebra
@@ -184,7 +184,7 @@ def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
                               name=f"A(x)C[{ctx.name}]" if ctx.name else "A(x)C")
 
 
-def comodule_algebra_from_unit(ctx: "EntwinedContext") -> Tuple[ComoduleInstance, list]:
+def comodule_algebra_from_unit(ctx: "EntwinedContext") -> tuple[ComoduleInstance, list]:
     """The comodule structure a -> 1_(0) a_psi (x) 1_(1)^psi on A, plus the
     group-like element it determines; every required law is verified."""
     A, C = ctx.A, ctx.C
@@ -275,9 +275,13 @@ def doi_koppinen(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation,
     verdict = verify_bialgebra(H_alg, H_coalg)
     if not verdict.valid:
         raise VerificationError("doi_koppinen bialgebra", verdict)
-    verdict = verify_comodule_algebra(H_alg, H_coalg, A, coaction)
-    if not verdict.valid:
-        raise VerificationError("doi_koppinen comodule algebra", verdict)
+    # H coacting on itself by Delta: the four comodule-algebra laws are then
+    # coassociativity, the right counit law, Delta multiplicative and
+    # Delta(1) = 1 (x) 1, all just checked by verify_bialgebra
+    if not (A is H_alg and coaction == H_coalg.comult_matrix()):
+        verdict = verify_comodule_algebra(H_alg, H_coalg, A, coaction)
+        if not verdict.valid:
+            raise VerificationError("doi_koppinen comodule algebra", verdict)
     # column (k, j) is column j of (id (x) lmul(h_k)) rho
     eyeA = DenseMatrix.identity(A.field, A.dim)
     images = [kron_mul(eyeA, L, coaction) for L in H_alg.lmuls]

@@ -60,13 +60,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class ExactLAError(Exception):
@@ -133,7 +132,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """Ground field: the rationals (kind "Q") or a prime field (kind "Fp").
 
@@ -142,24 +140,40 @@ class FieldSpec:
     A field spec only normalizes, parses and serializes scalars; it offers
     no arithmetic.  Structure maps are built by the matrix operations of
     this module, fraction-free over Q and normalized once per entry.
+    Immutable, equal and hashed by value.
     """
 
-    kind: str
-    p: Optional[int] = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "Fp"):
-            raise ShapeError(f"unknown field kind {self.kind!r}")
-        if self.kind == "Fp":
-            if type(self.p) is not int:
-                raise ShapeError(f"Fp requires an integer p, got {self.p!r}")
-            if self.p >= PRIME_BOUND:
-                raise ShapeError(f"Fp modulus {self.p} is not below the primality "
+    def __init__(self, kind: str, p: int | None = None):
+        if kind not in ("Q", "Fp"):
+            raise ShapeError(f"unknown field kind {kind!r}")
+        if kind == "Fp":
+            if type(p) is not int:
+                raise ShapeError(f"Fp requires an integer p, got {p!r}")
+            if p >= PRIME_BOUND:
+                raise ShapeError(f"Fp modulus {p} is not below the primality "
                                  f"bound {PRIME_BOUND}")
-            if not _is_prime(self.p):
-                raise ShapeError(f"Fp requires a prime p, got {self.p!r}")
-        elif self.p is not None:
+            if not _is_prime(p):
+                raise ShapeError(f"Fp requires a prime p, got {p!r}")
+        elif p is not None:
             raise ShapeError("Q admits no modulus")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
+
+    def __repr__(self):
+        return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     def normalize(self, x) -> Scalar:
         """Canonical representative: reduced Fraction/int for Q, [0,p) for Fp.
@@ -276,7 +290,7 @@ class DenseMatrix:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
-    def from_rows(field: FieldSpec, rows: Sequence[Sequence[Scalar]], cols: Optional[int] = None) -> "DenseMatrix":
+    def from_rows(field: FieldSpec, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "DenseMatrix":
         rows = list(rows)
         if not rows:
             return DenseMatrix(field, 0, 0 if cols is None else cols, [])
@@ -904,7 +918,7 @@ def image(M: DenseMatrix) -> Subspace:
     return Subspace.from_spanning(M.field, M.rows, M.transpose().row_lists())
 
 
-def solve(M: DenseMatrix, b: Sequence[Scalar]) -> Optional[list]:
+def solve(M: DenseMatrix, b: Sequence[Scalar]) -> list | None:
     """One solution of Mv = b, or None; the one-column ``solve_matrix``."""
     if len(b) != M.rows:
         raise ShapeError("rhs length mismatch")
@@ -912,7 +926,7 @@ def solve(M: DenseMatrix, b: Sequence[Scalar]) -> Optional[list]:
     return None if X is None else X.entries
 
 
-def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> Optional[DenseMatrix]:
+def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> DenseMatrix | None:
     """One solution X of M X = B, or None when some column of B has none,
     from one reduction of [M | B]; free variables are set to zero."""
     if B.rows != M.rows:
@@ -928,16 +942,22 @@ def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> Optional[DenseMatrix]:
     return DenseMatrix.from_rows(M.field, X, cols=k)
 
 
-@dataclass
 class QuotientSpace:
     """k^n / relations with an explicit projection/section pair.
 
     projection is (q x n), section is (n x q); projection . section = id and
-    the kernel of projection is exactly the relation subspace.
+    the kernel of projection is exactly the relation subspace.  Equal when
+    both matrices are.
     """
 
-    projection: DenseMatrix
-    section: DenseMatrix
+    def __init__(self, projection: DenseMatrix, section: DenseMatrix):
+        self.projection = projection
+        self.section = section
+
+    def __eq__(self, other):
+        if type(other) is not QuotientSpace:
+            return NotImplemented
+        return self.projection == other.projection and self.section == other.section
 
     @property
     def dim(self) -> int:

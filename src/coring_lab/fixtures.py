@@ -19,8 +19,6 @@ test suite and frozen here; the pipeline must reproduce each one exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict
 
 from .algebra import AlgebraPresentation
 from .coalgebra import CoalgebraPresentation, grouplike_coalgebra
@@ -30,11 +28,11 @@ from .exactla import QQ, ShapeError
 FIXTURE_NAMES = ("fix-t", "fix-h", "fix-n", "fix-s")
 
 
-@dataclass
 class Fixture:
-    name: str
-    context: EntwinedContext
-    expected: Dict[str, object]
+    def __init__(self, name: str, context: EntwinedContext, expected: dict[str, object]):
+        self.name = name
+        self.context = context
+        self.expected = expected
 
     def instance_json(self) -> dict:
         return self.context.to_json()
@@ -112,7 +110,7 @@ def _context(name: str) -> EntwinedContext:
 _ALL_TRUE = {"1": True, "2": True, "3": True, "4": True, "5": True}
 _ALL_FALSE = {"1": False, "2": False, "3": False, "4": False, "5": False}
 
-_EXPECTED: Dict[str, Dict[str, object]] = {
+_EXPECTED: dict[str, dict[str, object]] = {
     "fix-t": {
         "dims": {"A": 2, "C": 1, "coring": 2, "dual_ring": 2, "B": 2, "Q": 2,
                  "integrals": 2},

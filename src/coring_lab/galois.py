@@ -10,8 +10,7 @@ routes are asserted to agree and any mismatch raises instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import namedtuple
 
 from .algebra import (
     ModulePresentation,
@@ -74,7 +73,7 @@ def _coinv_tensor_A(ctx, M: ComoduleInstance):
 
 
 @once
-def psi_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]:
+def psi_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]:
     """The weak-structure map (coinvariants of M) (x)_B A -> M, m (x) a -> ma."""
     f = ctx.field
     coinv = coinvariants(M)
@@ -91,7 +90,7 @@ def psi_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]:
     return mat, map_report(mat, target_dim=M.dim)
 
 
-def induced_from_B_module(ctx, N: ModulePresentation) -> Tuple[ComoduleInstance, object]:
+def induced_from_B_module(ctx, N: ModulePresentation) -> tuple[ComoduleInstance, object]:
     """N (x)_B A with the comodule structure carried by the A factor.
 
     Returns the comodule together with the quotient space, whose projection
@@ -118,7 +117,7 @@ def induced_from_B_module(ctx, N: ModulePresentation) -> Tuple[ComoduleInstance,
     return ComoduleInstance(ctx, mod, rho, name=mod.name), tensor
 
 
-def phi_N(ctx, N: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
+def phi_N(ctx, N: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport]:
     """The unit map N -> (N (x)_B A)^co, n -> class of n (x) 1."""
     comod, tensor = induced_from_B_module(ctx, N)
     coinv = coinvariants(comod)
@@ -129,7 +128,7 @@ def phi_N(ctx, N: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
 
 
 @once
-def psi_prime_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]:
+def psi_prime_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]:
     """Hom over the coring (A, M) (x)_B A -> M by evaluation."""
     data = ctx.morita()
     f = ctx.field
@@ -157,12 +156,13 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, LinearMapReport]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GaloisMapData:
-    matrix: DenseMatrix            # on A (x)_B A quotient coordinates
-    plain_matrix: DenseMatrix      # on the plain tensor square of A
-    report: LinearMapReport
-    tensor: object                 # the A (x)_B A quotient
+    def __init__(self, matrix: DenseMatrix, plain_matrix: DenseMatrix,
+                 report: LinearMapReport, tensor: object):
+        self.matrix = matrix                # on A (x)_B A quotient coordinates
+        self.plain_matrix = plain_matrix    # on the plain tensor square of A
+        self.report = report
+        self.tensor = tensor                # the A (x)_B A quotient
 
 
 @once
@@ -217,7 +217,7 @@ def _verify_beta_coring_morphism(ctx, plain: DenseMatrix):
         raise VerificationError("beta", v)
 
 
-def beta_W(ctx, W: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
+def beta_W(ctx, W: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport]:
     """w (x) a -> w (x)_A x a: W (x)_B A into W (x) C, in entwined coordinates."""
     data = ctx.morita()
     f = ctx.field
@@ -230,7 +230,7 @@ def beta_W(ctx, W: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport]:
     return mat, map_report(mat, target_dim=W.dim * ctx.C.dim)
 
 
-def varpi_M(ctx, M: ModulePresentation) -> Dict[str, object]:
+def varpi_M(ctx, M: ModulePresentation) -> dict[str, object]:
     """M (x)_dual (dual ring) -> M with its surjectivity verdict, plus the
     existence criterion for a dual-ring element sending x to 1; the two are
     asserted to agree for M = A."""
@@ -248,18 +248,23 @@ def varpi_M(ctx, M: ModulePresentation) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class StructureVerdict:
-    weak: bool
-    strong: bool
-    galois: bool
-    flat_BA: bool
-    faithfully_flat_BA: bool
-    qhat_exists: bool
-    normal_basis: Optional[bool] = None
-    clause_tables: Dict[str, Dict[str, bool]] = dc_field(default_factory=dict)
-    witness_names: List[str] = dc_field(default_factory=list)
-    notes: Dict[str, object] = dc_field(default_factory=dict)
+    def __init__(self, weak: bool, strong: bool, galois: bool, flat_BA: bool,
+                 faithfully_flat_BA: bool, qhat_exists: bool,
+                 normal_basis: bool | None = None,
+                 clause_tables: dict[str, dict[str, bool]] | None = None,
+                 witness_names: list[str] | None = None,
+                 notes: dict[str, object] | None = None):
+        self.weak = weak
+        self.strong = strong
+        self.galois = galois
+        self.flat_BA = flat_BA
+        self.faithfully_flat_BA = faithfully_flat_BA
+        self.qhat_exists = qhat_exists
+        self.normal_basis = normal_basis
+        self.clause_tables = {} if clause_tables is None else clause_tables
+        self.witness_names = [] if witness_names is None else witness_names
+        self.notes = {} if notes is None else notes
 
     def to_json(self) -> dict:
         out = {
@@ -278,7 +283,7 @@ class StructureVerdict:
         return out
 
 
-def default_B_module_witnesses(ctx) -> List[ModulePresentation]:
+def default_B_module_witnesses(ctx) -> list[ModulePresentation]:
     data = ctx.morita()
     B = data.B.algebra
     reg = B.regular_module("right")
@@ -296,7 +301,7 @@ def _endo_A_dual(data: MoritaContextData) -> Subspace:
     return hom_module(data.A_right_dual, data.A_right_dual)
 
 
-def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
+def _faithfully_balanced(ctx, data: MoritaContextData) -> tuple[bool, bool]:
     """(faithful, balanced) for A over the dual ring: the canonical map into
     the endomorphisms over End(A_dual) is injective resp. surjective."""
     f = ctx.field
@@ -309,14 +314,8 @@ def _faithfully_balanced(ctx, data: MoritaContextData) -> Tuple[bool, bool]:
     return r == canon.cols, r == commutant.dim and commutant.contains_columns(canon)
 
 
-class StructureFlags(NamedTuple):
-    """The witness-free structure flags of a context."""
-
-    weak: bool
-    strong: bool
-    galois: bool
-    flat_BA: bool
-    gen_BA: bool
+StructureFlags = namedtuple("StructureFlags", "weak strong galois flat_BA gen_BA")
+StructureFlags.__doc__ = "The witness-free structure flags of a context."
 
 
 @once
@@ -335,7 +334,7 @@ def structure_flags(ctx) -> StructureFlags:
     return StructureFlags(weak, strong, galois_flag, flat_BA, gen_BA)
 
 
-def structure_report(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
+def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
                      seed: int = 0) -> StructureVerdict:
     """Weak/strong structure flags with the full clause tables.
 

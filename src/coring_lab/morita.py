@@ -20,8 +20,7 @@ mathematical discovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Sequence
 
 from .algebra import (
     AlgebraPresentation,
@@ -59,24 +58,24 @@ from .verdict import Verdict, VerificationError, one_failure
 class ClauseDisagreement(Exception):
     """Equivalent clauses of a theorem evaluated to different booleans."""
 
-    def __init__(self, theorem: str, table: Dict[str, bool], detail: str = ""):
+    def __init__(self, theorem: str, table: dict[str, bool], detail: str = ""):
         self.theorem = theorem
         self.table = table
         super().__init__(f"clause disagreement in {theorem}: {table} {detail}")
 
 
-@dataclass
 class LinearMapReport:
-    matrix: DenseMatrix
-    injective: bool
-    surjective: bool
+    def __init__(self, matrix: DenseMatrix, injective: bool, surjective: bool):
+        self.matrix = matrix
+        self.injective = injective
+        self.surjective = surjective
 
     @property
     def bijective(self) -> bool:
         return self.injective and self.surjective
 
 
-def map_report(matrix: DenseMatrix, target_dim: Optional[int] = None) -> LinearMapReport:
+def map_report(matrix: DenseMatrix, target_dim: int | None = None) -> LinearMapReport:
     r = rank(matrix)
     return LinearMapReport(matrix, r == matrix.cols,
                            r == (matrix.rows if target_dim is None else target_dim))
@@ -87,11 +86,12 @@ def map_report(matrix: DenseMatrix, target_dim: Optional[int] = None) -> LinearM
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CoinvariantData:
-    space: Subspace                  # inside A
-    algebra: AlgebraPresentation     # structure constants in the echelon basis
-    embedding: DenseMatrix           # dim(A) x dim(B)
+    def __init__(self, space: Subspace, algebra: AlgebraPresentation,
+                 embedding: DenseMatrix):
+        self.space = space              # inside A
+        self.algebra = algebra          # structure constants in the echelon basis
+        self.embedding = embedding      # dim(A) x dim(B)
 
     @property
     def dim(self) -> int:
@@ -115,10 +115,10 @@ def compute_B(ctx) -> CoinvariantData:
     return CoinvariantData(space, algebra, embedding)
 
 
-@dataclass
 class QIdealData:
-    space: Subspace            # inside Hom(C, A) flat coordinates
-    matrices: List[DenseMatrix]
+    def __init__(self, space: Subspace, matrices: list[DenseMatrix]):
+        self.space = space              # inside Hom(C, A) flat coordinates
+        self.matrices = matrices
 
     @property
     def dim(self) -> int:
@@ -162,22 +162,28 @@ def compute_Q(ctx) -> QIdealData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MoritaContextData:
-    ctx: object
-    B: CoinvariantData
-    Q: QIdealData
-    A_left_B: ModulePresentation       # A as a left B-module
-    A_right_dual: ModulePresentation   # A as a right dual-ring module
-    Q_left_dual: ModulePresentation    # Q as a left dual-ring module
-    Q_right_B: ModulePresentation      # Q as a right B-module
-    QA: QuotientSpace                  # Q (x)_B A
-    AQ: QuotientSpace                  # A (x)_dual Q
-    F_matrix: DenseMatrix              # Q (x)_B A -> Hom(C, A) flat coords
-    G_plain: DenseMatrix               # A (x) Q -> B coords, column (j, i) = e_j <- q_i
-    G_matrix: DenseMatrix              # A (x)_dual Q -> B coords
-    F_report: LinearMapReport = None
-    G_report: LinearMapReport = None
+    def __init__(self, ctx: object, B: CoinvariantData, Q: QIdealData,
+                 A_left_B: ModulePresentation, A_right_dual: ModulePresentation,
+                 Q_left_dual: ModulePresentation, Q_right_B: ModulePresentation,
+                 QA: QuotientSpace, AQ: QuotientSpace, F_matrix: DenseMatrix,
+                 G_plain: DenseMatrix, G_matrix: DenseMatrix,
+                 F_report: LinearMapReport | None = None,
+                 G_report: LinearMapReport | None = None):
+        self.ctx = ctx
+        self.B = B
+        self.Q = Q
+        self.A_left_B = A_left_B            # A as a left B-module
+        self.A_right_dual = A_right_dual    # A as a right dual-ring module
+        self.Q_left_dual = Q_left_dual      # Q as a left dual-ring module
+        self.Q_right_B = Q_right_B          # Q as a right B-module
+        self.QA = QA                        # Q (x)_B A
+        self.AQ = AQ                        # A (x)_dual Q
+        self.F_matrix = F_matrix            # Q (x)_B A -> Hom(C, A) flat coords
+        self.G_plain = G_plain              # A (x) Q -> B coords, column (j, i) = e_j <- q_i
+        self.G_matrix = G_matrix            # A (x)_dual Q -> B coords
+        self.F_report = F_report
+        self.G_report = G_report
 
 
 def _a_left_b_module(ctx, B: CoinvariantData) -> ModulePresentation:
@@ -310,7 +316,7 @@ def _verify_context_identities(ctx, data: MoritaContextData):
 
 
 @once
-def find_qhat(data: MoritaContextData) -> Optional[list]:
+def find_qhat(data: MoritaContextData) -> list | None:
     """A deterministic q in Q with q(x) = 1_A, as flat Hom(C, A) coordinates."""
     ctx = data.ctx
     if not data.Q.dim:
@@ -322,7 +328,7 @@ def find_qhat(data: MoritaContextData) -> Optional[list]:
                         ctx.A.dim * ctx.C.dim)
 
 
-def xi_M(data: MoritaContextData, M: ModulePresentation) -> Tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
+def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
     """M (x)_dual Q -> M^x, m (x) q -> m q, with bijectivity onto M^x."""
     tensor = balanced_tensor(M, data.Q_left_dual)
     target = x_invariants(M, data.ctx)
@@ -353,13 +359,15 @@ def trace_map(data: MoritaContextData, qhat: Sequence) -> DenseMatrix:
     return tr
 
 
-@dataclass
 class OmegaLambdaReport:
-    omega_matrix: DenseMatrix
-    omega: LinearMapReport
-    lambda_matrix: DenseMatrix
-    lambda_report: LinearMapReport
-    lambda_multiplicative: bool
+    def __init__(self, omega_matrix: DenseMatrix, omega: LinearMapReport,
+                 lambda_matrix: DenseMatrix, lambda_report: LinearMapReport,
+                 lambda_multiplicative: bool):
+        self.omega_matrix = omega_matrix
+        self.omega = omega
+        self.lambda_matrix = lambda_matrix
+        self.lambda_report = lambda_report
+        self.lambda_multiplicative = lambda_multiplicative
 
     @property
     def omega_iso(self) -> bool:
@@ -421,8 +429,8 @@ def q_left_annihilator(data: MoritaContextData) -> Subspace:
                                for x in S.rmul_matrix(q).entries]))
 
 
-def check_theorem_surj(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
-                       seed: int = 0) -> Dict[str, object]:
+def check_theorem_surj(ctx, witnesses: list[ComoduleInstance] | None = None,
+                       seed: int = 0) -> dict[str, object]:
     """The G-surjectivity equivalence table.
 
     Clauses: (1) G surjective, (2) some q in Q has q(x) = 1, (3) the pairing
@@ -435,7 +443,7 @@ def check_theorem_surj(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
     data = ctx.morita()
     if witnesses is None:
         witnesses = ctx.default_witnesses(seed=seed)
-    table: Dict[str, bool] = {}
+    table: dict[str, bool] = {}
     table["1"] = data.G_report.surjective
     table["2"] = find_qhat(data) is not None
     ok3 = True
@@ -471,8 +479,8 @@ def check_theorem_surj(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
     return result
 
 
-def check_theorem_Cfinite(ctx, witnesses: Optional[List[ComoduleInstance]] = None,
-                          seed: int = 0) -> Dict[str, object]:
+def check_theorem_Cfinite(ctx, witnesses: list[ComoduleInstance] | None = None,
+                          seed: int = 0) -> dict[str, object]:
     """The F-surjectivity equivalence table.
 
     Clauses: (1) F surjective, (2) Q f.g. projective over B + Omega iso +
@@ -485,8 +493,8 @@ def check_theorem_Cfinite(ctx, witnesses: Optional[List[ComoduleInstance]] = Non
     data = ctx.morita()
     if witnesses is None:
         witnesses = ctx.default_witnesses(seed=seed)
-    table: Dict[str, bool] = {}
-    sub: Dict[str, bool] = {}
+    table: dict[str, bool] = {}
+    sub: dict[str, bool] = {}
     table["1"] = data.F_report.surjective
     proj_q, _ = is_fg_projective(data.Q_right_B)
     ol = omega_and_lambda(data)
@@ -517,7 +525,7 @@ def check_theorem_Cfinite(ctx, witnesses: Optional[List[ComoduleInstance]] = Non
     return result
 
 
-def psi_tilde_from_F(ctx, M: ComoduleInstance) -> Tuple[DenseMatrix, DenseMatrix]:
+def psi_tilde_from_F(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, DenseMatrix]:
     """The explicit inverse of the weak-structure map built from a preimage of
     the counit under F; returns (psi_matrix, inverse_matrix), both verified.
 

@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
 
-
-@dataclass(frozen=True)
 class AxiomFailure:
-    axiom: str
-    indices: Tuple[int, ...] = ()
-    detail: str = ""
+    """One violated identity: immutable, equal and hashed by value."""
+
+    __slots__ = ("axiom", "indices", "detail")
+
+    def __init__(self, axiom: str, indices: tuple[int, ...] = (), detail: str = ""):
+        object.__setattr__(self, "axiom", axiom)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, *a):
+        raise AttributeError("AxiomFailure is immutable")
+
+    def _key(self):
+        return self.axiom, self.indices, self.detail
+
+    def __eq__(self, other):
+        if type(other) is not AxiomFailure:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"AxiomFailure{self._key()!r}"
 
     def __str__(self):
         where = f" at {self.indices}" if self.indices else ""
@@ -18,20 +36,20 @@ class AxiomFailure:
         return f"{self.axiom}{where}{extra}"
 
 
-@dataclass
 class Verdict:
     """A list of axiom failures; empty means the object is valid."""
 
-    failures: List[AxiomFailure] = field(default_factory=list)
+    def __init__(self, failures: list[AxiomFailure] | None = None):
+        self.failures = [] if failures is None else failures
 
-    def fail(self, axiom: str, indices: Tuple[int, ...] = (), detail: str = ""):
+    def fail(self, axiom: str, indices: tuple[int, ...] = (), detail: str = ""):
         self.failures.append(AxiomFailure(axiom, indices, detail))
 
     @property
     def valid(self) -> bool:
         return not self.failures
 
-    def axioms(self) -> List[str]:
+    def axioms(self) -> list[str]:
         return [f.axiom for f in self.failures]
 
     def __bool__(self):
@@ -52,7 +70,7 @@ class Verdict:
         }
 
 
-def one_failure(axiom: str, indices: Tuple[int, ...] = (), detail: str = "") -> Verdict:
+def one_failure(axiom: str, indices: tuple[int, ...] = (), detail: str = "") -> Verdict:
     """A verdict holding the single failure given."""
     v = Verdict()
     v.fail(axiom, indices, detail)

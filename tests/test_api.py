@@ -3,16 +3,23 @@
 ``coring_lab.__all__`` is the public API, and ``perfbench/tracer.py`` wraps
 package functions by (module, attribute) to time a benchmark run.  A refactor
 that renames or moves one of them must fail here, not silently drop a span
-from the traced benchmark.
+from the traced benchmark.  It also pins what the package's plain classes
+promise in place of generated ones (value equality, hashing, immutability)
+and that importing the analysis modules stays free of ``dataclasses``,
+``typing`` and ``argparse``.
 """
 
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
 import coring_lab
+from coring_lab.exactla import SubspaceBuilder
+from coring_lab.verdict import AxiomFailure
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 
@@ -52,3 +59,52 @@ def test_subspace_membership_has_one_routine():
     """``Subspace.coords_matrix`` is the one membership routine; no second
     reduction modulo the subspace exists beside it."""
     assert not hasattr(coring_lab.Subspace, "reduce")
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+# what ``perfbench/child.py`` imports before it times an analysis
+CHILD_IMPORTS = ("from coring_lab import cli; import coring_lab.cleft, coring_lab.exactla, "
+                 "coring_lab.morita, coring_lab.verdict")
+
+
+def test_analysis_imports_no_reflection_or_parser_machinery():
+    """The modules an analysis imports pull in neither ``dataclasses`` (and
+    its ``inspect``) nor ``typing``; ``argparse`` waits for ``main``."""
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); {CHILD_IMPORTS}; "
+            "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'argparse') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == []
+
+
+def test_field_spec_is_an_immutable_value():
+    assert coring_lab.GF(7) == coring_lab.GF(7)
+    assert hash(coring_lab.GF(7)) == hash(coring_lab.GF(7))
+    assert {coring_lab.GF(7): "seven"}[coring_lab.GF(7)] == "seven"
+    assert coring_lab.QQ != coring_lab.GF(7)
+    assert coring_lab.QQ == coring_lab.FieldSpec("Q")
+    with pytest.raises(AttributeError):
+        coring_lab.QQ.kind = "Fp"
+    with pytest.raises(AttributeError):
+        coring_lab.GF(7).p = 11
+
+
+def test_axiom_failure_is_an_immutable_value():
+    a, b = AxiomFailure("unit-left", (1,), "x"), AxiomFailure("unit-left", (1,), "x")
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != AxiomFailure("unit-left", (2,), "x")
+    assert a != AxiomFailure("unit-right", (1,), "x")
+    with pytest.raises(AttributeError):
+        a.axiom = "unit-right"
+
+
+def test_quotient_space_equal_by_value():
+    spans = [SubspaceBuilder(coring_lab.QQ, 3) for _ in range(3)]
+    spans[0].insert([1, 1, 0])
+    spans[1].insert([2, 2, 0])
+    spans[2].insert([0, 1, 1])
+    first, same, other = (coring_lab.quotient(s) for s in spans)
+    assert first == same and first is not same
+    assert first != other

@@ -323,3 +323,36 @@ def test_report_exit_is_most_severe_class(monkeypatch, tmp_path, names, want):
     code, out, err = run_cli(["report"] + [paths.get(n) or fx(n) for n in names])
     assert code == want
     assert len(out.strip().splitlines()) == 1 + len(names)
+
+
+# -- a self-paired Doi-Koppinen input is checked as a bialgebra -------------------
+
+# fix-h's coalgebra with Delta broken: Delta(g) = g (x) g + 1 (x) g is not
+# coassociative; Delta(g) = 1 (x) g + g (x) 1 is coassociative but not
+# multiplicative; Delta(1) = 0 breaks Delta(1) = 1 (x) 1
+BROKEN_DELTA = {
+    "bialgebra-coassociativity": [[[1, 0], [0, 0]], [[0, 1], [0, 1]]],
+    "comultiplication-not-algebra-map": [[[1, 0], [0, 0]], [[0, 1], [1, 0]]],
+    "comultiplication-of-unit": [[[0, 0], [0, 0]], [[0, 0], [0, 1]]],
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(BROKEN_DELTA))
+def test_self_paired_doi_koppinen_with_broken_delta_exits_2(tmp_path, axiom):
+    from coring_lab.cli import load_instance
+    from coring_lab.verdict import VerificationError
+
+    blob = json.load(open(fx("fix-h")))
+    assert blob["entwining"] == {"kind": "doi_koppinen"}
+    blob["coalgebra"]["comult"] = BROKEN_DELTA[axiom]
+    if axiom == "comultiplication-not-algebra-map":
+        blob["coalgebra"]["counit"] = [1, 0]
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(blob))
+    with pytest.raises(VerificationError) as exc:
+        load_instance(str(p))
+    assert axiom in exc.value.verdict.axioms()
+    for command in ("verify", "analyze"):
+        code, out, err = run_cli([command, str(p)])
+        assert (code, out) == (2, "")
+        assert axiom in err

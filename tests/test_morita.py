@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from coring_lab.exactla import QQ, DenseMatrix, kernel
@@ -9,6 +7,7 @@ from coring_lab.coring import coinvariants, dual_action, x_invariants
 from coring_lab.entwining import EntwinedContext, doi_koppinen, flip_entwining
 from coring_lab.fixtures import fixture
 from coring_lab.morita import (
+    MoritaContextData,
     _verify_context_identities,
     check_theorem_Cfinite,
     check_theorem_surj,
@@ -282,8 +281,16 @@ def _plus_e00(M):
     return ModulePresentation(M.algebra, M.dim, M.side, [_plus_e00_matrix(a) for a in M.action])
 
 
+def _replaced(data, name, value):
+    """A fresh MoritaContextData equal to ``data`` except that ``name`` is
+    ``value``; memoized results of ``data`` are not carried over."""
+    fields = ("ctx", "B", "Q", "A_left_B", "A_right_dual", "Q_left_dual", "Q_right_B",
+              "QA", "AQ", "F_matrix", "G_plain", "G_matrix", "F_report", "G_report")
+    return MoritaContextData(**{f: value if f == name else getattr(data, f) for f in fields})
+
+
 def _corrupted(data, name):
-    return replace(data, **{name: _plus_e00(getattr(data, name))})
+    return _replaced(data, name, _plus_e00(getattr(data, name)))
 
 
 def test_context_identities_fire_on_corrupted_modules():
@@ -317,4 +324,4 @@ def test_lambda_not_multiplicative_on_corrupted_action():
     action = list(Ad.action)
     action[t] = _plus_e00_matrix(action[t])
     one_off = ModulePresentation(Ad.algebra, Ad.dim, Ad.side, action)
-    assert not omega_and_lambda(replace(data, A_right_dual=one_off)).lambda_multiplicative
+    assert not omega_and_lambda(_replaced(data, "A_right_dual", one_off)).lambda_multiplicative
