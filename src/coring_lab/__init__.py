@@ -43,7 +43,6 @@ from .coalgebra import (
 from .entwining import (
     EntwinedContext,
     build_coring,
-    build_sharp_ring,
     comodule_algebra_from_unit,
     doi_koppinen,
     instance_from_json,
@@ -69,7 +68,6 @@ from .morita import (
     find_qhat,
     omega_and_lambda,
     psi_tilde_from_F,
-    trace_map,
     xi_M,
 )
 from .galois import (
@@ -103,14 +101,13 @@ __all__ = [
     "verify_algebra", "verify_module",
     "CoalgebraPresentation", "convolution", "convolution_inverse",
     "is_grouplike_C", "verify_coalgebra",
-    "EntwinedContext", "build_coring", "build_sharp_ring",
-    "comodule_algebra_from_unit", "doi_koppinen", "instance_from_json",
-    "verify_entwining",
+    "EntwinedContext", "build_coring", "comodule_algebra_from_unit",
+    "doi_koppinen", "instance_from_json", "verify_entwining",
     "ComoduleInstance", "CoringPresentation", "coinvariants", "dual_action",
     "hom_comodule", "induced_comodule", "verify_coring", "x_invariants",
     "ClauseDisagreement", "build_context", "check_theorem_Cfinite",
     "check_theorem_surj", "compute_B", "compute_Q", "find_qhat",
-    "omega_and_lambda", "psi_tilde_from_F", "trace_map", "xi_M",
+    "omega_and_lambda", "psi_tilde_from_F", "xi_M",
     "StructureVerdict", "beta", "beta_W", "phi_N", "psi_M", "psi_prime_M",
     "structure_report", "varpi_M",
     "CleftResult", "check_theorem_main", "check_theorem_xcase", "find_cleft",

@@ -25,7 +25,6 @@ from .cleft import (
     normal_basis_check,
     x_case_grouplike,
 )
-from .coring import verify_coring
 from .entwining import EntwinedContext, instance_from_json
 from .exactla import ShapeError, dumps_canonical
 from .galois import structure_report
@@ -103,13 +102,13 @@ def load_instance(path: str) -> EntwinedContext:
 
 
 def full_verify(ctx: EntwinedContext):
-    """All axiom verifiers; raises VerificationError on the first failure."""
+    """The input checks, the axioms and the unit coaction's comodule laws;
+    raises VerificationError on the first failure.  What they imply (a
+    coring on A (x) C with group-like x, a Morita context) is a theorem,
+    checked on every tested instance by the test suite, not here."""
     verdict = ctx.verify_axioms()
     if not verdict.valid:
         raise VerificationError("axioms", verdict)
-    coring_verdict = verify_coring(ctx.coring())
-    if not coring_verdict.valid:
-        raise VerificationError("coring", coring_verdict)
     ctx.comodule_A()
 
 

@@ -19,18 +19,12 @@ from collections.abc import Sequence
 
 from .algebra import AlgebraPresentation, verify_algebra
 from .coalgebra import CoalgebraPresentation, verify_coalgebra
-from .coring import (
-    ComoduleInstance,
-    CoringPresentation,
-    SquareReducer,
-    induced_action,
-    is_grouplike,
-    square_reducer,
-)
+from .coring import ComoduleInstance, CoringPresentation, induced_action
 from .exactla import (
     DenseMatrix,
     FieldSpec,
     ShapeError,
+    combine_matrices,
     dumps_canonical,
     json_get,
     kron,
@@ -39,7 +33,7 @@ from .exactla import (
     once,
     parse_array,
 )
-from .verdict import Verdict, VerificationError, one_failure
+from .verdict import Verdict, VerificationError
 
 
 def swap_matrix(field: FieldSpec, m: int, n: int) -> DenseMatrix:
@@ -150,15 +144,6 @@ class SharpRing:
         return [norm(x * e) for x in a for e in self.ctx.C.counit]
 
 
-def build_sharp_ring(ctx: "EntwinedContext") -> AlgebraPresentation:
-    """The algebra on Hom(C, A); its axioms are re-verified on construction."""
-    sharp = ctx.sharp_ring()
-    verdict = verify_algebra(sharp.algebra)
-    if not verdict.valid:
-        raise VerificationError("build_sharp_ring", verdict)
-    return sharp.algebra
-
-
 # ---------------------------------------------------------------------------
 # the coring on A (x) C
 # ---------------------------------------------------------------------------
@@ -186,7 +171,13 @@ def build_coring(ctx: "EntwinedContext") -> CoringPresentation:
 
 def comodule_algebra_from_unit(ctx: "EntwinedContext") -> tuple[ComoduleInstance, list]:
     """The comodule structure a -> 1_(0) a_psi (x) 1_(1)^psi on A, plus the
-    group-like element it determines; every required law is verified."""
+    group-like element it determines.
+
+    This is the input check on the declared unit coaction u: its comodule
+    laws are verified.  They make u group-like, since rho(a) = u a is right
+    A-linear by the entwined-module law, so coassociativity and counit at
+    a = 1 read Delta(u) = u (x)_A u and eps(u) = 1; and rho(1) = u by the
+    entwining-unit axiom."""
     A, C = ctx.A, ctx.C
     f = A.field
     u = ctx.unit_coaction
@@ -196,20 +187,33 @@ def comodule_algebra_from_unit(ctx: "EntwinedContext") -> tuple[ComoduleInstance
                    kron_mul(DenseMatrix.identity(f, A.dim), ctx.psi, ins_u))
     comodule = ComoduleInstance(ctx, A.regular_module("right"), rho, name="A")
     verdict = comodule.verify()
-    if rho.apply(A.unit) != u:
-        verdict.fail("unit-coaction-consistency", (),
-                     "rho(1) disagrees with the declared unit coaction")
     if not verdict.valid:
         raise VerificationError("comodule_algebra_from_unit", verdict)
-    if not is_grouplike(ctx.coring(), u, ctx.square()):
-        raise VerificationError("comodule_algebra_from_unit", one_failure(
-            "grouplike", detail="the unit coaction is not group-like in the coring"))
     return comodule, list(u)
 
 
 # ---------------------------------------------------------------------------
 # Doi-Koppinen input data
 # ---------------------------------------------------------------------------
+
+
+def _multiplicative(rho: DenseMatrix, X: AlgebraPresentation, Y: AlgebraPresentation) -> bool:
+    """Whether rho: X -> X (x) Y is multiplicative, with (x (x) y)(x' (x) y')
+    = x x' (x) y y': column j of rho lmul(e_i) is rho(e_i e_j), and left
+    multiplication by rho(e_i) is the sum of its coefficients times
+    kron(lmul(x), lmul(y)), each applied to rho without building it."""
+    nY = Y.dim
+    terms: dict[int, DenseMatrix] = {}
+    for i, L in enumerate(X.lmuls):
+        coeffs = rho.col(i)
+        used = [k for k, c in enumerate(coeffs) if c]
+        for k in used:
+            if k not in terms:
+                terms[k] = kron_mul(X.lmuls[k // nY], Y.lmuls[k % nY], rho)
+        if rho.mul(L) != combine_matrices(rho.field, rho.rows, rho.cols,
+                                          [coeffs[k] for k in used], [terms[k] for k in used]):
+            return False
+    return True
 
 
 def verify_bialgebra(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation) -> Verdict:
@@ -220,14 +224,9 @@ def verify_bialgebra(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation)
         v.fail("bialgebra-" + fail.axiom, fail.indices, fail.detail)
     for fail in verify_coalgebra(H_coalg).failures:
         v.fail("bialgebra-" + fail.axiom, fail.indices, fail.detail)
-    f = H_alg.field
-    n = H_alg.dim
     mult = H_alg.mult_matrix()
     delta = H_coalg.comult_matrix()
-    eyen = DenseMatrix.identity(f, n)
-    # (mult (x) mult) . (id (x) swap (x) id) . (delta (x) delta)
-    mid = kron(swap_matrix(f, n, n), eyen)
-    if delta.mul(mult) != kron_mul(mult, mult, kron_mul(eyen, mid, kron(delta, delta))):
+    if not _multiplicative(delta, H_alg, H_alg):
         v.fail("comultiplication-not-algebra-map")
     eps = H_coalg.counit_matrix()
     if eps.mul(mult) != kron(eps, eps):
@@ -257,11 +256,7 @@ def verify_comodule_algebra(H_alg: AlgebraPresentation,
         v.fail("coaction-coassociativity")
     if kron_mul(eyeA, H_coalg.counit_matrix(), coaction) != eyeA:
         v.fail("coaction-counit")
-    # (mult_A (x) mult_H) . (id (x) swap (x) id) . (coaction (x) coaction)
-    mid = kron(swap_matrix(f, nA, nH), eyeH)
-    if coaction.mul(A.mult_matrix()) != kron_mul(
-            A.mult_matrix(), H_alg.mult_matrix(),
-            kron_mul(eyeA, mid, kron(coaction, coaction))):
+    if not _multiplicative(coaction, A, H_alg):
         v.fail("coaction-not-algebra-map")
     if coaction.apply(A.unit) != kron(A.unit_matrix(), H_alg.unit_matrix()).entries:
         v.fail("coaction-of-unit")
@@ -350,9 +345,6 @@ class EntwinedContext:
     @once
     def coring(self) -> CoringPresentation:
         return build_coring(self)
-
-    def square(self) -> SquareReducer:
-        return square_reducer(self.coring())
 
     @once
     def sharp_ring(self) -> SharpRing:

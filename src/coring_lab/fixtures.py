@@ -218,9 +218,3 @@ def write_fixture_files(directory: str):
         with open(os.path.join(directory, f"{fx.name}.expected.json"), "w") as fh:
             json.dump(fx.expected, fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    write_fixture_files(sys.argv[1] if len(sys.argv) > 1 else "fixtures")

@@ -1,13 +1,12 @@
 """The connecting Morita context between the coinvariants and the dual ring.
 
 From a context this module computes the coinvariant subring B of A, the left
-ideal Q of the dual ring, the two connecting pairings F: Q (x)_B A -> dual
-ring and G: A (x)_dual Q -> B, and verifies every bilinearity and
-associativity identity the context must satisfy, exactly.  Each identity is
-one matrix equation whose columns run over all basis triples, so it still
-covers every triple.  Every map is a product of matrices that already
-exist: A's one right action over the dual ring gives the hook
-a <- q = q~(x a), and through it G, the trace and Omega; restricted along
+ideal Q of the dual ring and the two connecting pairings F: Q (x)_B A ->
+dual ring and G: A (x)_dual Q -> B.  They form a Morita context by
+construction (Doi 1994), so its bilinearity and associativity identities
+are checked in the test suite, not here.  Every map is a product of
+matrices that already exist: A's one right action over the dual ring gives
+the hook a <- q = q~(x a), and through it G and Omega; restricted along
 the unit map A -> dual ring it gives F; Q's module structures are the
 dual ring's and B's multiplications read in Q's echelon basis by
 ``Subspace.coords_matrix``.
@@ -20,7 +19,7 @@ mathematical discovery.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from .algebra import (
     AlgebraPresentation,
@@ -221,11 +220,10 @@ def _coords_or_fail(space: Subspace, P: DenseMatrix, where: str, label: str,
 
 
 def build_context(ctx) -> MoritaContextData:
-    """Assemble (B, dual ring, A, Q, F, G) and verify the context identities.
+    """Assemble (B, dual ring, A, Q, F, G).
 
-    Checks, exactly and on all basis combinations: Q's stability under both
-    actions, F's dual-ring bilinearity, G's B-bilinearity, and the two
-    associativity relations tying F and G together.  Any failure raises.
+    Q's module structures and G are read in the echelon bases of Q and B;
+    a column outside them raises, naming the stability that failed.
     """
     f = ctx.field
     S = ctx.sharp_ring().algebra
@@ -259,55 +257,7 @@ def build_context(ctx) -> MoritaContextData:
                              QA, AQ, F_matrix, G_plain, G_matrix)
     data.F_report = map_report(F_matrix, target_dim=S.dim)
     data.G_report = map_report(G_matrix, target_dim=B.dim)
-    _verify_context_identities(ctx, data)
     return data
-
-
-def _verify_context_identities(ctx, data: MoritaContextData):
-    """Bilinearity of F and G and the two associativity relations, each one
-    matrix equation over all basis triples at once.
-
-    F and G are rebuilt on the plain tensors from ``data``'s fields, G in
-    A-coordinates, and every side is a structure map after a Kronecker
-    product, applied without building it.  A failing equation names the
-    basis element of each failing block: the acting element for the four
-    linearity laws, the first tensor factor for the two associativities.
-    """
-    f = ctx.field
-    A, S = ctx.A, ctx.sharp_ring().algebra
-    nA, nQ, nB, nS = A.dim, data.Q.dim, data.B.dim, S.dim
-    Ad = data.A_right_dual
-    F = _F_plain(ctx, Ad, data.Q)
-    G = _times_Q(Ad, data.Q)
-    eyeA, eyeQ, eyeB, eyeS = (DenseMatrix.identity(f, n) for n in (nA, nQ, nB, nS))
-    equations = (
-        # F(g.q (x) a) = g . F(q (x) a), columns (s, i, j)
-        ("F-left-dual-linearity", mul_kron(F, data.Q_left_dual.action_map(), eyeA),
-         mul_kron(S.mult_matrix(), eyeS, F), nQ * nA, nS),
-        # F(q (x) a<-g) = F(q (x) a) . g, columns (i, j, s)
-        ("F-right-dual-linearity", mul_kron(F, eyeQ, Ad.action_map()),
-         mul_kron(S.mult_matrix(), F, eyeS), 1, nS),
-        # G(b a (x) q) = b G(a (x) q), columns (b, j, i)
-        ("G-left-B-linearity", mul_kron(G, data.A_left_B.action_map(), eyeQ),
-         mul_kron(data.A_left_B.action_map(), eyeB, G), nA * nQ, nB),
-        # G(a (x) q b) = G(a (x) q) b, columns (j, i, b)
-        ("G-right-B-linearity", mul_kron(G, eyeA, data.Q_right_B.action_map()),
-         mul_kron(A.mult_matrix(), G, data.B.embedding), 1, nB),
-        # F(q (x) a) . q~ = q . G(a (x) q~), columns (i, j, i~)
-        ("associativity-FqG", mul_kron(S.mult_matrix(), F, data.Q.space.embedding),
-         mul_kron(F, eyeQ, G), nA * nQ, nQ),
-        # G(a (x) q) a~ = a <- F(q (x) a~), columns (j, i, j~)
-        ("associativity-GaF", mul_kron(A.mult_matrix(), G, eyeA),
-         mul_kron(Ad.action_map(), eyeA, F), nQ * nA, nA),
-    )
-    v = Verdict()
-    for label, lhs, rhs, stride, count in equations:
-        if lhs != rhs:
-            for idx in sorted({c // stride % count for c in range(lhs.cols)
-                               if lhs.col(c) != rhs.col(c)}):
-                v.fail(label, (idx,))
-    if not v.valid:
-        raise VerificationError("morita context identities", v)
 
 
 # ---------------------------------------------------------------------------
@@ -333,30 +283,9 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, L
     tensor = balanced_tensor(M, data.Q_left_dual)
     target = x_invariants(M, data.ctx)
     mat = _times_Q(M, data.Q).mul(tensor.section)
-    # bijectivity measured against the target subspace, which holds the image
-    if not target.contains_columns(mat):
-        raise VerificationError("xi_M", one_failure(
-            "xi-image-outside-invariants", detail="m q left the x-invariants; upstream bug"))
+    # bijectivity measured against the target subspace, which holds the
+    # image: m q is x-invariant for q in Q
     return mat, map_report(mat, target_dim=target.dim), tensor
-
-
-def trace_map(data: MoritaContextData, qhat: Sequence) -> DenseMatrix:
-    """a -> a <- q-hat as a matrix A -> B-coordinates; the left B-linearity
-    and the restriction-to-identity on B are verified exactly."""
-    B = data.B
-    tr = _coords_or_fail(B.space, data.A_right_dual.act_matrix(qhat), "trace_map",
-                         "trace-lands-in-B", lambda j: (j,))
-    v = Verdict()
-    on_B = tr.mul(B.embedding)
-    eyeB = DenseMatrix.identity(data.ctx.field, B.dim)
-    for bidx, (lb, lb_B) in enumerate(zip(data.A_left_B.action, B.algebra.lmuls)):
-        if on_B.col(bidx) != eyeB.col(bidx):
-            v.fail("trace-not-identity-on-B", (bidx,))
-        if tr.mul(lb) != lb_B.mul(tr):
-            v.fail("trace-not-left-B-linear", (bidx,))
-    if not v.valid:
-        raise VerificationError("trace_map", v)
-    return tr
 
 
 class OmegaLambdaReport:

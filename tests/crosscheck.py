@@ -13,7 +13,12 @@ instead of over its generators, and the structure maps (the coring's
 Delta-lift, free basis and right action, induced actions, the Doi-Koppinen
 entwining, the explicit inverses of the weak-structure map) entry by entry
 with plain ``+`` and ``*`` instead of as Kronecker and matrix products.
-The tests compare the two routes.  Unlike ``oracles.py`` this module
+The tests compare the two routes.
+
+The last section holds the checks of theorems about verified input that the
+runtime does not repeat: that the canonical map into the coring is a coring
+morphism, that the Morita context satisfies its identities, and that the
+trace a -> a <- q-hat splits B off A.  Unlike ``oracles.py`` this module
 imports the package.
 """
 
@@ -31,6 +36,7 @@ from coring_lab.coalgebra import CoalgebraPresentation, convolution
 from coring_lab.coring import (
     ComoduleInstance,
     CoringPresentation,
+    SquareReducer,
     coinvariants,
     dual_action,
 )
@@ -47,8 +53,9 @@ from coring_lab.exactla import (
     quotient,
     solve,
 )
-from coring_lab.galois import _coinv_tensor_A
-from coring_lab.verdict import VerificationError
+from coring_lab.galois import _coinv_tensor_A, beta
+from coring_lab.morita import _coords_or_fail, _F_plain, _times_Q
+from coring_lab.verdict import Verdict, VerificationError
 
 
 # ---------------------------------------------------------------------------
@@ -663,3 +670,108 @@ def cleft_psi_inverse_by_entries(ctx, witness, M: ComoduleInstance) -> DenseMatr
                     plain[r * nA + j] += coords[r] * lam_k[j]
         cols.append(tensor.projection.apply([f.normalize(x) for x in plain]))
     return DenseMatrix.from_columns(f, cols, tensor.dim)
+
+
+# ---------------------------------------------------------------------------
+# theorems about verified input, checked on each tested instance
+# ---------------------------------------------------------------------------
+
+
+def verify_beta_coring_morphism(ctx, plain: DenseMatrix = None):
+    """The canonical map a~ (x) a -> a~ x a on the plain tensor square of A,
+    ``galois.beta``'s unless ``plain`` is given, is a coring morphism from
+    Sweedler's coring: counit, comultiplication after projection to the
+    balanced square, and A-bilinearity.  Raises VerificationError naming
+    each failure."""
+    f = ctx.field
+    nA = ctx.A.dim
+    cor = ctx.coring()
+    if plain is None:
+        plain = beta(ctx).plain_matrix
+    v = Verdict()
+    if cor.counit_map.mul(plain) != ctx.A.mult_matrix():
+        v.fail("beta-counit")
+    red = SquareReducer(cor)
+    # Delta(a~ (x) a) = (a~ (x) 1) (x) (1 (x) a)
+    one, eyeA = ctx.A.unit_matrix(), DenseMatrix.identity(f, nA)
+    lift = kron(eyeA, kron(kron(one, one), eyeA))
+    lhs = red.reduced_delta().mul(plain)
+    rhs = red.projection.mul(kron_mul(plain, plain, lift))
+    if lhs != rhs:
+        v.fail("beta-comultiplication")
+    for i in range(nA):
+        e_i = [1 if t == i else 0 for t in range(nA)]
+        if mul_kron(plain, ctx.A.lmul_matrix(e_i), eyeA) != \
+                cor.left_act(e_i).mul(plain):
+            v.fail("beta-left-linearity", (i,))
+        if mul_kron(plain, eyeA, ctx.A.rmul_matrix(e_i)) != \
+                cor.right_act(e_i).mul(plain):
+            v.fail("beta-right-linearity", (i,))
+    if not v.valid:
+        raise VerificationError("beta", v)
+
+
+def verify_context_identities(ctx, data):
+    """Bilinearity of F and G and the two associativity relations, each one
+    matrix equation over all basis triples at once.
+
+    F and G are rebuilt on the plain tensors from ``data``'s fields, G in
+    A-coordinates, and every side is a structure map after a Kronecker
+    product, applied without building it.  A failing equation names the
+    basis element of each failing block: the acting element for the four
+    linearity laws, the first tensor factor for the two associativities.
+    """
+    f = ctx.field
+    A, S = ctx.A, ctx.sharp_ring().algebra
+    nA, nQ, nB, nS = A.dim, data.Q.dim, data.B.dim, S.dim
+    Ad = data.A_right_dual
+    F = _F_plain(ctx, Ad, data.Q)
+    G = _times_Q(Ad, data.Q)
+    eyeA, eyeQ, eyeB, eyeS = (DenseMatrix.identity(f, n) for n in (nA, nQ, nB, nS))
+    equations = (
+        # F(g.q (x) a) = g . F(q (x) a), columns (s, i, j)
+        ("F-left-dual-linearity", mul_kron(F, data.Q_left_dual.action_map(), eyeA),
+         mul_kron(S.mult_matrix(), eyeS, F), nQ * nA, nS),
+        # F(q (x) a<-g) = F(q (x) a) . g, columns (i, j, s)
+        ("F-right-dual-linearity", mul_kron(F, eyeQ, Ad.action_map()),
+         mul_kron(S.mult_matrix(), F, eyeS), 1, nS),
+        # G(b a (x) q) = b G(a (x) q), columns (b, j, i)
+        ("G-left-B-linearity", mul_kron(G, data.A_left_B.action_map(), eyeQ),
+         mul_kron(data.A_left_B.action_map(), eyeB, G), nA * nQ, nB),
+        # G(a (x) q b) = G(a (x) q) b, columns (j, i, b)
+        ("G-right-B-linearity", mul_kron(G, eyeA, data.Q_right_B.action_map()),
+         mul_kron(A.mult_matrix(), G, data.B.embedding), 1, nB),
+        # F(q (x) a) . q~ = q . G(a (x) q~), columns (i, j, i~)
+        ("associativity-FqG", mul_kron(S.mult_matrix(), F, data.Q.space.embedding),
+         mul_kron(F, eyeQ, G), nA * nQ, nQ),
+        # G(a (x) q) a~ = a <- F(q (x) a~), columns (j, i, j~)
+        ("associativity-GaF", mul_kron(A.mult_matrix(), G, eyeA),
+         mul_kron(Ad.action_map(), eyeA, F), nQ * nA, nA),
+    )
+    v = Verdict()
+    for label, lhs, rhs, stride, count in equations:
+        if lhs != rhs:
+            for idx in sorted({c // stride % count for c in range(lhs.cols)
+                               if lhs.col(c) != rhs.col(c)}):
+                v.fail(label, (idx,))
+    if not v.valid:
+        raise VerificationError("morita context identities", v)
+
+
+def trace_map(data, qhat: Sequence) -> DenseMatrix:
+    """a -> a <- q-hat as a matrix A -> B-coordinates; the left B-linearity
+    and the restriction-to-identity on B are verified exactly."""
+    B = data.B
+    tr = _coords_or_fail(B.space, data.A_right_dual.act_matrix(qhat), "trace_map",
+                         "trace-lands-in-B", lambda j: (j,))
+    v = Verdict()
+    on_B = tr.mul(B.embedding)
+    eyeB = DenseMatrix.identity(data.ctx.field, B.dim)
+    for bidx, (lb, lb_B) in enumerate(zip(data.A_left_B.action, B.algebra.lmuls)):
+        if on_B.col(bidx) != eyeB.col(bidx):
+            v.fail("trace-not-identity-on-B", (bidx,))
+        if tr.mul(lb) != lb_B.mul(tr):
+            v.fail("trace-not-left-B-linear", (bidx,))
+    if not v.valid:
+        raise VerificationError("trace_map", v)
+    return tr

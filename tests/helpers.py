@@ -1,5 +1,6 @@
 """Shared small presentations used across the test suite."""
 
+import functools
 import importlib.util
 import os
 
@@ -67,13 +68,20 @@ def superline_context():
 
 
 GENERATE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generate.py")
+FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_records(workload):
+    """The records that the benchmark's generator emits for a workload at
+    seed 0, in its order."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.WORKLOADS[workload](0, FIXTURE_DIR)
 
 
 def perfbench_instance(workload, name):
     """The instance JSON that the benchmark's generator emits under this name
     at seed 0."""
-    spec = importlib.util.spec_from_file_location("perfbench_generate", GENERATE)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return next(r for r in generate.WORKLOADS[workload](0, None)
-                if r["name"] == name)["instance"]
+    return next(r for r in perfbench_records(workload) if r["name"] == name)["instance"]

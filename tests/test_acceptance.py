@@ -25,7 +25,6 @@ from coring_lab.entwining import (
     verify_entwining,
 )
 from coring_lab.morita import (
-    _verify_context_identities,
     check_theorem_Cfinite,
     check_theorem_surj,
     find_qhat,
@@ -34,6 +33,7 @@ from coring_lab.cleft import cleft_psi_inverse_check, find_cleft, integral_space
 from coring_lab.cli import run_analysis
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 
+from crosscheck import verify_context_identities
 from helpers import group_algebra_zn
 from oracles import random_scalar
 
@@ -167,7 +167,7 @@ def test_acceptance_2_morita_integrity(fixture_contexts):
     ok = True
     for name, ctx in fixture_contexts.items():
         data = ctx.morita()
-        _verify_context_identities(ctx, data)  # raises on any broken identity
+        verify_context_identities(ctx, data)  # raises on any broken identity
     _report(2, ok, "bilinearity and associativity identities exact on all "
             "basis triples of every fixture", time.perf_counter() - t0)
 

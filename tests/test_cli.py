@@ -356,3 +356,19 @@ def test_self_paired_doi_koppinen_with_broken_delta_exits_2(tmp_path, axiom):
         code, out, err = run_cli([command, str(p)])
         assert (code, out) == (2, "")
         assert axiom in err
+
+
+def test_non_self_paired_doi_koppinen_with_broken_coaction_is_named():
+    """superline's A = Q[x]/(x^2) graded by Z/2, but with odd part spanned by
+    1 + x: a counital coassociative coaction, and no algebra map since
+    (1 + x)^2 = 1 + 2x is not even."""
+    from coring_lab.coalgebra import grouplike_coalgebra
+    from coring_lab.entwining import doi_koppinen
+    from coring_lab.exactla import QQ, DenseMatrix
+    from coring_lab.verdict import VerificationError
+    from helpers import dual_numbers, group_algebra_z2
+
+    coaction = DenseMatrix.from_rows(QQ, [[1, -1], [0, 1], [0, 0], [0, 1]], cols=2)
+    with pytest.raises(VerificationError) as exc:
+        doi_koppinen(group_algebra_z2(), grouplike_coalgebra(QQ, 2), dual_numbers(), coaction)
+    assert exc.value.verdict.axioms() == ["coaction-not-algebra-map"]

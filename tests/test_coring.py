@@ -13,11 +13,11 @@ from coring_lab.coring import (
     hom_comodule,
     induced_comodule,
     is_grouplike,
-    square_reducer,
     verify_coring,
     x_invariants,
     zero_comodule,
 )
+from coring_lab.fixtures import fixture
 from coring_lab.verdict import VerificationError
 
 from crosscheck import (
@@ -87,8 +87,12 @@ def test_unverified_free_basis_is_a_named_failure():
             SquareReducer(bad)
 
 
-def test_one_square_reducer_per_coring(monkeypatch):
-    from coring_lab.cli import full_verify
+@pytest.mark.parametrize("make", [make_fix_h, lambda: fixture("fix-s").context],
+                         ids=["fix-h", "fix-s"])
+def test_analysis_builds_no_square_reducer(monkeypatch, make):
+    """Nothing the pipeline runs needs the balanced square: the coring laws
+    it would check are theorems about the verified entwining."""
+    from coring_lab.cli import full_verify, run_analysis
     built = []
     orig = SquareReducer.__init__
 
@@ -96,16 +100,16 @@ def test_one_square_reducer_per_coring(monkeypatch):
         built.append(cor)
         orig(self, cor)
     monkeypatch.setattr(SquareReducer, "__init__", counting)
-    ctx = make_fix_h()
-    full_verify(ctx)   # verify_coring reads the coring's reducer ...
-    assert ctx.square() is square_reducer(ctx.coring())   # ... and so does the context
-    assert built == [ctx.coring()]
+    ctx = make()
+    full_verify(ctx)
+    run_analysis(ctx, seed=0)
+    assert built == []
 
 
 def test_grouplike_in_coring():
     ctx = make_fix_h()
     cor = ctx.coring()
-    red = ctx.square()
+    red = SquareReducer(cor)
     assert is_grouplike(cor, [1, 0, 0, 0], red)
     assert is_grouplike(cor, [0, 1, 0, 0], red)       # 1 (x) g, the other one
     assert not is_grouplike(cor, [1, 1, 0, 0], red)   # eps = 2

@@ -6,7 +6,7 @@ import pytest
 from coring_lab.cli import run_analysis
 from coring_lab.entwining import instance_from_json
 from coring_lab.exactla import ShapeError
-from coring_lab.fixtures import FIXTURE_NAMES, all_fixtures, fixture
+from coring_lab.fixtures import FIXTURE_NAMES, all_fixtures, fixture, write_fixture_files
 
 REPO_FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -80,3 +80,12 @@ def test_fixture_files_parse_back():
         with open(path) as fh:
             ctx = instance_from_json(json.load(fh))
         assert ctx.verify_axioms().valid
+
+
+def test_writer_reproduces_shipped_files(tmp_path):
+    write_fixture_files(str(tmp_path))
+    for name in FIXTURE_NAMES:
+        for suffix in (".json", ".expected.json"):
+            shipped = os.path.join(REPO_FIXTURE_DIR, name + suffix)
+            with open(shipped, "rb") as want, open(tmp_path / (name + suffix), "rb") as got:
+                assert got.read() == want.read(), name + suffix

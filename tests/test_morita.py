@@ -8,7 +8,6 @@ from coring_lab.entwining import EntwinedContext, doi_koppinen, flip_entwining
 from coring_lab.fixtures import fixture
 from coring_lab.morita import (
     MoritaContextData,
-    _verify_context_identities,
     check_theorem_Cfinite,
     check_theorem_surj,
     compute_B,
@@ -17,12 +16,11 @@ from coring_lab.morita import (
     omega_and_lambda,
     psi_tilde_from_F,
     q_left_annihilator,
-    trace_map,
     xi_M,
 )
 from coring_lab.verdict import VerificationError
 
-from crosscheck import compute_Q_entwined
+from crosscheck import compute_Q_entwined, trace_map, verify_context_identities
 from helpers import group_algebra_zn, rationals_algebra
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 
@@ -300,7 +298,7 @@ def test_context_identities_fire_on_corrupted_modules():
         data = ctx.morita()
         for name in ("A_right_dual", "Q_left_dual", "Q_right_B"):
             with pytest.raises(VerificationError) as exc:
-                _verify_context_identities(ctx, _corrupted(data, name))
+                verify_context_identities(ctx, _corrupted(data, name))
             failures = exc.value.verdict.failures
             labels = {fail.axiom for fail in failures}
             assert labels <= IDENTITY_LABELS
