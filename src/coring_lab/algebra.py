@@ -32,7 +32,7 @@ from .exactla import (
     json_dim,
     json_get,
     mul_kron,
-    null_vectors,
+    null_space,
     once,
     parse_array,
     quotient,
@@ -65,13 +65,10 @@ class AlgebraPresentation:
             [x for row in self.mult for cell in row for x in cell])
         self._int_cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]
         self.name = name
-        # lmul(e_i) and rmul(e_j), the multiplication operators per basis element
-        self.lmuls = [DenseMatrix.from_rows(
-            field, [[self.mult[i][j][k] for j in range(dim)] for k in range(dim)],
-            cols=dim) for i in range(dim)]
-        self.rmuls = [DenseMatrix.from_rows(
-            field, [[self.mult[i][j][k] for i in range(dim)] for k in range(dim)],
-            cols=dim) for j in range(dim)]
+        # lmul(e_i) and rmul(e_j), the multiplication operators per basis
+        # element: column j of lmul(e_i), and column i of rmul(e_j), is e_i e_j
+        self.lmuls = [DenseMatrix.from_columns(field, row, dim) for row in self.mult]
+        self.rmuls = [DenseMatrix.from_columns(field, col, dim) for col in zip(*self.mult)]
 
     def mul_vec(self, u: Sequence, v: Sequence) -> list:
         """Coordinates of uv, fraction-free: u, v and the structure constants
@@ -268,17 +265,18 @@ def zero_module(algebra: AlgebraPresentation, side: str) -> ModulePresentation:
 
 
 def verify_algebra(A: AlgebraPresentation) -> Verdict:
-    """Associativity on all basis triples and the two-sided unit law."""
+    """Associativity as one matrix identity, m (m (x) 1) = m (1 (x) m) on
+    A (x) A (x) A, and the two-sided unit law.  Column (i, j, k) of the two
+    sides is (e_i e_j) e_k and e_i (e_j e_k), so a failing column names its
+    basis triple, in the order of a loop over i, j and k."""
     v = Verdict()
     n = A.dim
-    for i in range(n):
-        for j in range(n):
-            ij = A.mult[i][j]
-            for k in range(n):
-                left = A.mul_vec(ij, [1 if t == k else 0 for t in range(n)])
-                right = A.mul_vec([1 if t == i else 0 for t in range(n)], A.mult[j][k])
-                if left != right:
-                    v.fail("associativity", (i, j, k))
+    m, eye = A.mult_matrix(), DenseMatrix.identity(A.field, n)
+    left, right = mul_kron(m, m, eye), mul_kron(m, eye, m)
+    if left != right:
+        for c, (x, y) in enumerate(zip(left.nonzero_columns(), right.nonzero_columns())):
+            if x != y:
+                v.fail("associativity", (c // (n * n), c // n % n, c % n))
     for i in range(n):
         e_i = [1 if t == i else 0 for t in range(n)]
         if A.mul_vec(A.unit, e_i) != e_i:
@@ -343,7 +341,8 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
     if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
         raise ShapeError("balanced tensor over mismatched algebras")
     return quotient(_relation_span(M.field, M.dim, N.dim, [
-        (N.action[g].columns(), M.action[g].columns()) for g in M.algebra.generators()]))
+        (N.action[g].nonzero_columns(), M.action[g].nonzero_columns())
+        for g in M.algebra.generators()]))
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
@@ -364,20 +363,20 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
 def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
     """All dN x dM matrices T with T a = b T for every pair (a, b), as a
     subspace of row-major flattened matrices."""
-    span = _relation_span(field, dN, dM, [(a.columns(), b.row_lists()) for a, b in pairs])
-    return Subspace.from_spanning(field, dN * dM, null_vectors(
-        field, dN * dM, span.rows.keys(), span.rows.values()))
+    span = _relation_span(field, dN, dM, [(a.nonzero_columns(), b.nonzero_rows())
+                                           for a, b in pairs])
+    return null_space(field, dN * dM, span.rows.keys(), span.rows.values())
 
 
 def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder:
     """The span of the entries of T a - b T over the pairs (a, b), each given
-    as (the columns of a, the rows of b), for a dR x dC matrix T whose entry
-    T[r][c] is the coordinate r*dC+c; the one relation span of the package."""
+    by its nonzero entries as (the columns of a, the rows of b), for a
+    dR x dC matrix T whose entry T[r][c] is the coordinate r*dC+c; the one
+    relation span of the package."""
     builder = SubspaceBuilder(field, dR * dC)
     for acols, brows in pairs:
-        acols = [[(c, x) for c, x in enumerate(col) if x] for col in acols]
         for i, brow in enumerate(brows):
-            brow = [(r * dC, y) for r, y in enumerate(brow) if y]
+            brow = [(r * dC, y) for r, y in brow]
             for j, acol in enumerate(acols):
                 # entry (i, j): sum_c T[i][c] a[c][j] - sum_r b[i][r] T[r][j]
                 row = {i * dC + c: x for c, x in acol}

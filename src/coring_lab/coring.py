@@ -282,9 +282,7 @@ class ComoduleInstance:
         """The C-components of the coaction: row m of slice c is row (m, c);
         ``stack_slices`` is the inverse."""
         nC = self.ctx.C.dim
-        return [DenseMatrix.from_rows(self.field, [self.coaction.row(m * nC + c)
-                                                   for m in range(self.dim)], cols=self.dim)
-                for c in range(nC)]
+        return [self.coaction.take_rows(range(c, self.dim * nC, nC)) for c in range(nC)]
 
     def verify(self) -> Verdict:
         """Coassociativity and counit of the coaction plus the entwined law."""
@@ -412,17 +410,10 @@ def coinvariants(M: ComoduleInstance) -> Subspace:
 def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
     """{m : m g := m . g equals m . (g(x) embedded) for all g} over the dual ring."""
     sharp = ctx.sharp_ring()
-    f = mod.field
-    d = mod.dim
-    rows = []
-    at_x = sharp.at_x()
-    for idx in range(sharp.algebra.dim):
-        emb = sharp.embed_A(at_x.col(idx))      # g(x), back into the dual ring
-        diff = mod.action[idx].sub(mod.act_matrix(emb))
-        rows.extend(diff.row_lists())
-    if not rows:
-        return Subspace.full(f, d)
-    return kernel(DenseMatrix.from_rows(f, rows, cols=d))
+    # column g of at_x is g(x), embedded back into the dual ring
+    diffs = [mod.action[idx].sub(mod.act_matrix(sharp.embed_A(gx)))
+             for idx, gx in enumerate(sharp.at_x().columns())]
+    return kernel(diffs[0].vstack(*diffs[1:]))
 
 
 def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:

@@ -121,8 +121,7 @@ class SharpRing:
         for a in range(A.dim):
             for D in C.comult_slices("second"):
                 Y = ctx.psi_slice(a).mul(D)
-                rows_d = [DenseMatrix.from_rows(f, [Y.row(a2 * nC + d) for a2 in range(A.dim)],
-                                                cols=nC) for d in range(nC)]
+                rows_d = [Y.take_rows(range(d, A.dim * nC, nC)) for d in range(nC)]
                 consts.append([R.mul(X).entries for R in A.rmuls for X in rows_d])
         self.algebra = AlgebraPresentation(f, A.dim * nC, consts, self.embed_A(A.unit),
                                            name="Hom(C,A) ring")

@@ -194,8 +194,8 @@ def _times_Q(M: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     """m (x) q -> m q on the plain tensor M (x) Q for a right dual-ring
     module M, column (m, i) = m q_i.  For M = A this is the hook
     a <- q = q~(x a), the plain form of G in A-coordinates."""
-    acts = [M.act_matrix(q) for q in Q.space.basis.row_lists()]
-    return DenseMatrix.from_columns(M.field, [a.col(m) for m in range(M.dim) for a in acts],
+    acts = [M.act_matrix(q).columns() for q in Q.space.basis.row_lists()]
+    return DenseMatrix.from_columns(M.field, [a[m] for m in range(M.dim) for a in acts],
                                     M.dim)
 
 

@@ -15,6 +15,10 @@ entwining, the explicit inverses of the weak-structure map) entry by entry
 with plain ``+`` and ``*`` instead of as Kronecker and matrix products.
 The tests compare the two routes.
 
+``verify_associativity_by_triples`` checks associativity the way
+``verify_algebra`` did before it became one matrix identity: one pair of
+vector products per basis triple.
+
 The last section holds the checks of theorems about verified input that the
 runtime does not repeat: that the canonical map into the coring is a coring
 morphism, that the Morita context satisfies its identities, and that the
@@ -502,6 +506,28 @@ def q_left_annihilator_by_evaluation(data) -> Subspace:
     cols = [[x for q in data.Q.space.basis.row_lists() for x in S.mul_vec(g, q)]
             for g in _basis(S.dim)]
     return kernel(DenseMatrix.from_columns(ctx.field, cols, data.Q.dim * S.dim))
+
+
+# ---------------------------------------------------------------------------
+# associativity one basis triple at a time
+# ---------------------------------------------------------------------------
+
+
+def verify_associativity_by_triples(A: AlgebraPresentation) -> Verdict:
+    """(e_i e_j) e_k against e_i (e_j e_k) for every basis triple, with two
+    ``mul_vec`` calls each: 2 n^3 vector products, where ``verify_algebra``
+    compares two matrices once."""
+    v = Verdict()
+    n = A.dim
+    for i in range(n):
+        for j in range(n):
+            ij = A.mult[i][j]
+            for k in range(n):
+                left = A.mul_vec(ij, [1 if t == k else 0 for t in range(n)])
+                right = A.mul_vec([1 if t == i else 0 for t in range(n)], A.mult[j][k])
+                if left != right:
+                    v.fail("associativity", (i, j, k))
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -207,3 +207,21 @@ def is_total(ctx, lam_flat):
     if p is not None:
         return [int(x) % p for x in out] == [int(u) % p for u in unit]
     return out == unit
+
+
+def naive_transpose(a, cols):
+    """The transpose of a list of rows with `cols` columns."""
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def naive_combination(coeffs, mats, rows, cols, p=None):
+    """sum coeffs[i] * mats[i] entry by entry, each matrix a list of `rows`
+    rows of `cols` entries; exact Fractions (p None) or ints mod p."""
+    out = []
+    for r in range(rows):
+        out_row = []
+        for c in range(cols):
+            s = sum((Fraction(a) * Fraction(m[r][c]) for a, m in zip(coeffs, mats)), Fraction(0))
+            out_row.append(s if p is None else int(s) % p)
+        out.append(out_row)
+    return out

@@ -20,7 +20,10 @@ from coring_lab.algebra import (
     verify_module,
     zero_module,
 )
+from coring_lab.fixtures import fixture
 from coring_lab.verdict import VerificationError
+
+from crosscheck import verify_associativity_by_triples
 
 from helpers import (
     dual_numbers,
@@ -73,6 +76,40 @@ def test_verify_names_failing_triple():
     assert not v.valid
     assert any(f.axiom == "associativity" and f.indices == (1, 1, 1)
                for f in v.failures)
+
+
+def _associativity_failures(verdict):
+    return [f.indices for f in verdict.failures if f.axiom == "associativity"]
+
+
+def _corrupted(A, rng):
+    """A with one structure constant e_i e_j moved by a random nonzero
+    scalar, and sometimes a second one."""
+    mult = [[list(cell) for cell in row] for row in A.mult]
+    for _ in range(rng.choice([1, 1, 2])):
+        i, j, k = (rng.randrange(A.dim) for _ in range(3))
+        shift = A.field.normalize(rng.choice([1, -1, 2, Fraction(1, 2)]))
+        mult[i][j][k] = A.field.normalize(mult[i][j][k] + shift)
+    return AlgebraPresentation(A.field, A.dim, mult, A.unit)
+
+
+@pytest.mark.parametrize("label", ["Q[t]/(t^2)", "QZ3", "QZ4-F7", "fix-s", "fix-s-dual"])
+def test_associativity_identity_matches_triple_loop(label):
+    """The one matrix identity of ``verify_algebra`` reports the same
+    failing triples, in the same order, as the loop over basis triples, on
+    the algebra itself and on copies with corrupted structure constants."""
+    A = {"Q[t]/(t^2)": dual_numbers, "QZ3": lambda: group_algebra_zn(3),
+         "QZ4-F7": lambda: group_algebra_zn(4, GF(7)),
+         "fix-s": lambda: fixture("fix-s").context.A,
+         "fix-s-dual": lambda: fixture("fix-s").context.sharp_ring().algebra}[label]()
+    rng = random.Random(label)
+    assert _associativity_failures(verify_algebra(A)) == []
+    fired = 0
+    for B in [_corrupted(A, rng) for _ in range(6)]:
+        want = _associativity_failures(verify_associativity_by_triples(B))
+        assert _associativity_failures(verify_algebra(B)) == want
+        fired += bool(want)
+    assert fired
 
 
 def test_verify_module_regular_and_unit_violation():

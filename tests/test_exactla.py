@@ -399,6 +399,8 @@ def test_builder_null_vectors_against_oracle(field, p):
     for n, vecs in relation_cases(field, seed=29):
         span = span_of(field, n, vecs)
         nulls = null_vectors(field, n, span.rows.keys(), span.rows.values())
+        assert (nulls.rows, nulls.cols) == (n - naive_rank(vecs, p), n)
+        nulls = nulls.row_lists()
         assert len(nulls) == n - naive_rank(vecs, p)
         assert naive_rank(nulls, p) == len(nulls)
         for w in nulls:

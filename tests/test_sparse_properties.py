@@ -1,0 +1,195 @@
+"""Property tests of the sparse matrix storage against the naive oracles.
+
+``DenseMatrix`` stores only the nonzero entries of each row, as numerators
+over one denominator.  These tests draw matrices over Q (entries a/b, so
+that ``den > 1`` is common) and over GF(7), mostly zero, with all-zero
+matrices, zero rows and 0 x n and n x 0 shapes among them, and compare
+every operation that reads or writes the stored pairs with the textbook
+routines of ``oracles.py``: the products, the Kronecker forms, transpose,
+difference, linear combination, reduction and kernels, and value equality
+and hashing.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
+
+from coring_lab.exactla import (
+    QQ,
+    GF,
+    DenseMatrix,
+    combine_matrices,
+    kernel,
+    kron,
+    kron_mul,
+    mul_kron,
+    row_reduce,
+)
+
+from oracles import (
+    naive_combination,
+    naive_kron,
+    naive_matmul,
+    naive_rank,
+    naive_rref,
+    naive_transpose,
+)
+
+F7 = GF(7)
+FIELDS = st.sampled_from([QQ, F7])
+DIMS = st.integers(0, 4)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def scalars(field):
+    """Zero half the time; otherwise a/b with |a| <= 4, b <= 4 over Q and a
+    residue (zero included) over GF(7)."""
+    if field.kind == "Fp":
+        nonzero = st.integers(0, 6)
+    else:
+        nonzero = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    return st.one_of(st.just(0), nonzero)
+
+
+@st.composite
+def matrices(draw, field, rows=None, cols=None):
+    """A DenseMatrix over field, with its entries as a list of rows."""
+    rows = draw(DIMS) if rows is None else rows
+    cols = draw(DIMS) if cols is None else cols
+    zero = draw(st.booleans()) and draw(st.booleans())   # all-zero a quarter of the time
+    ent = [0 if zero else draw(scalars(field)) for _ in range(rows * cols)]
+    return DenseMatrix(field, rows, cols, ent)
+
+
+def p_of(field):
+    return field.p if field.kind == "Fp" else None
+
+
+def assert_canonical(field, M):
+    """M's views hold canonical scalars and its ``den`` is the lcm of their
+    denominators; zero entries are not stored."""
+    xs = M.entries
+    for x in xs:
+        if field.kind == "Fp":
+            assert type(x) is int and 0 <= x < field.p
+        else:
+            assert type(x) is int or x.denominator != 1
+    assert M.den == (lcm(*(Fraction(x).denominator for x in xs)) if field.kind == "Q" else 1)
+    assert M.nnz == sum(1 for x in xs if x)
+
+
+def normalized(field, rows):
+    return [[field.normalize(x) for x in r] for r in rows]
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_mul_matches_oracle(data, field):
+    A = data.draw(matrices(field))
+    B = data.draw(matrices(field, rows=A.cols))
+    got = A.mul(B)
+    assert (got.rows, got.cols) == (A.rows, B.cols)
+    want = naive_matmul(A.row_lists(), B.row_lists(), B.cols, p_of(field))
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_kron_matches_oracle(data, field):
+    M, N = data.draw(matrices(field)), data.draw(matrices(field))
+    got = kron(M, N)
+    want = naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols)
+    assert (got.rows, got.cols) == (M.rows * N.rows, M.cols * N.cols)
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_kron_mul_and_mul_kron_match_oracle(data, field):
+    M, N = data.draw(matrices(field)), data.draw(matrices(field))
+    K = naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols)
+    Y = data.draw(matrices(field, rows=M.cols * N.cols))
+    got = kron_mul(M, N, Y)
+    assert (got.rows, got.cols) == (M.rows * N.rows, Y.cols)
+    want = naive_matmul(K, Y.row_lists(), Y.cols, p_of(field))
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+    X = data.draw(matrices(field, cols=M.rows * N.rows))
+    got = mul_kron(X, M, N)
+    assert (got.rows, got.cols) == (X.rows, M.cols * N.cols)
+    assert got.row_lists() == normalized(field, naive_matmul(X.row_lists(), K, M.cols * N.cols,
+                                                        p_of(field)))
+    assert_canonical(field, got)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_transpose_and_sub_match_oracle(data, field):
+    A = data.draw(matrices(field))
+    B = data.draw(matrices(field, rows=A.rows, cols=A.cols))
+    T = A.transpose()
+    assert (T.rows, T.cols) == (A.cols, A.rows)
+    assert T.row_lists() == naive_transpose(A.row_lists(), A.cols)
+    assert T.transpose() == A
+    assert_canonical(field, T)
+    D = A.sub(B)
+    want = naive_combination([1, -1], [A.row_lists(), B.row_lists()], A.rows, A.cols,
+                             p_of(field))
+    assert D.row_lists() == normalized(field, want)
+    assert_canonical(field, D)
+    assert A.sub(A).is_zero() and A.sub(A) == DenseMatrix.zeros(field, A.rows, A.cols)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_combine_matrices_matches_oracle(data, field):
+    rows, cols, k = data.draw(DIMS), data.draw(DIMS), data.draw(st.integers(1, 4))
+    mats = [data.draw(matrices(field, rows=rows, cols=cols)) for _ in range(k)]
+    coeffs = [field.normalize(data.draw(scalars(field))) for _ in range(k)]
+    got = combine_matrices(field, rows, cols, coeffs, mats)
+    want = naive_combination(coeffs, [M.row_lists() for M in mats], rows, cols, p_of(field))
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_row_reduce_and_kernel_match_oracle(data, field):
+    M = data.draw(matrices(field))
+    p = p_of(field)
+    rows, pivots = row_reduce(field, M.cols, M.row_lists())
+    want, want_pivots = naive_rref(M.row_lists(), p)
+    assert pivots == want_pivots
+    assert [[row.get(j, 0) for j in range(M.cols)] for row in rows] == normalized(field, want)
+    K = kernel(M)
+    assert K.dim == M.cols - naive_rank(M.row_lists(), p)
+    assert_canonical(field, K.basis)
+    basis = K.basis.row_lists()
+    assert naive_rank(basis, p) == K.dim
+    for v in basis:
+        assert all(not x for x in M.apply(v))
+    # the basis is its own reduced echelon form
+    assert normalized(field, naive_rref(basis, p)[0]) == basis
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_equality_and_hash_follow_the_entries(data, field):
+    A = data.draw(matrices(field))
+    eye_r, eye_c = DenseMatrix.identity(field, A.rows), DenseMatrix.identity(field, A.cols)
+    # the same matrix reached by other routes: equal, with equal hashes
+    for B in (eye_r.mul(A), A.mul(eye_c), A.transpose().transpose(),
+              DenseMatrix.from_rows(field, A.row_lists(), cols=A.cols),
+              kron(DenseMatrix.identity(field, 1), A)):
+        assert B == A and hash(B) == hash(A) and B.den == A.den
+    if A.rows and A.cols:
+        i = data.draw(st.integers(0, A.rows - 1))
+        j = data.draw(st.integers(0, A.cols - 1))
+        ent = A.entries
+        ent[i * A.cols + j] += Fraction(1, 2) if field.kind == "Q" else 1
+        assert DenseMatrix(field, A.rows, A.cols, ent) != A
+    assert A != DenseMatrix.zeros(field, A.rows, A.cols) or A.is_zero()
+    assert DenseMatrix.zeros(field, A.rows, 0) != DenseMatrix.zeros(field, A.rows, 1)

@@ -7,7 +7,8 @@ exact-arithmetic work.  The budget is 10 % above the count measured when
 the pipeline stopped re-proving theorems about its verified input (the
 coring laws of A (x) C, the coring morphism beta, the Morita context
 identities) and the bialgebra laws stopped building Kronecker products of
-the comultiplication (360,949 entries; 560,039 before, 531,854 when the
+the comultiplication (360,949 entries, 362,005 since associativity is
+checked as one identity of n x n^3 matrices; 560,039 before, 531,854 when the
 operators on Hom(C, A) were built in closed form instead of by evaluation
 on each elementary map and the invertibility search took its matrix span
 once, 704,826 before that, 790,094 before relation
@@ -16,6 +17,14 @@ being built as transposes, 1,036,630 before that, and 2,155,670 before
 ``kron_mul`` replaced the Kronecker products that were only multiplied).  A
 change that materializes such products or spans again, evaluates an
 operator per basis vector again, or recomputes a derived object, fails here.
+
+A matrix stores only its nonzero entries, so the nonzeros stored are the
+measure of the memory and arithmetic its later products cost.  The budget
+is 10 % above the count measured when every matrix became its nonzero
+rows (10,506 nonzeros in the matrices built, of the 362,005 entries their
+shapes hold).  A change that builds dense intermediates as matrices, or
+fills a structure map with entries that the arithmetic will only multiply
+by zero, fails here.
 
 Every elimination goes through ``SubspaceBuilder.insert``, so its calls
 count the rows eliminated.  The budget is 10 % above the count measured
@@ -31,6 +40,7 @@ from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
 ENTRY_BUDGET = 397_000
+NONZERO_BUDGET = 11_550
 INSERT_BUDGET = 9_300
 
 
@@ -50,6 +60,18 @@ def test_fix_s_analysis_stays_within_entry_budget(monkeypatch):
     monkeypatch.setattr(DenseMatrix, "__init__", counting)
     _analyze_fix_s()
     assert built[0] <= ENTRY_BUDGET, built[0]
+
+
+def test_fix_s_analysis_stays_within_nonzero_budget(monkeypatch):
+    stored = [0]
+    orig = DenseMatrix.__init__
+
+    def counting(self, field, rows, cols, entries):
+        orig(self, field, rows, cols, entries)
+        stored[0] += self.nnz
+    monkeypatch.setattr(DenseMatrix, "__init__", counting)
+    _analyze_fix_s()
+    assert stored[0] <= NONZERO_BUDGET, stored[0]
 
 
 def test_fix_s_analysis_stays_within_insert_budget(monkeypatch):
