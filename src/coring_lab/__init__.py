@@ -54,6 +54,8 @@ from .coring import (
     coinvariants,
     dual_action,
     hom_comodule,
+    hom_from_A,
+    hom_into_induced,
     induced_comodule,
     verify_coring,
     x_invariants,
@@ -104,7 +106,8 @@ __all__ = [
     "EntwinedContext", "build_coring", "comodule_algebra_from_unit",
     "doi_koppinen", "instance_from_json", "verify_entwining",
     "ComoduleInstance", "CoringPresentation", "coinvariants", "dual_action",
-    "hom_comodule", "induced_comodule", "verify_coring", "x_invariants",
+    "hom_comodule", "hom_from_A", "hom_into_induced", "induced_comodule",
+    "verify_coring", "x_invariants",
     "ClauseDisagreement", "build_context", "check_theorem_Cfinite",
     "check_theorem_surj", "compute_B", "compute_Q", "find_qhat",
     "omega_and_lambda", "psi_tilde_from_F", "xi_M",

@@ -28,7 +28,7 @@ from .coalgebra import (
     convolution_unit,
     is_grouplike_C,
 )
-from .coring import ComoduleInstance, coinvariants, dual_action, stack_slices
+from .coring import ComoduleInstance, coinvariants, dual_action
 from .exactla import (
     DenseMatrix,
     FieldSpec,
@@ -40,6 +40,7 @@ from .exactla import (
     kron_mul,
     once,
     solve,
+    stack_slices,
 )
 from .morita import ClauseDisagreement, find_qhat
 from .verdict import Verdict, VerificationError, one_failure

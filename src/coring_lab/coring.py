@@ -24,6 +24,7 @@ from .algebra import (
     AlgebraPresentation,
     BimodulePresentation,
     ModulePresentation,
+    hom_module,
     intertwiner_space,
     verify_bimodule,
 )
@@ -36,12 +37,16 @@ from .exactla import (
     combine_rows,
     json_dim,
     json_get,
+    image,
     kernel,
     kron,
     kron_mul,
+    mul_kron,
     once,
     rank,
+    row_space,
     solve_matrix,
+    stack_slices,
 )
 from .verdict import Verdict, VerificationError, one_failure
 
@@ -333,15 +338,6 @@ class ComoduleInstance:
         return f"ComoduleInstance({label})"
 
 
-def stack_slices(field: FieldSpec, parts: Sequence[DenseMatrix]) -> DenseMatrix:
-    """The map into M (x) C whose C-components are ``parts``, all of one
-    shape: row (m, c) is row m of parts[c]; the inverse of
-    ``ComoduleInstance.slices``."""
-    rows, cols = parts[0].rows, parts[0].cols
-    return DenseMatrix(field, rows * len(parts), cols,
-                       [x for m in range(rows) for P in parts for x in P.row(m)])
-
-
 def zero_comodule(ctx) -> ComoduleInstance:
     from .algebra import zero_module
     f = ctx.A.field
@@ -419,13 +415,38 @@ def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
 def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
     """Comodule morphisms M -> N: A-linear maps commuting with the coactions.
 
-    Returned as a subspace of dim(N) x dim(M) matrices, row-major.
-    A-linearity is imposed for the generators of A only, which is enough
-    when both A-actions are unital algebra anti-homomorphisms.
+    Returned as a subspace of dim(N) x dim(M) matrices, row-major.  This is
+    the general construction, a relation span with no isomorphism behind
+    it: A-linearity is imposed for the generators of A only, which is enough
+    when both A-actions are unital algebra anti-homomorphisms.  The two hom
+    spaces an analysis needs have closed forms through the coring
+    adjunctions, ``hom_from_A`` and ``hom_into_induced``, which return the
+    same subspaces.
     """
     # A-linearity, then colinearity (T (x) id) rho_M = rho_N T per C-component
     pairs = [(M.module.action[g], N.module.action[g]) for g in M.module.algebra.generators()]
     return intertwiner_space(M.field, M.dim, N.dim, pairs + list(zip(M.slices(), N.slices())))
+
+
+def hom_from_A(M: ComoduleInstance) -> Subspace:
+    """``hom_comodule(ctx.comodule_A(), M)`` through Hom^C(A, M) = M^{co C}:
+    the coinvariant m gives the map a -> m a, whose row-major matrix has
+    column j equal to m . e_j.  Column i of the stacked products
+    action[j] . (coinvariant basis) is the i-th such map, flattened."""
+    emb = coinvariants(M).embedding
+    return image(stack_slices(M.field, [act.mul(emb) for act in M.module.action]))
+
+
+def hom_into_induced(M: ComoduleInstance, W: ModulePresentation) -> Subspace:
+    """``hom_comodule(M, induced_comodule(ctx, W))`` through the induction
+    adjunction Hom^C(M, W (x)_A C) = Hom_A(M, W), g -> (g (x) id_C) rho_M
+    (Brzezinski and Wisbauer, Corings and Comodules, 18.10).  Flattened,
+    g -> (g (x) id_C) rho_M is right multiplication by kron(I_W, R), where
+    R is rho_M reshaped to dim(M) x (dim(C) dim(M)): row m of R holds the
+    rows (m, c) of rho_M side by side."""
+    R = M.coaction.reshape(M.dim, M.ctx.C.dim * M.dim)
+    homs = hom_module(M.module, W)
+    return row_space(mul_kron(homs.basis, DenseMatrix.identity(M.field, W.dim), R))
 
 
 def induced_action(ctx, W: ModulePresentation) -> list[DenseMatrix]:
@@ -482,8 +503,11 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     """The documented finite witness family for the "for all comodules" clauses.
 
     0, A, the coring itself, their sum, an induced comodule on a free rank-2
-    module, the dual ring as a comodule, and (seeded) kernels of random
-    comodule maps between the listed ones.
+    module, the dual ring as a comodule, and (seeded) the kernel of a random
+    comodule map from A (+) coring to the coring.  The coring is A (x)_A C,
+    induced from A, so those maps are ``hom_into_induced``: the A-linear
+    maps g: A (+) coring -> A through Hom^C(M, A (x)_A C) = Hom_A(M, A),
+    g -> (g (x) id_C) rho_M.
     """
     import random as _random
 
@@ -499,7 +523,7 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
         ctx, ctx.sharp_ring().algebra.regular_module("right"), name="dual-ring"))
     rng = _random.Random(seed)
     big = witnesses[3]
-    homs = hom_comodule(big, coring_com)
+    homs = hom_into_induced(big, ctx.A.regular_module("right"))
     if homs.dim:
         coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
         flat = combine_rows(ctx.field, coeffs, homs.basis.row_lists(),

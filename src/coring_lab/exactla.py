@@ -19,7 +19,7 @@ its nonzero entries: per row, the (column, numerator) pairs of its nonzero
 entries in column order, every numerator an int over the matrix's one
 denominator ``den`` (over Q the lcm of the entries' denominators, over Fp
 always 1).  The matrices here are mostly zeros (an analysis of the
-``QZ6`` group algebra builds 3.25 M entries, 0.8 % of them nonzero), so
+``QZ6`` group algebra builds 3.36 M entries, 0.8 % of them nonzero), so
 every operation costs its nonzeros, not its shape.  ``__init__`` is the one
 construction: it takes a flat list of scalars, normalizing the nonzero
 ones, or, from the operations of this module, rows of numerator pairs over
@@ -451,6 +451,19 @@ class DenseMatrix:
         out = [nz[i] for i in indices]
         return DenseMatrix(self.field, len(out), self.cols, _Numerators(out, self.den))
 
+    def reshape(self, rows: int, cols: int) -> "DenseMatrix":
+        """The rows x cols matrix with this one's entries in the same
+        row-major order."""
+        if rows * cols != self.rows * self.cols:
+            raise ShapeError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        out = [[] for _ in range(rows)]
+        for i, pairs in enumerate(self._nonzero_rows):
+            base = i * self.cols
+            for j, x in pairs:
+                r, k = divmod(base + j, cols)
+                out[r].append((k, x))
+        return DenseMatrix(self.field, rows, cols, _Numerators(out, self.den))
+
     def vstack(self, *others: "DenseMatrix") -> "DenseMatrix":
         """This matrix with the rows of the others below it."""
         if any(o.cols != self.cols or o.field != self.field for o in others):
@@ -573,6 +586,18 @@ def _combine(terms: list) -> list:
         for j, b in pairs:
             acc[j] = get(j, 0) + a * b
     return [(j, acc[j]) for j in sorted(acc) if acc[j]]
+
+
+def stack_slices(field: FieldSpec, parts: Sequence[DenseMatrix]) -> DenseMatrix:
+    """The rows of parts, all of one shape, interleaved: row (m, c) is row m
+    of parts[c], at index m * len(parts) + c.  A map into M (x) C is stacked
+    this way from its C-components."""
+    rows, cols = parts[0].rows, parts[0].cols
+    if any(P.rows != rows or P.cols != cols or P.field != field for P in parts):
+        raise ShapeError("stack_slices needs parts of one shape")
+    d = lcm(*[P.den for P in parts])
+    out = [_combine([(d // P.den, P._nonzero_rows[m])]) for m in range(rows) for P in parts]
+    return DenseMatrix(field, rows * len(parts), cols, _Numerators(out, d))
 
 
 def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
@@ -1047,6 +1072,11 @@ def rank(M: DenseMatrix) -> int:
 def image(M: DenseMatrix) -> Subspace:
     """Column space in canonical form."""
     return _span(M.field, M.rows, map(dict, M.nonzero_columns()))
+
+
+def row_space(M: DenseMatrix) -> Subspace:
+    """Row space in canonical form, its rows entering as their numerators."""
+    return _span(M.field, M.cols, _dict_rows(M))
 
 
 def solve(M: DenseMatrix, b: Sequence[Scalar]) -> list | None:

@@ -23,7 +23,7 @@ from .algebra import (
 from .coring import (
     ComoduleInstance,
     coinvariants,
-    hom_comodule,
+    hom_from_A,
 )
 from .exactla import (
     DenseMatrix,
@@ -128,10 +128,13 @@ def phi_N(ctx, N: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport]:
 
 @once
 def psi_prime_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]:
-    """Hom over the coring (A, M) (x)_B A -> M by evaluation."""
+    """Hom over the coring (A, M) (x)_B A -> M by evaluation.
+
+    The hom space is ``hom_from_A(M)``, the coinvariants of M through
+    Hom^C(A, M) = M^{co C}, m -> (a -> m a)."""
     data = ctx.morita()
     f = ctx.field
-    homs = hom_comodule(ctx.comodule_A(), M)
+    homs = hom_from_A(M)
     nA = ctx.A.dim
     # right B-module structure on the hom space: (f.b)(a) = f(b a)
     # the flattened T lb is kron(I, lb^T) applied to the flattened T

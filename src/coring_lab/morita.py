@@ -34,7 +34,6 @@ from .coring import (
     ComoduleInstance,
     coinvariants,
     dual_action,
-    stack_slices,
     x_invariants,
 )
 from .exactla import (
@@ -50,6 +49,7 @@ from .exactla import (
     once,
     rank,
     solve,
+    stack_slices,
 )
 from .verdict import Verdict, VerificationError, one_failure
 

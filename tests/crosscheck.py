@@ -9,9 +9,11 @@ on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
 closed form, the Morita context's maps and module structures one basis
 vector at a time instead of as matrix products, balanced tensor products
 and hom spaces with their relations over the whole basis of the algebra
-instead of over its generators, and the structure maps (the coring's
-Delta-lift, free basis and right action, induced actions, the Doi-Koppinen
-entwining, the explicit inverses of the weak-structure map) entry by entry
+instead of over its generators, the comodule maps out of A and into an
+induced comodule as such relation spans instead of through the coring
+adjunctions, and the structure maps (the coring's Delta-lift, free basis
+and right action, induced actions, the Doi-Koppinen entwining, the
+explicit inverses of the weak-structure map) entry by entry
 with plain ``+`` and ``*`` instead of as Kronecker and matrix products.
 The tests compare the two routes.
 
@@ -43,6 +45,7 @@ from coring_lab.coring import (
     SquareReducer,
     coinvariants,
     dual_action,
+    induced_comodule,
 )
 from coring_lab.exactla import (
     DenseMatrix,
@@ -578,6 +581,18 @@ def hom_comodule_over_basis(M: ComoduleInstance, N: ComoduleInstance) -> Subspac
     colinear for every C-component of the coactions."""
     pairs = list(zip(M.module.action, N.module.action)) + list(zip(M.slices(), N.slices()))
     return intertwiners_over_basis(M.field, M.dim, N.dim, pairs)
+
+
+def hom_from_A_over_basis(M: ComoduleInstance) -> Subspace:
+    """Comodule maps A -> M as a relation span over the whole basis, the
+    reference for ``hom_from_A``."""
+    return hom_comodule_over_basis(M.ctx.comodule_A(), M)
+
+
+def hom_into_induced_over_basis(M: ComoduleInstance, W: ModulePresentation) -> Subspace:
+    """Comodule maps M -> W (x)_A C as a relation span over the whole basis,
+    the reference for ``hom_into_induced``."""
+    return hom_comodule_over_basis(M, induced_comodule(M.ctx, W))
 
 
 # ---------------------------------------------------------------------------

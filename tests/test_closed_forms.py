@@ -1,8 +1,9 @@
 """Every operator on Hom(C, A) the package builds in closed form, every
 map and module structure of the Morita context it builds as a matrix
 product, every structure map it builds from the structure matrices, and
-every relation span it takes over the generators of an algebra, checked
-entry for entry against its construction one elementary map, basis vector,
+every relation span it takes over the generators of an algebra and every
+comodule hom space it takes through a coring adjunction, checked entry for
+entry against its construction one elementary map, basis vector,
 basis element or entry at a time in ``crosscheck.py``, over Q
 and a prime field, on the fixtures, on a dense change of basis with
 non-integer entries and on the non-commutative ``fix-s``, also with a
@@ -24,14 +25,14 @@ from coring_lab.cleft import (
     find_cleft,
 )
 from coring_lab.coalgebra import CoalgebraPresentation, _conv_operator, grouplike_coalgebra
-from coring_lab.coring import _tensor_x, dual_action, induced_action, stack_slices
+from coring_lab.coring import _tensor_x, dual_action, induced_action
 from coring_lab.entwining import (
     EntwinedContext,
     doi_koppinen,
     flip_entwining,
     instance_from_json,
 )
-from coring_lab.exactla import DenseMatrix, solve
+from coring_lab.exactla import DenseMatrix, solve, stack_slices
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.morita import (
     _q_condition,
@@ -53,7 +54,8 @@ from crosscheck import (
     coring_right_action_by_psi,
     doi_koppinen_by_entries,
     dual_action_by_evaluation,
-    hom_comodule_over_basis,
+    hom_from_A_over_basis,
+    hom_into_induced_over_basis,
     hom_module_over_basis,
     induced_action_by_entries,
     induction_unit_map,
@@ -206,22 +208,24 @@ def test_stack_slices_inverts_slices(label):
 
 RELATION_SPANS = {  # name -> (the modules that call it, its whole-basis reference)
     "balanced_tensor": ((algebra, galois, morita), balanced_tensor_over_basis),
-    "hom_module": ((algebra, galois, morita), hom_module_over_basis),
-    "hom_comodule": ((coring, galois), hom_comodule_over_basis),
+    "hom_module": ((algebra, coring, galois, morita), hom_module_over_basis),
+    "hom_from_A": ((coring, galois), hom_from_A_over_basis),
+    "hom_into_induced": ((coring,), hom_into_induced_over_basis),
 }
 
 
 @pytest.mark.parametrize("label", INSTANCES)
 def test_relation_spans_over_generators_match_whole_basis(label, monkeypatch):
     """Every balanced tensor product and hom space that one analysis builds,
-    with relations over the algebra's generators, equals the one built with
-    relations over its whole basis: the same subspace, and the same
-    projection and section of the quotient."""
+    with relations over the algebra's generators or, for comodule maps,
+    through a coring adjunction, equals the one built with relations over
+    the whole basis: the same subspace, and the same projection and section
+    of the quotient."""
     calls = []
     for name, (modules, _) in RELATION_SPANS.items():
-        def recording(M, N, runtime=getattr(modules[0], name), name=name):
-            out = runtime(M, N)
-            calls.append((name, M, N, out))
+        def recording(*args, runtime=getattr(modules[0], name), name=name):
+            out = runtime(*args)
+            calls.append((name, args, out))
             return out
         for module in modules:
             monkeypatch.setattr(module, name, recording)
@@ -229,5 +233,5 @@ def test_relation_spans_over_generators_match_whole_basis(label, monkeypatch):
     cli.full_verify(ctx)
     cli.run_analysis(ctx, seed=0)
     assert {name for name, *_ in calls} == set(RELATION_SPANS)
-    for name, M, N, out in calls:
-        assert out == RELATION_SPANS[name][1](M, N), (name, M, N)
+    for name, args, out in calls:
+        assert out == RELATION_SPANS[name][1](*args), (name, args)

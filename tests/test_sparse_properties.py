@@ -6,25 +6,29 @@ that ``den > 1`` is common) and over GF(7), mostly zero, with all-zero
 matrices, zero rows and 0 x n and n x 0 shapes among them, and compare
 every operation that reads or writes the stored pairs with the textbook
 routines of ``oracles.py``: the products, the Kronecker forms, transpose,
-difference, linear combination, reduction and kernels, and value equality
-and hashing.
+difference, linear combination, reshaping and interleaving rows, reduction,
+kernels and row spaces, and value equality and hashing.
 """
 
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coring_lab.exactla import (
     QQ,
     GF,
     DenseMatrix,
+    ShapeError,
     combine_matrices,
     kernel,
     kron,
     kron_mul,
     mul_kron,
     row_reduce,
+    row_space,
+    stack_slices,
 )
 
 from oracles import (
@@ -157,6 +161,29 @@ def test_combine_matrices_matches_oracle(data, field):
 
 @given(st.data(), FIELDS)
 @SETTINGS
+def test_reshape_and_stack_slices_keep_the_entries(data, field):
+    A = data.draw(matrices(field))
+    n = A.rows * A.cols
+    rows = data.draw(st.sampled_from([d for d in range(1, n + 1) if not n % d] or [0, 3]))
+    cols = n // rows if rows else 0
+    R = A.reshape(rows, cols)
+    assert (R.rows, R.cols) == (rows, cols)
+    assert R.entries == A.entries
+    assert R.reshape(A.rows, A.cols) == A
+    assert_canonical(field, R)
+    with pytest.raises(ShapeError):
+        A.reshape(n + 1, 1)
+    parts = [data.draw(matrices(field, rows=A.rows, cols=A.cols))
+             for _ in range(data.draw(st.integers(0, 3)))]
+    parts.insert(data.draw(st.integers(0, len(parts))), A)
+    S = stack_slices(field, parts)
+    assert (S.rows, S.cols) == (A.rows * len(parts), A.cols)
+    assert S.row_lists() == [P.row(m) for m in range(A.rows) for P in parts]
+    assert_canonical(field, S)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
 def test_row_reduce_and_kernel_match_oracle(data, field):
     M = data.draw(matrices(field))
     p = p_of(field)
@@ -173,6 +200,11 @@ def test_row_reduce_and_kernel_match_oracle(data, field):
         assert all(not x for x in M.apply(v))
     # the basis is its own reduced echelon form
     assert normalized(field, naive_rref(basis, p)[0]) == basis
+    S = row_space(M)
+    assert S.pivots == want_pivots
+    assert S.basis.row_lists() == normalized(field, want)
+    assert S.ambient_dim == M.cols
+    assert_canonical(field, S.basis)
 
 
 @given(st.data(), FIELDS)

@@ -8,21 +8,43 @@ the 47 instances the benchmark generates at seed 0:
 * the canonical map A (x)_B A -> A (x) C is a coring morphism (Brzezinski
   2002, section 5);
 * (B, dual ring, A, Q, F, G) is a Morita context (Doi 1994), its trace
-  splits B off A, and m q is x-invariant for q in Q.
+  splits B off A, and m q is x-invariant for q in Q;
+* the comodule maps A -> M are the maps a -> m a for the coinvariants m
+  of M, and induction W -> W (x)_A C is right adjoint to forgetting the
+  coaction, g -> (g (x) id_C) rho_M (Brzezinski and Wisbauer, Corings and
+  Comodules, 18.10), so ``hom_from_A`` and ``hom_into_induced`` are the
+  comodule hom spaces.
 """
 
 import pytest
 
 from coring_lab.algebra import verify_algebra
-from coring_lab.coring import SquareReducer, dual_action, is_grouplike, verify_coring, x_invariants
+from coring_lab.coring import (
+    ComoduleInstance,
+    SquareReducer,
+    coinvariants,
+    dual_action,
+    hom_comodule,
+    hom_from_A,
+    hom_into_induced,
+    induced_comodule,
+    is_grouplike,
+    verify_coring,
+    x_invariants,
+)
 from coring_lab.entwining import instance_from_json
-from coring_lab.exactla import DenseMatrix
+from coring_lab.exactla import DenseMatrix, kron
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.galois import beta
 from coring_lab.morita import find_qhat, xi_M
 from coring_lab.verdict import VerificationError
 
-from crosscheck import trace_map, verify_beta_coring_morphism, verify_context_identities
+from crosscheck import (
+    hom_from_A_over_basis,
+    trace_map,
+    verify_beta_coring_morphism,
+    verify_context_identities,
+)
 from helpers import perfbench_records
 from test_closed_forms import INSTANCES, _context
 
@@ -72,6 +94,46 @@ def test_constructions_satisfy_their_theorems(ctx):
     for w in ctx.default_witnesses():
         mod = dual_action(w)
         assert x_invariants(mod, ctx).contains_columns(xi_M(data, mod)[0])
+
+
+def _comodules_without_coinvariants(ctx) -> list:
+    """A with the coaction a -> a (x) c, for each basis element c of C that
+    makes it a comodule with no coinvariants: over A = k these are the
+    comodules k_c of the group-likes c other than x."""
+    f, nC = ctx.field, ctx.C.dim
+    out = []
+    for k in range(nC):
+        c = DenseMatrix.from_columns(f, [[int(t == k) for t in range(nC)]], nC)
+        M = ComoduleInstance(ctx, ctx.A.regular_module("right"),
+                             kron(DenseMatrix.identity(f, ctx.A.dim), c), name=f"A_c{k}")
+        if M.verify().valid and coinvariants(M).is_zero():
+            out.append(M)
+    return out
+
+
+def _adjunction_witnesses(ctx) -> list:
+    return ctx.default_witnesses() + _comodules_without_coinvariants(ctx)
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_hom_spaces_follow_the_coring_adjunctions(ctx):
+    reg = ctx.A.regular_module("right")
+    for M in _adjunction_witnesses(ctx):
+        assert hom_from_A(M) == hom_comodule(ctx.comodule_A(), M) == hom_from_A_over_basis(M)
+        for W in (reg, reg.direct_sum(reg)):
+            assert hom_into_induced(M, W) == hom_comodule(M, induced_comodule(ctx, W))
+
+
+def test_adjunction_witnesses_reach_empty_hom_spaces():
+    """Over Q and over a prime field, the adjunction tests meet the zero
+    comodule and a nonzero comodule with no coinvariants, so the empty
+    spans are compared too."""
+    for kind in ("Q", "Fp"):
+        contexts = [ctx for _, ctx in DISTINCT.values() if ctx.field.kind == kind]
+        assert all(ctx.default_witnesses()[0].dim == 0 for ctx in contexts)
+        assert any(M.dim and hom_from_A(M).is_zero()
+                   for ctx in contexts for M in _adjunction_witnesses(ctx))
 
 
 def test_beta_check_fires_on_a_perturbed_column():

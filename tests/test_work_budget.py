@@ -8,10 +8,12 @@ the pipeline stopped re-proving theorems about its verified input (the
 coring laws of A (x) C, the coring morphism beta, the Morita context
 identities) and the bialgebra laws stopped building Kronecker products of
 the comultiplication (360,949 entries, 362,005 since associativity is
-checked as one identity of n x n^3 matrices; 560,039 before, 531,854 when the
-operators on Hom(C, A) were built in closed form instead of by evaluation
-on each elementary map and the invertibility search took its matrix span
-once, 704,826 before that, 790,094 before relation
+checked as one identity of n x n^3 matrices, 375,557 since the comodule
+hom spaces are built as images of matrices through the coring adjunctions;
+560,039 before, 531,854 when the operators on Hom(C, A) were built in
+closed form instead of by evaluation on each elementary map and the
+invertibility search took its matrix span once, 704,826 before that,
+790,094 before relation
 spans stopped being written out as dense subspaces and linear maps stopped
 being built as transposes, 1,036,630 before that, and 2,155,670 before
 ``kron_mul`` replaced the Kronecker products that were only multiplied).  A
@@ -22,15 +24,17 @@ A matrix stores only its nonzero entries, so the nonzeros stored are the
 measure of the memory and arithmetic its later products cost.  The budget
 is 10 % above the count measured when every matrix became its nonzero
 rows (10,506 nonzeros in the matrices built, of the 362,005 entries their
-shapes hold).  A change that builds dense intermediates as matrices, or
-fills a structure map with entries that the arithmetic will only multiply
-by zero, fails here.
+shapes hold; 10,964 of 375,557 since the coring adjunctions).  A change
+that builds dense intermediates as matrices, or fills a structure map with
+entries that the arithmetic will only multiply by zero, fails here.
 
 Every elimination goes through ``SubspaceBuilder.insert``, so its calls
 count the rows eliminated.  The budget is 10 % above the count measured
-when balanced tensor products and hom spaces took their relations over the
-generators of the acting algebra (8,452 inserts; 12,018 with relations over
-its whole basis, which fails here).
+when the comodule maps out of A and into the coring were read through the
+coring adjunctions instead of solved as relation spans (6,068 inserts;
+8,494 before, which fails here, and 8,452 when balanced tensor products and
+hom spaces first took their relations over the generators of the acting
+algebra, 12,018 with relations over its whole basis).
 """
 
 import os
@@ -41,7 +45,7 @@ from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
 ENTRY_BUDGET = 397_000
 NONZERO_BUDGET = 11_550
-INSERT_BUDGET = 9_300
+INSERT_BUDGET = 6_700
 
 
 def _analyze_fix_s():
