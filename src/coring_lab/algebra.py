@@ -16,6 +16,7 @@ scale and the reports label them accordingly.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from .exactla import (
     DenseMatrix,
@@ -48,7 +49,8 @@ class AlgebraPresentation:
     coordinate vector of 1.
     """
 
-    def __init__(self, field: FieldSpec, dim: int, mult, unit, name: str = ""):
+    def __init__(self, field: FieldSpec, dim: int, mult, unit, name: str = "",
+                 candidates: Sequence[Sequence] = ()):
         self.field = field
         self.dim = dim
         if dim < 1:
@@ -65,6 +67,8 @@ class AlgebraPresentation:
             [x for row in self.mult for cell in row for x in cell])
         self._int_cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]
         self.name = name
+        # the elements ``generators`` tries before the basis
+        self.candidates = [[field.normalize(x) for x in c] for c in candidates]
         # lmul(e_i) and rmul(e_j), the multiplication operators per basis
         # element: column j of lmul(e_i), and column i of rmul(e_j), is e_i e_j
         self.lmuls = [DenseMatrix.from_columns(field, row, dim) for row in self.mult]
@@ -96,25 +100,33 @@ class AlgebraPresentation:
         return combine_matrices(self.field, self.dim, self.dim, u, self.rmuls)
 
     @once
-    def generators(self) -> list[int]:
-        """Basis indices picked greedily, in basis order, until left
-        multiplication by the chosen elements closes span{1} to the whole
-        algebra; each lies outside the subalgebra the earlier ones generate.
-        A unital action is determined by its matrices at these indices, so
-        relation spans over the algebra are taken over them."""
+    def generators(self) -> list[list]:
+        """Coordinate vectors of elements picked greedily from the candidates
+        given to the constructor and then the basis, in that order, until
+        left multiplication by the chosen elements closes span{1} to the
+        whole algebra; each lies outside the subalgebra the earlier ones
+        generate.  A unital action is determined by its matrices at these
+        elements, so relation spans over the algebra are taken over them."""
+        basis = ([int(t == i) for t in range(self.dim)] for i in range(self.dim))
         span = SubspaceBuilder(self.field, self.dim)
         span.insert(self.unit)
-        closed, gens = [self.unit], []
-        for i in range(self.dim):
-            if len(span.rows.get(i, ())) == 1:  # e_i is in the span already
+        closed, gens, lmuls = [self.unit], [], []
+        for g in chain(self.candidates, basis):
+            if len(closed) == self.dim:
+                break
+            if not span.insert(g):  # g is in the subalgebra generated already
                 continue
-            gens.append(i)
-            todo = [self.lmuls[i].apply(v) for v in closed]
+            gens.append(g)
+            lmuls.append(self.lmul_matrix(g))
+            closed.append(g)
+            # every product of a generator with a vector of ``closed`` is
+            # formed once: the new generator's with all, the old ones' with g
+            todo = [lmuls[-1].apply(v) for v in closed] + [L.apply(g) for L in lmuls[:-1]]
             while todo:
                 v = todo.pop()
                 if span.insert(v):
                     closed.append(v)
-                    todo += [self.lmuls[g].apply(v) for g in gens]
+                    todo += [L.apply(v) for L in lmuls]
         return gens
 
     @once
@@ -184,6 +196,13 @@ class ModulePresentation:
     def act_matrix(self, u: Sequence) -> DenseMatrix:
         """Action of the algebra element with coordinate vector u."""
         return combine_matrices(self.field, self.dim, self.dim, u, self.action)
+
+    @once
+    def generator_actions(self, algebra: AlgebraPresentation) -> list[DenseMatrix]:
+        """The actions of ``algebra.generators()``, for an algebra with the
+        structure constants of this module's own; memoized here, so every
+        relation span over the algebra reads them without rebuilding them."""
+        return [self.act_matrix(g) for g in algebra.generators()]
 
     @once
     def action_map(self) -> DenseMatrix:
@@ -330,34 +349,38 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
 
     The plain tensor square carries the index convention (i_M, i_N) ->
     i_M*dim(N)+i_N.  The relations m g (x) n - m (x) g n are taken for the
-    generators g of S only, which spans the same relations as all of S
-    provided both actions are unital (anti-)homomorphisms of S.  For a
-    dim(M) x dim(N) matrix X of unknowns they are the coefficient vectors of
-    the entries of X rho_N(g) - rho_M(g)^T X, so ``_relation_span`` builds
-    them with the pair (rho_N(g), rho_M(g)^T).
+    elements g of ``S.generators()`` only, which spans the same relations
+    as all of S provided both actions are unital (anti-)homomorphisms of S;
+    over the dual ring these are a few elements iota(a) and f^j, not basis
+    vectors.  For a dim(M) x dim(N) matrix X of unknowns they are the
+    coefficient vectors of the entries of X rho_N(g) - rho_M(g)^T X, so
+    ``_relation_span`` builds them with the pair (rho_N(g), rho_M(g)^T).
     """
     if M.side != "right" or N.side != "left":
         raise ShapeError("balanced tensor needs (right module, left module)")
     if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
         raise ShapeError("balanced tensor over mismatched algebras")
+    S = M.algebra
     return quotient(_relation_span(M.field, M.dim, N.dim, [
-        (N.action[g].nonzero_columns(), M.action[g].nonzero_columns())
-        for g in M.algebra.generators()]))
+        (b.nonzero_columns(), a.nonzero_columns())
+        for a, b in zip(M.generator_actions(S), N.generator_actions(S))]))
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
     """All module maps M -> N as a subspace of dN x dM matrices (row-major).
 
     For either side the intertwining condition reads T rho_M(a) = rho_N(a) T.
-    It is imposed for the generators of the algebra only, which is enough
-    when both actions are unital algebra (anti-)homomorphisms.
+    It is imposed for the elements of ``generators()`` of the algebra only,
+    which is enough when both actions are unital algebra
+    (anti-)homomorphisms.
     """
     if M.side != N.side:
         raise ShapeError("hom between modules on different sides")
     if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
         raise ShapeError("hom over mismatched algebras")
-    gens = M.algebra.generators()
-    return intertwiner_space(M.field, M.dim, N.dim, [(M.action[g], N.action[g]) for g in gens])
+    S = M.algebra
+    return intertwiner_space(M.field, M.dim, N.dim,
+                             zip(M.generator_actions(S), N.generator_actions(S)))
 
 
 def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:

@@ -216,14 +216,24 @@ def _parse_value(text: str):
         return text
 
 
+def _split_assertion(expr: str) -> tuple[str, str] | None:
+    """(key, value) of key=value, each stripped, or None when the key is
+    empty or the value starts with a second '='."""
+    key, eq, raw = expr.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if not eq or not key or raw.startswith("="):
+        return None
+    return key, raw
+
+
 def check_assertion(payload: dict, expr: str) -> str | None:
     """Evaluate key=value; the key is a dotted path, with the top-level flag
     names usable bare.  Returns an error message or None."""
-    if "=" not in expr:
+    parts = _split_assertion(expr)
+    if parts is None:
         return f"malformed assertion {expr!r} (want key=value)"
-    key, _, raw = expr.partition("=")
-    key = key.strip()
-    want = _parse_value(raw.strip())
+    key, raw = parts
+    want = _parse_value(raw)
     got, found = _lookup(payload, key)
     if not found:
         got, found = _lookup(payload.get("flags", {}), key)
@@ -341,6 +351,14 @@ def _witness_count(raw: str) -> int:
     return n
 
 
+def _assertion(raw: str) -> str:
+    """An --assert argument, checked before any work is done."""
+    import argparse
+    if _split_assertion(raw) is None:
+        raise argparse.ArgumentTypeError(f"malformed assertion {raw!r} (want KEY=VALUE)")
+    return raw
+
+
 def build_parser() -> argparse.ArgumentParser:
     # argparse is imported here, not at module level: only ``main`` parses a
     # command line, and the analysis entry points never pay for the import
@@ -370,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cap the witness family size")
     p_analyze.add_argument("--format", choices=("text", "json"), default="text")
     p_analyze.add_argument("--assert", dest="asserts", action="append",
-                           metavar="KEY=VALUE",
+                           metavar="KEY=VALUE", type=_assertion,
                            help="fail (exit 3) unless the report field matches")
     p_analyze.add_argument("--seed", type=int, default=default_seed)
     p_analyze.set_defaults(func=cmd_analyze)

@@ -404,12 +404,18 @@ def coinvariants(M: ComoduleInstance) -> Subspace:
 
 @once
 def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
-    """{m : m g := m . g equals m . (g(x) embedded) for all g} over the dual ring."""
+    """{m : m . g = m . iota(g(x)) for all g in the dual ring}, iota the unit
+    embedding a -> a (x) eps.  For a right module over the dual ring this is
+    the nC conditions m . f^j = m . iota(x_j) on f^j = 1_A (x) c_j*, x_j the
+    j-th C-component of x, which is f^j(x): they give the rest, since
+    f^j iota(e_a) = e_a (x) c_j* and (e_a (x) c_j*)(x) = x_j e_a.  So M^x is
+    the coinvariants of ``comodule_from_dual_module(ctx, mod)``, whose
+    coaction m -> sum_j (m . f^j) (x) c_j equals m (x)_A x exactly there."""
     sharp = ctx.sharp_ring()
-    # column g of at_x is g(x), embedded back into the dual ring
-    diffs = [mod.action[idx].sub(mod.act_matrix(sharp.embed_A(gx)))
-             for idx, gx in enumerate(sharp.at_x().columns())]
-    return kernel(diffs[0].vstack(*diffs[1:]))
+    norm, nC = ctx.field.normalize, ctx.C.dim
+    return kernel(stack_slices(mod.field, [
+        mod.act_matrix([norm(a - b) for a, b in zip(fj, sharp.embed_A(ctx.x[j::nC]))])
+        for j, fj in enumerate(sharp.duals)]))
 
 
 def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
@@ -424,8 +430,9 @@ def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
     same subspaces.
     """
     # A-linearity, then colinearity (T (x) id) rho_M = rho_N T per C-component
-    pairs = [(M.module.action[g], N.module.action[g]) for g in M.module.algebra.generators()]
-    return intertwiner_space(M.field, M.dim, N.dim, pairs + list(zip(M.slices(), N.slices())))
+    A = M.module.algebra
+    pairs = zip(M.module.generator_actions(A), N.module.generator_actions(A))
+    return intertwiner_space(M.field, M.dim, N.dim, [*pairs, *zip(M.slices(), N.slices())])
 
 
 def hom_from_A(M: ComoduleInstance) -> Subspace:
@@ -489,9 +496,7 @@ def comodule_from_dual_module(ctx, mod: ModulePresentation,
     """
     sharp = ctx.sharp_ring()
     f = mod.field
-    # f^j is column j of kron(1_A, I_C)
-    duals = kron(ctx.A.unit_matrix(), DenseMatrix.identity(f, ctx.C.dim))
-    rho = stack_slices(f, [mod.act_matrix(duals.col(j)) for j in range(ctx.C.dim)])
+    rho = stack_slices(f, [mod.act_matrix(fj) for fj in sharp.duals])
     amod = ModulePresentation(
         ctx.A, mod.dim, "right",
         [mod.act_matrix(sharp.embed_A(e)) for e in DenseMatrix.identity(f, ctx.A.dim).row_lists()],

@@ -108,6 +108,11 @@ class SharpRing:
     Basis index (i_A, j_C) -> i_A * dimC + j_C; coordinates of an element are
     simply the flattened entries of its dimA x dimC matrix, so reshaping is
     the identity on data.
+
+    ``duals`` holds f^j = 1_A (x) c_j*, column j of kron(1_A, I_C).  The
+    algebra's generators are picked from iota(e_a), iota the unit embedding
+    ``embed_A``, and then the f^j: these generate, since f^j iota(e_a) =
+    e_a (x) c_j*.
     """
 
     def __init__(self, ctx: "EntwinedContext"):
@@ -123,8 +128,10 @@ class SharpRing:
                 Y = ctx.psi_slice(a).mul(D)
                 rows_d = [Y.take_rows(range(d, A.dim * nC, nC)) for d in range(nC)]
                 consts.append([R.mul(X).entries for R in A.rmuls for X in rows_d])
+        self.duals = kron(A.unit_matrix(), DenseMatrix.identity(f, nC)).columns()
+        iota = [self.embed_A(e) for e in DenseMatrix.identity(f, A.dim).row_lists()]
         self.algebra = AlgebraPresentation(f, A.dim * nC, consts, self.embed_A(A.unit),
-                                           name="Hom(C,A) ring")
+                                           name="Hom(C,A) ring", candidates=iota + self.duals)
 
     @once
     def at_x(self) -> DenseMatrix:

@@ -206,8 +206,10 @@ def beta_W(ctx, W: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport]:
 
 def varpi_M(ctx, M: ModulePresentation) -> dict[str, object]:
     """M (x)_dual (dual ring) -> M with its surjectivity verdict, plus the
-    existence criterion for a dual-ring element sending x to 1; the two are
-    asserted to agree for M = A."""
+    existence criterion for a dual-ring element sending x to 1.  For M = A
+    both hold on verified input: the map is onto for any unital module, and
+    iota(1)(x) = eps(x) 1 = 1 for the group-like x; the analysis does not
+    re-prove this, the test suite does."""
     sharp = ctx.sharp_ring()
     tensor = balanced_tensor(M, sharp.algebra.regular_module("left"))
     mat = M.action_map().mul(tensor.section)
@@ -409,12 +411,6 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
             raise ClauseDisagreement(
                 "flat+galois+unit sufficiency",
                 {"strong": strong, "qhat": True})
-
-    pairing = varpi_M(ctx, data.A_right_dual)
-    if pairing["report"].surjective != pairing["ghat_exists"]:
-        raise ClauseDisagreement(
-            "dual pairing", {"surjective": pairing["report"].surjective,
-                             "ghat": pairing["ghat_exists"]})
 
     notes = {
         "locally_projective": "holds (finite-dimensional)",

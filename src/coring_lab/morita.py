@@ -126,28 +126,27 @@ class QIdealData:
 
 def _q_condition(ctx) -> DenseMatrix:
     """The condition sum c_1 q~(c_2) = q~(c) x on q in Hom(C, A), one column
-    per e_a (x) c*.  Through the lift Delta(a (x) c) = sum (a (x) c_1) (x)
-    (1 (x) c_2) of ``build_coring``, column (a, c) is R_a (I (x) D_c) minus
-    (e_i e_a) x in the columns (i, c), R_a the coring's right action of e_a
+    per e_a (x) c*.  Both sides are left A-linear in c, so it is imposed on
+    the coring's free left basis 1 (x) c_k only: dim x dim(C) rows, not
+    dim x dim.  Through the lift Delta(a (x) c) = sum (a (x) c_1) (x)
+    (1 (x) c_2) of ``build_coring``, column (a, c) is R_a kron(1_A, D_c)
+    minus e_a x in the columns (., c), R_a the coring's right action of e_a
     and D_c ``C.comult_slices("second")[c]``."""
     cor = ctx.coring()
     f = ctx.field
-    nA, dim = ctx.A.dim, cor.dim
-    # row (r, i), column a: the r-th coordinate of (e_i e_a) . x
-    ax = DenseMatrix(f, dim * nA, nA, _acting_on_x(ctx, cor.left_module).mul(
-        ctx.A.mult_matrix()).entries)
-    eyeA = DenseMatrix.identity(f, nA)
-    lifts = [kron(eyeA, D) for D in ctx.C.comult_slices("second")]
+    one = ctx.A.unit_matrix()
+    lifts = [kron(one, D) for D in ctx.C.comult_slices("second")]
     lhs = DenseMatrix.from_columns(
-        f, [R.mul(L).entries for R in cor.right_module.action for L in lifts], dim * dim)
-    return lhs.sub(kron(ax, DenseMatrix.identity(f, ctx.C.dim)))
+        f, [R.mul(L).entries for R in cor.right_module.action for L in lifts],
+        cor.dim * ctx.C.dim)
+    return lhs.sub(kron(_acting_on_x(ctx, cor.left_module), DenseMatrix.identity(f, ctx.C.dim)))
 
 
 def compute_Q(ctx) -> QIdealData:
-    """Q = {q : sum c_1 q(c_2) = q(c) x for all c}, inside Hom(C, A).
+    """Q = {q : sum c_1 q(c_2) = q(c) x for all c}, inside Hom(C, A), the
+    kernel of ``_q_condition``.
 
-    The condition is assembled through the coring's lifted comultiplication;
-    stability under the dual-ring and B actions is re-verified in
+    Stability under the dual-ring and B actions is re-verified in
     ``build_context``.
     """
     f = ctx.field
@@ -386,9 +385,14 @@ def check_theorem_surj(ctx, witnesses: list[ComoduleInstance] | None = None,
         onto_coinv = rep.injective and mat.cols == ci.dim and ci.contains_columns(mat)
         if not onto_coinv:
             ok4 = False
-    _, rep_reg, _ = xi_M(data, ctx.sharp_ring().algebra.regular_module("right"))
-    if not rep_reg.bijective:
-        ok3 = False
+    # the dual ring over itself: with the default witnesses it is the dual
+    # action of the "dual-ring" witness, already evaluated, unless a witness
+    # budget cut that witness
+    S = ctx.sharp_ring().algebra
+    if not any(dual_action(w).action == S.rmuls for w in witnesses):
+        _, rep_reg, _ = xi_M(data, S.regular_module("right"))
+        if not rep_reg.bijective:
+            ok3 = False
     table["3"] = ok3
     table["4"] = ok4
     proj, _ = is_fg_projective(data.A_right_dual)

@@ -9,7 +9,9 @@ on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
 closed form, the Morita context's maps and module structures one basis
 vector at a time instead of as matrix products, balanced tensor products
 and hom spaces with their relations over the whole basis of the algebra
-instead of over its generators, the comodule maps out of A and into an
+instead of over its generators, the x-invariants of a dual-ring module
+with a condition for every basis element of the dual ring instead of for
+the f^j = 1 (x) c_j*, the comodule maps out of A and into an
 induced comodule as such relation spans instead of through the coring
 adjunctions, and the structure maps (the coring's Delta-lift, free basis
 and right action, induced actions, the Doi-Koppinen entwining, the
@@ -422,9 +424,10 @@ def qtilde_matrix(ctx, flat: Sequence) -> DenseMatrix:
     return DenseMatrix.from_columns(f, cols, nA)
 
 
-def q_condition_by_evaluation(ctx) -> DenseMatrix:
+def q_condition_by_evaluation(ctx, inputs: DenseMatrix = None) -> DenseMatrix:
     """sum c_1 q~(c_2) - q~(c) x for every elementary q, through the coring's
-    lifted comultiplication."""
+    lifted comultiplication, at every c among the columns of ``inputs``
+    (every basis vector of the coring by default)."""
     cor = ctx.coring()
     f = ctx.field
     nA, nC, dim = ctx.A.dim, ctx.C.dim, cor.dim
@@ -436,9 +439,9 @@ def q_condition_by_evaluation(ctx) -> DenseMatrix:
     cols = []
     for idx in range(nA * nC):
         qt = qtilde_matrix(ctx, [1 if t == idx else 0 for t in range(nA * nC)])
-        lhs = rmat.mul(kron_mul(eye, qt, cor.delta_lift))
-        cols.append(lhs.sub(lx.mul(qt)).entries)
-    return DenseMatrix.from_columns(f, cols, dim * dim)
+        cond = rmat.mul(kron_mul(eye, qt, cor.delta_lift)).sub(lx.mul(qt))
+        cols.append((cond if inputs is None else cond.mul(inputs)).entries)
+    return DenseMatrix.from_columns(f, cols, len(cols[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +584,15 @@ def hom_comodule_over_basis(M: ComoduleInstance, N: ComoduleInstance) -> Subspac
     colinear for every C-component of the coactions."""
     pairs = list(zip(M.module.action, N.module.action)) + list(zip(M.slices(), N.slices()))
     return intertwiners_over_basis(M.field, M.dim, N.dim, pairs)
+
+
+def x_invariants_over_basis(mod: ModulePresentation, ctx) -> Subspace:
+    """{m : m . g = m . iota(g(x))} with the condition stacked for every
+    basis element g of the dual ring, the reference for ``x_invariants``."""
+    sharp = ctx.sharp_ring()
+    diffs = [mod.action[idx].sub(mod.act_matrix(sharp.embed_A(gx)))
+             for idx, gx in enumerate(sharp.at_x().columns())]
+    return kernel(diffs[0].vstack(*diffs[1:]))
 
 
 def hom_from_A_over_basis(M: ComoduleInstance) -> Subspace:

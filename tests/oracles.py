@@ -148,12 +148,12 @@ def intersect(a, b, n, p=None):
 
 
 def naive_subalgebra(mult, unit, gens, p=None):
-    """A spanning list of the subalgebra generated by the basis elements e_g,
-    g in gens: the words in them, applied to 1 by the structure constants
-    ``mult[i][j][k]`` (the e_k-coefficient of e_i e_j).  Words grow one
-    letter at a time, breadth first; a word in the span of the words kept
-    before it is dropped, and so are all its extensions, which lie in the
-    span of the extensions of the kept ones."""
+    """A spanning list of the subalgebra generated by the elements with
+    coordinate vectors gens: the words in them, applied to 1 by the
+    structure constants ``mult[i][j][k]`` (the e_k-coefficient of e_i e_j).
+    Words grow one letter at a time, breadth first; a word in the span of
+    the words kept before it is dropped, and so are all its extensions,
+    which lie in the span of the extensions of the kept ones."""
     n = len(unit)
     kept = [[Fraction(x) for x in unit]]
     frontier = list(kept)
@@ -161,8 +161,8 @@ def naive_subalgebra(mult, unit, gens, p=None):
         longer = []
         for word in frontier:
             for g in gens:
-                w = [sum(Fraction(mult[g][j][k]) * word[j] for j in range(n))
-                     for k in range(n)]
+                w = [sum(Fraction(g[i]) * Fraction(mult[i][j][k]) * word[j]
+                         for i in range(n) if g[i] for j in range(n)) for k in range(n)]
                 if p is not None:
                     w = [Fraction(int(x) % p) for x in w]
                 if not span_contains(kept, w, p):

@@ -20,6 +20,7 @@ from coring_lab.algebra import (
     verify_module,
     zero_module,
 )
+from coring_lab.entwining import instance_from_json
 from coring_lab.fixtures import fixture
 from coring_lab.verdict import VerificationError
 
@@ -187,6 +188,17 @@ def _dense_qz3(field):
     return AlgebraPresentation.from_json(field, obj, name="dense QZ3")
 
 
+def _dual_ring_of_qz(n):
+    """The dual ring Hom(C, A) of the Doi-Koppinen instance Q[Z/n] over
+    itself, over a field: n^2-dimensional, with candidates iota(e_a) and
+    f^j = 1 (x) c_j*."""
+    def make(field):
+        obj = perfbench_instance("ladder", f"QZ{n}-x0-Q")
+        obj["field"] = field.to_json()
+        return instance_from_json(obj).sharp_ring().algebra
+    return make
+
+
 GENERATOR_CASES = {  # name -> (algebra over a field, number of generators)
     "QZ5": (lambda f: group_algebra_zn(5, f), 1),
     "k^4": (lambda f: _product_algebra(f, 4), 3),
@@ -194,6 +206,8 @@ GENERATOR_CASES = {  # name -> (algebra over a field, number of generators)
     "upper-triangular": (lambda f: _matrix_unit_algebra(f, [(0, 0), (0, 1), (1, 1)]), 2),
     "M_2": (lambda f: _matrix_unit_algebra(f, [(0, 0), (0, 1), (1, 0), (1, 1)]), 3),
     "dense-QZ3": (_dense_qz3, 1),
+    "dual-ring-QZ3": (_dual_ring_of_qz(3), 2),
+    "dual-ring-QZ4": (_dual_ring_of_qz(4), 2),
 }
 
 
@@ -204,15 +218,29 @@ def test_generators_against_words_closure(case, field):
     A = make(field)
     assert verify_algebra(A).valid
     gens = A.generators()
-    assert len(gens) == count and gens == sorted(gens)
+    assert len(gens) == count
     p = field.p
     assert naive_rank(naive_subalgebra(A.mult, A.unit, gens, p), p) == A.dim
-    # the greedy rule: an index is chosen iff it lies outside the subalgebra
-    # that the indices chosen before it generate
-    for i in range(A.dim):
-        earlier = naive_subalgebra(A.mult, A.unit, [g for g in gens if g < i], p)
-        e_i = [1 if t == i else 0 for t in range(A.dim)]
-        assert (i in gens) == (not span_contains(earlier, e_i, p)), i
+    # the greedy rule: a candidate, and then a basis vector, is chosen iff it
+    # lies outside the subalgebra that the ones chosen before it generate
+    basis = [[int(t == i) for t in range(A.dim)] for i in range(A.dim)]
+    chosen = []
+    for c in A.candidates + basis:
+        earlier = naive_subalgebra(A.mult, A.unit, chosen, p)
+        if naive_rank(earlier, p) == A.dim:
+            break
+        if not span_contains(earlier, c, p):
+            chosen.append(c)
+    assert gens == chosen
+
+
+def test_dual_ring_of_qzn_has_two_generators():
+    """iota(g) for the generator g of Z/n, then one f^j; the basis of the
+    n^2-dimensional ring is never reached."""
+    for n in range(2, 7):
+        S = _dual_ring_of_qz(n)(QQ)
+        gens = S.generators()
+        assert len(gens) == 2 and all(g in S.candidates for g in gens)
 
 
 def test_generators_are_memoized():

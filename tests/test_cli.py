@@ -175,6 +175,8 @@ def test_check_assertion_helper():
     assert check_assertion(report, "galois=true") is not None
     assert check_assertion(report, "nonsense-key=1") is not None
     assert check_assertion(report, "no-equals") is not None
+    assert check_assertion(report, "=true") is not None
+    assert check_assertion(report, "galois==false").startswith("malformed assertion")
 
 
 def test_console_script_entry_point():
@@ -275,10 +277,23 @@ def test_bad_seed_environment_exits_1(monkeypatch):
     ["analyze", "FIX", "--witnesses", "x"],
     ["analyze", "FIX", "--witnesses", "-3"],
     ["analyze", "FIX", "--format", "yaml"],
+    ["analyze", "FIX", "--assert", "galois"],
+    ["analyze", "FIX", "--assert", "=true"],
+    ["analyze", "FIX", "--assert", " =true"],
+    ["analyze", "FIX", "--assert", "galois==true"],
+    ["analyze", "FIX", "--assert", "galois=true", "--assert", "cleft"],
     [],
 ], ids=["unknown-flag", "seed-not-int", "report-seed-not-int", "witnesses-not-int",
-        "witnesses-negative", "format-yaml", "no-subcommand"])
-def test_malformed_flags_exit_1(argv):
+        "witnesses-negative", "format-yaml", "assert-without-value", "assert-empty-key",
+        "assert-blank-key", "assert-double-equals", "assert-second-malformed",
+        "no-subcommand"])
+def test_malformed_flags_exit_1(argv, monkeypatch):
+    import coring_lab.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a malformed command line must exit before any work")
+
+    monkeypatch.setattr(cli, "_process", no_work)
     code, out, err = run_cli([fx("fix-t") if a == "FIX" else a for a in argv])
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err

@@ -165,7 +165,7 @@ def _pairs(ctx, construction):
     if construction == "at_x":
         return [(ctx.sharp_ring().at_x(), at_x_by_evaluation(ctx))]
     if construction == "q_condition":
-        return [(_q_condition(ctx), q_condition_by_evaluation(ctx))]
+        return [(_q_condition(ctx), q_condition_by_evaluation(ctx, ctx.coring().free_left_basis))]
     if construction == "sharp_constants":
         return [(ctx.sharp_ring().algebra.mult, sharp_constants_by_evaluation(ctx))]
     data = ctx.morita()

@@ -163,6 +163,32 @@ def test_theorem_surj_tables():
         assert set(res["clauses"].values()) == {True}
 
 
+def test_theorem_surj_evaluates_the_dual_ring_once(monkeypatch):
+    """The pairing on the dual ring over itself is the one on the dual-ring
+    witness: it is evaluated once with the default witnesses, and on its own
+    when a witness budget cuts that witness."""
+    import coring_lab.morita as morita
+    seen = []
+
+    def recording(data, M, runtime=morita.xi_M):
+        seen.append(M.action)
+        return runtime(data, M)
+    monkeypatch.setattr(morita, "xi_M", recording)
+    uncovered = 0
+    for mk in (make_fix_t, make_fix_h, make_fix_n):
+        ctx = mk()
+        rmuls = ctx.sharp_ring().algebra.rmuls
+        witnesses = ctx.default_witnesses()
+        for ws in (witnesses, witnesses[:3]):
+            covered = any(dual_action(w).action == rmuls for w in ws)
+            assert covered or ws is not witnesses
+            uncovered += not covered
+            seen.clear()
+            check_theorem_surj(ctx, witnesses=ws)
+            assert rmuls in seen and len(seen) == len(ws) + (not covered)
+    assert uncovered
+
+
 def test_theorem_surj_consistency_extras():
     res = check_theorem_surj(make_fix_h())
     assert res["consistency"]["G_bijective"]

@@ -13,12 +13,21 @@ the 47 instances the benchmark generates at seed 0:
   of M, and induction W -> W (x)_A C is right adjoint to forgetting the
   coaction, g -> (g (x) id_C) rho_M (Brzezinski and Wisbauer, Corings and
   Comodules, 18.10), so ``hom_from_A`` and ``hom_into_induced`` are the
-  comodule hom spaces.
+  comodule hom spaces;
+* the f^j = 1 (x) c_j* and iota(A) generate the dual ring, as f^j iota(e_a)
+  = e_a (x) c_j*, so every condition over the dual ring may be imposed on
+  the generators ``SharpRing`` picks: relation spans and x-invariants
+  equal their whole-basis references, and the condition defining Q, left
+  A-linear in its argument, may be imposed on the coring's free left
+  basis alone;
+* A over the dual ring is unital and iota(1)(x) = 1, so the dual pairing
+  A (x)_dual (dual ring) -> A is onto and an element sending x to 1
+  exists.
 """
 
 import pytest
 
-from coring_lab.algebra import verify_algebra
+from coring_lab.algebra import balanced_tensor, hom_module, verify_algebra
 from coring_lab.coring import (
     ComoduleInstance,
     SquareReducer,
@@ -33,17 +42,21 @@ from coring_lab.coring import (
     x_invariants,
 )
 from coring_lab.entwining import instance_from_json
-from coring_lab.exactla import DenseMatrix, kron
+from coring_lab.exactla import DenseMatrix, kernel, kron
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
-from coring_lab.galois import beta
-from coring_lab.morita import find_qhat, xi_M
+from coring_lab.galois import beta, varpi_M
+from coring_lab.morita import compute_Q, find_qhat, xi_M
 from coring_lab.verdict import VerificationError
 
 from crosscheck import (
+    balanced_tensor_over_basis,
     hom_from_A_over_basis,
+    hom_module_over_basis,
+    q_condition_by_evaluation,
     trace_map,
     verify_beta_coring_morphism,
     verify_context_identities,
+    x_invariants_over_basis,
 )
 from helpers import perfbench_records
 from test_closed_forms import INSTANCES, _context
@@ -94,6 +107,33 @@ def test_constructions_satisfy_their_theorems(ctx):
     for w in ctx.default_witnesses():
         mod = dual_action(w)
         assert x_invariants(mod, ctx).contains_columns(xi_M(data, mod)[0])
+    pairing = varpi_M(ctx, data.A_right_dual)
+    assert pairing["report"].surjective and pairing["ghat_exists"]
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_dual_ring_conditions_hold_on_generating_sets(ctx):
+    sharp = ctx.sharp_ring()
+    S, nC = sharp.algebra, ctx.C.dim
+    for a, e_a in enumerate(DenseMatrix.identity(ctx.field, ctx.A.dim).row_lists()):
+        for j, f_j in enumerate(sharp.duals):
+            assert S.mul_vec(f_j, sharp.embed_A(e_a)) == \
+                [int(t == a * nC + j) for t in range(S.dim)]
+    data = ctx.morita()
+    right = [dual_action(w) for w in ctx.default_witnesses()]
+    right += [S.regular_module("right"), data.A_right_dual]
+    for M in right:
+        assert x_invariants(M, ctx) == x_invariants_over_basis(M, ctx)
+        assert balanced_tensor(M, data.Q_left_dual) == \
+            balanced_tensor_over_basis(M, data.Q_left_dual)
+    left = S.regular_module("left")
+    assert balanced_tensor(data.A_right_dual, left) == \
+        balanced_tensor_over_basis(data.A_right_dual, left)
+    for M, N in ((data.A_right_dual, S.regular_module("right")),
+                 (data.A_right_dual, data.A_right_dual), (data.Q_left_dual, left)):
+        assert hom_module(M, N) == hom_module_over_basis(M, N)
+    assert compute_Q(ctx).space == kernel(q_condition_by_evaluation(ctx))
 
 
 def _comodules_without_coinvariants(ctx) -> list:

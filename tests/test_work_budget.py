@@ -4,13 +4,18 @@ builds and the vectors it inserts into relation spans and reductions.
 Every matrix goes through ``DenseMatrix.__init__``, which normalizes each
 entry, so the entries built are a machine-independent measure of the
 exact-arithmetic work.  The budget is 10 % above the count measured when
-the pipeline stopped re-proving theorems about its verified input (the
-coring laws of A (x) C, the coring morphism beta, the Morita context
-identities) and the bialgebra laws stopped building Kronecker products of
-the comultiplication (360,949 entries, 362,005 since associativity is
-checked as one identity of n x n^3 matrices, 375,557 since the comodule
-hom spaces are built as images of matrices through the coring adjunctions;
-560,039 before, 531,854 when the operators on Hom(C, A) were built in
+every condition over the dual ring was imposed on a generating set (its
+relation spans over iota(A) and the f^j = 1 (x) c_j*, the x-invariants on
+the f^j alone, the condition defining Q on the coring's free left basis)
+and the dual pairing stopped being re-proved (267,857 entries; 375,557
+before, which fails here).  Before that it was 360,949 when the pipeline
+stopped re-proving theorems about its verified input (the coring laws of
+A (x) C, the coring morphism beta, the Morita context identities) and the
+bialgebra laws stopped building Kronecker products of the
+comultiplication, 362,005 since associativity is checked as one identity
+of n x n^3 matrices, 375,557 since the comodule hom spaces are built as
+images of matrices through the coring adjunctions; 560,039 before, 531,854
+when the operators on Hom(C, A) were built in
 closed form instead of by evaluation on each elementary map and the
 invertibility search took its matrix span once, 704,826 before that,
 790,094 before relation
@@ -22,19 +27,23 @@ operator per basis vector again, or recomputes a derived object, fails here.
 
 A matrix stores only its nonzero entries, so the nonzeros stored are the
 measure of the memory and arithmetic its later products cost.  The budget
-is 10 % above the count measured when every matrix became its nonzero
-rows (10,506 nonzeros in the matrices built, of the 362,005 entries their
-shapes hold; 10,964 of 375,557 since the coring adjunctions).  A change
-that builds dense intermediates as matrices, or fills a structure map with
-entries that the arithmetic will only multiply by zero, fails here.
+is 10 % above the count measured when the conditions over the dual ring
+were imposed on generating sets (9,268 nonzeros in the matrices built, of
+the 267,857 entries their shapes hold; 10,506 of 362,005 when every matrix
+became its nonzero rows, 10,964 of 375,557 since the coring adjunctions).
+A change that builds dense intermediates as matrices, or fills a structure
+map with entries that the arithmetic will only multiply by zero, fails
+here.
 
 Every elimination goes through ``SubspaceBuilder.insert``, so its calls
 count the rows eliminated.  The budget is 10 % above the count measured
-when the comodule maps out of A and into the coring were read through the
-coring adjunctions instead of solved as relation spans (6,068 inserts;
-8,494 before, which fails here, and 8,452 when balanced tensor products and
-hom spaces first took their relations over the generators of the acting
-algebra, 12,018 with relations over its whole basis).
+when the conditions over the dual ring were imposed on generating sets
+(3,692 inserts; 6,068 before, which fails here, when the comodule maps out
+of A and into the coring were read through the coring adjunctions instead
+of solved as relation spans, 8,494 before that, and 8,452 when balanced
+tensor products and hom spaces first took their relations over the
+generators of the acting algebra, 12,018 with relations over its whole
+basis).
 """
 
 import os
@@ -43,9 +52,9 @@ from coring_lab import cli
 from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
-ENTRY_BUDGET = 397_000
-NONZERO_BUDGET = 11_550
-INSERT_BUDGET = 6_700
+ENTRY_BUDGET = 294_600
+NONZERO_BUDGET = 10_190
+INSERT_BUDGET = 4_060
 
 
 def _analyze_fix_s():
