@@ -1,11 +1,16 @@
-"""Finite-dimensional unital associative algebras given by structure constants.
+"""Finite-dimensional unital associative algebras given by their
+multiplication operators.
 
-Modules are presented by one action matrix per algebra basis element, acting
-on column coordinate vectors; for a right module ``rho(ab) = rho(b) rho(a)``
-and for a left module ``rho(ab) = rho(a) rho(b)``.  On top of that sit the
-workhorses of the whole engine: balanced tensor products over an algebra,
-hom-spaces of module maps, and the projectivity and generator tests the
-equivalence theorems reduce to.
+An algebra stores its product once, as the sparse matrices of left
+multiplication by its basis elements; right multiplication, the
+multiplication map A (x) A -> A and the structure constants of the wire
+format are read off them.  Modules are presented by one action matrix per
+algebra basis element, acting on column coordinate vectors; for a right
+module ``rho(ab) = rho(b) rho(a)`` and for a left module
+``rho(ab) = rho(a) rho(b)``.  On top of that sit the workhorses of the whole
+engine: balanced tensor products over an algebra, hom-spaces of module maps,
+and the projectivity and generator tests the equivalence theorems reduce
+to.
 
 Flatness of a finitely generated module over a finite-dimensional algebra is
 implemented as projectivity, and faithful flatness of a f.g. projective
@@ -26,10 +31,12 @@ from .exactla import (
     ShapeError,
     Subspace,
     SubspaceBuilder,
-    clear_denominators,
+    block_diag,
     combine_matrices,
-    combine_rows,
-    divide_out,
+    differing_columns,
+    flat_columns,
+    image,
+    join_columns,
     json_dim,
     json_get,
     mul_kron,
@@ -38,59 +45,64 @@ from .exactla import (
     parse_array,
     quotient,
     solve,
+    unstack_slices,
 )
 from .verdict import Verdict, VerificationError, one_failure
 
 
 class AlgebraPresentation:
-    """A unital associative algebra on a distinguished basis.
+    """A unital associative algebra on a distinguished basis, stored as its
+    multiplication operators.
 
-    ``mult[i][j][k]`` is the e_k-coefficient of e_i * e_j and ``unit`` the
-    coordinate vector of 1.
+    ``lmuls[i]`` is the sparse matrix of left multiplication by e_i: its
+    column j is the coordinate vector of e_i e_j.  ``unit`` is the
+    coordinate vector of 1.  The constructor takes the structure constants
+    ``mult[i][j][k]``, the e_k-coefficient of e_i e_j, as instances write
+    them, and converts them once; an algebra derived from another enters
+    through ``from_operators``.  Everything else is read off ``lmuls``:
+    ``rmuls`` (column i of rmul(e_j) is column j of lmul(e_i)), the
+    multiplication map ``mult_matrix`` and the table ``to_json`` writes.
     """
 
     def __init__(self, field: FieldSpec, dim: int, mult, unit, name: str = "",
                  candidates: Sequence[Sequence] = ()):
-        self.field = field
-        self.dim = dim
-        if dim < 1:
-            raise ShapeError("an algebra needs dimension at least 1")
         if len(mult) != dim or any(len(row) != dim for row in mult) or any(
                 len(cell) != dim for row in mult for cell in row):
             raise ShapeError("structure constants have the wrong shape")
+        self._store(field, [DenseMatrix.from_columns(field, row, dim) for row in mult], unit,
+                    name, candidates)
+
+    @classmethod
+    def from_operators(cls, field: FieldSpec, lmuls: list[DenseMatrix], unit, name: str = "",
+                       candidates: Sequence[Sequence] = ()) -> "AlgebraPresentation":
+        """The algebra whose left multiplication by e_i is ``lmuls[i]``."""
+        algebra = cls.__new__(cls)
+        algebra._store(field, lmuls, unit, name, candidates)
+        return algebra
+
+    def _store(self, field: FieldSpec, lmuls: list[DenseMatrix], unit, name: str,
+               candidates: Sequence[Sequence]) -> None:
+        dim = len(lmuls)
+        if dim < 1:
+            raise ShapeError("an algebra needs dimension at least 1")
+        if any(L.rows != dim or L.cols != dim for L in lmuls):
+            raise ShapeError("multiplication operators have the wrong shape")
         if len(unit) != dim:
             raise ShapeError("unit vector has the wrong length")
-        self.mult = [[[field.normalize(x) for x in cell] for cell in row] for row in mult]
+        self.field = field
+        self.dim = dim
+        self.lmuls = lmuls
         self.unit = [field.normalize(x) for x in unit]
-        # the structure constants over one common denominator, for mul_vec
-        self._mult_den, flat = clear_denominators(
-            [x for row in self.mult for cell in row for x in cell])
-        self._int_cells = [flat[k:k + dim] for k in range(0, dim ** 3, dim)]
         self.name = name
         # the elements ``generators`` tries before the basis
         self.candidates = [[field.normalize(x) for x in c] for c in candidates]
-        # lmul(e_i) and rmul(e_j), the multiplication operators per basis
-        # element: column j of lmul(e_i), and column i of rmul(e_j), is e_i e_j
-        self.lmuls = [DenseMatrix.from_columns(field, row, dim) for row in self.mult]
-        self.rmuls = [DenseMatrix.from_columns(field, col, dim) for col in zip(*self.mult)]
+        # row (r, j) of the flattened operators holds entry (r, j) of every
+        # lmul(e_i), the e_r-coefficient of e_i e_j: row r of rmul(e_j)
+        self.rmuls = unstack_slices(flat_columns(field, lmuls, dim, dim), dim)
 
     def mul_vec(self, u: Sequence, v: Sequence) -> list:
-        """Coordinates of uv, fraction-free: u, v and the structure constants
-        are scaled to ints, and the sum of u_i v_j e_i e_j is divided out
-        once per entry."""
-        du, iu = clear_denominators(u)
-        dv, iv = clear_denominators(v)
-        n, cells = self.dim, self._int_cells
-        nv = [(j, b) for j, b in enumerate(iv) if b]
-        out = [0] * n
-        for i, a in enumerate(iu):
-            if a:
-                for j, b in nv:
-                    ab = a * b
-                    for k, c in enumerate(cells[i * n + j]):
-                        if c:
-                            out[k] += ab * c
-        return divide_out(self.field, out, du * dv * self._mult_den)
+        """Coordinates of uv."""
+        return self.lmul_matrix(u).apply(v)
 
     def lmul_matrix(self, u: Sequence) -> DenseMatrix:
         """Matrix of left multiplication by the element with coordinates u."""
@@ -136,9 +148,9 @@ class AlgebraPresentation:
 
     @once
     def mult_matrix(self) -> DenseMatrix:
-        """Multiplication as a matrix A (x) A -> A, column (i*dim+j) = e_i e_j."""
-        return DenseMatrix.from_columns(self.field, [cell for row in self.mult for cell in row],
-                                        self.dim)
+        """Multiplication as a matrix A (x) A -> A, column (i*dim+j) = e_i e_j:
+        the operators lmul(e_i) side by side."""
+        return join_columns(self.field, self.lmuls, self.dim)
 
     def regular_module(self, side: str) -> "ModulePresentation":
         if side == "right":
@@ -153,8 +165,8 @@ class AlgebraPresentation:
         f = self.field
         return {
             "dim": self.dim,
-            "mult": [[[f.scalar_to_json(x) for x in cell] for cell in row]
-                     for row in self.mult],
+            "mult": [[[f.scalar_to_json(x) for x in col] for col in L.columns()]
+                     for L in self.lmuls],
             "unit": [f.scalar_to_json(x) for x in self.unit],
         }
 
@@ -209,11 +221,7 @@ class ModulePresentation:
         """The action as one linear map: S (x) M -> M with column (i, m) =
         e_i . m for a left module, M (x) S -> M with column (m, i) = m . e_i
         for a right module."""
-        if self.side == "left":
-            cols = [a.col(m) for a in self.action for m in range(self.dim)]
-        else:
-            cols = [a.col(m) for m in range(self.dim) for a in self.action]
-        return DenseMatrix.from_columns(self.field, cols, self.dim)
+        return join_columns(self.field, self.action, self.dim, interleave=self.side == "right")
 
     def restrict(self, sub: Subspace, name: str = "") -> "ModulePresentation":
         """The induced module on an action-invariant subspace, in its basis."""
@@ -221,20 +229,12 @@ class ModulePresentation:
         return ModulePresentation(self.algebra, sub.dim, self.side, action, name=name)
 
     def direct_sum(self, other: "ModulePresentation") -> "ModulePresentation":
-        if other.algebra is not self.algebra and other.algebra.mult != self.algebra.mult:
+        if not same_algebra(self.algebra, other.algebra):
             raise ShapeError("direct sum over different algebras")
         if other.side != self.side:
             raise ShapeError("direct sum of modules on different sides")
-        n, m = self.dim, other.dim
-        action = []
-        for a, b in zip(self.action, other.action):
-            rows = []
-            for i in range(n):
-                rows.append(a.row(i) + [0] * m)
-            for i in range(m):
-                rows.append([0] * n + b.row(i))
-            action.append(DenseMatrix.from_rows(self.field, rows, cols=n + m))
-        return ModulePresentation(self.algebra, n + m, self.side, action)
+        return ModulePresentation(self.algebra, self.dim + other.dim, self.side,
+                                  [block_diag(a, b) for a, b in zip(self.action, other.action)])
 
     def to_json(self) -> dict:
         return {
@@ -273,6 +273,12 @@ class BimodulePresentation:
         return self.left.dim
 
 
+def same_algebra(S: AlgebraPresentation, T: AlgebraPresentation) -> bool:
+    """Whether S and T are one algebra: the same object, or over one field
+    with equal multiplication operators."""
+    return S is T or (S.field == T.field and S.lmuls == T.lmuls)
+
+
 def zero_module(algebra: AlgebraPresentation, side: str) -> ModulePresentation:
     return ModulePresentation(algebra, 0, side, [DenseMatrix.zeros(algebra.field, 0, 0)
                                                  for _ in range(algebra.dim)])
@@ -292,15 +298,14 @@ def verify_algebra(A: AlgebraPresentation) -> Verdict:
     n = A.dim
     m, eye = A.mult_matrix(), DenseMatrix.identity(A.field, n)
     left, right = mul_kron(m, m, eye), mul_kron(m, eye, m)
-    if left != right:
-        for c, (x, y) in enumerate(zip(left.nonzero_columns(), right.nonzero_columns())):
-            if x != y:
-                v.fail("associativity", (c // (n * n), c // n % n, c % n))
-    for i in range(n):
-        e_i = [1 if t == i else 0 for t in range(n)]
-        if A.mul_vec(A.unit, e_i) != e_i:
+    for c in differing_columns(left, right):
+        v.fail("associativity", (c // (n * n), c // n % n, c % n))
+    # column i of lmul(1) and of rmul(1) is 1 e_i and e_i 1
+    for i, (x, y) in enumerate(zip(A.lmul_matrix(A.unit).nonzero_columns(),
+                                   A.rmul_matrix(A.unit).nonzero_columns())):
+        if x != [(i, 1)]:
             v.fail("unit-left", (i,))
-        if A.mul_vec(e_i, A.unit) != e_i:
+        if y != [(i, 1)]:
             v.fail("unit-right", (i,))
     return v
 
@@ -312,9 +317,9 @@ def verify_module(M: ModulePresentation) -> Verdict:
     ident = DenseMatrix.identity(M.field, M.dim)
     if M.act_matrix(A.unit) != ident:
         v.fail("module-unit")
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = M.act_matrix(A.mult[i][j])
+    for i, L in enumerate(A.lmuls):
+        for j, e_ij in enumerate(L.columns()):
+            lhs = M.act_matrix(e_ij)
             if M.side == "right":
                 rhs = M.action[j].mul(M.action[i])
             else:
@@ -358,7 +363,7 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
     """
     if M.side != "right" or N.side != "left":
         raise ShapeError("balanced tensor needs (right module, left module)")
-    if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
+    if not same_algebra(M.algebra, N.algebra):
         raise ShapeError("balanced tensor over mismatched algebras")
     S = M.algebra
     return quotient(_relation_span(M.field, M.dim, N.dim, [
@@ -376,7 +381,7 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
     """
     if M.side != N.side:
         raise ShapeError("hom between modules on different sides")
-    if M.algebra.mult != N.algebra.mult or M.algebra.field != N.algebra.field:
+    if not same_algebra(M.algebra, N.algebra):
         raise ShapeError("hom over mismatched algebras")
     S = M.algebra
     return intertwiner_space(M.field, M.dim, N.dim,
@@ -412,12 +417,8 @@ def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder
 
 def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> list[DenseMatrix]:
     """The hom-space basis reshaped into dN x dM matrices."""
-    space = hom_module(M, N)
-    out = []
-    for i in range(space.dim):
-        flat = space.basis.row(i)
-        out.append(DenseMatrix(M.field, N.dim, M.dim, flat))
-    return out
+    basis = hom_module(M, N).basis
+    return [DenseMatrix(M.field, N.dim, M.dim, basis.row(i)) for i in range(basis.rows)]
 
 
 @once
@@ -447,30 +448,19 @@ def is_fg_projective(M: ModulePresentation) -> tuple[bool, DenseMatrix | None]:
     # unknowns t[i][j], sigma_i = sum_j t[i][j] h_j; equations: for each basis
     # m_k of M:  sum_i  m_i . (sigma_i(m_k))  =  m_k.  Column (i, j) of the
     # system is column i of the action of h_j(m_k), stacked over k.
-    acts = [[M.act_matrix(h.col(k)) for k in range(d)] for h in homs]
-    system = DenseMatrix.from_columns(
-        f, [[x for a in acts[j] for x in a.col(i)] for i in range(d) for j in range(r)], d * d)
-    sol = solve(system, DenseMatrix.identity(f, d).entries)
+    stacked = [DenseMatrix.vstack(*[M.act_matrix(hk) for hk in h.columns()]) for h in homs]
+    sol = solve(join_columns(f, stacked, d * d, interleave=True),
+                DenseMatrix.identity(f, d).entries)
     if sol is None:
         return False, None
-    # assemble the splitting M -> S^d as a (d*dS) x d matrix
-    cols = []
-    for k in range(d):
-        hk = [h.col(k) for h in homs]
-        cols.append([x for i in range(d) for x in combine_rows(f, sol[i * r:(i + 1) * r], hk, dS)])
-    witness = DenseMatrix.from_columns(f, cols, d * dS)
-    return True, witness
+    # the splitting M -> S^d, a (d*dS) x d matrix: the sigma_i stacked
+    sigmas = [combine_matrices(f, dS, d, sol[i * r:(i + 1) * r], homs) for i in range(d)]
+    return True, DenseMatrix.vstack(*sigmas)
 
 
 def trace_span(M: ModulePresentation) -> Subspace:
     """Span of all images of module maps M -> S inside S (the trace ideal)."""
-    S = M.algebra
-    homs = dual_homs(M)
-    vecs = []
-    for h in homs:
-        for k in range(M.dim):
-            vecs.append(h.col(k))
-    return Subspace.from_spanning(M.field, S.dim, vecs)
+    return image(join_columns(M.field, dual_homs(M), M.algebra.dim))
 
 
 @once
@@ -498,11 +488,12 @@ def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> tu
             "subalgebra-unit", detail="unit of A is not in the subspace")) from None
     d = space.dim
     emb = space.embedding
-    # column (i, j) of the products is b_i b_j
+    # column (i, j) of the products is b_i b_j, column j of lmul(b_i), so
+    # row (k, i) of their reshape is row k of lmul(b_i)
     try:
         prods = space.coords_matrix(mul_kron(A.mult_matrix(), emb, emb))
     except NotInSubspace as exc:
         raise VerificationError("subalgebra_on", one_failure(
             "subalgebra-closure", divmod(exc.column, d))) from None
-    mult = [[prods.col(i * d + j) for j in range(d)] for i in range(d)]
-    return AlgebraPresentation(A.field, d, mult, unit, name=name), emb
+    return AlgebraPresentation.from_operators(
+        A.field, unstack_slices(prods.reshape(d * d, d), d), unit, name=name), emb

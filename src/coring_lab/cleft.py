@@ -34,7 +34,8 @@ from .exactla import (
     FieldSpec,
     Subspace,
     combine_matrices,
-    combine_rows,
+    flat_columns,
+    join_columns,
     kernel,
     kron,
     kron_mul,
@@ -73,25 +74,16 @@ def _integral_condition(ctx) -> DenseMatrix:
     is ``C.comult_slices("first")[c]`` read row-major."""
     f = ctx.field
     nA, nC = ctx.A.dim, ctx.C.dim
-    T = DenseMatrix.from_columns(f, [D.entries for D in ctx.C.comult_slices("first")], nC * nC)
+    T = flat_columns(f, ctx.C.comult_slices("first"), nC, nC)
     return kron(ctx.comodule_A().coaction, DenseMatrix.identity(f, nC)).sub(
         kron(DenseMatrix.identity(f, nA), T))
 
 
 @once
 def integral_space(ctx) -> IntegralSpace:
-    f = ctx.field
-    nA, nC = ctx.A.dim, ctx.C.dim
     space = kernel(_integral_condition(ctx))
-    at_x = ctx.sharp_ring().at_x()
-    evals = [at_x.apply(space.basis.row(i)) for i in range(space.dim)]
-    total = None
-    if evals:
-        system = DenseMatrix.from_columns(f, evals, nA)
-        sol = solve(system, ctx.A.unit)
-        if sol is not None:
-            total = combine_rows(f, sol, space.basis.row_lists(), nA * nC)
-    return IntegralSpace(space, total)
+    sol = solve(ctx.sharp_ring().at_x().mul(space.embedding), ctx.A.unit)
+    return IntegralSpace(space, None if sol is None else space.embedding.apply(sol))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +300,9 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     nC = ctx.C.dim
     coinv = coinvariants(M)
     gamma = _trivialized(ctx, witness, M)
-    acts = [M.module.act_matrix(witness.lam.col(k)) for k in range(nC)]
-    inv_cols = [a.apply(coinv.basis.row(r)) for r in range(coinv.dim) for a in acts]
-    gamma_inv = DenseMatrix.from_columns(f, inv_cols, M.dim)
+    # column (r, k) is n_r lam(c_k), n_r the r-th coinvariant basis vector
+    gamma_inv = join_columns(f, [M.module.act_matrix(lam_k).mul(coinv.embedding)
+                                 for lam_k in witness.lam.columns()], M.dim, interleave=True)
     v = Verdict()
     if gamma.mul(gamma_inv) != DenseMatrix.identity(f, coinv.dim * nC):
         v.fail("gamma-right-inverse")
@@ -372,16 +364,14 @@ def _normal_basis_condition(ctx, B) -> DenseMatrix:
     nA, nC, nB = ctx.A.dim, ctx.C.dim, B.dim
     eye_t = DenseMatrix.identity(f, nB * nC)
     eye_cA = DenseMatrix.identity(f, nC * nA)
-    rho = ctx.comodule_A().coaction
-    # (theta (x) id) rho_A = kron(I, R) vec(theta), R[(c, a'), a] = rho_A[(a, c), a']
-    R = DenseMatrix(f, nC * nA, nA, [rho.get(a * nC + c, a2) for c in range(nC)
-                                     for a2 in range(nA) for a in range(nA)])
+    # (theta (x) id) rho_A = kron(I, R) vec(theta), R[(c, a'), a] = rho_A[(a, c), a'],
+    # the transposed C-components of rho_A stacked
+    R = DenseMatrix.vstack(*[S.transpose() for S in ctx.comodule_A().slices()])
     blocks = [kron(eye_t, ctx.A.lmul_matrix(B.embedding.col(j)).transpose()).sub(
         kron(lb, eye_cA)) for j, lb in enumerate(B.algebra.lmuls)]
     blocks.append(kron(eye_t, R).sub(kron(DenseMatrix.identity(f, nB), kron(
         ctx.C.comult_matrix(), DenseMatrix.identity(f, nA)))))
-    return DenseMatrix(f, sum(b.rows for b in blocks), nB * nC * nA,
-                       [x for b in blocks for x in b.entries])
+    return DenseMatrix.vstack(*blocks)
 
 
 @once

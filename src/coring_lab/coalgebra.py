@@ -16,6 +16,8 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     ShapeError,
+    differing_columns,
+    flat_columns,
     json_dim,
     json_get,
     kron,
@@ -120,10 +122,8 @@ def verify_coalgebra(C: CoalgebraPresentation) -> Verdict:
     eye = DenseMatrix.identity(f, m)
     left = kron_mul(delta, eye, delta)   # (Delta (x) id) Delta
     right = kron_mul(eye, delta, delta)  # (id (x) Delta) Delta
-    if left != right:
-        for i in range(m):
-            if left.col(i) != right.col(i):
-                v.fail("coassociativity", (i,))
+    for i in differing_columns(left, right):
+        v.fail("coassociativity", (i,))
     eps = C.counit_matrix()
     lcounit = kron_mul(eps, eye, delta)
     rcounit = kron_mul(eye, eps, delta)
@@ -163,8 +163,7 @@ def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,
     else:
         ops, slices = A.lmuls, C.comult_slices("first")
     fD = [fmap.mul(D) for D in slices]
-    return DenseMatrix.from_columns(A.field, [op.mul(X).entries for op in ops for X in fD],
-                                    A.dim * C.dim)
+    return flat_columns(A.field, [op.mul(X) for op in ops for X in fD], A.dim, C.dim)
 
 
 def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,

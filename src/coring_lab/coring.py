@@ -33,8 +33,10 @@ from .exactla import (
     FieldSpec,
     ShapeError,
     Subspace,
+    block_diag,
     combine_matrices,
-    combine_rows,
+    differing_columns,
+    join_columns,
     json_dim,
     json_get,
     image,
@@ -47,6 +49,7 @@ from .exactla import (
     row_space,
     solve_matrix,
     stack_slices,
+    unstack_slices,
 )
 from .verdict import Verdict, VerificationError, one_failure
 
@@ -119,9 +122,8 @@ class SquareReducer:
         shaped = nA > 0 and basis.rows == n and basis.cols * nA == n
         if shaped:
             # phi: A^r -> C, column (j, i) = e_i . v_j
-            phi = DenseMatrix.from_columns(
-                f, [coring.left_module.action[i].apply(basis.col(j))
-                    for j in range(basis.cols) for i in range(nA)], n)
+            phi = join_columns(f, [L.mul(basis) for L in coring.left_module.action], n,
+                               interleave=True)
         if not shaped or rank(phi) != n:
             raise VerificationError("SquareReducer", one_failure(
                 "coring-free-basis", detail="the declared basis does not span the "
@@ -138,9 +140,7 @@ class SquareReducer:
         blocks = [kron_mul(eye, DenseMatrix.from_columns(f, [R.col(k) for R in acts], n),
                            self.dec) for k in range(n)]
         # the projection matrix, (square_dim) x (dim^2)
-        self.projection = DenseMatrix(f, self.square_dim, n * n,
-                                      [x for t in range(self.square_dim)
-                                       for K in blocks for x in K.row(t)])
+        self.projection = join_columns(f, blocks, self.square_dim)
 
     def _decomposed_actions(self, u: Sequence) -> list[DenseMatrix]:
         """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""
@@ -150,10 +150,8 @@ class SquareReducer:
 
     def _blocks(self, per_column: list[list[DenseMatrix]]) -> DenseMatrix:
         """Block matrix with block (b, j) = per_column[j][b], each dim x dim."""
-        n = self.coring.dim
-        rows = [[x for blk in brow for x in blk.row(t)]
-                for brow in zip(*per_column) for t in range(n)]
-        return DenseMatrix.from_rows(self.coring.field, rows, cols=len(per_column) * n)
+        f, n = self.coring.field, self.coring.dim
+        return DenseMatrix.vstack(*[join_columns(f, brow, n) for brow in zip(*per_column)])
 
     def project(self, vec: Sequence) -> list:
         return self.projection.apply(vec)
@@ -204,12 +202,10 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
     for fail in bi.failures:
         v.fail("coring-" + fail.axiom, fail.indices, fail.detail)
     eps = cor.counit_map
-    for i in range(A.dim):
-        if eps.mul(cor.left_module.action[i]) != A.lmul_matrix(
-                [1 if t == i else 0 for t in range(A.dim)]).mul(eps):
+    for i, (L, R) in enumerate(zip(A.lmuls, A.rmuls)):
+        if eps.mul(cor.left_module.action[i]) != L.mul(eps):
             v.fail("counit-left-linearity", (i,))
-        if eps.mul(cor.right_module.action[i]) != A.rmul_matrix(
-                [1 if t == i else 0 for t in range(A.dim)]).mul(eps):
+        if eps.mul(cor.right_module.action[i]) != R.mul(eps):
             v.fail("counit-right-linearity", (i,))
     eye = DenseMatrix.identity(f, n)
     lmat = cor.left_module.action_map()
@@ -286,8 +282,7 @@ class ComoduleInstance:
     def slices(self) -> list[DenseMatrix]:
         """The C-components of the coaction: row m of slice c is row (m, c);
         ``stack_slices`` is the inverse."""
-        nC = self.ctx.C.dim
-        return [self.coaction.take_rows(range(c, self.dim * nC, nC)) for c in range(nC)]
+        return unstack_slices(self.coaction, self.ctx.C.dim)
 
     def verify(self) -> Verdict:
         """Coassociativity and counit of the coaction plus the entwined law."""
@@ -300,10 +295,8 @@ class ComoduleInstance:
         rho = self.coaction
         lhs = kron_mul(rho, eye_c, rho)
         rhs = kron_mul(eye_d, ctx.C.comult_matrix(), rho)
-        if lhs != rhs:
-            for j in range(d):
-                if lhs.col(j) != rhs.col(j):
-                    v.fail("coaction-coassociativity", (j,))
+        for j in differing_columns(lhs, rhs):
+            v.fail("coaction-coassociativity", (j,))
         eps_row = ctx.C.counit_matrix()
         if kron_mul(eye_d, eps_row, rho) != eye_d:
             v.fail("coaction-counit")
@@ -347,21 +340,9 @@ def zero_comodule(ctx) -> ComoduleInstance:
 
 def direct_sum_comodule(M: ComoduleInstance, N: ComoduleInstance,
                         name: str = "") -> ComoduleInstance:
-    ctx = M.ctx
-    f = M.field
-    nC = ctx.C.dim
-    mod = M.module.direct_sum(N.module)
-    d1, d2 = M.dim, N.dim
-    d = d1 + d2
-    rows = []
-    for m in range(d):
-        for k in range(nC):
-            if m < d1:
-                row = list(M.coaction.row(m * nC + k)) + [0] * d2
-            else:
-                row = [0] * d1 + list(N.coaction.row((m - d1) * nC + k))
-            rows.append(row)
-    return ComoduleInstance(ctx, mod, DenseMatrix.from_rows(f, rows, cols=d),
+    # each C-component of the coaction is the direct sum of those of M and N
+    rho = stack_slices(M.field, [block_diag(x, y) for x, y in zip(M.slices(), N.slices())])
+    return ComoduleInstance(M.ctx, M.module.direct_sum(N.module), rho,
                             name=name or f"{M.name}(+){N.name}")
 
 
@@ -465,10 +446,9 @@ def induced_action(ctx, W: ModulePresentation) -> list[DenseMatrix]:
     d = W.dim * nC
     mats = []
     for i in range(ctx.A.dim):
-        psi_i = ctx.psi_slice(i).entries
-        blocks = [psi_i[t * nC * nC:(t + 1) * nC * nC] for t in range(ctx.A.dim)]
-        terms = [kron(W.action[t], DenseMatrix(f, nC, nC, b))
-                 for t, b in enumerate(blocks) if any(b)]
+        P = ctx.psi_slice(i)
+        blocks = [P.take_rows(range(t * nC, (t + 1) * nC)) for t in range(ctx.A.dim)]
+        terms = [kron(W.action[t], b) for t, b in enumerate(blocks) if not b.is_zero()]
         mats.append(combine_matrices(f, d, d, [1] * len(terms), terms))
     return mats
 
@@ -531,9 +511,8 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     homs = hom_into_induced(big, ctx.A.regular_module("right"))
     if homs.dim:
         coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
-        flat = combine_rows(ctx.field, coeffs, homs.basis.row_lists(),
-                            coring_com.dim * big.dim)
-        tmat = DenseMatrix(ctx.field, coring_com.dim, big.dim, flat)
+        tmat = DenseMatrix(ctx.field, 1, homs.dim, coeffs).mul(homs.basis).reshape(
+            coring_com.dim, big.dim)
         ker = kernel(tmat)
         if 0 < ker.dim < big.dim:
             witnesses.append(restrict_comodule(big, ker, name="random-kernel"))

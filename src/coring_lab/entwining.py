@@ -25,13 +25,17 @@ from .exactla import (
     FieldSpec,
     ShapeError,
     combine_matrices,
+    differing_columns,
     dumps_canonical,
+    flat_columns,
+    join_columns,
     json_get,
     kron,
     kron_mul,
     mul_kron,
     once,
     parse_array,
+    unstack_slices,
 )
 from .verdict import Verdict, VerificationError
 
@@ -68,32 +72,23 @@ def verify_entwining(A: AlgebraPresentation, C: CoalgebraPresentation,
     # multiplicativity on C (x) A (x) A
     lhs = mul_kron(psi, eyeC, mult)
     rhs = kron_mul(mult, eyeC, kron_mul(eyeA, psi, kron(psi, eyeA)))
-    if lhs != rhs:
-        for j in range(lhs.cols):
-            if lhs.col(j) != rhs.col(j):
-                v.fail("entwining-multiplicativity",
-                       (j // (nA * nA), (j // nA) % nA, j % nA))
+    for j in differing_columns(lhs, rhs):
+        v.fail("entwining-multiplicativity", (j // (nA * nA), (j // nA) % nA, j % nA))
     # unit: psi(c (x) 1) = 1 (x) c
     lhs = mul_kron(psi, eyeC, one)
     rhs = kron(one, eyeC)
-    if lhs != rhs:
-        for k in range(nC):
-            if lhs.col(k) != rhs.col(k):
-                v.fail("entwining-unit", (k,))
+    for k in differing_columns(lhs, rhs):
+        v.fail("entwining-unit", (k,))
     # comultiplicativity on C (x) A
     lhs = kron_mul(eyeA, delta, psi)
     rhs = kron_mul(psi, eyeC, kron_mul(eyeC, psi, kron(delta, eyeA)))
-    if lhs != rhs:
-        for j in range(lhs.cols):
-            if lhs.col(j) != rhs.col(j):
-                v.fail("entwining-comultiplicativity", (j // nA, j % nA))
+    for j in differing_columns(lhs, rhs):
+        v.fail("entwining-comultiplicativity", (j // nA, j % nA))
     # counit on C (x) A
     lhs = kron_mul(eyeA, eps, psi)
     rhs = kron(eps, eyeA)
-    if lhs != rhs:
-        for j in range(lhs.cols):
-            if lhs.col(j) != rhs.col(j):
-                v.fail("entwining-counit", (j // nA, j % nA))
+    for j in differing_columns(lhs, rhs):
+        v.fail("entwining-counit", (j // nA, j % nA))
     return v
 
 
@@ -116,22 +111,25 @@ class SharpRing:
     """
 
     def __init__(self, ctx: "EntwinedContext"):
-        """(e_a (x) c*)(e_b (x) d*) is rmul(e_b) applied to the rows (., d) of Psi_a D_c."""
+        """(e_a (x) c*)(e_b (x) d*) is rmul(e_b) applied to the rows (., d) of
+        Psi_a D_c, a dim A x dim C matrix whose entries are its coordinates;
+        lmul(e_a (x) c*) has these products, flattened, as its columns."""
         # Psi_a = ctx.psi_slice(a), the psi columns (k, a); D_c = comult_slices("second")[c]
         A, C = ctx.A, ctx.C
         f = A.field
-        nC = C.dim
+        nA, nC = A.dim, C.dim
         self.ctx = ctx
-        consts = []
-        for a in range(A.dim):
-            for D in C.comult_slices("second"):
-                Y = ctx.psi_slice(a).mul(D)
-                rows_d = [Y.take_rows(range(d, A.dim * nC, nC)) for d in range(nC)]
-                consts.append([R.mul(X).entries for R in A.rmuls for X in rows_d])
+        lmuls = []
+        slices = C.comult_slices("second")
+        for a in range(nA):
+            for D in slices:
+                rows_d = unstack_slices(ctx.psi_slice(a).mul(D), nC)
+                lmuls.append(flat_columns(f, [R.mul(X) for R in A.rmuls for X in rows_d],
+                                          nA, nC))
         self.duals = kron(A.unit_matrix(), DenseMatrix.identity(f, nC)).columns()
-        iota = [self.embed_A(e) for e in DenseMatrix.identity(f, A.dim).row_lists()]
-        self.algebra = AlgebraPresentation(f, A.dim * nC, consts, self.embed_A(A.unit),
-                                           name="Hom(C,A) ring", candidates=iota + self.duals)
+        iota = [self.embed_A(e) for e in DenseMatrix.identity(f, nA).row_lists()]
+        self.algebra = AlgebraPresentation.from_operators(
+            f, lmuls, self.embed_A(A.unit), name="Hom(C,A) ring", candidates=iota + self.duals)
 
     @once
     def at_x(self) -> DenseMatrix:
@@ -285,9 +283,8 @@ def doi_koppinen(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation,
             raise VerificationError("doi_koppinen comodule algebra", verdict)
     # column (k, j) is column j of (id (x) lmul(h_k)) rho
     eyeA = DenseMatrix.identity(A.field, A.dim)
-    images = [kron_mul(eyeA, L, coaction) for L in H_alg.lmuls]
-    return DenseMatrix.from_columns(A.field, [Y.col(j) for Y in images for j in range(A.dim)],
-                                    A.dim * H_alg.dim)
+    return join_columns(A.field, [kron_mul(eyeA, L, coaction) for L in H_alg.lmuls],
+                        A.dim * H_alg.dim)
 
 
 # ---------------------------------------------------------------------------

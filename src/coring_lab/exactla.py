@@ -31,15 +31,19 @@ Arithmetic over Q is fraction-free: ``mul``, ``kron``, ``kron_mul``,
 ``mul_kron``, ``apply``, ``sub`` and ``combine_matrices`` multiply and add
 numerators and hand the product of the denominators to the result, so no
 ``Fraction`` is built until a dense view is read.  Integer matrices take the
-same path with ``den`` 1.  The pair ``clear_denominators`` and
-``divide_out`` offers that path to loops over vectors outside this module.
+same path with ``den`` 1.  ``apply`` takes a plain vector: it clears the
+vector's denominators once and divides once per output entry.  A
+combination of a subspace's basis vectors is ``embedding.apply``.
 
 Structure maps between tensor products are applied, not built:
 ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M, N)`` is
 ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.  Every product
-and sum combines numerator rows through ``_combine``.  A single vector goes
-through ``apply``.  A linear map assembled column by column is built with
-``DenseMatrix.from_columns``, never as the transpose of its row-major twin.
+and sum combines numerator rows through ``_combine``.  Matrices of one
+shape are put side by side by ``join_columns``, which re-indexes their
+stored pairs (interleaved, it is the column twin of ``stack_slices``);
+``flat_columns`` makes each of them one column.  A map given by dense
+columns is built with ``DenseMatrix.from_columns``.  None of them goes
+through a transpose.
 
 ``Subspace.coords_matrix`` is the one membership routine: it reads the
 echelon coordinates of every column of a matrix at the pivots and re-checks
@@ -66,13 +70,16 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 Scalar = int | Fraction
+# the one scalar grammar of the wire format, checked before ``Fraction``,
+# which would also take spaces, underscores, decimals and non-ASCII digits
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class ExactLAError(Exception):
@@ -204,15 +211,17 @@ class FieldSpec:
 
     # -- serialization ----------------------------------------------------
     def scalar_from_str(self, s) -> Scalar:
-        """Parse a JSON scalar: an int, or a string "a", "a/b" or "a.b".
+        """Parse a JSON scalar: an int, or a string "a" or "a/b" of ASCII
+        digits, a leading "-" allowed and nothing else.
 
-        Booleans, null, floats, exponents (which could ask for unbounded
-        work), zero denominators and, over Fp, denominators divisible by p
-        all raise ShapeError.
+        Booleans, null, floats, any other string (exponents, which could ask
+        for unbounded work, decimal points, signs other than a leading "-",
+        spaces, underscores, non-ASCII digits), zero denominators and, over
+        Fp, denominators divisible by p all raise ShapeError.
         """
         if type(s) is int:
             return self.normalize(s)
-        if type(s) is not str or "e" in s.lower():
+        if type(s) is not str or not _SCALAR.fullmatch(s):
             raise ShapeError(f"cannot parse scalar {s!r}")
         try:
             x = Fraction(s)
@@ -588,16 +597,82 @@ def _combine(terms: list) -> list:
     return [(j, acc[j]) for j in sorted(acc) if acc[j]]
 
 
+def _one_shape(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int, cols: int) -> tuple:
+    """(d, the (d / den, stored rows) of each part) for parts of shape
+    rows x cols over field, d the lcm of their denominators."""
+    if any(P.rows != rows or P.cols != cols or P.field != field for P in parts):
+        raise ShapeError(f"the parts are not all {rows} x {cols} over one field")
+    d = lcm(*[P.den for P in parts])
+    return d, [(d // P.den, P._nonzero_rows) for P in parts]
+
+
 def stack_slices(field: FieldSpec, parts: Sequence[DenseMatrix]) -> DenseMatrix:
     """The rows of parts, all of one shape, interleaved: row (m, c) is row m
     of parts[c], at index m * len(parts) + c.  A map into M (x) C is stacked
     this way from its C-components."""
     rows, cols = parts[0].rows, parts[0].cols
-    if any(P.rows != rows or P.cols != cols or P.field != field for P in parts):
-        raise ShapeError("stack_slices needs parts of one shape")
-    d = lcm(*[P.den for P in parts])
-    out = [_combine([(d // P.den, P._nonzero_rows[m])]) for m in range(rows) for P in parts]
+    d, scaled = _one_shape(field, parts, rows, cols)
+    out = [_combine([(s, nz[m])]) for m in range(rows) for s, nz in scaled]
     return DenseMatrix(field, rows * len(parts), cols, _Numerators(out, d))
+
+
+def unstack_slices(M: DenseMatrix, n: int) -> list[DenseMatrix]:
+    """The n parts that ``stack_slices`` interleaves into M: row m of part c
+    is row (m, c) of M."""
+    return [M.take_rows(range(c, M.rows, n)) for c in range(n)]
+
+
+def join_columns(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int,
+                 interleave: bool = False) -> DenseMatrix:
+    """The columns of parts, all of one shape rows x cols, side by side:
+    column (i, m), at index i * cols + m, is column m of parts[i]; with
+    ``interleave``, column (m, i), at index m * len(parts) + i, is, the
+    column twin of ``stack_slices``.  The stored pairs are re-indexed into
+    the one matrix built."""
+    cols = parts[0].cols if parts else 0
+    d, scaled = _one_shape(field, parts, rows, cols)
+    n = len(parts)
+    if interleave:
+        out = [sorted((m * n + i, s * x) for i, (s, nz) in enumerate(scaled) for m, x in nz[r])
+               for r in range(rows)]
+    else:
+        out = [[(i * cols + m, s * x) for i, (s, nz) in enumerate(scaled) for m, x in nz[r]]
+               for r in range(rows)]
+    return DenseMatrix(field, rows, n * cols, _Numerators(out, d))
+
+
+def flat_columns(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int,
+                 cols: int) -> DenseMatrix:
+    """The (rows * cols) x len(parts) matrix whose column k is parts[k], each
+    rows x cols, read row-major: the interleaved ``join_columns`` reshaped,
+    re-indexed into the one matrix built."""
+    d, scaled = _one_shape(field, parts, rows, cols)
+    out = [[] for _ in range(rows * cols)]
+    for k, (s, nz) in enumerate(scaled):
+        for r, pairs in enumerate(nz):
+            for m, x in pairs:
+                out[r * cols + m].append((k, s * x))
+    return DenseMatrix(field, rows * cols, len(parts), _Numerators(out, d))
+
+
+def block_diag(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
+    """The direct sum of M and N: M the top left block, N the bottom right."""
+    if M.field != N.field:
+        raise ShapeError("field mismatch")
+    d, c = lcm(M.den, N.den), M.cols
+    a, b = d // M.den, d // N.den
+    out = [[(j, a * x) for j, x in pairs] for pairs in M._nonzero_rows] + \
+        [[(c + j, b * x) for j, x in pairs] for pairs in N._nonzero_rows]
+    return DenseMatrix(M.field, M.rows + N.rows, c + N.cols, _Numerators(out, d))
+
+
+def differing_columns(X: DenseMatrix, Y: DenseMatrix) -> list:
+    """The columns in which X and Y, of one shape, differ, in order: those a
+    failing matrix identity names."""
+    if X == Y:
+        return []
+    return [j for j, (x, y) in enumerate(zip(X.nonzero_columns(), Y.nonzero_columns()))
+            if x != y]
 
 
 def kron(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
@@ -782,9 +857,9 @@ class Subspace:
         rows = P._nonzero_rows
         X = DenseMatrix(self.field, self.dim, P.cols,
                         _Numerators([rows[c] for c in self.pivots], P.den))
-        back = self.embedding.mul(X)
-        if back != P:
-            raise NotInSubspace(next(j for j in range(P.cols) if back.col(j) != P.col(j)))
+        outside = differing_columns(self.embedding.mul(X), P)
+        if outside:
+            raise NotInSubspace(outside[0])
         return X
 
     def contains_columns(self, P: DenseMatrix) -> bool:
@@ -952,35 +1027,6 @@ def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> tu
 # ---------------------------------------------------------------------------
 # the operations of the module contract
 # ---------------------------------------------------------------------------
-
-
-def _accumulate(used: list, width: int) -> list:
-    """sum c * row over the (c, row) pairs of ints in used, each row of
-    length width; the dense-row twin of ``_combine``."""
-    out = [0] * width
-    for c, row in used:
-        for j, b in enumerate(row):
-            if b:
-                out[j] += c * b
-    return out
-
-
-def combine_rows(field: FieldSpec, coeffs: Sequence[Scalar], rows: Sequence[Sequence[Scalar]],
-                 width: int) -> list:
-    """sum coeffs[i] * rows[i], each row of length width, normalized; every
-    linear combination of vectors in the package goes through here (of
-    matrices, through ``combine_matrices``).  One type scan of the
-    coefficients and of the rows with a nonzero coefficient finds the
-    integer case; otherwise those coefficients, and those rows taken
-    together, are cleared of denominators."""
-    used = [(c, row) for c, row in zip(coeffs, rows) if c]
-    d = 1
-    if not set(map(type, chain(coeffs, chain.from_iterable(row for _, row in used)))) <= {int}:
-        dc, cs = clear_denominators([c for c, _ in used])
-        den, flat = clear_denominators(list(chain.from_iterable(row for _, row in used)))
-        used = [(c, flat[k * width:(k + 1) * width]) for k, c in enumerate(cs)]
-        d = dc * den
-    return divide_out(field, _accumulate(used, width), d)
 
 
 def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Scalar],

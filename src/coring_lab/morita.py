@@ -41,7 +41,8 @@ from .exactla import (
     NotInSubspace,
     QuotientSpace,
     Subspace,
-    combine_rows,
+    flat_columns,
+    join_columns,
     kernel,
     kron,
     kron_mul,
@@ -136,9 +137,8 @@ def _q_condition(ctx) -> DenseMatrix:
     f = ctx.field
     one = ctx.A.unit_matrix()
     lifts = [kron(one, D) for D in ctx.C.comult_slices("second")]
-    lhs = DenseMatrix.from_columns(
-        f, [R.mul(L).entries for R in cor.right_module.action for L in lifts],
-        cor.dim * ctx.C.dim)
+    lhs = flat_columns(f, [R.mul(L) for R in cor.right_module.action for L in lifts],
+                       cor.dim, ctx.C.dim)
     return lhs.sub(kron(_acting_on_x(ctx, cor.left_module), DenseMatrix.identity(f, ctx.C.dim)))
 
 
@@ -193,9 +193,8 @@ def _times_Q(M: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     """m (x) q -> m q on the plain tensor M (x) Q for a right dual-ring
     module M, column (m, i) = m q_i.  For M = A this is the hook
     a <- q = q~(x a), the plain form of G in A-coordinates."""
-    acts = [M.act_matrix(q).columns() for q in Q.space.basis.row_lists()]
-    return DenseMatrix.from_columns(M.field, [a[m] for m in range(M.dim) for a in acts],
-                                    M.dim)
+    return join_columns(M.field, [M.act_matrix(q) for q in Q.space.basis.row_lists()], M.dim,
+                        interleave=True)
 
 
 def _F_plain(ctx, A_dual: ModulePresentation, Q: QIdealData) -> DenseMatrix:
@@ -204,8 +203,8 @@ def _F_plain(ctx, A_dual: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     sharp = ctx.sharp_ring()
     right = [A_dual.act_matrix(sharp.embed_A(u))
              for u in DenseMatrix.identity(ctx.field, ctx.A.dim).row_lists()]
-    return DenseMatrix.from_columns(
-        ctx.field, [R.mul(q).entries for q in Q.matrices for R in right], sharp.algebra.dim)
+    return flat_columns(ctx.field, [R.mul(q) for q in Q.matrices for R in right],
+                        ctx.A.dim, ctx.C.dim)
 
 
 def _coords_or_fail(space: Subspace, P: DenseMatrix, where: str, label: str,
@@ -273,8 +272,7 @@ def find_qhat(data: MoritaContextData) -> list | None:
     sol = solve(ctx.sharp_ring().at_x().mul(data.Q.space.embedding), ctx.A.unit)
     if sol is None:
         return None
-    return combine_rows(ctx.field, sol, data.Q.space.basis.row_lists(),
-                        ctx.A.dim * ctx.C.dim)
+    return data.Q.space.embedding.apply(sol)
 
 
 def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
@@ -330,7 +328,7 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
     Ad = data.A_right_dual
     endBA = hom_module(data.A_left_B, data.A_left_B)
     lam_mat = _coords_or_fail(
-        endBA, DenseMatrix.from_columns(f, [m.entries for m in Ad.action], nA * nA),
+        endBA, flat_columns(f, Ad.action, nA, nA),
         "omega_and_lambda", "lambda-image-not-B-linear", lambda s: (s,))
     lam_rep = map_report(lam_mat, target_dim=endBA.dim)
     R = Ad.action_map()
@@ -352,9 +350,7 @@ def q_left_annihilator(data: MoritaContextData) -> Subspace:
     S = data.ctx.sharp_ring().algebra
     if data.Q.dim == 0:
         return Subspace.full(S.field, S.dim)
-    return kernel(DenseMatrix(S.field, data.Q.dim * S.dim, S.dim,
-                              [x for q in data.Q.space.basis.row_lists()
-                               for x in S.rmul_matrix(q).entries]))
+    return kernel(DenseMatrix.vstack(*[S.rmul_matrix(q) for q in data.Q.space.basis.row_lists()]))
 
 
 def check_theorem_surj(ctx, witnesses: list[ComoduleInstance] | None = None,

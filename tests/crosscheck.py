@@ -21,12 +21,18 @@ The tests compare the two routes.
 
 ``verify_associativity_by_triples`` checks associativity the way
 ``verify_algebra`` did before it became one matrix identity: one pair of
-vector products per basis triple.
+vector products per basis triple.  ``operators_from_table`` builds an
+algebra's multiplication operators from a dense table of structure
+constants, one ``from_columns`` of dense columns per operator, and
+``sharp_table`` and ``subalgebra_table`` form the tables of the dual ring
+and of the coinvariant subalgebra entry by entry, as references for the
+operators the runtime stores.
 
 The last section holds the checks of theorems about verified input that the
 runtime does not repeat: that the canonical map into the coring is a coring
-morphism, that the Morita context satisfies its identities, and that the
-trace a -> a <- q-hat splits B off A.  Unlike ``oracles.py`` this module
+morphism, that the Morita context satisfies its identities, that the
+trace a -> a <- q-hat splits B off A, and that B acts on A
+multiplicatively.  Unlike ``oracles.py`` this module
 imports the package.
 """
 
@@ -65,6 +71,8 @@ from coring_lab.exactla import (
 from coring_lab.galois import _coinv_tensor_A, beta
 from coring_lab.morita import _coords_or_fail, _F_plain, _times_Q
 from coring_lab.verdict import Verdict, VerificationError
+
+from helpers import mult_table
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +417,7 @@ def qtilde_matrix(ctx, flat: Sequence) -> DenseMatrix:
     """The left-A-linear extension of q to the coring, as dim(A) x dim matrix."""
     f = ctx.field
     nA, nC = ctx.A.dim, ctx.C.dim
+    mult = mult_table(ctx.A)
     cols = []
     for i in range(nA):
         for k in range(nC):
@@ -416,7 +425,7 @@ def qtilde_matrix(ctx, flat: Sequence) -> DenseMatrix:
             for u in range(nA):
                 coef = flat[u * nC + k]
                 if coef:
-                    prod = ctx.A.mult[i][u]
+                    prod = mult[i][u]
                     for t in range(nA):
                         if prod[t]:
                             acc[t] += coef * prod[t]
@@ -515,6 +524,52 @@ def q_left_annihilator_by_evaluation(data) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
+# algebras from dense structure constants
+# ---------------------------------------------------------------------------
+
+
+def operators_from_table(field: FieldSpec, mult) -> tuple:
+    """(lmuls, rmuls, multiplication matrix) of the structure constants
+    mult[i][j][k], each constant normalized and each operator built by one
+    ``from_columns`` of dense columns: column j of lmul(e_i), column i of
+    rmul(e_j) and column (i, j) of the multiplication matrix are e_i e_j."""
+    dim = len(mult)
+    mult = [[[field.normalize(x) for x in cell] for cell in row] for row in mult]
+    return ([DenseMatrix.from_columns(field, row, dim) for row in mult],
+            [DenseMatrix.from_columns(field, col, dim) for col in zip(*mult)],
+            DenseMatrix.from_columns(field, [cell for row in mult for cell in row], dim))
+
+
+def algebra_json_from_table(field: FieldSpec, mult, unit) -> dict:
+    """The wire form of an algebra, written from its dense table."""
+    return {"dim": len(mult),
+            "mult": [[[field.scalar_to_json(x) for x in cell] for cell in row] for row in mult],
+            "unit": [field.scalar_to_json(x) for x in unit]}
+
+
+def sharp_table(ctx, rmuls_A: List[DenseMatrix]) -> list:
+    """The dual ring's structure constants as a dense table: (e_a (x) c*)
+    (e_b (x) d*) is rmul(e_b), from ``rmuls_A``, applied to the rows (., d)
+    of Psi_a D_c, read entry by entry."""
+    nA, nC = ctx.A.dim, ctx.C.dim
+    table = []
+    for a in range(nA):
+        for D in ctx.C.comult_slices("second"):
+            Y = ctx.psi_slice(a).mul(D)
+            rows_d = [Y.take_rows(range(d, nA * nC, nC)) for d in range(nC)]
+            table.append([R.mul(X).entries for R in rmuls_A for X in rows_d])
+    return table
+
+
+def subalgebra_table(mult_A: DenseMatrix, space: Subspace) -> list:
+    """The structure constants induced on a multiplicatively closed subspace,
+    in its echelon basis, from the multiplication matrix of the parent."""
+    d, emb = space.dim, space.embedding
+    prods = space.coords_matrix(mul_kron(mult_A, emb, emb))
+    return [[prods.col(i * d + j) for j in range(d)] for i in range(d)]
+
+
+# ---------------------------------------------------------------------------
 # associativity one basis triple at a time
 # ---------------------------------------------------------------------------
 
@@ -524,13 +579,13 @@ def verify_associativity_by_triples(A: AlgebraPresentation) -> Verdict:
     ``mul_vec`` calls each: 2 n^3 vector products, where ``verify_algebra``
     compares two matrices once."""
     v = Verdict()
-    n = A.dim
+    n, mult = A.dim, mult_table(A)
     for i in range(n):
         for j in range(n):
-            ij = A.mult[i][j]
+            ij = mult[i][j]
             for k in range(n):
                 left = A.mul_vec(ij, [1 if t == k else 0 for t in range(n)])
-                right = A.mul_vec([1 if t == i else 0 for t in range(n)], A.mult[j][k])
+                right = A.mul_vec([1 if t == i else 0 for t in range(n)], mult[j][k])
                 if left != right:
                     v.fail("associativity", (i, j, k))
     return v
@@ -666,6 +721,7 @@ def doi_koppinen_by_entries(H_alg: AlgebraPresentation, A: AlgebraPresentation,
                             coaction: DenseMatrix) -> DenseMatrix:
     """psi(h_k (x) a_j) = sum a_(0) (x) h_k a_(1), one entry at a time."""
     nA, nH = A.dim, H_alg.dim
+    mult = mult_table(H_alg)
     cols = []
     for k in range(nH):
         for j in range(nA):
@@ -674,7 +730,7 @@ def doi_koppinen_by_entries(H_alg: AlgebraPresentation, A: AlgebraPresentation,
             for a2 in range(nA):
                 for l in range(nH):
                     for m in range(nH):
-                        col[a2 * nH + m] += rho_j[a2 * nH + l] * H_alg.mult[k][l][m]
+                        col[a2 * nH + m] += rho_j[a2 * nH + l] * mult[k][l][m]
             cols.append(col)
     return DenseMatrix.from_columns(A.field, cols, nA * nH)
 
@@ -828,3 +884,19 @@ def trace_map(data, qhat: Sequence) -> DenseMatrix:
     if not v.valid:
         raise VerificationError("trace_map", v)
     return tr
+
+
+def verify_B_acts_multiplicatively(ctx, data) -> None:
+    """Left multiplication B -> End(A) is multiplicative, lmul(b b') =
+    lmul(b) lmul(b') for every pair of basis vectors of B: associativity of
+    A, which ``structure_report`` no longer re-proves when it identifies B
+    with the endomorphism ring of A over the dual ring."""
+    A = ctx.A
+    basis = data.B.embedding.columns()
+    v = Verdict()
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            if A.lmul_matrix(A.mul_vec(bi, bj)) != A.lmul_matrix(bi).mul(A.lmul_matrix(bj)):
+                v.fail("B-action-multiplicative", (i, j))
+    if not v.valid:
+        raise VerificationError("verify_B_acts_multiplicatively", v)

@@ -8,6 +8,12 @@ from coring_lab.exactla import QQ, DenseMatrix
 from coring_lab.algebra import AlgebraPresentation, ModulePresentation
 
 
+def mult_table(A):
+    """The structure constants of A, [i][j][k] the e_k-coefficient of
+    e_i e_j, read off its left multiplication operators."""
+    return [L.columns() for L in A.lmuls]
+
+
 def dual_numbers():
     """Q[t]/(t^2) with basis {1, t}."""
     mult = [[[0, 0], [0, 0]] for _ in range(2)]

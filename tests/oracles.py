@@ -194,6 +194,7 @@ def is_total(ctx, lam_flat):
     coordinates lam_flat (lambda(c_k) = lam_flat[k::dim C]), extended left
     A-linearly to x in A (x) C?  Computed from the structure constants."""
     A, nA, nC, p = ctx.A, ctx.A.dim, ctx.C.dim, ctx.field.p
+    mult = A.to_json()["mult"]   # the structure constants as the wire format writes them
     out = [Fraction(0)] * nA
     for i in range(nA):
         for k in range(nC):
@@ -202,7 +203,7 @@ def is_total(ctx, lam_flat):
                 # coef * e_i * lambda(c_k)_j e_j
                 c = coef * Fraction(lam_flat[j * nC + k])
                 for t in range(nA):
-                    out[t] += c * Fraction(A.mult[i][j][t])
+                    out[t] += c * Fraction(mult[i][j][t])
     unit = [Fraction(u) for u in A.unit]
     if p is not None:
         return [int(x) % p for x in out] == [int(u) % p for u in unit]
@@ -212,6 +213,15 @@ def is_total(ctx, lam_flat):
 def naive_transpose(a, cols):
     """The transpose of a list of rows with `cols` columns."""
     return [[row[j] for row in a] for j in range(cols)]
+
+
+def naive_join_columns(mats, rows, cols, interleave=False):
+    """The matrices, each a list of `rows` rows of `cols` entries, side by
+    side: column (i, m) is column m of mats[i], or with `interleave` column
+    (m, i) is; built one entry at a time."""
+    order = [(m, i) for m in range(cols) for i in range(len(mats))] if interleave else \
+        [(m, i) for i in range(len(mats)) for m in range(cols)]
+    return [[mats[i][r][m] for m, i in order] for r in range(rows)]
 
 
 def naive_combination(coeffs, mats, rows, cols, p=None):

@@ -34,7 +34,7 @@ from coring_lab.cli import run_analysis
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 
 from crosscheck import verify_context_identities
-from helpers import group_algebra_zn
+from helpers import group_algebra_zn, mult_table
 from oracles import random_scalar
 
 
@@ -92,7 +92,7 @@ def test_acceptance_1_axiom_suites(fixture_contexts):
             kind = kinds[m % len(kinds)]
             for attempt in range(20):
                 if kind == "algebra":
-                    mult = [[list(cell) for cell in row] for row in ctx.A.mult]
+                    mult = [[list(cell) for cell in row] for row in mult_table(ctx.A)]
                     i, j, k = (rng.randrange(ctx.A.dim) for _ in range(3))
                     mult[i][j][k] = mult[i][j][k] + 1
                     from coring_lab.algebra import AlgebraPresentation

@@ -31,6 +31,7 @@ from helpers import (
     group_algebra_z2,
     group_algebra_zn,
     module_with_zero_action,
+    mult_table,
     perfbench_instance,
     rationals_algebra,
 )
@@ -86,7 +87,7 @@ def _associativity_failures(verdict):
 def _corrupted(A, rng):
     """A with one structure constant e_i e_j moved by a random nonzero
     scalar, and sometimes a second one."""
-    mult = [[list(cell) for cell in row] for row in A.mult]
+    mult = [[list(cell) for cell in row] for row in mult_table(A)]
     for _ in range(rng.choice([1, 1, 2])):
         i, j, k = (rng.randrange(A.dim) for _ in range(3))
         shift = A.field.normalize(rng.choice([1, -1, 2, Fraction(1, 2)]))
@@ -148,10 +149,11 @@ def test_products_of_elements_against_structure_constants(A):
     # fraction-free route; the oracle sums u_i v_j mult[i][j] in Fractions
     rng = random.Random(19)
     p = A.field.p
+    mult = mult_table(A)
     for _ in range(30):
         u, v = ([A.field.normalize(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                  if rng.random() < 0.7 else 0 for _ in range(A.dim)] for _ in range(2))
-        want = [sum((Fraction(a) * Fraction(b) * Fraction(A.mult[i][j][k])
+        want = [sum((Fraction(a) * Fraction(b) * Fraction(mult[i][j][k])
                      for i, a in enumerate(u) for j, b in enumerate(v)), Fraction(0))
                 for k in range(A.dim)]
         want = [A.field.normalize(x) for x in want]
@@ -220,13 +222,13 @@ def test_generators_against_words_closure(case, field):
     gens = A.generators()
     assert len(gens) == count
     p = field.p
-    assert naive_rank(naive_subalgebra(A.mult, A.unit, gens, p), p) == A.dim
+    assert naive_rank(naive_subalgebra(mult_table(A), A.unit, gens, p), p) == A.dim
     # the greedy rule: a candidate, and then a basis vector, is chosen iff it
     # lies outside the subalgebra that the ones chosen before it generate
     basis = [[int(t == i) for t in range(A.dim)] for i in range(A.dim)]
     chosen = []
     for c in A.candidates + basis:
-        earlier = naive_subalgebra(A.mult, A.unit, chosen, p)
+        earlier = naive_subalgebra(mult_table(A), A.unit, chosen, p)
         if naive_rank(earlier, p) == A.dim:
             break
         if not span_contains(earlier, c, p):

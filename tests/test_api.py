@@ -61,6 +61,15 @@ def test_subspace_membership_has_one_routine():
     assert not hasattr(coring_lab.Subspace, "reduce")
 
 
+def test_algebra_stores_its_product_once():
+    """An algebra stores its product as its left multiplication operators;
+    no dense table of structure constants is kept beside them."""
+    A = coring_lab.AlgebraPresentation(coring_lab.QQ, 2, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                                       [1, 0])
+    for name in ("mult", "_int_cells", "_mult_den"):
+        assert not hasattr(A, name), name
+
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 # what ``perfbench/child.py`` imports before it times an analysis
 CHILD_IMPORTS = ("from coring_lab import cli; import coring_lab.cleft, coring_lab.exactla, "

@@ -233,6 +233,14 @@ MALFORMED = {  # case -> edits (path into fix-h's JSON, new value)
     "denominator-divisible-by-p": [(("field",), {"kind": "Fp", "p": 2}),
                                    (("unit_coaction", 0), "1/2")],
     "name-not-string": [(("name",), ["fix-h"])],
+    # strings ``Fraction`` takes but the scalar grammar ("a" or "a/b" in
+    # ASCII digits, a leading "-" allowed) does not
+    "scalar-underscore": [(("coalgebra", "counit", 0), "1_0")],
+    "scalar-leading-space": [(("unit_coaction", 0), " 1")],
+    "scalar-arabic-indic-digit": [(("unit_coaction", 0), "\u0663")],
+    "scalar-fullwidth-digit": [(("unit_coaction", 0), "\uff11")],
+    "scalar-leading-point": [(("unit_coaction", 0), ".5")],
+    "scalar-trailing-point": [(("unit_coaction", 0), "1.")],
 }
 
 

@@ -67,7 +67,7 @@ from crosscheck import (
     q_left_annihilator_by_evaluation,
     sharp_constants_by_evaluation,
 )
-from helpers import perfbench_instance
+from helpers import mult_table, perfbench_instance
 from oracles import random_scalar
 
 INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \
@@ -167,7 +167,7 @@ def _pairs(ctx, construction):
     if construction == "q_condition":
         return [(_q_condition(ctx), q_condition_by_evaluation(ctx, ctx.coring().free_left_basis))]
     if construction == "sharp_constants":
-        return [(ctx.sharp_ring().algebra.mult, sharp_constants_by_evaluation(ctx))]
+        return [(mult_table(ctx.sharp_ring().algebra), sharp_constants_by_evaluation(ctx))]
     data = ctx.morita()
     if construction == "hook":
         return [(_times_Q(data.A_right_dual, data.Q), G_plain_by_evaluation(data))]

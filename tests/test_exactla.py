@@ -19,7 +19,6 @@ from coring_lab.exactla import (
     SubspaceBuilder,
     _is_prime,
     combine_matrices,
-    combine_rows,
     image,
     kernel,
     kron,
@@ -250,13 +249,15 @@ def test_apply_matches_naive_matmul(field):
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
-def test_combine_rows_matches_naive_matmul(field):
+def test_row_combinations_match_naive_matmul(field):
+    """A linear combination of a matrix's rows is its transpose applied to
+    the coefficients, as ``Subspace.embedding`` combines basis vectors."""
     rng = random.Random(17)
     for _ in range(80):
         k, width = rng.randint(0, 5), rng.randint(0, 5)
         coeffs = random_matrix(field, rng, 1, k, rng.choice([0.2, 1.0]))
         rows = random_matrix(field, rng, k, width, rng.choice([0.2, 1.0]))
-        got = combine_rows(field, coeffs.entries, rows.row_lists(), width)
+        got = rows.transpose().apply(coeffs.entries)
         assert got == naive_matmul(coeffs.row_lists(), rows.row_lists(), width,
                                    oracle_p(field))[0]
         assert_canonical(field, got)

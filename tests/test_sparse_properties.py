@@ -6,8 +6,10 @@ that ``den > 1`` is common) and over GF(7), mostly zero, with all-zero
 matrices, zero rows and 0 x n and n x 0 shapes among them, and compare
 every operation that reads or writes the stored pairs with the textbook
 routines of ``oracles.py``: the products, the Kronecker forms, transpose,
-difference, linear combination, reshaping and interleaving rows, reduction,
-kernels and row spaces, and value equality and hashing.
+difference, linear combination, reshaping, interleaving rows and taking
+them apart again, reduction, kernels and row spaces, joining columns side
+by side, interleaved or flattened, direct sums, the columns in which two
+matrices differ, and value equality and hashing.
 """
 
 from fractions import Fraction
@@ -21,7 +23,11 @@ from coring_lab.exactla import (
     GF,
     DenseMatrix,
     ShapeError,
+    block_diag,
     combine_matrices,
+    differing_columns,
+    flat_columns,
+    join_columns,
     kernel,
     kron,
     kron_mul,
@@ -29,10 +35,12 @@ from coring_lab.exactla import (
     row_reduce,
     row_space,
     stack_slices,
+    unstack_slices,
 )
 
 from oracles import (
     naive_combination,
+    naive_join_columns,
     naive_kron,
     naive_matmul,
     naive_rank,
@@ -180,6 +188,49 @@ def test_reshape_and_stack_slices_keep_the_entries(data, field):
     assert (S.rows, S.cols) == (A.rows * len(parts), A.cols)
     assert S.row_lists() == [P.row(m) for m in range(A.rows) for P in parts]
     assert_canonical(field, S)
+    assert unstack_slices(S, len(parts)) == parts
+
+
+@given(st.data(), FIELDS, st.booleans())
+@SETTINGS
+def test_join_columns_matches_oracle(data, field, interleave):
+    rows, cols, k = data.draw(DIMS), data.draw(DIMS), data.draw(st.integers(0, 4))
+    parts = [data.draw(matrices(field, rows=rows, cols=cols)) for _ in range(k)]
+    got = join_columns(field, parts, rows, interleave=interleave)
+    assert (got.rows, got.cols) == (rows, k * cols)
+    assert got.row_lists() == naive_join_columns([P.row_lists() for P in parts], rows, cols,
+                                                 interleave)
+    assert_canonical(field, got)
+    # a horizontal join is the transpose of the stacked transposes; an
+    # interleaved one is the transpose of their interleaved rows
+    if parts:
+        stacked = (stack_slices(field, [P.transpose() for P in parts]) if interleave else
+                   parts[0].transpose().vstack(*[P.transpose() for P in parts[1:]]))
+        assert got == stacked.transpose()
+    with pytest.raises(ShapeError):
+        join_columns(field, parts + [DenseMatrix.zeros(field, rows + 1, cols)], rows)
+    # each part flattened row-major into one column, the shape kept when
+    # there are no parts
+    F = flat_columns(field, parts, rows, cols)
+    assert (F.rows, F.cols) == (rows * cols, k)
+    assert F.columns() == [P.entries for P in parts]
+    assert_canonical(field, F)
+    if interleave:
+        assert F == got.reshape(rows * cols, k)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_block_diag_and_differing_columns_match_oracle(data, field):
+    A, B = data.draw(matrices(field)), data.draw(matrices(field))
+    D = block_diag(A, B)
+    assert (D.rows, D.cols) == (A.rows + B.rows, A.cols + B.cols)
+    assert D.row_lists() == [r + [0] * B.cols for r in A.row_lists()] + \
+        [[0] * A.cols + r for r in B.row_lists()]
+    assert_canonical(field, D)
+    C = data.draw(matrices(field, rows=A.rows, cols=A.cols))
+    assert differing_columns(A, C) == [j for j in range(A.cols) if A.col(j) != C.col(j)]
+    assert differing_columns(A, A) == []
 
 
 @given(st.data(), FIELDS)

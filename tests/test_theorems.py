@@ -22,7 +22,13 @@ the 47 instances the benchmark generates at seed 0:
   basis alone;
 * A over the dual ring is unital and iota(1)(x) = 1, so the dual pairing
   A (x)_dual (dual ring) -> A is onto and an element sending x to 1
-  exists.
+  exists;
+* left multiplication B -> End(A) is multiplicative, by associativity of A.
+
+The same instances check the algebras of an analysis (A, the dual ring and
+B), which are stored as their multiplication operators, against dense
+structure-constant tables formed entry by entry: the operators, the
+multiplication matrices and the wire form agree.
 """
 
 import pytest
@@ -42,18 +48,23 @@ from coring_lab.coring import (
     x_invariants,
 )
 from coring_lab.entwining import instance_from_json
-from coring_lab.exactla import DenseMatrix, kernel, kron
+from coring_lab.exactla import DenseMatrix, kernel, kron, parse_array
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.galois import beta, varpi_M
 from coring_lab.morita import compute_Q, find_qhat, xi_M
 from coring_lab.verdict import VerificationError
 
 from crosscheck import (
+    algebra_json_from_table,
     balanced_tensor_over_basis,
     hom_from_A_over_basis,
     hom_module_over_basis,
+    operators_from_table,
     q_condition_by_evaluation,
+    sharp_table,
+    subalgebra_table,
     trace_map,
+    verify_B_acts_multiplicatively,
     verify_beta_coring_morphism,
     verify_context_identities,
     x_invariants_over_basis,
@@ -86,6 +97,7 @@ for _label, _ctx in LABELLED:
 
 def test_every_generated_instance_is_covered():
     assert sum(label.startswith(WORKLOADS) for label, _ in LABELLED) == 47
+    assert {ctx.field.kind for _, ctx in DISTINCT.values()} == {"Q", "Fp"}
 
 
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
@@ -101,6 +113,7 @@ def test_constructions_satisfy_their_theorems(ctx):
     verify_beta_coring_morphism(ctx)
     data = ctx.morita()
     verify_context_identities(ctx, data)
+    verify_B_acts_multiplicatively(ctx, data)
     qhat = find_qhat(data)
     if qhat is not None:
         trace_map(data, qhat)
@@ -134,6 +147,24 @@ def test_dual_ring_conditions_hold_on_generating_sets(ctx):
                  (data.A_right_dual, data.A_right_dual), (data.Q_left_dual, left)):
         assert hom_module(M, N) == hom_module_over_basis(M, N)
     assert compute_Q(ctx).space == kernel(q_condition_by_evaluation(ctx))
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_algebras_match_their_structure_constant_tables(ctx):
+    """A from the table its instance is written with, the dual ring from its
+    entry-by-entry table and B from the products of its basis vectors."""
+    f, A = ctx.field, ctx.A
+    table_A = parse_array(f, ctx.to_json()["algebra"]["mult"], (A.dim,) * 3, "mult")
+    _, rmuls_A, mult_A = operators_from_table(f, table_A)
+    data = ctx.morita()
+    for alg, table in ((A, table_A), (ctx.sharp_ring().algebra, sharp_table(ctx, rmuls_A)),
+                       (data.B.algebra, subalgebra_table(mult_A, data.B.space))):
+        lmuls, rmuls, mult = operators_from_table(f, table)
+        assert alg.lmuls == lmuls
+        assert alg.rmuls == rmuls
+        assert alg.mult_matrix() == mult
+        assert alg.to_json() == algebra_json_from_table(f, table, alg.unit)
 
 
 def _comodules_without_coinvariants(ctx) -> list:

@@ -24,13 +24,20 @@ being built as transposes, 1,036,630 before that, and 2,155,670 before
 ``kron_mul`` replaced the Kronecker products that were only multiplied).  A
 change that materializes such products or spans again, evaluates an
 operator per basis vector again, or recomputes a derived object, fails here.
+Storing every algebra as its multiplication operators raised the count to
+278,455, within the budget, which stays: the dim^3 table of structure
+constants it dropped was a nested list, never counted here, while
+re-indexing stored pairs builds a few more matrices (each algebra's
+operators flattened on their way to ``rmuls``, the joined columns of the
+projectivity system).
 
 A matrix stores only its nonzero entries, so the nonzeros stored are the
 measure of the memory and arithmetic its later products cost.  The budget
 is 10 % above the count measured when the conditions over the dual ring
 were imposed on generating sets (9,268 nonzeros in the matrices built, of
 the 267,857 entries their shapes hold; 10,506 of 362,005 when every matrix
-became its nonzero rows, 10,964 of 375,557 since the coring adjunctions).
+became its nonzero rows, 10,964 of 375,557 since the coring adjunctions;
+9,741 of 278,455 since algebras are stored as their operators).
 A change that builds dense intermediates as matrices, or fills a structure
 map with entries that the arithmetic will only multiply by zero, fails
 here.
