@@ -186,6 +186,9 @@ class AlgebraPresentation:
 class ModulePresentation:
     """A left or right module by one action matrix per algebra basis element."""
 
+    # the modules this one is the direct sum of, set by ``direct_sum``
+    summands = ()
+
     def __init__(self, algebra: AlgebraPresentation, dim: int, side: str,
                  action: list[DenseMatrix], name: str = ""):
         if side not in ("left", "right"):
@@ -233,8 +236,10 @@ class ModulePresentation:
             raise ShapeError("direct sum over different algebras")
         if other.side != self.side:
             raise ShapeError("direct sum of modules on different sides")
-        return ModulePresentation(self.algebra, self.dim + other.dim, self.side,
-                                  [block_diag(a, b) for a, b in zip(self.action, other.action)])
+        out = ModulePresentation(self.algebra, self.dim + other.dim, self.side,
+                                 [block_diag(a, b) for a, b in zip(self.action, other.action)])
+        out.summands = (self, other)
+        return out
 
     def to_json(self) -> dict:
         return {

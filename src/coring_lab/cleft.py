@@ -35,6 +35,7 @@ from .exactla import (
     Subspace,
     combine_matrices,
     flat_columns,
+    is_invertible,
     join_columns,
     kernel,
     kron,
@@ -112,9 +113,10 @@ def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
     """Find parameters t for which M(t) = sum t_i mats[i] is invertible.
 
     The span is taken once; each trial is one ``combine_matrices`` and one
-    ``kernel``.  The determinant of M(t) is a polynomial in t of total degree
-    at most the matrix size n, because M(t) is linear in t; that bound drives
-    the certification grid.
+    ``is_invertible``, which stops at the first dependent row.  The
+    determinant of M(t) is a polynomial in t of total degree at most the
+    matrix size n, because M(t) is linear in t; that bound drives the
+    certification grid.
     """
     r = len(mats)
     if r == 0:
@@ -122,7 +124,7 @@ def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
     n, cols = mats[0].rows, mats[0].cols
 
     def invertible(params):
-        return n == cols and kernel(combine_matrices(field, n, cols, params, mats)).is_zero()
+        return is_invertible(combine_matrices(field, n, cols, params, mats))
 
     tried = 0
     if 2 ** r <= PATTERN_BUDGET:

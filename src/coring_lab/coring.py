@@ -18,6 +18,7 @@ entwined multiplication.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from .algebra import (
@@ -258,6 +259,10 @@ class ComoduleInstance:
     is the same thing as a comodule over the coring the context builds.
     """
 
+    # the comodules this one is the direct sum of, set by
+    # ``direct_sum_comodule`` and read by ``additive``
+    summands = ()
+
     def __init__(self, ctx, module: ModulePresentation, coaction: DenseMatrix,
                  name: str = ""):
         nC = ctx.C.dim
@@ -342,8 +347,27 @@ def direct_sum_comodule(M: ComoduleInstance, N: ComoduleInstance,
                         name: str = "") -> ComoduleInstance:
     # each C-component of the coaction is the direct sum of those of M and N
     rho = stack_slices(M.field, [block_diag(x, y) for x, y in zip(M.slices(), N.slices())])
-    return ComoduleInstance(M.ctx, M.module.direct_sum(N.module), rho,
-                            name=name or f"{M.name}(+){N.name}")
+    out = ComoduleInstance(M.ctx, M.module.direct_sum(N.module), rho,
+                           name=name or f"{M.name}(+){N.name}")
+    out.summands = (M, N)
+    return out
+
+
+def additive(flags):
+    """Memoize ``flags(owner, M)``, a namedtuple of booleans each saying
+    that a natural map on the witness M is injective, surjective or
+    bijective.  Every map it is asked of is additive, so on a direct sum it
+    is the direct sum of the summands' maps: the flags of a witness with
+    ``summands`` are the field-wise AND of theirs, and nothing is evaluated
+    on the sum itself."""
+    @once
+    @functools.wraps(flags)
+    def memo(owner, M):
+        if not M.summands:
+            return flags(owner, M)
+        parts = [memo(owner, s) for s in M.summands]
+        return type(parts[0])._make(map(all, zip(*parts)))
+    return memo
 
 
 def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> ComoduleInstance:
@@ -487,12 +511,16 @@ def comodule_from_dual_module(ctx, mod: ModulePresentation,
 def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     """The documented finite witness family for the "for all comodules" clauses.
 
-    0, A, the coring itself, their sum, an induced comodule on a free rank-2
-    module, the dual ring as a comodule, and (seeded) the kernel of a random
-    comodule map from A (+) coring to the coring.  The coring is A (x)_A C,
-    induced from A, so those maps are ``hom_into_induced``: the A-linear
-    maps g: A (+) coring -> A through Hom^C(M, A (x)_A C) = Hom_A(M, A),
-    g -> (g (x) id_C) rho_M.
+    0, A, the coring itself, their sum, the comodule induced from the free
+    rank-2 module, the dual ring as a comodule, and (seeded) the kernel of a
+    random comodule map from A (+) coring to the coring.  The induced
+    comodule A^2 (x)_A C is built as coring (+) coring, with the same action
+    and coaction matrices, since kron(block_diag(X, X), b) =
+    block_diag(kron(X, b), kron(X, b)); so two witnesses are direct sums,
+    and ``additive`` decides them from their summands.  The coring is
+    A (x)_A C, induced from A, so the seeded maps are ``hom_into_induced``:
+    the A-linear maps g: A (+) coring -> A through Hom^C(M, A (x)_A C) =
+    Hom_A(M, A), g -> (g (x) id_C) rho_M.
     """
     import random as _random
 
@@ -502,8 +530,7 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     coring_com = induced_comodule(ctx, ctx.A.regular_module("right"), name="coring")
     witnesses.append(coring_com)
     witnesses.append(direct_sum_comodule(com_A, coring_com, name="A(+)coring"))
-    free2 = ctx.A.regular_module("right").direct_sum(ctx.A.regular_module("right"))
-    witnesses.append(induced_comodule(ctx, free2, name="A^2(x)coring"))
+    witnesses.append(direct_sum_comodule(coring_com, coring_com, name="A^2(x)coring"))
     witnesses.append(comodule_from_dual_module(
         ctx, ctx.sharp_ring().algebra.regular_module("right"), name="dual-ring"))
     rng = _random.Random(seed)

@@ -27,7 +27,7 @@ from .exactla import (
     combine_matrices,
     differing_columns,
     dumps_canonical,
-    flat_columns,
+    flat_blocks,
     join_columns,
     json_get,
     kron,
@@ -35,7 +35,6 @@ from .exactla import (
     mul_kron,
     once,
     parse_array,
-    unstack_slices,
 )
 from .verdict import Verdict, VerificationError
 
@@ -113,7 +112,11 @@ class SharpRing:
     def __init__(self, ctx: "EntwinedContext"):
         """(e_a (x) c*)(e_b (x) d*) is rmul(e_b) applied to the rows (., d) of
         Psi_a D_c, a dim A x dim C matrix whose entries are its coordinates;
-        lmul(e_a (x) c*) has these products, flattened, as its columns."""
+        lmul(e_a (x) c*) has these products, flattened, as its columns.  All
+        of them come from one product per (a, c): the rmuls stacked, times
+        Psi_a D_c reshaped so that its row m holds the rows (m, d) side by
+        side, has block (b, d) equal to rmul(e_b) times rows (., d), which
+        ``flat_blocks`` makes column (b, d)."""
         # Psi_a = ctx.psi_slice(a), the psi columns (k, a); D_c = comult_slices("second")[c]
         A, C = ctx.A, ctx.C
         f = A.field
@@ -121,11 +124,11 @@ class SharpRing:
         self.ctx = ctx
         lmuls = []
         slices = C.comult_slices("second")
+        stacked = DenseMatrix.vstack(*A.rmuls)  # row (b, i) is row i of rmul(e_b)
         for a in range(nA):
+            P = ctx.psi_slice(a)
             for D in slices:
-                rows_d = unstack_slices(ctx.psi_slice(a).mul(D), nC)
-                lmuls.append(flat_columns(f, [R.mul(X) for R in A.rmuls for X in rows_d],
-                                          nA, nC))
+                lmuls.append(flat_blocks(stacked.mul(P.mul(D).reshape(nA, nC * nC)), nA, nC))
         self.duals = kron(A.unit_matrix(), DenseMatrix.identity(f, nC)).columns()
         iota = [self.embed_A(e) for e in DenseMatrix.identity(f, nA).row_lists()]
         self.algebra = AlgebraPresentation.from_operators(

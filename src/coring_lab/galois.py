@@ -2,10 +2,11 @@
 
 Everything here evaluates the weak/strong structure properties of a context.
 The "for all modules" quantifiers are evaluated on the documented finite
-witness family while the reported flags are grounded in the finitely
-checkable equivalents (F surjectivity for the weak property, faithful
-flatness of A over B plus the Galois property for the strong one); the two
-routes are asserted to agree and any mismatch raises instead of guessing.
+witness family, a direct-sum witness from its summands (``additive``),
+while the reported flags are grounded in the finitely checkable
+equivalents (F surjectivity for the weak property, faithful flatness of A
+over B plus the Galois property for the strong one); the two routes are
+asserted to agree and any mismatch raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .algebra import (
 )
 from .coring import (
     ComoduleInstance,
+    additive,
     coinvariants,
     hom_from_A,
 )
@@ -139,6 +141,29 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]
                              for i in range(homs.dim)], M.dim)
     mat = plain.mul(tensor.section)
     return mat, map_report(mat, target_dim=M.dim)
+
+
+WeakMapFlags = namedtuple("WeakMapFlags", "psi psi_prime psi_prime_injective")
+WeakMapFlags.__doc__ = "psi_M and psi'_M bijective, and psi'_M injective."
+
+UnitMapFlags = namedtuple("UnitMapFlags", "bijective")
+UnitMapFlags.__doc__ = "phi_N bijective."
+
+
+@additive
+def weak_map_flags(ctx, M: ComoduleInstance) -> WeakMapFlags:
+    """The flags of the weak-structure map and of the hom-evaluation map on
+    a witness comodule, read by ``structure_report`` and
+    ``check_theorem_Cfinite``."""
+    _, rep = psi_M(ctx, M)
+    _, prep = psi_prime_M(ctx, M)
+    return WeakMapFlags(rep.bijective, prep.bijective, prep.injective)
+
+
+@additive
+def unit_map_flags(ctx, N: ModulePresentation) -> UnitMapFlags:
+    """The flag of the unit map ``phi_N`` on a witness B-module."""
+    return UnitMapFlags(phi_N(ctx, N)[1].bijective)
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +334,23 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
     qhat = find_qhat(data)
 
     psi_flags = {}
-    psi_prime_flags = {}
     psi_prime_inj = {}
     for w in witnesses:
         name = w.name or f"w{len(psi_flags)}"
-        _, rep = psi_M(ctx, w)
-        psi_flags[name] = rep.bijective
-        _, prep = psi_prime_M(ctx, w)
-        psi_prime_flags[name] = prep.bijective
-        psi_prime_inj[name] = prep.injective
-        if rep.bijective != prep.bijective:
+        flags = weak_map_flags(ctx, w)
+        psi_flags[name] = flags.psi
+        psi_prime_inj[name] = flags.psi_prime_injective
+        if flags.psi != flags.psi_prime:
             raise ClauseDisagreement(
-                "hom-evaluation linkage", {"psi": rep.bijective, "psi'": prep.bijective},
+                "hom-evaluation linkage", {"psi": flags.psi, "psi'": flags.psi_prime},
                 detail=f"witness {name}")
     all_psi = all(psi_flags.values())
     if all_psi != weak:
         raise ClauseDisagreement("weak grounding",
                                  {"witness-psi": all_psi, "F-surjective": weak})
 
-    b_witnesses = default_B_module_witnesses(ctx)
-    phi_flags = {}
-    for N in b_witnesses:
-        _, rep = phi_N(ctx, N)
-        phi_flags[N.name] = rep.bijective
+    phi_flags = {N.name: unit_map_flags(ctx, N).bijective
+                 for N in default_B_module_witnesses(ctx)}
     all_phi = all(phi_flags.values())
     if (all_psi and all_phi) != strong:
         raise ClauseDisagreement(
@@ -343,7 +362,7 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
 
     # beta' = the hom-evaluation map of the coring as a comodule
     coring_com = next(w for w in ctx.default_witnesses(seed) if w.name == "coring")
-    _, beta_prime_rep = psi_prime_M(ctx, coring_com)
+    beta_prime = weak_map_flags(ctx, coring_com).psi_prime
 
     ol = omega_and_lambda(data)
     gen_dual = is_generator(data.A_right_dual)
@@ -353,7 +372,7 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
     fin_gen = {
         "1": all_psi,
         "2": flat_BA and galois_flag,
-        "3": flat_BA and beta_prime_rep.bijective,
+        "3": flat_BA and beta_prime,
         "8": gen_dual,
         "9": data.F_report.surjective,
         "10": proj_q_B and ol.omega_iso and q_left_annihilator(data).is_zero(),
@@ -366,7 +385,7 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
     fin_prog = {
         "1": all_psi and all_phi,
         "2": ff_BA and galois_flag,
-        "3": ff_BA and beta_prime_rep.bijective,
+        "3": ff_BA and beta_prime,
         "9": ff_BA and faithful and balanced,
         "12": gen_dual and gen_BA,
         "13": proj_dual and flat_BA,

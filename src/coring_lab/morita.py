@@ -19,6 +19,7 @@ mathematical discovery.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 
 from .algebra import (
@@ -32,6 +33,7 @@ from .algebra import (
 )
 from .coring import (
     ComoduleInstance,
+    additive,
     coinvariants,
     dual_action,
     x_invariants,
@@ -285,6 +287,21 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, L
     return mat, map_report(mat, target_dim=target.dim), tensor
 
 
+PairingFlags = namedtuple("PairingFlags", "bijective onto_coinvariants")
+PairingFlags.__doc__ = "xi_M bijective onto the x-invariants, and onto the coinvariants."
+
+
+@additive
+def pairing_flags(ctx, M: ComoduleInstance) -> PairingFlags:
+    """The flags of ``xi_M`` on a witness comodule over the dual ring,
+    read by ``check_theorem_surj``: bijective onto its x-invariants, and
+    injective with image the coinvariants of M."""
+    mat, rep, _ = xi_M(ctx.morita(), dual_action(M))
+    ci = coinvariants(M)
+    return PairingFlags(rep.bijective, rep.injective and mat.cols == ci.dim
+                        and ci.contains_columns(mat))
+
+
 class OmegaLambdaReport:
     def __init__(self, omega_matrix: DenseMatrix, omega: LinearMapReport,
                  lambda_matrix: DenseMatrix, lambda_report: LinearMapReport,
@@ -370,25 +387,18 @@ def check_theorem_surj(ctx, witnesses: list[ComoduleInstance] | None = None,
     table: dict[str, bool] = {}
     table["1"] = data.G_report.surjective
     table["2"] = find_qhat(data) is not None
-    ok3 = True
-    ok4 = True
-    for w in witnesses:
-        mod = dual_action(w)
-        mat, rep, _ = xi_M(data, mod)
-        if not rep.bijective:
-            ok3 = False
-        ci = coinvariants(w)
-        onto_coinv = rep.injective and mat.cols == ci.dim and ci.contains_columns(mat)
-        if not onto_coinv:
-            ok4 = False
+    flags = [pairing_flags(ctx, w) for w in witnesses]
+    ok3 = all(fl.bijective for fl in flags)
+    ok4 = all(fl.onto_coinvariants for fl in flags)
     # the dual ring over itself: with the default witnesses it is the dual
     # action of the "dual-ring" witness, already evaluated, unless a witness
-    # budget cut that witness
+    # budget cut that witness; only a witness that is no direct sum and has
+    # the dual ring's dimension can be it
     S = ctx.sharp_ring().algebra
-    if not any(dual_action(w).action == S.rmuls for w in witnesses):
+    if not any(not w.summands and w.dim == S.dim and dual_action(w).action == S.rmuls
+               for w in witnesses):
         _, rep_reg, _ = xi_M(data, S.regular_module("right"))
-        if not rep_reg.bijective:
-            ok3 = False
+        ok3 = ok3 and rep_reg.bijective
     table["3"] = ok3
     table["4"] = ok4
     proj, _ = is_fg_projective(data.A_right_dual)
@@ -418,7 +428,7 @@ def check_theorem_Cfinite(ctx, witnesses: list[ComoduleInstance] | None = None,
     maps are bijective on the witness comodules.  All must agree; when (1)
     holds, F must also be bijective (asserted).
     """
-    from .galois import psi_M
+    from .galois import weak_map_flags
     data = ctx.morita()
     if witnesses is None:
         witnesses = ctx.default_witnesses(seed=seed)
@@ -436,11 +446,7 @@ def check_theorem_Cfinite(ctx, witnesses: list[ComoduleInstance] | None = None,
     sub["3b"] = ol.lambda_iso
     table["3"] = sub["3a"] and sub["3b"]
     table["4"] = is_generator(data.A_right_dual)
-    ok5 = True
-    for w in witnesses:
-        _, rep = psi_M(ctx, w)
-        if not rep.bijective:
-            ok5 = False
+    ok5 = all(weak_map_flags(ctx, w).psi for w in witnesses)
     table["5"] = ok5
     values = set(table.values())
     result = {"theorem": "C-finite", "clauses": table, "subclauses": sub,

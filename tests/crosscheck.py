@@ -28,6 +28,10 @@ constants, one ``from_columns`` of dense columns per operator, and
 and of the coinvariant subalgebra entry by entry, as references for the
 operators the runtime stores.
 
+``weak_map_flags_on``, ``pairing_flags_on`` and ``unit_map_flags_on``
+evaluate a witness's flags on the witness itself, where the runtime reads
+a direct sum's from its summands.
+
 The last section holds the checks of theorems about verified input that the
 runtime does not repeat: that the canonical map into the coring is a coring
 morphism, that the Morita context satisfies its identities, that the
@@ -61,6 +65,7 @@ from coring_lab.exactla import (
     QuotientSpace,
     Subspace,
     SubspaceBuilder,
+    image,
     kernel,
     kron,
     kron_mul,
@@ -68,8 +73,16 @@ from coring_lab.exactla import (
     quotient,
     solve,
 )
-from coring_lab.galois import _coinv_tensor_A, beta
-from coring_lab.morita import _coords_or_fail, _F_plain, _times_Q
+from coring_lab.galois import (
+    UnitMapFlags,
+    WeakMapFlags,
+    _coinv_tensor_A,
+    beta,
+    phi_N,
+    psi_M,
+    psi_prime_M,
+)
+from coring_lab.morita import PairingFlags, _coords_or_fail, _F_plain, _times_Q, xi_M
 from coring_lab.verdict import Verdict, VerificationError
 
 from helpers import mult_table
@@ -779,6 +792,31 @@ def cleft_psi_inverse_by_entries(ctx, witness, M: ComoduleInstance) -> DenseMatr
                     plain[r * nA + j] += coords[r] * lam_k[j]
         cols.append(tensor.projection.apply([f.normalize(x) for x in plain]))
     return DenseMatrix.from_columns(f, cols, tensor.dim)
+
+
+# ---------------------------------------------------------------------------
+# witness flags on the witness itself
+# ---------------------------------------------------------------------------
+
+
+def weak_map_flags_on(ctx, M: ComoduleInstance) -> WeakMapFlags:
+    """``weak_map_flags`` from psi_M and psi'_M of M itself, a direct sum
+    included."""
+    _, rep = psi_M(ctx, M)
+    _, prep = psi_prime_M(ctx, M)
+    return WeakMapFlags(rep.bijective, prep.bijective, prep.injective)
+
+
+def pairing_flags_on(ctx, M: ComoduleInstance) -> PairingFlags:
+    """``pairing_flags`` from xi on M itself over the dual ring, a direct sum
+    included, its image compared with the coinvariants as subspaces."""
+    mat, rep, _ = xi_M(ctx.morita(), dual_action(M))
+    return PairingFlags(rep.bijective, rep.injective and image(mat) == coinvariants(M))
+
+
+def unit_map_flags_on(ctx, N: ModulePresentation) -> UnitMapFlags:
+    """``unit_map_flags`` from phi_N of N itself, a direct sum included."""
+    return UnitMapFlags(phi_N(ctx, N)[1].bijective)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import sys
+
+from coring_lab import cli
 from coring_lab.exactla import QQ, DenseMatrix, image
 from coring_lab.algebra import zero_module
 from coring_lab.coring import dual_action, induced_comodule
+from coring_lab.entwining import instance_from_json
 from coring_lab.galois import (
     beta,
     beta_W,
@@ -11,6 +15,7 @@ from coring_lab.galois import (
     structure_report,
     varpi_M,
 )
+from helpers import perfbench_instance
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 
 
@@ -179,3 +184,29 @@ def test_flat_plus_galois_sufficiency():
     sr = structure_report(make_fix_h())
     assert sr.flat_BA and sr.galois
     assert all(sr.notes["psi_witnesses"].values())
+
+
+def test_analysis_evaluates_no_direct_sum_witness(monkeypatch):
+    """One analysis of ``QZ6`` reads the flags of A (+) coring and
+    A^2 (x)_A coring from their summands: none of the maps whose flags it
+    needs, nor the coinvariants or the dual action, is evaluated on a sum."""
+    defined = {"psi_M": "galois", "psi_prime_M": "galois", "xi_M": "morita",
+               "coinvariants": "coring", "dual_action": "coring"}
+    seen = {name: [] for name in defined}
+    modules = [m for key, m in sys.modules.items() if key.startswith("coring_lab.")]
+    for name, home in defined.items():
+        runtime = getattr(sys.modules[f"coring_lab.{home}"], name)
+
+        def recording(*args, name=name, runtime=runtime):
+            seen[name].append(args[-1].name)
+            return runtime(*args)
+        for mod in modules:
+            if getattr(mod, name, None) is runtime:
+                monkeypatch.setattr(mod, name, recording)
+    ctx = instance_from_json(perfbench_instance("ladder", "QZ6-x0-Q"))
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    sums = {"A(+)coring", "A^2(x)coring"}
+    for name in defined:
+        called = {label.removesuffix(" over dual ring") for label in seen[name]}
+        assert "coring" in called and not called & sums, (name, called)

@@ -164,28 +164,34 @@ def test_theorem_surj_tables():
 
 
 def test_theorem_surj_evaluates_the_dual_ring_once(monkeypatch):
-    """The pairing on the dual ring over itself is the one on the dual-ring
-    witness: it is evaluated once with the default witnesses, and on its own
-    when a witness budget cuts that witness."""
+    """The pairing is evaluated once on each witness that is no direct sum
+    and never on a sum, whose flags are its summands'.  The pairing on the
+    dual ring over itself is the one on the dual-ring witness: it costs no
+    call of its own with the default witnesses, and one when a witness
+    budget cuts that witness."""
     import coring_lab.morita as morita
     seen = []
 
     def recording(data, M, runtime=morita.xi_M):
-        seen.append(M.action)
+        seen.append(M)
         return runtime(data, M)
     monkeypatch.setattr(morita, "xi_M", recording)
     uncovered = 0
     for mk in (make_fix_t, make_fix_h, make_fix_n):
-        ctx = mk()
-        rmuls = ctx.sharp_ring().algebra.rmuls
-        witnesses = ctx.default_witnesses()
-        for ws in (witnesses, witnesses[:3]):
-            covered = any(dual_action(w).action == rmuls for w in ws)
-            assert covered or ws is not witnesses
+        for budget in (None, 3):
+            ctx = mk()
+            rmuls = ctx.sharp_ring().algebra.rmuls
+            ws = ctx.default_witnesses()[:budget]
+            sums = [w for w in ws if w.summands]
+            assert len(sums) == (2 if budget is None else 0)
+            covered = any(dual_action(w).action == rmuls for w in ws if not w.summands)
+            assert covered or budget is not None
             uncovered += not covered
             seen.clear()
             check_theorem_surj(ctx, witnesses=ws)
-            assert rmuls in seen and len(seen) == len(ws) + (not covered)
+            assert rmuls in [M.action for M in seen]
+            assert len(seen) == len(ws) - len(sums) + (not covered)
+            assert not any(M is dual_action(w) for w in sums for M in seen)
     assert uncovered
 
 

@@ -8,8 +8,9 @@ every operation that reads or writes the stored pairs with the textbook
 routines of ``oracles.py``: the products, the Kronecker forms, transpose,
 difference, linear combination, reshaping, interleaving rows and taking
 them apart again, reduction, kernels and row spaces, joining columns side
-by side, interleaved or flattened, direct sums, the columns in which two
-matrices differ, and value equality and hashing.
+by side, interleaved or flattened, cutting into flattened blocks, direct
+sums, the columns in which two matrices differ, the invertibility test
+that stops at the first dependent row, and value equality and hashing.
 """
 
 from fractions import Fraction
@@ -26,7 +27,9 @@ from coring_lab.exactla import (
     block_diag,
     combine_matrices,
     differing_columns,
+    flat_blocks,
     flat_columns,
+    is_invertible,
     join_columns,
     kernel,
     kron,
@@ -276,3 +279,36 @@ def test_equality_and_hash_follow_the_entries(data, field):
         assert DenseMatrix(field, A.rows, A.cols, ent) != A
     assert A != DenseMatrix.zeros(field, A.rows, A.cols) or A.is_zero()
     assert DenseMatrix.zeros(field, A.rows, 0) != DenseMatrix.zeros(field, A.rows, 1)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_flat_blocks_flattens_each_block(data, field):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    nb, nd = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    M = data.draw(matrices(field, rows=nb * rows, cols=nd * cols))
+    F = flat_blocks(M, rows, cols)
+    assert (F.rows, F.cols) == (rows * cols, nb * nd)
+    dense = M.row_lists()
+    assert F.columns() == [[dense[b * rows + i][d * cols + j]
+                            for i in range(rows) for j in range(cols)]
+                           for b in range(nb) for d in range(nd)]
+    assert_canonical(field, F)
+    for shape in ((rows, 0), (rows, cols + 1)):
+        with pytest.raises(ShapeError):
+            flat_blocks(DenseMatrix.zeros(field, rows, cols), *shape)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_is_invertible_matches_the_kernel(data, field):
+    """Square matrices M + k I, invertible or singular, and matrices of any
+    shape: invertible exactly when square with a zero kernel."""
+    n = data.draw(DIMS)
+    M = data.draw(matrices(field, rows=n, cols=n))
+    k = data.draw(st.integers(0, 3))
+    X = combine_matrices(field, n, n, [1, k], [M, DenseMatrix.identity(field, n)])
+    for Y in (M, X, data.draw(matrices(field))):
+        want = Y.rows == Y.cols and kernel(Y).is_zero()
+        assert is_invertible(Y) == want
+        assert want == (Y.rows == Y.cols == naive_rank(Y.row_lists(), p_of(field)))

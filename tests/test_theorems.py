@@ -23,7 +23,11 @@ the 47 instances the benchmark generates at seed 0:
 * A over the dual ring is unital and iota(1)(x) = 1, so the dual pairing
   A (x)_dual (dual ring) -> A is onto and an element sending x to 1
   exists;
-* left multiplication B -> End(A) is multiplicative, by associativity of A.
+* left multiplication B -> End(A) is multiplicative, by associativity of A;
+* psi_M, psi'_M, xi_M and phi_N are additive, so their flags on a direct
+  sum are the AND of the summands' flags, which is how the runtime decides
+  the witnesses A (+) coring, A^2 (x)_A coring and B^2; and A^2 (x)_A
+  coring, built as coring (+) coring, is the comodule induced from A (+) A.
 
 The same instances check the algebras of an analysis (A, the dual ring and
 B), which are stored as their multiplication operators, against dense
@@ -50,8 +54,14 @@ from coring_lab.coring import (
 from coring_lab.entwining import instance_from_json
 from coring_lab.exactla import DenseMatrix, kernel, kron, parse_array
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
-from coring_lab.galois import beta, varpi_M
-from coring_lab.morita import compute_Q, find_qhat, xi_M
+from coring_lab.galois import (
+    beta,
+    default_B_module_witnesses,
+    unit_map_flags,
+    varpi_M,
+    weak_map_flags,
+)
+from coring_lab.morita import compute_Q, find_qhat, pairing_flags, xi_M
 from coring_lab.verdict import VerificationError
 
 from crosscheck import (
@@ -60,13 +70,16 @@ from crosscheck import (
     hom_from_A_over_basis,
     hom_module_over_basis,
     operators_from_table,
+    pairing_flags_on,
     q_condition_by_evaluation,
     sharp_table,
     subalgebra_table,
     trace_map,
+    unit_map_flags_on,
     verify_B_acts_multiplicatively,
     verify_beta_coring_morphism,
     verify_context_identities,
+    weak_map_flags_on,
     x_invariants_over_basis,
 )
 from helpers import perfbench_records
@@ -165,6 +178,43 @@ def test_algebras_match_their_structure_constant_tables(ctx):
         assert alg.rmuls == rmuls
         assert alg.mult_matrix() == mult
         assert alg.to_json() == algebra_json_from_table(f, table, alg.unit)
+
+
+def _and(flags: list) -> tuple:
+    return tuple(map(all, zip(*flags)))
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_direct_sums_are_decided_by_their_summands(ctx):
+    """Each direct-sum witness's flags, evaluated on the sum itself, are the
+    AND of its summands' flags, which is what the runtime returns for it."""
+    witnesses = ctx.default_witnesses()
+    coring = witnesses[2]
+    sums = [w for w in witnesses if w.summands]
+    assert [(w.name, w.summands) for w in sums] == [
+        ("A(+)coring", (witnesses[1], coring)), ("A^2(x)coring", (coring, coring))]
+    for w in sums:
+        for runtime, on in ((weak_map_flags, weak_map_flags_on),
+                            (pairing_flags, pairing_flags_on)):
+            assert runtime(ctx, w) == on(ctx, w) == _and([on(ctx, s) for s in w.summands])
+    B, B2, _ = default_B_module_witnesses(ctx)
+    assert B2.summands == (B, B)
+    assert unit_map_flags(ctx, B2) == unit_map_flags_on(ctx, B2) == unit_map_flags_on(ctx, B)
+    # A^2 (x)_A coring is the comodule induced from the free module A (+) A
+    reg = ctx.A.regular_module("right")
+    induced = induced_comodule(ctx, reg.direct_sum(reg))
+    assert sums[1].module.action == induced.module.action
+    assert sums[1].coaction == induced.coaction
+
+
+def test_direct_sum_flags_reach_false():
+    """The additivity test meets sums whose weak-structure maps fail, so the
+    AND is compared on False flags too.  (The pairing flags hold on every
+    instance tested here, and phi_N is bijective on N = B, and so on B^2,
+    on every instance.)"""
+    assert any(not all(weak_map_flags(ctx, w)) for _, ctx in DISTINCT.values()
+               for w in ctx.default_witnesses() if w.summands)
 
 
 def _comodules_without_coinvariants(ctx) -> list:

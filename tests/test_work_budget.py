@@ -4,11 +4,15 @@ builds and the vectors it inserts into relation spans and reductions.
 Every matrix goes through ``DenseMatrix.__init__``, which normalizes each
 entry, so the entries built are a machine-independent measure of the
 exact-arithmetic work.  The budget is 10 % above the count measured when
-every condition over the dual ring was imposed on a generating set (its
-relation spans over iota(A) and the f^j = 1 (x) c_j*, the x-invariants on
-the f^j alone, the condition defining Q on the coring's free left basis)
-and the dual pairing stopped being re-proved (267,857 entries; 375,557
-before, which fails here).  Before that it was 360,949 when the pipeline
+the direct-sum witnesses (A (+) coring, A^2 (x)_A coring, B^2) were decided
+from their summands, the invertibility trials stopped at the first
+dependent row and the dual ring's operators came from one product per
+(a, c) (184,480 entries; 278,455 before, which fails here).  Before that it
+was 267,857 when every condition over the dual ring was imposed on a
+generating set (its relation spans over iota(A) and the f^j = 1 (x) c_j*,
+the x-invariants on the f^j alone, the condition defining Q on the
+coring's free left basis) and the dual pairing stopped being re-proved
+(375,557 before).  Before that it was 360,949 when the pipeline
 stopped re-proving theorems about its verified input (the coring laws of
 A (x) C, the coring morphism beta, the Morita context identities) and the
 bialgebra laws stopped building Kronecker products of the
@@ -24,8 +28,8 @@ being built as transposes, 1,036,630 before that, and 2,155,670 before
 ``kron_mul`` replaced the Kronecker products that were only multiplied).  A
 change that materializes such products or spans again, evaluates an
 operator per basis vector again, or recomputes a derived object, fails here.
-Storing every algebra as its multiplication operators raised the count to
-278,455, within the budget, which stays: the dim^3 table of structure
+Storing every algebra as its multiplication operators had raised the count
+to 278,455, within the budget of the time: the dim^3 table of structure
 constants it dropped was a nested list, never counted here, while
 re-indexing stored pairs builds a few more matrices (each algebra's
 operators flattened on their way to ``rmuls``, the joined columns of the
@@ -33,9 +37,11 @@ projectivity system).
 
 A matrix stores only its nonzero entries, so the nonzeros stored are the
 measure of the memory and arithmetic its later products cost.  The budget
-is 10 % above the count measured when the conditions over the dual ring
-were imposed on generating sets (9,268 nonzeros in the matrices built, of
-the 267,857 entries their shapes hold; 10,506 of 362,005 when every matrix
+is 10 % above the count measured when the direct-sum witnesses were decided
+from their summands (7,446 nonzeros in the matrices built, of the 184,480
+entries their shapes hold; 9,741 before, which fails here; 9,268 of
+267,857 when the conditions over the dual ring were imposed on generating
+sets, 10,506 of 362,005 when every matrix
 became its nonzero rows, 10,964 of 375,557 since the coring adjunctions;
 9,741 of 278,455 since algebras are stored as their operators).
 A change that builds dense intermediates as matrices, or fills a structure
@@ -44,8 +50,11 @@ here.
 
 Every elimination goes through ``SubspaceBuilder.insert``, so its calls
 count the rows eliminated.  The budget is 10 % above the count measured
-when the conditions over the dual ring were imposed on generating sets
-(3,692 inserts; 6,068 before, which fails here, when the comodule maps out
+when the direct-sum witnesses were decided from their summands and each
+invertibility trial stopped at its first dependent row (2,350 inserts;
+3,692 before, which fails here, measured when the conditions over the
+dual ring were imposed on generating sets; 6,068 before that, when the
+comodule maps out
 of A and into the coring were read through the coring adjunctions instead
 of solved as relation spans, 8,494 before that, and 8,452 when balanced
 tensor products and hom spaces first took their relations over the
@@ -59,9 +68,9 @@ from coring_lab import cli
 from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
-ENTRY_BUDGET = 294_600
-NONZERO_BUDGET = 10_190
-INSERT_BUDGET = 4_060
+ENTRY_BUDGET = 202_900
+NONZERO_BUDGET = 8_190
+INSERT_BUDGET = 2_580
 
 
 def _analyze_fix_s():
