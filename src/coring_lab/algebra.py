@@ -45,6 +45,7 @@ from .exactla import (
     parse_array,
     quotient,
     solve,
+    unflatten_rows,
     unstack_slices,
 )
 from .verdict import Verdict, VerificationError, one_failure
@@ -372,8 +373,7 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
         raise ShapeError("balanced tensor over mismatched algebras")
     S = M.algebra
     return quotient(_relation_span(M.field, M.dim, N.dim, [
-        (b.nonzero_columns(), a.nonzero_columns())
-        for a, b in zip(M.generator_actions(S), N.generator_actions(S))]))
+        (b, a.transpose()) for a, b in zip(M.generator_actions(S), N.generator_actions(S))]))
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
@@ -396,20 +396,22 @@ def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
 def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
     """All dN x dM matrices T with T a = b T for every pair (a, b), as a
     subspace of row-major flattened matrices."""
-    span = _relation_span(field, dN, dM, [(a.nonzero_columns(), b.nonzero_rows())
-                                           for a, b in pairs])
-    return null_space(field, dN * dM, span.rows.keys(), span.rows.values())
+    return null_space(_relation_span(field, dN, dM, pairs))
 
 
 def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder:
-    """The span of the entries of T a - b T over the pairs (a, b), each given
-    by its nonzero entries as (the columns of a, the rows of b), for a
-    dR x dC matrix T whose entry T[r][c] is the coordinate r*dC+c; the one
-    relation span of the package."""
+    """The span of the entries of T a - b T over the pairs (a, b) of
+    matrices, for a dR x dC matrix T whose entry T[r][c] is the coordinate
+    r*dC+c; the one relation span of the package.  Each relation is written
+    from the stored numerators of a and b, times a.den * b.den."""
     builder = SubspaceBuilder(field, dR * dC)
-    for acols, brows in pairs:
-        for i, brow in enumerate(brows):
-            brow = [(r * dC, y) for r, y in brow]
+    for a, b in pairs:
+        sa, sb = b.den, a.den
+        acols = a.numerator_columns()
+        if sa != 1:
+            acols = [[(c, sa * x) for c, x in acol] for acol in acols]
+        for i, brow in enumerate(b.numerator_rows()):
+            brow = [(r * dC, sb * y) for r, y in brow]
             for j, acol in enumerate(acols):
                 # entry (i, j): sum_c T[i][c] a[c][j] - sum_r b[i][r] T[r][j]
                 row = {i * dC + c: x for c, x in acol}
@@ -421,9 +423,8 @@ def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder
 
 
 def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> list[DenseMatrix]:
-    """The hom-space basis reshaped into dN x dM matrices."""
-    basis = hom_module(M, N).basis
-    return [DenseMatrix(M.field, N.dim, M.dim, basis.row(i)) for i in range(basis.rows)]
+    """The hom-space basis, each vector read row-major as a dN x dM matrix."""
+    return unflatten_rows(hom_module(M, N).basis, N.dim, M.dim)
 
 
 @once

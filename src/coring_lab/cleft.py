@@ -33,9 +33,9 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     Subspace,
+    combination_is_invertible,
     combine_matrices,
     flat_columns,
-    is_invertible,
     join_columns,
     kernel,
     kron,
@@ -43,6 +43,7 @@ from .exactla import (
     once,
     solve,
     stack_slices,
+    unflatten_rows,
 )
 from .morita import ClauseDisagreement, find_qhat
 from .verdict import Verdict, VerificationError, one_failure
@@ -112,8 +113,9 @@ def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
                       seed: int = 0) -> SearchResult:
     """Find parameters t for which M(t) = sum t_i mats[i] is invertible.
 
-    The span is taken once; each trial is one ``combine_matrices`` and one
-    ``is_invertible``, which stops at the first dependent row.  The
+    The span is taken once; each trial is one
+    ``combination_is_invertible``, which forms the rows of M(t) only as far
+    as the elimination reads them and stops at the first dependent one.  The
     determinant of M(t) is a polynomial in t of total degree at most the
     matrix size n, because M(t) is linear in t; that bound drives the
     certification grid.
@@ -121,10 +123,10 @@ def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
     r = len(mats)
     if r == 0:
         return SearchResult("absent", certificate="empty candidate space")
-    n, cols = mats[0].rows, mats[0].cols
+    n = mats[0].rows
 
     def invertible(params):
-        return is_invertible(combine_matrices(field, n, cols, params, mats))
+        return combination_is_invertible(field, params, mats)
 
     tried = 0
     if 2 ** r <= PATTERN_BUDGET:
@@ -206,8 +208,7 @@ def find_cleft(ctx, seed: int = 0) -> CleftResult:
         return CleftResult("absent", certificate="no nonzero integrals")
     # h -> lam * h is invertible iff lam is *-invertible (one-sided inverses
     # are two-sided in the finite-dimensional convolution algebra)
-    lams = [DenseMatrix(f, ctx.A.dim, ctx.C.dim, integrals.space.basis.row(i))
-            for i in range(integrals.dim)]
+    lams = unflatten_rows(integrals.space.basis, ctx.A.dim, ctx.C.dim)
     res = search_invertible(f, [_conv_operator(g, ctx.C, ctx.A, "left") for g in lams],
                             seed=seed)
     if res.status != "found":
@@ -395,7 +396,7 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
     space = kernel(condition)
     if space.dim == 0:
         return NormalBasisResult("absent", certificate="no equivariant maps")
-    thetas = [DenseMatrix(f, nA, nA, space.basis.row(i)) for i in range(space.dim)]
+    thetas = unflatten_rows(space.basis, nA, nA)
     res = search_invertible(f, thetas, seed=seed)
     if res.status != "found":
         return NormalBasisResult(res.status, certificate=res.certificate)

@@ -17,7 +17,8 @@ from .exactla import (
     FieldSpec,
     ShapeError,
     differing_columns,
-    flat_columns,
+    flat_blocks,
+    join_columns,
     json_dim,
     json_get,
     kron,
@@ -156,14 +157,18 @@ def convolution(fmap: DenseMatrix, gmap: DenseMatrix, C: CoalgebraPresentation,
 
 def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,
                    A: AlgebraPresentation, side: str) -> DenseMatrix:
-    """h -> f*h (side 'left') or h*f: column (a, c) is rmul(e_a) f D_c, or lmul(e_a) f D'_c."""
+    """h -> f*h (side 'left') or h*f: column (a, c) is rmul(e_a) f D_c, or
+    lmul(e_a) f D'_c, read row-major.  All of them come from one product:
+    the operators stacked, times f times the D_c side by side, has block
+    (a, c) equal to op_a f D_c, which ``flat_blocks`` makes column (a, c)."""
     # D_c and D'_c are comult_slices("second")[c] and comult_slices("first")[c]
     if side == "left":
         ops, slices = A.rmuls, C.comult_slices("second")
     else:
         ops, slices = A.lmuls, C.comult_slices("first")
-    fD = [fmap.mul(D) for D in slices]
-    return flat_columns(A.field, [op.mul(X) for op in ops for X in fD], A.dim, C.dim)
+    nA, nC = A.dim, C.dim
+    fD = fmap.mul(join_columns(A.field, slices, nC))
+    return flat_blocks(DenseMatrix.vstack(*ops).mul(fD), nA, nC)
 
 
 def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,

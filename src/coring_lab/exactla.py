@@ -42,7 +42,9 @@ and sum combines numerator rows through ``_combine``.  Matrices of one
 shape are put side by side by ``join_columns``, which re-indexes their
 stored pairs (interleaved, it is the column twin of ``stack_slices``);
 ``flat_columns`` makes each of them one column, and ``flat_blocks`` each
-block of one matrix.  A map given by dense
+block of one matrix.  A basis of flattened maps is read back as matrices
+by ``unflatten_rows``, one per row, or by ``side_by_side``, all of them
+in one.  A map given by dense
 columns is built with ``DenseMatrix.from_columns``.  None of them goes
 through a transpose.
 
@@ -55,17 +57,22 @@ of ``solve_matrix``.
 ``SubspaceBuilder`` is the package's one elimination routine.  Every
 reduction goes through its ``insert``: ``row_reduce`` and through it
 ``kernel``, ``rank``, ``solve`` and ``Subspace.from_spanning``;
-``is_invertible``, which stops at the first row that adds nothing; as well as
-the relation spans (balanced-tensor relations, intertwiner constraints)
-that are built up one vector at a time, over the generators of the acting
-algebra rather than its whole basis.  Matrix rows enter it as their
-numerator pairs, never densified.  The builder keeps its reduced echelon
-rows as sparse ``{column: entry}`` dicts, ``null_vectors`` reads them in
-time linear in their nonzeros, and ``quotient`` takes the builder itself.
-Over Q it eliminates without fractions: it clears each inserted vector's
-denominators once and stores every echelon row as its primitive integer
-multiple with a positive pivot entry; the pivots are divided out only when
-``rows`` is read, into a view cached until the next insertion.
+``is_invertible`` and ``combination_is_invertible``, which stop at the
+first row that adds nothing; as well as the relation spans
+(balanced-tensor relations, intertwiner constraints) that are built up one
+vector at a time, over the generators of the acting algebra rather than
+its whole basis.  Matrix rows enter it as their numerator pairs, never
+densified.  Over Q it eliminates without fractions: it clears each
+inserted vector's denominators once and stores every echelon row as its
+primitive integer multiple with a positive pivot entry.  Its results are
+read off those integer rows without building a ``Fraction``:
+``SubspaceBuilder.echelon`` scales them to numerator rows over the lcm of
+their pivot entries (over Fp the pivots are already 1), which span bases
+and ``solve_matrix`` take, and ``null_vectors``, ``null_space`` and
+``quotient`` take the builder itself, reading its rows in time linear in
+their nonzeros.  Of the builder's reads only ``SubspaceBuilder.rows``,
+the reduced rows with the pivots divided out, builds fractions, and
+nothing in the package reads it.
 """
 
 from __future__ import annotations
@@ -403,6 +410,16 @@ class DenseMatrix:
         order; the column twin of ``nonzero_rows``, built on each call."""
         return _transposed(self.nonzero_rows(), self.cols)
 
+    def numerator_rows(self) -> list:
+        """Per row, the stored (column, numerator) pairs, entry (i, j) being
+        numerator / ``den``; a caller must not mutate them."""
+        return self._nonzero_rows
+
+    def numerator_columns(self) -> list:
+        """Per column, the (row, numerator) pairs over ``den`` in row order;
+        the column twin of ``numerator_rows``, built on each call."""
+        return _transposed(self._nonzero_rows, self.cols)
+
     def is_zero(self) -> bool:
         return not any(self._nonzero_rows)
 
@@ -518,9 +535,13 @@ def _from_flat(field: FieldSpec, rows: int, cols: int, entries) -> tuple:
     if set(map(type, entries)) <= {int}:
         return nonzero, 1
     norm = field.normalize
-    out = _with_common_den(field, [[(j, x if type(x) is int else norm(x)) for j, x in pairs]
-                                   for pairs in nonzero])
-    return out.rows, out.den
+    nonzero = [[(j, x if type(x) is int else norm(x)) for j, x in pairs] for pairs in nonzero]
+    # over the common denominator of the canonical entries
+    den = lcm(*{x.denominator for pairs in nonzero for _, x in pairs if type(x) is not int})
+    if den == 1:
+        return nonzero, 1
+    return [[(j, x * den if type(x) is int else x.numerator * (den // x.denominator))
+             for j, x in pairs] for pairs in nonzero], den
 
 
 def _lowest_terms(field: FieldSpec, rows: list, den: int) -> tuple:
@@ -540,18 +561,6 @@ def _lowest_terms(field: FieldSpec, rows: list, den: int) -> tuple:
                 return rows, den
     # g == den also when no entry is left
     return [[(j, x // g) for j, x in pairs] for pairs in rows], den // g
-
-
-def _with_common_den(field: FieldSpec, rows: list) -> _Numerators:
-    """Rows of (column, field element) pairs in column order, the elements
-    canonical and nonzero, as numerators over their common denominator."""
-    if field.kind == "Fp":
-        return _Numerators(rows)
-    den = lcm(*{x.denominator for pairs in rows for _, x in pairs if type(x) is not int})
-    if den == 1:
-        return _Numerators(rows)
-    return _Numerators([[(j, x * den if type(x) is int else x.numerator * (den // x.denominator))
-                         for j, x in pairs] for pairs in rows], den)
 
 
 def _value(x: int, d: int) -> Scalar:
@@ -673,6 +682,39 @@ def flat_blocks(M: DenseMatrix, rows: int, cols: int) -> DenseMatrix:
             d, j = divmod(c, cols)
             out[i * cols + j].append((b * per_row + d, x))
     return DenseMatrix(M.field, rows * cols, M.rows // rows * per_row, _Numerators(out, M.den))
+
+
+def _check_row_shape(M: DenseMatrix, rows: int, cols: int) -> None:
+    if rows * cols != M.cols:
+        raise ShapeError(f"cannot read rows of length {M.cols} as {rows}x{cols} matrices")
+
+
+def unflatten_rows(M: DenseMatrix, rows: int, cols: int) -> list[DenseMatrix]:
+    """Each row of M read row-major as a rows x cols matrix, as a hom space
+    stores its maps: one matrix per row, re-indexed from its stored pairs."""
+    _check_row_shape(M, rows, cols)
+    out = []
+    for pairs in M._nonzero_rows:
+        split = [[] for _ in range(rows)]
+        for c, x in pairs:
+            r, k = divmod(c, cols)
+            split[r].append((k, x))
+        out.append(DenseMatrix(M.field, rows, cols, _Numerators(split, M.den)))
+    return out
+
+
+def side_by_side(M: DenseMatrix, rows: int, cols: int) -> DenseMatrix:
+    """``join_columns`` of ``unflatten_rows(M, rows, cols)``: column (i, m),
+    at index i * cols + m, is column m of row i of M read as a rows x cols
+    matrix; one matrix, re-indexed from M's stored pairs."""
+    _check_row_shape(M, rows, cols)
+    out = [[] for _ in range(rows)]
+    # taking M's rows in order keeps each output row in column order
+    for i, pairs in enumerate(M._nonzero_rows):
+        for c, x in pairs:
+            r, m = divmod(c, cols)
+            out[r].append((i * cols + m, x))
+    return DenseMatrix(M.field, rows, M.rows * cols, _Numerators(out, M.den))
 
 
 def block_diag(M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
@@ -906,11 +948,14 @@ class SubspaceBuilder:
     back to that canonical multiple.  The full RREF invariant (no row has an
     entry in another row's pivot column) holds after every insertion.
 
-    ``rows`` is the reduced echelon form, {pivot col: {col: entry}} with unit
-    pivots.  Over Q reading it divides each pivot out, giving ``int`` where
-    integral and ``Fraction`` otherwise; the view is built once and cached
-    until the next insertion that changes the span.  Over Fp it is the
-    stored dict.  ``null_vectors`` and ``quotient`` read it as it is.
+    The results are read from the integer rows: ``pivots`` and ``dim``,
+    ``echelon`` (the reduced rows as numerators), and ``null_vectors``,
+    ``null_space`` and ``quotient``, which take the builder.  ``rows`` is
+    the reduced echelon form as {pivot col: {col: entry}} with unit pivots,
+    the pivots divided out into ``int`` where integral and ``Fraction``
+    otherwise (over Fp the stored dict); the view is built once and cached
+    until the next insertion that changes the span.  It is kept for
+    inspection and the tests; the package reads the integer rows instead.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int):
@@ -918,6 +963,32 @@ class SubspaceBuilder:
         self.ambient_dim = ambient_dim
         self._rows = {}   # leading col -> {col: int}, canonical multiple
         self._view = None
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list:
+        """The pivot columns, in order."""
+        return sorted(self._rows)
+
+    def _den(self) -> int:
+        """The lcm of the stored pivot entries, over which every reduced
+        echelon entry is a numerator; 1 over Fp."""
+        return lcm(*[row[c] for c, row in self._rows.items()])
+
+    def echelon(self) -> _Numerators:
+        """The reduced echelon rows in pivot order as numerator rows over
+        ``_den()``: each stored row scaled so that its pivot reads that
+        denominator.  ``DenseMatrix`` brings them to lowest terms."""
+        rows, den = self._rows, self._den()
+        out = []
+        for c in sorted(rows):
+            row = sorted(rows[c].items())
+            s = den // row[0][1]   # the pivot is the row's first entry
+            out.append(row if s == 1 else [(j, s * x) for j, x in row])
+        return _Numerators(out, den)
 
     def _canonical(self, v: dict) -> dict:
         """The canonical multiple of an integer row: primitive with a positive
@@ -1024,12 +1095,11 @@ def _row_reduce_fp(span: SubspaceBuilder, rows) -> None:
         span.insert(r)
 
 
-def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> tuple:
-    """Unique reduced row echelon form of the span of rows in k^n, through a
-    ``SubspaceBuilder``; returns (rows, pivot_cols), each row a sparse
-    {col: entry} dict with a unit entry in its pivot column, in pivot order.
-    A row may be a dense sequence or a {col: entry} dict, as a matrix's rows
-    are passed (``_dict_rows``).
+def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> SubspaceBuilder:
+    """The span of rows in k^n, reduced by one ``SubspaceBuilder``, which is
+    returned: its integer rows are the unique reduced row echelon form up to
+    the scale of each row.  A row may be a dense sequence or a {col: entry}
+    dict, as a matrix's rows are passed (``_dict_rows``).
 
     Leading zero rows are inserted here; the per-field loop takes over at
     the first nonzero row, so it runs once per reduction of a nonzero span."""
@@ -1039,14 +1109,24 @@ def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> tu
         if span.insert(r):
             (_row_reduce_fp if field.kind == "Fp" else _row_reduce_q)(span, rows)
             break
-    reduced = span.rows
-    pivots = sorted(reduced)
-    return [reduced[c] for c in pivots], pivots
+    return span
 
 
 # ---------------------------------------------------------------------------
 # the operations of the module contract
 # ---------------------------------------------------------------------------
+
+
+def _combination_rows(rows: int, coeffs: Sequence[Scalar], mats: Sequence[DenseMatrix]):
+    """(den, the rows of sum coeffs[i] * mats[i] as numerator rows over den),
+    each row combined only when it is read; a basis vector, the common
+    case, passes its matrix's rows through without arithmetic."""
+    nonzero = [i for i, a in enumerate(coeffs) if a]
+    dc, cs = clear_denominators(coeffs)
+    # each coefficient absorbs the lcm of the matrices' scales
+    den = lcm(*[mats[i].den for i in nonzero])
+    used = [(cs[i] * (den // mats[i].den), mats[i]._nonzero_rows) for i in nonzero]
+    return dc * den, (_combine([(a, nz[r]) for a, nz in used]) for r in range(rows))
 
 
 def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Scalar],
@@ -1058,54 +1138,48 @@ def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Sc
     nonzero = [i for i, a in enumerate(coeffs) if a]
     if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
         return mats[nonzero[0]]
-    dc, cs = clear_denominators(coeffs)
-    # each coefficient absorbs the lcm of the matrices' scales
-    den = lcm(*[mats[i].den for i in nonzero])
-    used = [(cs[i] * (den // mats[i].den), mats[i]._nonzero_rows) for i in nonzero]
-    out = [_combine([(a, nz[r]) for a, nz in used]) for r in range(rows)]
-    return DenseMatrix(field, rows, cols, _Numerators(out, dc * den))
+    den, out = _combination_rows(rows, coeffs, mats)
+    return DenseMatrix(field, rows, cols, _Numerators(list(out), den))
 
 
-def _null_rows(field: FieldSpec, n: int, pivots: Iterable[int], rows: Iterable[dict]) -> list:
-    """The vectors of ``null_vectors`` as rows of (column, entry) pairs."""
-    rows = dict(zip(pivots, rows))
-    free = [c for c in range(n) if c not in rows]
+def _null_numerators(span: SubspaceBuilder) -> _Numerators:
+    """The vectors of ``null_vectors`` as numerator rows over the lcm of the
+    builder's pivot entries."""
+    rows, den = span._rows, span._den()
+    free = [c for c in range(span.ambient_dim) if c not in rows]
     index = {c: k for k, c in enumerate(free)}
     out = [[] for _ in free]
-    norm = field.normalize
     # every entry of the row with pivot c sits right of c, so taking the
     # rows in pivot order and e_f last keeps each vector in column order
     for piv in sorted(rows):
-        for c, coef in rows[piv].items():
+        row = rows[piv]
+        s = -(den // row[piv])
+        for c, x in row.items():
             if c != piv:
-                out[index[c]].append((piv, norm(-coef)))
+                out[index[c]].append((piv, s * x))
     for k, c in enumerate(free):
-        out[k].append((c, 1))
-    return out
+        out[k].append((c, den))
+    return _Numerators(out, den)
 
 
-def null_vectors(field: FieldSpec, n: int, pivots: Iterable[int],
-                 rows: Iterable[dict]) -> DenseMatrix:
-    """A basis of {v in k^n : r . v = 0 for every row r} from a sparse RREF,
-    as ``row_reduce`` returns it or a ``SubspaceBuilder`` holds it, as the
-    rows of a matrix.
+def null_vectors(span: SubspaceBuilder) -> DenseMatrix:
+    """A basis of {v in k^n : r . v = 0 for every vector r of the span a
+    builder holds}, as the rows of a matrix.
 
-    The rows pair up with the pivots in order: each is the reduced echelon
-    row with that pivot column, as a {column: entry} dict, and the pairs may
-    come in any order.  One vector per non-pivot column f, in column order:
-    e_f minus the pivot entries of column f, read in time linear in the
-    rows' nonzeros.  This is the package's one null-space routine: quotients
-    use it as their projection, and ``null_space`` takes the span of its
-    vectors.
+    One vector per non-pivot column f, in column order: e_f minus the
+    reduced echelon entries of column f, read from the builder's integer
+    rows in time linear in their nonzeros.  This is the package's one
+    null-space routine: quotients use it as their projection, and
+    ``null_space`` takes the span of its vectors.
     """
-    out = _null_rows(field, n, pivots, rows)
-    return DenseMatrix(field, len(out), n, _with_common_den(field, out))
+    out = _null_numerators(span)
+    return DenseMatrix(span.field, len(out.rows), span.ambient_dim, out)
 
 
-def null_space(field: FieldSpec, n: int, pivots: Iterable[int], rows: Iterable[dict]) -> Subspace:
+def null_space(span: SubspaceBuilder) -> Subspace:
     """The span of ``null_vectors`` in canonical form, from the same
-    arguments; kernels and hom-spaces are read this way."""
-    return _span(field, n, map(dict, _null_rows(field, n, pivots, rows)))
+    builder; kernels and hom-spaces are read this way."""
+    return _span(span.field, span.ambient_dim, map(dict, _null_numerators(span).rows))
 
 
 def _dict_rows(M: DenseMatrix):
@@ -1116,17 +1190,21 @@ def _dict_rows(M: DenseMatrix):
 
 def _span(field: FieldSpec, n: int, vectors) -> Subspace:
     """The span of vectors (dense sequences or {col: entry} dicts) in k^n
-    as a canonical Subspace, its basis read off the sparse RREF."""
-    rows, pivots = row_reduce(field, n, vectors)
-    basis = _with_common_den(field, [sorted(row.items()) for row in rows])
-    return Subspace(field, n, DenseMatrix(field, len(pivots), n, basis), pivots)
+    as a canonical Subspace, its basis read off the builder's rows."""
+    span = row_reduce(field, n, vectors)
+    return Subspace(field, n, DenseMatrix(field, span.dim, n, span.echelon()), span.pivots)
 
 
 def kernel(M: DenseMatrix) -> Subspace:
     """Right null space {v : Mv = 0} in canonical echelon form, read from the
     sparse reduced rows of M without densifying them."""
-    rows, pivots = row_reduce(M.field, M.cols, _dict_rows(M))
-    return null_space(M.field, M.cols, pivots, rows)
+    return null_space(row_reduce(M.field, M.cols, _dict_rows(M)))
+
+
+def _independent(span: SubspaceBuilder, rows) -> bool:
+    """Whether every row (numerator pairs) adds to the span; the first that
+    does not ends the elimination."""
+    return all(span.insert(dict(r)) for r in rows)
 
 
 def is_invertible(M: DenseMatrix) -> bool:
@@ -1135,19 +1213,30 @@ def is_invertible(M: DenseMatrix) -> bool:
     decides: a singular M is not reduced past that row."""
     if M.rows != M.cols:
         return False
-    span = SubspaceBuilder(M.field, M.cols)
-    return all(span.insert(r) for r in _dict_rows(M))
+    return _independent(SubspaceBuilder(M.field, M.cols), M._nonzero_rows)
+
+
+def combination_is_invertible(field: FieldSpec, coeffs: Sequence[Scalar],
+                              mats: Sequence[DenseMatrix]) -> bool:
+    """``is_invertible(combine_matrices(...))`` for the combination
+    sum coeffs[i] * mats[i] of matrices of one shape, without forming it:
+    each row is combined only when the elimination reads it, so a singular
+    combination is formed only up to its first dependent row."""
+    n, cols = mats[0].rows, mats[0].cols
+    if n != cols:
+        return False
+    return _independent(SubspaceBuilder(field, cols), _combination_rows(n, coeffs, mats)[1])
 
 
 def rank(M: DenseMatrix) -> int:
     """The rank of M, as the number of pivots of its reduced rows; every
     rank-only question in the package asks this."""
-    return len(row_reduce(M.field, M.cols, _dict_rows(M))[1])
+    return row_reduce(M.field, M.cols, _dict_rows(M)).dim
 
 
 def image(M: DenseMatrix) -> Subspace:
     """Column space in canonical form."""
-    return _span(M.field, M.rows, map(dict, M.nonzero_columns()))
+    return _span(M.field, M.rows, map(dict, M.numerator_columns()))
 
 
 def row_space(M: DenseMatrix) -> Subspace:
@@ -1174,14 +1263,17 @@ def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> DenseMatrix | None:
     sm, sb = d // M.den, d // B.den
     aug = ({**{j: x * sm for j, x in mr}, **{n + j: y * sb for j, y in br}}
            for mr, br in zip(M._nonzero_rows, B._nonzero_rows))
-    rows, pivots = row_reduce(M.field, n + k, aug)
+    span = row_reduce(M.field, n + k, aug)
+    pivots = span.pivots
     if pivots and pivots[-1] >= n:
         return None  # a pivot in an augmented column: inconsistent
-    # with free variables zero, RREF row c reads x_c = its augmented entries
+    # with free variables zero, reduced row c reads x_c = its augmented
+    # entries, which follow its entries in M's columns
+    ech = span.echelon()
     X = [[] for _ in range(n)]
-    for row, c in zip(rows, pivots):
-        X[c] = sorted((j - n, x) for j, x in row.items() if j >= n)
-    return DenseMatrix(M.field, n, k, _with_common_den(M.field, X))
+    for row, c in zip(ech.rows, pivots):
+        X[c] = [(j - n, x) for j, x in row[bisect_left(row, (n,)):]]
+    return DenseMatrix(M.field, n, k, _Numerators(X, ech.den))
 
 
 class QuotientSpace:
@@ -1213,12 +1305,13 @@ def quotient(span: SubspaceBuilder) -> QuotientSpace:
     echelon basis; the class of e_f for a free column f maps to the f-th
     coordinate, which makes the section simply the inclusion of those e_f.
     """
-    f, n = span.field, span.ambient_dim
+    n, pivots = span.ambient_dim, span._rows
     # projection: reduce modulo the relations, then read the free coordinates
-    projection = null_vectors(f, n, span.rows.keys(), span.rows.values())
+    projection = null_vectors(span)
     free = iter(range(projection.rows))
-    section = [[] if c in span.rows else [(next(free), 1)] for c in range(n)]
-    return QuotientSpace(projection, DenseMatrix(f, n, projection.rows, _Numerators(section)))
+    section = [[] if c in pivots else [(next(free), 1)] for c in range(n)]
+    return QuotientSpace(projection,
+                         DenseMatrix(span.field, n, projection.rows, _Numerators(section)))
 
 
 # ---------------------------------------------------------------------------

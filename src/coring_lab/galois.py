@@ -39,7 +39,9 @@ from .exactla import (
     mul_kron,
     once,
     rank,
+    side_by_side,
     solve,
+    unflatten_rows,
 )
 from .morita import (
     ClauseDisagreement,
@@ -128,7 +130,6 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]
     data = ctx.morita()
     f = ctx.field
     homs = hom_from_A(M)
-    nA = ctx.A.dim
     # right B-module structure on the hom space: (f.b)(a) = f(b a)
     # the flattened T lb is kron(I, lb^T) applied to the flattened T
     eyeM = DenseMatrix.identity(f, M.dim)
@@ -137,8 +138,7 @@ def psi_prime_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]
     hom_mod = ModulePresentation(data.B.algebra, homs.dim, "right", action)
     tensor = balanced_tensor(hom_mod, data.A_left_B)
     # column (i, j) is T_i(e_j), T_i the i-th basis map as a dim M x dim A matrix
-    plain = join_columns(f, [DenseMatrix(f, M.dim, nA, homs.basis.row(i))
-                             for i in range(homs.dim)], M.dim)
+    plain = side_by_side(homs.basis, M.dim, ctx.A.dim)
     mat = plain.mul(tensor.section)
     return mat, map_report(mat, target_dim=M.dim)
 
@@ -287,7 +287,7 @@ def _faithfully_balanced(ctx, data: MoritaContextData) -> tuple[bool, bool]:
     the endomorphisms over End(A_dual) is injective resp. surjective."""
     f = ctx.field
     nA = ctx.A.dim
-    endo = [DenseMatrix(f, nA, nA, row) for row in _endo_A_dual(data).basis.row_lists()]
+    endo = unflatten_rows(_endo_A_dual(data).basis, nA, nA)
     # commutant: matrices commuting with every endomorphism of A_dual
     commutant = intertwiner_space(f, nA, nA, [(e, e) for e in endo])
     canon = flat_columns(f, data.A_right_dual.action, nA, nA)

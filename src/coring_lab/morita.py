@@ -53,6 +53,7 @@ from .exactla import (
     rank,
     solve,
     stack_slices,
+    unflatten_rows,
 )
 from .verdict import Verdict, VerificationError, one_failure
 
@@ -151,10 +152,8 @@ def compute_Q(ctx) -> QIdealData:
     Stability under the dual-ring and B actions is re-verified in
     ``build_context``.
     """
-    f = ctx.field
     space = kernel(_q_condition(ctx))
-    mats = [DenseMatrix(f, ctx.A.dim, ctx.C.dim, row) for row in space.basis.row_lists()]
-    return QIdealData(space, mats)
+    return QIdealData(space, unflatten_rows(space.basis, ctx.A.dim, ctx.C.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ instead of through a free basis, the dual ring as left-A-linear maps off the
 coring instead of Hom(C, A) with the entwined product, the ideal Q from the
 entwined-form condition instead of the coring condition, and every operator
 on Hom(C, A) by evaluation on each elementary map e_a (x) c* instead of in
-closed form, the Morita context's maps and module structures one basis
+closed form (and the convolution operators h -> f*h and h -> h*f also
+with one product per basis element of A and of C instead of as one
+product), the Morita context's maps and module structures one basis
 vector at a time instead of as matrix products, balanced tensor products
 and hom spaces with their relations over the whole basis of the algebra
 instead of over its generators, the x-invariants of a dual-ring module
@@ -65,6 +67,7 @@ from coring_lab.exactla import (
     QuotientSpace,
     Subspace,
     SubspaceBuilder,
+    flat_columns,
     image,
     kernel,
     kron,
@@ -342,6 +345,20 @@ def conv_operator_by_evaluation(fmap: DenseMatrix, C: CoalgebraPresentation,
     cols = [(convolution(fmap, h, C, A) if side == "left" else convolution(h, fmap, C, A)).entries
             for h in elementary_maps(A.field, A.dim, C.dim)]
     return DenseMatrix.from_columns(A.field, cols, A.dim * C.dim)
+
+
+def conv_operator_by_products(fmap: DenseMatrix, C: CoalgebraPresentation,
+                              A: AlgebraPresentation, side: str) -> DenseMatrix:
+    """h -> f*h (side "left") or h -> h*f with one product per basis element
+    of A and of C: column (a, c) is rmul(e_a) f D_c, or lmul(e_a) f D'_c,
+    each formed on its own and flattened, where the runtime forms all of
+    them as the blocks of one product."""
+    if side == "left":
+        ops, slices = A.rmuls, C.comult_slices("second")
+    else:
+        ops, slices = A.lmuls, C.comult_slices("first")
+    fD = [fmap.mul(D) for D in slices]
+    return flat_columns(A.field, [op.mul(X) for op in ops for X in fD], A.dim, C.dim)
 
 
 def dual_action_by_evaluation(M: ComoduleInstance) -> List[DenseMatrix]:

@@ -399,7 +399,7 @@ def relation_cases(field, seed):
 def test_builder_null_vectors_against_oracle(field, p):
     for n, vecs in relation_cases(field, seed=29):
         span = span_of(field, n, vecs)
-        nulls = null_vectors(field, n, span.rows.keys(), span.rows.values())
+        nulls = null_vectors(span)
         assert (nulls.rows, nulls.cols) == (n - naive_rank(vecs, p), n)
         nulls = nulls.row_lists()
         assert len(nulls) == n - naive_rank(vecs, p)
@@ -474,8 +474,9 @@ def test_row_reduce_matches_naive_rref(field, p):
         rng.shuffle(rows)
         cases.append((n, rows))
     for n, rows in cases:
-        got, pivots = row_reduce(field, n, rows)
-        dense = [[row.get(j, 0) for j in range(n)] for row in got]
+        span = row_reduce(field, n, rows)
+        pivots = span.pivots
+        dense = [[span.rows[c].get(j, 0) for j in range(n)] for c in pivots]
         want, want_pivots = naive_rref(rows, p)
         want = [[field.normalize(x) for x in r] for r in want]
         assert pivots == want_pivots

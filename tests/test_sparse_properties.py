@@ -11,6 +11,11 @@ them apart again, reduction, kernels and row spaces, joining columns side
 by side, interleaved or flattened, cutting into flattened blocks, direct
 sums, the columns in which two matrices differ, the invertibility test
 that stops at the first dependent row, and value equality and hashing.
+The results read off a ``SubspaceBuilder``'s integer rows (span bases,
+null vectors, the projection and section of a quotient, ``solve_matrix``)
+are checked on rows scaled so that the stored pivot entries are not 1, and
+the invertibility trial that combines each row only when it is read is
+checked against the combination it would form.
 """
 
 from fractions import Fraction
@@ -24,7 +29,9 @@ from coring_lab.exactla import (
     GF,
     DenseMatrix,
     ShapeError,
+    Subspace,
     block_diag,
+    combination_is_invertible,
     combine_matrices,
     differing_columns,
     flat_blocks,
@@ -35,8 +42,11 @@ from coring_lab.exactla import (
     kron,
     kron_mul,
     mul_kron,
+    null_vectors,
+    quotient,
     row_reduce,
     row_space,
+    solve_matrix,
     stack_slices,
     unstack_slices,
 )
@@ -46,6 +56,7 @@ from oracles import (
     naive_join_columns,
     naive_kron,
     naive_matmul,
+    naive_null_space,
     naive_rank,
     naive_rref,
     naive_transpose,
@@ -241,10 +252,11 @@ def test_block_diag_and_differing_columns_match_oracle(data, field):
 def test_row_reduce_and_kernel_match_oracle(data, field):
     M = data.draw(matrices(field))
     p = p_of(field)
-    rows, pivots = row_reduce(field, M.cols, M.row_lists())
+    span = row_reduce(field, M.cols, M.row_lists())
     want, want_pivots = naive_rref(M.row_lists(), p)
-    assert pivots == want_pivots
-    assert [[row.get(j, 0) for j in range(M.cols)] for row in rows] == normalized(field, want)
+    assert span.pivots == want_pivots
+    assert [[span.rows[c].get(j, 0) for j in range(M.cols)] for c in span.pivots] == \
+        normalized(field, want)
     K = kernel(M)
     assert K.dim == M.cols - naive_rank(M.row_lists(), p)
     assert_canonical(field, K.basis)
@@ -312,3 +324,106 @@ def test_is_invertible_matches_the_kernel(data, field):
         want = Y.rows == Y.cols and kernel(Y).is_zero()
         assert is_invertible(Y) == want
         assert want == (Y.rows == Y.cols == naive_rank(Y.row_lists(), p_of(field)))
+
+
+@st.composite
+def scaled_rows(draw, field):
+    """(M, rows): a drawn matrix and its rows, each multiplied by a nonzero
+    scalar (a/b with 2 <= |a| <= 6 over Q, a nonzero residue over GF(7)),
+    so that the builder's stored pivot entries are rarely 1."""
+    M = draw(matrices(field))
+    if field.kind == "Fp":
+        factor = st.integers(1, 6)
+    else:
+        factor = st.builds(Fraction, st.integers(2, 6).flatmap(
+            lambda a: st.sampled_from([a, -a])), st.integers(1, 3))
+    rows = []
+    for r in M.row_lists():
+        a = draw(factor)
+        rows.append([field.normalize(a * x) for x in r])
+    return M, rows
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_integer_reads_of_a_builder_match_oracle(data, field):
+    """The span basis, the null vectors and the quotient's projection and
+    section, each read off the builder's integer rows, against the textbook
+    reduced echelon form and null space."""
+    M, rows = data.draw(scaled_rows(field))
+    p, n = p_of(field), M.cols
+    span = row_reduce(field, n, rows)
+    want, want_pivots = naive_rref(rows, p)
+    assert span.pivots == want_pivots
+    for S in (row_space(M), Subspace.from_spanning(field, n, rows)):
+        assert S.pivots == want_pivots
+        assert S.basis.row_lists() == normalized(field, want)
+        assert_canonical(field, S.basis)
+    nulls = null_vectors(span)
+    assert (nulls.rows, nulls.cols) == (n - len(want_pivots), n)
+    assert nulls.row_lists() == normalized(field, naive_null_space(rows, n, p))
+    assert_canonical(field, nulls)
+    q = quotient(span)
+    assert q.projection == nulls
+    free = [c for c in range(n) if c not in want_pivots]
+    assert q.section.columns() == [[int(c == f) for c in range(n)] for f in free]
+    assert q.projection.mul(q.section) == DenseMatrix.identity(field, len(free))
+    for r in rows:
+        assert not any(q.projection.apply(r))
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_solve_matrix_matches_oracle(data, field):
+    """solve_matrix on [M | B] with M's rows scaled: None exactly when B
+    leaves M's column space; otherwise the solution with the free variables
+    zero, read off the oracle's reduced echelon form of [M | B]."""
+    M, rows = data.draw(scaled_rows(field))
+    M = DenseMatrix.from_rows(field, rows, cols=M.cols)
+    p = p_of(field)
+    k = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        B = M.mul(data.draw(matrices(field, rows=M.cols, cols=k)))   # consistent
+    else:
+        B = data.draw(matrices(field, rows=M.rows, cols=k))
+    X = solve_matrix(M, B)
+    aug = [r + b for r, b in zip(M.row_lists(), B.row_lists())]
+    rref, pivots = naive_rref(aug, p)
+    if any(c >= M.cols for c in pivots):
+        assert X is None
+        return
+    want = [[0] * k for _ in range(M.cols)]
+    for r, c in zip(rref, pivots):
+        want[c] = r[M.cols:]
+    assert X.row_lists() == normalized(field, want)
+    assert M.mul(X) == B
+    assert_canonical(field, X)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_lazy_invertibility_trial_matches_the_combination(data, field):
+    """combination_is_invertible decides exactly what is_invertible decides
+    on the combination combine_matrices forms, for square and non-square
+    matrices, zero, unit and fractional coefficients."""
+    rows = data.draw(DIMS)
+    cols = rows if data.draw(st.integers(0, 3)) else data.draw(DIMS)
+    r = data.draw(st.integers(1, 3))
+    mats = [data.draw(matrices(field, rows=rows, cols=cols)) for _ in range(r)]
+    if rows == cols and data.draw(st.booleans()):
+        mats.append(DenseMatrix.identity(field, rows))
+    coeffs = [field.normalize(data.draw(scalars(field))) for _ in mats]
+    if data.draw(st.booleans()):
+        coeffs = [int(i == 0) for i in range(len(mats))]   # a basis vector
+    want = is_invertible(combine_matrices(field, rows, cols, coeffs, mats))
+    assert combination_is_invertible(field, coeffs, mats) == want
+
+
+def test_builder_reads_rows_with_non_unit_pivots():
+    """A stored row 2 x + y has pivot entry 2: the basis reads it over the
+    denominator 2, and the null vector of column 1 carries -1/2."""
+    span = row_reduce(QQ, 3, [[4, 2, 0], [0, 0, -3]])
+    assert span._den() == 2
+    assert DenseMatrix(QQ, span.dim, 3, span.echelon()).row_lists() == \
+        [[1, Fraction(1, 2), 0], [0, 0, 1]]
+    assert null_vectors(span).row_lists() == [[Fraction(-1, 2), 1, 0]]

@@ -32,12 +32,18 @@ the 47 instances the benchmark generates at seed 0:
 The same instances check the algebras of an analysis (A, the dual ring and
 B), which are stored as their multiplication operators, against dense
 structure-constant tables formed entry by entry: the operators, the
-multiplication matrices and the wire form agree.
+multiplication matrices and the wire form agree.  They also check the
+convolution operators h -> f*h and h -> h*f on Hom(C, A), which the
+runtime forms as the blocks of one product, against one product per basis
+element of A and of C, for every integral the cleft search tries and a
+random map.
 """
 
 import pytest
 
 from coring_lab.algebra import balanced_tensor, hom_module, verify_algebra
+from coring_lab.cleft import integral_space
+from coring_lab.coalgebra import _conv_operator
 from coring_lab.coring import (
     ComoduleInstance,
     SquareReducer,
@@ -52,7 +58,7 @@ from coring_lab.coring import (
     x_invariants,
 )
 from coring_lab.entwining import instance_from_json
-from coring_lab.exactla import DenseMatrix, kernel, kron, parse_array
+from coring_lab.exactla import DenseMatrix, kernel, kron, parse_array, unflatten_rows
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.galois import (
     beta,
@@ -67,6 +73,7 @@ from coring_lab.verdict import VerificationError
 from crosscheck import (
     algebra_json_from_table,
     balanced_tensor_over_basis,
+    conv_operator_by_products,
     hom_from_A_over_basis,
     hom_module_over_basis,
     operators_from_table,
@@ -83,7 +90,7 @@ from crosscheck import (
     x_invariants_over_basis,
 )
 from helpers import perfbench_records
-from test_closed_forms import INSTANCES, _context
+from test_closed_forms import INSTANCES, _context, _random_map
 
 WORKLOADS = ("ladder", "dense", "small")
 
@@ -178,6 +185,19 @@ def test_algebras_match_their_structure_constant_tables(ctx):
         assert alg.rmuls == rmuls
         assert alg.mult_matrix() == mult
         assert alg.to_json() == algebra_json_from_table(f, table, alg.unit)
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_convolution_operators_match_their_products(ctx):
+    """_conv_operator, one product cut into flattened blocks, against one
+    product per basis element of A and of C, on both sides, for the maps
+    the cleft search combines and a random map."""
+    maps = unflatten_rows(integral_space(ctx).space.basis, ctx.A.dim, ctx.C.dim)
+    for fmap in maps + [_random_map(ctx)]:
+        for side in ("left", "right"):
+            assert _conv_operator(fmap, ctx.C, ctx.A, side) == \
+                conv_operator_by_products(fmap, ctx.C, ctx.A, side)
 
 
 def _and(flags: list) -> tuple:

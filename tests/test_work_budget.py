@@ -60,17 +60,40 @@ of solved as relation spans, 8,494 before that, and 8,452 when balanced
 tensor products and hom spaces first took their relations over the
 generators of the acting algebra, 12,018 with relations over its whole
 basis).
+
+The entry and nonzero counts rose to 186,400 and 7,576 when the exact
+linear algebra stopped building fractions between stored numerators and
+echelon rows, both within their budgets, which are kept: the balanced
+tensor products take each generator's action on the right module as a
+transposed matrix, and the convolution operators are cut out of one
+product of stacked operators, where the invertibility trials no longer
+form their combinations.
+
+Exact arithmetic over Q builds a ``Fraction`` only where a dense view or a
+vector product must return one.  The Fraction budget for one verify +
+analysis of the dense change of basis of ``QZ3`` from the benchmark's
+``dense`` workload is 10 % above the count measured when relation spans,
+kernels, spans, quotients and solutions were read from the stored
+numerators and the builder's integer rows (1,070 fractions; 6,122 before,
+which fails here, when relation rows were written from fraction views and
+every echelon basis was divided out into fractions).  A change that routes
+elimination or its results through fractions again fails here.
 """
 
 import os
+from fractions import Fraction
 
 from coring_lab import cli
+from coring_lab.entwining import instance_from_json
 from coring_lab.exactla import DenseMatrix, SubspaceBuilder
+
+from helpers import perfbench_instance
 
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
 ENTRY_BUDGET = 202_900
 NONZERO_BUDGET = 8_190
 INSERT_BUDGET = 2_580
+FRACTION_BUDGET = 1_177
 
 
 def _analyze_fix_s():
@@ -113,3 +136,17 @@ def test_fix_s_analysis_stays_within_insert_budget(monkeypatch):
     monkeypatch.setattr(SubspaceBuilder, "insert", counting)
     _analyze_fix_s()
     assert inserted[0] <= INSERT_BUDGET, inserted[0]
+
+
+def test_dense_qz3_analysis_stays_within_fraction_budget(monkeypatch):
+    ctx = instance_from_json(perfbench_instance("dense", "dense-QZ3"))
+    built = [0]
+    orig = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return orig(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert built[0] <= FRACTION_BUDGET, built[0]
