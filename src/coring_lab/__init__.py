@@ -75,12 +75,10 @@ from .morita import (
 from .galois import (
     StructureVerdict,
     beta,
-    beta_W,
     phi_N,
     psi_M,
     psi_prime_M,
     structure_report,
-    varpi_M,
 )
 from .cleft import (
     CleftResult,
@@ -92,7 +90,6 @@ from .cleft import (
     lemma_coQ_check,
     normal_basis_check,
 )
-from .fixtures import Fixture, all_fixtures, fixture
 from .verdict import AxiomFailure, Verdict, VerificationError
 
 __all__ = [
@@ -111,8 +108,8 @@ __all__ = [
     "ClauseDisagreement", "build_context", "check_theorem_Cfinite",
     "check_theorem_surj", "compute_B", "compute_Q", "find_qhat",
     "omega_and_lambda", "psi_tilde_from_F", "xi_M",
-    "StructureVerdict", "beta", "beta_W", "phi_N", "psi_M", "psi_prime_M",
-    "structure_report", "varpi_M",
+    "StructureVerdict", "beta", "phi_N", "psi_M", "psi_prime_M",
+    "structure_report",
     "CleftResult", "check_theorem_main", "check_theorem_xcase", "find_cleft",
     "gamma_M", "integral_space", "lemma_coQ_check", "normal_basis_check",
     "Fixture", "all_fixtures", "fixture",
@@ -120,3 +117,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The fixtures are imported on first access: no command reads them."""
+    if name in ("Fixture", "all_fixtures", "fixture"):
+        from . import fixtures
+        return getattr(fixtures, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

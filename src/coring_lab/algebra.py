@@ -209,9 +209,9 @@ class ModulePresentation:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
-    def act_matrix(self, u: Sequence) -> DenseMatrix:
-        """Action of the algebra element with coordinate vector u."""
-        return combine_matrices(self.field, self.dim, self.dim, u, self.action)
+    def act_matrix(self, u: Sequence, den: int = 1) -> DenseMatrix:
+        """Action of the algebra element with coordinate vector u / den."""
+        return combine_matrices(self.field, self.dim, self.dim, u, self.action, den)
 
     @once
     def generator_actions(self, algebra: AlgebraPresentation) -> list[DenseMatrix]:
@@ -365,15 +365,16 @@ def balanced_tensor(M: ModulePresentation, N: ModulePresentation) -> QuotientSpa
     over the dual ring these are a few elements iota(a) and f^j, not basis
     vectors.  For a dim(M) x dim(N) matrix X of unknowns they are the
     coefficient vectors of the entries of X rho_N(g) - rho_M(g)^T X, so
-    ``_relation_span`` builds them with the pair (rho_N(g), rho_M(g)^T).
+    ``_relation_span`` builds them with the pair (rho_N(g), rho_M(g)^T),
+    reading the rows of rho_M(g)^T as the columns of rho_M(g).
     """
     if M.side != "right" or N.side != "left":
         raise ShapeError("balanced tensor needs (right module, left module)")
     if not same_algebra(M.algebra, N.algebra):
         raise ShapeError("balanced tensor over mismatched algebras")
     S = M.algebra
-    return quotient(_relation_span(M.field, M.dim, N.dim, [
-        (b, a.transpose()) for a, b in zip(M.generator_actions(S), N.generator_actions(S))]))
+    return quotient(_relation_span(M.field, M.dim, N.dim, zip(
+        N.generator_actions(S), M.generator_actions(S)), b_transposed=True))
 
 
 def hom_module(M: ModulePresentation, N: ModulePresentation) -> Subspace:
@@ -399,18 +400,22 @@ def intertwiner_space(field: FieldSpec, dM: int, dN: int, pairs) -> Subspace:
     return null_space(_relation_span(field, dN, dM, pairs))
 
 
-def _relation_span(field: FieldSpec, dR: int, dC: int, pairs) -> SubspaceBuilder:
+def _relation_span(field: FieldSpec, dR: int, dC: int, pairs,
+                   b_transposed: bool = False) -> SubspaceBuilder:
     """The span of the entries of T a - b T over the pairs (a, b) of
     matrices, for a dR x dC matrix T whose entry T[r][c] is the coordinate
     r*dC+c; the one relation span of the package.  Each relation is written
-    from the stored numerators of a and b, times a.den * b.den."""
+    from the stored numerators of a and b, times a.den * b.den.  With
+    ``b_transposed`` each pair holds b's transpose, whose columns are read
+    as the rows of b."""
     builder = SubspaceBuilder(field, dR * dC)
     for a, b in pairs:
         sa, sb = b.den, a.den
         acols = a.numerator_columns()
         if sa != 1:
             acols = [[(c, sa * x) for c, x in acol] for acol in acols]
-        for i, brow in enumerate(b.numerator_rows()):
+        brows = b.numerator_columns() if b_transposed else b.numerator_rows()
+        for i, brow in enumerate(brows):
             brow = [(r * dC, sb * y) for r, y in brow]
             for j, acol in enumerate(acols):
                 # entry (i, j): sum_c T[i][c] a[c][j] - sum_r b[i][r] T[r][j]

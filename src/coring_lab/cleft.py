@@ -17,7 +17,6 @@ over small prime fields.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -32,6 +31,7 @@ from .coring import ComoduleInstance, coinvariants, dual_action
 from .exactla import (
     DenseMatrix,
     FieldSpec,
+    SeededStream,
     Subspace,
     combination_is_invertible,
     combine_matrices,
@@ -139,10 +139,10 @@ def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
         if invertible(params):
             return SearchResult("found", params,
                                 certificate=f"0/1 pattern after {tried} trials")
-    rng = random.Random(seed)
+    rng = SeededStream(seed)
     for k in range(RANDOM_BUDGET):
         if field.kind == "Fp":
-            params = [rng.randrange(field.p) for _ in range(r)]
+            params = [rng.randbelow(field.p) for _ in range(r)]
         else:
             params = [Fraction(rng.randint(-2 ** 16, 2 ** 16),
                                rng.randint(1, 2 ** 16)) for _ in range(r)]

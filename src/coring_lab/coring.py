@@ -32,9 +32,11 @@ from .algebra import (
 from .exactla import (
     DenseMatrix,
     FieldSpec,
+    SeededStream,
     ShapeError,
     Subspace,
     block_diag,
+    clear_denominators,
     combine_matrices,
     differing_columns,
     join_columns,
@@ -417,10 +419,14 @@ def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
     the coinvariants of ``comodule_from_dual_module(ctx, mod)``, whose
     coaction m -> sum_j (m . f^j) (x) c_j equals m (x)_A x exactly there."""
     sharp = ctx.sharp_ring()
-    norm, nC = ctx.field.normalize, ctx.C.dim
-    return kernel(stack_slices(mod.field, [
-        mod.act_matrix([norm(a - b) for a, b in zip(fj, sharp.embed_A(ctx.x[j::nC]))])
-        for j, fj in enumerate(sharp.duals)]))
+    nC = ctx.C.dim
+    conditions = []
+    for j, fj in enumerate(sharp.duals):
+        # f^j - iota(x_j) from the numerators of both terms
+        df, fn = clear_denominators(fj)
+        xn, dx = sharp.embedded(ctx.x[j::nC])
+        conditions.append(mod.act_matrix([a * dx - b * df for a, b in zip(fn, xn)], df * dx))
+    return kernel(stack_slices(mod.field, conditions))
 
 
 def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
@@ -499,12 +505,8 @@ def comodule_from_dual_module(ctx, mod: ModulePresentation,
     caller via ComoduleInstance.verify when it matters.
     """
     sharp = ctx.sharp_ring()
-    f = mod.field
-    rho = stack_slices(f, [mod.act_matrix(fj) for fj in sharp.duals])
-    amod = ModulePresentation(
-        ctx.A, mod.dim, "right",
-        [mod.act_matrix(sharp.embed_A(e)) for e in DenseMatrix.identity(f, ctx.A.dim).row_lists()],
-        name=name)
+    rho = stack_slices(mod.field, [mod.act_matrix(fj) for fj in sharp.duals])
+    amod = ModulePresentation(ctx.A, mod.dim, "right", sharp.unit_actions(mod), name=name)
     return ComoduleInstance(ctx, amod, rho, name=name or "dual-module comodule")
 
 
@@ -522,8 +524,6 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     the A-linear maps g: A (+) coring -> A through Hom^C(M, A (x)_A C) =
     Hom_A(M, A), g -> (g (x) id_C) rho_M.
     """
-    import random as _random
-
     witnesses = [zero_comodule(ctx)]
     com_A = ctx.comodule_A()
     witnesses.append(com_A)
@@ -533,7 +533,7 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     witnesses.append(direct_sum_comodule(coring_com, coring_com, name="A^2(x)coring"))
     witnesses.append(comodule_from_dual_module(
         ctx, ctx.sharp_ring().algebra.regular_module("right"), name="dual-ring"))
-    rng = _random.Random(seed)
+    rng = SeededStream(seed)
     big = witnesses[3]
     homs = hom_into_induced(big, ctx.A.regular_module("right"))
     if homs.dim:

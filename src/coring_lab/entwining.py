@@ -14,8 +14,17 @@ derived object is computed once and then shared freely; it is never mutated.
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
+
+# sha256 from the interpreter's builtin hash module, as ``random`` takes its
+# sha512; ``hashlib`` would load OpenSSL into every process for one digest
+try:
+    from _sha256 import sha256  # Python <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .algebra import AlgebraPresentation, verify_algebra
 from .coalgebra import CoalgebraPresentation, verify_coalgebra
@@ -24,8 +33,10 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     ShapeError,
+    clear_denominators,
     combine_matrices,
     differing_columns,
+    divide_out,
     dumps_canonical,
     flat_blocks,
     join_columns,
@@ -144,11 +155,23 @@ class SharpRing:
             ctx.field, [R.apply(ctx.x[c::nC]) for R in ctx.A.rmuls for c in range(nC)],
             ctx.A.dim)
 
-    def embed_A(self, a: Sequence) -> list:
+    def embedded(self, a: Sequence) -> tuple:
         """c -> eps(c) a, the unit embedding of A into the ring: the
-        coordinates of a (x) eps, one normalization per product."""
-        norm = self.ctx.field.normalize
-        return [norm(x * e) for x in a for e in self.ctx.C.counit]
+        coordinates of a (x) eps as (integer numerators, their denominator),
+        products of the numerators of a and of eps."""
+        da, a = clear_denominators(a)
+        dc, counit = clear_denominators(self.ctx.C.counit)
+        return [x * e for x in a for e in counit], da * dc
+
+    def embed_A(self, a: Sequence) -> list:
+        """The coordinates of a (x) eps as field elements."""
+        return divide_out(self.ctx.field, *self.embedded(a))
+
+    def unit_actions(self, mod) -> list:
+        """The actions of iota(e_a), a = 1..dim A, on a right module over
+        the ring: A acting through the unit embedding."""
+        return [mod.act_matrix(*self.embedded(e))
+                for e in DenseMatrix.identity(self.ctx.field, self.ctx.A.dim).row_lists()]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +416,7 @@ class EntwinedContext:
         return out
 
     def digest(self) -> str:
-        return hashlib.sha256(dumps_canonical(self.to_json()).encode()).hexdigest()
+        return sha256(dumps_canonical(self.to_json()).encode()).hexdigest()
 
     def __repr__(self):
         return f"EntwinedContext({self.name or 'anonymous'}: dimA={self.A.dim}, dimC={self.C.dim})"

@@ -80,6 +80,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from _random import Random as _CoreRandom
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -124,6 +125,27 @@ def once(fn):
             cache[key] = fn(owner, *args, **kwargs)
         return cache[key]
     return memo
+
+
+class SeededStream(_CoreRandom):
+    """The draws of ``random.Random(seed)`` from its C core alone.
+
+    It subclasses the core that ``random.Random`` subclasses and is seeded
+    the same way, and ``randbelow`` is ``random``'s own rejection loop over
+    ``getrandbits``, so ``randint`` and ``randbelow(n)`` (``randrange(n)``)
+    give the same values, draw for draw, without importing ``random``."""
+
+    def randbelow(self, n: int) -> int:
+        """A draw from range(n), n > 0."""
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        """A draw from a..b, both included."""
+        return a + self.randbelow(b - a + 1)
 
 
 # Miller-Rabin with the first 13 prime bases is exact for every n below this
@@ -1130,16 +1152,17 @@ def _combination_rows(rows: int, coeffs: Sequence[Scalar], mats: Sequence[DenseM
 
 
 def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Scalar],
-                     mats: Sequence[DenseMatrix]) -> DenseMatrix:
-    """sum coeffs[i] * mats[i], each matrix rows x cols, over the product of
-    the coefficients' and the matrices' common denominators; a basis
-    vector, the common case, picks its (immutable) matrix without
-    arithmetic."""
+                     mats: Sequence[DenseMatrix], den: int = 1) -> DenseMatrix:
+    """sum (coeffs[i] / den) * mats[i], each matrix rows x cols, over the
+    product of den and the coefficients' and the matrices' common
+    denominators (over Fp den is 1); a basis vector, the common case, picks
+    its (immutable) matrix without arithmetic.  Coefficients handed over as
+    integer numerators over den build no ``Fraction``."""
     nonzero = [i for i, a in enumerate(coeffs) if a]
-    if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
+    if len(nonzero) == 1 and coeffs[nonzero[0]] == den:
         return mats[nonzero[0]]
-    den, out = _combination_rows(rows, coeffs, mats)
-    return DenseMatrix(field, rows, cols, _Numerators(list(out), den))
+    d, out = _combination_rows(rows, coeffs, mats)
+    return DenseMatrix(field, rows, cols, _Numerators(list(out), d * den))
 
 
 def _null_numerators(span: SubspaceBuilder) -> _Numerators:

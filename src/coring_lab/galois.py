@@ -34,13 +34,11 @@ from .exactla import (
     Subspace,
     flat_columns,
     join_columns,
-    kron,
     kron_mul,
     mul_kron,
     once,
     rank,
     side_by_side,
-    solve,
     unflatten_rows,
 )
 from .morita import (
@@ -194,34 +192,6 @@ def beta(ctx) -> GaloisMapData:
     mat = plain.mul(tensor.section)
     rep = map_report(mat, target_dim=cor.dim)
     return GaloisMapData(mat, plain, rep, tensor)
-
-
-def beta_W(ctx, W: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport]:
-    """w (x) a -> w (x)_A x a: W (x)_B A into W (x) C, in entwined coordinates."""
-    data = ctx.morita()
-    f = ctx.field
-    W_B = _restrict_right_to_B(ctx, W, data.B)
-    tensor = balanced_tensor(W_B, data.A_left_B)
-    # w (x) a -> w (x) x a -> sum (w e_i) (x) c_k over the components of x a
-    plain = kron_mul(W.action_map(), DenseMatrix.identity(f, ctx.C.dim),
-                     kron(DenseMatrix.identity(f, W.dim), ctx.comodule_A().coaction))
-    mat = plain.mul(tensor.section)
-    return mat, map_report(mat, target_dim=W.dim * ctx.C.dim)
-
-
-def varpi_M(ctx, M: ModulePresentation) -> dict[str, object]:
-    """M (x)_dual (dual ring) -> M with its surjectivity verdict, plus the
-    existence criterion for a dual-ring element sending x to 1.  For M = A
-    both hold on verified input: the map is onto for any unital module, and
-    iota(1)(x) = eps(x) 1 = 1 for the group-like x; the analysis does not
-    re-prove this, the test suite does."""
-    sharp = ctx.sharp_ring()
-    tensor = balanced_tensor(M, sharp.algebra.regular_module("left"))
-    mat = M.action_map().mul(tensor.section)
-    rep = map_report(mat, target_dim=M.dim)
-    ghat = solve(sharp.at_x(), ctx.A.unit)
-    return {"matrix": mat, "report": rep, "ghat": ghat,
-            "ghat_exists": ghat is not None}
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,7 @@ def _times_Q(M: ModulePresentation, Q: QIdealData) -> DenseMatrix:
 def _F_plain(ctx, A_dual: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     """F on the plain tensor Q (x) A, column (i, j) = F(q_i (x) e_j) = q_i(-) e_j,
     A acting on itself through the unit map a -> eps(-) a into the dual ring."""
-    sharp = ctx.sharp_ring()
-    right = [A_dual.act_matrix(sharp.embed_A(u))
-             for u in DenseMatrix.identity(ctx.field, ctx.A.dim).row_lists()]
+    right = ctx.sharp_ring().unit_actions(A_dual)
     return flat_columns(ctx.field, [R.mul(q) for q in Q.matrices for R in right],
                         ctx.A.dim, ctx.C.dim)
 

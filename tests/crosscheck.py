@@ -34,6 +34,10 @@ operators the runtime stores.
 evaluate a witness's flags on the witness itself, where the runtime reads
 a direct sum's from its summands.
 
+``beta_W`` extends the Galois map beta to W (x)_B A -> W (x) C for a right
+A-module W, and ``varpi_M`` is the map M (x) (dual ring) -> M with the
+normalized element sending x to 1; the analysis reads neither.
+
 The last section holds the checks of theorems about verified input that the
 runtime does not repeat: that the canonical map into the coring is a coring
 morphism, that the Morita context satisfies its identities, that the
@@ -80,12 +84,20 @@ from coring_lab.galois import (
     UnitMapFlags,
     WeakMapFlags,
     _coinv_tensor_A,
+    _restrict_right_to_B,
     beta,
     phi_N,
     psi_M,
     psi_prime_M,
 )
-from coring_lab.morita import PairingFlags, _coords_or_fail, _F_plain, _times_Q, xi_M
+from coring_lab.morita import (
+    PairingFlags,
+    _coords_or_fail,
+    _F_plain,
+    _times_Q,
+    map_report,
+    xi_M,
+)
 from coring_lab.verdict import Verdict, VerificationError
 
 from helpers import mult_table
@@ -834,6 +846,39 @@ def pairing_flags_on(ctx, M: ComoduleInstance) -> PairingFlags:
 def unit_map_flags_on(ctx, N: ModulePresentation) -> UnitMapFlags:
     """``unit_map_flags`` from phi_N of N itself, a direct sum included."""
     return UnitMapFlags(phi_N(ctx, N)[1].bijective)
+
+
+# ---------------------------------------------------------------------------
+# the Galois map of a module and the dual ring's pairing
+# ---------------------------------------------------------------------------
+
+
+def beta_W(ctx, W: ModulePresentation) -> tuple:
+    """w (x) a -> w (x)_A x a: W (x)_B A into W (x) C, in entwined coordinates."""
+    data = ctx.morita()
+    f = ctx.field
+    W_B = _restrict_right_to_B(ctx, W, data.B)
+    tensor = balanced_tensor(W_B, data.A_left_B)
+    # w (x) a -> w (x) x a -> sum (w e_i) (x) c_k over the components of x a
+    plain = kron_mul(W.action_map(), DenseMatrix.identity(f, ctx.C.dim),
+                     kron(DenseMatrix.identity(f, W.dim), ctx.comodule_A().coaction))
+    mat = plain.mul(tensor.section)
+    return mat, map_report(mat, target_dim=W.dim * ctx.C.dim)
+
+
+def varpi_M(ctx, M: ModulePresentation) -> dict:
+    """M (x)_dual (dual ring) -> M with its surjectivity verdict, plus the
+    existence criterion for a dual-ring element sending x to 1.  For M = A
+    both hold on verified input: the map is onto for any unital module, and
+    iota(1)(x) = eps(x) 1 = 1 for the group-like x; the analysis does not
+    re-prove this, the tests do."""
+    sharp = ctx.sharp_ring()
+    tensor = balanced_tensor(M, sharp.algebra.regular_module("left"))
+    mat = M.action_map().mul(tensor.section)
+    rep = map_report(mat, target_dim=M.dim)
+    ghat = solve(sharp.at_x(), ctx.A.unit)
+    return {"matrix": mat, "report": rep, "ghat": ghat,
+            "ghat_exists": ghat is not None}
 
 
 # ---------------------------------------------------------------------------

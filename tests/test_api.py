@@ -6,9 +6,10 @@ that renames or moves one of them must fail here, not silently drop a span
 from the traced benchmark.  It also pins what the package's plain classes
 promise in place of generated ones (value equality, hashing, immutability)
 and that importing the analysis modules stays free of ``dataclasses``,
-``typing`` and ``argparse``.
+``typing``, ``argparse``, ``hashlib``, ``random`` and the fixtures.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -18,7 +19,8 @@ import sys
 import pytest
 
 import coring_lab
-from coring_lab.exactla import SubspaceBuilder
+from coring_lab.exactla import SubspaceBuilder, dumps_canonical
+from coring_lab.fixtures import FIXTURE_NAMES
 from coring_lab.verdict import AxiomFailure
 
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
@@ -78,13 +80,42 @@ CHILD_IMPORTS = ("from coring_lab import cli; import coring_lab.cleft, coring_la
 
 def test_analysis_imports_no_reflection_or_parser_machinery():
     """The modules an analysis imports pull in neither ``dataclasses`` (and
-    its ``inspect``) nor ``typing``; ``argparse`` waits for ``main``."""
+    its ``inspect``) nor ``typing``; ``argparse`` waits for ``main``.  The
+    digest and the seeded draws take the builtin sha256 and ``_random``
+    cores, not ``hashlib`` (which loads OpenSSL as ``_hashlib``) or
+    ``random``, and the fixtures wait for their first use."""
+    unwanted = ("dataclasses", "typing", "inspect", "argparse", "hashlib", "_hashlib", "random",
+                "coring_lab.fixtures")
     code = (f"import sys; sys.path.insert(0, {SRC!r}); {CHILD_IMPORTS}; "
-            "print(' '.join(m for m in ('dataclasses', 'typing', 'inspect', 'argparse') "
-            "if m in sys.modules))")
+            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == []
+
+
+def _hashlib_digest(ctx):
+    return hashlib.sha256(dumps_canonical(ctx.to_json()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_digest_is_the_sha256_of_the_canonical_instance(name):
+    ctx = coring_lab.fixture(name).context
+    assert ctx.digest() == _hashlib_digest(ctx)
+
+
+def test_digest_falls_back_to_hashlib():
+    """Without a builtin sha256 module the digest is ``hashlib``'s, and the
+    same."""
+    code = (f"import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+            f"sys.path.insert(0, {SRC!r}); import hashlib; "
+            "from coring_lab import entwining, fixture; "
+            "from coring_lab.fixtures import FIXTURE_NAMES; "
+            "print(entwining.sha256 is hashlib.sha256, "
+            "*(fixture(n).context.digest() for n in FIXTURE_NAMES))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["True"] + [_hashlib_digest(coring_lab.fixture(n).context)
+                              for n in FIXTURE_NAMES]
 
 
 def test_field_spec_is_an_immutable_value():

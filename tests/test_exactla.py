@@ -16,6 +16,7 @@ from coring_lab.exactla import (
     ShapeError,
     Subspace,
     PRIME_BOUND,
+    SeededStream,
     SubspaceBuilder,
     _is_prime,
     combine_matrices,
@@ -766,3 +767,15 @@ def test_bareiss_stress_against_oracle():
         assert (got is None) == (want is None)
         if got is not None:
             assert M.apply(got) == [QQ.normalize(x) for x in b]
+
+
+def test_seeded_stream_draws_as_random_does():
+    """``SeededStream(seed)`` reproduces ``random.Random(seed)`` draw for draw
+    on the draws the package makes, for small, negative and wide seeds."""
+    for seed in [*range(100), -12345, 2 ** 64 + 12345]:
+        ours, oracle = SeededStream(seed), random.Random(seed)
+        for _ in range(10):
+            assert ours.randint(-2, 2) == oracle.randint(-2, 2), seed
+            assert ours.randint(-2 ** 16, 2 ** 16) == oracle.randint(-2 ** 16, 2 ** 16), seed
+            assert ours.randint(1, 2 ** 16) == oracle.randint(1, 2 ** 16), seed
+            assert ours.randbelow(2147483647) == oracle.randrange(2147483647), seed

@@ -7,14 +7,13 @@ from coring_lab.coring import dual_action, induced_comodule
 from coring_lab.entwining import instance_from_json
 from coring_lab.galois import (
     beta,
-    beta_W,
     default_B_module_witnesses,
     phi_N,
     psi_M,
     psi_prime_M,
     structure_report,
-    varpi_M,
 )
+from crosscheck import beta_W, varpi_M
 from helpers import perfbench_instance
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 

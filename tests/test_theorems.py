@@ -64,7 +64,6 @@ from coring_lab.galois import (
     beta,
     default_B_module_witnesses,
     unit_map_flags,
-    varpi_M,
     weak_map_flags,
 )
 from coring_lab.morita import compute_Q, find_qhat, pairing_flags, xi_M
@@ -83,6 +82,7 @@ from crosscheck import (
     subalgebra_table,
     trace_map,
     unit_map_flags_on,
+    varpi_M,
     verify_B_acts_multiplicatively,
     verify_beta_coring_morphism,
     verify_context_identities,
