@@ -21,7 +21,6 @@ scale and the reports label them accordingly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain
 
 from .exactla import (
     DenseMatrix,
@@ -32,7 +31,8 @@ from .exactla import (
     Subspace,
     SubspaceBuilder,
     block_diag,
-    combine_matrices,
+    clear_denominators,
+    combinations,
     differing_columns,
     flat_columns,
     image,
@@ -44,7 +44,7 @@ from .exactla import (
     once,
     parse_array,
     quotient,
-    solve,
+    solve_matrix,
     unflatten_rows,
     unstack_slices,
 )
@@ -63,10 +63,11 @@ class AlgebraPresentation:
     through ``from_operators``.  Everything else is read off ``lmuls``:
     ``rmuls`` (column i of rmul(e_j) is column j of lmul(e_i)), the
     multiplication map ``mult_matrix`` and the table ``to_json`` writes.
+    The operator of any other element is a ``combinations`` of them.
     """
 
     def __init__(self, field: FieldSpec, dim: int, mult, unit, name: str = "",
-                 candidates: Sequence[Sequence] = ()):
+                 candidates: DenseMatrix | None = None):
         if len(mult) != dim or any(len(row) != dim for row in mult) or any(
                 len(cell) != dim for row in mult for cell in row):
             raise ShapeError("structure constants have the wrong shape")
@@ -75,14 +76,14 @@ class AlgebraPresentation:
 
     @classmethod
     def from_operators(cls, field: FieldSpec, lmuls: list[DenseMatrix], unit, name: str = "",
-                       candidates: Sequence[Sequence] = ()) -> "AlgebraPresentation":
+                       candidates: DenseMatrix | None = None) -> "AlgebraPresentation":
         """The algebra whose left multiplication by e_i is ``lmuls[i]``."""
         algebra = cls.__new__(cls)
         algebra._store(field, lmuls, unit, name, candidates)
         return algebra
 
     def _store(self, field: FieldSpec, lmuls: list[DenseMatrix], unit, name: str,
-               candidates: Sequence[Sequence]) -> None:
+               candidates: DenseMatrix | None) -> None:
         dim = len(lmuls)
         if dim < 1:
             raise ShapeError("an algebra needs dimension at least 1")
@@ -95,52 +96,51 @@ class AlgebraPresentation:
         self.lmuls = lmuls
         self.unit = [field.normalize(x) for x in unit]
         self.name = name
-        # the elements ``generators`` tries before the basis
-        self.candidates = [[field.normalize(x) for x in c] for c in candidates]
+        # the elements ``generators`` tries before the basis, as columns
+        self.candidates = DenseMatrix.zeros(field, dim, 0) if candidates is None else candidates
         # row (r, j) of the flattened operators holds entry (r, j) of every
         # lmul(e_i), the e_r-coefficient of e_i e_j: row r of rmul(e_j)
         self.rmuls = unstack_slices(flat_columns(field, lmuls, dim, dim), dim)
 
     def mul_vec(self, u: Sequence, v: Sequence) -> list:
         """Coordinates of uv."""
-        return self.lmul_matrix(u).apply(v)
-
-    def lmul_matrix(self, u: Sequence) -> DenseMatrix:
-        """Matrix of left multiplication by the element with coordinates u."""
-        return combine_matrices(self.field, self.dim, self.dim, u, self.lmuls)
-
-    def rmul_matrix(self, u: Sequence) -> DenseMatrix:
-        return combine_matrices(self.field, self.dim, self.dim, u, self.rmuls)
+        return self.regular_module("left").act_matrix(u).apply(v)
 
     @once
-    def generators(self) -> list[list]:
-        """Coordinate vectors of elements picked greedily from the candidates
-        given to the constructor and then the basis, in that order, until
-        left multiplication by the chosen elements closes span{1} to the
-        whole algebra; each lies outside the subalgebra the earlier ones
-        generate.  A unital action is determined by its matrices at these
-        elements, so relation spans over the algebra are taken over them."""
-        basis = ([int(t == i) for t in range(self.dim)] for i in range(self.dim))
-        span = SubspaceBuilder(self.field, self.dim)
-        span.insert(self.unit)
-        closed, gens, lmuls = [self.unit], [], []
-        for g in chain(self.candidates, basis):
-            if len(closed) == self.dim:
+    def generators(self) -> DenseMatrix:
+        """Elements picked greedily from the candidates given to the
+        constructor and then the basis, in that order, as the columns of a
+        matrix: picked until left multiplication by the chosen elements
+        closes span{1} to the whole algebra, each outside the subalgebra the
+        earlier ones generate.  A unital action is determined by its
+        matrices at these elements, so relation spans over the algebra are
+        taken over them.  The closure multiplies numerator vectors and never
+        divides them out: a nonzero multiple spans the same line."""
+        f, n = self.field, self.dim
+        pool = self.candidates.hstack(DenseMatrix.identity(f, n))
+        span = SubspaceBuilder(f, n)
+        unit = {i: x for i, x in enumerate(clear_denominators(self.unit)[1]) if x}
+        span.insert(unit)
+        closed, picked, lmuls = [unit], [], []
+        for k, g in enumerate(pool.numerator_columns()):
+            if len(closed) == n:
                 break
+            g = dict(g)
             if not span.insert(g):  # g is in the subalgebra generated already
                 continue
-            gens.append(g)
-            lmuls.append(self.lmul_matrix(g))
+            picked.append(k)
+            lmuls.append(combinations(self.lmuls, pool.take_columns([k]))[0])
             closed.append(g)
             # every product of a generator with a vector of ``closed`` is
             # formed once: the new generator's with all, the old ones' with g
-            todo = [lmuls[-1].apply(v) for v in closed] + [L.apply(g) for L in lmuls[:-1]]
+            todo = [_times(lmuls[-1], v, f.p) for v in closed] + \
+                [_times(L, g, f.p) for L in lmuls[:-1]]
             while todo:
                 v = todo.pop()
                 if span.insert(v):
                     closed.append(v)
-                    todo += [L.apply(v) for L in lmuls]
-        return gens
+                    todo += [_times(L, v, f.p) for L in lmuls]
+        return pool.take_columns(picked)
 
     @once
     def unit_matrix(self) -> DenseMatrix:
@@ -184,6 +184,19 @@ class AlgebraPresentation:
         return f"AlgebraPresentation({label} over {self.field.kind})"
 
 
+def _times(L: DenseMatrix, v: dict, p: int | None) -> dict:
+    """A nonzero multiple of L v, for v a vector of {column: int}, as
+    {row: int}: L's numerators times v's, reduced mod p over Fp."""
+    out = {}
+    for i, pairs in enumerate(L.numerator_rows()):
+        x = sum([a * v[j] for j, a in pairs if j in v])
+        if p is not None:
+            x %= p
+        if x:
+            out[i] = x
+    return out
+
+
 class ModulePresentation:
     """A left or right module by one action matrix per algebra basis element."""
 
@@ -209,16 +222,18 @@ class ModulePresentation:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
-    def act_matrix(self, u: Sequence, den: int = 1) -> DenseMatrix:
-        """Action of the algebra element with coordinate vector u / den."""
-        return combine_matrices(self.field, self.dim, self.dim, u, self.action, den)
+    def act_matrix(self, u: Sequence) -> DenseMatrix:
+        """Action of the algebra element with coordinate vector u: the
+        one-column case of ``combinations``."""
+        return combinations(self.action,
+                            DenseMatrix.from_columns(self.field, [u], len(self.action)))[0]
 
     @once
     def generator_actions(self, algebra: AlgebraPresentation) -> list[DenseMatrix]:
         """The actions of ``algebra.generators()``, for an algebra with the
         structure constants of this module's own; memoized here, so every
         relation span over the algebra reads them without rebuilding them."""
-        return [self.act_matrix(g) for g in algebra.generators()]
+        return combinations(self.action, algebra.generators())
 
     @once
     def action_map(self) -> DenseMatrix:
@@ -307,8 +322,9 @@ def verify_algebra(A: AlgebraPresentation) -> Verdict:
     for c in differing_columns(left, right):
         v.fail("associativity", (c // (n * n), c // n % n, c % n))
     # column i of lmul(1) and of rmul(1) is 1 e_i and e_i 1
-    for i, (x, y) in enumerate(zip(A.lmul_matrix(A.unit).nonzero_columns(),
-                                   A.rmul_matrix(A.unit).nonzero_columns())):
+    one = A.unit_matrix()
+    for i, (x, y) in enumerate(zip(combinations(A.lmuls, one)[0].nonzero_columns(),
+                                   combinations(A.rmuls, one)[0].nonzero_columns())):
         if x != [(i, 1)]:
             v.fail("unit-left", (i,))
         if y != [(i, 1)]:
@@ -317,15 +333,14 @@ def verify_algebra(A: AlgebraPresentation) -> Verdict:
 
 
 def verify_module(M: ModulePresentation) -> Verdict:
-    """rho(1) = id and rho(e_i e_j) compatibility for the module's side."""
+    """rho(1) = id and rho(e_i e_j) compatibility for the module's side:
+    column j of lmul(e_i) holds the coordinates of e_i e_j."""
     v = Verdict()
     A = M.algebra
-    ident = DenseMatrix.identity(M.field, M.dim)
-    if M.act_matrix(A.unit) != ident:
+    if combinations(M.action, A.unit_matrix())[0] != DenseMatrix.identity(M.field, M.dim):
         v.fail("module-unit")
     for i, L in enumerate(A.lmuls):
-        for j, e_ij in enumerate(L.columns()):
-            lhs = M.act_matrix(e_ij)
+        for j, lhs in enumerate(combinations(M.action, L)):
             if M.side == "right":
                 rhs = M.action[j].mul(M.action[i])
             else:
@@ -449,24 +464,22 @@ def is_fg_projective(M: ModulePresentation) -> tuple[bool, DenseMatrix | None]:
     """
     if M.dim == 0:
         return True, DenseMatrix.zeros(M.field, 0, 0)
-    S = M.algebra
     f = M.field
     homs = dual_homs(M)
-    r = len(homs)
-    d, dS = M.dim, S.dim
+    r, d = len(homs), M.dim
     if r == 0:
         return False, None
     # unknowns t[i][j], sigma_i = sum_j t[i][j] h_j; equations: for each basis
     # m_k of M:  sum_i  m_i . (sigma_i(m_k))  =  m_k.  Column (i, j) of the
     # system is column i of the action of h_j(m_k), stacked over k.
-    stacked = [DenseMatrix.vstack(*[M.act_matrix(hk) for hk in h.columns()]) for h in homs]
-    sol = solve(join_columns(f, stacked, d * d, interleave=True),
-                DenseMatrix.identity(f, d).entries)
+    stacked = [DenseMatrix.vstack(*combinations(M.action, h)) for h in homs]
+    sol = solve_matrix(join_columns(f, stacked, d * d, interleave=True),
+                       DenseMatrix.identity(f, d).reshape(d * d, 1))
     if sol is None:
         return False, None
-    # the splitting M -> S^d, a (d*dS) x d matrix: the sigma_i stacked
-    sigmas = [combine_matrices(f, dS, d, sol[i * r:(i + 1) * r], homs) for i in range(d)]
-    return True, DenseMatrix.vstack(*sigmas)
+    # the splitting M -> S^d, a (d*dim S) x d matrix: the sigma_i stacked, the
+    # coefficients of sigma_i being the unknowns t[i][.]
+    return True, DenseMatrix.vstack(*combinations(homs, sol.reshape(d, r).transpose()))
 
 
 def trace_span(M: ModulePresentation) -> Subspace:

@@ -34,7 +34,7 @@ from .exactla import (
     SeededStream,
     Subspace,
     combination_is_invertible,
-    combine_matrices,
+    combinations,
     flat_columns,
     join_columns,
     kernel,
@@ -213,7 +213,7 @@ def find_cleft(ctx, seed: int = 0) -> CleftResult:
                             seed=seed)
     if res.status != "found":
         return CleftResult(res.status, certificate=res.certificate)
-    lam = combine_matrices(f, ctx.A.dim, ctx.C.dim, res.coords, lams)
+    lam = combinations(lams, DenseMatrix.from_columns(f, [res.coords], len(lams)))[0]
     lam_bar = convolution_inverse(lam, ctx.C, ctx.A)
     if lam_bar is None:
         raise VerificationError("find_cleft", one_failure(
@@ -261,18 +261,18 @@ def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> dict[str, ob
         v.fail("not-a-convolution-inverse-pair")
         raise VerificationError("lemma_coQ_check", v)
     colinear = is_colinear(ctx, lam)
-    in_q = data.Q.space.contains(lam_bar.entries)
+    flat = ctx.A.dim * ctx.C.dim
+    in_q = data.Q.space.contains_columns(lam_bar.reshape(flat, 1))
     if colinear != in_q:
         raise ClauseDisagreement("colinear-vs-Q",
                                  {"colinear": colinear, "inverse_in_Q": in_q})
     out: dict[str, object] = {"colinear": colinear, "inverse_in_Q": in_q}
     x = x_case_grouplike(ctx)
     if x is not None and colinear:
-        lam_x = lam.apply(x)
-        lam_hat = ctx.A.rmul_matrix(lam_x).mul(lam_bar)
-        hat_in_q = data.Q.space.contains(lam_hat.entries)
-        hat_val = ctx.sharp_ring().at_x().apply(lam_hat.entries)
-        hat_ok = hat_val == [ctx.field.normalize(t) for t in ctx.A.unit]
+        lam_x = lam.mul(DenseMatrix.from_columns(ctx.field, [x], ctx.C.dim))
+        lam_hat = combinations(ctx.A.rmuls, lam_x)[0].mul(lam_bar).reshape(flat, 1)
+        hat_in_q = data.Q.space.contains_columns(lam_hat)
+        hat_ok = ctx.sharp_ring().at_x().mul(lam_hat) == ctx.A.unit_matrix()
         if not (hat_in_q and hat_ok):
             raise ClauseDisagreement("normalized-inverse",
                                      {"in_Q": hat_in_q, "evaluates_to_1": hat_ok})
@@ -290,7 +290,8 @@ def _trivialized(ctx, witness: CleftWitness, M: ComoduleInstance) -> DenseMatrix
     """m -> sum (m_(0) . lam_bar) (x) m_(1) into (coinvariants of M) (x) C:
     its c_k-component is D rho_k, D the action of lam_bar, read in the
     coinvariants' coordinates."""
-    D = dual_action(M).act_matrix(witness.lam_bar.entries)
+    lam_bar = witness.lam_bar
+    D = combinations(dual_action(M).action, lam_bar.reshape(lam_bar.rows * lam_bar.cols, 1))[0]
     coinv = coinvariants(M)  # theorem: every component lands in the coinvariants
     return stack_slices(ctx.field, [coinv.coords_matrix(D.mul(rho_k)) for rho_k in M.slices()])
 
@@ -304,8 +305,9 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     coinv = coinvariants(M)
     gamma = _trivialized(ctx, witness, M)
     # column (r, k) is n_r lam(c_k), n_r the r-th coinvariant basis vector
-    gamma_inv = join_columns(f, [M.module.act_matrix(lam_k).mul(coinv.embedding)
-                                 for lam_k in witness.lam.columns()], M.dim, interleave=True)
+    gamma_inv = join_columns(f, [L.mul(coinv.embedding)
+                                 for L in combinations(M.module.action, witness.lam)],
+                             M.dim, interleave=True)
     v = Verdict()
     if gamma.mul(gamma_inv) != DenseMatrix.identity(f, coinv.dim * nC):
         v.fail("gamma-right-inverse")
@@ -370,8 +372,8 @@ def _normal_basis_condition(ctx, B) -> DenseMatrix:
     # (theta (x) id) rho_A = kron(I, R) vec(theta), R[(c, a'), a] = rho_A[(a, c), a'],
     # the transposed C-components of rho_A stacked
     R = DenseMatrix.vstack(*[S.transpose() for S in ctx.comodule_A().slices()])
-    blocks = [kron(eye_t, ctx.A.lmul_matrix(B.embedding.col(j)).transpose()).sub(
-        kron(lb, eye_cA)) for j, lb in enumerate(B.algebra.lmuls)]
+    blocks = [kron(eye_t, L.transpose()).sub(kron(lb, eye_cA))
+              for L, lb in zip(combinations(ctx.A.lmuls, B.embedding), B.algebra.lmuls)]
     blocks.append(kron(eye_t, R).sub(kron(DenseMatrix.identity(f, nB), kron(
         ctx.C.comult_matrix(), DenseMatrix.identity(f, nA)))))
     return DenseMatrix.vstack(*blocks)
@@ -400,8 +402,8 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
     res = search_invertible(f, thetas, seed=seed)
     if res.status != "found":
         return NormalBasisResult(res.status, certificate=res.certificate)
-    return NormalBasisResult("found", combine_matrices(f, nA, nA, res.coords, thetas),
-                             res.certificate)
+    theta = combinations(thetas, DenseMatrix.from_columns(f, [res.coords], len(thetas)))[0]
+    return NormalBasisResult("found", theta, res.certificate)
 
 
 # ---------------------------------------------------------------------------

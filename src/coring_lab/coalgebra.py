@@ -25,7 +25,7 @@ from .exactla import (
     kron_mul,
     once,
     parse_array,
-    solve,
+    solve_matrix,
 )
 from .verdict import Verdict
 
@@ -73,17 +73,6 @@ class CoalgebraPresentation:
     def counit_matrix(self) -> DenseMatrix:
         return DenseMatrix.from_rows(self.field, [list(self.counit)], cols=self.dim)
 
-    def comult_vec(self, v: Sequence) -> list:
-        return self.comult_matrix().apply(v)
-
-    def counit_vec(self, v: Sequence):
-        f = self.field
-        acc = 0
-        for a, b in zip(self.counit, v):
-            if a and b:
-                acc += a * b
-        return f.normalize(acc)
-
     def to_json(self) -> dict:
         f = self.field
         return {
@@ -126,14 +115,10 @@ def verify_coalgebra(C: CoalgebraPresentation) -> Verdict:
     for i in differing_columns(left, right):
         v.fail("coassociativity", (i,))
     eps = C.counit_matrix()
-    lcounit = kron_mul(eps, eye, delta)
-    rcounit = kron_mul(eye, eps, delta)
-    for i in range(m):
-        e_i = [1 if t == i else 0 for t in range(m)]
-        if lcounit.col(i) != e_i:
-            v.fail("counit-left", (i,))
-        if rcounit.col(i) != e_i:
-            v.fail("counit-right", (i,))
+    for i in differing_columns(kron_mul(eps, eye, delta), eye):
+        v.fail("counit-left", (i,))
+    for i in differing_columns(kron_mul(eye, eps, delta), eye):
+        v.fail("counit-right", (i,))
     return v
 
 
@@ -178,15 +163,11 @@ def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,
     Both one-sided identities are stacked into a single linear system, so a
     map with only a one-sided inverse is reported as non-invertible.
     """
-    unit = convolution_unit(C, A)
+    unit = convolution_unit(C, A).reshape(A.dim * C.dim, 1)
     L = _conv_operator(fmap, C, A, "left")
     R = _conv_operator(fmap, C, A, "right")
-    system = L.vstack(R)
-    rhs = unit.entries + unit.entries
-    sol = solve(system, rhs)
-    if sol is None:
-        return None
-    return DenseMatrix(A.field, A.dim, C.dim, sol)
+    sol = solve_matrix(L.vstack(R), unit.vstack(unit))
+    return None if sol is None else sol.reshape(A.dim, C.dim)
 
 
 def is_grouplike_C(C: CoalgebraPresentation, x: Sequence) -> bool:
@@ -194,4 +175,5 @@ def is_grouplike_C(C: CoalgebraPresentation, x: Sequence) -> bool:
     if len(x) != C.dim:
         raise ShapeError("candidate has the wrong length")
     X = DenseMatrix.from_columns(C.field, [x], C.dim)
-    return C.counit_vec(X.entries) == 1 and C.comult_vec(X.entries) == kron(X, X).entries
+    return C.counit_matrix().mul(X) == DenseMatrix.identity(C.field, 1) and \
+        C.comult_matrix().mul(X) == kron(X, X)

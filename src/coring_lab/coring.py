@@ -36,9 +36,9 @@ from .exactla import (
     ShapeError,
     Subspace,
     block_diag,
-    clear_denominators,
-    combine_matrices,
+    combinations,
     differing_columns,
+    flat_blocks,
     join_columns,
     json_dim,
     json_get,
@@ -87,15 +87,6 @@ class CoringPresentation:
     def field(self) -> FieldSpec:
         return self.A.field
 
-    def left_act(self, u: Sequence) -> DenseMatrix:
-        return self.left_module.act_matrix(u)
-
-    def right_act(self, u: Sequence) -> DenseMatrix:
-        return self.right_module.act_matrix(u)
-
-    def counit_vec(self, v: Sequence) -> list:
-        return self.counit_map.apply(v)
-
     def __repr__(self):
         label = self.name or f"{self.dim}-dim coring"
         return f"CoringPresentation({label})"
@@ -137,27 +128,27 @@ class SquareReducer:
         self.square_dim = self.rank * n
         # column (k, k2), block j: c_k . a_j(c_k2) = sum_i dec[(j, i), k2] (c_k . e_i),
         # which is column k2 of kron(I_r, R^k) . dec, column i of R^k being
-        # column k of the i-th right action
+        # column k of the i-th right action, column (k, i) of the action map
         eye = DenseMatrix.identity(f, self.rank)
-        acts = coring.right_module.action
-        blocks = [kron_mul(eye, DenseMatrix.from_columns(f, [R.col(k) for R in acts], n),
-                           self.dec) for k in range(n)]
+        act = coring.right_module.action_map()
+        blocks = [kron_mul(eye, act.take_columns(range(k * nA, (k + 1) * nA)), self.dec)
+                  for k in range(n)]
         # the projection matrix, (square_dim) x (dim^2)
         self.projection = join_columns(f, blocks, self.square_dim)
 
-    def _decomposed_actions(self, u: Sequence) -> list[DenseMatrix]:
-        """Right multiplication by a_m(u) for m = 1..r, where u = sum a_m(u) v_m."""
-        nA = self.coring.A.dim
-        a = self.dec.apply(u)
-        return [self.coring.right_act(a[m * nA:(m + 1) * nA]) for m in range(self.rank)]
+    def _decomposed_actions(self, U: DenseMatrix) -> list[list[DenseMatrix]]:
+        """Per column u of U, the right multiplications by a_m(u) for
+        m = 1..r, where u = sum a_m(u) v_m: rows (m, .) of dec u are the
+        coordinates of a_m(u), column (m, u) of their flattened blocks."""
+        k = U.cols
+        acts = combinations(self.coring.right_module.action,
+                            flat_blocks(self.dec.mul(U), self.coring.A.dim, 1))
+        return [[acts[m * k + c] for m in range(self.rank)] for c in range(k)]
 
     def _blocks(self, per_column: list[list[DenseMatrix]]) -> DenseMatrix:
         """Block matrix with block (b, j) = per_column[j][b], each dim x dim."""
         f, n = self.coring.field, self.coring.dim
         return DenseMatrix.vstack(*[join_columns(f, brow, n) for brow in zip(*per_column)])
-
-    def project(self, vec: Sequence) -> list:
-        return self.projection.apply(vec)
 
     @once
     def reduced_delta(self) -> DenseMatrix:
@@ -167,8 +158,7 @@ class SquareReducer:
     def right_on_second(self, i: int) -> DenseMatrix:
         cor = self.coring
         R = cor.right_module.action[i]
-        return self._blocks([self._decomposed_actions(R.apply(cor.free_left_basis.col(j)))
-                             for j in range(self.rank)])
+        return self._blocks(self._decomposed_actions(R.mul(cor.free_left_basis)))
 
     # -- triple -----------------------------------------------------------
     def coassociativity_defect(self) -> DenseMatrix:
@@ -182,12 +172,10 @@ class SquareReducer:
         D1 = self.reduced_delta()
         lhs = kron_mul(DenseMatrix.identity(cor.field, r), D1, D1)
         # rhs block (outer j', middle m) of input block j:
-        # y_j . a_m(u_(j')) where D1(v_j) has blocks u_(j')
-        per_column = []
-        for j in range(r):
-            dv = D1.apply(cor.free_left_basis.col(j))
-            per_column.append([blk for jp in range(r)
-                               for blk in self._decomposed_actions(dv[jp * n:(jp + 1) * n])])
+        # y_j . a_m(u_(j')) where D1(v_j) has blocks u_(j'), the column
+        # (j', j) of the flattened blocks of D1 applied to the free basis
+        acts = self._decomposed_actions(flat_blocks(D1.mul(cor.free_left_basis), n, 1))
+        per_column = [[blk for jp in range(r) for blk in acts[jp * r + j]] for j in range(r)]
         return lhs.sub(self._blocks(per_column).mul(D1))
 
 
@@ -234,18 +222,16 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
         if D1.mul(cor.right_module.action[i]) != red.right_on_second(i).mul(D1):
             v.fail("comultiplication-right-linearity", (i,))
     defect = red.coassociativity_defect()
-    if not defect.is_zero():
-        for j in range(n):
-            if any(x for x in defect.col(j)):
-                v.fail("coassociativity", (j,))
+    for j in differing_columns(defect, DenseMatrix.zeros(f, defect.rows, n)):
+        v.fail("coassociativity", (j,))
     return v
 
 
 def is_grouplike(cor: CoringPresentation, x: Sequence, red: SquareReducer) -> bool:
     """Delta(x) = x (x)_A x after projection, and eps(x) = 1_A."""
     X = DenseMatrix.from_columns(cor.field, [x], cor.dim)
-    return cor.counit_vec(X.entries) == cor.A.unit and \
-        red.reduced_delta().apply(X.entries) == red.project(kron(X, X).entries)
+    return cor.counit_map.mul(X) == cor.A.unit_matrix() and \
+        red.reduced_delta().mul(X) == red.projection.mul(kron(X, X))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +385,7 @@ def _tensor_x(ctx, W: ModulePresentation) -> DenseMatrix:
     """T_x: w -> w (x)_A x = sum x[(i,k)] (w . e_i) (x) c_k on a right
     A-module W: its component k is the action of x_k, the k-th C-component
     of x."""
-    nC = ctx.C.dim
-    return stack_slices(W.field, [W.act_matrix(ctx.x[k::nC]) for k in range(nC)])
+    return stack_slices(W.field, combinations(W.action, ctx.x_matrix()))
 
 
 @once
@@ -417,16 +402,11 @@ def x_invariants(mod: ModulePresentation, ctx) -> Subspace:
     j-th C-component of x, which is f^j(x): they give the rest, since
     f^j iota(e_a) = e_a (x) c_j* and (e_a (x) c_j*)(x) = x_j e_a.  So M^x is
     the coinvariants of ``comodule_from_dual_module(ctx, mod)``, whose
-    coaction m -> sum_j (m . f^j) (x) c_j equals m (x)_A x exactly there."""
+    coaction m -> sum_j (m . f^j) (x) c_j equals m (x)_A x exactly there.
+    Column j of iota X, X the ``x_matrix``, is iota(x_j)."""
     sharp = ctx.sharp_ring()
-    nC = ctx.C.dim
-    conditions = []
-    for j, fj in enumerate(sharp.duals):
-        # f^j - iota(x_j) from the numerators of both terms
-        df, fn = clear_denominators(fj)
-        xn, dx = sharp.embedded(ctx.x[j::nC])
-        conditions.append(mod.act_matrix([a * dx - b * df for a, b in zip(fn, xn)], df * dx))
-    return kernel(stack_slices(mod.field, conditions))
+    differences = sharp.duals.sub(sharp.iota.mul(ctx.x_matrix()))
+    return kernel(stack_slices(mod.field, combinations(mod.action, differences)))
 
 
 def hom_comodule(M: ComoduleInstance, N: ComoduleInstance) -> Subspace:
@@ -473,13 +453,12 @@ def induced_action(ctx, W: ModulePresentation) -> list[DenseMatrix]:
     Psi_it), Psi_it the row block t of ``ctx.psi_slice(i)``, over the blocks
     that are nonzero.  For W = A it is the right action of the coring."""
     f, nC = W.field, ctx.C.dim
-    d = W.dim * nC
     mats = []
     for i in range(ctx.A.dim):
         P = ctx.psi_slice(i)
         blocks = [P.take_rows(range(t * nC, (t + 1) * nC)) for t in range(ctx.A.dim)]
         terms = [kron(W.action[t], b) for t, b in enumerate(blocks) if not b.is_zero()]
-        mats.append(combine_matrices(f, d, d, [1] * len(terms), terms))
+        mats += combinations(terms, DenseMatrix(f, len(terms), 1, [1] * len(terms)))
     return mats
 
 
@@ -505,8 +484,9 @@ def comodule_from_dual_module(ctx, mod: ModulePresentation,
     caller via ComoduleInstance.verify when it matters.
     """
     sharp = ctx.sharp_ring()
-    rho = stack_slices(mod.field, [mod.act_matrix(fj) for fj in sharp.duals])
-    amod = ModulePresentation(ctx.A, mod.dim, "right", sharp.unit_actions(mod), name=name)
+    rho = stack_slices(mod.field, combinations(mod.action, sharp.duals))
+    amod = ModulePresentation(ctx.A, mod.dim, "right", combinations(mod.action, sharp.iota),
+                              name=name)
     return ComoduleInstance(ctx, amod, rho, name=name or "dual-module comodule")
 
 

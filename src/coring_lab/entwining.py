@@ -33,10 +33,8 @@ from .exactla import (
     DenseMatrix,
     FieldSpec,
     ShapeError,
-    clear_denominators,
-    combine_matrices,
+    combinations,
     differing_columns,
-    divide_out,
     dumps_canonical,
     flat_blocks,
     join_columns,
@@ -114,10 +112,13 @@ class SharpRing:
     simply the flattened entries of its dimA x dimC matrix, so reshaping is
     the identity on data.
 
-    ``duals`` holds f^j = 1_A (x) c_j*, column j of kron(1_A, I_C).  The
-    algebra's generators are picked from iota(e_a), iota the unit embedding
-    ``embed_A``, and then the f^j: these generate, since f^j iota(e_a) =
-    e_a (x) c_j*.
+    Two coefficient matrices name elements of the ring by their columns:
+    ``iota`` = kron(I_A, eps^T), whose column a is the unit embedding
+    c -> eps(c) e_a of e_a, and ``duals`` = kron(1_A, I_C), whose column j
+    is f^j = 1_A (x) c_j*.  A acts on a right module over the ring through
+    ``combinations(action, iota)``.  The algebra's generators are picked
+    from the iota(e_a) and then the f^j: these generate, since
+    f^j iota(e_a) = e_a (x) c_j*.
     """
 
     def __init__(self, ctx: "EntwinedContext"):
@@ -140,38 +141,20 @@ class SharpRing:
             P = ctx.psi_slice(a)
             for D in slices:
                 lmuls.append(flat_blocks(stacked.mul(P.mul(D).reshape(nA, nC * nC)), nA, nC))
-        self.duals = kron(A.unit_matrix(), DenseMatrix.identity(f, nC)).columns()
-        iota = [self.embed_A(e) for e in DenseMatrix.identity(f, nA).row_lists()]
+        self.duals = kron(A.unit_matrix(), DenseMatrix.identity(f, nC))
+        self.iota = kron(DenseMatrix.identity(f, nA), C.counit_matrix().transpose())
         self.algebra = AlgebraPresentation.from_operators(
-            f, lmuls, self.embed_A(A.unit), name="Hom(C,A) ring", candidates=iota + self.duals)
+            f, lmuls, self.iota.apply(A.unit), name="Hom(C,A) ring",
+            candidates=self.iota.hstack(self.duals))
 
     @once
     def at_x(self) -> DenseMatrix:
         """Evaluation at x, g -> g~(x), as a dim A x dim(ring) matrix: column
-        (a, c) is rmul(e_a) applied to x_c, the c-th C-component of x."""
+        (a, c) is rmul(e_a) applied to x_c, the c-th C-component of x, which
+        is column c of ``x_matrix``."""
         ctx = self.ctx
-        nC = ctx.C.dim
-        return DenseMatrix.from_columns(
-            ctx.field, [R.apply(ctx.x[c::nC]) for R in ctx.A.rmuls for c in range(nC)],
-            ctx.A.dim)
-
-    def embedded(self, a: Sequence) -> tuple:
-        """c -> eps(c) a, the unit embedding of A into the ring: the
-        coordinates of a (x) eps as (integer numerators, their denominator),
-        products of the numerators of a and of eps."""
-        da, a = clear_denominators(a)
-        dc, counit = clear_denominators(self.ctx.C.counit)
-        return [x * e for x in a for e in counit], da * dc
-
-    def embed_A(self, a: Sequence) -> list:
-        """The coordinates of a (x) eps as field elements."""
-        return divide_out(self.ctx.field, *self.embedded(a))
-
-    def unit_actions(self, mod) -> list:
-        """The actions of iota(e_a), a = 1..dim A, on a right module over
-        the ring: A acting through the unit embedding."""
-        return [mod.act_matrix(*self.embedded(e))
-                for e in DenseMatrix.identity(self.ctx.field, self.ctx.A.dim).row_lists()]
+        X = ctx.x_matrix()
+        return join_columns(ctx.field, [R.mul(X) for R in ctx.A.rmuls], ctx.A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +216,13 @@ def _multiplicative(rho: DenseMatrix, X: AlgebraPresentation, Y: AlgebraPresenta
     multiplication by rho(e_i) is the sum of its coefficients times
     kron(lmul(x), lmul(y)), each applied to rho without building it."""
     nY = Y.dim
-    terms: dict[int, DenseMatrix] = {}
-    for i, L in enumerate(X.lmuls):
-        coeffs = rho.col(i)
-        used = [k for k, c in enumerate(coeffs) if c]
-        for k in used:
-            if k not in terms:
-                terms[k] = kron_mul(X.lmuls[k // nY], Y.lmuls[k % nY], rho)
-        if rho.mul(L) != combine_matrices(rho.field, rho.rows, rho.cols,
-                                          [coeffs[k] for k in used], [terms[k] for k in used]):
-            return False
-    return True
+    # the terms of the nonzero rows of rho, the only ones a coefficient uses
+    used = [k for k, pairs in enumerate(rho.numerator_rows()) if pairs]
+    if not used:
+        return True
+    terms = [kron_mul(X.lmuls[k // nY], Y.lmuls[k % nY], rho) for k in used]
+    return all(rho.mul(L) == T
+               for L, T in zip(X.lmuls, combinations(terms, rho.take_rows(used))))
 
 
 def verify_bialgebra(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation) -> Verdict:
@@ -262,9 +241,9 @@ def verify_bialgebra(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation)
     if eps.mul(mult) != kron(eps, eps):
         v.fail("counit-not-algebra-map")
     one = H_alg.unit_matrix()
-    if delta.apply(H_alg.unit) != kron(one, one).entries:
+    if delta.mul(one) != kron(one, one):
         v.fail("comultiplication-of-unit")
-    if H_coalg.counit_vec(H_alg.unit) != 1:
+    if eps.mul(one) != DenseMatrix.identity(H_alg.field, 1):
         v.fail("counit-of-unit")
     return v
 
@@ -288,7 +267,7 @@ def verify_comodule_algebra(H_alg: AlgebraPresentation,
         v.fail("coaction-counit")
     if not _multiplicative(coaction, A, H_alg):
         v.fail("coaction-not-algebra-map")
-    if coaction.apply(A.unit) != kron(A.unit_matrix(), H_alg.unit_matrix()).entries:
+    if coaction.mul(A.unit_matrix()) != kron(A.unit_matrix(), H_alg.unit_matrix()):
         v.fail("coaction-of-unit")
     return v
 
@@ -348,10 +327,16 @@ class EntwinedContext:
         return self.unit_coaction
 
     @once
+    def x_matrix(self) -> DenseMatrix:
+        """x reshaped to dim A x dim C: column c is x_c, the c-th
+        C-component of x, as coefficients for ``combinations``."""
+        return DenseMatrix(self.field, self.A.dim, self.C.dim, self.x)
+
+    @once
     def psi_slice(self, i: int) -> DenseMatrix:
-        nA, nC = self.A.dim, self.C.dim
-        cols = [self.psi.col(k * nA + i) for k in range(nC)]
-        return DenseMatrix.from_columns(self.field, cols, nA * nC)
+        """The columns (k, i) of psi, k = 1..dim C: psi on C (x) e_i."""
+        nA = self.A.dim
+        return self.psi.take_columns(range(i, self.psi.cols, nA))
 
     @once
     def entwining_verdict(self) -> Verdict:

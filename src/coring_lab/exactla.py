@@ -24,16 +24,24 @@ every operation costs its nonzeros, not its shape.  ``__init__`` is the one
 construction: it takes a flat list of scalars, normalizing the nonzero
 ones, or, from the operations of this module, rows of numerator pairs over
 a common denominator, which it only reduces to lowest terms.  ``entries``,
-``row``, ``col`` and ``get`` read dense views, built on each call and never
-cached.
+``row``, ``col``, ``columns``, ``row_lists`` and ``get`` read dense views,
+built on each call and never cached; an analysis reads them to serialize
+its results and to return the few vectors that ``solve`` finds.
 
 Arithmetic over Q is fraction-free: ``mul``, ``kron``, ``kron_mul``,
-``mul_kron``, ``apply``, ``sub`` and ``combine_matrices`` multiply and add
+``mul_kron``, ``apply``, ``sub`` and ``combinations`` multiply and add
 numerators and hand the product of the denominators to the result, so no
 ``Fraction`` is built until a dense view is read.  Integer matrices take the
 same path with ``den`` 1.  ``apply`` takes a plain vector: it clears the
-vector's denominators once and divides once per output entry.  A
-combination of a subspace's basis vectors is ``embedding.apply``.
+vector's denominators once and divides once per output entry.
+
+``combinations(mats, C)`` is the one construction of an operator from
+coordinates: for each column k of a coefficient matrix C it returns
+sum_i C[i, k] mats[i], read from C's stored numerator columns, and a unit
+column returns its matrix itself.  Its callers pass the matrix that names
+the elements: a subspace's embedding, a hom matrix, a solution, the unit
+embedding of A into the dual ring.  ``combination_is_invertible`` forms
+one such combination lazily, a row at a time.
 
 Structure maps between tensor products are applied, not built:
 ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M, N)`` is
@@ -42,11 +50,12 @@ and sum combines numerator rows through ``_combine``.  Matrices of one
 shape are put side by side by ``join_columns``, which re-indexes their
 stored pairs (interleaved, it is the column twin of ``stack_slices``);
 ``flat_columns`` makes each of them one column, and ``flat_blocks`` each
-block of one matrix.  A basis of flattened maps is read back as matrices
-by ``unflatten_rows``, one per row, or by ``side_by_side``, all of them
-in one.  A map given by dense
-columns is built with ``DenseMatrix.from_columns``.  None of them goes
-through a transpose.
+block of one matrix; ``hstack`` joins matrices of any widths, as
+``vstack`` stacks them, and ``take_columns`` picks columns as ``take_rows``
+picks rows.  A basis of flattened maps is read back as matrices by
+``unflatten_rows``, one per row, or by ``side_by_side``, all of them in
+one.  A map given by dense columns is built with
+``DenseMatrix.from_columns``.  None of them goes through a transpose.
 
 ``Subspace.coords_matrix`` is the one membership routine: it reads the
 echelon coordinates of every column of a matrix at the pivots and re-checks
@@ -70,9 +79,7 @@ read off those integer rows without building a ``Fraction``:
 their pivot entries (over Fp the pivots are already 1), which span bases
 and ``solve_matrix`` take, and ``null_vectors``, ``null_space`` and
 ``quotient`` take the builder itself, reading its rows in time linear in
-their nonzeros.  Of the builder's reads only ``SubspaceBuilder.rows``,
-the reduced rows with the pivots divided out, builds fractions, and
-nothing in the package reads it.
+their nonzeros.  No read of the builder builds a fraction.
 """
 
 from __future__ import annotations
@@ -501,6 +508,14 @@ class DenseMatrix:
         out = [nz[i] for i in indices]
         return DenseMatrix(self.field, len(out), self.cols, _Numerators(out, self.den))
 
+    def take_columns(self, indices: Iterable[int]) -> "DenseMatrix":
+        """The matrix of this one's columns at indices, distinct, in that
+        order."""
+        index = {j: k for k, j in enumerate(indices)}
+        out = [sorted((index[j], x) for j, x in pairs if j in index)
+               for pairs in self._nonzero_rows]
+        return DenseMatrix(self.field, self.rows, len(index), _Numerators(out, self.den))
+
     def reshape(self, rows: int, cols: int) -> "DenseMatrix":
         """The rows x cols matrix with this one's entries in the same
         row-major order."""
@@ -522,6 +537,19 @@ class DenseMatrix:
         d = lcm(*[m.den for m in mats])
         out = [_combine([(d // m.den, pairs)]) for m in mats for pairs in m._nonzero_rows]
         return DenseMatrix(self.field, len(out), self.cols, _Numerators(out, d))
+
+    def hstack(self, *others: "DenseMatrix") -> "DenseMatrix":
+        """This matrix with the columns of the others to its right."""
+        if any(o.rows != self.rows or o.field != self.field for o in others):
+            raise ShapeError("hstack mismatch")
+        mats = (self, *others)
+        d, out, offset = lcm(*[m.den for m in mats]), [[] for _ in range(self.rows)], 0
+        for m in mats:
+            s = d // m.den
+            for row, pairs in zip(out, m._nonzero_rows):
+                row += [(offset + j, s * x) for j, x in pairs]
+            offset += m.cols
+        return DenseMatrix(self.field, self.rows, offset, _Numerators(out, d))
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
@@ -785,19 +813,12 @@ def clear_denominators(xs) -> tuple:
     return d, _scaled(xs, d)
 
 
-def _divided(xs, d: int) -> list:
-    """x / d for the ints xs: an int where the quotient is integral and a
-    (reduced) Fraction otherwise; the one division of a fraction-free product."""
-    if d == 1:
-        return xs
-    return [x // d if not x % d else Fraction(x, d) for x in xs]
-
-
 def divide_out(field: FieldSpec, xs: list, d: int) -> list:
     """The ints xs divided by d, as canonical field elements: over Q an int
     where the quotient is integral and a Fraction otherwise, over Fp
-    reduced mod p."""
-    xs = _divided(xs, d)
+    reduced mod p; the one division of a fraction-free product."""
+    if d != 1:
+        xs = [x // d if not x % d else Fraction(x, d) for x in xs]
     if field.kind == "Q":
         return xs
     p, norm = field.p, field.normalize
@@ -864,16 +885,15 @@ def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
 
 
 class Subspace:
-    """A subspace of k^n, held as the unique reduced-echelon basis (rows):
-    ``rref_rows`` is the basis matrix, or its rows as dense lists."""
+    """A subspace of k^n, held as the unique reduced-echelon basis: the rows
+    of the matrix ``basis``."""
 
     __slots__ = ("field", "ambient_dim", "basis", "pivots", "_embedding")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, rref_rows, pivots: list):
+    def __init__(self, field: FieldSpec, ambient_dim: int, basis: DenseMatrix, pivots: list):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = rref_rows if type(rref_rows) is DenseMatrix else \
-            DenseMatrix.from_rows(field, rref_rows, cols=ambient_dim)
+        self.basis = basis
         self.pivots = list(pivots)
         self._embedding = None
 
@@ -972,19 +992,13 @@ class SubspaceBuilder:
 
     The results are read from the integer rows: ``pivots`` and ``dim``,
     ``echelon`` (the reduced rows as numerators), and ``null_vectors``,
-    ``null_space`` and ``quotient``, which take the builder.  ``rows`` is
-    the reduced echelon form as {pivot col: {col: entry}} with unit pivots,
-    the pivots divided out into ``int`` where integral and ``Fraction``
-    otherwise (over Fp the stored dict); the view is built once and cached
-    until the next insertion that changes the span.  It is kept for
-    inspection and the tests; the package reads the integer rows instead.
+    ``null_space`` and ``quotient``, which take the builder.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows = {}   # leading col -> {col: int}, canonical multiple
-        self._view = None
 
     @property
     def dim(self) -> int:
@@ -1065,18 +1079,7 @@ class SubspaceBuilder:
                 _eliminate(row, lead, v)
                 rows[piv] = self._canonical(row)
         rows[lead] = v
-        self._view = None
         return True
-
-    @property
-    def rows(self) -> dict:
-        """The reduced echelon rows, {pivot col: {col: entry}}."""
-        if self.field.p is not None:
-            return self._rows
-        if self._view is None:
-            self._view = {lead: dict(zip(row, _divided(row.values(), row[lead])))
-                          for lead, row in self._rows.items()}
-        return self._view
 
 
 def _eliminate(v: dict, c: int, row: dict) -> None:
@@ -1139,30 +1142,36 @@ def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> Su
 # ---------------------------------------------------------------------------
 
 
-def _combination_rows(rows: int, coeffs: Sequence[Scalar], mats: Sequence[DenseMatrix]):
-    """(den, the rows of sum coeffs[i] * mats[i] as numerator rows over den),
-    each row combined only when it is read; a basis vector, the common
-    case, passes its matrix's rows through without arithmetic."""
-    nonzero = [i for i, a in enumerate(coeffs) if a]
-    dc, cs = clear_denominators(coeffs)
+def _combination_rows(rows: int, pairs: list, mats: Sequence[DenseMatrix]):
+    """(den, the rows of sum a * mats[i] over the (i, a) of pairs, as
+    numerator rows over den), each row combined only when it is read."""
     # each coefficient absorbs the lcm of the matrices' scales
-    den = lcm(*[mats[i].den for i in nonzero])
-    used = [(cs[i] * (den // mats[i].den), mats[i]._nonzero_rows) for i in nonzero]
-    return dc * den, (_combine([(a, nz[r]) for a, nz in used]) for r in range(rows))
+    den = lcm(*[mats[i].den for i, _ in pairs])
+    used = [(a * (den // mats[i].den), mats[i]._nonzero_rows) for i, a in pairs]
+    return den, (_combine([(a, nz[r]) for a, nz in used]) for r in range(rows))
 
 
-def combine_matrices(field: FieldSpec, rows: int, cols: int, coeffs: Sequence[Scalar],
-                     mats: Sequence[DenseMatrix], den: int = 1) -> DenseMatrix:
-    """sum (coeffs[i] / den) * mats[i], each matrix rows x cols, over the
-    product of den and the coefficients' and the matrices' common
-    denominators (over Fp den is 1); a basis vector, the common case, picks
-    its (immutable) matrix without arithmetic.  Coefficients handed over as
-    integer numerators over den build no ``Fraction``."""
-    nonzero = [i for i, a in enumerate(coeffs) if a]
-    if len(nonzero) == 1 and coeffs[nonzero[0]] == den:
-        return mats[nonzero[0]]
-    d, out = _combination_rows(rows, coeffs, mats)
-    return DenseMatrix(field, rows, cols, _Numerators(list(out), d * den))
+def combinations(mats: Sequence[DenseMatrix], C: DenseMatrix) -> list[DenseMatrix]:
+    """For each column k of C, the matrix sum_i C[i, k] * mats[i], the
+    matrices of one shape: the package's one construction of an operator
+    from coordinates, those of an element acting through the action
+    matrices of a basis.  C's stored numerator columns are combined over
+    the lcm of the denominators, and a unit column returns its (immutable)
+    matrix itself, without arithmetic."""
+    if not mats or C.rows != len(mats):
+        raise ShapeError(f"need {C.rows} matrices, one per row of the coefficients, "
+                         f"got {len(mats)}")
+    rows, cols = mats[0].rows, mats[0].cols
+    if any(M.rows != rows or M.cols != cols or M.field != C.field for M in mats):
+        raise ShapeError(f"the matrices are not all {rows} x {cols} over one field")
+    out = []
+    for pairs in C.numerator_columns():
+        if len(pairs) == 1 and pairs[0][1] == C.den:
+            out.append(mats[pairs[0][0]])
+        else:
+            den, combined = _combination_rows(rows, pairs, mats)
+            out.append(DenseMatrix(C.field, rows, cols, _Numerators(list(combined), den * C.den)))
+    return out
 
 
 def _null_numerators(span: SubspaceBuilder) -> _Numerators:
@@ -1241,14 +1250,17 @@ def is_invertible(M: DenseMatrix) -> bool:
 
 def combination_is_invertible(field: FieldSpec, coeffs: Sequence[Scalar],
                               mats: Sequence[DenseMatrix]) -> bool:
-    """``is_invertible(combine_matrices(...))`` for the combination
-    sum coeffs[i] * mats[i] of matrices of one shape, without forming it:
-    each row is combined only when the elimination reads it, so a singular
-    combination is formed only up to its first dependent row."""
+    """Whether the combination sum coeffs[i] * mats[i] of matrices of one
+    shape is invertible, without forming it: each row is combined, from
+    the numerators of the coefficients, only when the elimination reads
+    it, so a singular combination is formed only up to its first dependent
+    row."""
     n, cols = mats[0].rows, mats[0].cols
     if n != cols:
         return False
-    return _independent(SubspaceBuilder(field, cols), _combination_rows(n, coeffs, mats)[1])
+    _, ints = clear_denominators(coeffs)
+    pairs = [(i, a) for i, a in enumerate(ints) if a]
+    return _independent(SubspaceBuilder(field, cols), _combination_rows(n, pairs, mats)[1])
 
 
 def rank(M: DenseMatrix) -> int:

@@ -32,6 +32,7 @@ from .exactla import (
     DenseMatrix,
     NotInSubspace,
     Subspace,
+    combinations,
     flat_columns,
     join_columns,
     kron_mul,
@@ -59,8 +60,7 @@ from .verdict import VerificationError, one_failure
 
 def _restrict_right_to_B(ctx, M: ModulePresentation, B) -> ModulePresentation:
     """A right A-module seen as a right B-module through the embedding."""
-    action = [M.act_matrix(B.embedding.col(j)) for j in range(B.dim)]
-    return ModulePresentation(B.algebra, M.dim, "right", action,
+    return ModulePresentation(B.algebra, M.dim, "right", combinations(M.action, B.embedding),
                               name=(M.name or "M") + " over B")
 
 
@@ -70,8 +70,8 @@ def _coinv_tensor_A(ctx, M: ComoduleInstance):
     data = ctx.morita()
     coinv = coinvariants(M)
     # coords_matrix raises if the coinvariants are not B-stable: a bug
-    action = [coinv.coords_matrix(M.module.act_matrix(data.B.embedding.col(j)).mul(coinv.embedding))
-              for j in range(data.B.dim)]
+    action = [coinv.coords_matrix(R.mul(coinv.embedding))
+              for R in combinations(M.module.action, data.B.embedding)]
     coinv_mod = ModulePresentation(data.B.algebra, coinv.dim, "right", action)
     return balanced_tensor(coinv_mod, data.A_left_B)
 

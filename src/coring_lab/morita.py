@@ -43,6 +43,8 @@ from .exactla import (
     NotInSubspace,
     QuotientSpace,
     Subspace,
+    combinations,
+    flat_blocks,
     flat_columns,
     join_columns,
     kernel,
@@ -52,6 +54,7 @@ from .exactla import (
     once,
     rank,
     solve,
+    solve_matrix,
     stack_slices,
     unflatten_rows,
 )
@@ -103,7 +106,8 @@ class CoinvariantData:
 
 def _acting_on_x(ctx, mod: ModulePresentation) -> DenseMatrix:
     """Column i is e_i acting on x, for one of the coring's A-actions."""
-    return DenseMatrix.from_columns(ctx.field, [a.apply(ctx.x) for a in mod.action], mod.dim)
+    x = ctx.x_matrix().reshape(mod.dim, 1)
+    return join_columns(ctx.field, [a.mul(x) for a in mod.action], mod.dim)
 
 
 def compute_B(ctx) -> CoinvariantData:
@@ -186,22 +190,22 @@ class MoritaContextData:
 
 
 def _a_left_b_module(ctx, B: CoinvariantData) -> ModulePresentation:
-    action = [ctx.A.lmul_matrix(B.embedding.col(j)) for j in range(B.dim)]
-    return ModulePresentation(B.algebra, ctx.A.dim, "left", action, name="A over B")
+    return ModulePresentation(B.algebra, ctx.A.dim, "left",
+                              combinations(ctx.A.lmuls, B.embedding), name="A over B")
 
 
 def _times_Q(M: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     """m (x) q -> m q on the plain tensor M (x) Q for a right dual-ring
     module M, column (m, i) = m q_i.  For M = A this is the hook
     a <- q = q~(x a), the plain form of G in A-coordinates."""
-    return join_columns(M.field, [M.act_matrix(q) for q in Q.space.basis.row_lists()], M.dim,
+    return join_columns(M.field, combinations(M.action, Q.space.embedding), M.dim,
                         interleave=True)
 
 
 def _F_plain(ctx, A_dual: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     """F on the plain tensor Q (x) A, column (i, j) = F(q_i (x) e_j) = q_i(-) e_j,
     A acting on itself through the unit map a -> eps(-) a into the dual ring."""
-    right = ctx.sharp_ring().unit_actions(A_dual)
+    right = combinations(A_dual.action, ctx.sharp_ring().iota)
     return flat_columns(ctx.field, [R.mul(q) for q in Q.matrices for R in right],
                         ctx.A.dim, ctx.C.dim)
 
@@ -235,10 +239,9 @@ def build_context(ctx) -> MoritaContextData:
         for s, L in enumerate(S.lmuls)], name="Q")
     eyeC = DenseMatrix.identity(f, ctx.C.dim)
     Q_right = ModulePresentation(B.algebra, nQ, "right", [
-        _coords_or_fail(Qd.space, kron_mul(ctx.A.rmul_matrix(B.embedding.col(j)), eyeC,
-                                           Qd.space.embedding),
+        _coords_or_fail(Qd.space, kron_mul(R, eyeC, Qd.space.embedding),
                         "build_context", "q-ideal-right-stability", lambda i: (i, j))
-        for j in range(B.dim)], name="Q over B")
+        for j, R in enumerate(combinations(ctx.A.rmuls, B.embedding))], name="Q over B")
 
     A_left = _a_left_b_module(ctx, B)
     A_right_dual = dual_action(ctx.comodule_A())
@@ -332,11 +335,9 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
     S = ctx.sharp_ring().algebra
     nA, nQ, nB = ctx.A.dim, data.Q.dim, data.B.dim
     homQB = hom_module(data.Q_right_B, data.B.algebra.regular_module("right"))
-    G = data.G_plain.entries
-    flat = DenseMatrix(f, nB * nQ, nA, [G[r * nA * nQ + j * nQ + i] for r in range(nB)
-                                        for i in range(nQ) for j in range(nA)])
-    omega_mat = _coords_or_fail(homQB, flat, "omega_and_lambda", "omega-image-not-B-linear",
-                                lambda j: (j,))
+    # block j of G's plain form, read row-major, is column j
+    omega_mat = _coords_or_fail(homQB, flat_blocks(data.G_plain, nB, nQ), "omega_and_lambda",
+                                "omega-image-not-B-linear", lambda j: (j,))
     omega_rep = map_report(omega_mat, target_dim=homQB.dim)
 
     Ad = data.A_right_dual
@@ -348,7 +349,7 @@ def omega_and_lambda(data: MoritaContextData) -> OmegaLambdaReport:
     R = Ad.action_map()
     eyeA, eyeS = DenseMatrix.identity(f, nA), DenseMatrix.identity(f, S.dim)
     multiplicative = (mul_kron(R, eyeA, S.mult_matrix()) == mul_kron(R, R, eyeS)
-                      and Ad.act_matrix(S.unit) == eyeA)
+                      and combinations(Ad.action, S.unit_matrix())[0] == eyeA)
     return OmegaLambdaReport(omega_mat, omega_rep, lam_mat, lam_rep, multiplicative)
 
 
@@ -364,7 +365,7 @@ def q_left_annihilator(data: MoritaContextData) -> Subspace:
     S = data.ctx.sharp_ring().algebra
     if data.Q.dim == 0:
         return Subspace.full(S.field, S.dim)
-    return kernel(DenseMatrix.vstack(*[S.rmul_matrix(q) for q in data.Q.space.basis.row_lists()]))
+    return kernel(DenseMatrix.vstack(*combinations(S.rmuls, data.Q.space.embedding)))
 
 
 def check_theorem_surj(ctx, witnesses: list[ComoduleInstance] | None = None,
@@ -467,10 +468,10 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, DenseMatrix
     data = ctx.morita()
     f = ctx.field
     # eta . eps is the unit of the dual ring
-    pre = solve(data.F_matrix, ctx.sharp_ring().algebra.unit)
+    pre = solve_matrix(data.F_matrix, ctx.sharp_ring().algebra.unit_matrix())
     if pre is None:
         raise VerificationError("psi_tilde_from_F", one_failure("F-not-surjective"))
-    lift = data.QA.section.apply(pre)  # sum c_ij q_i (x) e_j, in Q-basis (x) A coordinates
+    lift = data.QA.section.mul(pre)  # sum c_ij q_i (x) e_j, in Q-basis (x) A coordinates
     psi_mat, _ = psi_M(ctx, M)
     # psi_mat: coinv (x)_B A -> M; the candidate inverse m -> sum_ij m q_i (x) c_ij e_j,
     # applying the transposed lift to the coinvariant coordinates of m q_i stacked over i
@@ -478,10 +479,9 @@ def psi_tilde_from_F(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, DenseMatrix
     tensor = _coinv_tensor_A(ctx, M)
     dual = dual_action(M)
     nA = ctx.A.dim
-    stacked = stack_slices(f, [coinv_space.coords_matrix(dual.act_matrix(q))
-                               for q in data.Q.space.basis.row_lists()])
-    lift_t = DenseMatrix.from_columns(f, [lift[i * nA:(i + 1) * nA] for i in range(data.Q.dim)],
-                                      nA)
+    stacked = stack_slices(f, [coinv_space.coords_matrix(D)
+                               for D in combinations(dual.action, data.Q.space.embedding)])
+    lift_t = lift.reshape(data.Q.dim, nA).transpose()
     inv = tensor.projection.mul(kron_mul(DenseMatrix.identity(f, coinv_space.dim), lift_t,
                                          stacked))
     v = Verdict()

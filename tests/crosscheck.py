@@ -100,7 +100,7 @@ from coring_lab.morita import (
 )
 from coring_lab.verdict import Verdict, VerificationError
 
-from helpers import mult_table
+from helpers import lmul, mult_table, rmul
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,8 @@ def trivial_coring(A: AlgebraPresentation) -> CoringPresentation:
     delta = DenseMatrix.from_rows(f, lift_cols, cols=n * n).transpose()
     return CoringPresentation(
         A, n,
-        [A.lmul_matrix([1 if t == i else 0 for t in range(n)]) for i in range(n)],
-        [A.rmul_matrix([1 if t == i else 0 for t in range(n)]) for i in range(n)],
+        [lmul(A, [1 if t == i else 0 for t in range(n)]) for i in range(n)],
+        [rmul(A, [1 if t == i else 0 for t in range(n)]) for i in range(n)],
         delta, DenseMatrix.identity(f, n),
         free_left_basis=DenseMatrix.from_rows(f, [A.unit], cols=n).transpose(),
         name="trivial")
@@ -210,7 +210,7 @@ class DualRingData:
     def unit_embedding(self, a: Sequence) -> list:
         """Coordinates in the dual ring of [c -> eps(c) a]."""
         cor = self.coring
-        mat = cor.A.rmul_matrix(a).mul(cor.counit_map)
+        mat = rmul(cor.A, a).mul(cor.counit_map)
         return self.space.coords(mat.entries)
 
 
@@ -237,7 +237,7 @@ def dual_ring(cor: CoringPresentation) -> DualRingData:
     verdict = verify_algebra(alg)
     if not verdict.valid:
         raise VerificationError("dual_ring", verdict)
-    embeds = [A.rmul_matrix([1 if t == i else 0 for t in range(A.dim)]).mul(cor.counit_map)
+    embeds = [rmul(A, [1 if t == i else 0 for t in range(A.dim)]).mul(cor.counit_map)
               for i in range(A.dim)]
     return DualRingData(cor, space, alg, embeds)
 
@@ -319,7 +319,7 @@ def compute_Q_entwined(ctx) -> Subspace:
     eyeC = DenseMatrix.identity(f, nC)
     delta = ctx.C.comult_matrix()
     u = ctx.unit_coaction
-    w = [kron(ctx.A.lmul_matrix([1 if t == i else 0 for t in range(nA)]), eyeC).apply(u)
+    w = [kron(lmul(ctx.A, [1 if t == i else 0 for t in range(nA)]), eyeC).apply(u)
          for i in range(nA)]
     cond_cols = []
     for idx in range(nA * nC):
@@ -440,8 +440,8 @@ def normal_basis_condition_by_evaluation(ctx, B) -> DenseMatrix:
     rho_A = ctx.comodule_A().coaction
     eyeC = DenseMatrix.identity(f, nC)
     eyeB = DenseMatrix.identity(f, nB)
-    lmuls = [(ctx.A.lmul_matrix(B.embedding.col(j)),
-              B.algebra.lmul_matrix([1 if t == j else 0 for t in range(nB)]))
+    lmuls = [(lmul(ctx.A, B.embedding.col(j)),
+              lmul(B.algebra, [1 if t == j else 0 for t in range(nB)]))
              for j in range(nB)]
     cols = []
     for idx in range(target * nA):
@@ -485,7 +485,7 @@ def q_condition_by_evaluation(ctx, inputs: DenseMatrix = None) -> DenseMatrix:
     eye = DenseMatrix.identity(f, dim)
     rmat = cor.right_module.action_map()
     lx = DenseMatrix.from_columns(
-        f, [cor.left_act([1 if t == i else 0 for t in range(nA)]).apply(ctx.x)
+        f, [cor.left_module.act_matrix([1 if t == i else 0 for t in range(nA)]).apply(ctx.x)
             for i in range(nA)], dim)
     cols = []
     for idx in range(nA * nC):
@@ -506,7 +506,7 @@ def _basis(n: int) -> List[list]:
 
 def hook_by_evaluation(ctx, a: Sequence, q: Sequence) -> list:
     """a <- q = q~(x a), evaluating q's extension on x a."""
-    return eval_at(ctx, q, ctx.coring().right_act(a).apply(ctx.x))
+    return eval_at(ctx, q, ctx.coring().right_module.act_matrix(a).apply(ctx.x))
 
 
 def G_plain_by_evaluation(data) -> DenseMatrix:
@@ -534,7 +534,7 @@ def Q_right_by_evaluation(data) -> List[DenseMatrix]:
     Q = data.Q.space
     out = []
     for j in range(data.B.dim):
-        rb = ctx.A.rmul_matrix(data.B.embedding.col(j))
+        rb = rmul(ctx.A, data.B.embedding.col(j))
         out.append(DenseMatrix.from_columns(
             ctx.field, [Q.coords(rb.mul(qm).entries) for qm in data.Q.matrices], Q.dim))
     return out
@@ -687,7 +687,7 @@ def x_invariants_over_basis(mod: ModulePresentation, ctx) -> Subspace:
     """{m : m . g = m . iota(g(x))} with the condition stacked for every
     basis element g of the dual ring, the reference for ``x_invariants``."""
     sharp = ctx.sharp_ring()
-    diffs = [mod.action[idx].sub(mod.act_matrix(sharp.embed_A(gx)))
+    diffs = [mod.action[idx].sub(mod.act_matrix(sharp.iota.apply(gx)))
              for idx, gx in enumerate(sharp.at_x().columns())]
     return kernel(diffs[0].vstack(*diffs[1:]))
 
@@ -910,11 +910,11 @@ def verify_beta_coring_morphism(ctx, plain: DenseMatrix = None):
         v.fail("beta-comultiplication")
     for i in range(nA):
         e_i = [1 if t == i else 0 for t in range(nA)]
-        if mul_kron(plain, ctx.A.lmul_matrix(e_i), eyeA) != \
-                cor.left_act(e_i).mul(plain):
+        if mul_kron(plain, lmul(ctx.A, e_i), eyeA) != \
+                cor.left_module.act_matrix(e_i).mul(plain):
             v.fail("beta-left-linearity", (i,))
-        if mul_kron(plain, eyeA, ctx.A.rmul_matrix(e_i)) != \
-                cor.right_act(e_i).mul(plain):
+        if mul_kron(plain, eyeA, rmul(ctx.A, e_i)) != \
+                cor.right_module.act_matrix(e_i).mul(plain):
             v.fail("beta-right-linearity", (i,))
     if not v.valid:
         raise VerificationError("beta", v)
@@ -996,7 +996,7 @@ def verify_B_acts_multiplicatively(ctx, data) -> None:
     v = Verdict()
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            if A.lmul_matrix(A.mul_vec(bi, bj)) != A.lmul_matrix(bi).mul(A.lmul_matrix(bj)):
+            if lmul(A, A.mul_vec(bi, bj)) != lmul(A, bi).mul(lmul(A, bj)):
                 v.fail("B-action-multiplicative", (i, j))
     if not v.valid:
         raise VerificationError("verify_B_acts_multiplicatively", v)

@@ -4,7 +4,7 @@ import functools
 import importlib.util
 import os
 
-from coring_lab.exactla import QQ, DenseMatrix
+from coring_lab.exactla import QQ, DenseMatrix, combinations
 from coring_lab.algebra import AlgebraPresentation, ModulePresentation
 
 
@@ -12,6 +12,16 @@ def mult_table(A):
     """The structure constants of A, [i][j][k] the e_k-coefficient of
     e_i e_j, read off its left multiplication operators."""
     return [L.columns() for L in A.lmuls]
+
+
+def lmul(A, u):
+    """Left multiplication by the element of A with coordinates u."""
+    return combinations(A.lmuls, DenseMatrix.from_columns(A.field, [u], A.dim))[0]
+
+
+def rmul(A, u):
+    """Right multiplication by the element of A with coordinates u."""
+    return combinations(A.rmuls, DenseMatrix.from_columns(A.field, [u], A.dim))[0]
 
 
 def dual_numbers():

@@ -235,3 +235,12 @@ def naive_combination(coeffs, mats, rows, cols, p=None):
             out_row.append(s if p is None else int(s) % p)
         out.append(out_row)
     return out
+
+
+def naive_combinations(mats, coeff_rows, rows, cols, p=None):
+    """For each column k of the coefficient matrix (a list of rows, one per
+    matrix), ``naive_combination`` of the matrices with the coefficients of
+    column k."""
+    width = len(coeff_rows[0]) if coeff_rows else 0
+    return [naive_combination([c[k] for c in coeff_rows], mats, rows, cols, p)
+            for k in range(width)]

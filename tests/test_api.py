@@ -63,6 +63,23 @@ def test_subspace_membership_has_one_routine():
     assert not hasattr(coring_lab.Subspace, "reduce")
 
 
+def test_operators_have_one_construction():
+    """``exactla.combinations`` is the one construction of an operator from
+    coordinates, and it takes a coefficient matrix: the per-element entry
+    points beside it, the unit embedding's numerator helpers and the
+    builder's fraction view of its rows are gone."""
+    from coring_lab import exactla
+    from coring_lab.entwining import SharpRing
+    assert not hasattr(exactla, "combine_matrices")
+    for name in ("lmul_matrix", "rmul_matrix"):
+        assert not hasattr(coring_lab.AlgebraPresentation, name), name
+    for name in ("embedded", "embed_A", "unit_actions"):
+        assert not hasattr(SharpRing, name), name
+    assert not hasattr(SubspaceBuilder, "rows")
+    act = coring_lab.ModulePresentation.act_matrix.__code__
+    assert act.co_varnames[:act.co_argcount] == ("self", "u")
+
+
 def test_algebra_stores_its_product_once():
     """An algebra stores its product as its left multiplication operators;
     no dense table of structure constants is kept beside them."""

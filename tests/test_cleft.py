@@ -19,6 +19,7 @@ from coring_lab.cleft import (
     x_case_grouplike,
 )
 
+from helpers import lmul
 from oracles import is_total
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 
@@ -237,8 +238,8 @@ def test_gamma_A_is_left_B_linear():
         for j in range(data.B.dim):
             b = data.B.embedding.col(j)
             e_j = [1 if t == j else 0 for t in range(data.B.dim)]
-            lhs = g.mul(ctx.A.lmul_matrix(b))
-            rhs = kron(data.B.algebra.lmul_matrix(e_j), eyeC).mul(g)
+            lhs = g.mul(lmul(ctx.A, b))
+            rhs = kron(lmul(data.B.algebra, e_j), eyeC).mul(g)
             assert lhs == rhs
 
 

@@ -67,7 +67,7 @@ from crosscheck import (
     q_left_annihilator_by_evaluation,
     sharp_constants_by_evaluation,
 )
-from helpers import mult_table, perfbench_instance
+from helpers import lmul, mult_table, perfbench_instance
 from oracles import random_scalar
 
 INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \
@@ -83,8 +83,8 @@ def _context(label):
         ctx = fixture("fix-s").context
         u = [2, 0, 1, 1]
         cor = ctx.coring()
-        x = cor.left_act(u).apply(cor.right_act(solve(ctx.A.lmul_matrix(u), ctx.A.unit))
-                                  .apply(ctx.x))
+        u_inv = solve(lmul(ctx.A, u), ctx.A.unit)
+        x = cor.left_module.act_matrix(u).apply(cor.right_module.act_matrix(u_inv).apply(ctx.x))
         return EntwinedContext(ctx.A, ctx.C, ctx.psi, x, name=label)
     if label == "fix-s-over-k":
         # over the trivial coalgebra B is all of A, and this A is not commutative

@@ -19,7 +19,7 @@ from coring_lab.exactla import (
     SeededStream,
     SubspaceBuilder,
     _is_prime,
-    combine_matrices,
+    combinations,
     image,
     kernel,
     kron,
@@ -262,9 +262,14 @@ def test_row_combinations_match_naive_matmul(field):
         assert got == naive_matmul(coeffs.row_lists(), rows.row_lists(), width,
                                    oracle_p(field))[0]
         assert_canonical(field, got)
-        # the same combination of matrices, each row of `rows` a 1 x width matrix
+        # the same combination of matrices, each row of `rows` a 1 x width
+        # matrix; with no matrix there is no shape to combine into
         mats = [DenseMatrix(field, 1, width, rows.row(i)) for i in range(k)]
-        combo = combine_matrices(field, 1, width, coeffs.entries, mats)
+        if not k:
+            with pytest.raises(ShapeError):
+                combinations(mats, coeffs.transpose())
+            continue
+        combo = combinations(mats, coeffs.transpose())[0]
         assert combo.entries == got
 
 
@@ -477,7 +482,7 @@ def test_row_reduce_matches_naive_rref(field, p):
     for n, rows in cases:
         span = row_reduce(field, n, rows)
         pivots = span.pivots
-        dense = [[span.rows[c].get(j, 0) for j in range(n)] for c in pivots]
+        dense = DenseMatrix(field, span.dim, n, span.echelon()).row_lists()
         want, want_pivots = naive_rref(rows, p)
         want = [[field.normalize(x) for x in r] for r in want]
         assert pivots == want_pivots
@@ -660,15 +665,16 @@ def test_subspace_builder_matches_dense():
                 # read the rows after every insertion, so a stale view fails
                 rref, pivots = naive_rref(vecs[:k + 1], p)
                 assert grew == (len(pivots) > naive_rank(vecs[:k], p))
-                assert sb.rows is sb.rows
-                assert sorted(sb.rows) == pivots
-                assert [[sb.rows[c].get(j, 0) for j in range(dim)] for c in pivots] == rref
-                for row in sb.rows.values():
-                    for x in row.values():
-                        assert x and (type(x) is int or x.denominator != 1)
-            pivots = sorted(sb.rows)
-            dense = [[sb.rows[c].get(j, 0) for j in range(dim)] for c in pivots]
-            assert Subspace(field, dim, dense, pivots) == Subspace.from_spanning(field, dim, vecs)
+                assert sb.pivots == pivots
+                dense = DenseMatrix(field, sb.dim, dim, sb.echelon()).row_lists()
+                assert dense == rref
+                for row in dense:
+                    for x in row:
+                        assert not x or type(x) is int or x.denominator != 1
+            pivots = sb.pivots
+            dense = DenseMatrix(field, sb.dim, dim, sb.echelon()).row_lists()
+            assert Subspace(field, dim, DenseMatrix.from_rows(field, dense, cols=dim), pivots) == \
+                Subspace.from_spanning(field, dim, vecs)
 
 
 # -- serialization ---------------------------------------------------------------

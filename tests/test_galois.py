@@ -131,7 +131,7 @@ def test_varpi_surjective_and_ghat():
     # the counit itself works as the normalized element for fix-h
     ctx = make_fix_h()
     sharp = ctx.sharp_ring()
-    eps_flat = sharp.embed_A(ctx.A.unit)
+    eps_flat = sharp.iota.apply(ctx.A.unit)
     assert sharp.at_x().apply(eps_flat) == [1, 0]
 
 

@@ -6,7 +6,7 @@ that ``den > 1`` is common) and over GF(7), mostly zero, with all-zero
 matrices, zero rows and 0 x n and n x 0 shapes among them, and compare
 every operation that reads or writes the stored pairs with the textbook
 routines of ``oracles.py``: the products, the Kronecker forms, transpose,
-difference, linear combination, reshaping, interleaving rows and taking
+difference, the linear combinations of matrices (``combinations``), reshaping, interleaving rows and taking
 them apart again, reduction, kernels and row spaces, joining columns side
 by side, interleaved or flattened, cutting into flattened blocks, direct
 sums, the columns in which two matrices differ, the invertibility test
@@ -32,7 +32,7 @@ from coring_lab.exactla import (
     Subspace,
     block_diag,
     combination_is_invertible,
-    combine_matrices,
+    combinations,
     differing_columns,
     flat_blocks,
     flat_columns,
@@ -53,6 +53,7 @@ from coring_lab.exactla import (
 
 from oracles import (
     naive_combination,
+    naive_combinations,
     naive_join_columns,
     naive_kron,
     naive_matmul,
@@ -169,16 +170,68 @@ def test_transpose_and_sub_match_oracle(data, field):
     assert A.sub(A).is_zero() and A.sub(A) == DenseMatrix.zeros(field, A.rows, A.cols)
 
 
+@st.composite
+def coefficient_columns(draw, field, k):
+    """A k x m coefficient matrix whose columns are zero, a unit vector or
+    drawn scalars (fractions over Q), each kind as likely."""
+    cols = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["zero", "unit", "scalars"]))
+        if kind == "zero":
+            cols.append([0] * k)
+        elif kind == "unit":
+            i = draw(st.integers(0, k - 1))
+            cols.append([int(t == i) for t in range(k)])
+        else:
+            cols.append([draw(scalars(field)) for _ in range(k)])
+    return DenseMatrix.from_columns(field, cols, k)
+
+
 @given(st.data(), FIELDS)
 @SETTINGS
-def test_combine_matrices_matches_oracle(data, field):
+def test_combinations_match_oracle(data, field):
+    """Column k of the coefficients gives sum_i C[i, k] mats[i], against
+    the entry-by-entry oracle, for matrices with den > 1 among them; a unit
+    column gives its matrix itself."""
     rows, cols, k = data.draw(DIMS), data.draw(DIMS), data.draw(st.integers(1, 4))
     mats = [data.draw(matrices(field, rows=rows, cols=cols)) for _ in range(k)]
-    coeffs = [field.normalize(data.draw(scalars(field))) for _ in range(k)]
-    got = combine_matrices(field, rows, cols, coeffs, mats)
-    want = naive_combination(coeffs, [M.row_lists() for M in mats], rows, cols, p_of(field))
-    assert got.row_lists() == normalized(field, want)
-    assert_canonical(field, got)
+    C = data.draw(coefficient_columns(field, k))
+    got = combinations(mats, C)
+    want = naive_combinations([M.row_lists() for M in mats], C.row_lists(), rows, cols,
+                              p_of(field))
+    assert len(got) == C.cols
+    for G, W, column in zip(got, want, C.columns()):
+        assert (G.rows, G.cols) == (rows, cols)
+        assert G.row_lists() == normalized(field, W)
+        assert_canonical(field, G)
+        if sorted(column) == [0] * (k - 1) + [1]:
+            assert G is mats[column.index(1)]
+
+
+def test_combinations_of_fractional_matrices():
+    """Matrices and coefficients with denominators: the result is
+    canonical, in lowest terms over the lcm of what remains."""
+    M = DenseMatrix(QQ, 2, 2, [Fraction(1, 2), 0, 0, Fraction(1, 3)])
+    N = DenseMatrix(QQ, 2, 2, [Fraction(1, 2), 1, 0, Fraction(2, 3)])
+    C = DenseMatrix(QQ, 2, 3, [2, Fraction(1, 2), 0, 0, Fraction(-1, 2), 0])
+    half, diff, zero = combinations([M, N], C)
+    assert (M.den, N.den) == (6, 6)
+    assert half == DenseMatrix(QQ, 2, 2, [1, 0, 0, Fraction(2, 3)])
+    assert diff == DenseMatrix(QQ, 2, 2, [0, Fraction(-1, 2), 0, Fraction(-1, 6)])
+    assert zero == DenseMatrix.zeros(QQ, 2, 2) and zero.den == 1
+    assert combinations([M, N], DenseMatrix(QQ, 2, 1, [0, 1]))[0] is N
+
+
+def test_combinations_check_their_shapes():
+    M, N = DenseMatrix.identity(QQ, 2), DenseMatrix.zeros(QQ, 2, 3)
+    with pytest.raises(ShapeError):
+        combinations([M], DenseMatrix.identity(QQ, 2))    # one matrix, two rows
+    with pytest.raises(ShapeError):
+        combinations([M, N], DenseMatrix.identity(QQ, 2))  # two shapes
+    with pytest.raises(ShapeError):
+        combinations([], DenseMatrix.zeros(QQ, 0, 1))     # no matrix to take a shape from
+    with pytest.raises(ShapeError):
+        combinations([DenseMatrix.identity(F7, 2)], DenseMatrix.identity(QQ, 1))
 
 
 @given(st.data(), FIELDS)
@@ -255,7 +308,7 @@ def test_row_reduce_and_kernel_match_oracle(data, field):
     span = row_reduce(field, M.cols, M.row_lists())
     want, want_pivots = naive_rref(M.row_lists(), p)
     assert span.pivots == want_pivots
-    assert [[span.rows[c].get(j, 0) for j in range(M.cols)] for c in span.pivots] == \
+    assert DenseMatrix(field, span.dim, M.cols, span.echelon()).row_lists() == \
         normalized(field, want)
     K = kernel(M)
     assert K.dim == M.cols - naive_rank(M.row_lists(), p)
@@ -319,7 +372,7 @@ def test_is_invertible_matches_the_kernel(data, field):
     n = data.draw(DIMS)
     M = data.draw(matrices(field, rows=n, cols=n))
     k = data.draw(st.integers(0, 3))
-    X = combine_matrices(field, n, n, [1, k], [M, DenseMatrix.identity(field, n)])
+    X = combinations([M, DenseMatrix.identity(field, n)], DenseMatrix(field, 2, 1, [1, k]))[0]
     for Y in (M, X, data.draw(matrices(field))):
         want = Y.rows == Y.cols and kernel(Y).is_zero()
         assert is_invertible(Y) == want
@@ -404,7 +457,7 @@ def test_solve_matrix_matches_oracle(data, field):
 @SETTINGS
 def test_lazy_invertibility_trial_matches_the_combination(data, field):
     """combination_is_invertible decides exactly what is_invertible decides
-    on the combination combine_matrices forms, for square and non-square
+    on the combination ``combinations`` forms, for square and non-square
     matrices, zero, unit and fractional coefficients."""
     rows = data.draw(DIMS)
     cols = rows if data.draw(st.integers(0, 3)) else data.draw(DIMS)
@@ -415,7 +468,7 @@ def test_lazy_invertibility_trial_matches_the_combination(data, field):
     coeffs = [field.normalize(data.draw(scalars(field))) for _ in mats]
     if data.draw(st.booleans()):
         coeffs = [int(i == 0) for i in range(len(mats))]   # a basis vector
-    want = is_invertible(combine_matrices(field, rows, cols, coeffs, mats))
+    want = is_invertible(combinations(mats, DenseMatrix.from_columns(field, [coeffs], len(mats)))[0])
     assert combination_is_invertible(field, coeffs, mats) == want
 
 

@@ -150,8 +150,8 @@ def test_dual_ring_conditions_hold_on_generating_sets(ctx):
     sharp = ctx.sharp_ring()
     S, nC = sharp.algebra, ctx.C.dim
     for a, e_a in enumerate(DenseMatrix.identity(ctx.field, ctx.A.dim).row_lists()):
-        for j, f_j in enumerate(sharp.duals):
-            assert S.mul_vec(f_j, sharp.embed_A(e_a)) == \
+        for j, f_j in enumerate(sharp.duals.columns()):
+            assert S.mul_vec(f_j, sharp.iota.col(a)) == \
                 [int(t == a * nC + j) for t in range(S.dim)]
     data = ctx.morita()
     right = [dual_action(w) for w in ctx.default_witnesses()]

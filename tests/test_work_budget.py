@@ -86,10 +86,34 @@ here, when ``SharpRing.embed_A`` normalized each product and
 
 The entry and nonzero counts fell to 184,160 and 7,465 when the balanced
 tensor products stopped transposing each generator's action and read its
-columns instead.
+columns instead.  They rose to 186,388 and 7,665 when every operator
+came to be built by ``combinations`` from a coefficient matrix, both within
+their budgets, which are kept: the coefficients are small matrices now
+(x reshaped, the unit embedding and its conditions, the generators'
+candidates side by side with the basis, the vectors a solve returns),
+where they were lists.
+
+The Fraction budget is now 10 % above the count measured when every
+operator was built by ``combinations`` from the coefficient matrix its
+caller holds and ``generators`` closed span{1} on integer numerators
+(139 fractions, 117 of them serializing the result; 756 before, which
+fails here).
+
+An analysis reads the dense views of a matrix (``entries``, ``col``,
+``columns``, ``row_lists``) only to serialize its result and to return
+the few vectors that ``solve`` finds.  The dense-view budget for one
+``fix-s`` verify + analysis counts the cells those views return outside
+any ``to_json``, 10 % above the count measured when every operator came
+to be built from a coefficient matrix by ``combinations`` (13 cells;
+1,773 before, which fails here, when the operators of B, Q, the unit
+embedding and the witness were built from coordinate lists read through
+those views, and the projectivity test read its hom matrices by
+``columns()``).  A change that reads coordinates through a dense view
+again to build an operator, or to compare two matrices, fails here.
 """
 
 import os
+import sys
 from fractions import Fraction
 
 from coring_lab import cli
@@ -102,7 +126,8 @@ FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
 ENTRY_BUDGET = 202_900
 NONZERO_BUDGET = 8_190
 INSERT_BUDGET = 2_580
-FRACTION_BUDGET = 831
+FRACTION_BUDGET = 153
+DENSE_VIEW_BUDGET = 14
 
 
 def _analyze_fix_s():
@@ -159,3 +184,32 @@ def test_dense_qz3_analysis_stays_within_fraction_budget(monkeypatch):
     cli.full_verify(ctx)
     cli.run_analysis(ctx, seed=0)
     assert built[0] <= FRACTION_BUDGET, built[0]
+
+
+def _in_to_json() -> bool:
+    frame = sys._getframe()
+    while frame is not None:
+        if frame.f_code.co_name == "to_json":
+            return True
+        frame = frame.f_back
+    return False
+
+
+def test_fix_s_analysis_stays_within_dense_view_budget(monkeypatch):
+    ctx = cli.load_instance(FIX_S)
+    read = [0]
+
+    def counted(view, cells):
+        def reading(self, *args):
+            if not _in_to_json():
+                read[0] += cells(self)
+            return view(self, *args)
+        return reading
+    square = lambda M: M.rows * M.cols  # noqa: E731
+    monkeypatch.setattr(DenseMatrix, "entries", property(counted(DenseMatrix.entries.fget, square)))
+    monkeypatch.setattr(DenseMatrix, "columns", counted(DenseMatrix.columns, square))
+    monkeypatch.setattr(DenseMatrix, "row_lists", counted(DenseMatrix.row_lists, square))
+    monkeypatch.setattr(DenseMatrix, "col", counted(DenseMatrix.col, lambda M: M.rows))
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert read[0] <= DENSE_VIEW_BUDGET, read[0]
