@@ -61,7 +61,6 @@ from .coring import (
     x_invariants,
 )
 from .morita import (
-    ClauseDisagreement,
     build_context,
     check_theorem_Cfinite,
     check_theorem_surj,
@@ -73,7 +72,6 @@ from .morita import (
     xi_M,
 )
 from .galois import (
-    StructureVerdict,
     beta,
     phi_N,
     psi_M,
@@ -81,7 +79,7 @@ from .galois import (
     structure_report,
 )
 from .cleft import (
-    CleftResult,
+    SearchResult,
     check_theorem_main,
     check_theorem_xcase,
     find_cleft,
@@ -90,7 +88,7 @@ from .cleft import (
     lemma_coQ_check,
     normal_basis_check,
 )
-from .verdict import AxiomFailure, Verdict, VerificationError
+from .verdict import AxiomFailure, ClauseDisagreement, Verdict, VerificationError
 
 __all__ = [
     "QQ", "GF", "DenseMatrix", "ExactLAError", "FieldSpec", "QuotientSpace",
@@ -105,15 +103,14 @@ __all__ = [
     "ComoduleInstance", "CoringPresentation", "coinvariants", "dual_action",
     "hom_comodule", "hom_from_A", "hom_into_induced", "induced_comodule",
     "verify_coring", "x_invariants",
-    "ClauseDisagreement", "build_context", "check_theorem_Cfinite",
+    "build_context", "check_theorem_Cfinite",
     "check_theorem_surj", "compute_B", "compute_Q", "find_qhat",
     "omega_and_lambda", "psi_tilde_from_F", "xi_M",
-    "StructureVerdict", "beta", "phi_N", "psi_M", "psi_prime_M",
-    "structure_report",
-    "CleftResult", "check_theorem_main", "check_theorem_xcase", "find_cleft",
+    "beta", "phi_N", "psi_M", "psi_prime_M", "structure_report",
+    "SearchResult", "check_theorem_main", "check_theorem_xcase", "find_cleft",
     "gamma_M", "integral_space", "lemma_coQ_check", "normal_basis_check",
     "Fixture", "all_fixtures", "fixture",
-    "AxiomFailure", "Verdict", "VerificationError",
+    "AxiomFailure", "ClauseDisagreement", "Verdict", "VerificationError",
 ]
 
 __version__ = "0.1.0"

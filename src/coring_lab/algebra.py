@@ -31,12 +31,12 @@ from .exactla import (
     Subspace,
     SubspaceBuilder,
     block_diag,
-    clear_denominators,
     combinations,
     differing_columns,
     flat_columns,
+    hstack,
     image,
-    join_columns,
+    interleave_columns,
     json_dim,
     json_get,
     mul_kron,
@@ -56,13 +56,15 @@ class AlgebraPresentation:
     multiplication operators.
 
     ``lmuls[i]`` is the sparse matrix of left multiplication by e_i: its
-    column j is the coordinate vector of e_i e_j.  ``unit`` is the
-    coordinate vector of 1.  The constructor takes the structure constants
-    ``mult[i][j][k]``, the e_k-coefficient of e_i e_j, as instances write
-    them, and converts them once; an algebra derived from another enters
-    through ``from_operators``.  Everything else is read off ``lmuls``:
-    ``rmuls`` (column i of rmul(e_j) is column j of lmul(e_i)), the
-    multiplication map ``mult_matrix`` and the table ``to_json`` writes.
+    column j is the coordinate vector of e_i e_j.  ``unit_matrix`` is the
+    coordinate column of 1, and ``unit`` its dense view.  The constructor
+    takes the structure constants ``mult[i][j][k]``, the e_k-coefficient of
+    e_i e_j, and the unit's coordinates, as instances write them, and
+    converts them once; an algebra derived from another enters through
+    ``from_operators``, with its unit as a column.  Everything else is read
+    off ``lmuls``: ``rmuls`` (column i of rmul(e_j) is column j of
+    lmul(e_i)), the multiplication map ``mult_matrix`` and the table
+    ``to_json`` writes.
     The operator of any other element is a ``combinations`` of them.
     """
 
@@ -71,30 +73,34 @@ class AlgebraPresentation:
         if len(mult) != dim or any(len(row) != dim for row in mult) or any(
                 len(cell) != dim for row in mult for cell in row):
             raise ShapeError("structure constants have the wrong shape")
-        self._store(field, [DenseMatrix.from_columns(field, row, dim) for row in mult], unit,
-                    name, candidates)
+        if len(unit) != dim:
+            raise ShapeError("unit vector has the wrong length")
+        self._store(field, [DenseMatrix.from_columns(field, row, dim) for row in mult],
+                    DenseMatrix.from_columns(field, [unit], dim), name, candidates)
 
     @classmethod
-    def from_operators(cls, field: FieldSpec, lmuls: list[DenseMatrix], unit, name: str = "",
-                       candidates: DenseMatrix | None = None) -> "AlgebraPresentation":
-        """The algebra whose left multiplication by e_i is ``lmuls[i]``."""
+    def from_operators(cls, field: FieldSpec, lmuls: list[DenseMatrix], unit: DenseMatrix,
+                       name: str = "", candidates: DenseMatrix | None = None
+                       ) -> "AlgebraPresentation":
+        """The algebra whose left multiplication by e_i is ``lmuls[i]`` and
+        whose unit is the column ``unit``."""
         algebra = cls.__new__(cls)
         algebra._store(field, lmuls, unit, name, candidates)
         return algebra
 
-    def _store(self, field: FieldSpec, lmuls: list[DenseMatrix], unit, name: str,
-               candidates: DenseMatrix | None) -> None:
+    def _store(self, field: FieldSpec, lmuls: list[DenseMatrix], unit: DenseMatrix,
+               name: str, candidates: DenseMatrix | None) -> None:
         dim = len(lmuls)
         if dim < 1:
             raise ShapeError("an algebra needs dimension at least 1")
         if any(L.rows != dim or L.cols != dim for L in lmuls):
             raise ShapeError("multiplication operators have the wrong shape")
-        if len(unit) != dim:
+        if (unit.rows, unit.cols) != (dim, 1):
             raise ShapeError("unit vector has the wrong length")
         self.field = field
         self.dim = dim
         self.lmuls = lmuls
-        self.unit = [field.normalize(x) for x in unit]
+        self._unit = unit
         self.name = name
         # the elements ``generators`` tries before the basis, as columns
         self.candidates = DenseMatrix.zeros(field, dim, 0) if candidates is None else candidates
@@ -117,9 +123,9 @@ class AlgebraPresentation:
         taken over them.  The closure multiplies numerator vectors and never
         divides them out: a nonzero multiple spans the same line."""
         f, n = self.field, self.dim
-        pool = self.candidates.hstack(DenseMatrix.identity(f, n))
+        pool = hstack(f, [self.candidates, DenseMatrix.identity(f, n)], n)
         span = SubspaceBuilder(f, n)
-        unit = {i: x for i, x in enumerate(clear_denominators(self.unit)[1]) if x}
+        unit = dict(self._unit.numerator_columns()[0])
         span.insert(unit)
         closed, picked, lmuls = [unit], [], []
         for k, g in enumerate(pool.numerator_columns()):
@@ -142,16 +148,20 @@ class AlgebraPresentation:
                     todo += [_times(L, v, f.p) for L in lmuls]
         return pool.take_columns(picked)
 
-    @once
     def unit_matrix(self) -> DenseMatrix:
         """The unit as a dim x 1 matrix, the map k -> A."""
-        return DenseMatrix.from_columns(self.field, [self.unit], self.dim)
+        return self._unit
+
+    @property
+    def unit(self) -> list:
+        """The unit's coordinate vector, a dense view of ``unit_matrix``."""
+        return self._unit.entries
 
     @once
     def mult_matrix(self) -> DenseMatrix:
         """Multiplication as a matrix A (x) A -> A, column (i*dim+j) = e_i e_j:
         the operators lmul(e_i) side by side."""
-        return join_columns(self.field, self.lmuls, self.dim)
+        return hstack(self.field, self.lmuls, self.dim)
 
     def regular_module(self, side: str) -> "ModulePresentation":
         if side == "right":
@@ -240,7 +250,8 @@ class ModulePresentation:
         """The action as one linear map: S (x) M -> M with column (i, m) =
         e_i . m for a left module, M (x) S -> M with column (m, i) = m . e_i
         for a right module."""
-        return join_columns(self.field, self.action, self.dim, interleave=self.side == "right")
+        join = interleave_columns if self.side == "right" else hstack
+        return join(self.field, self.action, self.dim)
 
     def restrict(self, sub: Subspace, name: str = "") -> "ModulePresentation":
         """The induced module on an action-invariant subspace, in its basis."""
@@ -473,7 +484,7 @@ def is_fg_projective(M: ModulePresentation) -> tuple[bool, DenseMatrix | None]:
     # m_k of M:  sum_i  m_i . (sigma_i(m_k))  =  m_k.  Column (i, j) of the
     # system is column i of the action of h_j(m_k), stacked over k.
     stacked = [DenseMatrix.vstack(*combinations(M.action, h)) for h in homs]
-    sol = solve_matrix(join_columns(f, stacked, d * d, interleave=True),
+    sol = solve_matrix(interleave_columns(f, stacked, d * d),
                        DenseMatrix.identity(f, d).reshape(d * d, 1))
     if sol is None:
         return False, None
@@ -484,7 +495,7 @@ def is_fg_projective(M: ModulePresentation) -> tuple[bool, DenseMatrix | None]:
 
 def trace_span(M: ModulePresentation) -> Subspace:
     """Span of all images of module maps M -> S inside S (the trace ideal)."""
-    return image(join_columns(M.field, dual_homs(M), M.algebra.dim))
+    return image(hstack(M.field, dual_homs(M), M.algebra.dim))
 
 
 @once
@@ -506,7 +517,7 @@ def subalgebra_on(A: AlgebraPresentation, space: Subspace, name: str = "") -> tu
     is not closed or misses the unit, which would flag an upstream bug.
     """
     try:
-        unit = space.coords(A.unit)
+        unit = space.coords_matrix(A.unit_matrix())
     except NotInSubspace:
         raise VerificationError("subalgebra_on", one_failure(
             "subalgebra-unit", detail="unit of A is not in the subspace")) from None

@@ -36,17 +36,17 @@ from .exactla import (
     combination_is_invertible,
     combinations,
     flat_columns,
-    join_columns,
+    interleave_columns,
     kernel,
     kron,
     kron_mul,
     once,
-    solve,
+    solve_matrix,
     stack_slices,
     unflatten_rows,
 )
-from .morita import ClauseDisagreement, find_qhat
-from .verdict import Verdict, VerificationError, one_failure
+from .morita import find_qhat
+from .verdict import ClauseDisagreement, Verdict, VerificationError, clause_table, one_failure
 
 
 class InconclusiveSearch(Exception):
@@ -61,9 +61,9 @@ class InconclusiveSearch(Exception):
 class IntegralSpace:
     """All colinear maps C -> A, with the affine totality condition."""
 
-    def __init__(self, space: Subspace, total_example: list | None):
+    def __init__(self, space: Subspace, total_example: DenseMatrix | None):
         self.space = space                  # inside Hom(C, A) flat coordinates
-        self.total_example = total_example  # one total integral, when any exists
+        self.total_example = total_example  # one total integral as a column, when any exists
 
     @property
     def dim(self) -> int:
@@ -84,8 +84,8 @@ def _integral_condition(ctx) -> DenseMatrix:
 @once
 def integral_space(ctx) -> IntegralSpace:
     space = kernel(_integral_condition(ctx))
-    sol = solve(ctx.sharp_ring().at_x().mul(space.embedding), ctx.A.unit)
-    return IntegralSpace(space, None if sol is None else space.embedding.apply(sol))
+    sol = solve_matrix(ctx.sharp_ring().at_x().mul(space.embedding), ctx.A.unit_matrix())
+    return IntegralSpace(space, None if sol is None else space.embedding.mul(sol))
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +94,20 @@ def integral_space(ctx) -> IntegralSpace:
 
 
 class SearchResult:
-    def __init__(self, status: str, coords: list | None = None, certificate: str = ""):
+    """The answer of a search: its status, the witness when one was found
+    (the parameter vector of ``search_invertible``, the ``CleftWitness`` of
+    ``find_cleft``, the isomorphism theta of ``normal_basis_check``) and
+    the certificate of how it was decided."""
+
+    def __init__(self, status: str, witness: object = None, certificate: str = ""):
         self.status = status            # "found" | "absent" | "inconclusive"
-        self.coords = coords            # parameter vector of the hit
+        self.witness = witness
         self.certificate = certificate
+
+    @property
+    def answer(self) -> bool | str:
+        """True when found, False when absent, else "inconclusive"."""
+        return {"found": True, "absent": False}.get(self.status, self.status)
 
 
 # the search budgets: 0/1 patterns tried, seeded random candidates, the
@@ -183,37 +193,21 @@ class CleftWitness:
         return {"lambda": self.lam.to_json(), "lambda_bar": self.lam_bar.to_json()}
 
 
-class CleftResult:
-    def __init__(self, status: str, witness: CleftWitness | None = None,
-                 certificate: str = ""):
-        self.status = status            # "found" | "absent" | "inconclusive"
-        self.witness = witness
-        self.certificate = certificate
-
-    @property
-    def cleft(self):
-        if self.status == "found":
-            return True
-        if self.status == "absent":
-            return False
-        return "inconclusive"
-
-
 @once
-def find_cleft(ctx, seed: int = 0) -> CleftResult:
+def find_cleft(ctx, seed: int = 0) -> SearchResult:
     """Search the integral space for a convolution-invertible element."""
     integrals = integral_space(ctx)
     f = ctx.field
     if integrals.dim == 0:
-        return CleftResult("absent", certificate="no nonzero integrals")
+        return SearchResult("absent", certificate="no nonzero integrals")
     # h -> lam * h is invertible iff lam is *-invertible (one-sided inverses
     # are two-sided in the finite-dimensional convolution algebra)
     lams = unflatten_rows(integrals.space.basis, ctx.A.dim, ctx.C.dim)
     res = search_invertible(f, [_conv_operator(g, ctx.C, ctx.A, "left") for g in lams],
                             seed=seed)
     if res.status != "found":
-        return CleftResult(res.status, certificate=res.certificate)
-    lam = combinations(lams, DenseMatrix.from_columns(f, [res.coords], len(lams)))[0]
+        return res
+    lam = combinations(lams, DenseMatrix.from_columns(f, [res.witness], len(lams)))[0]
     lam_bar = convolution_inverse(lam, ctx.C, ctx.A)
     if lam_bar is None:
         raise VerificationError("find_cleft", one_failure(
@@ -226,7 +220,7 @@ def find_cleft(ctx, seed: int = 0) -> CleftResult:
         v.fail("cleft-witness-left-inverse")
     if not v.valid:
         raise VerificationError("find_cleft", v)
-    return CleftResult("found", CleftWitness(lam, lam_bar), res.certificate)
+    return SearchResult("found", CleftWitness(lam, lam_bar), res.certificate)
 
 
 def is_colinear(ctx, lam: DenseMatrix) -> bool:
@@ -237,11 +231,12 @@ def is_colinear(ctx, lam: DenseMatrix) -> bool:
 
 
 @once
-def x_case_grouplike(ctx) -> list | None:
-    """When the unit coaction is 1_A (x) x for a group-like x of C, return x:
-    the solution of kron(1_A, I_C) x = u, unique because 1_A is nonzero."""
-    x = solve(kron(ctx.A.unit_matrix(), DenseMatrix.identity(ctx.field, ctx.C.dim)),
-              ctx.unit_coaction)
+def x_case_grouplike(ctx) -> DenseMatrix | None:
+    """When the unit coaction is 1_A (x) x for a group-like x of C, return x
+    as a column: the solution of kron(1_A, I_C) x = u, unique because 1_A is
+    nonzero."""
+    u = DenseMatrix.from_columns(ctx.field, [ctx.unit_coaction], ctx.A.dim * ctx.C.dim)
+    x = solve_matrix(kron(ctx.A.unit_matrix(), DenseMatrix.identity(ctx.field, ctx.C.dim)), u)
     return x if x is not None and is_grouplike_C(ctx.C, x) else None
 
 
@@ -263,14 +258,11 @@ def lemma_coQ_check(ctx, lam: DenseMatrix, lam_bar: DenseMatrix) -> dict[str, ob
     colinear = is_colinear(ctx, lam)
     flat = ctx.A.dim * ctx.C.dim
     in_q = data.Q.space.contains_columns(lam_bar.reshape(flat, 1))
-    if colinear != in_q:
-        raise ClauseDisagreement("colinear-vs-Q",
-                                 {"colinear": colinear, "inverse_in_Q": in_q})
     out: dict[str, object] = {"colinear": colinear, "inverse_in_Q": in_q}
+    clause_table("colinear-vs-Q", out)
     x = x_case_grouplike(ctx)
     if x is not None and colinear:
-        lam_x = lam.mul(DenseMatrix.from_columns(ctx.field, [x], ctx.C.dim))
-        lam_hat = combinations(ctx.A.rmuls, lam_x)[0].mul(lam_bar).reshape(flat, 1)
+        lam_hat = combinations(ctx.A.rmuls, lam.mul(x))[0].mul(lam_bar).reshape(flat, 1)
         hat_in_q = data.Q.space.contains_columns(lam_hat)
         hat_ok = ctx.sharp_ring().at_x().mul(lam_hat) == ctx.A.unit_matrix()
         if not (hat_in_q and hat_ok):
@@ -305,9 +297,9 @@ def gamma_M(ctx, witness: CleftWitness, M: ComoduleInstance
     coinv = coinvariants(M)
     gamma = _trivialized(ctx, witness, M)
     # column (r, k) is n_r lam(c_k), n_r the r-th coinvariant basis vector
-    gamma_inv = join_columns(f, [L.mul(coinv.embedding)
-                                 for L in combinations(M.module.action, witness.lam)],
-                             M.dim, interleave=True)
+    gamma_inv = interleave_columns(f, [L.mul(coinv.embedding)
+                                       for L in combinations(M.module.action, witness.lam)],
+                                   M.dim)
     v = Verdict()
     if gamma.mul(gamma_inv) != DenseMatrix.identity(f, coinv.dim * nC):
         v.fail("gamma-right-inverse")
@@ -343,22 +335,6 @@ def cleft_psi_inverse_check(ctx, witness: CleftWitness, M: ComoduleInstance) -> 
 # ---------------------------------------------------------------------------
 
 
-class NormalBasisResult:
-    def __init__(self, status: str, witness: DenseMatrix | None = None,
-                 certificate: str = ""):
-        self.status = status            # "found" | "absent" | "inconclusive"
-        self.witness = witness
-        self.certificate = certificate
-
-    @property
-    def normal_basis(self):
-        if self.status == "found":
-            return True
-        if self.status == "absent":
-            return False
-        return "inconclusive"
-
-
 def _normal_basis_condition(ctx, B) -> DenseMatrix:
     """Left B-linearity and colinearity of theta: A -> B (x) C, one column
     per elementary theta (row-major, rows (b, c), columns a).  Row-major
@@ -380,7 +356,7 @@ def _normal_basis_condition(ctx, B) -> DenseMatrix:
 
 
 @once
-def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
+def normal_basis_check(ctx, seed: int = 0) -> SearchResult:
     """Search for a left-B-linear right-C-colinear isomorphism A -> B (x) C.
 
     The dimension obstruction short-circuits; otherwise the solution space of
@@ -391,19 +367,18 @@ def normal_basis_check(ctx, seed: int = 0) -> NormalBasisResult:
     f = ctx.field
     nA, nC, nB = ctx.A.dim, ctx.C.dim, data.B.dim
     if nA != nB * nC:
-        return NormalBasisResult("absent",
-                                 certificate=f"dimension obstruction: "
-                                             f"{nA} != {nB}*{nC}")
+        return SearchResult("absent",
+                            certificate=f"dimension obstruction: {nA} != {nB}*{nC}")
     condition = _normal_basis_condition(ctx, data.B)
     space = kernel(condition)
     if space.dim == 0:
-        return NormalBasisResult("absent", certificate="no equivariant maps")
+        return SearchResult("absent", certificate="no equivariant maps")
     thetas = unflatten_rows(space.basis, nA, nA)
     res = search_invertible(f, thetas, seed=seed)
     if res.status != "found":
-        return NormalBasisResult(res.status, certificate=res.certificate)
-    theta = combinations(thetas, DenseMatrix.from_columns(f, [res.coords], len(thetas)))[0]
-    return NormalBasisResult("found", theta, res.certificate)
+        return res
+    theta = combinations(thetas, DenseMatrix.from_columns(f, [res.witness], len(thetas)))[0]
+    return SearchResult("found", theta, res.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +417,9 @@ def _equivalence_table(ctx, theorem: str, seed: int) -> dict[str, object]:
         "lambda": omega_and_lambda(ctx.morita()).lambda_iso and nb,
         "strong": flags.strong and nb,
     }
-    table = {str(k + 1): routes[name] for k, name in enumerate(_CLAUSE_ORDER[theorem])}
-    if len(set(table.values())) != 1:
-        raise ClauseDisagreement(theorem, table)
-    result = {"theorem": theorem, "clauses": table, "agreement": True}
-    if table["1"]:
+    result = clause_table(theorem, {str(k + 1): routes[name]
+                                    for k, name in enumerate(_CLAUSE_ORDER[theorem])})
+    if result["clauses"]["1"]:
         result["coQ"] = lemma_coQ_check(ctx, cleft_result.witness.lam,
                                         cleft_result.witness.lam_bar)
     return result

@@ -27,9 +27,9 @@ from .cleft import (
 )
 from .entwining import EntwinedContext, instance_from_json
 from .exactla import ShapeError, dumps_canonical
-from .galois import structure_report
-from .morita import ClauseDisagreement, check_theorem_Cfinite, check_theorem_surj, find_qhat
-from .verdict import VerificationError
+from .galois import structure_flags, structure_report
+from .morita import check_theorem_Cfinite, check_theorem_surj, find_qhat
+from .verdict import ClauseDisagreement, VerificationError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -120,7 +120,8 @@ def run_analysis(ctx: EntwinedContext, seed: int = 0,
     if witness_budget is not None and witness_budget < len(witnesses):
         witnesses = witnesses[:max(3, witness_budget)]
     data = ctx.morita()
-    report = structure_report(ctx, witnesses=witnesses, seed=seed)
+    tables = structure_report(ctx, witnesses=witnesses, seed=seed)
+    flags = structure_flags(ctx)
     surj = check_theorem_surj(ctx, witnesses=witnesses, seed=seed)
     cfin = check_theorem_Cfinite(ctx, witnesses=witnesses, seed=seed)
     cleft_res = find_cleft(ctx, seed)
@@ -152,19 +153,18 @@ def run_analysis(ctx: EntwinedContext, seed: int = 0,
             "F_bijective": data.F_report.bijective,
             "G_surjective": data.G_report.surjective,
             "G_bijective": data.G_report.bijective,
-            "galois": report.galois,
-            "weak": report.weak,
-            "strong": report.strong,
-            "flat_BA": report.flat_BA,
-            "faithfully_flat_BA": report.faithfully_flat_BA,
-            "cleft": cleft_res.cleft,
-            "normal_basis": nb_res.normal_basis,
+            "galois": flags.galois,
+            "weak": flags.weak,
+            "strong": flags.strong,
+            "flat_BA": flags.flat_BA,
+            "faithfully_flat_BA": flags.flat_BA and flags.gen_BA,
+            "cleft": cleft_res.answer,
+            "normal_basis": nb_res.answer,
             "total_integral_exists": integrals.total_example is not None,
             "x_case_applies": x_case_grouplike(ctx) is not None,
         },
         "qhat": None if qhat is None else
-        [[f.scalar_to_json(qhat[i * ctx.C.dim + j]) for j in range(ctx.C.dim)]
-         for i in range(ctx.A.dim)],
+        qhat.reshape(ctx.A.dim, ctx.C.dim).to_json()["entries"],
         "cleft_witness": None if cleft_res.witness is None else cleft_res.witness.to_json(),
         "cleft_certificate": cleft_res.certificate,
         "notes": {
@@ -175,12 +175,8 @@ def run_analysis(ctx: EntwinedContext, seed: int = 0,
         "theorems": {
             "surj": surj,
             "C_finite": {k: v for k, v in cfin.items() if k != "subclauses"},
-            "fin_gen": {"theorem": "fin-gen",
-                        "clauses": report.clause_tables["fin_gen"],
-                        "agreement": True},
-            "fin_prog": {"theorem": "fin-prog",
-                         "clauses": report.clause_tables["fin_prog"],
-                         "agreement": True},
+            "fin_gen": tables["fin_gen"],
+            "fin_prog": tables["fin_prog"],
             "main": main,
             "x_case": xcase,
         },

@@ -9,8 +9,6 @@ element of C.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .algebra import AlgebraPresentation
 from .exactla import (
     DenseMatrix,
@@ -18,7 +16,7 @@ from .exactla import (
     ShapeError,
     differing_columns,
     flat_blocks,
-    join_columns,
+    hstack,
     json_dim,
     json_get,
     kron,
@@ -152,7 +150,7 @@ def _conv_operator(fmap: DenseMatrix, C: CoalgebraPresentation,
     else:
         ops, slices = A.lmuls, C.comult_slices("first")
     nA, nC = A.dim, C.dim
-    fD = fmap.mul(join_columns(A.field, slices, nC))
+    fD = fmap.mul(hstack(A.field, slices, nC))
     return flat_blocks(DenseMatrix.vstack(*ops).mul(fD), nA, nC)
 
 
@@ -170,10 +168,10 @@ def convolution_inverse(fmap: DenseMatrix, C: CoalgebraPresentation,
     return None if sol is None else sol.reshape(A.dim, C.dim)
 
 
-def is_grouplike_C(C: CoalgebraPresentation, x: Sequence) -> bool:
-    """Delta(x) = x (x) x and eps(x) = 1, both exact."""
-    if len(x) != C.dim:
-        raise ShapeError("candidate has the wrong length")
-    X = DenseMatrix.from_columns(C.field, [x], C.dim)
+def is_grouplike_C(C: CoalgebraPresentation, X: DenseMatrix) -> bool:
+    """Delta(x) = x (x) x and eps(x) = 1 for x the one column of X, both
+    exact."""
+    if (X.rows, X.cols) != (C.dim, 1):
+        raise ShapeError("candidate is not one column of the coalgebra's dimension")
     return C.counit_matrix().mul(X) == DenseMatrix.identity(C.field, 1) and \
         C.comult_matrix().mul(X) == kron(X, X)

@@ -39,10 +39,11 @@ from .exactla import (
     combinations,
     differing_columns,
     flat_blocks,
-    join_columns,
+    hstack,
+    image,
+    interleave_columns,
     json_dim,
     json_get,
-    image,
     kernel,
     kron,
     kron_mul,
@@ -116,8 +117,7 @@ class SquareReducer:
         shaped = nA > 0 and basis.rows == n and basis.cols * nA == n
         if shaped:
             # phi: A^r -> C, column (j, i) = e_i . v_j
-            phi = join_columns(f, [L.mul(basis) for L in coring.left_module.action], n,
-                               interleave=True)
+            phi = interleave_columns(f, [L.mul(basis) for L in coring.left_module.action], n)
         if not shaped or rank(phi) != n:
             raise VerificationError("SquareReducer", one_failure(
                 "coring-free-basis", detail="the declared basis does not span the "
@@ -134,7 +134,7 @@ class SquareReducer:
         blocks = [kron_mul(eye, act.take_columns(range(k * nA, (k + 1) * nA)), self.dec)
                   for k in range(n)]
         # the projection matrix, (square_dim) x (dim^2)
-        self.projection = join_columns(f, blocks, self.square_dim)
+        self.projection = hstack(f, blocks, self.square_dim)
 
     def _decomposed_actions(self, U: DenseMatrix) -> list[list[DenseMatrix]]:
         """Per column u of U, the right multiplications by a_m(u) for
@@ -148,7 +148,7 @@ class SquareReducer:
     def _blocks(self, per_column: list[list[DenseMatrix]]) -> DenseMatrix:
         """Block matrix with block (b, j) = per_column[j][b], each dim x dim."""
         f, n = self.coring.field, self.coring.dim
-        return DenseMatrix.vstack(*[join_columns(f, brow, n) for brow in zip(*per_column)])
+        return DenseMatrix.vstack(*[hstack(f, brow, n) for brow in zip(*per_column)])
 
     @once
     def reduced_delta(self) -> DenseMatrix:
@@ -500,14 +500,17 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     and coaction matrices, since kron(block_diag(X, X), b) =
     block_diag(kron(X, b), kron(X, b)); so two witnesses are direct sums,
     and ``additive`` decides them from their summands.  The coring is
-    A (x)_A C, induced from A, so the seeded maps are ``hom_into_induced``:
+    A (x)_A C, induced from A: its module is the coring's own right
+    A-module, ``induced_action`` of A, and the seeded maps are
+    ``hom_into_induced``:
     the A-linear maps g: A (+) coring -> A through Hom^C(M, A (x)_A C) =
     Hom_A(M, A), g -> (g (x) id_C) rho_M.
     """
     witnesses = [zero_comodule(ctx)]
     com_A = ctx.comodule_A()
     witnesses.append(com_A)
-    coring_com = induced_comodule(ctx, ctx.A.regular_module("right"), name="coring")
+    coring_com = ComoduleInstance(ctx, ctx.coring().right_module, kron(
+        DenseMatrix.identity(ctx.field, ctx.A.dim), ctx.C.comult_matrix()), name="coring")
     witnesses.append(coring_com)
     witnesses.append(direct_sum_comodule(com_A, coring_com, name="A(+)coring"))
     witnesses.append(direct_sum_comodule(coring_com, coring_com, name="A^2(x)coring"))

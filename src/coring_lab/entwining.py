@@ -37,7 +37,7 @@ from .exactla import (
     differing_columns,
     dumps_canonical,
     flat_blocks,
-    join_columns,
+    hstack,
     json_get,
     kron,
     kron_mul,
@@ -144,8 +144,8 @@ class SharpRing:
         self.duals = kron(A.unit_matrix(), DenseMatrix.identity(f, nC))
         self.iota = kron(DenseMatrix.identity(f, nA), C.counit_matrix().transpose())
         self.algebra = AlgebraPresentation.from_operators(
-            f, lmuls, self.iota.apply(A.unit), name="Hom(C,A) ring",
-            candidates=self.iota.hstack(self.duals))
+            f, lmuls, self.iota.mul(A.unit_matrix()), name="Hom(C,A) ring",
+            candidates=hstack(f, [self.iota, self.duals], nA * nC))
 
     @once
     def at_x(self) -> DenseMatrix:
@@ -154,7 +154,7 @@ class SharpRing:
         is column c of ``x_matrix``."""
         ctx = self.ctx
         X = ctx.x_matrix()
-        return join_columns(ctx.field, [R.mul(X) for R in ctx.A.rmuls], ctx.A.dim)
+        return hstack(ctx.field, [R.mul(X) for R in ctx.A.rmuls], ctx.A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +288,7 @@ def doi_koppinen(H_alg: AlgebraPresentation, H_coalg: CoalgebraPresentation,
             raise VerificationError("doi_koppinen comodule algebra", verdict)
     # column (k, j) is column j of (id (x) lmul(h_k)) rho
     eyeA = DenseMatrix.identity(A.field, A.dim)
-    return join_columns(A.field, [kron_mul(eyeA, L, coaction) for L in H_alg.lmuls],
-                        A.dim * H_alg.dim)
+    return hstack(A.field, [kron_mul(eyeA, L, coaction) for L in H_alg.lmuls], A.dim * H_alg.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ construction: it takes a flat list of scalars, normalizing the nonzero
 ones, or, from the operations of this module, rows of numerator pairs over
 a common denominator, which it only reduces to lowest terms.  ``entries``,
 ``row``, ``col``, ``columns``, ``row_lists`` and ``get`` read dense views,
-built on each call and never cached; an analysis reads them to serialize
-its results and to return the few vectors that ``solve`` finds.
+built on each call and never cached; an analysis reads them only to
+serialize its results.
 
 Arithmetic over Q is fraction-free: ``mul``, ``kron``, ``kron_mul``,
 ``mul_kron``, ``apply``, ``sub`` and ``combinations`` multiply and add
@@ -46,16 +46,16 @@ one such combination lazily, a row at a time.
 Structure maps between tensor products are applied, not built:
 ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M, N)`` is
 ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.  Every product
-and sum combines numerator rows through ``_combine``.  Matrices of one
-shape are put side by side by ``join_columns``, which re-indexes their
-stored pairs (interleaved, it is the column twin of ``stack_slices``);
-``flat_columns`` makes each of them one column, and ``flat_blocks`` each
-block of one matrix; ``hstack`` joins matrices of any widths, as
-``vstack`` stacks them, and ``take_columns`` picks columns as ``take_rows``
-picks rows.  A basis of flattened maps is read back as matrices by
-``unflatten_rows``, one per row, or by ``side_by_side``, all of them in
-one.  A map given by dense columns is built with
-``DenseMatrix.from_columns``.  None of them goes through a transpose.
+and sum combines numerator rows through ``_combine``.  Matrices are put
+side by side by ``hstack``, as ``vstack`` stacks them, and interleaved
+column by column by ``interleave_columns``, the column twin of
+``stack_slices``; both re-index the stored pairs.  ``flat_columns`` makes
+each of them one column, and ``flat_blocks`` each block of one matrix;
+``take_columns`` picks columns as ``take_rows`` picks rows.  A basis of
+flattened maps is read back as matrices by ``unflatten_rows``, one per
+row, or by ``side_by_side``, all of them in one.  A map given by dense
+columns is built with ``DenseMatrix.from_columns``.  None of them goes
+through a transpose.
 
 ``Subspace.coords_matrix`` is the one membership routine: it reads the
 echelon coordinates of every column of a matrix at the pivots and re-checks
@@ -65,9 +65,9 @@ of ``solve_matrix``.
 
 ``SubspaceBuilder`` is the package's one elimination routine.  Every
 reduction goes through its ``insert``: ``row_reduce`` and through it
-``kernel``, ``rank``, ``solve`` and ``Subspace.from_spanning``;
-``is_invertible`` and ``combination_is_invertible``, which stop at the
-first row that adds nothing; as well as the relation spans
+``kernel``, ``rank``, ``solve_matrix`` and ``Subspace.from_spanning``;
+``combination_is_invertible``, which stops at the first row that adds
+nothing; as well as the relation spans
 (balanced-tensor relations, intertwiner constraints) that are built up one
 vector at a time, over the generators of the acting algebra rather than
 its whole basis.  Matrix rows enter it as their numerator pairs, never
@@ -538,19 +538,6 @@ class DenseMatrix:
         out = [_combine([(d // m.den, pairs)]) for m in mats for pairs in m._nonzero_rows]
         return DenseMatrix(self.field, len(out), self.cols, _Numerators(out, d))
 
-    def hstack(self, *others: "DenseMatrix") -> "DenseMatrix":
-        """This matrix with the columns of the others to its right."""
-        if any(o.rows != self.rows or o.field != self.field for o in others):
-            raise ShapeError("hstack mismatch")
-        mats = (self, *others)
-        d, out, offset = lcm(*[m.den for m in mats]), [[] for _ in range(self.rows)], 0
-        for m in mats:
-            s = d // m.den
-            for row, pairs in zip(out, m._nonzero_rows):
-                row += [(offset + j, s * x) for j, x in pairs]
-            offset += m.cols
-        return DenseMatrix(self.field, self.rows, offset, _Numerators(out, d))
-
     # -- serialization ------------------------------------------------------
     def to_json(self) -> dict:
         f = self.field
@@ -683,29 +670,36 @@ def unstack_slices(M: DenseMatrix, n: int) -> list[DenseMatrix]:
     return [M.take_rows(range(c, M.rows, n)) for c in range(n)]
 
 
-def join_columns(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int,
-                 interleave: bool = False) -> DenseMatrix:
-    """The columns of parts, all of one shape rows x cols, side by side:
-    column (i, m), at index i * cols + m, is column m of parts[i]; with
-    ``interleave``, column (m, i), at index m * len(parts) + i, is, the
-    column twin of ``stack_slices``.  The stored pairs are re-indexed into
-    the one matrix built."""
+def hstack(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int) -> DenseMatrix:
+    """The columns of parts, each with ``rows`` rows over field, side by
+    side in order, as ``vstack`` stacks rows; no parts make a rows x 0
+    matrix.  The stored pairs are re-indexed into the one matrix built."""
+    if any(P.rows != rows or P.field != field for P in parts):
+        raise ShapeError(f"the parts do not all have {rows} rows over one field")
+    d, offset, scaled = lcm(*[P.den for P in parts]), 0, []
+    for P in parts:
+        scaled.append((offset, d // P.den, P._nonzero_rows))
+        offset += P.cols
+    out = [[(o + j, s * x) for o, s, nz in scaled for j, x in nz[r]] for r in range(rows)]
+    return DenseMatrix(field, rows, offset, _Numerators(out, d))
+
+
+def interleave_columns(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int) -> DenseMatrix:
+    """The columns of parts, all of one shape rows x cols, interleaved:
+    column (m, i), at index m * len(parts) + i, is column m of parts[i],
+    the column twin of ``stack_slices``."""
     cols = parts[0].cols if parts else 0
     d, scaled = _one_shape(field, parts, rows, cols)
     n = len(parts)
-    if interleave:
-        out = [sorted((m * n + i, s * x) for i, (s, nz) in enumerate(scaled) for m, x in nz[r])
-               for r in range(rows)]
-    else:
-        out = [[(i * cols + m, s * x) for i, (s, nz) in enumerate(scaled) for m, x in nz[r]]
-               for r in range(rows)]
+    out = [sorted((m * n + i, s * x) for i, (s, nz) in enumerate(scaled) for m, x in nz[r])
+           for r in range(rows)]
     return DenseMatrix(field, rows, n * cols, _Numerators(out, d))
 
 
 def flat_columns(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int,
                  cols: int) -> DenseMatrix:
     """The (rows * cols) x len(parts) matrix whose column k is parts[k], each
-    rows x cols, read row-major: the interleaved ``join_columns`` reshaped,
+    rows x cols, read row-major: ``interleave_columns`` reshaped,
     re-indexed into the one matrix built."""
     d, scaled = _one_shape(field, parts, rows, cols)
     out = [[] for _ in range(rows * cols)]
@@ -754,7 +748,7 @@ def unflatten_rows(M: DenseMatrix, rows: int, cols: int) -> list[DenseMatrix]:
 
 
 def side_by_side(M: DenseMatrix, rows: int, cols: int) -> DenseMatrix:
-    """``join_columns`` of ``unflatten_rows(M, rows, cols)``: column (i, m),
+    """``hstack`` of ``unflatten_rows(M, rows, cols)``: column (i, m),
     at index i * cols + m, is column m of row i of M read as a rows x cols
     matrix; one matrix, re-indexed from M's stored pairs."""
     _check_row_shape(M, rows, cols)
@@ -1233,21 +1227,6 @@ def kernel(M: DenseMatrix) -> Subspace:
     return null_space(row_reduce(M.field, M.cols, _dict_rows(M)))
 
 
-def _independent(span: SubspaceBuilder, rows) -> bool:
-    """Whether every row (numerator pairs) adds to the span; the first that
-    does not ends the elimination."""
-    return all(span.insert(dict(r)) for r in rows)
-
-
-def is_invertible(M: DenseMatrix) -> bool:
-    """Whether M is square of full rank.  Its rows go into one
-    ``SubspaceBuilder``, and the first row in the span of those before it
-    decides: a singular M is not reduced past that row."""
-    if M.rows != M.cols:
-        return False
-    return _independent(SubspaceBuilder(M.field, M.cols), M._nonzero_rows)
-
-
 def combination_is_invertible(field: FieldSpec, coeffs: Sequence[Scalar],
                               mats: Sequence[DenseMatrix]) -> bool:
     """Whether the combination sum coeffs[i] * mats[i] of matrices of one
@@ -1260,7 +1239,9 @@ def combination_is_invertible(field: FieldSpec, coeffs: Sequence[Scalar],
         return False
     _, ints = clear_denominators(coeffs)
     pairs = [(i, a) for i, a in enumerate(ints) if a]
-    return _independent(SubspaceBuilder(field, cols), _combination_rows(n, pairs, mats)[1])
+    span = SubspaceBuilder(field, cols)
+    # the first row that adds nothing to the span ends the elimination
+    return all(span.insert(dict(r)) for r in _combination_rows(n, pairs, mats)[1])
 
 
 def rank(M: DenseMatrix) -> int:

@@ -34,7 +34,8 @@ from .exactla import (
     Subspace,
     combinations,
     flat_columns,
-    join_columns,
+    hstack,
+    interleave_columns,
     kron_mul,
     mul_kron,
     once,
@@ -43,14 +44,13 @@ from .exactla import (
     unflatten_rows,
 )
 from .morita import (
-    ClauseDisagreement,
     LinearMapReport,
     MoritaContextData,
     find_qhat,
     map_report,
     omega_and_lambda,
 )
-from .verdict import VerificationError, one_failure
+from .verdict import ClauseDisagreement, VerificationError, clause_table, one_failure
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +81,7 @@ def psi_M(ctx, M: ComoduleInstance) -> tuple[DenseMatrix, LinearMapReport]:
     """The weak-structure map (coinvariants of M) (x)_B A -> M, m (x) a -> ma."""
     emb = coinvariants(M).embedding
     # column (r, j) is m_r e_j, column r of rho(e_j) applied to the coinvariants
-    plain = join_columns(ctx.field, [act.mul(emb) for act in M.module.action], M.dim,
-                         interleave=True)
+    plain = interleave_columns(ctx.field, [act.mul(emb) for act in M.module.action], M.dim)
     mat = plain.mul(_coinv_tensor_A(ctx, M).section)
     return mat, map_report(mat, target_dim=M.dim)
 
@@ -171,11 +170,10 @@ def unit_map_flags(ctx, N: ModulePresentation) -> UnitMapFlags:
 
 class GaloisMapData:
     def __init__(self, matrix: DenseMatrix, plain_matrix: DenseMatrix,
-                 report: LinearMapReport, tensor: object):
+                 report: LinearMapReport):
         self.matrix = matrix                # on A (x)_B A quotient coordinates
         self.plain_matrix = plain_matrix    # on the plain tensor square of A
         self.report = report
-        self.tensor = tensor                # the A (x)_B A quotient
 
 
 @once
@@ -185,53 +183,18 @@ def beta(ctx) -> GaloisMapData:
     data = ctx.morita()
     cor = ctx.coring()
     # column (i, j) is e_i x e_j: the left action of e_i on rho_A(e_j) = x e_j
-    plain = join_columns(ctx.field, [L.mul(ctx.comodule_A().coaction)
-                                     for L in cor.left_module.action], cor.dim)
+    plain = hstack(ctx.field, [L.mul(ctx.comodule_A().coaction)
+                               for L in cor.left_module.action], cor.dim)
     A_right_B = _restrict_right_to_B(ctx, ctx.A.regular_module("right"), data.B)
     tensor = balanced_tensor(A_right_B, data.A_left_B)
     mat = plain.mul(tensor.section)
     rep = map_report(mat, target_dim=cor.dim)
-    return GaloisMapData(mat, plain, rep, tensor)
+    return GaloisMapData(mat, plain, rep)
 
 
 # ---------------------------------------------------------------------------
-# the structure verdict
+# the structure report
 # ---------------------------------------------------------------------------
-
-
-class StructureVerdict:
-    def __init__(self, weak: bool, strong: bool, galois: bool, flat_BA: bool,
-                 faithfully_flat_BA: bool, qhat_exists: bool,
-                 normal_basis: bool | None = None,
-                 clause_tables: dict[str, dict[str, bool]] | None = None,
-                 witness_names: list[str] | None = None,
-                 notes: dict[str, object] | None = None):
-        self.weak = weak
-        self.strong = strong
-        self.galois = galois
-        self.flat_BA = flat_BA
-        self.faithfully_flat_BA = faithfully_flat_BA
-        self.qhat_exists = qhat_exists
-        self.normal_basis = normal_basis
-        self.clause_tables = {} if clause_tables is None else clause_tables
-        self.witness_names = [] if witness_names is None else witness_names
-        self.notes = {} if notes is None else notes
-
-    def to_json(self) -> dict:
-        out = {
-            "weak": self.weak,
-            "strong": self.strong,
-            "galois": self.galois,
-            "flat_BA": self.flat_BA,
-            "faithfully_flat_BA": self.faithfully_flat_BA,
-            "qhat_exists": self.qhat_exists,
-            "clause_tables": self.clause_tables,
-            "witnesses": self.witness_names,
-            "notes": {k: v for k, v in sorted(self.notes.items())},
-        }
-        if self.normal_basis is not None:
-            out["normal_basis"] = self.normal_basis
-        return out
 
 
 def default_B_module_witnesses(ctx) -> list[ModulePresentation]:
@@ -286,10 +249,11 @@ def structure_flags(ctx) -> StructureFlags:
 
 
 def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
-                     seed: int = 0) -> StructureVerdict:
-    """Weak/strong structure flags with the full clause tables.
+                     seed: int = 0) -> dict[str, dict[str, object]]:
+    """The finitely generated and the progenerator clause tables, as
+    ``clause_table`` returns them, under "fin_gen" and "fin_prog".
 
-    The flags are grounded in finitely checkable criteria; every witness
+    The flags of ``structure_flags`` are grounded here: every witness
     evaluation and every equivalent clause is computed independently and
     asserted to agree (clause "13" of the progenerator table is checked as a
     necessary condition only, since it omits the balancedness that the
@@ -310,22 +274,16 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
         flags = weak_map_flags(ctx, w)
         psi_flags[name] = flags.psi
         psi_prime_inj[name] = flags.psi_prime_injective
-        if flags.psi != flags.psi_prime:
-            raise ClauseDisagreement(
-                "hom-evaluation linkage", {"psi": flags.psi, "psi'": flags.psi_prime},
-                detail=f"witness {name}")
+        clause_table("hom-evaluation linkage", {"psi": flags.psi, "psi'": flags.psi_prime},
+                     detail=f"witness {name}")
     all_psi = all(psi_flags.values())
-    if all_psi != weak:
-        raise ClauseDisagreement("weak grounding",
-                                 {"witness-psi": all_psi, "F-surjective": weak})
+    clause_table("weak grounding", {"witness-psi": all_psi, "F-surjective": weak})
 
     phi_flags = {N.name: unit_map_flags(ctx, N).bijective
                  for N in default_B_module_witnesses(ctx)}
     all_phi = all(phi_flags.values())
-    if (all_psi and all_phi) != strong:
-        raise ClauseDisagreement(
-            "strong grounding",
-            {"witness-psi-and-phi": all_psi and all_phi, "ff+galois": strong})
+    clause_table("strong grounding",
+                 {"witness-psi-and-phi": all_psi and all_phi, "ff+galois": strong})
     if qhat is not None and not all_phi:
         raise ClauseDisagreement("unit-map", phi_flags,
                                  detail="q-hat exists but a unit map failed")
@@ -339,7 +297,7 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
     proj_dual, _ = is_fg_projective(data.A_right_dual)
     proj_q_B, _ = is_fg_projective(data.Q_right_B)
     from .morita import q_left_annihilator
-    fin_gen = {
+    fin_gen = clause_table("fin-gen", {
         "1": all_psi,
         "2": flat_BA and galois_flag,
         "3": flat_BA and beta_prime,
@@ -347,12 +305,10 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
         "9": data.F_report.surjective,
         "10": proj_q_B and ol.omega_iso and q_left_annihilator(data).is_zero(),
         "11": flat_BA and ol.lambda_iso,
-    }
-    if len(set(fin_gen.values())) != 1:
-        raise ClauseDisagreement("fin-gen", fin_gen)
+    })
 
     faithful, balanced = _faithfully_balanced(ctx, data)
-    fin_prog = {
+    fin_prog = clause_table("fin-prog", {
         "1": all_psi and all_phi,
         "2": ff_BA and galois_flag,
         "3": ff_BA and beta_prime,
@@ -360,13 +316,7 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
         "12": gen_dual and gen_BA,
         "13": proj_dual and flat_BA,
         "14": proj_dual and gen_dual,
-    }
-    core = {k: v for k, v in fin_prog.items() if k != "13"}
-    if len(set(core.values())) != 1:
-        raise ClauseDisagreement("fin-prog", fin_prog)
-    if fin_prog["1"] and not fin_prog["13"]:
-        raise ClauseDisagreement("fin-prog", fin_prog,
-                                 detail="strong holds but projectivity pair fails")
+    }, necessary=("13",))
 
     # one-directional checks
     if flat_BA and galois_flag:
@@ -380,15 +330,6 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
             raise ClauseDisagreement(
                 "flat+galois+unit sufficiency",
                 {"strong": strong, "qhat": True})
-
-    notes = {
-        "locally_projective": "holds (finite-dimensional)",
-        "flat_means": "flat (=projective at this scale)",
-        "quasiprogenerator_clauses": "not evaluated",
-        "psi_witnesses": psi_flags,
-        "phi_witnesses": phi_flags,
-        "faithfully_balanced": [faithful, balanced],
-    }
     if qhat is not None:
         proj_q_dual, _ = is_fg_projective(data.Q_left_dual)
         if not proj_dual or not proj_q_dual:
@@ -396,13 +337,7 @@ def structure_report(ctx, witnesses: list[ComoduleInstance] | None = None,
                 "projectivity from unit element",
                 {"A_dual": proj_dual, "Q_dual": proj_q_dual})
         _check_B_is_endo_ring(ctx, data)
-    verdict = StructureVerdict(
-        weak=weak, strong=strong, galois=galois_flag, flat_BA=flat_BA,
-        faithfully_flat_BA=ff_BA, qhat_exists=qhat is not None,
-        clause_tables={"fin_gen": fin_gen, "fin_prog": fin_prog},
-        witness_names=[w.name or "?" for w in witnesses],
-        notes=notes)
-    return verdict
+    return {"fin_gen": fin_gen, "fin_prog": fin_prog}
 
 
 def _check_B_is_endo_ring(ctx, data: MoritaContextData):

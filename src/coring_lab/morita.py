@@ -46,28 +46,19 @@ from .exactla import (
     combinations,
     flat_blocks,
     flat_columns,
-    join_columns,
+    hstack,
+    interleave_columns,
     kernel,
     kron,
     kron_mul,
     mul_kron,
     once,
     rank,
-    solve,
     solve_matrix,
     stack_slices,
     unflatten_rows,
 )
-from .verdict import Verdict, VerificationError, one_failure
-
-
-class ClauseDisagreement(Exception):
-    """Equivalent clauses of a theorem evaluated to different booleans."""
-
-    def __init__(self, theorem: str, table: dict[str, bool], detail: str = ""):
-        self.theorem = theorem
-        self.table = table
-        super().__init__(f"clause disagreement in {theorem}: {table} {detail}")
+from .verdict import ClauseDisagreement, Verdict, VerificationError, clause_table, one_failure
 
 
 class LinearMapReport:
@@ -104,10 +95,11 @@ class CoinvariantData:
         return self.space.dim
 
 
-def _acting_on_x(ctx, mod: ModulePresentation) -> DenseMatrix:
-    """Column i is e_i acting on x, for one of the coring's A-actions."""
-    x = ctx.x_matrix().reshape(mod.dim, 1)
-    return join_columns(ctx.field, [a.mul(x) for a in mod.action], mod.dim)
+def _left_on_x(ctx) -> DenseMatrix:
+    """Column i is e_i x, the coring's left action of e_i on x."""
+    cor = ctx.coring()
+    x = ctx.x_matrix().reshape(cor.dim, 1)
+    return hstack(ctx.field, [a.mul(x) for a in cor.left_module.action], cor.dim)
 
 
 def compute_B(ctx) -> CoinvariantData:
@@ -116,8 +108,8 @@ def compute_B(ctx) -> CoinvariantData:
     Closure under multiplication is verified by the structure-constant
     induction itself (it raises on failure, which would mean an upstream bug).
     """
-    cor = ctx.coring()
-    space = kernel(_acting_on_x(ctx, cor.left_module).sub(_acting_on_x(ctx, cor.right_module)))
+    # column i of the coaction of A is x e_i
+    space = kernel(_left_on_x(ctx).sub(ctx.comodule_A().coaction))
     algebra, embedding = subalgebra_on(ctx.A, space, name="coinvariants")
     return CoinvariantData(space, algebra, embedding)
 
@@ -146,7 +138,7 @@ def _q_condition(ctx) -> DenseMatrix:
     lifts = [kron(one, D) for D in ctx.C.comult_slices("second")]
     lhs = flat_columns(f, [R.mul(L) for R in cor.right_module.action for L in lifts],
                        cor.dim, ctx.C.dim)
-    return lhs.sub(kron(_acting_on_x(ctx, cor.left_module), DenseMatrix.identity(f, ctx.C.dim)))
+    return lhs.sub(kron(_left_on_x(ctx), DenseMatrix.identity(f, ctx.C.dim)))
 
 
 def compute_Q(ctx) -> QIdealData:
@@ -198,8 +190,7 @@ def _times_Q(M: ModulePresentation, Q: QIdealData) -> DenseMatrix:
     """m (x) q -> m q on the plain tensor M (x) Q for a right dual-ring
     module M, column (m, i) = m q_i.  For M = A this is the hook
     a <- q = q~(x a), the plain form of G in A-coordinates."""
-    return join_columns(M.field, combinations(M.action, Q.space.embedding), M.dim,
-                        interleave=True)
+    return interleave_columns(M.field, combinations(M.action, Q.space.embedding), M.dim)
 
 
 def _F_plain(ctx, A_dual: ModulePresentation, Q: QIdealData) -> DenseMatrix:
@@ -266,15 +257,15 @@ def build_context(ctx) -> MoritaContextData:
 
 
 @once
-def find_qhat(data: MoritaContextData) -> list | None:
-    """A deterministic q in Q with q(x) = 1_A, as flat Hom(C, A) coordinates."""
+def find_qhat(data: MoritaContextData) -> DenseMatrix | None:
+    """A deterministic q in Q with q(x) = 1_A, as a column of flat Hom(C, A)
+    coordinates."""
     ctx = data.ctx
     if not data.Q.dim:
         return None
-    sol = solve(ctx.sharp_ring().at_x().mul(data.Q.space.embedding), ctx.A.unit)
-    if sol is None:
-        return None
-    return data.Q.space.embedding.apply(sol)
+    emb = data.Q.space.embedding
+    sol = solve_matrix(ctx.sharp_ring().at_x().mul(emb), ctx.A.unit_matrix())
+    return None if sol is None else emb.mul(sol)
 
 
 def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
@@ -401,10 +392,7 @@ def check_theorem_surj(ctx, witnesses: list[ComoduleInstance] | None = None,
     table["4"] = ok4
     proj, _ = is_fg_projective(data.A_right_dual)
     table["5"] = proj
-    values = set(table.values())
-    result = {"theorem": "surj", "clauses": table, "agreement": len(values) == 1}
-    if len(values) != 1:
-        raise ClauseDisagreement("surj", table)
+    result = clause_table("surj", table)
     if table["1"]:
         consistency = {
             "G_bijective": data.G_report.bijective,
@@ -446,11 +434,8 @@ def check_theorem_Cfinite(ctx, witnesses: list[ComoduleInstance] | None = None,
     table["4"] = is_generator(data.A_right_dual)
     ok5 = all(weak_map_flags(ctx, w).psi for w in witnesses)
     table["5"] = ok5
-    values = set(table.values())
-    result = {"theorem": "C-finite", "clauses": table, "subclauses": sub,
-              "agreement": len(values) == 1}
-    if len(values) != 1:
-        raise ClauseDisagreement("C-finite", table, detail=str(sub))
+    result = clause_table("C-finite", table, detail=str(sub))
+    result["subclauses"] = sub
     if table["1"] and not data.F_report.bijective:
         raise ClauseDisagreement("C-finite", table,
                                  detail="F surjective but not bijective")

@@ -1,4 +1,5 @@
-"""Axiom verdicts shared by every verifier in the package."""
+"""Axiom verdicts and the clause-table check shared by every verifier in
+the package."""
 
 from __future__ import annotations
 
@@ -84,3 +85,25 @@ class VerificationError(Exception):
         self.context = context
         self.verdict = verdict
         super().__init__(f"{context}: {verdict}")
+
+
+class ClauseDisagreement(Exception):
+    """Equivalent clauses of a theorem evaluated to different booleans."""
+
+    def __init__(self, theorem: str, table: dict[str, bool], detail: str = ""):
+        self.theorem = theorem
+        self.table = table
+        super().__init__(f"clause disagreement in {theorem}: {table} {detail}")
+
+
+def clause_table(theorem: str, clauses: dict[str, bool], detail: str = "",
+                 necessary: tuple[str, ...] = ()) -> dict[str, object]:
+    """The one check of an equivalence table: every clause outside
+    ``necessary`` must agree, and when they hold the ``necessary`` clauses,
+    which the theorem only implies, must hold too.  Returns the table as
+    the report writes it, or raises ``ClauseDisagreement``: equivalent
+    clauses computed by different routes that disagree mean a bug."""
+    values = {v for k, v in clauses.items() if k not in necessary}
+    if len(values) != 1 or (True in values and not all(clauses[k] for k in necessary)):
+        raise ClauseDisagreement(theorem, clauses, detail)
+    return {"theorem": theorem, "clauses": clauses, "agreement": True}

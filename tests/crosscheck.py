@@ -71,6 +71,7 @@ from coring_lab.exactla import (
     QuotientSpace,
     Subspace,
     SubspaceBuilder,
+    combinations,
     flat_columns,
     image,
     kernel,
@@ -967,11 +968,12 @@ def verify_context_identities(ctx, data):
         raise VerificationError("morita context identities", v)
 
 
-def trace_map(data, qhat: Sequence) -> DenseMatrix:
-    """a -> a <- q-hat as a matrix A -> B-coordinates; the left B-linearity
-    and the restriction-to-identity on B are verified exactly."""
+def trace_map(data, qhat: DenseMatrix) -> DenseMatrix:
+    """a -> a <- q-hat, for q-hat a column of dual-ring coordinates, as a
+    matrix A -> B-coordinates; the left B-linearity and the
+    restriction-to-identity on B are verified exactly."""
     B = data.B
-    tr = _coords_or_fail(B.space, data.A_right_dual.act_matrix(qhat), "trace_map",
+    tr = _coords_or_fail(B.space, combinations(data.A_right_dual.action, qhat)[0], "trace_map",
                          "trace-lands-in-B", lambda j: (j,))
     v = Verdict()
     on_B = tr.mul(B.embedding)

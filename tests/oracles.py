@@ -53,6 +53,12 @@ def naive_rank(rows, p=None):
     return len(pivots)
 
 
+def is_invertible(M):
+    """Whether the matrix M is square of full rank, by ``naive_rank`` of its
+    rows: the oracle of the package's invertibility trials."""
+    return M.rows == M.cols and naive_rank(M.row_lists(), M.field.p) == M.rows
+
+
 def naive_solve(rows, rhs, p=None):
     """Any solution of the system, or None; brute Gauss-Jordan on [A|b]."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -215,13 +221,18 @@ def naive_transpose(a, cols):
     return [[row[j] for row in a] for j in range(cols)]
 
 
-def naive_join_columns(mats, rows, cols, interleave=False):
-    """The matrices, each a list of `rows` rows of `cols` entries, side by
-    side: column (i, m) is column m of mats[i], or with `interleave` column
-    (m, i) is; built one entry at a time."""
-    order = [(m, i) for m in range(cols) for i in range(len(mats))] if interleave else \
-        [(m, i) for i in range(len(mats)) for m in range(cols)]
-    return [[mats[i][r][m] for m, i in order] for r in range(rows)]
+def naive_hstack(mats, rows):
+    """The matrices, each a list of `rows` rows, side by side; built one row
+    at a time."""
+    return [[x for m in mats for x in m[r]] for r in range(rows)]
+
+
+def naive_interleave_columns(mats, rows, cols):
+    """The matrices, each a list of `rows` rows of `cols` entries,
+    interleaved: column (m, i) is column m of mats[i]; built one entry at a
+    time."""
+    return [[mats[i][r][m] for m in range(cols) for i in range(len(mats))]
+            for r in range(rows)]
 
 
 def naive_combination(coeffs, mats, rows, cols, p=None):

@@ -209,7 +209,7 @@ def test_acceptance_5_fix_h_headline(fixture_contexts):
     ok = data.B.dim == 1
     ok = ok and data.Q.dim == 2
     ok = ok and beta(ctx).report.bijective
-    ok = ok and find_qhat(data) == [1, 0, 0, 0]
+    ok = ok and find_qhat(data).entries == [1, 0, 0, 0]
     res = find_cleft(ctx)
     ident = DenseMatrix.identity(QQ, 2)
     ok = ok and res.status == "found" and res.witness.lam == ident \
@@ -229,7 +229,7 @@ def test_acceptance_6_fix_n_headline(fixture_contexts):
     from coring_lab.cleft import check_theorem_main
     ok = not beta(ctx).report.surjective
     ok = ok and not data.F_report.surjective
-    ok = ok and find_qhat(data) == [0, 1]
+    ok = ok and find_qhat(data).entries == [0, 1]
     ints = integral_space(ctx)
     ok = ok and ints.total_example is not None
     res = find_cleft(ctx)

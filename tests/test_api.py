@@ -80,6 +80,28 @@ def test_operators_have_one_construction():
     assert act.co_varnames[:act.co_argcount] == ("self", "u")
 
 
+def test_one_record_per_answer():
+    """One ``SearchResult`` carries every search answer and one
+    ``clause_table`` checks every equivalence table: the per-search result
+    classes, the structure verdict that copied ``structure_flags``, the
+    morita copy of ``ClauseDisagreement``, the dense invertibility test the
+    runtime never called, the Galois map's unread tensor and the
+    ``join_columns`` mode flag are gone."""
+    from coring_lab import cleft, exactla, galois, morita, verdict
+    assert "CleftResult" not in coring_lab.__all__ and "SearchResult" in coring_lab.__all__
+    for module, name in ((cleft, "CleftResult"), (cleft, "NormalBasisResult"),
+                         (galois, "StructureVerdict"), (exactla, "is_invertible"),
+                         (exactla, "join_columns"), (morita, "_acting_on_x")):
+        assert not hasattr(module, name), name
+    for name in ("coords", "cleft", "normal_basis"):
+        assert not hasattr(cleft.SearchResult, name), name
+    assert not hasattr(coring_lab.DenseMatrix, "hstack")
+    assert morita.ClauseDisagreement is verdict.ClauseDisagreement
+    assert verdict.ClauseDisagreement.__module__ == "coring_lab.verdict"
+    ctx = coring_lab.fixture("fix-h").context
+    assert not hasattr(galois.beta(ctx), "tensor")
+
+
 def test_algebra_stores_its_product_once():
     """An algebra stores its product as its left multiplication operators;
     no dense table of structure constants is kept beside them."""

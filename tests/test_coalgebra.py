@@ -104,12 +104,16 @@ def test_convolution_inverse_absent():
     assert convolution_inverse(lam, C, A) is None
 
 
+def _column(x):
+    return DenseMatrix.from_columns(QQ, [x], len(x))
+
+
 def test_grouplike_detection():
     C = grouplike_coalgebra(QQ, 2)
-    assert is_grouplike_C(C, [0, 1])
-    assert is_grouplike_C(C, [1, 0])
-    assert not is_grouplike_C(C, [1, 1])          # eps = 2
-    assert not is_grouplike_C(C, [Fraction(1, 2), Fraction(1, 2)])  # Delta fails
+    assert is_grouplike_C(C, _column([0, 1]))
+    assert is_grouplike_C(C, _column([1, 0]))
+    assert not is_grouplike_C(C, _column([1, 1]))          # eps = 2
+    assert not is_grouplike_C(C, _column([Fraction(1, 2), Fraction(1, 2)]))  # Delta fails
 
 
 def test_grouplike_stable_under_basis_permutation():
@@ -121,7 +125,7 @@ def test_grouplike_stable_under_basis_permutation():
     counit = [C.counit[perm[i]] for i in range(2)]
     C2 = CoalgebraPresentation(QQ, 2, comult, counit)
     assert verify_coalgebra(C2).valid
-    assert is_grouplike_C(C2, [0, 1]) and is_grouplike_C(C2, [1, 0])
+    assert is_grouplike_C(C2, _column([0, 1])) and is_grouplike_C(C2, _column([1, 0]))
 
 
 def test_coalgebra_json_roundtrip():

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from coring_lab.exactla import QQ, DenseMatrix, kernel
@@ -349,3 +351,25 @@ def test_comodule_json_roundtrip():
         assert back.coaction == w.coaction
         assert all(a == b for a, b in zip(back.module.action, w.module.action))
         assert back.verify().valid
+
+
+def test_analysis_builds_the_coring_right_action_once(monkeypatch):
+    """The coring's right A-action is ``induced_action`` of A, built once by
+    ``build_coring``: the "coring" witness takes it from the coring, and the
+    coinvariants read x e_i from the coaction of A, which holds it."""
+    from coring_lab import cli, coring, entwining
+    calls = []
+    orig = coring.induced_action
+
+    def counting(ctx, W):
+        calls.append(W.dim)
+        return orig(ctx, W)
+    for module in (coring, entwining):
+        monkeypatch.setattr(module, "induced_action", counting)
+    ctx = cli.load_instance(os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                                         "fix-s.json"))
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert calls == [ctx.A.dim]
+    witness = next(w for w in ctx.default_witnesses() if w.name == "coring")
+    assert witness.module is ctx.coring().right_module

@@ -84,9 +84,9 @@ def test_context_builds_and_pairing_flags():
 
 
 def test_qhat_values():
-    assert find_qhat(make_fix_h().morita()) == [1, 0, 0, 0]
-    assert find_qhat(make_fix_n().morita()) == [0, 1]
-    assert find_qhat(make_fix_t().morita()) == [1, 0]
+    assert find_qhat(make_fix_h().morita()).entries == [1, 0, 0, 0]
+    assert find_qhat(make_fix_n().morita()).entries == [0, 1]
+    assert find_qhat(make_fix_t().morita()).entries == [1, 0]
 
 
 def test_xi_on_A():
@@ -205,7 +205,7 @@ def test_modified_fix_n_trivial_coaction():
     ctx = make_fix_n_trivial_coaction()
     data = ctx.morita()
     assert data.Q.space.basis.row_lists() == [[1, 0]]  # Q = span{delta_1}
-    assert find_qhat(data) == [1, 0]
+    assert find_qhat(data).entries == [1, 0]
 
 
 def test_theorem_Cfinite_tables():

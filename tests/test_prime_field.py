@@ -14,7 +14,7 @@ from coring_lab.entwining import (
     instance_from_json,
 )
 from coring_lab.morita import check_theorem_Cfinite, check_theorem_surj, find_qhat
-from coring_lab.galois import structure_report
+from coring_lab.galois import structure_flags, structure_report
 from coring_lab.cleft import find_cleft, normal_basis_check, check_theorem_main
 from coring_lab.cli import run_analysis
 
@@ -50,11 +50,12 @@ def test_full_pipeline_galois_over_f5():
     ctx = make_fp_galois()
     data = ctx.morita()
     assert data.B.dim == 1 and data.Q.dim == 2
-    assert find_qhat(data) == [1, 0, 0, 0]
+    assert find_qhat(data).entries == [1, 0, 0, 0]
     assert set(check_theorem_surj(ctx)["clauses"].values()) == {True}
     assert set(check_theorem_Cfinite(ctx)["clauses"].values()) == {True}
-    sr = structure_report(ctx)
-    assert sr.galois and sr.weak and sr.strong
+    flags = structure_flags(ctx)
+    assert flags.galois and flags.weak and flags.strong
+    assert set(structure_report(ctx)["fin_prog"]["clauses"].values()) == {True}
     res = find_cleft(ctx)
     assert res.status == "found"
     assert normal_basis_check(ctx).status == "found"
@@ -102,6 +103,6 @@ def test_f2_scalars_pipeline():
     assert res["agreement"]
     cf = check_theorem_Cfinite(ctx)
     assert cf["agreement"]
-    sr = structure_report(ctx)
+    tables = structure_report(ctx)
     # the clause machinery stays internally consistent whatever the verdicts
-    assert set(sr.clause_tables["fin_gen"].values()) in ({True}, {False})
+    assert set(tables["fin_gen"]["clauses"].values()) in ({True}, {False})

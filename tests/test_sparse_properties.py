@@ -36,8 +36,8 @@ from coring_lab.exactla import (
     differing_columns,
     flat_blocks,
     flat_columns,
-    is_invertible,
-    join_columns,
+    hstack,
+    interleave_columns,
     kernel,
     kron,
     kron_mul,
@@ -52,9 +52,11 @@ from coring_lab.exactla import (
 )
 
 from oracles import (
+    is_invertible,
     naive_combination,
     naive_combinations,
-    naive_join_columns,
+    naive_hstack,
+    naive_interleave_columns,
     naive_kron,
     naive_matmul,
     naive_null_space,
@@ -258,32 +260,46 @@ def test_reshape_and_stack_slices_keep_the_entries(data, field):
     assert unstack_slices(S, len(parts)) == parts
 
 
-@given(st.data(), FIELDS, st.booleans())
+@given(st.data(), FIELDS)
 @SETTINGS
-def test_join_columns_matches_oracle(data, field, interleave):
+def test_hstack_matches_oracle(data, field):
+    """Parts of any widths side by side; no parts make a rows x 0 matrix."""
+    rows, k = data.draw(DIMS), data.draw(st.integers(0, 4))
+    parts = [data.draw(matrices(field, rows=rows)) for _ in range(k)]
+    got = hstack(field, parts, rows)
+    assert (got.rows, got.cols) == (rows, sum(P.cols for P in parts))
+    assert got.row_lists() == naive_hstack([P.row_lists() for P in parts], rows)
+    assert_canonical(field, got)
+    # a horizontal join is the transpose of the stacked transposes
+    if parts:
+        assert got == parts[0].transpose().vstack(*[P.transpose() for P in parts[1:]]).transpose()
+    with pytest.raises(ShapeError):
+        hstack(field, parts + [DenseMatrix.zeros(field, rows + 1, 1)], rows)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_interleave_columns_matches_oracle(data, field):
     rows, cols, k = data.draw(DIMS), data.draw(DIMS), data.draw(st.integers(0, 4))
     parts = [data.draw(matrices(field, rows=rows, cols=cols)) for _ in range(k)]
-    got = join_columns(field, parts, rows, interleave=interleave)
+    got = interleave_columns(field, parts, rows)
     assert (got.rows, got.cols) == (rows, k * cols)
-    assert got.row_lists() == naive_join_columns([P.row_lists() for P in parts], rows, cols,
-                                                 interleave)
+    assert got.row_lists() == naive_interleave_columns([P.row_lists() for P in parts], rows,
+                                                       cols)
     assert_canonical(field, got)
-    # a horizontal join is the transpose of the stacked transposes; an
-    # interleaved one is the transpose of their interleaved rows
+    # an interleaved join is the transpose of the interleaved rows of the
+    # transposes
     if parts:
-        stacked = (stack_slices(field, [P.transpose() for P in parts]) if interleave else
-                   parts[0].transpose().vstack(*[P.transpose() for P in parts[1:]]))
-        assert got == stacked.transpose()
+        assert got == stack_slices(field, [P.transpose() for P in parts]).transpose()
     with pytest.raises(ShapeError):
-        join_columns(field, parts + [DenseMatrix.zeros(field, rows + 1, cols)], rows)
+        interleave_columns(field, parts + [DenseMatrix.zeros(field, rows + 1, cols)], rows)
     # each part flattened row-major into one column, the shape kept when
-    # there are no parts
+    # there are no parts: the interleaved join reshaped
     F = flat_columns(field, parts, rows, cols)
     assert (F.rows, F.cols) == (rows * cols, k)
     assert F.columns() == [P.entries for P in parts]
     assert_canonical(field, F)
-    if interleave:
-        assert F == got.reshape(rows * cols, k)
+    assert F == got.reshape(rows * cols, k)
 
 
 @given(st.data(), FIELDS)

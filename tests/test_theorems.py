@@ -58,7 +58,7 @@ from coring_lab.coring import (
     x_invariants,
 )
 from coring_lab.entwining import instance_from_json
-from coring_lab.exactla import DenseMatrix, kernel, kron, parse_array, unflatten_rows
+from coring_lab.exactla import DenseMatrix, combinations, kernel, kron, parse_array, unflatten_rows
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.galois import (
     beta,
@@ -297,7 +297,7 @@ def test_trace_check_fires_on_a_doubled_qhat():
         if qhat is None:
             continue
         with pytest.raises(VerificationError) as exc:
-            trace_map(data, [2 * q for q in qhat])
+            trace_map(data, combinations([qhat], DenseMatrix(qhat.field, 1, 1, [2]))[0])
         assert "trace-not-identity-on-B" in exc.value.verdict.axioms()
         fired += 1
     assert fired
