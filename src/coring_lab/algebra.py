@@ -126,14 +126,15 @@ class AlgebraPresentation:
         pool = hstack(f, [self.candidates, DenseMatrix.identity(f, n)], n)
         span = SubspaceBuilder(f, n)
         unit = dict(self._unit.numerator_columns()[0])
-        span.insert(unit)
+        # ``insert`` takes over a dict: the vectors of ``closed`` enter as copies
+        span.insert(dict(unit))
         closed, picked, lmuls = [unit], [], []
         for k, g in enumerate(pool.numerator_columns()):
             if len(closed) == n:
                 break
-            g = dict(g)
-            if not span.insert(g):  # g is in the subalgebra generated already
+            if not span.insert(dict(g)):  # g is in the subalgebra generated already
                 continue
+            g = dict(g)
             picked.append(k)
             lmuls.append(combinations(self.lmuls, pool.take_columns([k]))[0])
             closed.append(g)
@@ -143,7 +144,7 @@ class AlgebraPresentation:
                 [_times(L, g, f.p) for L in lmuls[:-1]]
             while todo:
                 v = todo.pop()
-                if span.insert(v):
+                if span.insert(dict(v)):
                     closed.append(v)
                     todo += [_times(L, v, f.p) for L in lmuls]
         return pool.take_columns(picked)

@@ -41,12 +41,18 @@ sum_i C[i, k] mats[i], read from C's stored numerator columns, and a unit
 column returns its matrix itself.  Its callers pass the matrix that names
 the elements: a subspace's embedding, a hom matrix, a solution, the unit
 embedding of A into the dual ring.  ``combination_is_invertible`` forms
-one such combination lazily, a row at a time.
+one such combination lazily, a row at a time.  Unit rows are shared as unit
+columns are: in ``mul``, ``kron_mul``, ``vstack``, ``stack_slices`` and
+``sub`` a result row that is one operand row times 1 is that row, and an
+empty row stays empty, without arithmetic.  Rows never change, so sharing
+them is safe, and over Fp ``__init__`` keeps rows whose numerators are all
+residues in [1, p) as they are.
 
 Structure maps between tensor products are applied, not built:
 ``kron_mul(M, N, Y)`` is ``kron(M, N).mul(Y)`` and ``mul_kron(X, M, N)`` is
 ``X.mul(kron(M, N))``, neither materializing ``kron(M, N)``.  Every product
-and sum combines numerator rows through ``_combine``.  Matrices are put
+and sum combines numerator rows through ``_combine``, apart from the
+shared and empty rows above.  Matrices are put
 side by side by ``hstack``, as ``vstack`` stacks them, and interleaved
 column by column by ``interleave_columns``, the column twin of
 ``stack_slices``; both re-index the stored pairs.  ``flat_columns`` makes
@@ -239,7 +245,7 @@ class FieldSpec:
             if isinstance(x, Fraction):
                 if x.denominator == 1:
                     return x.numerator % self.p
-                return (x.numerator * pow(x.denominator, self.p - 2, self.p)) % self.p
+                return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
             return x % self.p
         if type(x) is int:
             return x
@@ -306,8 +312,11 @@ def GF(p: int) -> FieldSpec:
 class _Numerators:
     """Rows of (column, int) pairs in column order over one denominator: the
     form in which the operations of this module hand a result to
-    ``DenseMatrix.__init__``.  Over Q no pair may hold a zero; over Fp the
-    ints may be any representatives and ``den`` is 1."""
+    ``DenseMatrix.__init__``.  Over Q no pair may hold a zero.  Over Fp
+    ``den`` is 1 and the ints may be any representatives: one scan checks
+    that every numerator is a residue in [1, p), in which case the rows are
+    stored as they are, and otherwise they are rebuilt reduced mod p with the
+    zeros dropped."""
 
     __slots__ = ("rows", "den")
 
@@ -478,15 +487,16 @@ class DenseMatrix:
         self._check_same_shape(other)
         d = lcm(self.den, other.den)
         a, b = d // self.den, -(d // other.den)
-        out = [_combine([(a, x), (b, y)]) if y else _combine([(a, x)])
+        # a row of self over an empty row of other is that row itself when
+        # self is already over d
+        out = [_combine([(a, x), (b, y)]) if y else x if a == 1 else _combine([(a, x)])
                for x, y in zip(self._nonzero_rows, other._nonzero_rows)]
         return DenseMatrix(self.field, self.rows, self.cols, _Numerators(out, d))
 
     def mul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.cols != other.rows or self.field != other.field:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        onz = other._nonzero_rows
-        out = [_combine([(a, onz[k]) for k, a in pairs]) for pairs in self._nonzero_rows]
+        out = _times_rows(self._nonzero_rows, other._nonzero_rows)
         return DenseMatrix(self.field, self.rows, other.cols,
                            _Numerators(out, self.den * other.den))
 
@@ -535,7 +545,7 @@ class DenseMatrix:
             raise ShapeError("vstack mismatch")
         mats = (self, *others)
         d = lcm(*[m.den for m in mats])
-        out = [_combine([(d // m.den, pairs)]) for m in mats for pairs in m._nonzero_rows]
+        out = [pairs for m in mats for pairs in _scaled_rows(d // m.den, m._nonzero_rows)]
         return DenseMatrix(self.field, len(out), self.cols, _Numerators(out, d))
 
     # -- serialization ------------------------------------------------------
@@ -583,11 +593,16 @@ def _from_flat(field: FieldSpec, rows: int, cols: int, entries) -> tuple:
 
 def _lowest_terms(field: FieldSpec, rows: list, den: int) -> tuple:
     """The canonical (nonzero rows, den) of numerator rows over den: over Fp
-    residues with the zeros dropped, over Q numerators and den divided by
-    their common content, den 1 when no entry is left."""
+    residues with the zeros dropped, the rows themselves when every
+    numerator is already a residue in [1, p); over Q numerators and den
+    divided by their common content, den 1 when no entry is left."""
     if field.kind == "Fp":
         p = field.p
-        return [[(j, y) for j, x in pairs if (y := x % p)] for pairs in rows], 1
+        for pairs in rows:
+            for _, x in pairs:
+                if not 0 < x < p:
+                    return [[(j, y) for j, x in pairs if (y := x % p)] for pairs in rows], 1
+        return rows, 1
     if den == 1:
         return rows, 1
     g = den
@@ -637,12 +652,30 @@ def _combine(terms: list) -> list:
     if len(terms) == 1:
         a, pairs = terms[0]
         return pairs if a == 1 else [(j, a * b) for j, b in pairs]
+    if not terms:
+        return []
     acc = {}
     get = acc.get
     for a, pairs in terms:
         for j, b in pairs:
             acc[j] = get(j, 0) + a * b
     return [(j, acc[j]) for j in sorted(acc) if acc[j]]
+
+
+def _times_rows(rows: list, other: list) -> list:
+    """The numerator rows of the product of numerator rows with the rows
+    other, each row of the result sum a * other[k] over the (k, a) of its
+    row.  An empty row stays empty and a row with a single unit numerator
+    (k, 1) is other[k] itself, shared: neither builds terms for
+    ``_combine``."""
+    return [other[pairs[0][0]] if len(pairs) == 1 and pairs[0][1] == 1
+            else _combine([(a, other[k]) for k, a in pairs]) if pairs else pairs
+            for pairs in rows]
+
+
+def _scaled_rows(s: int, rows: list) -> list:
+    """The numerator rows s * rows: rows themselves, shared, when s is 1."""
+    return rows if s == 1 else [[(j, s * x) for j, x in pairs] for pairs in rows]
 
 
 def _one_shape(field: FieldSpec, parts: Sequence[DenseMatrix], rows: int, cols: int) -> tuple:
@@ -660,7 +693,8 @@ def stack_slices(field: FieldSpec, parts: Sequence[DenseMatrix]) -> DenseMatrix:
     this way from its C-components."""
     rows, cols = parts[0].rows, parts[0].cols
     d, scaled = _one_shape(field, parts, rows, cols)
-    out = [_combine([(s, nz[m])]) for m in range(rows) for s, nz in scaled]
+    scaled = [_scaled_rows(s, nz) for s, nz in scaled]
+    out = [nz[m] for m in range(rows) for nz in scaled]
     return DenseMatrix(field, rows * len(parts), cols, _Numerators(out, d))
 
 
@@ -830,13 +864,18 @@ def kron_mul(M: DenseMatrix, N: DenseMatrix, Y: DenseMatrix) -> DenseMatrix:
     if not M.field == N.field == Y.field or M.cols * N.cols != Y.rows:
         raise ShapeError(f"cannot multiply kron({M.rows}x{M.cols}, {N.rows}x{N.cols}) "
                          f"by {Y.rows}x{Y.cols}")
-    cN, ynz, mnz = N.cols, Y._nonzero_rows, M._nonzero_rows
+    cN, rN, ynz, mnz = N.cols, N.rows, Y._nonzero_rows, M._nonzero_rows
     # blocks[jm][i2]: row i2 of N . (row block jm of Y)
-    blocks = {jm: [_combine([(b, ynz[jm * cN + k]) for k, b in nrow])
-                   for nrow in N._nonzero_rows]
+    blocks = {jm: _times_rows(N._nonzero_rows, ynz[jm * cN:(jm + 1) * cN])
               for jm in {jm for pairs in mnz for jm, _ in pairs}}
-    out = [_combine([(a, blocks[jm][i2]) for jm, a in pairs])
-           for pairs in mnz for i2 in range(N.rows)]
+    out = []
+    for pairs in mnz:
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            out += blocks[pairs[0][0]]
+        elif pairs:
+            out += [_combine([(a, blocks[jm][i2]) for jm, a in pairs]) for i2 in range(rN)]
+        else:
+            out += [pairs] * rN
     return DenseMatrix(M.field, M.rows * N.rows, Y.cols,
                        _Numerators(out, M.den * N.den * Y.den))
 
@@ -984,6 +1023,10 @@ class SubspaceBuilder:
     back to that canonical multiple.  The full RREF invariant (no row has an
     entry in another row's pivot column) holds after every insertion.
 
+    ``insert`` takes over a dict it is given: the dict becomes the
+    builder's row, or is eliminated in place, so a caller that keeps its
+    vector passes a copy.
+
     The results are read from the integer rows: ``pivots`` and ``dim``,
     ``echelon`` (the reduced rows as numerators), and ``null_vectors``,
     ``null_space`` and ``quotient``, which take the builder.
@@ -1044,13 +1087,17 @@ class SubspaceBuilder:
             if lead < 0:
                 g = -g
             return v if g == 1 else {c: x // g for c, x in v.items()}
-        inv = pow(lead, p - 2, p)
+        inv = pow(lead, -1, p)
         return {c: x * inv % p for c, x in v.items()}
 
     def insert(self, vec) -> bool:
-        """Insert a vector (dict or dense sequence); True if the dim grew."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {c: x for c, x in items if x}
+        """Insert a vector, a dense sequence or a {col: scalar} dict; True if
+        the dim grew.  A dict of nonzero ints is taken over, not copied: the
+        builder changes it and may keep it as a row."""
+        if isinstance(vec, dict):
+            v = vec if 0 not in vec.values() else {c: x for c, x in vec.items() if x}
+        else:
+            v = {c: x for c, x in enumerate(vec) if x}
         if not v:
             return False
         # clear the denominators once, for the whole vector; a nonzero

@@ -95,8 +95,10 @@ class CoinvariantData:
         return self.space.dim
 
 
+@once
 def _left_on_x(ctx) -> DenseMatrix:
-    """Column i is e_i x, the coring's left action of e_i on x."""
+    """Column i is e_i x, the coring's left action of e_i on x; built once
+    per context, for ``compute_B`` and ``_q_condition``."""
     cor = ctx.coring()
     x = ctx.x_matrix().reshape(cor.dim, 1)
     return hstack(ctx.field, [a.mul(x) for a in cor.left_module.action], cor.dim)

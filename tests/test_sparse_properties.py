@@ -15,7 +15,11 @@ The results read off a ``SubspaceBuilder``'s integer rows (span bases,
 null vectors, the projection and section of a quotient, ``solve_matrix``)
 are checked on rows scaled so that the stored pivot entries are not 1, and
 the invertibility trial that combines each row only when it is read is
-checked against the combination it would form.
+checked against the combination it would form.  The products, stacks and
+differences are also drawn on matrices rich in empty rows and rows of a
+single unit numerator, which they share instead of combining, and numerator
+rows over GF(7) are built both from residues, which are kept as given, and
+from any other representatives, which are reduced to the same matrix.
 """
 
 from fractions import Fraction
@@ -49,6 +53,7 @@ from coring_lab.exactla import (
     solve_matrix,
     stack_slices,
     unstack_slices,
+    _Numerators,
 )
 
 from oracles import (
@@ -496,3 +501,121 @@ def test_builder_reads_rows_with_non_unit_pivots():
     assert DenseMatrix(QQ, span.dim, 3, span.echelon()).row_lists() == \
         [[1, Fraction(1, 2), 0], [0, 0, 1]]
     assert null_vectors(span).row_lists() == [[Fraction(-1, 2), 1, 0]]
+
+
+# -- empty and single unit rows -------------------------------------------------
+
+@st.composite
+def unit_rich(draw, field, rows=None, cols=None, d=None):
+    """A DenseMatrix over field whose rows are each empty, a single unit
+    numerator, a single entry 1 or drawn, with every entry a multiple of
+    1/d.  Over Q, d is drawn from 1, 2, 3 and 6 unless given, so a unit
+    numerator is the entry 1/d of a matrix whose ``den`` is d; over GF(7)
+    d is 1."""
+    rows = draw(DIMS) if rows is None else rows
+    cols = draw(DIMS) if cols is None else cols
+    if field.kind == "Fp":
+        d, entry = 1, st.integers(0, 6)
+    else:
+        d = draw(st.sampled_from([1, 2, 3, 6])) if d is None else d
+        entry = st.builds(Fraction, st.integers(-4, 4), st.just(d))
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["empty", "unit", "one", "drawn"])) if cols else "empty"
+        row = [0] * cols
+        if kind in ("unit", "one"):
+            row[draw(st.integers(0, cols - 1))] = Fraction(1, d) if kind == "unit" else 1
+        elif kind == "drawn":
+            row = [draw(st.one_of(st.just(0), entry)) for _ in range(cols)]
+        out.append(row)
+    return DenseMatrix.from_rows(field, out, cols=cols)
+
+
+def permutation_like(M) -> bool:
+    """Whether every stored row of M is empty or a single unit numerator."""
+    return all(not r or (len(r) == 1 and r[0][1] == 1) for r in M.numerator_rows())
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_mul_shares_unit_rows_and_matches_oracle(data, field):
+    """Products of unit-rich matrices against the oracle; when every row of
+    A is empty or a unit and B's stored rows are final (den 1), each row of
+    the product is the row of B it picks, shared."""
+    A = data.draw(unit_rich(field))
+    B = data.draw(unit_rich(field, rows=A.cols))
+    got = A.mul(B)
+    want = naive_matmul(A.row_lists(), B.row_lists(), B.cols, p_of(field))
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+    if permutation_like(A) and A.den == B.den == 1:
+        brows = B.numerator_rows()
+        for row, picked in zip(got.numerator_rows(), A.numerator_rows()):
+            assert row == [] if not picked else row is brows[picked[0][0]]
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_kron_mul_of_unit_rich_matrices_matches_oracle(data, field):
+    M, N = data.draw(unit_rich(field)), data.draw(unit_rich(field))
+    Y = data.draw(unit_rich(field, rows=M.cols * N.cols))
+    got = kron_mul(M, N, Y)
+    assert (got.rows, got.cols) == (M.rows * N.rows, Y.cols)
+    K = naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols)
+    want = naive_matmul(K, Y.row_lists(), Y.cols, p_of(field))
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+    assert got == kron(M, N).mul(Y)
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_vstack_stack_slices_and_sub_of_unit_rich_matrices_match_oracle(data, field):
+    """Parts of one shape with different denominators: stacked, interleaved
+    and subtracted, against the entry-by-entry oracles."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(DIMS)
+    parts = [data.draw(unit_rich(field, rows=rows, cols=cols))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    V = parts[0].vstack(*parts[1:])
+    assert (V.rows, V.cols) == (rows * len(parts), cols)
+    assert V.row_lists() == [r for P in parts for r in P.row_lists()]
+    assert_canonical(field, V)
+    S = stack_slices(field, parts)
+    assert S.row_lists() == [P.row(m) for m in range(rows) for P in parts]
+    assert_canonical(field, S)
+    # either order, so that the rows of the one with the smaller den are
+    # scaled where the other's rows are empty
+    A, B = parts[0], data.draw(unit_rich(field, rows=rows, cols=cols))
+    for X, Y in ((A, B), (B, A)):
+        D = X.sub(Y)
+        want = naive_combination([1, -1], [X.row_lists(), Y.row_lists()], rows, cols,
+                                 p_of(field))
+        assert D.row_lists() == normalized(field, want)
+        assert_canonical(field, D)
+    Z = DenseMatrix.zeros(field, rows, cols)
+    assert A.sub(Z) == A and Z.sub(A).sub(Z) == Z.sub(A)
+
+
+@given(st.data())
+@SETTINGS
+def test_fp_construction_from_any_representatives_is_canonical(data):
+    """Numerator rows over GF(7) given as residues, or with each entry moved
+    by a multiple of 7 (negatives among them) and multiples of 7 added,
+    build the one canonical matrix; rows of residues are kept as given.
+    Zeros are added with or without the shifts, so that one zero among
+    residues is also reduced."""
+    M = data.draw(unit_rich(F7))
+    residues = M.numerator_rows()
+    shift = st.integers(-3, 3) if data.draw(st.booleans()) else st.just(0)
+    shifted = []
+    for pairs in residues:
+        entries = dict(pairs)
+        for j in range(M.cols):
+            if j not in entries and data.draw(st.booleans()):
+                entries[j] = 0
+        shifted.append([(j, x + 7 * data.draw(shift)) for j, x in sorted(entries.items())])
+    kept = DenseMatrix(F7, M.rows, M.cols, _Numerators(residues))
+    assert kept == M and kept.numerator_rows() is residues
+    rebuilt = DenseMatrix(F7, M.rows, M.cols, _Numerators(shifted))
+    assert rebuilt == M and hash(rebuilt) == hash(M)
+    assert_canonical(F7, rebuilt)
