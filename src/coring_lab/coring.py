@@ -248,8 +248,11 @@ class ComoduleInstance:
     """
 
     # the comodules this one is the direct sum of, set by
-    # ``direct_sum_comodule`` and read by ``additive``
+    # ``direct_sum_comodule``, and the earlier witness with the same action
+    # and coaction matrices, set by ``default_comodule_witnesses``; both
+    # read by ``additive``
     summands = ()
+    same_as = None
 
     def __init__(self, ctx, module: ModulePresentation, coaction: DenseMatrix,
                  name: str = ""):
@@ -341,21 +344,35 @@ def direct_sum_comodule(M: ComoduleInstance, N: ComoduleInstance,
     return out
 
 
-def additive(flags):
-    """Memoize ``flags(owner, M)``, a namedtuple of booleans each saying
-    that a natural map on the witness M is injective, surjective or
-    bijective.  Every map it is asked of is additive, so on a direct sum it
-    is the direct sum of the summands' maps: the flags of a witness with
-    ``summands`` are the field-wise AND of theirs, and nothing is evaluated
-    on the sum itself."""
-    @once
-    @functools.wraps(flags)
-    def memo(owner, M):
-        if not M.summands:
-            return flags(owner, M)
-        parts = [memo(owner, s) for s in M.summands]
-        return type(parts[0])._make(map(all, zip(*parts)))
-    return memo
+def additive(record):
+    """Memoize ``flags(owner, M)``, a ``record`` (a namedtuple of booleans)
+    each saying that a natural map on the witness M is injective,
+    surjective or bijective, and evaluate it once per distinct nonzero
+    witness that is no direct sum.  Every map it is asked of is additive,
+    so on a direct sum it is the direct sum of the summands' maps:
+
+    * the flags of a witness with ``summands`` are the field-wise AND of
+      theirs, and nothing is evaluated on the sum itself;
+    * the zero witness is the empty direct sum, so every flag on it is
+      True (the map 0 -> 0 is bijective);
+    * a witness with ``same_as`` has the action and coaction matrices of
+      that earlier witness, so every map built from them is the same
+      matrix, and it reads that witness's flags."""
+    def decorate(flags):
+        @once
+        @functools.wraps(flags)
+        def memo(owner, M):
+            if not M.dim:
+                return record._make(True for _ in record._fields)
+            same = getattr(M, "same_as", None)   # B-module witnesses never repeat
+            if same is not None:
+                return memo(owner, same)
+            if not M.summands:
+                return flags(owner, M)
+            parts = [memo(owner, s) for s in M.summands]
+            return record._make(map(all, zip(*parts)))
+        return memo
+    return decorate
 
 
 def restrict_comodule(M: ComoduleInstance, sub: Subspace, name: str = "") -> ComoduleInstance:
@@ -505,25 +522,49 @@ def default_comodule_witnesses(ctx, seed: int = 0) -> list:
     ``hom_into_induced``:
     the A-linear maps g: A (+) coring -> A through Hom^C(M, A (x)_A C) =
     Hom_A(M, A), g -> (g (x) id_C) rho_M.
+
+    When the echelon basis of the kernel of t = (t_1, t_2): A (+) coring ->
+    coring has its pivots exactly on A's coordinates, t_2 is invertible and
+    the kernel is the graph of -t_2^-1 t_1: A -> coring.  The projection
+    onto A is then a comodule isomorphism taking the echelon basis to A's
+    basis (coordinates in that basis are the entries at the pivots), and
+    the big comodule's action and coaction are block diagonal, so the
+    restricted matrices are A's own; the kernel is built from them without
+    ``restrict_comodule``.
+
+    Each nonzero witness that is no direct sum and has the action and
+    coaction matrices of an earlier one gets that witness as ``same_as``,
+    one equality test per pair, so ``additive`` evaluates it once: the
+    graph-built kernel repeats A, and the dual ring as a comodule repeats
+    the coring on some inputs (``fix-t``, ``fix-n``, scalar group-likes).
     """
-    witnesses = [zero_comodule(ctx)]
     com_A = ctx.comodule_A()
-    witnesses.append(com_A)
     coring_com = ComoduleInstance(ctx, ctx.coring().right_module, kron(
         DenseMatrix.identity(ctx.field, ctx.A.dim), ctx.C.comult_matrix()), name="coring")
-    witnesses.append(coring_com)
-    witnesses.append(direct_sum_comodule(com_A, coring_com, name="A(+)coring"))
-    witnesses.append(direct_sum_comodule(coring_com, coring_com, name="A^2(x)coring"))
-    witnesses.append(comodule_from_dual_module(
-        ctx, ctx.sharp_ring().algebra.regular_module("right"), name="dual-ring"))
+    big = direct_sum_comodule(com_A, coring_com, name="A(+)coring")
+    witnesses = [zero_comodule(ctx), com_A, coring_com, big,
+                 direct_sum_comodule(coring_com, coring_com, name="A^2(x)coring"),
+                 comodule_from_dual_module(
+                     ctx, ctx.sharp_ring().algebra.regular_module("right"), name="dual-ring")]
     rng = SeededStream(seed)
-    big = witnesses[3]
     homs = hom_into_induced(big, ctx.A.regular_module("right"))
     if homs.dim:
         coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
         tmat = DenseMatrix(ctx.field, 1, homs.dim, coeffs).mul(homs.basis).reshape(
             coring_com.dim, big.dim)
         ker = kernel(tmat)
-        if 0 < ker.dim < big.dim:
+        if ker.pivots == list(range(ctx.A.dim)):
+            mod = ModulePresentation(ctx.A, ker.dim, "right", com_A.module.action)
+            witnesses.append(ComoduleInstance(ctx, mod, com_A.coaction, name="random-kernel"))
+        elif 0 < ker.dim < big.dim:
             witnesses.append(restrict_comodule(big, ker, name="random-kernel"))
+    distinct = []
+    for w in witnesses:
+        if w.dim and not w.summands:
+            same = next((e for e in distinct if e.dim == w.dim and e.coaction == w.coaction
+                         and e.module.action == w.module.action), None)
+            if same is None:
+                distinct.append(w)
+            else:
+                w.same_as = same
     return witnesses

@@ -885,8 +885,9 @@ def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
 
     Per row of X, the segment that meets row block i of kron(M, N) passes
     through N once, for each row i that M uses; M[i, a] then mixes it into
-    column block a of the result row.  The result is the only DenseMatrix
-    built.
+    column block a of the result row.  A segment with a single unit
+    numerator of X is its row of N itself, with no ``_combine``.  The
+    result is the only DenseMatrix built.
     """
     if not X.field == M.field == N.field or X.cols != M.rows * N.rows:
         raise ShapeError(f"cannot multiply {X.rows}x{X.cols} by "
@@ -903,7 +904,7 @@ def mul_kron(X: DenseMatrix, M: DenseMatrix, N: DenseMatrix) -> DenseMatrix:
         acc = {}
         get = acc.get
         for i, terms in segments.items():
-            seg = _combine(terms)
+            seg = terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else _combine(terms)
             for a, m in mnz[i]:
                 off = a * cN
                 for b, y in seg:
@@ -1197,8 +1198,8 @@ def combinations(mats: Sequence[DenseMatrix], C: DenseMatrix) -> list[DenseMatri
     matrices of one shape: the package's one construction of an operator
     from coordinates, those of an element acting through the action
     matrices of a basis.  C's stored numerator columns are combined over
-    the lcm of the denominators, and a unit column returns its (immutable)
-    matrix itself, without arithmetic."""
+    the lcm of the denominators; a unit column returns its (immutable)
+    matrix itself and a zero column the zero matrix, without arithmetic."""
     if not mats or C.rows != len(mats):
         raise ShapeError(f"need {C.rows} matrices, one per row of the coefficients, "
                          f"got {len(mats)}")
@@ -1209,6 +1210,8 @@ def combinations(mats: Sequence[DenseMatrix], C: DenseMatrix) -> list[DenseMatri
     for pairs in C.numerator_columns():
         if len(pairs) == 1 and pairs[0][1] == C.den:
             out.append(mats[pairs[0][0]])
+        elif not pairs:
+            out.append(DenseMatrix.zeros(C.field, rows, cols))
         else:
             den, combined = _combination_rows(rows, pairs, mats)
             out.append(DenseMatrix(C.field, rows, cols, _Numerators(list(combined), den * C.den)))

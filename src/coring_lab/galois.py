@@ -147,7 +147,7 @@ UnitMapFlags = namedtuple("UnitMapFlags", "bijective")
 UnitMapFlags.__doc__ = "phi_N bijective."
 
 
-@additive
+@additive(WeakMapFlags)
 def weak_map_flags(ctx, M: ComoduleInstance) -> WeakMapFlags:
     """The flags of the weak-structure map and of the hom-evaluation map on
     a witness comodule, read by ``structure_report`` and
@@ -157,7 +157,7 @@ def weak_map_flags(ctx, M: ComoduleInstance) -> WeakMapFlags:
     return WeakMapFlags(rep.bijective, prep.bijective, prep.injective)
 
 
-@additive
+@additive(UnitMapFlags)
 def unit_map_flags(ctx, N: ModulePresentation) -> UnitMapFlags:
     """The flag of the unit map ``phi_N`` on a witness B-module."""
     return UnitMapFlags(phi_N(ctx, N)[1].bijective)

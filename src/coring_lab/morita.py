@@ -271,9 +271,30 @@ def find_qhat(data: MoritaContextData) -> DenseMatrix | None:
 
 
 def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
-    """M (x)_dual Q -> M^x, m (x) q -> m q, with bijectivity onto M^x."""
-    tensor = balanced_tensor(M, data.Q_left_dual)
-    target = x_invariants(M, data.ctx)
+    """M (x)_dual Q -> M^x, m (x) q -> m q, with bijectivity onto M^x.
+
+    Two modules take their tensor product in closed form:
+
+    * A over the dual ring, ``data.A_right_dual``: A (x)_dual Q is
+      ``data.AQ``, already taken by ``build_context``.
+    * The dual ring S over itself, a module whose action is ``S.rmuls``:
+      S (x)_S Q = Q by s (x) q -> s q, with inverse q -> 1 (x) q.  In Q's
+      echelon coordinates the projection's column (s, i) is e_s q_i, column
+      i of Q's left action of e_s, and the section's column i is 1 (x) q_i;
+      xi is then q -> q, the inclusion of Q in S^x, whose matrix is Q's
+      embedding, injective as an echelon basis is independent.
+    """
+    ctx = data.ctx
+    target = x_invariants(M, ctx)
+    S = ctx.sharp_ring().algebra
+    if M.algebra is S and M.action == S.rmuls:
+        Q = data.Q_left_dual
+        tensor = QuotientSpace(
+            hstack(ctx.field, Q.action, Q.dim),
+            kron(S.unit_matrix(), DenseMatrix.identity(ctx.field, Q.dim)))
+        mat = data.Q.space.embedding
+        return mat, LinearMapReport(mat, True, Q.dim == target.dim), tensor
+    tensor = data.AQ if M is data.A_right_dual else balanced_tensor(M, data.Q_left_dual)
     mat = _times_Q(M, data.Q).mul(tensor.section)
     # bijectivity measured against the target subspace, which holds the
     # image: m q is x-invariant for q in Q
@@ -284,7 +305,7 @@ PairingFlags = namedtuple("PairingFlags", "bijective onto_coinvariants")
 PairingFlags.__doc__ = "xi_M bijective onto the x-invariants, and onto the coinvariants."
 
 
-@additive
+@additive(PairingFlags)
 def pairing_flags(ctx, M: ComoduleInstance) -> PairingFlags:
     """The flags of ``xi_M`` on a witness comodule over the dual ring,
     read by ``check_theorem_surj``: bijective onto its x-invariants, and

@@ -32,7 +32,12 @@ operators the runtime stores.
 
 ``weak_map_flags_on``, ``pairing_flags_on`` and ``unit_map_flags_on``
 evaluate a witness's flags on the witness itself, where the runtime reads
-a direct sum's from its summands.
+a direct sum's from its summands, the zero witness's as the empty sum and a
+repeated witness's from the first; ``pairing_flags_on`` takes xi through
+``balanced_tensor`` for every module (``xi_over_balanced_tensor``), where
+the runtime has closed forms for A and the dual ring over themselves.
+``seeded_kernel`` is the kernel the witness family restricts to, so that
+its witness can be compared with ``restrict_comodule`` of it.
 
 ``beta_W`` extends the Galois map beta to W (x)_B A -> W (x) C for a right
 A-module W, and ``varpi_M`` is the map M (x) (dual ring) -> M with the
@@ -63,12 +68,15 @@ from coring_lab.coring import (
     SquareReducer,
     coinvariants,
     dual_action,
+    hom_into_induced,
     induced_comodule,
+    x_invariants,
 )
 from coring_lab.exactla import (
     DenseMatrix,
     FieldSpec,
     QuotientSpace,
+    SeededStream,
     Subspace,
     SubspaceBuilder,
     combinations,
@@ -97,7 +105,6 @@ from coring_lab.morita import (
     _F_plain,
     _times_Q,
     map_report,
-    xi_M,
 )
 from coring_lab.verdict import Verdict, VerificationError
 
@@ -837,11 +844,31 @@ def weak_map_flags_on(ctx, M: ComoduleInstance) -> WeakMapFlags:
     return WeakMapFlags(rep.bijective, prep.bijective, prep.injective)
 
 
+def xi_over_balanced_tensor(data, M: ModulePresentation) -> tuple:
+    """``xi_M`` with M (x)_dual Q taken by ``balanced_tensor`` for every M."""
+    tensor = balanced_tensor(M, data.Q_left_dual)
+    mat = _times_Q(M, data.Q).mul(tensor.section)
+    return mat, map_report(mat, target_dim=x_invariants(M, data.ctx).dim), tensor
+
+
 def pairing_flags_on(ctx, M: ComoduleInstance) -> PairingFlags:
     """``pairing_flags`` from xi on M itself over the dual ring, a direct sum
     included, its image compared with the coinvariants as subspaces."""
-    mat, rep, _ = xi_M(ctx.morita(), dual_action(M))
+    mat, rep, _ = xi_over_balanced_tensor(ctx.morita(), dual_action(M))
     return PairingFlags(rep.bijective, rep.injective and image(mat) == coinvariants(M))
+
+
+def seeded_kernel(ctx, seed: int = 0) -> Subspace | None:
+    """The kernel of the seeded comodule map A (+) coring -> coring that
+    ``default_comodule_witnesses`` draws, or None when there is no map."""
+    big = ctx.default_witnesses(seed)[3]
+    homs = hom_into_induced(big, ctx.A.regular_module("right"))
+    if not homs.dim:
+        return None
+    rng = SeededStream(seed)
+    coeffs = [rng.randint(-2, 2) for _ in range(homs.dim)]
+    return kernel(DenseMatrix(ctx.field, 1, homs.dim, coeffs).mul(homs.basis).reshape(
+        big.dim - ctx.A.dim, big.dim))
 
 
 def unit_map_flags_on(ctx, N: ModulePresentation) -> UnitMapFlags:

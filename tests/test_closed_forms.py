@@ -9,9 +9,14 @@ and a prime field, on the fixtures, on a dense change of basis with
 non-integer entries and on the non-commutative ``fix-s``, also with a
 group-like x whose C-components are not multiples of the unit of A, and on
 the algebra of ``fix-s`` over the trivial coalgebra, where B = A is not
-commutative and so left and right multiplication by B differ."""
+commutative and so left and right multiplication by B differ.
 
-import functools
+On every distinct instance of ``instances.DISTINCT`` the evaluations that
+the witness family skips (the zero witness, a witness repeating an
+earlier one, the seeded kernel built from A's matrices) and the closed
+forms of xi on the dual ring and on A are checked against the evaluation
+they replace."""
+
 import random
 
 import pytest
@@ -24,22 +29,19 @@ from coring_lab.cleft import (
     cleft_psi_inverse,
     find_cleft,
 )
-from coring_lab.coalgebra import CoalgebraPresentation, _conv_operator, grouplike_coalgebra
-from coring_lab.coring import _tensor_x, dual_action, induced_action
-from coring_lab.entwining import (
-    EntwinedContext,
-    doi_koppinen,
-    flip_entwining,
-    instance_from_json,
-)
-from coring_lab.exactla import DenseMatrix, solve, stack_slices
-from coring_lab.fixtures import FIXTURE_NAMES, fixture
+from coring_lab.coalgebra import CoalgebraPresentation, _conv_operator
+from coring_lab.coring import _tensor_x, dual_action, induced_action, restrict_comodule
+from coring_lab.entwining import doi_koppinen
+from coring_lab.exactla import DenseMatrix, kernel, stack_slices
+from coring_lab.galois import weak_map_flags
 from coring_lab.morita import (
     _q_condition,
     _times_Q,
     omega_and_lambda,
+    pairing_flags,
     psi_tilde_from_F,
     q_left_annihilator,
+    xi_M,
 )
 
 from crosscheck import (
@@ -64,38 +66,16 @@ from crosscheck import (
     omega_by_evaluation,
     psi_tilde_inverse_by_entries,
     q_condition_by_evaluation,
+    pairing_flags_on,
     q_left_annihilator_by_evaluation,
+    seeded_kernel,
     sharp_constants_by_evaluation,
+    weak_map_flags_on,
+    xi_over_balanced_tensor,
 )
-from helpers import lmul, mult_table, perfbench_instance
+from helpers import mult_table
+from instances import DISTINCT, INSTANCES, context
 from oracles import random_scalar
-
-INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \
-    ["dense-QZ3", "fix-s-conj", "fix-s-over-k"]
-
-
-@functools.lru_cache(maxsize=None)
-def _context(label):
-    if label == "dense-QZ3":
-        return instance_from_json(perfbench_instance("dense", label))
-    if label == "fix-s-conj":
-        # u x u^-1 is a group-like of the coring for every unit u of A
-        ctx = fixture("fix-s").context
-        u = [2, 0, 1, 1]
-        cor = ctx.coring()
-        u_inv = solve(lmul(ctx.A, u), ctx.A.unit)
-        x = cor.left_module.act_matrix(u).apply(cor.right_module.act_matrix(u_inv).apply(ctx.x))
-        return EntwinedContext(ctx.A, ctx.C, ctx.psi, x, name=label)
-    if label == "fix-s-over-k":
-        # over the trivial coalgebra B is all of A, and this A is not commutative
-        A = fixture("fix-s").context.A
-        C = grouplike_coalgebra(A.field, 1)
-        return EntwinedContext(A, C, flip_entwining(A, C), A.unit, name=label)
-    name, field = label.rsplit("-", 1)
-    obj = fixture(name).instance_json()
-    if field == "F7":
-        obj["field"] = {"kind": "Fp", "p": 7}
-    return instance_from_json(obj)
 
 
 def _random_map(ctx):
@@ -188,7 +168,7 @@ def _pairs(ctx, construction):
     "psi_tilde_inverse", "cleft_inverse"])
 @pytest.mark.parametrize("label", INSTANCES)
 def test_closed_form_matches_evaluation(label, construction):
-    ctx = _context(label)
+    ctx = context(label)
     for closed, evaluated in _pairs(ctx, construction):
         assert closed == evaluated
 
@@ -196,13 +176,13 @@ def test_closed_form_matches_evaluation(label, construction):
 def test_explicit_inverses_are_compared_somewhere():
     """The weak-structure inverses exist on some instances, so their
     comparisons above are not vacuous."""
-    assert any(_pairs(_context(label), "psi_tilde_inverse") for label in INSTANCES)
-    assert any(_pairs(_context(label), "cleft_inverse") for label in INSTANCES)
+    assert any(_pairs(context(label), "psi_tilde_inverse") for label in INSTANCES)
+    assert any(_pairs(context(label), "cleft_inverse") for label in INSTANCES)
 
 
 @pytest.mark.parametrize("label", INSTANCES)
 def test_stack_slices_inverts_slices(label):
-    for w in _context(label).default_witnesses():
+    for w in context(label).default_witnesses():
         assert stack_slices(w.field, w.slices()) == w.coaction
 
 
@@ -229,9 +209,86 @@ def test_relation_spans_over_generators_match_whole_basis(label, monkeypatch):
             return out
         for module in modules:
             monkeypatch.setattr(module, name, recording)
-    ctx = _context.__wrapped__(label)  # a fresh context, with nothing memoized
+    ctx = context.__wrapped__(label)  # a fresh context, with nothing memoized
     cli.full_verify(ctx)
     cli.run_analysis(ctx, seed=0)
     assert {name for name, *_ in calls} == set(RELATION_SPANS)
     for name, args, out in calls:
         assert out == RELATION_SPANS[name][1](*args), (name, args)
+
+
+DISTINCT_IDS = [label for label, _ in DISTINCT.values()]
+DISTINCT_CONTEXTS = [ctx for _, ctx in DISTINCT.values()]
+
+
+@pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
+def test_skipped_witness_evaluations_match_the_witness_itself(ctx):
+    """The zero witness, each witness equal to an earlier one and the
+    seeded kernel have the flags the maps have on the witness itself,
+    though ``additive`` evaluates none of the first two."""
+    ws = ctx.default_witnesses()
+    assert ws[0].dim == 0
+    skipped = [w for w in ws if not w.dim or w.same_as is not None]
+    for k, w in enumerate(ws):
+        if w.same_as is not None:
+            assert w.same_as in ws[:k] and w.same_as.same_as is None
+            assert not w.summands and not w.same_as.summands
+            assert w.module.action == w.same_as.module.action
+            assert w.coaction == w.same_as.coaction
+    for w in skipped + [w for w in ws if w.name == "random-kernel"]:
+        assert weak_map_flags(ctx, w) == weak_map_flags_on(ctx, w), w.name
+        assert pairing_flags(ctx, w) == pairing_flags_on(ctx, w), w.name
+
+
+@pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
+def test_seeded_kernel_witness_is_the_restricted_comodule(ctx):
+    """The kernel witness, built from A's own matrices when its echelon
+    basis has its pivots on A's coordinates, equals ``restrict_comodule``
+    of the big witness to the kernel, matrix for matrix."""
+    ker = seeded_kernel(ctx)
+    ws = ctx.default_witnesses()
+    kernels = [w for w in ws if w.name == "random-kernel"]
+    if ker is None or not 0 < ker.dim < ws[3].dim:
+        assert not kernels
+        return
+    (w,) = kernels
+    restricted = restrict_comodule(ws[3], ker)
+    assert w.module.action == restricted.module.action
+    assert w.coaction == restricted.coaction
+
+
+def test_both_kernel_witness_constructions_are_compared():
+    """The comparison above meets the graph-built kernel on a QZ instance
+    and the restricted kernel on a scalar group-like (SG) instance."""
+    graph, restricted = [], []
+    for label, ctx in DISTINCT.values():
+        ker = seeded_kernel(ctx)
+        if ker is not None and 0 < ker.dim:
+            (graph if ker.pivots == list(range(ctx.A.dim)) else restricted).append(label)
+    assert any("-QZ" in label for label in graph)
+    assert any("-SG" in label for label in restricted)
+
+
+@pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
+def test_xi_closed_forms_match_balanced_tensor(ctx):
+    """xi on the dual ring over itself and on A, which ``xi_M`` takes in
+    closed form, agrees with xi through ``balanced_tensor``: the same
+    flags, and the same map on the plain tensor M (x) Q, which is the
+    product m (x) q -> m q; the closed quotient is one, with the relation
+    span as the kernel of its projection.  On A, unless A is the dual ring
+    over itself, it is the same quotient."""
+    data = ctx.morita()
+    S = ctx.sharp_ring().algebra
+    dual_ring = next(w for w in ctx.default_witnesses() if w.name == "dual-ring")
+    for M in (S.regular_module("right"), dual_action(dual_ring), data.A_right_dual):
+        mat, rep, tensor = xi_M(data, M)
+        ref_mat, ref_rep, ref_tensor = xi_over_balanced_tensor(data, M)
+        assert (rep.injective, rep.surjective) == (ref_rep.injective, ref_rep.surjective)
+        plain = _times_Q(M, data.Q)
+        assert mat.mul(tensor.projection) == ref_mat.mul(ref_tensor.projection) == plain
+        assert tensor.projection.mul(tensor.section) == DenseMatrix.identity(ctx.field, tensor.dim)
+        assert kernel(tensor.projection) == kernel(ref_tensor.projection)
+    if data.A_right_dual.action != S.rmuls:   # else A is the dual ring over itself
+        mat, _, tensor = xi_M(data, data.A_right_dual)
+        ref_mat, _, ref_tensor = xi_over_balanced_tensor(data, data.A_right_dual)
+        assert tensor is data.AQ and tensor == ref_tensor and mat == ref_mat

@@ -4,7 +4,7 @@ The sha256 of ``run_analysis(ctx, seed=0).to_json()`` after ``full_verify``,
 the calls ``analyze --format json --seed 0`` makes, for each of the 38
 distinct instances among the fixtures, the closed-form instances of
 ``test_closed_forms`` and the 47 instances the benchmark generates at seed
-0 (labelled as in ``test_theorems``).  A change to the arithmetic underneath
+0 (labelled as in ``instances.py``).  A change to the arithmetic underneath
 (storage, elimination order, fraction handling) must leave every report
 byte for byte as it was; one that changes a report on purpose updates the
 digest here and says why.
@@ -16,7 +16,7 @@ import pytest
 
 from coring_lab import cli
 
-from test_theorems import DISTINCT
+from instances import DISTINCT
 
 DIGESTS = {
     "fixture-fix-t": "7dd7c5da38d7df93b08fa57a536934fd7184e2cb024ed933812a8ed938bab171",

@@ -164,11 +164,12 @@ def test_theorem_surj_tables():
 
 
 def test_theorem_surj_evaluates_the_dual_ring_once(monkeypatch):
-    """The pairing is evaluated once on each witness that is no direct sum
-    and never on a sum, whose flags are its summands'.  The pairing on the
-    dual ring over itself is the one on the dual-ring witness: it costs no
-    call of its own with the default witnesses, and one when a witness
-    budget cuts that witness."""
+    """The pairing is evaluated once on each distinct nonzero witness that
+    is no direct sum, and never on the zero witness, on a sum, whose flags
+    are its summands', or on a witness equal to an earlier one, whose flags
+    are that one's.  The pairing on the dual ring over itself is the one on
+    the dual-ring witness: it costs no call of its own with the default
+    witnesses, and one when a witness budget cuts that witness."""
     import coring_lab.morita as morita
     seen = []
 
@@ -184,14 +185,16 @@ def test_theorem_surj_evaluates_the_dual_ring_once(monkeypatch):
             ws = ctx.default_witnesses()[:budget]
             sums = [w for w in ws if w.summands]
             assert len(sums) == (2 if budget is None else 0)
+            distinct = [w for w in ws if w.dim and not w.summands and w.same_as is None]
+            assert ws[0].dim == 0 and ws[1] in distinct
             covered = any(dual_action(w).action == rmuls for w in ws if not w.summands)
             assert covered or budget is not None
             uncovered += not covered
             seen.clear()
             check_theorem_surj(ctx, witnesses=ws)
             assert rmuls in [M.action for M in seen]
-            assert len(seen) == len(ws) - len(sums) + (not covered)
-            assert not any(M is dual_action(w) for w in sums for M in seen)
+            assert len(seen) == len(distinct) + (not covered)
+            assert not any(M is dual_action(w) for w in ws if w not in distinct for M in seen)
     assert uncovered
 
 

@@ -570,6 +570,23 @@ def test_kron_mul_of_unit_rich_matrices_matches_oracle(data, field):
 
 @given(st.data(), FIELDS)
 @SETTINGS
+def test_mul_kron_of_unit_rich_matrices_matches_oracle(data, field):
+    """X kron(M, N) with the rows of X empty, a unit numerator or drawn, so
+    that a row segment is often one unit term, which is its row of N itself
+    with no ``_combine``."""
+    M, N = data.draw(unit_rich(field)), data.draw(unit_rich(field))
+    X = data.draw(unit_rich(field, cols=M.rows * N.rows))
+    got = mul_kron(X, M, N)
+    assert (got.rows, got.cols) == (X.rows, M.cols * N.cols)
+    K = naive_kron(M.row_lists(), N.row_lists(), M.cols, N.cols)
+    want = naive_matmul(X.row_lists(), K, M.cols * N.cols, p_of(field))
+    assert got.row_lists() == normalized(field, want)
+    assert_canonical(field, got)
+    assert got == X.mul(kron(M, N))
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
 def test_vstack_stack_slices_and_sub_of_unit_rich_matrices_match_oracle(data, field):
     """Parts of one shape with different denominators: stacked, interleaved
     and subtracted, against the entry-by-entry oracles."""

@@ -57,7 +57,6 @@ from coring_lab.coring import (
     verify_coring,
     x_invariants,
 )
-from coring_lab.entwining import instance_from_json
 from coring_lab.exactla import DenseMatrix, combinations, kernel, kron, parse_array, unflatten_rows
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.galois import (
@@ -89,30 +88,8 @@ from crosscheck import (
     weak_map_flags_on,
     x_invariants_over_basis,
 )
-from helpers import perfbench_records
-from test_closed_forms import INSTANCES, _context, _random_map
-
-WORKLOADS = ("ladder", "dense", "small")
-
-
-def _labelled_contexts():
-    """(label, context) for every fixture, every instance of
-    ``test_closed_forms`` and every instance the benchmark generates."""
-    out = [(f"fixture-{name}", fixture(name).context) for name in FIXTURE_NAMES]
-    out += [(f"closed-forms-{label}", _context(label)) for label in INSTANCES]
-    for w in WORKLOADS:
-        out += [(f"{w}-{i:02d}-{rec['name']}", instance_from_json(rec["instance"]))
-                for i, rec in enumerate(perfbench_records(w))]
-    return out
-
-
-LABELLED = _labelled_contexts()
-# the sets overlap (the fixtures appear in all three, and ``small`` repeats
-# some instances), so each distinct instance is checked once, under its
-# first label
-DISTINCT = {}
-for _label, _ctx in LABELLED:
-    DISTINCT.setdefault(_ctx.digest(), (_label, _ctx))
+from instances import DISTINCT, LABELLED, WORKLOADS
+from test_closed_forms import _random_map
 
 
 def test_every_generated_instance_is_covered():

@@ -3,26 +3,30 @@ exact-arithmetic work, each budget about 10 % above a measured count.
 
 Counts of one ``fix-s`` verify + analysis:
 
-* Matrix entries built (rows x cols of every ``DenseMatrix``): 183,960,
-  budget 202,900.  A failure means a structure map is materialized where
+* Matrix entries built (rows x cols of every ``DenseMatrix``): 177,225,
+  budget 194,950.  A failure means a structure map is materialized where
   it used to be applied (a Kronecker product, a dense relation span), an
   operator is evaluated per basis vector, or a derived object is computed
   twice.
-* Nonzeros stored: 7,532, budget 8,190.  A failure means dense
+* Nonzeros stored: 7,003, budget 7,700.  A failure means dense
   intermediates are built as matrices, or a structure map is filled with
   entries that the arithmetic only multiplies by zero.
 * Rows inserted into a ``SubspaceBuilder``, the one elimination routine:
-  2,350, budget 2,580.  A failure means relation spans are taken over a
+  2,023, budget 2,225.  A failure means relation spans are taken over a
   whole basis instead of generators, a direct-sum witness is evaluated
-  instead of its summands, or an invertibility trial runs past its first
-  dependent row.  The count also has a floor, 2,110, 10 % below it: every
-  row is eliminated by ``insert``, so a count that falls through the floor
-  means rows are reduced around it and the budget no longer measures the
-  elimination.
+  instead of its summands, the zero witness or a witness equal to an
+  earlier one is evaluated at all, xi on the dual ring over itself or on A
+  takes a new balanced tensor, or an invertibility trial runs past its
+  first dependent row.  The count also has a floor, 1,820, 10 % below
+  it: every row is eliminated by ``insert``, so a count that falls
+  through the floor means rows are reduced around it and the budget no
+  longer measures the elimination.
 * Calls of ``exactla._combine``, which sums scaled numerator rows in every
-  product and sum: 2,220, budget 2,440 (11,066 when every product row
-  built a term list, empty and single unit rows included).  A failure means
-  a product again combines the rows that it could share or leave empty.
+  product and sum: 1,405, budget 1,545 (11,066 when every product row
+  built a term list, empty and single unit rows included, and 2,220 while
+  the zero and repeated witnesses were evaluated and a zero coefficient
+  column and a one-term unit segment of ``mul_kron`` still called it).  A failure means a product again combines the rows
+  that it could share or leave empty.
 * Cells read through the dense views ``entries``, ``columns``,
   ``row_lists`` and ``col`` outside a ``to_json``: 0, budget 0.  Every
   operator is built from a coefficient matrix and every solution stays a
@@ -49,11 +53,11 @@ from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 from helpers import perfbench_instance
 
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
-ENTRY_BUDGET = 202_900
-NONZERO_BUDGET = 8_190
-INSERT_BUDGET = 2_580
-INSERT_FLOOR = 2_110
-COMBINE_BUDGET = 2_440
+ENTRY_BUDGET = 194_950
+NONZERO_BUDGET = 7_700
+INSERT_BUDGET = 2_225
+INSERT_FLOOR = 1_820
+COMBINE_BUDGET = 1_545
 FRACTION_BUDGET = 138
 DENSE_VIEW_BUDGET = 0
 
