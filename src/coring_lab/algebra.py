@@ -174,12 +174,10 @@ class AlgebraPresentation:
         return ModulePresentation(self, self.dim, side, action)
 
     def to_json(self) -> dict:
-        f = self.field
         return {
             "dim": self.dim,
-            "mult": [[[f.scalar_to_json(x) for x in col] for col in L.columns()]
-                     for L in self.lmuls],
-            "unit": [f.scalar_to_json(x) for x in self.unit],
+            "mult": [L.json_columns() for L in self.lmuls],
+            "unit": self._unit.json_columns()[0],
         }
 
     @staticmethod

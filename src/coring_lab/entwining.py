@@ -384,10 +384,7 @@ class EntwinedContext:
         if self.entwining_kind == "doi_koppinen":
             ent = {"kind": "doi_koppinen"}
         else:
-            ent = {"kind": "matrix",
-                   "psi": [[f.scalar_to_json(self.psi.get(i, j))
-                            for j in range(self.psi.cols)]
-                           for i in range(self.psi.rows)]}
+            ent = {"kind": "matrix", "psi": self.psi.json_rows()}
         out = {
             "field": f.to_json(),
             "algebra": self.A.to_json(),

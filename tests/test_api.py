@@ -169,6 +169,31 @@ def test_field_spec_is_an_immutable_value():
         coring_lab.GF(7).p = 11
 
 
+def test_field_spec_compares_by_identity_then_by_value():
+    """``==`` and ``!=`` answer by identity first and otherwise by kind and
+    modulus; any other operand is never equal."""
+    QQ, GF, FieldSpec = coring_lab.QQ, coring_lab.GF, coring_lab.FieldSpec
+    for a, b in [(QQ, FieldSpec("Q")), (GF(7), GF(7))]:
+        assert a is not b
+        assert a == b and b == a and not a != b and not b != a
+        assert hash(a) == hash(b)
+    for a in (QQ, GF(7)):
+        assert a == a and not a != a
+    for a, b in [(QQ, GF(7)), (GF(7), GF(11))]:
+        assert a != b and b != a and not a == b and not b == a
+    for other in (0, "Q", None, {"kind": "Q"}):
+        assert QQ != other and other != QQ and not QQ == other
+    assert GF(7) != 7 and not GF(7) == 7
+
+
+def test_dense_matrix_rejects_assignment():
+    M = coring_lab.DenseMatrix.identity(coring_lab.QQ, 2)
+    for name in ("field", "rows", "cols", "den", "_nonzero_rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, 1)
+    assert (M.rows, M.cols, M.den) == (2, 2, 1)
+
+
 def test_axiom_failure_is_an_immutable_value():
     a, b = AxiomFailure("unit-left", (1,), "x"), AxiomFailure("unit-left", (1,), "x")
     assert a == b and hash(a) == hash(b)

@@ -26,6 +26,7 @@ from coring_lab.exactla import (
     kron_mul,
     mul_kron,
     null_vectors,
+    once,
     quotient,
     rank,
     row_reduce,
@@ -785,3 +786,34 @@ def test_seeded_stream_draws_as_random_does():
             assert ours.randint(-2 ** 16, 2 ** 16) == oracle.randint(-2 ** 16, 2 ** 16), seed
             assert ours.randint(1, 2 ** 16) == oracle.randint(1, 2 ** 16), seed
             assert ours.randbelow(2147483647) == oracle.randrange(2147483647), seed
+
+
+# -- memoization ------------------------------------------------------------------
+
+class _Owner:
+    pass
+
+
+def test_once_keys_a_call_with_its_defaults_filled_in():
+    """``f(x)``, ``f(x, 0)`` and ``f(x, seed=0)`` are one cache entry, and
+    ``f(x, 1)`` another; a result of None is cached like any other."""
+    calls = []
+
+    @once
+    def f(owner, x, seed=0):
+        calls.append((x, seed))
+        return None if x is None else (x, seed)
+
+    owner = _Owner()
+    assert f(owner, 5) == f(owner, 5, 0) == f(owner, 5, seed=0) == (5, 0)
+    assert calls == [(5, 0)]
+    assert f(owner, 5, 1) == f(owner, 5, seed=1) == (5, 1)
+    assert f(owner, x=5, seed=1) == (5, 1)
+    assert calls == [(5, 0), (5, 1)]
+    assert f(owner, None) is None and f(owner, None, 0) is None
+    assert calls == [(5, 0), (5, 1), (None, 0)]
+    assert len(owner._once) == 3
+    # each owner has a cache of its own
+    other = _Owner()
+    assert f(other, 5) == (5, 0)
+    assert calls[-1] == (5, 0) and len(calls) == 4

@@ -20,6 +20,10 @@ differences are also drawn on matrices rich in empty rows and rows of a
 single unit numerator, which they share instead of combining, and numerator
 rows over GF(7) are built both from residues, which are kept as given, and
 from any other representatives, which are reduced to the same matrix.
+A ``SubspaceBuilder`` is fed sequences built to cause fill-in, where a
+later pivot column enters a stored row only through an earlier
+back-substitution, and checked against the textbook RREF after every
+insertion.
 """
 
 from fractions import Fraction
@@ -34,6 +38,7 @@ from coring_lab.exactla import (
     DenseMatrix,
     ShapeError,
     Subspace,
+    SubspaceBuilder,
     block_diag,
     combination_is_invertible,
     combinations,
@@ -636,3 +641,56 @@ def test_fp_construction_from_any_representatives_is_canonical(data):
     rebuilt = DenseMatrix(F7, M.rows, M.cols, _Numerators(shifted))
     assert rebuilt == M and hash(rebuilt) == hash(M)
     assert_canonical(F7, rebuilt)
+
+
+# -- back-substitution through fill-in -------------------------------------------
+
+def nonzero_scalars(field):
+    if field.kind == "Fp":
+        return st.integers(1, 6)
+    return st.builds(Fraction, st.integers(1, 4).flatmap(lambda a: st.sampled_from([a, -a])),
+                     st.integers(1, 4))
+
+
+@st.composite
+def fill_in_sequences(draw, field):
+    """(n, chain, vectors) in k^n.  The vectors open with a chain
+    x_i e_(c_i) + y_i e_(c_(i+1)) over the columns chain = c_0 < ... < c_k,
+    closed by x_k e_(c_k), and end with a few drawn vectors.  Inserting the
+    chain, column c_(i+1) enters the row of pivot c_0 only when the vector
+    of pivot c_i is back-substituted into it, so that row holds the pivot
+    column of each later chain vector through fill-in alone."""
+    n = draw(st.integers(3, 7))
+    cols = sorted(draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=n)))
+    x = nonzero_scalars(field)
+    vectors = []
+    for a, b in zip(cols, cols[1:]):
+        v = [0] * n
+        v[a], v[b] = draw(x), draw(x)
+        vectors.append(v)
+    last = [0] * n
+    last[cols[-1]] = draw(x)
+    vectors.append(last)
+    vectors += draw(st.lists(st.lists(scalars(field), min_size=n, max_size=n), max_size=3))
+    return n, cols, vectors
+
+
+@given(st.data(), FIELDS)
+@SETTINGS
+def test_builder_back_substitutes_through_fill_in(data, field):
+    """After every insertion of a fill-in sequence the builder's pivots and
+    reduced rows are the textbook RREF of the vectors so far, and its set of
+    held columns covers every column a stored row holds."""
+    n, chain, vectors = data.draw(fill_in_sequences(field))
+    p = p_of(field)
+    span = SubspaceBuilder(field, n)
+    for k, v in enumerate(vectors):
+        span.insert(v)
+        want, want_pivots = naive_rref(vectors[:k + 1], p)
+        assert span.pivots == want_pivots
+        assert DenseMatrix(field, span.dim, n, span.echelon()).row_lists() == \
+            normalized(field, want)
+        assert set().union(*span._rows.values()) <= span._held
+        if k == len(chain) - 1:
+            # the chain is triangular: its pivots are the columns it runs over
+            assert span.pivots == chain

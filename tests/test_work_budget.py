@@ -27,6 +27,13 @@ Counts of one ``fix-s`` verify + analysis:
   the zero and repeated witnesses were evaluated and a zero coefficient
   column and a one-term unit segment of ``mul_kron`` still called it).  A failure means a product again combines the rows
   that it could share or leave empty.
+* Calls of ``exactla._eliminate``, which clears one column of one
+  integer row in ``SubspaceBuilder.insert``: 1,267, budget 1,395 and floor
+  1,140, about 10 % either side.  ``insert`` back-substitutes a new pivot
+  only when its set of held columns says a stored row may hold it, so a
+  count through the floor means that filter skips an elimination the
+  reduced echelon form needs, and a count over the budget means the
+  bookkeeping of the elimination adds eliminations of its own.
 * Cells read through the dense views ``entries``, ``columns``,
   ``row_lists`` and ``col`` outside a ``to_json``: 0, budget 0.  Every
   operator is built from a coefficient matrix and every solution stays a
@@ -35,11 +42,13 @@ Counts of one ``fix-s`` verify + analysis:
   a vector or compare two matrices.
 
 Fractions built by one verify + analysis of the dense change of basis of
-``QZ3`` from the benchmark's ``dense`` workload: 126, budget 138.  All
-of them serialize: the canonical instance behind the digest, the cleft
-witness and q-hat.  Elimination and its results are read from stored
-numerators, so a failure means a reduction, a span or a solution is
-routed through ``Fraction`` again.
+``QZ3`` from the benchmark's ``dense`` workload: 0, budget 0 (126 while
+the canonical instance behind the digest, the cleft witness and q-hat
+were serialized through dense views).  Elimination and its results are
+read from stored numerators, and serialization writes each JSON scalar
+from a stored numerator and the denominator, so a failure means a
+reduction, a span, a solution or a serialized table is routed through
+``Fraction`` again.
 """
 
 import os
@@ -58,7 +67,9 @@ NONZERO_BUDGET = 7_700
 INSERT_BUDGET = 2_225
 INSERT_FLOOR = 1_820
 COMBINE_BUDGET = 1_545
-FRACTION_BUDGET = 138
+ELIMINATE_BUDGET = 1_395
+ELIMINATE_FLOOR = 1_140
+FRACTION_BUDGET = 0
 DENSE_VIEW_BUDGET = 0
 
 
@@ -114,6 +125,18 @@ def test_fix_s_analysis_stays_within_combine_budget(monkeypatch):
     monkeypatch.setattr(exactla, "_combine", counting)
     _analyze_fix_s()
     assert combined[0] <= COMBINE_BUDGET, combined[0]
+
+
+def test_fix_s_analysis_stays_within_eliminate_budget(monkeypatch):
+    eliminated = [0]
+    orig = exactla._eliminate
+
+    def counting(v, c, row):
+        eliminated[0] += 1
+        return orig(v, c, row)
+    monkeypatch.setattr(exactla, "_eliminate", counting)
+    _analyze_fix_s()
+    assert ELIMINATE_FLOOR <= eliminated[0] <= ELIMINATE_BUDGET, eliminated[0]
 
 
 def test_dense_qz3_analysis_stays_within_fraction_budget(monkeypatch):
