@@ -320,11 +320,17 @@ def zero_module(algebra: AlgebraPresentation, side: str) -> ModulePresentation:
 # ---------------------------------------------------------------------------
 
 
+@once
 def verify_algebra(A: AlgebraPresentation) -> Verdict:
     """Associativity as one matrix identity, m (m (x) 1) = m (1 (x) m) on
     A (x) A (x) A, and the two-sided unit law.  Column (i, j, k) of the two
     sides is (e_i e_j) e_k and e_i (e_j e_k), so a failing column names its
-    basis triple, in the order of a loop over i, j and k."""
+    basis triple, in the order of a loop over i, j and k.
+
+    The verdict is memoized with ``once`` on A, which is frozen: the
+    bialgebra check of a Doi-Koppinen instance at load and
+    ``EntwinedContext.verify_axioms`` read one verdict for the same A.
+    Callers copy its failures and never mutate it."""
     v = Verdict()
     n = A.dim
     m, eye = A.mult_matrix(), DenseMatrix.identity(A.field, n)

@@ -17,8 +17,8 @@ over small prime fields.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .coalgebra import (
     _conv_operator,
@@ -152,11 +152,18 @@ def search_invertible(field: FieldSpec, mats: list[DenseMatrix],
     rng = SeededStream(seed)
     for k in range(RANDOM_BUDGET):
         if field.kind == "Fp":
-            params = [rng.randbelow(field.p) for _ in range(r)]
+            params = trial = [rng.randbelow(field.p) for _ in range(r)]
         else:
-            params = [Fraction(rng.randint(-2 ** 16, 2 ** 16),
-                               rng.randint(1, 2 ** 16)) for _ in range(r)]
-        if invertible(params):
+            # the candidate t_i = a_i / b_i is tried as the integer vector
+            # L t, L the lcm of the b_i, which is invertible iff t is
+            params = [(rng.randint(-2 ** 16, 2 ** 16), rng.randint(1, 2 ** 16))
+                      for _ in range(r)]
+            den = lcm(*(b for _, b in params))
+            trial = [a * (den // b) for a, b in params]
+        if invertible(trial):
+            if field.kind == "Q":
+                from fractions import Fraction
+                params = [Fraction(a, b) for a, b in params]
             return SearchResult("found", params,
                                 certificate=f"random candidate {k} (seed {seed})")
     # certification phase

@@ -102,10 +102,13 @@ def load_instance(path: str) -> EntwinedContext:
 
 
 def full_verify(ctx: EntwinedContext):
-    """The input checks, the axioms and the unit coaction's comodule laws;
-    raises VerificationError on the first failure.  What they imply (a
-    coring on A (x) C with group-like x, a Morita context) is a theorem,
-    checked on every tested instance by the test suite, not here."""
+    """The input checks: the axioms of A, C and psi, then the unit
+    coaction u's comodule laws at 1 (Delta(u) = u (x)_A u, eps(u) = 1);
+    raises VerificationError on the first failure.  Given the axioms, the
+    laws at 1 are the comodule laws of A, and the entwined-module law of
+    A's coaction is a theorem.  What they imply (a coring on A (x) C with
+    group-like x, a Morita context) is a theorem, checked on every tested
+    instance by the test suite, not here."""
     verdict = ctx.verify_axioms()
     if not verdict.valid:
         raise VerificationError("axioms", verdict)

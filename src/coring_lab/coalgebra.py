@@ -101,8 +101,13 @@ def grouplike_coalgebra(field: FieldSpec, n: int, name: str = "") -> CoalgebraPr
     return CoalgebraPresentation(field, n, comult, [1] * n, name=name)
 
 
+@once
 def verify_coalgebra(C: CoalgebraPresentation) -> Verdict:
-    """Coassociativity and the two counit laws as exact matrix identities."""
+    """Coassociativity and the two counit laws as exact matrix identities.
+
+    Memoized with ``once`` on C, which is frozen, as ``verify_algebra`` is
+    on its algebra: one verdict serves the bialgebra check at load and
+    ``EntwinedContext.verify_axioms``, and it is never mutated."""
     v = Verdict()
     m = C.dim
     f = C.field

@@ -281,7 +281,14 @@ class ComoduleInstance:
         return unstack_slices(self.coaction, self.ctx.C.dim)
 
     def verify(self) -> Verdict:
-        """Coassociativity and counit of the coaction plus the entwined law."""
+        """Coassociativity and counit of the coaction on every column, plus
+        the entwined-module law for every basis element of A.
+
+        The general check, for the tests and for witnesses built outside
+        the runtime.  The runtime does not run it on A's own coaction:
+        ``comodule_algebra_from_unit`` checks that one at 1 only, since for
+        a context whose axioms hold the entwined law is a theorem there and
+        the comodule laws hold on A iff they hold at 1."""
         v = Verdict()
         ctx = self.ctx
         f = self.field

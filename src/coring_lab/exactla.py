@@ -9,7 +9,9 @@ anywhere.
 Rational entries are plain Python ``int`` whenever the value is integral and
 ``fractions.Fraction`` otherwise; both are exact and interoperate, and the
 integer fast path matters because structure constants are almost always small
-integers.  Prime-field entries are ints in ``[0, p)``.  ``FieldSpec`` only
+integers.  ``fractions`` is imported only where a ``Fraction`` is built or
+recognized, so a run over integer data never loads it.  Prime-field entries
+are ints in ``[0, p)``.  ``FieldSpec`` only
 normalizes, parses and serializes scalars and offers no arithmetic: every
 structure map of the package is a matrix expression built from the
 operations below.
@@ -96,17 +98,30 @@ from __future__ import annotations
 
 import functools
 import json
-import re
 from _random import Random as _CoreRandom
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd, lcm
 
-Scalar = int | Fraction
-# the one scalar grammar of the wire format, checked before ``Fraction``,
-# which would also take spaces, underscores, decimals and non-ASCII digits
-_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# a field element: an int, or over Q a ``fractions.Fraction`` where it is
+# not integral; the name is read only in annotations, never evaluated
+Scalar = "int | Fraction"
+
+
+def _wire_scalar(s: str) -> bool:
+    """Whether s is in the one scalar grammar of the wire format,
+    -?[0-9]+(/[0-9]+)?, checked before ``int`` and ``Fraction``, which
+    would also take spaces, underscores, a "+", decimals and non-ASCII
+    digits."""
+    num, slash, den = s.partition("/")
+    return s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)
+
+
+def _fraction(x: int, d: int) -> Scalar:
+    """The reduced ``Fraction`` x / d, d not dividing x; ``fractions`` is
+    imported with the first one built."""
+    from fractions import Fraction
+    return Fraction(x, d)
 
 
 class ExactLAError(Exception):
@@ -271,6 +286,7 @@ class FieldSpec:
         if self.kind == "Fp":
             if type(x) is int:
                 return x % self.p
+            from fractions import Fraction
             if isinstance(x, Fraction):
                 if x.denominator == 1:
                     return x.numerator % self.p
@@ -278,6 +294,7 @@ class FieldSpec:
             return x % self.p
         if type(x) is int:
             return x
+        from fractions import Fraction
         if isinstance(x, Fraction):
             return x.numerator if x.denominator == 1 else x
         return int(x) if type(x) is bool else x
@@ -294,10 +311,14 @@ class FieldSpec:
         """
         if type(s) is int:
             return self.normalize(s)
-        if type(s) is not str or not _SCALAR.fullmatch(s):
+        if type(s) is not str or not _wire_scalar(s):
             raise ShapeError(f"cannot parse scalar {s!r}")
+        num, slash, den = s.partition("/")
         try:
-            x = Fraction(s)
+            if not slash:
+                return self.normalize(int(num))
+            from fractions import Fraction
+            x = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             raise ShapeError(f"cannot parse scalar {s!r}") from None
         if self.kind == "Fp" and x.denominator % self.p == 0:
@@ -667,7 +688,7 @@ def _value(x: int, d: int) -> Scalar:
     (reduced) Fraction otherwise."""
     if d == 1:
         return x
-    return x // d if not x % d else Fraction(x, d)
+    return x // d if not x % d else _fraction(x, d)
 
 
 def _fill(out: list, base: int, pairs: list, d: int) -> None:
@@ -678,7 +699,7 @@ def _fill(out: list, base: int, pairs: list, d: int) -> None:
             out[base + j] = x
     else:
         for j, x in pairs:
-            out[base + j] = x // d if not x % d else Fraction(x, d)
+            out[base + j] = x // d if not x % d else _fraction(x, d)
 
 
 def _json_scalars(pairs: list, d: int, n: int) -> list:
@@ -908,7 +929,7 @@ def divide_out(field: FieldSpec, xs: list, d: int) -> list:
     where the quotient is integral and a Fraction otherwise, over Fp
     reduced mod p; the one division of a fraction-free product."""
     if d != 1:
-        xs = [x // d if not x % d else Fraction(x, d) for x in xs]
+        xs = [x // d if not x % d else _fraction(x, d) for x in xs]
     if field.kind == "Q":
         return xs
     p, norm = field.p, field.normalize

@@ -270,8 +270,13 @@ def find_qhat(data: MoritaContextData) -> DenseMatrix | None:
     return None if sol is None else emb.mul(sol)
 
 
-def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
+def xi_M(data: MoritaContextData, M: ModulePresentation,
+         target: Subspace | None = None) -> tuple[DenseMatrix, LinearMapReport, QuotientSpace]:
     """M (x)_dual Q -> M^x, m (x) q -> m q, with bijectivity onto M^x.
+
+    ``target`` is M^x when the caller holds it already: for M the dual
+    action of a comodule it is that comodule's coinvariants (see
+    ``x_invariants``), and ``x_invariants`` is taken only when it is None.
 
     Two modules take their tensor product in closed form:
 
@@ -285,7 +290,8 @@ def xi_M(data: MoritaContextData, M: ModulePresentation) -> tuple[DenseMatrix, L
       embedding, injective as an echelon basis is independent.
     """
     ctx = data.ctx
-    target = x_invariants(M, ctx)
+    if target is None:
+        target = x_invariants(M, ctx)
     S = ctx.sharp_ring().algebra
     if M.algebra is S and M.action == S.rmuls:
         Q = data.Q_left_dual
@@ -309,9 +315,10 @@ PairingFlags.__doc__ = "xi_M bijective onto the x-invariants, and onto the coinv
 def pairing_flags(ctx, M: ComoduleInstance) -> PairingFlags:
     """The flags of ``xi_M`` on a witness comodule over the dual ring,
     read by ``check_theorem_surj``: bijective onto its x-invariants, and
-    injective with image the coinvariants of M."""
-    mat, rep, _ = xi_M(ctx.morita(), dual_action(M))
+    injective with image the coinvariants of M, which are the x-invariants
+    of its dual action and so the target of xi."""
     ci = coinvariants(M)
+    mat, rep, _ = xi_M(ctx.morita(), dual_action(M), target=ci)
     return PairingFlags(rep.bijective, rep.injective and mat.cols == ci.dim
                         and ci.contains_columns(mat))
 

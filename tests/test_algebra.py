@@ -48,6 +48,13 @@ def test_verify_group_algebra():
     assert verify_algebra(group_algebra_z2()).valid
 
 
+def test_verify_algebra_is_computed_once_per_algebra():
+    """A Doi-Koppinen instance checks its algebra at load and again in
+    ``verify_axioms``; both read one verdict."""
+    A = group_algebra_z2()
+    assert verify_algebra(A) is verify_algebra(A)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_action_map_columns(side):
     # the regular module twice over, so that dim M differs from dim A and a

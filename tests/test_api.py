@@ -122,14 +122,34 @@ def test_analysis_imports_no_reflection_or_parser_machinery():
     its ``inspect``) nor ``typing``; ``argparse`` waits for ``main``.  The
     digest and the seeded draws take the builtin sha256 and ``_random``
     cores, not ``hashlib`` (which loads OpenSSL as ``_hashlib``) or
-    ``random``, and the fixtures wait for their first use."""
+    ``random``, and the fixtures wait for their first use.  ``fractions``
+    (with its ``decimal`` and ``numbers``) waits for the first
+    ``Fraction`` built or recognized."""
     unwanted = ("dataclasses", "typing", "inspect", "argparse", "hashlib", "_hashlib", "random",
-                "coring_lab.fixtures")
+                "coring_lab.fixtures", "fractions", "decimal", "numbers")
     code = (f"import sys; sys.path.insert(0, {SRC!r}); {CHILD_IMPORTS}; "
             f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == []
+
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def test_integer_instances_never_load_fractions():
+    """fix-s and fix-n have integer data and integer answers: loaded,
+    verified and analysed, they leave ``fractions`` unimported."""
+    paths = [os.path.join(FIXDIR, f"{name}.json") for name in ("fix-s", "fix-n")]
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); {CHILD_IMPORTS}\n"
+            f"for path in {paths!r}:\n"
+            "    ctx = cli.load_instance(path)\n"
+            "    cli.full_verify(ctx)\n"
+            "    cli.run_analysis(ctx, seed=0).to_json()\n"
+            "print('fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False"]
 
 
 def _hashlib_digest(ctx):

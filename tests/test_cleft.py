@@ -102,6 +102,33 @@ def test_search_invertible_skew_symmetric_span_absent_by_grid():
     assert res.certificate == "determinant vanishes on a degree-3 grid"
 
 
+def test_search_invertible_tries_random_rationals_as_integer_vectors():
+    """No 0/1 pattern makes diag(t1, t2, t1 - t2) invertible, so the search
+    reaches its seeded random rationals.  It tries each as an integer
+    multiple and returns the first invertible one as the fractions drawn,
+    in the order ``Fraction(randint, randint)`` draws them."""
+    from fractions import Fraction
+    from coring_lab.exactla import SeededStream, combination_is_invertible
+
+    def diag(xs):
+        ent = [0] * 9
+        for i, x in enumerate(xs):
+            ent[4 * i] = x
+        return DenseMatrix(QQ, 3, 3, ent)
+
+    mats = [diag([1, 0, 1]), diag([0, 1, -1])]
+    for seed in range(4):
+        rng = SeededStream(seed)
+        for k in range(64):
+            want = [Fraction(rng.randint(-2 ** 16, 2 ** 16), rng.randint(1, 2 ** 16))
+                    for _ in mats]
+            if combination_is_invertible(QQ, want, mats):
+                break
+        res = search_invertible(QQ, mats, seed)
+        assert res.witness == want and all(type(t) is Fraction for t in res.witness)
+        assert res.certificate == f"random candidate {k} (seed {seed})"
+
+
 def test_lemma_coQ_fix_h():
     ctx = make_fix_h()
     res = find_cleft(ctx)

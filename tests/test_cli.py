@@ -59,6 +59,21 @@ def test_verify_broken_entwining_names_axiom(tmp_path):
     assert "entwining-unit" in err
 
 
+@pytest.mark.parametrize("u,axiom", [([0, 0, 0, 0], "coaction-counit"),
+                                     ([-1, 2, 0, 0], "coaction-coassociativity")])
+def test_verify_unit_coaction_not_grouplike_names_axiom(tmp_path, u, axiom):
+    """fix-h with a unit coaction that is not group-like: its comodule law
+    fails at 1, an axiom failure of the input."""
+    blob = json.load(open(fx("fix-h")))
+    blob["unit_coaction"] = u
+    p = tmp_path / "not-grouplike.json"
+    p.write_text(json.dumps(blob))
+    for command in ("verify", "analyze"):
+        code, out, err = run_cli([command, str(p)])
+        assert (code, out) == (2, "")
+        assert axiom in err
+
+
 def test_analyze_asserts_pass():
     code, out, err = run_cli(["analyze", fx("fix-h"),
                               "--assert", "galois=true",

@@ -27,6 +27,11 @@ def test_verify_trivial():
     assert verify_coalgebra(trivial_coalgebra()).valid
 
 
+def test_verify_coalgebra_is_computed_once_per_coalgebra():
+    C = grouplike_coalgebra(QQ, 2)
+    assert verify_coalgebra(C) is verify_coalgebra(C)
+
+
 def test_counit_failure_named():
     # Delta(e0) = e0 (x) e1 with eps(e1) = 0 breaks the counit at e0
     comult = [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]

@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coring_lab.exactla import QQ, DenseMatrix
+from coring_lab.exactla import QQ, DenseMatrix, hstack
 from coring_lab.algebra import AlgebraPresentation, verify_algebra
 from coring_lab.coalgebra import CoalgebraPresentation, grouplike_coalgebra
 from coring_lab.entwining import (
@@ -15,10 +17,11 @@ from coring_lab.entwining import (
     verify_bialgebra,
     verify_entwining,
 )
-from coring_lab.coring import SquareReducer, is_grouplike, verify_coring
-from coring_lab.verdict import VerificationError
+from coring_lab.coring import ComoduleInstance, SquareReducer, is_grouplike, verify_coring
+from coring_lab.verdict import Verdict, VerificationError
 
-from helpers import group_algebra_zn, mult_table, rationals_algebra
+from helpers import group_algebra_zn, mult_table, perfbench_instance, rationals_algebra
+from instances import context
 
 
 def make_fix_h():
@@ -209,6 +212,99 @@ def test_comodule_algebra_rejects_bad_unit_coaction():
     assert any(f.axiom.startswith("coaction") or f.axiom == "grouplike"
                or f.axiom == "entwined-module-law"
                for f in err.value.verdict.failures)
+
+
+def test_comodule_algebra_from_unit_refuses_a_psi_that_does_not_entwine():
+    """The check at 1 rests on the entwining axioms, so it is refused, and
+    the coaction never checked, on a context whose psi fails them."""
+    ctx = make_fix_h()
+    n = ctx.psi.rows
+    bad = EntwinedContext(ctx.A, ctx.C, DenseMatrix.zeros(QQ, n, n), ctx.unit_coaction)
+    with pytest.raises(VerificationError) as err:
+        comodule_algebra_from_unit(bad)
+    names = err.value.verdict.axioms()
+    assert names and all(name.startswith("entwining-") for name in names), names
+
+
+def _unchecked_unit_comodule(ctx):
+    """A with the coaction a -> u a, u the declared unit coaction, taken
+    through the coring's right action and not checked."""
+    cor = ctx.coring()
+    u = DenseMatrix.from_columns(ctx.field, [ctx.x], cor.dim)
+    rho = hstack(ctx.field, [R.mul(u) for R in cor.right_module.action], cor.dim)
+    return ComoduleInstance(ctx, ctx.A.regular_module("right"), rho, name="A")
+
+
+def _at_one(ctx) -> Verdict:
+    """The verdict of ``comodule_algebra_from_unit``'s check at 1."""
+    try:
+        comodule_algebra_from_unit(ctx)
+    except VerificationError as err:
+        return err.verdict
+    return Verdict()
+
+
+@pytest.mark.parametrize("u,failures", [
+    ([0, 1, 0, 0], []),
+    ([0, 0, 0, 0], ["coaction-counit"]),
+    ([-1, 2, 0, 0], ["coaction-coassociativity"]),
+    ([0, 0, 1, 0], ["coaction-coassociativity", "coaction-counit"]),
+])
+def test_check_at_one_names_each_failing_law(u, failures):
+    """On fix-h each law of the check at 1 fails on its own unit coaction,
+    and names it as the check on every column does (that check names each
+    failing column)."""
+    ctx = make_fix_h()
+    ctx = EntwinedContext(ctx.A, ctx.C, ctx.psi, u)
+    assert _at_one(ctx).axioms() == failures
+    assert sorted(set(_unchecked_unit_comodule(ctx).verify().axioms())) == failures
+
+
+def test_check_at_one_agrees_with_the_full_check_on_every_small_unit_coaction():
+    """All 256 unit coactions of fix-h with entries in {-1, 0, 1, 2}: the
+    laws at 1 hold iff the comodule laws hold on every column, and the
+    entwined-module law never fails, as it is a theorem of the axioms."""
+    base = make_fix_h()
+    valid = 0
+    for u in itertools.product([-1, 0, 1, 2], repeat=4):
+        ctx = EntwinedContext(base.A, base.C, base.psi, list(u))
+        full = _unchecked_unit_comodule(ctx).verify()
+        assert "entwined-module-law" not in full.axioms()
+        assert _at_one(ctx).valid == full.valid, u
+        valid += full.valid
+    assert valid == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_coaction_base(label):
+    if label.startswith("QZ3"):
+        obj = dict(perfbench_instance("ladder", "QZ3-x0-Q"))
+        if label.endswith("F7"):
+            obj["field"] = {"kind": "Fp", "p": 7}
+        return instance_from_json(obj)
+    return context(label)
+
+
+UNIT_COACTION_BASES = ["fix-h-Q", "fix-h-F7", "fix-s-Q", "fix-s-F7", "QZ3-Q", "QZ3-F7"]
+
+
+@given(st.data(), st.sampled_from(UNIT_COACTION_BASES))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_check_at_one_agrees_with_the_full_check(data, label):
+    """Random unit coactions on fix-h, fix-s and QZ3 over Q and GF(7),
+    entries in {-1, 0, 1, 2} with 0 drawn most often so that some are
+    group-like: the check at 1 is valid iff ``ComoduleInstance.verify``
+    is, and that never names the entwined-module law."""
+    base = _unit_coaction_base(label)
+    n = base.A.dim * base.C.dim
+    own = data.draw(st.booleans())
+    u = base.x if own else data.draw(
+        st.lists(st.sampled_from([0, 0, 0, -1, 1, 2]), min_size=n, max_size=n))
+    ctx = EntwinedContext(base.A, base.C, base.psi, u)
+    full = _unchecked_unit_comodule(ctx).verify()
+    assert "entwined-module-law" not in full.axioms()
+    assert _at_one(ctx).valid == full.valid
+    assert full.valid or not own
 
 
 def test_context_json_roundtrip():

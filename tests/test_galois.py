@@ -208,9 +208,9 @@ def test_analysis_evaluates_no_direct_sum_witness(monkeypatch):
     for name, home in defined.items():
         runtime = getattr(sys.modules[f"coring_lab.{home}"], name)
 
-        def recording(*args, name=name, runtime=runtime):
+        def recording(*args, name=name, runtime=runtime, **kwargs):
             seen[name].append(args[-1].name)
-            return runtime(*args)
+            return runtime(*args, **kwargs)
         for mod in modules:
             if getattr(mod, name, None) is runtime:
                 monkeypatch.setattr(mod, name, recording)

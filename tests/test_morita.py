@@ -173,9 +173,9 @@ def test_theorem_surj_evaluates_the_dual_ring_once(monkeypatch):
     import coring_lab.morita as morita
     seen = []
 
-    def recording(data, M, runtime=morita.xi_M):
+    def recording(data, M, runtime=morita.xi_M, **kwargs):
         seen.append(M)
-        return runtime(data, M)
+        return runtime(data, M, **kwargs)
     monkeypatch.setattr(morita, "xi_M", recording)
     uncovered = 0
     for mk in (make_fix_t, make_fix_h, make_fix_n):

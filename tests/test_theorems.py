@@ -4,6 +4,10 @@ the 47 instances the benchmark generates at seed 0:
 
 * A (x) C is a coring, and the unit coaction's x = rho_A(1) is group-like
   in it, when psi is an entwining map (Brzezinski 2002, Prop. 2.2);
+* a -> x a satisfies the entwined-module law, and its comodule laws hold
+  on every column once they hold at 1, where the runtime checks them;
+* the x-invariants of a comodule's dual action are its coinvariants, so
+  xi_M on a witness takes the coinvariants as its target;
 * Hom(C, A) with the entwined product is an algebra;
 * the canonical map A (x)_B A -> A (x) C is a coring morphism (Brzezinski
   2002, section 5);
@@ -57,6 +61,7 @@ from coring_lab.coring import (
     verify_coring,
     x_invariants,
 )
+from coring_lab.entwining import comodule_algebra_from_unit
 from coring_lab.exactla import DenseMatrix, combinations, kernel, kron, parse_array, unflatten_rows
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 from coring_lab.galois import (
@@ -119,6 +124,24 @@ def test_constructions_satisfy_their_theorems(ctx):
         assert x_invariants(mod, ctx).contains_columns(xi_M(data, mod)[0])
     pairing = varpi_M(ctx, data.A_right_dual)
     assert pairing["report"].surjective and pairing["ghat_exists"]
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_unit_coaction_checked_at_one_is_a_comodule(ctx):
+    """The check at 1 passes, and A's coaction satisfies the comodule laws
+    on every column and the entwined-module law on every basis element."""
+    comodule, x = comodule_algebra_from_unit(ctx)
+    assert x == ctx.x
+    assert comodule.verify().valid
+    assert ctx.comodule_A().verify().valid
+
+
+@pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
+                         ids=[label for label, _ in DISTINCT.values()])
+def test_x_invariants_of_each_witness_are_its_coinvariants(ctx):
+    for w in ctx.default_witnesses():
+        assert x_invariants(dual_action(w), ctx) == coinvariants(w), w.name
 
 
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],

@@ -3,33 +3,38 @@ exact-arithmetic work, each budget about 10 % above a measured count.
 
 Counts of one ``fix-s`` verify + analysis:
 
-* Matrix entries built (rows x cols of every ``DenseMatrix``): 177,225,
-  budget 194,950.  A failure means a structure map is materialized where
-  it used to be applied (a Kronecker product, a dense relation span), an
-  operator is evaluated per basis vector, or a derived object is computed
-  twice.
-* Nonzeros stored: 7,003, budget 7,700.  A failure means dense
-  intermediates are built as matrices, or a structure map is filled with
-  entries that the arithmetic only multiplies by zero.
+* Matrix entries built (rows x cols of every ``DenseMatrix``): 171,145,
+  budget 188,250 (177,225 while A's coaction was checked on every column
+  and xi took the x-invariants of each witness).  A failure means a
+  structure map is materialized where it used to be applied (a Kronecker
+  product, a dense relation span), an operator is evaluated per basis
+  vector, or a derived object is computed twice.
+* Nonzeros stored: 6,698, budget 7,370 (7,003 before the same change).  A
+  failure means dense intermediates are built as matrices, or a structure
+  map is filled with entries that the arithmetic only multiplies by zero.
 * Rows inserted into a ``SubspaceBuilder``, the one elimination routine:
-  2,023, budget 2,225.  A failure means relation spans are taken over a
-  whole basis instead of generators, a direct-sum witness is evaluated
-  instead of its summands, the zero witness or a witness equal to an
-  earlier one is evaluated at all, xi on the dual ring over itself or on A
-  takes a new balanced tensor, or an invertibility trial runs past its
-  first dependent row.  The count also has a floor, 1,820, 10 % below
-  it: every row is eliminated by ``insert``, so a count that falls
-  through the floor means rows are reduced around it and the budget no
-  longer measures the elimination.
+  1,887, budget 2,075 (2,023 while xi on each witness took a kernel for
+  the x-invariants that its coinvariants already are).  A failure means
+  relation spans are taken over a whole basis instead of generators, a
+  direct-sum witness is evaluated instead of its summands, the zero
+  witness or a witness equal to an earlier one is evaluated at all, xi on
+  the dual ring over itself or on A takes a new balanced tensor, or an
+  invertibility trial runs past its first dependent row.  The count also
+  has a floor, 1,700, 10 % below it: every row is eliminated by
+  ``insert``, so a count that falls through the floor means rows are
+  reduced around it and the budget no longer measures the elimination.
 * Calls of ``exactla._combine``, which sums scaled numerator rows in every
-  product and sum: 1,405, budget 1,545 (11,066 when every product row
-  built a term list, empty and single unit rows included, and 2,220 while
-  the zero and repeated witnesses were evaluated and a zero coefficient
-  column and a one-term unit segment of ``mul_kron`` still called it).  A failure means a product again combines the rows
-  that it could share or leave empty.
+  product and sum: 1,277, budget 1,405 (1,405 before the check at 1 and
+  the coinvariants as xi's target, 11,066 when every product row built a
+  term list, empty and single unit rows included, and 2,220 while the zero
+  and repeated witnesses were evaluated and a zero coefficient column and
+  a one-term unit segment of ``mul_kron`` still called it).  A failure
+  means a product again combines the rows that it could share or leave
+  empty.
 * Calls of ``exactla._eliminate``, which clears one column of one
-  integer row in ``SubspaceBuilder.insert``: 1,267, budget 1,395 and floor
-  1,140, about 10 % either side.  ``insert`` back-substitutes a new pivot
+  integer row in ``SubspaceBuilder.insert``: 1,237, budget 1,360 and floor
+  1,115, about 10 % either side (1,267 before the coinvariants became xi's
+  target).  ``insert`` back-substitutes a new pivot
   only when its set of held columns says a stored row may hold it, so a
   count through the floor means that filter skips an elimination the
   reduced echelon form needs, and a count over the budget means the
@@ -40,6 +45,14 @@ Counts of one ``fix-s`` verify + analysis:
   matrix, so the analysis reads dense views only to serialize.  A failure
   means coordinates are read as a list again to build an operator, return
   a vector or compare two matrices.
+
+Matrices built (``DenseMatrix`` constructions) by one ``full_verify`` of
+``fix-s`` after load: 25, budget 27 and floor 23, about 10 % either side
+(54 while A's coaction was checked on every column and the entwined-module
+law once per basis element of A).  A count over the budget means an input
+law is checked on a whole basis again where the axioms make one element
+enough, or the algebra and coalgebra are checked twice; a count through the
+floor means an input check was dropped.
 
 Fractions built by one verify + analysis of the dense change of basis of
 ``QZ3`` from the benchmark's ``dense`` workload: 0, budget 0 (126 while
@@ -62,13 +75,15 @@ from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 from helpers import perfbench_instance
 
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
-ENTRY_BUDGET = 194_950
-NONZERO_BUDGET = 7_700
-INSERT_BUDGET = 2_225
-INSERT_FLOOR = 1_820
-COMBINE_BUDGET = 1_545
-ELIMINATE_BUDGET = 1_395
-ELIMINATE_FLOOR = 1_140
+ENTRY_BUDGET = 188_250
+NONZERO_BUDGET = 7_370
+INSERT_BUDGET = 2_075
+INSERT_FLOOR = 1_700
+COMBINE_BUDGET = 1_405
+ELIMINATE_BUDGET = 1_360
+ELIMINATE_FLOOR = 1_115
+VERIFY_MATRIX_BUDGET = 27
+VERIFY_MATRIX_FLOOR = 23
 FRACTION_BUDGET = 0
 DENSE_VIEW_BUDGET = 0
 
@@ -137,6 +152,19 @@ def test_fix_s_analysis_stays_within_eliminate_budget(monkeypatch):
     monkeypatch.setattr(exactla, "_eliminate", counting)
     _analyze_fix_s()
     assert ELIMINATE_FLOOR <= eliminated[0] <= ELIMINATE_BUDGET, eliminated[0]
+
+
+def test_fix_s_verify_stays_within_matrix_budget(monkeypatch):
+    ctx = cli.load_instance(FIX_S)
+    built = [0]
+    orig = DenseMatrix.__init__
+
+    def counting(self, field, rows, cols, entries):
+        built[0] += 1
+        orig(self, field, rows, cols, entries)
+    monkeypatch.setattr(DenseMatrix, "__init__", counting)
+    cli.full_verify(ctx)
+    assert VERIFY_MATRIX_FLOOR <= built[0] <= VERIFY_MATRIX_BUDGET, built[0]
 
 
 def test_dense_qz3_analysis_stays_within_fraction_budget(monkeypatch):
