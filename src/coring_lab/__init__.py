@@ -20,7 +20,6 @@ from .exactla import (
     kernel,
     kron,
     quotient,
-    solve,
 )
 from .algebra import (
     AlgebraPresentation,
@@ -56,7 +55,6 @@ from .coring import (
     hom_comodule,
     hom_from_A,
     hom_into_induced,
-    induced_comodule,
     verify_coring,
     x_invariants,
 )
@@ -92,7 +90,7 @@ from .verdict import AxiomFailure, ClauseDisagreement, Verdict, VerificationErro
 
 __all__ = [
     "QQ", "GF", "DenseMatrix", "ExactLAError", "FieldSpec", "QuotientSpace",
-    "ShapeError", "Subspace", "image", "kernel", "kron", "quotient", "solve",
+    "ShapeError", "Subspace", "image", "kernel", "kron", "quotient",
     "AlgebraPresentation", "BimodulePresentation", "ModulePresentation",
     "balanced_tensor", "hom_module", "is_fg_projective", "is_generator",
     "verify_algebra", "verify_module",
@@ -101,7 +99,7 @@ __all__ = [
     "EntwinedContext", "build_coring", "comodule_algebra_from_unit",
     "doi_koppinen", "instance_from_json", "verify_entwining",
     "ComoduleInstance", "CoringPresentation", "coinvariants", "dual_action",
-    "hom_comodule", "hom_from_A", "hom_into_induced", "induced_comodule",
+    "hom_comodule", "hom_from_A", "hom_into_induced",
     "verify_coring", "x_invariants",
     "build_context", "check_theorem_Cfinite",
     "check_theorem_surj", "compute_B", "compute_Q", "find_qhat",

@@ -43,6 +43,7 @@ from .exactla import (
     null_space,
     once,
     parse_array,
+    presolved_span,
     quotient,
     solve_matrix,
     unflatten_rows,
@@ -438,8 +439,21 @@ def _relation_span(field: FieldSpec, dR: int, dC: int, pairs,
     r*dC+c; the one relation span of the package.  Each relation is written
     from the stored numerators of a and b, times a.den * b.den.  With
     ``b_transposed`` each pair holds b's transpose, whose columns are read
-    as the rows of b."""
-    builder = SubspaceBuilder(field, dR * dC)
+    as the rows of b.
+
+    The rows stream into ``presolved_span``, which solves those of one or
+    two terms (x = 0, a x + b y = 0) by a weighted union-find and reduces
+    only the longer ones.  Over the dual ring of a group algebra every row
+    is that short, so the Hom spaces and balanced tensor products of the
+    Morita context take no elimination; a span without short rows is
+    reduced row by row as before.  The builder returned holds the same
+    rows either way."""
+    return presolved_span(field, dR * dC, _relation_rows(dC, pairs, b_transposed))
+
+
+def _relation_rows(dC: int, pairs, b_transposed: bool):
+    """The rows of ``_relation_span``, one {col: int} dict per entry of
+    each T a - b T, made as they are read."""
     for a, b in pairs:
         sa, sb = b.den, a.den
         acols = a.numerator_columns()
@@ -453,9 +467,8 @@ def _relation_span(field: FieldSpec, dR: int, dC: int, pairs,
                 row = {i * dC + c: x for c, x in acol}
                 for r, y in brow:
                     row[r + j] = row.get(r + j, 0) - y
-                if any(row.values()):
-                    builder.insert(row)
-    return builder
+                if row:
+                    yield row
 
 
 def hom_matrices(M: ModulePresentation, N: ModulePresentation) -> list[DenseMatrix]:

@@ -19,7 +19,6 @@ entwined multiplication.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 
 from .algebra import (
     AlgebraPresentation,
@@ -227,13 +226,6 @@ def verify_coring(cor: CoringPresentation) -> Verdict:
     return v
 
 
-def is_grouplike(cor: CoringPresentation, x: Sequence, red: SquareReducer) -> bool:
-    """Delta(x) = x (x)_A x after projection, and eps(x) = 1_A."""
-    X = DenseMatrix.from_columns(cor.field, [x], cor.dim)
-    return cor.counit_map.mul(X) == cor.A.unit_matrix() and \
-        red.reduced_delta().mul(X) == red.projection.mul(kron(X, X))
-
-
 # ---------------------------------------------------------------------------
 # comodules in entwined form
 # ---------------------------------------------------------------------------
@@ -279,37 +271,6 @@ class ComoduleInstance:
         """The C-components of the coaction: row m of slice c is row (m, c);
         ``stack_slices`` is the inverse."""
         return unstack_slices(self.coaction, self.ctx.C.dim)
-
-    def verify(self) -> Verdict:
-        """Coassociativity and counit of the coaction on every column, plus
-        the entwined-module law for every basis element of A.
-
-        The general check, for the tests and for witnesses built outside
-        the runtime.  The runtime does not run it on A's own coaction:
-        ``comodule_algebra_from_unit`` checks that one at 1 only, since for
-        a context whose axioms hold the entwined law is a theorem there and
-        the comodule laws hold on A iff they hold at 1."""
-        v = Verdict()
-        ctx = self.ctx
-        f = self.field
-        d, nA, nC = self.dim, ctx.A.dim, ctx.C.dim
-        eye_d = DenseMatrix.identity(f, d)
-        eye_c = DenseMatrix.identity(f, nC)
-        rho = self.coaction
-        lhs = kron_mul(rho, eye_c, rho)
-        rhs = kron_mul(eye_d, ctx.C.comult_matrix(), rho)
-        for j in differing_columns(lhs, rhs):
-            v.fail("coaction-coassociativity", (j,))
-        eps_row = ctx.C.counit_matrix()
-        if kron_mul(eye_d, eps_row, rho) != eye_d:
-            v.fail("coaction-counit")
-        act_full = self.module.action_map()
-        for i in range(nA):
-            lhs_i = rho.mul(self.module.action[i])
-            rhs_i = kron_mul(act_full, eye_c, kron_mul(eye_d, ctx.psi_slice(i), rho))
-            if lhs_i != rhs_i:
-                v.fail("entwined-module-law", (i,))
-        return v
 
     def to_json(self) -> dict:
         return {
@@ -460,7 +421,8 @@ def hom_from_A(M: ComoduleInstance) -> Subspace:
 
 
 def hom_into_induced(M: ComoduleInstance, W: ModulePresentation) -> Subspace:
-    """``hom_comodule(M, induced_comodule(ctx, W))`` through the induction
+    """``hom_comodule`` into the comodule W (x)_A (coring) induced from W
+    (built by ``crosscheck.induced_comodule``), through the induction
     adjunction Hom^C(M, W (x)_A C) = Hom_A(M, W), g -> (g (x) id_C) rho_M
     (Brzezinski and Wisbauer, Corings and Comodules, 18.10).  Flattened,
     g -> (g (x) id_C) rho_M is right multiplication by kron(I_W, R), where
@@ -486,26 +448,12 @@ def induced_action(ctx, W: ModulePresentation) -> list[DenseMatrix]:
     return mats
 
 
-def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInstance:
-    """W (x)_A (coring) in entwined coordinates W (x) C.
-
-    Action ``induced_action``, coaction on the C leg by comultiplication.
-    """
-    if W.side != "right":
-        raise ShapeError("induction starts from a right A-module")
-    mod = ModulePresentation(ctx.A, W.dim * ctx.C.dim, "right", induced_action(ctx, W),
-                             name=name or "induced")
-    rho = kron(DenseMatrix.identity(W.field, W.dim), ctx.C.comult_matrix())
-    return ComoduleInstance(ctx, mod, rho, name=name or f"{W.name or 'W'}(x)coring")
-
-
 def comodule_from_dual_module(ctx, mod: ModulePresentation,
                               name: str = "") -> ComoduleInstance:
     """Turn a right dual-ring module into a comodule (finite free coring).
 
     rho(m) = sum_j (m . f^j) (x) c_j where f^j(c_k) = delta_jk 1_A; valid
-    because the coring is finitely generated free over A, and checked by the
-    caller via ComoduleInstance.verify when it matters.
+    because the coring is finitely generated free over A.
     """
     sharp = ctx.sharp_ring()
     rho = stack_slices(mod.field, combinations(mod.action, sharp.duals))

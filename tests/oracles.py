@@ -140,6 +140,28 @@ def naive_null_space(rows, ncols, p=None):
     return out
 
 
+def relation_rows(a, b, p=None):
+    """The relations T a = b T on a len(b) x len(a) matrix T of unknowns,
+    T[r][c] the unknown r * len(a) + c: one {unknown: coefficient} dict per
+    entry (i, j) of T a - b T, from a and b as lists of rows, with the zero
+    coefficients (mod p) and the empty rows dropped.  Inserted one by one
+    into a single builder they are the plain route to a relation span,
+    the one the short-row presolve must reproduce."""
+    dR, dC = len(b), len(a)
+    out = []
+    for i in range(dR):
+        for j in range(dC):
+            row = {}
+            for c in range(dC):
+                row[i * dC + c] = row.get(i * dC + c, 0) + a[c][j]
+            for r in range(dR):
+                row[r * dC + j] = row.get(r * dC + j, 0) - b[i][r]
+            row = {k: x for k, x in row.items() if (x % p if p else x)}
+            if row:
+                out.append(row)
+    return out
+
+
 def intersect(a, b, n, p=None):
     """A spanning list of the intersection of the row spaces of a and b in
     k^n: the combinations of a's rows that b's rows reach, read off the null

@@ -4,7 +4,6 @@ import pytest
 
 from coring_lab.exactla import QQ, DenseMatrix, kron, kernel, solve_matrix
 from coring_lab.coalgebra import CoalgebraPresentation, convolution, convolution_unit
-from coring_lab.coring import induced_comodule
 from coring_lab.entwining import EntwinedContext
 from coring_lab.cleft import (
     check_theorem_main,
@@ -19,6 +18,7 @@ from coring_lab.cleft import (
     x_case_grouplike,
 )
 
+from crosscheck import induced_comodule
 from helpers import lmul
 from oracles import is_total
 from test_entwining import make_fix_h, make_fix_n, make_fix_t

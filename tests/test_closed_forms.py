@@ -31,8 +31,8 @@ from coring_lab.cleft import (
 )
 from coring_lab.coalgebra import CoalgebraPresentation, _conv_operator
 from coring_lab.coring import _tensor_x, dual_action, induced_action, restrict_comodule
-from coring_lab.entwining import doi_koppinen
-from coring_lab.exactla import DenseMatrix, kernel, stack_slices
+from coring_lab.entwining import doi_koppinen, instance_from_json
+from coring_lab.exactla import DenseMatrix, SubspaceBuilder, kernel, stack_slices
 from coring_lab.galois import weak_map_flags
 from coring_lab.morita import (
     _q_condition,
@@ -75,7 +75,7 @@ from crosscheck import (
 )
 from helpers import mult_table
 from instances import DISTINCT, INSTANCES, context
-from oracles import random_scalar
+from oracles import random_scalar, relation_rows
 
 
 def _random_map(ctx):
@@ -219,6 +219,40 @@ def test_relation_spans_over_generators_match_whole_basis(label, monkeypatch):
 
 DISTINCT_IDS = [label for label, _ in DISTINCT.values()]
 DISTINCT_CONTEXTS = [ctx for _, ctx in DISTINCT.values()]
+
+
+def _plain_relation_span(field, dR, dC, pairs, b_transposed=False):
+    """The relation span with every row of ``oracles.relation_rows``
+    inserted into one builder, as before the short-row presolve."""
+    span = SubspaceBuilder(field, dR * dC)
+    for a, b in pairs:
+        b_rows = (b.transpose() if b_transposed else b).row_lists()
+        for row in relation_rows(a.row_lists(), b_rows, field.p):
+            span.insert(row)
+    return span
+
+
+@pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
+def test_presolved_relation_spans_match_the_plain_builder(ctx, monkeypatch):
+    """Every relation span of one verify + analysis, its one- and two-term
+    rows solved by the union-find of ``presolved_span``, holds exactly the
+    rows that inserting each relation row into one builder leaves, and its
+    held columns cover every column of those rows."""
+    calls = [0]
+    runtime = algebra._relation_span
+
+    def checked(field, dR, dC, pairs, b_transposed=False):
+        pairs = list(pairs)
+        span = runtime(field, dR, dC, pairs, b_transposed)
+        assert span._rows == _plain_relation_span(field, dR, dC, pairs, b_transposed)._rows
+        assert all(row.keys() <= span._held for row in span._rows.values())
+        calls[0] += 1
+        return span
+    monkeypatch.setattr(algebra, "_relation_span", checked)
+    fresh = instance_from_json(ctx.to_json())   # nothing memoized
+    cli.full_verify(fresh)
+    cli.run_analysis(fresh, seed=0)
+    assert calls[0]
 
 
 @pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)

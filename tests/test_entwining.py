@@ -17,9 +17,10 @@ from coring_lab.entwining import (
     verify_bialgebra,
     verify_entwining,
 )
-from coring_lab.coring import ComoduleInstance, SquareReducer, is_grouplike, verify_coring
+from coring_lab.coring import ComoduleInstance, SquareReducer, verify_coring
 from coring_lab.verdict import Verdict, VerificationError
 
+from crosscheck import is_grouplike, verify_comodule
 from helpers import group_algebra_zn, mult_table, perfbench_instance, rationals_algebra
 from instances import context
 
@@ -186,7 +187,7 @@ def test_comodule_algebra_from_unit_fix_n():
     ctx = make_fix_n()
     comod, x = comodule_algebra_from_unit(ctx)
     assert x == [0, 1]
-    assert comod.verify().valid
+    assert verify_comodule(comod).valid
 
 
 def test_comodule_algebra_other_grouplike_is_valid():
@@ -197,7 +198,7 @@ def test_comodule_algebra_other_grouplike_is_valid():
     psi = doi_koppinen(H, C, H, C.comult_matrix())
     ctx = EntwinedContext(H, C, psi, [0, 1, 0, 0], name="x=g")
     comod, x = comodule_algebra_from_unit(ctx)
-    assert comod.verify().valid and x == [0, 1, 0, 0]
+    assert verify_comodule(comod).valid and x == [0, 1, 0, 0]
 
 
 def test_comodule_algebra_rejects_bad_unit_coaction():
@@ -257,7 +258,7 @@ def test_check_at_one_names_each_failing_law(u, failures):
     ctx = make_fix_h()
     ctx = EntwinedContext(ctx.A, ctx.C, ctx.psi, u)
     assert _at_one(ctx).axioms() == failures
-    assert sorted(set(_unchecked_unit_comodule(ctx).verify().axioms())) == failures
+    assert sorted(set(verify_comodule(_unchecked_unit_comodule(ctx)).axioms())) == failures
 
 
 def test_check_at_one_agrees_with_the_full_check_on_every_small_unit_coaction():
@@ -268,7 +269,7 @@ def test_check_at_one_agrees_with_the_full_check_on_every_small_unit_coaction():
     valid = 0
     for u in itertools.product([-1, 0, 1, 2], repeat=4):
         ctx = EntwinedContext(base.A, base.C, base.psi, list(u))
-        full = _unchecked_unit_comodule(ctx).verify()
+        full = verify_comodule(_unchecked_unit_comodule(ctx))
         assert "entwined-module-law" not in full.axioms()
         assert _at_one(ctx).valid == full.valid, u
         valid += full.valid
@@ -293,7 +294,7 @@ UNIT_COACTION_BASES = ["fix-h-Q", "fix-h-F7", "fix-s-Q", "fix-s-F7", "QZ3-Q", "Q
 def test_check_at_one_agrees_with_the_full_check(data, label):
     """Random unit coactions on fix-h, fix-s and QZ3 over Q and GF(7),
     entries in {-1, 0, 1, 2} with 0 drawn most often so that some are
-    group-like: the check at 1 is valid iff ``ComoduleInstance.verify``
+    group-like: the check at 1 is valid iff ``verify_comodule``
     is, and that never names the entwined-module law."""
     base = _unit_coaction_base(label)
     n = base.A.dim * base.C.dim
@@ -301,7 +302,7 @@ def test_check_at_one_agrees_with_the_full_check(data, label):
     u = base.x if own else data.draw(
         st.lists(st.sampled_from([0, 0, 0, -1, 1, 2]), min_size=n, max_size=n))
     ctx = EntwinedContext(base.A, base.C, base.psi, u)
-    full = _unchecked_unit_comodule(ctx).verify()
+    full = verify_comodule(_unchecked_unit_comodule(ctx))
     assert "entwined-module-law" not in full.axioms()
     assert _at_one(ctx).valid == full.valid
     assert full.valid or not own

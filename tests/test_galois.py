@@ -3,7 +3,7 @@ import sys
 from coring_lab import cli
 from coring_lab.exactla import QQ, DenseMatrix, image
 from coring_lab.algebra import zero_module
-from coring_lab.coring import dual_action, induced_comodule
+from coring_lab.coring import dual_action
 from coring_lab.entwining import instance_from_json
 from coring_lab.galois import (
     beta,
@@ -17,7 +17,7 @@ from coring_lab.galois import (
     weak_map_flags,
 )
 from coring_lab.morita import find_qhat
-from crosscheck import beta_W, varpi_M
+from crosscheck import beta_W, induced_comodule, varpi_M
 from helpers import perfbench_instance
 from test_entwining import make_fix_h, make_fix_n, make_fix_t
 

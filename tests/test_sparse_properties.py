@@ -51,7 +51,9 @@ from coring_lab.exactla import (
     kron,
     kron_mul,
     mul_kron,
+    null_space,
     null_vectors,
+    presolved_span,
     quotient,
     row_reduce,
     row_space,
@@ -694,3 +696,77 @@ def test_builder_back_substitutes_through_fill_in(data, field):
         if k == len(chain) - 1:
             # the chain is triangular: its pivots are the columns it runs over
             assert span.pivots == chain
+
+
+# -- the short-row presolve of relation spans ------------------------------------
+
+COEFFICIENTS = st.one_of(st.integers(-6, 6).filter(bool), st.sampled_from([7, -14, 21]))
+
+
+@st.composite
+def short_row_streams(draw):
+    """(n, rows): integer {col: int} rows in k^n, n <= 9, as a relation span
+    streams them: rows of one, two and three terms with coefficients that
+    are mostly not units (and multiples of 7, which vanish over GF(7), so
+    that a row is shorter there), explicit zero entries, cycles of two-term
+    rows that close inconsistently or, built from a solution, consistently,
+    and repeats of earlier rows."""
+    n = draw(st.integers(1, 9))
+    col = st.integers(0, n - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["one", "two", "two", "three", "cycle", "solved", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        elif kind in ("cycle", "solved") and n > 1:
+            cols = draw(st.lists(col, min_size=2, max_size=4, unique=True))
+            x = {c: draw(st.integers(1, 6)) * draw(st.sampled_from([1, -1])) for c in cols}
+            for c, d in zip(cols, cols[1:] + cols[:1]):
+                if kind == "solved":   # k x[d] e_c - k x[c] e_d vanishes at x
+                    k = draw(st.integers(1, 3))
+                    rows.append({c: k * x[d], d: -k * x[c]})
+                else:
+                    rows.append({c: draw(COEFFICIENTS), d: draw(COEFFICIENTS)})
+        else:
+            k = min(n, {"one": 1, "three": 3}.get(kind, 2))
+            row = {c: draw(COEFFICIENTS) for c in draw(st.lists(col, min_size=k, max_size=k,
+                                                                 unique=True))}
+            if draw(st.booleans()):
+                row.setdefault(draw(col), 0)
+            rows.append(row)
+    return n, rows
+
+
+@given(short_row_streams(), FIELDS)
+@settings(max_examples=300, deadline=None)
+def test_presolved_span_matches_row_reduce(stream, field):
+    """The span with its one- and two-term rows solved by the weighted
+    union-find holds exactly the builder rows that ``row_reduce`` of the
+    same rows leaves, its held columns cover every column of them, and the
+    null space and the quotient's projection and section read off it are
+    the same."""
+    n, rows = stream
+    span = presolved_span(field, n, [dict(r) for r in rows])
+    plain = row_reduce(field, n, [dict(r) for r in rows])
+    assert span._rows == plain._rows
+    assert all(row.keys() <= span._held for row in span._rows.values())
+    assert null_space(span) == null_space(plain)
+    assert quotient(span) == quotient(plain)
+
+
+def test_presolved_span_reduces_long_rows_before_and_after_short_ones():
+    """Three-term rows before the first short row are inserted as they come
+    and reduced again over the class roots at the end; a root that is a
+    pivot of the reduced rows is substituted into the rows of its class;
+    a weight with a denominator and a class forced to zero by a cycle are
+    written fraction-free."""
+    rows = [{0: 1, 2: 1, 5: 1},   # long, before any short row
+            {1: 3, 4: -2},        # x1 = 2/3 x4
+            {3: 2, 4: 1},         # x3 = -1/2 x4: the class {1, 3, 4}
+            {0: 1, 1: 1, 4: 2},   # long, after them
+            {2: 1, 6: 1},
+            {6: 2, 2: 1}]         # x6 = -x2 and x6 = -2 x2: {2, 6} is zero
+    for field in (QQ, F7):
+        span = presolved_span(field, 7, [dict(r) for r in rows])
+        assert span._rows == row_reduce(field, 7, [dict(r) for r in rows])._rows
+        assert span.pivots == [0, 1, 2, 3, 4, 6]

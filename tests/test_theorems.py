@@ -56,8 +56,6 @@ from coring_lab.coring import (
     hom_comodule,
     hom_from_A,
     hom_into_induced,
-    induced_comodule,
-    is_grouplike,
     verify_coring,
     x_invariants,
 )
@@ -79,6 +77,8 @@ from crosscheck import (
     conv_operator_by_products,
     hom_from_A_over_basis,
     hom_module_over_basis,
+    induced_comodule,
+    is_grouplike,
     operators_from_table,
     pairing_flags_on,
     q_condition_by_evaluation,
@@ -89,6 +89,7 @@ from crosscheck import (
     varpi_M,
     verify_B_acts_multiplicatively,
     verify_beta_coring_morphism,
+    verify_comodule,
     verify_context_identities,
     weak_map_flags_on,
     x_invariants_over_basis,
@@ -133,8 +134,8 @@ def test_unit_coaction_checked_at_one_is_a_comodule(ctx):
     on every column and the entwined-module law on every basis element."""
     comodule, x = comodule_algebra_from_unit(ctx)
     assert x == ctx.x
-    assert comodule.verify().valid
-    assert ctx.comodule_A().verify().valid
+    assert verify_comodule(comodule).valid
+    assert verify_comodule(ctx.comodule_A()).valid
 
 
 @pytest.mark.parametrize("ctx", [ctx for _, ctx in DISTINCT.values()],
@@ -247,7 +248,7 @@ def _comodules_without_coinvariants(ctx) -> list:
         c = DenseMatrix.from_columns(f, [[int(t == k) for t in range(nC)]], nC)
         M = ComoduleInstance(ctx, ctx.A.regular_module("right"),
                              kron(DenseMatrix.identity(f, ctx.A.dim), c), name=f"A_c{k}")
-        if M.verify().valid and coinvariants(M).is_zero():
+        if verify_comodule(M).valid and coinvariants(M).is_zero():
             out.append(M)
     return out
 

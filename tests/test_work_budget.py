@@ -13,16 +13,20 @@ Counts of one ``fix-s`` verify + analysis:
   failure means dense intermediates are built as matrices, or a structure
   map is filled with entries that the arithmetic only multiplies by zero.
 * Rows inserted into a ``SubspaceBuilder``, the one elimination routine:
-  1,887, budget 2,075 (2,023 while xi on each witness took a kernel for
-  the x-invariants that its coinvariants already are).  A failure means
-  relation spans are taken over a whole basis instead of generators, a
+  1,123, budget 1,235 (1,887 while every relation row went through
+  ``insert``, before the one- and two-term rows of a relation span were
+  solved by the union-find of ``presolved_span``; 2,023 while xi on each
+  witness took a kernel for the x-invariants that its coinvariants
+  already are).  A failure means relation spans are taken over a whole
+  basis instead of generators, their short rows are eliminated again, a
   direct-sum witness is evaluated instead of its summands, the zero
   witness or a witness equal to an earlier one is evaluated at all, xi on
   the dual ring over itself or on A takes a new balanced tensor, or an
   invertibility trial runs past its first dependent row.  The count also
-  has a floor, 1,700, 10 % below it: every row is eliminated by
-  ``insert``, so a count that falls through the floor means rows are
-  reduced around it and the budget no longer measures the elimination.
+  has a floor, 1,010, 10 % below it: every row of three or more terms is
+  eliminated by ``insert``, so a count that falls through the floor means
+  rows are reduced around it and the budget no longer measures the
+  elimination.
 * Calls of ``exactla._combine``, which sums scaled numerator rows in every
   product and sum: 1,277, budget 1,405 (1,405 before the check at 1 and
   the coinvariants as xi's target, 11,066 when every product row built a
@@ -32,9 +36,9 @@ Counts of one ``fix-s`` verify + analysis:
   means a product again combines the rows that it could share or leave
   empty.
 * Calls of ``exactla._eliminate``, which clears one column of one
-  integer row in ``SubspaceBuilder.insert``: 1,237, budget 1,360 and floor
-  1,115, about 10 % either side (1,267 before the coinvariants became xi's
-  target).  ``insert`` back-substitutes a new pivot
+  integer row in ``SubspaceBuilder.insert``: 337, budget 370 and floor
+  303, about 10 % either side (1,237 before the short-row presolve, 1,267
+  before the coinvariants became xi's target).  ``insert`` back-substitutes a new pivot
   only when its set of held columns says a stored row may hold it, so a
   count through the floor means that filter skips an elimination the
   reduced echelon form needs, and a count over the budget means the
@@ -45,6 +49,13 @@ Counts of one ``fix-s`` verify + analysis:
   matrix, so the analysis reads dense views only to serialize.  A failure
   means coordinates are read as a list again to build an operator, return
   a vector or compare two matrices.
+
+Rows inserted into a ``SubspaceBuilder`` inside the relation spans of one
+verify + analysis of ``QZ6`` from the benchmark's ``ladder`` workload: 0,
+budget 0 (1,172 before the short-row presolve).  Every relation row of a
+group algebra over its dual ring has one or two terms, so the union-find
+solves them all; a failure means relation rows go through ``insert``
+again.
 
 Matrices built (``DenseMatrix`` constructions) by one ``full_verify`` of
 ``fix-s`` after load: 25, budget 27 and floor 23, about 10 % either side
@@ -68,7 +79,7 @@ import os
 import sys
 from fractions import Fraction
 
-from coring_lab import cli, exactla
+from coring_lab import algebra, cli, exactla
 from coring_lab.entwining import instance_from_json
 from coring_lab.exactla import DenseMatrix, SubspaceBuilder
 
@@ -77,11 +88,12 @@ from helpers import perfbench_instance
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
 ENTRY_BUDGET = 188_250
 NONZERO_BUDGET = 7_370
-INSERT_BUDGET = 2_075
-INSERT_FLOOR = 1_700
+INSERT_BUDGET = 1_235
+INSERT_FLOOR = 1_010
 COMBINE_BUDGET = 1_405
-ELIMINATE_BUDGET = 1_360
-ELIMINATE_FLOOR = 1_115
+ELIMINATE_BUDGET = 370
+ELIMINATE_FLOOR = 303
+RELATION_INSERT_BUDGET = 0
 VERIFY_MATRIX_BUDGET = 27
 VERIFY_MATRIX_FLOOR = 23
 FRACTION_BUDGET = 0
@@ -152,6 +164,29 @@ def test_fix_s_analysis_stays_within_eliminate_budget(monkeypatch):
     monkeypatch.setattr(exactla, "_eliminate", counting)
     _analyze_fix_s()
     assert ELIMINATE_FLOOR <= eliminated[0] <= ELIMINATE_BUDGET, eliminated[0]
+
+
+def test_qz6_relation_spans_stay_within_insert_budget(monkeypatch):
+    ctx = instance_from_json(perfbench_instance("ladder", "QZ6-x0-Q"))
+    inside, spans, inserted = [False], [0], [0]
+    runtime, orig = algebra._relation_span, SubspaceBuilder.insert
+
+    def span(*args, **kwargs):
+        spans[0] += 1
+        inside[0] = True
+        try:
+            return runtime(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counting(self, vec):
+        inserted[0] += inside[0]
+        return orig(self, vec)
+    monkeypatch.setattr(algebra, "_relation_span", span)
+    monkeypatch.setattr(SubspaceBuilder, "insert", counting)
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert spans[0] and inserted[0] <= RELATION_INSERT_BUDGET, inserted[0]
 
 
 def test_fix_s_verify_stays_within_matrix_budget(monkeypatch):
