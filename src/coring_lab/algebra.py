@@ -43,8 +43,8 @@ from .exactla import (
     null_space,
     once,
     parse_array,
-    presolved_span,
     quotient,
+    row_reduce,
     solve_matrix,
     unflatten_rows,
     unstack_slices,
@@ -122,14 +122,16 @@ class AlgebraPresentation:
         earlier ones generate.  A unital action is determined by its
         matrices at these elements, so relation spans over the algebra are
         taken over them.  The closure multiplies numerator vectors and never
-        divides them out: a nonzero multiple spans the same line."""
+        divides them out: a nonzero multiple spans the same line.  Each
+        picked generator's numerator columns are taken once, and a product
+        reads only the columns at the vector's support."""
         f, n = self.field, self.dim
         pool = hstack(f, [self.candidates, DenseMatrix.identity(f, n)], n)
         span = SubspaceBuilder(f, n)
         unit = dict(self._unit.numerator_columns()[0])
         # ``insert`` takes over a dict: the vectors of ``closed`` enter as copies
         span.insert(dict(unit))
-        closed, picked, lmuls = [unit], [], []
+        closed, picked, lcols = [unit], [], []
         for k, g in enumerate(pool.numerator_columns()):
             if len(closed) == n:
                 break
@@ -137,17 +139,17 @@ class AlgebraPresentation:
                 continue
             g = dict(g)
             picked.append(k)
-            lmuls.append(combinations(self.lmuls, pool.take_columns([k]))[0])
+            lcols.append(combinations(self.lmuls, pool.take_columns([k]))[0].numerator_columns())
             closed.append(g)
             # every product of a generator with a vector of ``closed`` is
             # formed once: the new generator's with all, the old ones' with g
-            todo = [_times(lmuls[-1], v, f.p) for v in closed] + \
-                [_times(L, g, f.p) for L in lmuls[:-1]]
+            todo = [_times(lcols[-1], v, f.p) for v in closed] + \
+                [_times(L, g, f.p) for L in lcols[:-1]]
             while todo:
                 v = todo.pop()
                 if span.insert(dict(v)):
                     closed.append(v)
-                    todo += [_times(L, v, f.p) for L in lmuls]
+                    todo += [_times(L, v, f.p) for L in lcols]
         return pool.take_columns(picked)
 
     def unit_matrix(self) -> DenseMatrix:
@@ -194,17 +196,18 @@ class AlgebraPresentation:
         return f"AlgebraPresentation({label} over {self.field.kind})"
 
 
-def _times(L: DenseMatrix, v: dict, p: int | None) -> dict:
-    """A nonzero multiple of L v, for v a vector of {column: int}, as
-    {row: int}: L's numerators times v's, reduced mod p over Fp."""
+def _times(lcols: list, v: dict, p: int | None) -> dict:
+    """A nonzero multiple of L v, for v a vector of {column: int} and lcols
+    the numerator columns of L, as {row: int}: the columns at v's support
+    times v's numerators, summed, reduced mod p over Fp."""
     out = {}
-    for i, pairs in enumerate(L.numerator_rows()):
-        x = sum([a * v[j] for j, a in pairs if j in v])
-        if p is not None:
-            x %= p
-        if x:
-            out[i] = x
-    return out
+    get = out.get
+    for j, x in v.items():
+        for i, a in lcols[j]:
+            out[i] = get(i, 0) + a * x
+    if p is not None:
+        return {i: y for i, x in out.items() if (y := x % p)}
+    return {i: x for i, x in out.items() if x}
 
 
 class ModulePresentation:
@@ -441,14 +444,13 @@ def _relation_span(field: FieldSpec, dR: int, dC: int, pairs,
     ``b_transposed`` each pair holds b's transpose, whose columns are read
     as the rows of b.
 
-    The rows stream into ``presolved_span``, which solves those of one or
-    two terms (x = 0, a x + b y = 0) by a weighted union-find and reduces
-    only the longer ones.  Over the dual ring of a group algebra every row
-    is that short, so the Hom spaces and balanced tensor products of the
-    Morita context take no elimination; a span without short rows is
-    reduced row by row as before.  The builder returned holds the same
-    rows either way."""
-    return presolved_span(field, dR * dC, _relation_rows(dC, pairs, b_transposed))
+    The rows stream into ``row_reduce``, which solves those of one or two
+    terms (x = 0, a x + b y = 0) by a weighted union-find before it
+    eliminates the longer ones, as it does for every reduction.  Over the
+    dual ring of a group algebra every row is that short, so the Hom
+    spaces and balanced tensor products of the Morita context take no
+    elimination."""
+    return row_reduce(field, dR * dC, _relation_rows(dC, pairs, b_transposed))
 
 
 def _relation_rows(dC: int, pairs, b_transposed: bool):

@@ -70,20 +70,25 @@ echelon coordinates of every column of a matrix at the pivots and re-checks
 them with one product.  ``contains`` and ``contains_columns`` are its
 one-column and boolean cases.
 
-``SubspaceBuilder`` is the package's one elimination routine.  Every
-reduction goes through its ``insert``: ``row_reduce`` and through it
-``kernel``, ``rank``, ``solve_matrix`` and ``Subspace.from_spanning``;
+``row_reduce`` is the package's one reduction routine: ``kernel``,
+``rank``, ``solve_matrix``, ``image``, ``row_space``, ``null_space``,
+``Subspace.from_spanning`` and the relation spans (balanced-tensor
+relations, intertwiner constraints, taken over the generators of the
+acting algebra rather than its whole basis) all read their results off
+the ``SubspaceBuilder`` it returns.  Its per-field loops bring each row,
+as it is read, to a {col: int} dict of its nonzero entries (a dense row
+times the lcm of its denominators, residues over Fp), and
+``presolved_span`` solves the rows of one or two terms first, by a
+weighted union-find over the columns (``_Classes``): structured Gaussian
+elimination.  Only the longer rows, rewritten over the classes, reach the
+builder's ``insert``, the one elimination step; the classes then write
+the row of every other column into the builder itself, so it ends with
+the rows that inserting every row would leave.  Only
 ``combination_is_invertible``, which stops at the first row that adds
-nothing; as well as the relation spans
-(balanced-tensor relations, intertwiner constraints), whose rows
-``presolved_span`` takes one at a time, over the generators of the acting
-algebra rather than its whole basis.  It solves their rows of one or two
-terms first, by a weighted union-find over the unknowns (``_Classes``),
-hands only the longer rows to ``insert``, rewritten over the classes, and
-then writes the row of every other unknown into the builder itself, so
-the builder ends with the rows that inserting every relation would leave.
-Matrix rows enter it as their numerator pairs, never densified.  Over Q
-it eliminates without fractions: it clears each
+nothing, and the closure of ``AlgebraPresentation.generators``, which asks
+after every product whether the span grew, insert their rows directly.
+Matrix rows enter the builder as their numerator pairs, never densified.
+Over Q it eliminates without fractions: it clears each
 inserted vector's denominators once and stores every echelon row as its
 primitive integer multiple with a positive pivot entry.  It keeps the
 full RREF after every insertion, but back-substitutes a new pivot column
@@ -1112,8 +1117,8 @@ class SubspaceBuilder:
     stored rows for the new pivot column only when that column is in the
     set; otherwise no row holds it and there is nothing to back-substitute,
     so the rows are the full RREF all the same.  One analysis of each
-    instance of the benchmark's ``ladder`` workload stores 3,886 pivot rows
-    and scans the stored rows for 161 of them.
+    instance of the benchmark's ``ladder`` workload stores 993 pivot rows
+    through ``insert`` and scans the stored rows for 152 of them.
 
     ``insert`` takes over a dict it is given: the dict becomes the
     builder's row, or is eliminated in place, so a caller that keeps its
@@ -1122,8 +1127,9 @@ class SubspaceBuilder:
     The results are read from the integer rows: ``pivots`` and ``dim``,
     ``echelon`` (the reduced rows as numerators), and ``null_vectors``,
     ``null_space`` and ``quotient``, which take the builder.
-    ``presolved_span`` fills a builder's rows directly, with the rows that
-    inserting would leave.
+    ``row_reduce`` hands it only the rows of three or more terms, and
+    ``presolved_span`` fills the other rows in directly, with the rows
+    that inserting would leave.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int):
@@ -1245,36 +1251,6 @@ def _eliminate(v: dict, c: int, row: dict) -> None:
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
-
-
-def _row_reduce_q(span: SubspaceBuilder, rows) -> None:
-    """The rest of a ``row_reduce`` over Q, from its first nonzero row on;
-    one loop per field, so that profiles tell the two fields apart."""
-    for r in rows:
-        span.insert(r)
-
-
-def _row_reduce_fp(span: SubspaceBuilder, rows) -> None:
-    """The rest of a ``row_reduce`` over Fp, as ``_row_reduce_q``."""
-    for r in rows:
-        span.insert(r)
-
-
-def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> SubspaceBuilder:
-    """The span of rows in k^n, reduced by one ``SubspaceBuilder``, which is
-    returned: its integer rows are the unique reduced row echelon form up to
-    the scale of each row.  A row may be a dense sequence or a {col: entry}
-    dict, as a matrix's rows are passed (``_dict_rows``).
-
-    Leading zero rows are inserted here; the per-field loop takes over at
-    the first nonzero row, so it runs once per reduction of a nonzero span."""
-    span = SubspaceBuilder(field, n)
-    rows = iter(rows)
-    for r in rows:
-        if span.insert(r):
-            (_row_reduce_fp if field.kind == "Fp" else _row_reduce_q)(span, rows)
-            break
-    return span
 
 
 class _Classes:
@@ -1399,28 +1375,24 @@ class _Classes:
 
 
 def presolved_span(field: FieldSpec, n: int, rows) -> SubspaceBuilder:
-    """The span of integer rows ({col: int} dicts) in k^n, in a
-    ``SubspaceBuilder`` holding exactly the rows that inserting each of
-    them leaves (canonical RREF is unique), with the rows of one or two
-    nonzero terms solved first by a weighted union-find (``_Classes``):
+    """The span in k^n of integer rows, {col: int} dicts of nonzero entries
+    (residues over Fp) as the per-field loops of ``row_reduce`` yield
+    them, in a ``SubspaceBuilder`` holding exactly the rows that inserting
+    each of them leaves (canonical RREF is unique), with the rows of one or
+    two terms solved first by a weighted union-find (``_Classes``):
     structured Gaussian elimination, the singleton and doubleton presolve.
 
-    The rows are read once, as they come.  Each is reduced mod p before its
-    terms are counted.  Rows of three or more terms go to the builder as
-    they are until the first short row comes; from then on they wait, and
-    at the end they and the builder's rows are rewritten over the roots of
-    the classes and reduced again.  A span without short rows is thus
-    reduced as ``row_reduce`` would.  The classes then add the row of
-    every other column (``_Classes.complete``)."""
-    p = field.p
-    classes = _Classes(p)
+    The rows are read once, as they come.  Rows of three or more terms go
+    to the builder as they are until the first short row comes; from then
+    on they wait, and at the end they and the builder's rows are rewritten
+    over the roots of the classes and reduced again.  A span without short
+    rows is thus reduced row by row, each row inserted as it is read.  The
+    classes then add the row of every other column
+    (``_Classes.complete``)."""
+    classes = _Classes(field.p)
     span = SubspaceBuilder(field, n)
     waiting = None   # the long rows after the first short one
     for row in rows:
-        if p is not None:
-            row = {c: x % p for c, x in row.items() if x % p}
-        elif 0 in row.values():
-            row = {c: x for c, x in row.items() if x}
         k = len(row)
         if k > 2:
             if waiting is None:
@@ -1446,6 +1418,54 @@ def presolved_span(field: FieldSpec, n: int, rows) -> SubspaceBuilder:
             span.insert(row)
     classes.complete(span)
     return span
+
+
+def _row_reduce_q(rows):
+    """The rows of a ``row_reduce`` over Q as {col: int} dicts of their
+    nonzero entries, as they are read.  A {col: int} dict keeps its entries
+    and drops its zeros; a dense sequence of scalars is multiplied by the
+    lcm of its denominators, a nonzero multiple that spans the same line.
+    One loop per field, so that profiles tell the two fields apart."""
+    for row in rows:
+        if not isinstance(row, dict):
+            row = _integer_row(row)
+        elif 0 in row.values():
+            row = {c: x for c, x in row.items() if x}
+        yield row
+
+
+def _row_reduce_fp(rows, p: int):
+    """The rows of a ``row_reduce`` over Fp as {col: residue} dicts of their
+    nonzero entries, each reduced mod p, as ``_row_reduce_q``."""
+    for row in rows:
+        if not isinstance(row, dict):
+            row = _integer_row(row)
+        yield {c: y for c, x in row.items() if (y := x % p)}
+
+
+def _integer_row(row: Sequence[Scalar]) -> dict:
+    """The nonzero entries of a dense row of scalars as a {col: int} dict,
+    the row times the lcm of its denominators."""
+    row = {c: x for c, x in enumerate(row) if x}
+    values = row.values()
+    _, ints = clear_denominators(values)
+    return row if ints is values else dict(zip(row, ints))
+
+
+def row_reduce(field: FieldSpec, n: int, rows: Iterable[Sequence[Scalar]]) -> SubspaceBuilder:
+    """The span of rows in k^n, reduced by one ``SubspaceBuilder``, which is
+    returned: its integer rows are the unique reduced row echelon form up to
+    the scale of each row.  A row may be a dense sequence of scalars or a
+    {col: int} dict, as a matrix's numerator rows are passed
+    (``_dict_rows``); a dict is taken over, as ``insert`` takes it.
+
+    This is the package's one reduction routine: every kernel, rank,
+    solution, span and relation span is read off the builder it returns.
+    The per-field loop brings each row to a {col: int} dict as it is read,
+    and ``presolved_span`` solves the rows of one or two terms before any
+    elimination, so only the longer rows reach ``SubspaceBuilder.insert``."""
+    p = field.p
+    return presolved_span(field, n, _row_reduce_q(rows) if p is None else _row_reduce_fp(rows, p))
 
 
 # ---------------------------------------------------------------------------
@@ -1534,8 +1554,9 @@ def _dict_rows(M: DenseMatrix):
 
 
 def _span(field: FieldSpec, n: int, vectors) -> Subspace:
-    """The span of vectors (dense sequences or {col: entry} dicts) in k^n
-    as a canonical Subspace, its basis read off the builder's rows."""
+    """The span of vectors (dense sequences of scalars or {col: int}
+    dicts) in k^n as a canonical Subspace, its basis read off the rows of
+    the builder ``row_reduce`` returns."""
     span = row_reduce(field, n, vectors)
     return Subspace(field, n, DenseMatrix(field, span.dim, n, span.echelon()), span.pivots)
 

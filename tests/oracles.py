@@ -2,7 +2,12 @@
 
 Everything here is deliberately naive and self-contained: plain Fraction
 Gauss-Jordan, exhaustive searches, hand-rolled modular arithmetic.  Nothing
-imports the package's linear algebra, so these results can vouch for it.
+imports the package's linear algebra, so these results can vouch for it,
+with two exceptions at the end of the file: the plain-builder reduction,
+which inserts every row into one ``SubspaceBuilder`` and so vouches for the
+short-row presolve of ``row_reduce``, and the generator closure that forms
+each product by scanning every row of an operator, which vouches for the
+closure of ``AlgebraPresentation.generators`` that reads columns.
 """
 
 from fractions import Fraction
@@ -277,3 +282,56 @@ def naive_combinations(mats, coeff_rows, rows, cols, p=None):
     width = len(coeff_rows[0]) if coeff_rows else 0
     return [naive_combination([c[k] for c in coeff_rows], mats, rows, cols, p)
             for k in range(width)]
+
+
+def plain_row_reduce(field, n, rows):
+    """The span of rows in k^n with every row inserted, in order, into one
+    ``SubspaceBuilder``: the reduction before its one- and two-term rows
+    were solved by a union-find.  The canonical reduced echelon form is
+    unique, so ``row_reduce`` must leave exactly these rows.  Each dict
+    row is copied, since ``insert`` takes a dict over."""
+    from coring_lab.exactla import SubspaceBuilder
+    span = SubspaceBuilder(field, n)
+    for row in rows:
+        span.insert(dict(row) if isinstance(row, dict) else row)
+    return span
+
+
+def generators_by_row_scan(A):
+    """``A.generators()`` with each product L v of the closure formed by
+    scanning every numerator row of L for the columns at v's support, as
+    the closure did before it read L's columns."""
+    from coring_lab.exactla import DenseMatrix, SubspaceBuilder, combinations, hstack
+
+    def times(L, v, p):
+        out = {}
+        for i, pairs in enumerate(L.numerator_rows()):
+            x = sum(a * v[j] for j, a in pairs if j in v)
+            if p is not None:
+                x %= p
+            if x:
+                out[i] = x
+        return out
+
+    f, n, p = A.field, A.dim, A.field.p
+    pool = hstack(f, [A.candidates, DenseMatrix.identity(f, n)], n)
+    span = SubspaceBuilder(f, n)
+    unit = dict(A.unit_matrix().numerator_columns()[0])
+    span.insert(dict(unit))
+    closed, picked, lmuls = [unit], [], []
+    for k, g in enumerate(pool.numerator_columns()):
+        if len(closed) == n:
+            break
+        if not span.insert(dict(g)):
+            continue
+        g = dict(g)
+        picked.append(k)
+        lmuls.append(combinations(A.lmuls, pool.take_columns([k]))[0])
+        closed.append(g)
+        todo = [times(lmuls[-1], v, p) for v in closed] + [times(L, g, p) for L in lmuls[:-1]]
+        while todo:
+            v = todo.pop()
+            if span.insert(dict(v)):
+                closed.append(v)
+                todo += [times(L, v, p) for L in lmuls]
+    return pool.take_columns(picked)

@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from coring_lab import algebra, cli, coring, galois, morita
+from coring_lab import algebra, cli, coring, exactla, galois, morita
 from coring_lab.algebra import AlgebraPresentation
 from coring_lab.cleft import (
     _integral_condition,
@@ -32,7 +32,7 @@ from coring_lab.cleft import (
 from coring_lab.coalgebra import CoalgebraPresentation, _conv_operator
 from coring_lab.coring import _tensor_x, dual_action, induced_action, restrict_comodule
 from coring_lab.entwining import doi_koppinen, instance_from_json
-from coring_lab.exactla import DenseMatrix, SubspaceBuilder, kernel, stack_slices
+from coring_lab.exactla import DenseMatrix, kernel, stack_slices
 from coring_lab.galois import weak_map_flags
 from coring_lab.morita import (
     _q_condition,
@@ -75,7 +75,7 @@ from crosscheck import (
 )
 from helpers import mult_table
 from instances import DISTINCT, INSTANCES, context
-from oracles import random_scalar, relation_rows
+from oracles import generators_by_row_scan, plain_row_reduce, random_scalar, relation_rows
 
 
 def _random_map(ctx):
@@ -224,12 +224,10 @@ DISTINCT_CONTEXTS = [ctx for _, ctx in DISTINCT.values()]
 def _plain_relation_span(field, dR, dC, pairs, b_transposed=False):
     """The relation span with every row of ``oracles.relation_rows``
     inserted into one builder, as before the short-row presolve."""
-    span = SubspaceBuilder(field, dR * dC)
-    for a, b in pairs:
-        b_rows = (b.transpose() if b_transposed else b).row_lists()
-        for row in relation_rows(a.row_lists(), b_rows, field.p):
-            span.insert(row)
-    return span
+    rows = [row for a, b in pairs
+            for row in relation_rows(a.row_lists(),
+                                     (b.transpose() if b_transposed else b).row_lists(), field.p)]
+    return plain_row_reduce(field, dR * dC, rows)
 
 
 @pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
@@ -253,6 +251,42 @@ def test_presolved_relation_spans_match_the_plain_builder(ctx, monkeypatch):
     cli.full_verify(fresh)
     cli.run_analysis(fresh, seed=0)
     assert calls[0]
+
+
+@pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
+def test_every_reduction_matches_the_plain_builder(ctx, monkeypatch):
+    """Every call of ``row_reduce`` in one verify + analysis (the kernels,
+    ranks, solutions, spans and relation spans), its one- and two-term
+    rows solved by the union-find, leaves exactly the rows that inserting
+    each of its rows into one builder leaves, and its held columns cover
+    every column of them."""
+    calls = [0]
+    runtime = exactla.row_reduce
+
+    def checked(field, n, rows):
+        rows = [dict(r) if isinstance(r, dict) else list(r) for r in rows]
+        plain = plain_row_reduce(field, n, rows)
+        span = runtime(field, n, [dict(r) if isinstance(r, dict) else r for r in rows])
+        assert span._rows == plain._rows
+        assert all(row.keys() <= span._held for row in span._rows.values())
+        calls[0] += 1
+        return span
+    for module in (exactla, algebra):
+        monkeypatch.setattr(module, "row_reduce", checked)
+    fresh = instance_from_json(ctx.to_json())   # nothing memoized
+    cli.full_verify(fresh)
+    cli.run_analysis(fresh, seed=0)
+    assert calls[0]
+
+
+@pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)
+def test_generator_closure_by_columns_matches_the_row_scan(ctx):
+    """The generators picked by the closure that reads each generator's
+    columns at a vector's support are those the closure scanning every row
+    of the operator picks, on A, on the coinvariants B and on the dual
+    ring."""
+    for S in (ctx.A, morita.compute_B(ctx).algebra, ctx.sharp_ring().algebra):
+        assert S.generators() == generators_by_row_scan(S)
 
 
 @pytest.mark.parametrize("ctx", DISTINCT_CONTEXTS, ids=DISTINCT_IDS)

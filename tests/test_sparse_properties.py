@@ -23,15 +23,21 @@ from any other representatives, which are reduced to the same matrix.
 A ``SubspaceBuilder`` is fed sequences built to cause fill-in, where a
 later pivot column enters a stored row only through an earlier
 back-substitution, and checked against the textbook RREF after every
-insertion.
+insertion.  Every reduction solves its one- and two-term rows by a
+union-find before it eliminates; ``kernel``, ``rank``, ``solve_matrix``,
+``image``, ``row_space`` and ``Subspace.from_spanning`` are compared with
+the same routines run on ``oracles.plain_row_reduce``, which inserts every
+row into one builder.
 """
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coring_lab import exactla
 from coring_lab.exactla import (
     QQ,
     GF,
@@ -46,6 +52,7 @@ from coring_lab.exactla import (
     flat_blocks,
     flat_columns,
     hstack,
+    image,
     interleave_columns,
     kernel,
     kron,
@@ -55,6 +62,7 @@ from coring_lab.exactla import (
     null_vectors,
     presolved_span,
     quotient,
+    rank,
     row_reduce,
     row_space,
     solve_matrix,
@@ -75,6 +83,7 @@ from oracles import (
     naive_rank,
     naive_rref,
     naive_transpose,
+    plain_row_reduce,
 )
 
 F7 = GF(7)
@@ -737,18 +746,32 @@ def short_row_streams(draw):
     return n, rows
 
 
+def _as_presolve_input(field, rows):
+    """The {col: int} rows of a short-row stream as the per-field loops of
+    ``row_reduce`` hand them to ``presolved_span``: the zeros (mod p over
+    GF(7)) dropped, every entry a residue over GF(7)."""
+    p = field.p
+    out = []
+    for r in rows:
+        r = {c: x % p if p else x for c, x in r.items()}
+        out.append({c: x for c, x in r.items() if x})
+    return out
+
+
 @given(short_row_streams(), FIELDS)
 @settings(max_examples=300, deadline=None)
 def test_presolved_span_matches_row_reduce(stream, field):
     """The span with its one- and two-term rows solved by the weighted
-    union-find holds exactly the builder rows that ``row_reduce`` of the
-    same rows leaves, its held columns cover every column of them, and the
-    null space and the quotient's projection and section read off it are
-    the same."""
+    union-find holds exactly the builder rows that inserting each row into
+    one builder leaves (``oracles.plain_row_reduce``), as does
+    ``row_reduce`` of the rows as drawn, zeros and all; its held columns
+    cover every column of them, and the null space and the quotient's
+    projection and section read off it are the same."""
     n, rows = stream
-    span = presolved_span(field, n, [dict(r) for r in rows])
-    plain = row_reduce(field, n, [dict(r) for r in rows])
+    span = presolved_span(field, n, _as_presolve_input(field, rows))
+    plain = plain_row_reduce(field, n, rows)
     assert span._rows == plain._rows
+    assert row_reduce(field, n, [dict(r) for r in rows])._rows == plain._rows
     assert all(row.keys() <= span._held for row in span._rows.values())
     assert null_space(span) == null_space(plain)
     assert quotient(span) == quotient(plain)
@@ -767,6 +790,93 @@ def test_presolved_span_reduces_long_rows_before_and_after_short_ones():
             {2: 1, 6: 1},
             {6: 2, 2: 1}]         # x6 = -x2 and x6 = -2 x2: {2, 6} is zero
     for field in (QQ, F7):
-        span = presolved_span(field, 7, [dict(r) for r in rows])
+        span = presolved_span(field, 7, _as_presolve_input(field, rows))
+        assert span._rows == plain_row_reduce(field, 7, rows)._rows
         assert span._rows == row_reduce(field, 7, [dict(r) for r in rows])._rows
         assert span.pivots == [0, 1, 2, 3, 4, 6]
+
+
+# -- every reduction through the presolve -------------------------------------
+
+
+def presolve_scalars(field):
+    """Nonzero entries a/b over Q and GF(7), b prime to 7, with multiples
+    of 7 among them, which vanish over GF(7)."""
+    num = st.one_of(st.integers(-5, 5).filter(bool), st.sampled_from([7, -14, 21]))
+    return st.builds(Fraction, num, st.sampled_from([1, 1, 2, 3, 4]))
+
+
+@st.composite
+def presolve_rows(draw, field):
+    """(n, rows): dense rows of ``Fraction`` entries in k^n, n <= 8, of one,
+    two and three or more nonzero terms, zero rows, rows that repeat an
+    earlier one (or a multiple of it), rows that vanish mod 7, and long
+    rows both before the first short row and after it."""
+    n = draw(st.integers(1, 8))
+    entry = presolve_scalars(field)
+
+    def row(k):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+        out = [Fraction(0)] * n
+        for c in cols:
+            out[c] = draw(entry)
+        return out
+
+    def long_row():
+        return row(draw(st.integers(min(3, n), n)))
+
+    rows = [long_row() for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["one", "two", "long", "zero", "repeat", "vanish"]))
+        if kind == "repeat" and rows:
+            s = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            rows.append([s * x for x in draw(st.sampled_from(rows))])
+        elif kind == "zero":
+            rows.append([Fraction(0)] * n)
+        elif kind == "vanish":
+            rows.append([7 * x for x in long_row()])
+        elif kind == "one":
+            rows.append(row(1))
+        elif kind == "two":
+            rows.append(row(min(2, n)))
+        else:
+            rows.append(long_row())
+    rows += [long_row() for _ in range(draw(st.integers(0, 2)))]
+    return n, rows
+
+
+def _plain_results(field, n, rows, B):
+    """kernel, rank, solve_matrix, image, row_space and from_spanning of
+    the rows, with ``oracles.plain_row_reduce`` in place of
+    ``row_reduce``."""
+    with mock.patch.object(exactla, "row_reduce", plain_row_reduce):
+        return _results(field, n, rows, B)
+
+
+def _results(field, n, rows, B):
+    M = DenseMatrix.from_rows(field, rows, cols=n)
+    return (kernel(M), rank(M), solve_matrix(M, B), image(M), row_space(M),
+            Subspace.from_spanning(field, n, rows))
+
+
+@given(st.data(), FIELDS)
+@settings(max_examples=200, deadline=None)
+def test_every_reduction_matches_the_plain_builder(data, field):
+    """``kernel``, ``rank``, ``solve_matrix``, ``image``, ``row_space`` and
+    ``Subspace.from_spanning``, each run through the short-row presolve of
+    ``row_reduce``, equal what they read off the plain builder, into which
+    every row is inserted in order, on dense rows of ``Fraction`` entries;
+    the right-hand sides are solvable (M X) or drawn at random."""
+    n, rows = data.draw(presolve_rows(field))
+    M = DenseMatrix.from_rows(field, rows, cols=n)
+    X = data.draw(matrices(field, rows=n))
+    B = M.mul(X) if data.draw(st.booleans()) else data.draw(matrices(field, rows=M.rows))
+    got = _results(field, n, rows, B)
+    want = _plain_results(field, n, rows, B)
+    assert got == want
+    K, r, solution, image_, rows_, spanned = got
+    p = p_of(field)
+    assert r == naive_rank(M.row_lists(), p) == rows_.dim == spanned.dim == image_.dim
+    assert K.dim == n - r
+    if solution is not None:
+        assert M.mul(solution) == B

@@ -13,20 +13,20 @@ Counts of one ``fix-s`` verify + analysis:
   failure means dense intermediates are built as matrices, or a structure
   map is filled with entries that the arithmetic only multiplies by zero.
 * Rows inserted into a ``SubspaceBuilder``, the one elimination routine:
-  1,123, budget 1,235 (1,887 while every relation row went through
-  ``insert``, before the one- and two-term rows of a relation span were
-  solved by the union-find of ``presolved_span``; 2,023 while xi on each
-  witness took a kernel for the x-invariants that its coinvariants
-  already are).  A failure means relation spans are taken over a whole
-  basis instead of generators, their short rows are eliminated again, a
-  direct-sum witness is evaluated instead of its summands, the zero
-  witness or a witness equal to an earlier one is evaluated at all, xi on
-  the dual ring over itself or on A takes a new balanced tensor, or an
-  invertibility trial runs past its first dependent row.  The count also
-  has a floor, 1,010, 10 % below it: every row of three or more terms is
-  eliminated by ``insert``, so a count that falls through the floor means
-  rows are reduced around it and the budget no longer measures the
-  elimination.
+  206, budget 227 and floor 185, about 10 % either side (1,123 while
+  kernels, ranks, solutions and spans inserted every row and only the
+  relation spans solved their one- and two-term rows by the union-find
+  of ``presolved_span``; 1,887 while every relation row went through
+  ``insert``; 2,023 while xi on each witness took a kernel for the
+  x-invariants that its coinvariants already are).  A failure means a
+  reduction inserts its one- and two-term rows again, relation spans are
+  taken over a whole basis instead of generators, a direct-sum witness is
+  evaluated instead of its summands, the zero witness or a witness equal
+  to an earlier one is evaluated at all, xi on the dual ring over itself
+  or on A takes a new balanced tensor, or an invertibility trial runs
+  past its first dependent row.  A count that falls through the floor
+  means rows of three or more terms are reduced around ``insert`` and
+  the budget no longer measures the elimination.
 * Calls of ``exactla._combine``, which sums scaled numerator rows in every
   product and sum: 1,277, budget 1,405 (1,405 before the check at 1 and
   the coinvariants as xi's target, 11,066 when every product row built a
@@ -36,13 +36,15 @@ Counts of one ``fix-s`` verify + analysis:
   means a product again combines the rows that it could share or leave
   empty.
 * Calls of ``exactla._eliminate``, which clears one column of one
-  integer row in ``SubspaceBuilder.insert``: 337, budget 370 and floor
-  303, about 10 % either side (1,237 before the short-row presolve, 1,267
-  before the coinvariants became xi's target).  ``insert`` back-substitutes a new pivot
+  integer row in ``SubspaceBuilder.insert``: 152, budget 167 and floor
+  137, about 10 % either side (337 while only the relation spans took the
+  short-row presolve, 1,237 before it, 1,267 before the coinvariants
+  became xi's target).  ``insert`` back-substitutes a new pivot
   only when its set of held columns says a stored row may hold it, so a
   count through the floor means that filter skips an elimination the
   reduced echelon form needs, and a count over the budget means the
-  bookkeeping of the elimination adds eliminations of its own.
+  bookkeeping of the elimination adds eliminations of its own, or the
+  short rows of a reduction are eliminated again.
 * Cells read through the dense views ``entries``, ``columns``,
   ``row_lists`` and ``col`` outside a ``to_json``: 0, budget 0.  Every
   operator is built from a coefficient matrix and every solution stays a
@@ -56,6 +58,14 @@ budget 0 (1,172 before the short-row presolve).  Every relation row of a
 group algebra over its dual ring has one or two terms, so the union-find
 solves them all; a failure means relation rows go through ``insert``
 again.
+
+Rows inserted into a ``SubspaceBuilder`` inside ``kernel``, ``rank`` and
+``solve_matrix`` in one verify + analysis of the same ``QZ6``: 54, budget
+60 (2,395 while they inserted every row, before ``row_reduce`` solved the
+one- and two-term rows of every reduction by the union-find).  Most rows
+of these reductions (the coinvariants, Q, the integrals, the ranks of
+psi_M and beta) have one or two terms, so a failure means they go through
+``insert`` row by row again.
 
 Matrices built (``DenseMatrix`` constructions) by one ``full_verify`` of
 ``fix-s`` after load: 25, budget 27 and floor 23, about 10 % either side
@@ -88,12 +98,13 @@ from helpers import perfbench_instance
 FIX_S = os.path.join(os.path.dirname(__file__), "..", "fixtures", "fix-s.json")
 ENTRY_BUDGET = 188_250
 NONZERO_BUDGET = 7_370
-INSERT_BUDGET = 1_235
-INSERT_FLOOR = 1_010
+INSERT_BUDGET = 227
+INSERT_FLOOR = 185
 COMBINE_BUDGET = 1_405
-ELIMINATE_BUDGET = 370
-ELIMINATE_FLOOR = 303
+ELIMINATE_BUDGET = 167
+ELIMINATE_FLOOR = 137
 RELATION_INSERT_BUDGET = 0
+REDUCTION_INSERT_BUDGET = 60
 VERIFY_MATRIX_BUDGET = 27
 VERIFY_MATRIX_FLOOR = 23
 FRACTION_BUDGET = 0
@@ -187,6 +198,37 @@ def test_qz6_relation_spans_stay_within_insert_budget(monkeypatch):
     cli.full_verify(ctx)
     cli.run_analysis(ctx, seed=0)
     assert spans[0] and inserted[0] <= RELATION_INSERT_BUDGET, inserted[0]
+
+
+def test_qz6_kernels_ranks_and_solutions_stay_within_insert_budget(monkeypatch):
+    ctx = instance_from_json(perfbench_instance("ladder", "QZ6-x0-Q"))
+    inside, calls, inserted = [0], [0], [0]
+    orig = SubspaceBuilder.insert
+
+    def entered(fn):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            inside[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return call
+
+    def counting(self, vec):
+        inserted[0] += inside[0] > 0
+        return orig(self, vec)
+    # each name is patched where it is defined and wherever a module of
+    # the package bound it with ``from .exactla import``
+    for name in ("kernel", "rank", "solve_matrix"):
+        runtime = getattr(exactla, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("coring_lab") and getattr(module, name, None) is runtime:
+                monkeypatch.setattr(module, name, entered(runtime))
+    monkeypatch.setattr(SubspaceBuilder, "insert", counting)
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert calls[0] and inserted[0] <= REDUCTION_INSERT_BUDGET, inserted[0]
 
 
 def test_fix_s_verify_stays_within_matrix_budget(monkeypatch):
