@@ -108,7 +108,6 @@ from __future__ import annotations
 import functools
 import json
 from _random import Random as _CoreRandom
-from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm
 
@@ -466,12 +465,12 @@ class DenseMatrix:
         return sum(map(len, self._nonzero_rows))
 
     def get(self, i: int, j: int) -> Scalar:
-        pairs = self._nonzero_rows[i]
-        k = bisect_left(pairs, (j,))
-        if k < len(pairs) and pairs[k][0] == j:
-            return _value(pairs[k][1], self.den)
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
+        # a scan of the sorted pairs: no command reads a single entry
+        for c, x in self._nonzero_rows[i]:
+            if c >= j:
+                return _value(x, self.den) if c == j else 0
         return 0
 
     def row(self, i: int) -> list:
@@ -484,9 +483,11 @@ class DenseMatrix:
             raise IndexError("column index out of range")
         out, d = [0] * self.rows, self.den
         for i, pairs in enumerate(self._nonzero_rows):
-            k = bisect_left(pairs, (j,))
-            if k < len(pairs) and pairs[k][0] == j:
-                out[i] = _value(pairs[k][1], d)
+            for c, x in pairs:
+                if c >= j:
+                    if c == j:
+                        out[i] = _value(x, d)
+                    break
         return out
 
     def columns(self) -> list:
@@ -1620,7 +1621,7 @@ def solve_matrix(M: DenseMatrix, B: DenseMatrix) -> DenseMatrix | None:
     ech = span.echelon()
     X = [[] for _ in range(n)]
     for row, c in zip(ech.rows, pivots):
-        X[c] = [(j - n, x) for j, x in row[bisect_left(row, (n,)):]]
+        X[c] = [(j - n, x) for j, x in row if j >= n]
     return DenseMatrix(M.field, n, k, _Numerators(X, ech.den))
 
 

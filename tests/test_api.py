@@ -124,9 +124,10 @@ def test_analysis_imports_no_reflection_or_parser_machinery():
     cores, not ``hashlib`` (which loads OpenSSL as ``_hashlib``) or
     ``random``, and the fixtures wait for their first use.  ``fractions``
     (with its ``decimal`` and ``numbers``) waits for the first
-    ``Fraction`` built or recognized."""
+    ``Fraction`` built or recognized.  ``bisect`` is not needed: a dense
+    view reads one entry of a sorted row by a scan."""
     unwanted = ("dataclasses", "typing", "inspect", "argparse", "hashlib", "_hashlib", "random",
-                "coring_lab.fixtures", "fractions", "decimal", "numbers")
+                "coring_lab.fixtures", "fractions", "decimal", "numbers", "bisect", "_bisect")
     code = (f"import sys; sys.path.insert(0, {SRC!r}); {CHILD_IMPORTS}; "
             f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,

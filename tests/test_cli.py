@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,8 +6,13 @@ import sys
 
 import pytest
 
+from coring_lab import cli
 from coring_lab.cli import main, run_analysis, check_assertion
+from coring_lab.exactla import ShapeError
 from coring_lab.fixtures import fixture
+from coring_lab.verdict import VerificationError
+
+from helpers import perfbench_instance
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -225,6 +231,114 @@ def test_exit_code_for_inconclusive_search(monkeypatch):
     code, out, err = run_cli(["analyze", fx("fix-t")])
     assert code == 5
     assert "inconclusive" in err
+
+
+# -- the collector pause around load, verify and analysis ---------------------
+
+
+@pytest.fixture
+def collector_enabled():
+    """The cyclic collector enabled for the test, and its state restored."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
+
+
+def _not_grouplike(tmp_path):
+    """fix-h with unit coaction [0, 0, 1, 0], an axiom failure of the input."""
+    blob = json.load(open(fx("fix-h")))
+    blob["unit_coaction"] = [0, 0, 1, 0]
+    p = tmp_path / "not-grouplike.json"
+    p.write_text(json.dumps(blob))
+    return str(p)
+
+
+def test_collector_resumes_after_each_paused_call(collector_enabled):
+    ctx = cli.load_instance(fx("fix-h"))
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    cli.full_verify(ctx)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    cli.run_analysis(ctx, seed=0)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_collector_resumes_when_the_call_raises(tmp_path, collector_enabled):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ShapeError):
+        cli.load_instance(str(bad))
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    ctx = cli.load_instance(_not_grouplike(tmp_path))
+    with pytest.raises(VerificationError):
+        cli.full_verify(ctx)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_collector_left_off_when_off_on_entry():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = cli.load_instance(fx("fix-h"))
+        cli.full_verify(ctx)
+        cli.run_analysis(ctx, seed=0)
+        assert not gc.isenabled() and gc.get_freeze_count() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_collector_keeps_a_callers_frozen_objects(collector_enabled):
+    """The resume promotes survivors by freeze/unfreeze only when no caller
+    holds objects frozen: it never releases them."""
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        ctx = cli.load_instance(fx("fix-h"))
+        cli.full_verify(ctx)
+        assert gc.isenabled() and gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def _write_qz6(tmp_path):
+    p = tmp_path / "QZ6.json"
+    p.write_text(json.dumps(perfbench_instance("ladder", "QZ6-x0-Q")))
+    return str(p)
+
+
+def test_qz6_analysis_runs_no_collection(tmp_path, collector_enabled, monkeypatch):
+    """Load, verify and analysis of QZ6 run no collection of any
+    generation: inside the pause none runs, and the resume leaves the
+    survivors in the oldest generation with the young count at zero."""
+    p = _write_qz6(tmp_path)
+    monkeypatch.setattr(cli, "_promoted", 0)   # no full collection is due
+    gc.collect()
+    before = [g["collections"] for g in gc.get_stats()]
+    ctx = cli.load_instance(p)
+    cli.full_verify(ctx)
+    cli.run_analysis(ctx, seed=0)
+    assert [g["collections"] for g in gc.get_stats()] == before
+
+
+def test_dropped_contexts_are_collected(tmp_path, collector_enabled, monkeypatch):
+    """A dropped context is cyclic garbage (its memo caches point back at
+    it), and the resume's promotion hides it from the collector's own count
+    for a full collection; past the promotion limit the next paused call
+    runs one.  Without it, eight analyses of QZ6, each context dropped,
+    leave over 100,000 unreachable objects."""
+    p = _write_qz6(tmp_path)
+    limit = 20_000
+    monkeypatch.setattr(cli, "_PROMOTED_LIMIT", limit)
+    monkeypatch.setattr(cli, "_promoted", 0)
+    gc.collect()
+    for _ in range(8):
+        ctx = cli.load_instance(p)
+        cli.full_verify(ctx)
+        cli.run_analysis(ctx, seed=0)
+        del ctx
+    assert gc.collect() <= 2 * limit
 
 
 # -- the parsing boundary: every malformed input is exit 1, one line ----------

@@ -83,8 +83,16 @@ read from stored numerators, and serialization writes each JSON scalar
 from a stored numerator and the denominator, so a failure means a
 reduction, a span, a solution or a serialized table is routed through
 ``Fraction`` again.
+
+Objects that ``gc.collect()`` frees after a load, verify and analysis of
+``fix-s`` and of that ``QZ6``, run with the cyclic collector off: 66,
+budget 100, all closures of the stdlib's ``json.dumps(indent=1)``.  The
+CLI pauses the collector for these calls, so a failure means the package
+now makes reference cycles that build up during the pause.
 """
 
+import gc
+import json
 import os
 import sys
 from fractions import Fraction
@@ -109,6 +117,7 @@ VERIFY_MATRIX_BUDGET = 27
 VERIFY_MATRIX_FLOOR = 23
 FRACTION_BUDGET = 0
 DENSE_VIEW_BUDGET = 0
+CYCLIC_GARBAGE_BUDGET = 100
 
 
 def _analyze_fix_s():
@@ -285,3 +294,25 @@ def test_fix_s_analysis_stays_within_dense_view_budget(monkeypatch):
     cli.full_verify(ctx)
     cli.run_analysis(ctx, seed=0)
     assert read[0] <= DENSE_VIEW_BUDGET, read[0]
+
+
+def test_analysis_makes_almost_no_cyclic_garbage(tmp_path):
+    """The premise of the CLI's collector pause: an analysis makes next
+    to no reference cycles, so nothing builds up while it is paused."""
+    qz6 = tmp_path / "QZ6.json"
+    qz6.write_text(json.dumps(perfbench_instance("ladder", "QZ6-x0-Q")))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        contexts = []
+        for path in (FIX_S, str(qz6)):
+            ctx = cli.load_instance(path)
+            cli.full_verify(ctx)
+            cli.run_analysis(ctx, seed=0)
+            contexts.append(ctx)
+        freed = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert len(contexts) == 2 and freed <= CYCLIC_GARBAGE_BUDGET, freed
