@@ -437,7 +437,7 @@ def instance_from_json(obj: dict) -> EntwinedContext:
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise ShapeError(f"instance name must be a string, got {name!r}")
-    kind = ent.get("kind") if isinstance(ent, dict) else None
+    kind = json_get(ent, "kind", "entwining")
     if kind == "matrix":
         psi = parse_array(field, json_get(ent, "psi", "matrix entwining"), (n, n), "psi")
         return EntwinedContext(A, C, DenseMatrix.from_rows(field, psi, cols=n),

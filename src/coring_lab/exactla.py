@@ -75,26 +75,25 @@ one-column and boolean cases.
 ``Subspace.from_spanning`` and the relation spans (balanced-tensor
 relations, intertwiner constraints, taken over the generators of the
 acting algebra rather than its whole basis) all read their results off
-the ``SubspaceBuilder`` it returns.  Its per-field loops bring each row,
-as it is read, to a {col: int} dict of its nonzero entries (a dense row
-times the lcm of its denominators, residues over Fp), and
-``presolved_span`` solves the rows of one or two terms first, by a
-weighted union-find over the columns (``_Classes``): structured Gaussian
-elimination.  Only the longer rows, rewritten over the classes, reach the
-builder's ``insert``, the one elimination step; the classes then write
+the ``SubspaceBuilder`` it returns.  Its per-field loops are the one
+place a row is normalized: each row, as it is read, becomes a {col: int}
+dict of its nonzero entries (a dense row times the lcm of its
+denominators, residues over Fp).  ``presolved_span`` then solves the rows
+of one or two terms by a weighted union-find over the columns
+(``_Classes``), structured Gaussian elimination, and buffers the longer
+rows.  Each buffered row is rewritten once over the classes and reaches
+the builder's ``insert``, the one elimination step; the classes then write
 the row of every other column into the builder itself, so it ends with
 the rows that inserting every row would leave.  Only
 ``combination_is_invertible``, which stops at the first row that adds
 nothing, and the closure of ``AlgebraPresentation.generators``, which asks
 after every product whether the span grew, insert their rows directly.
 Matrix rows enter the builder as their numerator pairs, never densified.
-Over Q it eliminates without fractions: it clears each
-inserted vector's denominators once and stores every echelon row as its
-primitive integer multiple with a positive pivot entry.  It keeps the
-full RREF after every insertion, but back-substitutes a new pivot column
-into the stored rows only when it is in the builder's one set of the
-columns those rows may hold, a superset grown by each stored row and never
-shrunk: back-substitution brings only the new row's columns into old rows.
+``insert`` takes one input form, a {col: int} dict of nonzero ints, and
+eliminates without fractions: it stores every echelon row as its
+primitive integer multiple with a positive pivot entry (over Fp with a
+unit pivot), and keeps the full RREF after every insertion, scanning the
+stored rows for each new pivot column.
 Its results are read off those integer rows without building a ``Fraction``:
 ``SubspaceBuilder.echelon`` scales them to numerator rows over the lcm of
 their pivot entries (over Fp the pivots are already 1), which span bases
@@ -1109,21 +1108,14 @@ class SubspaceBuilder:
     pivot entry b clears an entry a of v by ``b'*v - a'*row``, with (b', a')
     the pair (b, a) divided by its gcd, and every row it produces is brought
     back to that canonical multiple.  The full RREF invariant (no row has an
-    entry in another row's pivot column) holds after every insertion.
+    entry in another row's pivot column) holds after every insertion:
+    ``insert`` scans the stored rows for each new pivot column and
+    back-substitutes the new row into those that hold it.
 
-    The builder also keeps one set of the columns its rows may hold: each
-    row's columns are added when it is stored, and none is ever removed.
-    It stays a superset, as back-substitution brings into an old row only
-    columns of the new row, which are added with it.  ``insert`` scans the
-    stored rows for the new pivot column only when that column is in the
-    set; otherwise no row holds it and there is nothing to back-substitute,
-    so the rows are the full RREF all the same.  One analysis of each
-    instance of the benchmark's ``ladder`` workload stores 993 pivot rows
-    through ``insert`` and scans the stored rows for 152 of them.
-
-    ``insert`` takes over a dict it is given: the dict becomes the
-    builder's row, or is eliminated in place, so a caller that keeps its
-    vector passes a copy.
+    ``insert`` takes one input form, a {col: int} dict of nonzero ints, and
+    takes it over: the dict becomes the builder's row, or is eliminated in
+    place, so a caller that keeps its vector passes a copy.  Bringing a
+    row to that form is the per-field loops' work in ``row_reduce``.
 
     The results are read from the integer rows: ``pivots`` and ``dim``,
     ``echelon`` (the reduced rows as numerators), and ``null_vectors``,
@@ -1137,7 +1129,6 @@ class SubspaceBuilder:
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows = {}   # leading col -> {col: int}, canonical multiple
-        self._held = set()   # a superset of the columns the rows hold
 
     @property
     def dim(self) -> int:
@@ -1192,22 +1183,10 @@ class SubspaceBuilder:
         inv = pow(lead, -1, p)
         return {c: x * inv % p for c, x in v.items()}
 
-    def insert(self, vec) -> bool:
-        """Insert a vector, a dense sequence or a {col: scalar} dict; True if
-        the dim grew.  A dict of nonzero ints is taken over, not copied: the
-        builder changes it and may keep it as a row."""
-        if isinstance(vec, dict):
-            v = vec if 0 not in vec.values() else {c: x for c, x in vec.items() if x}
-        else:
-            v = {c: x for c, x in enumerate(vec) if x}
-        if not v:
-            return False
-        # clear the denominators once, for the whole vector; a nonzero
-        # multiple spans the same line over either field
-        values = v.values()
-        _, ints = clear_denominators(values)
-        if ints is not values:
-            v = dict(zip(v, ints))
+    def insert(self, v: dict) -> bool:
+        """Insert a {col: int} dict of nonzero ints (over Fp any ints, read
+        mod p); True if the dim grew.  The dict is taken over, not copied:
+        the builder changes it and may keep it as a row."""
         rows = self._rows
         # Pivot rows carry no other pivot columns (full RREF invariant), so
         # clearing one hit introduces no new ones and the hits are fixed.
@@ -1217,14 +1196,10 @@ class SubspaceBuilder:
         if not v:
             return False
         lead = min(v)
-        held = self._held
-        # back-substitute only when some stored row may hold the new pivot
-        if lead in held:
-            for piv, row in rows.items():
-                if lead in row:
-                    _eliminate(row, lead, v)
-                    rows[piv] = self._canonical(row)
-        held.update(v)
+        for piv, row in rows.items():
+            if lead in row:
+                _eliminate(row, lead, v)
+                rows[piv] = self._canonical(row)
         rows[lead] = v
         return True
 
@@ -1327,8 +1302,11 @@ class _Classes:
     def rewrite(self, row: dict) -> dict:
         """An integer row over the live roots: each column replaced by its
         weight times its root, the zero classes dropped, the whole row
-        scaled by the lcm of the weights' denominators."""
+        scaled by the lcm of the weights' denominators; the row itself
+        while no class has been merged or zeroed."""
         zero, find = self.zero, self.find
+        if not (self.up or zero):
+            return row
         terms = []
         m = 1
         for c, x in row.items():
@@ -1353,7 +1331,7 @@ class _Classes:
         every column of a zero class.  c is less than r and every column of
         that reduced row, so c leads the row, and no row holds another's
         pivot."""
-        rows, held, zero, p = span._rows, span._held, self.zero, self.p
+        rows, zero, p = span._rows, self.zero, self.p
         for c in self.up:
             r, num, den = self.find(c)
             if r in zero:
@@ -1368,10 +1346,8 @@ class _Classes:
                         if j != r:
                             v[j] = num * y
                     v = span._canonical(v)
-            held.update(v)
             rows[c] = v
         for z in zero:
-            held.add(z)
             rows[z] = {z: 1}
 
 
@@ -1383,37 +1359,24 @@ def presolved_span(field: FieldSpec, n: int, rows) -> SubspaceBuilder:
     two terms solved first by a weighted union-find (``_Classes``):
     structured Gaussian elimination, the singleton and doubleton presolve.
 
-    The rows are read once, as they come.  Rows of three or more terms go
-    to the builder as they are until the first short row comes; from then
-    on they wait, and at the end they and the builder's rows are rewritten
-    over the roots of the classes and reduced again.  A span without short
-    rows is thus reduced row by row, each row inserted as it is read.  The
-    classes then add the row of every other column
-    (``_Classes.complete``)."""
+    The rows are read once, as they come: the short rows merge classes and
+    the rows of three or more terms are buffered.  Then each buffered row
+    is rewritten once over the roots of the classes (the row itself when
+    there were no short rows) and inserted, and the classes add the row of
+    every other column (``_Classes.complete``)."""
     classes = _Classes(field.p)
-    span = SubspaceBuilder(field, n)
-    waiting = None   # the long rows after the first short one
+    long = []
     for row in rows:
         k = len(row)
         if k > 2:
-            if waiting is None:
-                span.insert(row)
-            else:
-                waiting.append(row)
+            long.append(row)
+        elif k == 2:
+            (x, a), (y, b) = row.items()
+            classes.merge(x, a, y, b)
         elif k:
-            if k == 2:
-                (x, a), (y, b) = row.items()
-                classes.merge(x, a, y, b)
-            else:
-                classes.zero.add(classes.find(*row)[0])
-            if waiting is None:
-                waiting = []
-    if waiting is None:
-        return span
-    if span._rows:
-        waiting[:0] = span._rows.values()
-        span = SubspaceBuilder(field, n)
-    for row in waiting:
+            classes.zero.add(classes.find(*row)[0])
+    span = SubspaceBuilder(field, n)
+    for row in long:
         row = classes.rewrite(row)
         if row:
             span.insert(row)

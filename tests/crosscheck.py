@@ -118,7 +118,7 @@ from coring_lab.morita import (
 )
 from coring_lab.verdict import Verdict, VerificationError
 
-from helpers import lmul, mult_table, rmul
+from helpers import int_row, lmul, mult_table, rmul
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +738,7 @@ def balanced_tensor_over_basis(M: ModulePresentation, N: ModulePresentation) -> 
                     rel[r * dN + j] = f.normalize(rel[r * dN + j] + actM.get(r, i))
                 for r in range(dN):
                     rel[i * dN + r] = f.normalize(rel[i * dN + r] - actN.get(r, j))
-                span.insert(rel)
+                span.insert(int_row(rel))
     return quotient(span)
 
 

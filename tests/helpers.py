@@ -3,9 +3,20 @@
 import functools
 import importlib.util
 import os
+from math import lcm
 
 from coring_lab.exactla import QQ, DenseMatrix, combinations
 from coring_lab.algebra import AlgebraPresentation, ModulePresentation
+
+
+def int_row(vec):
+    """The nonzero entries of a dense vector or a {col: scalar} dict as a
+    {col: int} dict, times the lcm of their denominators: a nonzero
+    multiple, spanning the same line, in the one form
+    ``SubspaceBuilder.insert`` takes."""
+    row = {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+    d = lcm(*[getattr(x, "denominator", 1) for x in row.values()])
+    return {c: int(x * d) for c, x in row.items()}
 
 
 def mult_table(A):

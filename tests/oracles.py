@@ -288,12 +288,14 @@ def plain_row_reduce(field, n, rows):
     """The span of rows in k^n with every row inserted, in order, into one
     ``SubspaceBuilder``: the reduction before its one- and two-term rows
     were solved by a union-find.  The canonical reduced echelon form is
-    unique, so ``row_reduce`` must leave exactly these rows.  Each dict
-    row is copied, since ``insert`` takes a dict over."""
+    unique, so ``row_reduce`` must leave exactly these rows.  Each row,
+    dense or a dict, enters as a new {col: int} dict (``int_row``), since
+    ``insert`` takes a dict over."""
     from coring_lab.exactla import SubspaceBuilder
+    from helpers import int_row
     span = SubspaceBuilder(field, n)
     for row in rows:
-        span.insert(dict(row) if isinstance(row, dict) else row)
+        span.insert(int_row(row))
     return span
 
 

@@ -34,7 +34,7 @@ from coring_lab.cli import run_analysis
 from coring_lab.fixtures import FIXTURE_NAMES, fixture
 
 from crosscheck import verify_context_identities
-from helpers import group_algebra_zn, mult_table
+from helpers import group_algebra_zn, int_row, mult_table
 from oracles import random_scalar
 
 
@@ -295,7 +295,7 @@ def test_acceptance_8_random_linear_algebra():
                     ok = False
             span = SubspaceBuilder(field, cols)
             for r in range(k.dim):
-                span.insert(k.basis.row(r))
+                span.insert(int_row(k.basis.row(r)))
             q = quotient(span)
             if q.projection.mul(q.section) != DenseMatrix.identity(field, q.dim):
                 ok = False

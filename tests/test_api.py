@@ -23,6 +23,8 @@ from coring_lab.exactla import SubspaceBuilder, dumps_canonical
 from coring_lab.fixtures import FIXTURE_NAMES
 from coring_lab.verdict import AxiomFailure
 
+from helpers import int_row
+
 TRACER = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
 
 
@@ -227,9 +229,9 @@ def test_axiom_failure_is_an_immutable_value():
 
 def test_quotient_space_equal_by_value():
     spans = [SubspaceBuilder(coring_lab.QQ, 3) for _ in range(3)]
-    spans[0].insert([1, 1, 0])
-    spans[1].insert([2, 2, 0])
-    spans[2].insert([0, 1, 1])
+    spans[0].insert(int_row([1, 1, 0]))
+    spans[1].insert(int_row([2, 2, 0]))
+    spans[2].insert(int_row([0, 1, 1]))
     first, same, other = (coring_lab.quotient(s) for s in spans)
     assert first == same and first is not same
     assert first != other

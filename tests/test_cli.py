@@ -362,6 +362,8 @@ MALFORMED = {  # case -> edits (path into fix-h's JSON, new value)
     "denominator-divisible-by-p": [(("field",), {"kind": "Fp", "p": 2}),
                                    (("unit_coaction", 0), "1/2")],
     "name-not-string": [(("name",), ["fix-h"])],
+    "entwining-not-object": [(("entwining",), "matrix")],
+    "entwining-without-kind": [(("entwining",), {})],
     # strings ``Fraction`` takes but the scalar grammar ("a" or "a/b" in
     # ASCII digits, a leading "-" allowed) does not
     "scalar-underscore": [(("coalgebra", "counit", 0), "1_0")],
@@ -370,6 +372,11 @@ MALFORMED = {  # case -> edits (path into fix-h's JSON, new value)
     "scalar-fullwidth-digit": [(("unit_coaction", 0), "\uff11")],
     "scalar-leading-point": [(("unit_coaction", 0), ".5")],
     "scalar-trailing-point": [(("unit_coaction", 0), "1.")],
+}
+# case -> what its one-line message must say, where that names the part at fault
+MESSAGES = {
+    "entwining-not-object": "entwining JSON must be an object",
+    "entwining-without-kind": "entwining JSON is missing 'kind'",
 }
 
 
@@ -387,6 +394,7 @@ def test_malformed_input_exits_1(tmp_path, case):
         code, out, err = run_cli([command, str(p)])
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert MESSAGES.get(case, "") in err, err
 
 
 @pytest.mark.parametrize("text", [

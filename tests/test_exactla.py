@@ -34,6 +34,7 @@ from coring_lab.exactla import (
 )
 
 from crosscheck import coords, solve
+from helpers import int_row
 from oracles import (
     intersect,
     naive_is_prime,
@@ -352,7 +353,7 @@ def span_of(field, n, vecs):
     """The relation span of vecs, as ``quotient`` takes it."""
     span = SubspaceBuilder(field, n)
     for v in vecs:
-        span.insert(v)
+        span.insert(int_row(v))
     return span
 
 
@@ -662,7 +663,7 @@ def test_subspace_builder_matches_dense():
             vecs = [[scalar(rng) for _ in range(dim)] for _ in range(rng.randint(0, 6))]
             sb = SubspaceBuilder(field, dim)
             for k, v in enumerate(vecs):
-                grew = sb.insert(v)
+                grew = sb.insert(int_row(v))
                 # read the rows after every insertion, so a stale view fails
                 rref, pivots = naive_rref(vecs[:k + 1], p)
                 assert grew == (len(pivots) > naive_rank(vecs[:k], p))

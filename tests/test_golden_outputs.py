@@ -1,7 +1,7 @@
 """Byte-identical analysis output, pinned by digest.
 
 The sha256 of ``run_analysis(ctx, seed=0).to_json()`` after ``full_verify``,
-the calls ``analyze --format json --seed 0`` makes, for each of the 38
+the calls ``analyze --format json --seed 0`` makes, for each of the 39
 distinct instances among the fixtures, the closed-form instances of
 ``test_closed_forms`` and the 47 instances the benchmark generates at seed
 0 (labelled as in ``instances.py``).  A change to the arithmetic underneath
@@ -30,6 +30,7 @@ DIGESTS = {
     "closed-forms-dense-QZ3": "91d3911bc9a006aff5eaa70cdc7e3005c71c486a37daf0060e21af64bcf3bc2c",
     "closed-forms-fix-s-conj": "e409ecef3508797ff2872636c0dd3db4e00d690bd6fc043204bf1cf9f6322818",
     "closed-forms-fix-s-over-k": "2cc8874b171e7b421b1b03310c93e8399ab913c1e5f366c7d15e94875d0a8576",
+    "closed-forms-kS3": "a12201e1648fe4f75336034eb2840e221ca56b2d101eb39baadbc76bed7f1547",
     "ladder-00-QZ5-x0-Q": "c7c2f0668bfe4b91c20a03c7e297b26c65d5708e4ae5626d5410d9e35ebc72e1",
     "ladder-01-QZ3-x0-Q": "f9fef232f2b7baa234fa32d4f9d025822c7db96e27e60d4aa92f77211571d341",
     "ladder-04-QZ2-x0-Q": "66e1f238d2ba70733fd74c96597ddc6e7b151a6367be1c448012e3144a09944a",

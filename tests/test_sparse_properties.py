@@ -71,6 +71,7 @@ from coring_lab.exactla import (
     _Numerators,
 )
 
+from helpers import int_row
 from oracles import (
     is_invertible,
     naive_combination,
@@ -690,18 +691,16 @@ def fill_in_sequences(draw, field):
 @SETTINGS
 def test_builder_back_substitutes_through_fill_in(data, field):
     """After every insertion of a fill-in sequence the builder's pivots and
-    reduced rows are the textbook RREF of the vectors so far, and its set of
-    held columns covers every column a stored row holds."""
+    reduced rows are the textbook RREF of the vectors so far."""
     n, chain, vectors = data.draw(fill_in_sequences(field))
     p = p_of(field)
     span = SubspaceBuilder(field, n)
     for k, v in enumerate(vectors):
-        span.insert(v)
+        span.insert(int_row(v))
         want, want_pivots = naive_rref(vectors[:k + 1], p)
         assert span.pivots == want_pivots
         assert DenseMatrix(field, span.dim, n, span.echelon()).row_lists() == \
             normalized(field, want)
-        assert set().union(*span._rows.values()) <= span._held
         if k == len(chain) - 1:
             # the chain is triangular: its pivots are the columns it runs over
             assert span.pivots == chain
@@ -764,25 +763,23 @@ def test_presolved_span_matches_row_reduce(stream, field):
     """The span with its one- and two-term rows solved by the weighted
     union-find holds exactly the builder rows that inserting each row into
     one builder leaves (``oracles.plain_row_reduce``), as does
-    ``row_reduce`` of the rows as drawn, zeros and all; its held columns
-    cover every column of them, and the null space and the quotient's
-    projection and section read off it are the same."""
+    ``row_reduce`` of the rows as drawn, zeros and all; and the null space
+    and the quotient's projection and section read off it are the same."""
     n, rows = stream
     span = presolved_span(field, n, _as_presolve_input(field, rows))
     plain = plain_row_reduce(field, n, rows)
     assert span._rows == plain._rows
     assert row_reduce(field, n, [dict(r) for r in rows])._rows == plain._rows
-    assert all(row.keys() <= span._held for row in span._rows.values())
     assert null_space(span) == null_space(plain)
     assert quotient(span) == quotient(plain)
 
 
 def test_presolved_span_reduces_long_rows_before_and_after_short_ones():
-    """Three-term rows before the first short row are inserted as they come
-    and reduced again over the class roots at the end; a root that is a
-    pivot of the reduced rows is substituted into the rows of its class;
-    a weight with a denominator and a class forced to zero by a cycle are
-    written fraction-free."""
+    """Three-term rows before and after the short rows are buffered and
+    each rewritten once over the class roots; a root that is a pivot of the
+    reduced rows is substituted into the rows of its class; a weight with
+    a denominator and a class forced to zero by a cycle are written
+    fraction-free."""
     rows = [{0: 1, 2: 1, 5: 1},   # long, before any short row
             {1: 3, 4: -2},        # x1 = 2/3 x4
             {3: 2, 4: 1},         # x3 = -1/2 x4: the class {1, 3, 4}
@@ -794,6 +791,20 @@ def test_presolved_span_reduces_long_rows_before_and_after_short_ones():
         assert span._rows == plain_row_reduce(field, 7, rows)._rows
         assert span._rows == row_reduce(field, 7, [dict(r) for r in rows])._rows
         assert span.pivots == [0, 1, 2, 3, 4, 6]
+
+
+def test_rewrite_without_classes_returns_the_row_itself():
+    """While no class has been merged or zeroed a long row is not copied;
+    once one has, the rewrite is a new row over the roots."""
+    for p in (None, 7):
+        classes = exactla._Classes(p)
+        row = {0: 1, 2: 3, 5: 1}
+        assert classes.rewrite(row) is row
+        classes.merge(1, 1, 2, -1)    # x1 = x2
+        assert classes.rewrite(row) == {0: 1, 2: 3, 5: 1} and classes.rewrite(row) is not row
+        zeroed = exactla._Classes(p)
+        zeroed.zero.add(5)
+        assert zeroed.rewrite(row) == {0: 1, 2: 3}
 
 
 # -- every reduction through the presolve -------------------------------------

@@ -39,12 +39,13 @@ Counts of one ``fix-s`` verify + analysis:
   integer row in ``SubspaceBuilder.insert``: 152, budget 167 and floor
   137, about 10 % either side (337 while only the relation spans took the
   short-row presolve, 1,237 before it, 1,267 before the coinvariants
-  became xi's target).  ``insert`` back-substitutes a new pivot
-  only when its set of held columns says a stored row may hold it, so a
-  count through the floor means that filter skips an elimination the
-  reduced echelon form needs, and a count over the budget means the
-  bookkeeping of the elimination adds eliminations of its own, or the
-  short rows of a reduction are eliminated again.
+  became xi's target; the same 152 while ``insert`` kept a set of the
+  columns its rows may hold).  ``insert`` back-substitutes a new pivot
+  into every stored row that holds it, so a count through the floor
+  means an elimination the reduced echelon form needs is skipped, and a
+  count over the budget means the bookkeeping of the elimination adds
+  eliminations of its own, or the short rows of a reduction are
+  eliminated again.
 * Cells read through the dense views ``entries``, ``columns``,
   ``row_lists`` and ``col`` outside a ``to_json``: 0, budget 0.  Every
   operator is built from a coefficient matrix and every solution stays a
